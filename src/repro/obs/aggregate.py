@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.reconstruct import _iter_jsonl
 from repro.obs.trace import RecordingTracer, Tracer
 
 __all__ = [
@@ -355,31 +356,6 @@ class MergedRun:
         return sum(s.records for s in self.shards)
 
 
-def _iter_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
-    """Yield one record per parseable line, skipping truncated tails.
-
-    A worker killed mid-write leaves a final line that is not valid
-    JSON; merging must degrade to a warning (the remaining records are
-    intact) instead of losing the whole run.
-    """
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                from repro.obs.log import get_logger
-
-                get_logger("obs.aggregate").warning(
-                    "%s:%d: skipping unparseable shard record "
-                    "(worker crashed mid-write?)",
-                    path,
-                    lineno,
-                )
-
-
 def _shard_pid(path: Path) -> int:
     match = _SHARD_RE.search(path.name)
     return int(match.group(1)) if match else 0
@@ -428,7 +404,11 @@ def merge_run_dir(
         pid_to_index[pid] = widx
         anchor = 0.0
         count = 0
-        for record in _iter_jsonl(path):
+        for record in _iter_jsonl(
+            path,
+            "obs.aggregate",
+            "skipping unparseable shard record (worker crashed mid-write?)",
+        ):
             if record.get("type") == "shard_header":
                 anchor = float(record.get("anchor_unix_ms", 0.0))
                 continue

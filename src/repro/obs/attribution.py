@@ -56,7 +56,6 @@ Attachment points:
 from __future__ import annotations
 
 import heapq
-import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,6 +74,7 @@ from typing import (
 
 from repro.obs.audit import AuditAlert
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.reconstruct import TORN_RECORD, _iter_jsonl
 from repro.obs.trace import RecordingTracer, Tracer, ForwardingTracer
 
 __all__ = [
@@ -909,22 +909,7 @@ def attribution_from_jsonl(
     :func:`attribution_from_tracer` on the merged tracer (what
     ``run_sweep`` and ``write_merged_artifacts`` do).
     """
-    from repro.obs.log import get_logger
-
     attributor = LatencyAttributor(**kwargs)
-    p = Path(path)
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                get_logger("obs.attribution").warning(
-                    "%s:%d: skipping unparseable record (truncated write?)",
-                    p, lineno,
-                )
-                continue
-            attributor.observe_record(record)
+    for record in _iter_jsonl(Path(path), "obs.attribution", TORN_RECORD):
+        attributor.observe_record(record)
     return attributor

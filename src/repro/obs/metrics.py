@@ -10,7 +10,10 @@ sets) with two additions the experiments need:
 - histograms combine **fixed buckets** (exported Prometheus-style) with a
   bounded **reservoir sample** (Vitter's algorithm R, deterministic seed)
   for quantile queries; below the reservoir capacity the quantiles are
-  exact.
+  exact.  A sorted mirror of the reservoir is kept up to date on every
+  ``observe``, so a quantile query is O(1) rather than a sort — cheap
+  enough to ask once per completion (the attributor's rolling tail
+  threshold does).
 
 The registry is passive: instrumented components call ``inc``/``set``/
 ``observe`` only when a registry was injected, so the default
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from bisect import bisect_left, insort
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -149,7 +153,7 @@ class Histogram:
 
     __slots__ = (
         "name", "labels", "_bounds", "_bucket_counts", "_count", "_sum",
-        "_reservoir", "_capacity", "_rng",
+        "_reservoir", "_ordered", "_neg_zeros", "_capacity", "_rng",
     )
 
     def __init__(
@@ -169,6 +173,11 @@ class Histogram:
         self._count = 0
         self._sum = 0.0
         self._reservoir: List[float] = []
+        # The reservoir's multiset in ascending order (zeros stored as
+        # +0.0), and how many -0.0 samples the reservoir holds; see
+        # _ranked for why signed zeros need the reservoir itself.
+        self._ordered: List[float] = []
+        self._neg_zeros = 0
         self._capacity = reservoir_size
         # Deterministic reservoir: runs are reproducible for a fixed
         # observation order regardless of global random state.
@@ -189,10 +198,47 @@ class Histogram:
         self._bucket_counts[lo] += 1
         if len(self._reservoir) < self._capacity:
             self._reservoir.append(value)
+            self._mirror_add(value)
         else:
             slot = self._rng.randrange(self._count)
             if slot < self._capacity:
+                self._mirror_remove(self._reservoir[slot])
                 self._reservoir[slot] = value
+                self._mirror_add(value)
+
+    def _mirror_add(self, value: float) -> None:
+        if value == 0.0 and math.copysign(1.0, value) < 0.0:
+            self._neg_zeros += 1
+        insort(self._ordered, value or 0.0)
+
+    def _mirror_remove(self, value: float) -> None:
+        """Remove one sample equal to ``value`` from the sorted mirror."""
+        if value == 0.0 and math.copysign(1.0, value) < 0.0:
+            self._neg_zeros -= 1
+        ordered = self._ordered
+        i = bisect_left(ordered, value)
+        if i == len(ordered) or ordered[i] != value:  # NaN: find by identity
+            i = ordered.index(value)
+        del ordered[i]
+
+    def _ranked(self, i: int) -> float:
+        """The ``i``-th smallest reservoir sample, as ``sorted`` gives it.
+
+        ``sorted`` is stable, so samples that compare equal keep their
+        reservoir (slot) order.  The only finite floats that compare
+        equal yet differ are ``0.0`` and ``-0.0``; the mirror stores
+        every zero as ``+0.0`` and, when the reservoir holds a ``-0.0``,
+        the sign is read off the ``k``-th zero in slot order.
+        """
+        value = self._ordered[i]
+        if value == 0.0 and self._neg_zeros:
+            k = i - bisect_left(self._ordered, 0.0)
+            for sample in self._reservoir:
+                if sample == 0.0:
+                    if k == 0:
+                        return sample
+                    k -= 1
+        return value
 
     @property
     def count(self) -> int:
@@ -228,18 +274,18 @@ class Histogram:
         of observations is within the reservoir capacity."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-        if not self._reservoir:
+        n = len(self._ordered)
+        if not n:
             return math.nan
-        ordered = sorted(self._reservoir)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = q * (len(ordered) - 1)
+        if n == 1:
+            return self._ranked(0)
+        rank = q * (n - 1)
         lo = math.floor(rank)
         hi = math.ceil(rank)
         if lo == hi:
-            return ordered[lo]
+            return self._ranked(lo)
         frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return self._ranked(lo) * (1.0 - frac) + self._ranked(hi) * frac
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot (see :meth:`merge_state`)."""
@@ -272,7 +318,9 @@ class Histogram:
         for value in state["reservoir"]:
             if len(self._reservoir) >= self._capacity:
                 break
-            self._reservoir.append(float(value))
+            value = float(value)
+            self._reservoir.append(value)
+            self._mirror_add(value)
 
 
 class MetricsRegistry:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Any, Dict, Iterable, Iterator, Mapping, Union
 
 from repro.obs.trace import RecordingTracer
 
@@ -109,12 +109,18 @@ def reconstruct_metrics(tracer: RecordingTracer) -> TraceSummary:
     return _fold(records)
 
 
-def _iter_jsonl(path: Path) -> Iterable[Mapping]:
-    """Stream records, skipping unparseable lines with a warning.
+#: Warning logged for a torn line of an event log (see :func:`_iter_jsonl`).
+TORN_RECORD = "skipping unparseable record (truncated write?)"
 
-    A crashed worker truncates its shard mid-line; every record before
-    the tear is still good, so reconstruction degrades gracefully
-    instead of raising on the torn line.
+
+def _iter_jsonl(path: Path, logger: str, warning: str) -> Iterator[Dict[str, Any]]:
+    """Stream one record per parseable line, skipping torn lines.
+
+    A crashed worker truncates its file mid-line; every record before
+    the tear is still good, so readers degrade to a ``warning`` (logged
+    as ``<path>:<line>: <warning>`` on the ``logger`` channel) instead
+    of raising on the torn line.  This is the one JSONL reader behind
+    shard merges, reconstruction, attribution folds and run reports.
     """
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -126,11 +132,7 @@ def _iter_jsonl(path: Path) -> Iterable[Mapping]:
             except json.JSONDecodeError:
                 from repro.obs.log import get_logger
 
-                get_logger("obs.reconstruct").warning(
-                    "%s:%d: skipping unparseable record (truncated write?)",
-                    path,
-                    lineno,
-                )
+                get_logger(logger).warning("%s:%d: %s", path, lineno, warning)
 
 
 def reconstruct_from_jsonl(path: Union[str, Path]) -> TraceSummary:
@@ -139,4 +141,4 @@ def reconstruct_from_jsonl(path: Union[str, Path]) -> TraceSummary:
     The log is streamed line by line — shard files from large parallel
     runs never need to fit in memory.
     """
-    return _fold(_iter_jsonl(Path(path)))
+    return _fold(_iter_jsonl(Path(path), "obs.reconstruct", TORN_RECORD))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.obs.reconstruct import TraceSummary, _iter_jsonl, reconstruct_from_jsonl
+from repro.obs.reconstruct import TORN_RECORD, TraceSummary, _fold, _iter_jsonl
 
 __all__ = [
     "render_run_report",
@@ -125,25 +125,40 @@ def _audit_rows(audit_json: Path) -> List[Tuple[str, str]]:
     return rows
 
 
-def _load_attribution(run_dir: Path) -> Optional[Dict[str, Any]]:
-    """The run's attribution snapshot, preferring the merged artifact.
-
-    Falls back to folding ``merged.jsonl`` when no ``attribution.json``
-    was written (e.g. the sweep ran without an attributor attached).
-    """
+def _attribution_json(run_dir: Path) -> Optional[Dict[str, Any]]:
+    """The run's merged attribution snapshot, when one was written."""
     direct = run_dir / "attribution.json"
     if direct.is_file():
         return json.loads(direct.read_text())
     batches = sorted(run_dir.glob("batch-*/attribution.json"))
     if batches:
         return json.loads(batches[-1].read_text())
-    merged = _find_merged_jsonl(run_dir)
-    if merged is None:
-        return None
-    from repro.obs.attribution import attribution_from_jsonl
+    return None
 
-    snap = attribution_from_jsonl(merged).to_json_dict()
-    return snap if snap["totals"]["queries"] else None
+
+def _scan_merged(
+    merged: Path, attributor: Optional[Any]
+) -> Tuple[TraceSummary, List[Any]]:
+    """The lifecycle summary and phase stats of ``merged.jsonl``, in one
+    streaming pass that also feeds every record to ``attributor``.
+
+    Only the span records are kept; the rest of the log is folded as it
+    streams, so the file is never held in memory.
+    """
+    from repro.obs.profile import stats_from_spans
+
+    spans: List[Dict[str, Any]] = []
+
+    def records():
+        for record in _iter_jsonl(merged, "obs.reconstruct", TORN_RECORD):
+            if record.get("type") == "span":
+                spans.append(record)
+            if attributor is not None:
+                attributor.observe_record(record)
+            yield record
+
+    summary = _fold(records())
+    return summary, stats_from_spans(spans)
 
 
 def _attribution_rows(snap: Dict[str, Any]) -> List[Tuple[str, str]]:
@@ -192,16 +207,6 @@ def _attribution_rows(snap: Dict[str, Any]) -> List[Tuple[str, str]]:
     return rows
 
 
-def _phase_stats(run_dir: Path) -> List[Any]:
-    """Offline phase stats from the merged span records (may be empty)."""
-    merged = _find_merged_jsonl(run_dir)
-    if merged is None:
-        return []
-    from repro.obs.profile import stats_from_spans
-
-    return stats_from_spans(_iter_jsonl(merged))
-
-
 def _hotspot_rows(stats: List[Any], n: int = 10) -> List[Tuple[str, str]]:
     return [
         (
@@ -214,7 +219,10 @@ def _hotspot_rows(stats: List[Any], n: int = 10) -> List[Tuple[str, str]]:
     ]
 
 
-def _gather_sections(run_dir: Path) -> List[Tuple[str, List[Tuple[str, str]]]]:
+def _gather_sections(
+    run_dir: Path,
+) -> Tuple[List[Tuple[str, List[Tuple[str, str]]]], List[Any]]:
+    """The report sections, plus the merged trace's phase stats."""
     sections: List[Tuple[str, List[Tuple[str, str]]]] = []
 
     shard_rows: List[Tuple[str, str]] = []
@@ -227,9 +235,21 @@ def _gather_sections(run_dir: Path) -> List[Tuple[str, List[Tuple[str, str]]]]:
     if shard_rows:
         sections.append(("worker shards", shard_rows))
 
+    attribution = _attribution_json(run_dir)
+    stats: List[Any] = []
     merged = _find_merged_jsonl(run_dir)
     if merged is not None:
-        summary = reconstruct_from_jsonl(merged)
+        # Without a written attribution.json (e.g. the sweep ran with no
+        # attributor attached), fold one from the same pass.
+        attributor = None
+        if attribution is None:
+            from repro.obs.attribution import LatencyAttributor
+
+            attributor = LatencyAttributor()
+        summary, stats = _scan_merged(merged, attributor)
+        if attributor is not None:
+            snap = attributor.to_json_dict()
+            attribution = snap if snap["totals"]["queries"] else None
         sections.append(
             (
                 f"reconstructed from {merged.relative_to(run_dir)}",
@@ -245,11 +265,10 @@ def _gather_sections(run_dir: Path) -> List[Tuple[str, List[Tuple[str, str]]]]:
     if audit_json.is_file():
         sections.append(("guarantee audit", _audit_rows(audit_json)))
 
-    attribution = _load_attribution(run_dir)
     if attribution is not None:
         sections.append(("latency attribution", _attribution_rows(attribution)))
 
-    hotspot_rows = _hotspot_rows(_phase_stats(run_dir))
+    hotspot_rows = _hotspot_rows(stats)
     if hotspot_rows:
         sections.append(("phase hotspots (self-time)", hotspot_rows))
 
@@ -267,15 +286,19 @@ def _gather_sections(run_dir: Path) -> List[Tuple[str, List[Tuple[str, str]]]]:
     ]
     if artifact_rows:
         sections.append(("merged artifacts", artifact_rows))
-    return sections
+    return sections, stats
 
 
 def render_run_report(run_dir: Union[str, Path], fmt: str = "text") -> str:
     """One summary (text or HTML) of a run directory's artifacts."""
-    directory = Path(run_dir)
+    return _render_run_report(Path(run_dir), fmt)[0]
+
+
+def _render_run_report(directory: Path, fmt: str) -> Tuple[str, List[Any]]:
+    """The rendered report and the phase stats it was built from."""
     if not directory.is_dir():
         raise FileNotFoundError(f"run directory not found: {directory}")
-    sections = _gather_sections(directory)
+    sections, stats = _gather_sections(directory)
     title = f"ramsis run report — {directory}"
     if fmt == "text":
         lines = [title, "=" * len(title)]
@@ -288,7 +311,7 @@ def render_run_report(run_dir: Union[str, Path], fmt: str = "text") -> str:
             width = max((len(k) for k, _ in rows), default=0)
             for key, value in rows:
                 lines.append(f"  {key.ljust(width)}  {value}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n", stats
     if fmt == "html":
         parts = [
             "<!doctype html>",
@@ -312,7 +335,7 @@ def render_run_report(run_dir: Union[str, Path], fmt: str = "text") -> str:
                 )
             parts.append("</table>")
         parts.append("</body></html>")
-        return "\n".join(parts) + "\n"
+        return "\n".join(parts) + "\n", stats
     raise ValueError(f"unknown report format {fmt!r} (expected 'text' or 'html')")
 
 
@@ -326,15 +349,15 @@ def write_run_report(
     Alongside the report, the merged trace's phase self-times are written
     as ``profile.folded`` in the run directory (flamegraph-folded lines,
     directly consumable by ``flamegraph.pl``/speedscope) whenever the run
-    recorded any spans.
+    recorded any spans.  ``merged.jsonl`` is read once for both.
     """
     directory = Path(run_dir)
     if out_path is None:
         out_path = directory / ("report.html" if fmt == "html" else "report.txt")
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(render_run_report(directory, fmt=fmt))
-    stats = _phase_stats(directory)
+    rendered, stats = _render_run_report(directory, fmt)
+    out_path.write_text(rendered)
     if stats:
         from repro.obs.profile import folded_lines
 

@@ -472,3 +472,57 @@ class TestRuntimeAttribution:
         assert feeds
         published = json.loads(feeds[0].read_text())
         assert published["totals"]["queries"] == report.submitted
+
+
+class TestSortedQuantileGolden:
+    """The attributor's rolling tail threshold reads the histogram's sorted
+    mirror; on a served run long enough to overflow the 4096-sample
+    reservoir, every table and artifact must equal the sort-per-call
+    oracle's bit for bit."""
+
+    def test_served_run_attribution_equals_sort_oracle(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs.aggregate import merge_run_dir, write_merged_artifacts
+        from repro.obs.metrics import Histogram
+        from repro.runtime import ShardedController
+        from repro.sim.latency_model import DeterministicLatency
+        from tests.test_obs_metrics import sort_quantile
+
+        controller = ShardedController(
+            make_tiny_model_set(),
+            slo_ms=100.0,
+            num_shards=2,
+            workers_per_shard=2,
+            latency_model=DeterministicLatency(),
+            seed=5,
+            paced=False,
+            drop_late=True,
+            run_dir=str(tmp_path / "run"),
+        )
+        controller.serve(
+            lambda s: GreedyDeadlineSelector(),
+            LoadTrace.constant(250.0, 20_000.0, name="golden"),
+        )
+        merged = merge_run_dir(tmp_path / "run")
+
+        def fold_and_write(out):
+            snap = attribution_from_tracer(
+                merged.tracer, slo_ms=100.0, burn_windows=(50, 500)
+            ).to_json_dict()
+            write_merged_artifacts(merged, out)
+            return snap, (out / "attribution.json").read_bytes()
+
+        mirror_snap, mirror_bytes = fold_and_write(tmp_path / "mirror")
+        with monkeypatch.context() as patch:
+            patch.setattr(Histogram, "quantile", sort_quantile)
+            oracle_snap, oracle_bytes = fold_and_write(tmp_path / "oracle")
+
+        assert mirror_snap["totals"]["queries"] > 4096
+        chains = mirror_snap["exemplars"]["chains"]
+        assert chains and all(c["threshold_ms"] is not None for c in chains)
+        assert len({c["threshold_ms"] for c in chains}) > 1
+        assert 0 < mirror_snap["totals"]["dropped"] < mirror_snap["totals"]["queries"]
+        assert len(mirror_snap["burn"]["windows"]) == 2
+        assert mirror_snap == oracle_snap
+        assert mirror_bytes == oracle_bytes

@@ -1,9 +1,13 @@
 """Tests for the metrics registry (repro.obs.metrics)."""
 
 import math
+import random
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -12,6 +16,54 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+
+
+def sort_quantile(self, q: float) -> float:
+    """The sort-per-call ``Histogram.quantile`` the sorted mirror replaced,
+    kept verbatim as the oracle (usable as a drop-in method)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
+    if not self._reservoir:
+        return math.nan
+    ordered = sorted(self._reservoir)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = q * (len(ordered) - 1)
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+class SortOracleHistogram:
+    """The reservoir half of ``Histogram`` without the sorted mirror:
+    algorithm R with the same seeded stream, quantiles by sorting."""
+
+    def __init__(self, name: str, capacity: int) -> None:
+        self._reservoir = []
+        self._capacity = capacity
+        self._count = 0
+        self._rng = random.Random(0x5EED ^ zlib.crc32(name.encode("utf-8")))
+
+    def observe(self, value: float) -> None:
+        self._count += 1
+        if len(self._reservoir) < self._capacity:
+            self._reservoir.append(value)
+        else:
+            slot = self._rng.randrange(self._count)
+            if slot < self._capacity:
+                self._reservoir[slot] = value
+
+    def merge_reservoir(self, values, count: int) -> None:
+        self._count += count
+        for value in values:
+            if len(self._reservoir) >= self._capacity:
+                break
+            self._reservoir.append(value)
+
+    quantile = sort_quantile
 
 
 class TestCounter:
@@ -235,3 +287,74 @@ class TestTailQuantiles:
         assert (
             a.to_json_dict()["exemplars"] == b.to_json_dict()["exemplars"]
         )
+
+
+#: Finite floats with many repeats, both signed zeros and subnormals, so
+#: ties and zero-sign ordering are exercised alongside ordinary values.
+_samples = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([1.0, -1.0, 2.5, 5e-324, -5e-324, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_step = st.one_of(
+    st.tuples(st.just("observe"), _samples),
+    st.tuples(st.just("merge"), st.lists(_samples, max_size=5)),
+)
+
+
+def _same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestSortedMirror:
+    """``quantile`` reads a sorted mirror of the reservoir instead of
+    sorting it; results must equal the sort oracle bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.sampled_from([1, 8, 64]), data=st.data())
+    def test_quantile_and_state_match_sort_oracle(self, capacity, data):
+        # Up to 10x capacity steps, so reservoir slots get replaced.
+        size = data.draw(st.integers(0, 10 * capacity))
+        steps = data.draw(st.lists(_step, min_size=size, max_size=size))
+        h = Histogram("lat", reservoir_size=capacity)
+        oracle = SortOracleHistogram("lat", capacity)
+        for kind, arg in steps:
+            if kind == "observe":
+                h.observe(arg)
+                oracle.observe(arg)
+            else:
+                donor = Histogram("donor", reservoir_size=len(arg))
+                for value in arg:
+                    donor.observe(value)
+                state = donor.state_dict()
+                h.merge_state(state)
+                oracle.merge_reservoir(state["reservoir"], state["count"])
+            for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+                assert _same_float(h.quantile(q), oracle.quantile(q))
+        assert h.state_dict()["reservoir"] == oracle._reservoir
+        assert [math.copysign(1.0, v) for v in h.state_dict()["reservoir"]] == [
+            math.copysign(1.0, v) for v in oracle._reservoir
+        ]
+        assert h.count == oracle._count
+
+    def test_replaced_negative_zero_keeps_sign_bookkeeping(self):
+        h = Histogram("z", reservoir_size=2)
+        for value in (-0.0, 0.0, 3.0, 3.0, 0.0, -0.0, 0.0, 1.0) * 8:
+            h.observe(value)
+            for q in (0.0, 0.5, 1.0):
+                assert _same_float(h.quantile(q), sort_quantile(h, q))
+
+    def test_evicted_nan_leaves_mirror_consistent(self):
+        # NaN compares unequal to everything, so its eviction cannot be
+        # located by bisection; the mirror must still drop exactly it.
+        h = Histogram("nan", reservoir_size=4)
+        evicted = False
+        for value in [1.0, 2.0, math.nan, 3.0] + [float(i) for i in range(4, 64)]:
+            h.observe(value)
+            if not any(math.isnan(v) for v in h.state_dict()["reservoir"]):
+                evicted = h.count > 4
+                for q in (0.0, 0.5, 1.0):
+                    assert _same_float(h.quantile(q), sort_quantile(h, q))
+        assert evicted

@@ -186,6 +186,32 @@ class TestAttributionReport:
         folded = (run_dir / "profile.folded").read_text()
         assert "worker-0;serve" in folded
 
+    @pytest.mark.parametrize("with_attribution", [True, False])
+    def test_report_reads_merged_jsonl_once(
+        self, tmp_path, monkeypatch, with_attribution
+    ):
+        from repro.obs import aggregate, attribution, reconstruct, report
+
+        run_dir = populate_attributed_run_dir(tmp_path / "run")
+        if not with_attribution:
+            (run_dir / "attribution.json").unlink()
+        expected = render_run_report(run_dir)
+        reader = reconstruct._iter_jsonl
+        opened = []
+
+        def counting(path, *args):
+            opened.append(path.name)
+            return reader(path, *args)
+
+        for module in (aggregate, attribution, reconstruct, report):
+            monkeypatch.setattr(module, "_iter_jsonl", counting)
+        assert render_run_report(run_dir) == expected
+        assert opened == ["merged.jsonl"]
+        opened.clear()
+        write_run_report(run_dir)
+        assert opened == ["merged.jsonl"]
+        assert (run_dir / "profile.folded").is_file()
+
     def test_render_top_frame_reads_merged_artifacts(self, tmp_path):
         run_dir = populate_attributed_run_dir(tmp_path / "run")
         frame = render_top_frame(run_dir)
