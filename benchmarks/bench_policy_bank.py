@@ -3,19 +3,22 @@
 Times four passes over the same 32-cell load grid and gates the tentpole
 invariants of the pipeline:
 
-- **cold serial**: every cell solved in-process by the per-load tensor
-  backend, persisting into a fresh cache directory;
+- **cold serial**: a per-load :func:`repro.core.generator.generate_policy`
+  loop, persisting each cell into a fresh cache directory;
 - **cold parallel**: the same cells fanned across ``--workers`` processes
-  (the PR 3 process-pool path) into a second fresh directory;
-- **cold stacked**: the whole grid solved as *one* batched tensor program
-  by :class:`repro.core.bank.StackedBankMDP`;
-- **warm cross-backend**: the stacked generator pointed at the serial
-  pass's cache directory, resolving every cell from disk — proving the
-  backends share per-load cache keys.
+  (at least two) by ``PolicyGenerator.generate_many(max_workers=...)``
+  into a second fresh directory;
+- **cold stacked**: a serial ``PolicyGenerator.generate_many``, which
+  solves the whole grid as *one* batched tensor program
+  (:class:`repro.core.bank.StackedBankMDP`);
+- **warm cross-path**: a stacked generator pointed at the serial pass's
+  cache directory, resolving every cell from disk — proving the paths
+  share per-load cache keys.
 
 All banks must be byte-identical (the stacked sweep is float-``==`` to
 independent per-load solves), a subset of loads is additionally checked
-against the reference ``loop`` backend, and the stacked pass must beat
+against the loop oracle (``tests/oracles/loop_mdp.py``), and the stacked
+pass must beat
 the process-pool pass by ``RAMSIS_BENCH_MIN_SPEEDUP`` (default 2x at
 bench scale, 1.2x at ``RAMSIS_BENCH_SCALE=smoke``).
 
@@ -35,15 +38,19 @@ import pytest
 from benchmarks._common import bench_scale, bench_use_cache, bench_workers, emit
 from repro.cache import PolicyCache
 from repro.core.config import WorkerMDPConfig
-from repro.core.generator import PolicyGenerator
+from repro.core.generator import PolicyGenerator, generate_policy
 from repro.experiments.tasks import image_task
+from tests.oracles.loop_mdp import generate_loop_policy
 
 #: Load grid (QPS) — 32 cells, the acceptance benchmark's shape.
 LOADS = [20.0 + 2.5 * i for i in range(32)]
 
-#: Subset cross-checked against the reference loop backend (exact but
-#: far too slow to run on all 32 cells every benchmark run).
+#: Subset cross-checked against the loop oracle (exact but far too slow
+#: to run on all 32 cells every benchmark run).
 LOOP_CHECK_LOADS = LOADS[::8]
+
+#: Value-iteration tolerance of every pass (the generator default).
+TOL = 1e-7
 
 
 def _smoke() -> bool:
@@ -85,23 +92,26 @@ def test_policy_bank_speedups(tmp_path):
     dir_parallel = tmp_path / "cache-parallel"
 
     start = time.perf_counter()
-    serial = PolicyGenerator(
-        config,
-        solver="tensor",
-        cache=PolicyCache(directory=dir_serial) if use_cache else None,
-    ).generate_many(LOADS)
+    serial_cache = PolicyCache(directory=dir_serial) if use_cache else None
+    serial = []
+    for load in LOADS:
+        cell = config.with_load(load)
+        result = generate_policy(cell, tolerance=TOL)
+        if serial_cache is not None:
+            serial_cache.put(cell, TOL, result)
+        serial.append(result)
     cold_serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
     parallel = PolicyGenerator(
         config,
-        solver="tensor",
+        tolerance=TOL,
         cache=PolicyCache(directory=dir_parallel) if use_cache else None,
-    ).generate_many(LOADS, max_workers=workers)
+    ).generate_many(LOADS, max_workers=max(workers, 2))
     cold_parallel_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    stacked = PolicyGenerator(config, solver="stacked").generate_many(LOADS)
+    stacked = PolicyGenerator(config, tolerance=TOL).generate_many(LOADS)
     stacked_s = time.perf_counter() - start
 
     assert _bank_bytes(serial) == _bank_bytes(parallel), (
@@ -114,26 +124,25 @@ def test_policy_bank_speedups(tmp_path):
         a.guarantees == b.guarantees for a, b in zip(serial, stacked)
     ), "stacked guarantees differ from serial guarantees"
 
-    # Spot-check the stack against the reference loop backend: exact
-    # agreement on a subset ties the whole chain back to PR 1's solver.
-    loop_gen = PolicyGenerator(config, solver="loop")
+    # Spot-check the stack against the loop oracle: exact agreement on a
+    # subset ties the whole chain back to the per-action formulation.
     for load in LOOP_CHECK_LOADS:
         reference = stacked[LOADS.index(load)]
-        looped = loop_gen.generate(load)
+        looped = generate_loop_policy(config.with_load(load), tolerance=TOL)
         assert json.dumps(
             looped.policy.to_json_dict(), sort_keys=True
         ) == json.dumps(reference.policy.to_json_dict(), sort_keys=True), (
-            f"stacked policy at {load} qps differs from loop backend"
+            f"stacked policy at {load} qps differs from the loop oracle"
         )
 
     warm_s = None
     if use_cache:
-        # Cross-backend cache sharing: the stacked generator resolves the
-        # serial pass's artifacts — per-load keys are backend-agnostic.
+        # Cross-path cache sharing: the stacked generator resolves the
+        # serial pass's artifacts — per-load keys are path-agnostic.
         warm_cache = PolicyCache(directory=dir_serial)
         start = time.perf_counter()
         warm = PolicyGenerator(
-            config, solver="stacked", cache=warm_cache
+            config, tolerance=TOL, cache=warm_cache
         ).generate_many(LOADS)
         warm_s = time.perf_counter() - start
         assert warm_cache.hits == len(LOADS), (

@@ -288,6 +288,7 @@ def test_runtime_stress():
         f"{processes * NUM_SHARDS} shard auditors",
     ]
     data = {
+        "scale": "smoke" if _smoke() else "bench",
         "processes": processes,
         "num_shards": NUM_SHARDS,
         "workers_per_shard": WORKERS_PER_SHARD,

@@ -7,16 +7,18 @@ decomposed (n, T_j) formulation is polynomial and solves in seconds.
 
 This benchmark reproduces the claim in miniature (enumerated naive states
 grow combinatorially with (D, N) while the decomposed space is N*D + 2),
-and then gates the **tensorized solver backend** end-to-end:
+and then gates the **tensorized Bellman sweeps** of
+:class:`repro.core.mdp.WorkerMDP` end-to-end against the loop oracle
+(:class:`tests.oracles.loop_mdp.LoopWorkerMDP`):
 
-- ``tensor`` and ``loop`` backends must agree *exactly* — float-``==``
-  value functions, identical sweep counts, byte-identical saved policies,
-  identical policy-iteration tables — on a variable-batching cell;
+- the two must agree *exactly* — float-``==`` value functions, identical
+  sweep counts, byte-identical saved policies, identical
+  policy-iteration tables — on a variable-batching cell;
 - the combined solve (value iteration + policy iteration) must clear
   ``RAMSIS_BENCH_MIN_SPEEDUP`` (default 3x at bench scale, 1.5x at
   ``RAMSIS_BENCH_SCALE=smoke``);
 - a many-model MD-grid cell (M = 60 at bench scale) far past what the
-  loop backend solves comfortably must converge on the tensor backend.
+  loop oracle solves comfortably must converge.
 
 Headline numbers land in ``BENCH_state_space.json`` at the repo root and
 are regression-gated in CI via ``ramsis bench-history --check``.
@@ -43,6 +45,7 @@ from repro.experiments.reporting import format_table
 from repro.profiles.latency import LinearLatencyModel
 from repro.profiles.models import ModelProfile, ModelSet
 from tests.conftest import make_tiny_model_set
+from tests.oracles.loop_mdp import LoopWorkerMDP
 
 CASES = [(3, 2), (5, 3), (6, 4), (7, 4)]
 
@@ -198,8 +201,8 @@ def _gate_config() -> WorkerMDPConfig:
 def solver_gate(tmp_path_factory):
     """Solve the gated cell with both backends, interleaved best-of-reps."""
     config = _gate_config()
-    loop = build_worker_mdp(config, solver="loop")
-    tensor = build_worker_mdp(config, solver="tensor")
+    loop = LoopWorkerMDP(config)
+    tensor = build_worker_mdp(config)
     reps = 2 if _smoke() else 3
 
     vi_times = {"loop": [], "tensor": []}
@@ -289,7 +292,7 @@ def scale_demo():
         batching=BatchingMode.VARIABLE,
         pareto_prune=False,
     )
-    tensor = build_worker_mdp(config, solver="tensor")
+    tensor = build_worker_mdp(config)
     start = time.perf_counter()
     stats = value_iteration(tensor, tolerance=1e-6)
     tensor_solve_s = time.perf_counter() - start
@@ -297,7 +300,7 @@ def scale_demo():
     est_loop_solve_s = None
     per_sweep_speedup = None
     if not _smoke():
-        loop = build_worker_mdp(config, solver="loop")
+        loop = LoopWorkerMDP(config)
         values = loop.initial_values()
         start = time.perf_counter()
         for _ in range(3):

@@ -111,8 +111,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     """Generate RAMSIS policies (artifact: RAMSIS_gen.py).
 
     One policy per ``--loads`` entry (default: just ``--load``); grid cells
-    fan out across ``--jobs`` processes and resolve through the persistent
-    policy cache unless ``--no-cache``.
+    resolve through the persistent policy cache unless ``--no-cache``, and
+    misses solve in-process as one stacked bank or fan out across
+    ``--jobs`` processes.
     """
     from repro.core.config import WorkerMDPConfig
     from repro.core.generator import PolicyGenerator
@@ -120,14 +121,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     task = _task_by_name(args.task)
     slo = args.slo if args.slo is not None else task.slos_ms[0]
     loads = [float(q) for q in (args.loads or [args.load])]
-    if getattr(args, "solver", "auto") == "stacked" and (
-        args.jobs is not None and args.jobs > 1
-    ):
-        raise SystemExit(
-            "--solver stacked solves the whole load grid in-process as one "
-            "batched tensor program; drop --jobs, or use --solver auto to "
-            "let grid size pick the backend"
-        )
     config = WorkerMDPConfig.default_poisson(
         task.model_set,
         slo_ms=slo,
@@ -147,7 +140,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         tracer=tracer,
         registry=registry,
         run_dir=obs_dir,
-        solver=getattr(args, "solver", "auto"),
     )
     results = generator.generate_many(loads, max_workers=args.jobs)
     if obs_dir is not None:
@@ -1012,15 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the persistent policy cache",
     )
     gen.add_argument("--fld-resolution", type=int, default=100)
-    gen.add_argument(
-        "--solver",
-        choices=["auto", "tensor", "loop", "stacked"],
-        default="auto",
-        help="Bellman-sweep backend: tensorized (fast), reference loop "
-        "(oracle), stacked (one batched solve for the whole load grid), "
-        "or auto (stacked for serial multi-load grids, tensor otherwise; "
-        "backends are value-identical)",
-    )
     gen.add_argument("--out", default="policy_gen")
     gen.add_argument(
         "--obs-dir",

@@ -6,7 +6,7 @@ This package implements the paper's primary contribution (§3-§5):
   Discretization (MD, §4.2.1) and Fixed Length Discretization (FLD, §4.2.2).
 - :mod:`repro.core.config` — :class:`WorkerMDPConfig`, the offline inputs.
 - :mod:`repro.core.mdp` — the per-worker MDP: state space, action validity,
-  rewards (§4.1-§4.3).
+  rewards (§4.1-§4.3), and its tensorized Bellman sweeps.
 - :mod:`repro.core.transitions` — transition kernels from the arrival
   distribution + load balancing strategy (§4.4, Appendix I).
 - :mod:`repro.core.solvers` — value iteration and policy iteration (§4.1).
@@ -25,8 +25,7 @@ from repro.core.config import BatchingMode, Discretization, TransitionView, Work
 from repro.core.discretization import TimeGrid
 from repro.core.generator import PolicyGenerator, generate_policy
 from repro.core.guarantees import PolicyGuarantees, evaluate_policy
-from repro.core.mdp import WorkerMDP, build_worker_mdp, resolve_solver
-from repro.core.tensor import TensorizedWorkerMDP
+from repro.core.mdp import WorkerMDP, build_worker_mdp
 from repro.core.naive import NaiveWorkerMDP
 from repro.core.policy import Action, Policy
 from repro.core.policy_set import PolicySet
@@ -40,9 +39,7 @@ __all__ = [
     "WorkerMDPConfig",
     "TimeGrid",
     "WorkerMDP",
-    "TensorizedWorkerMDP",
     "build_worker_mdp",
-    "resolve_solver",
     "Action",
     "Policy",
     "PolicySet",

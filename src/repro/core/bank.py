@@ -1,4 +1,4 @@
-"""Stacked policy-bank solver (``solver="stacked"``).
+"""Stacked policy-bank solver.
 
 A policy bank solves the *same* worker MDP at many query loads (§6): the
 grid, models, rewards, action validity, and partial-drain geometry are
@@ -23,11 +23,12 @@ one batched tensor program instead of ``L`` independent solves:
 
 Exactness contract
 ------------------
-Results are **float-identical** to independent per-load tensor solves
-(hence to the loop oracle), and ``Policy.save`` output is byte-identical
-— the same guarantee the tensor backend gives against the loop backend.
+Results are **float-identical** to independent per-load solves (hence to
+the loop oracle in ``tests/oracles/``), and ``Policy.save`` output is
+byte-identical — the same guarantee :class:`~repro.core.mdp.WorkerMDP`
+gives against that oracle.
 The discipline that makes this hold: every matmul/einsum *reduction* is
-invoked per load with exactly the per-load backend's operand shapes and
+invoked per load with exactly the per-load solve's operand shapes and
 strides (batching a matmul across loads would dispatch a different BLAS
 kernel and reassociate sums), while every *elementwise* op (add,
 multiply, compare, max-reduce over in-row axes, gammainc, clip) batches
@@ -36,13 +37,17 @@ change a single bit.  ``tests/test_solver_equivalence.py`` asserts the
 contract across views, batching modes, and random load grids;
 ``benchmarks/bench_policy_bank.py`` gates the bank-solve speedup floor
 over the process-pool fan-out in CI via ``BENCH_policy_bank.json``.
+
+:meth:`repro.core.generator.PolicyGenerator.generate_many` solves every
+serial batch of cache misses — a single load included — through
+:func:`solve_stacked_bank`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,9 +58,9 @@ from repro.core.guarantees import (
     _policy_action_table,
     evaluate_policy,
 )
+from repro.core.mdp import WorkerMDP
 from repro.core.policy import Policy
 from repro.core.solvers import SolveStats
-from repro.core.tensor import TensorizedWorkerMDP
 from repro.core.transitions import (
     DeterministicGaps,
     EquilibriumRenewalKernelBuilder,
@@ -66,14 +71,7 @@ from repro.core.transitions import (
 from repro.errors import ConfigurationError, SolverError
 from repro.obs.trace import NULL_TRACER, Tracer
 
-__all__ = ["StackedBankMDP", "solve_stacked_bank", "STACKED_AUTO_MIN_CELLS"]
-
-#: Pending-cell count at which ``solver="auto"`` picks the stacked bank
-#: over serial per-load solves in :meth:`PolicyGenerator.generate_many`
-#: (an explicit ``max_workers > 1`` process-pool request takes
-#: precedence).  Below this, per-cell fixed costs dominate and the
-#: stacked layout has nothing to amortize.
-STACKED_AUTO_MIN_CELLS = 4
+__all__ = ["StackedBankMDP", "solve_stacked_bank"]
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +153,8 @@ class _KernelSeed:
     arrival_counts: Dict[float, np.ndarray]
 
 
-class _SeededCellMDP(TensorizedWorkerMDP):
-    """A tensor cell whose renewal-kernel caches are pre-seeded.
+class _SeededCellMDP(WorkerMDP):
+    """A cell MDP whose renewal-kernel caches are pre-seeded.
 
     The builder caches rows/counts by ``round(latency, 9)``; installing
     the batched-construction results before row assembly turns every
@@ -192,7 +190,7 @@ def _count_pmf_stack(stack, remaining: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def _stacked_kernel_seeds(
-    template: TensorizedWorkerMDP, configs: Sequence[WorkerMDPConfig]
+    template: WorkerMDP, configs: Sequence[WorkerMDPConfig]
 ) -> Optional[List[_KernelSeed]]:
     """Batched renewal-kernel construction for every non-template load.
 
@@ -323,7 +321,7 @@ def _stacked_kernel_seeds(
 class StackedBankMDP:
     """One load grid's worth of worker MDPs, solved as a single program.
 
-    Construction builds one :class:`TensorizedWorkerMDP` per load (the
+    Construction builds one :class:`WorkerMDP` per load (the
     non-template cells with pre-seeded kernel caches where the view
     batches), validates that every cell shares the load-invariant
     structure, and stacks the load-dependent arrays into ``(L, ...)``
@@ -335,24 +333,24 @@ class StackedBankMDP:
             raise ConfigurationError(
                 "stacked bank needs at least one load cell"
             )
-        template = TensorizedWorkerMDP(configs[0])
+        template = WorkerMDP(configs[0])
         seeds = _stacked_kernel_seeds(template, configs[1:])
         if seeds is None:
-            rest: List[TensorizedWorkerMDP] = [
-                TensorizedWorkerMDP(c) for c in configs[1:]
+            rest: List[WorkerMDP] = [
+                WorkerMDP(c) for c in configs[1:]
             ]
         else:
             rest = [
                 _SeededCellMDP(c, seed)
                 for c, seed in zip(configs[1:], seeds)
             ]
-        self._cells: List[TensorizedWorkerMDP] = [template, *rest]
+        self._cells: List[WorkerMDP] = [template, *rest]
         self._validate()
         self._stack()
 
     @property
-    def cells(self) -> List[TensorizedWorkerMDP]:
-        """The per-load tensor MDPs (used for extraction and evaluation)."""
+    def cells(self) -> List[WorkerMDP]:
+        """The per-load MDPs (used for extraction and evaluation)."""
         return self._cells
 
     def _validate(self) -> None:
@@ -481,7 +479,7 @@ class StackedBankMDP:
         n_max = self._n_max
 
         # Expected continuation value of full-drain actions: the one
-        # per-load reduction, invoked with the per-load backend's exact
+        # per-load reduction, invoked with the per-load solve's exact
         # operand shapes so the BLAS kernel (and its summation order)
         # matches the independent solve bit for bit.
         ev = self._ev
@@ -567,7 +565,7 @@ class StackedBankMDP:
     def _fold_partial_stack(
         self, values: np.ndarray, active: np.ndarray
     ) -> None:
-        """Load-batched mirror of the tensor backend's partial-drain fold."""
+        """Load-batched mirror of :meth:`WorkerMDP._fold_partial_actions`."""
         space = self._space
         n_max = self._n_max
         loads = len(self._cells)

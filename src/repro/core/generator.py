@@ -9,10 +9,11 @@ solved and annotated :class:`~repro.core.policy.Policy` out.
 - an optional **persistent disk** cache (:class:`repro.cache.PolicyCache`)
   keyed by a content hash of the canonicalized config, so experiment
   invocations share solved policies across processes and runs;
-- :meth:`PolicyGenerator.generate_many`, which fans cache misses out across
-  a ``ProcessPoolExecutor`` with deterministic result ordering — every cell
-  runs the exact same :func:`generate_policy` code path, so parallel banks
-  are byte-identical to serial ones.
+- :meth:`PolicyGenerator.generate_many`, which solves cache misses either
+  in-process as one stacked bank (:func:`repro.core.bank.solve_stacked_bank`)
+  or across a ``ProcessPoolExecutor`` running :func:`generate_policy` per
+  cell, with deterministic result ordering — both are byte-identical to
+  per-load :func:`generate_policy` calls.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.core.guarantees import PolicyGuarantees, evaluate_policy
 from repro.core.mdp import build_worker_mdp
 from repro.core.policy import Policy, PolicyMetadata
 from repro.core.solvers import value_iteration
-from repro.errors import ConfigurationError
 from repro.obs.aggregate import (
     init_worker_obs,
     merge_run_dir,
@@ -84,7 +84,6 @@ def generate_policy(
     tracer: Optional[Tracer] = None,
     record_residuals: bool = False,
     initial: Optional[np.ndarray] = None,
-    solver: str = "auto",
 ) -> GenerationResult:
     """Build the worker MDP, solve it, and package the optimal MS policy.
 
@@ -96,13 +95,6 @@ def generate_policy(
     value vector (e.g. an adjacent load's), cutting sweep counts without
     changing the fixed point.
 
-    ``solver`` selects the Bellman-sweep backend
-    (``"auto"``/``"tensor"``/``"loop"``, see
-    :func:`repro.core.mdp.resolve_solver`).  Backends are value-identical
-    — the equivalence suite asserts float-``==`` value functions and
-    byte-identical saved policies — so results (and cache artifacts) are
-    interchangeable across backends.
-
     An enabled ``tracer`` records the three offline phases (kernel/MDP
     construction, value iteration, guarantee evaluation) as nested spans
     on the ``generator`` track plus one event per solver sweep;
@@ -113,7 +105,7 @@ def generate_policy(
     start = time.perf_counter()
     with tracer.span("generate_policy", track="generator"):
         with tracer.span("build_worker_mdp", track="generator"):
-            mdp = build_worker_mdp(config, solver=solver)
+            mdp = build_worker_mdp(config)
         with tracer.span("value_iteration", track="generator"):
             stats = value_iteration(
                 mdp,
@@ -172,18 +164,18 @@ def _annotate(policy: Policy, guarantees: PolicyGuarantees) -> Policy:
 
 
 def _solve_cell(
-    payload: Tuple[int, WorkerMDPConfig, float, Optional[np.ndarray], bool, str]
+    payload: Tuple[int, WorkerMDPConfig, float, Optional[np.ndarray], bool]
 ) -> GenerationResult:
     """Process-pool entry point: solve one grid cell.
 
     Module-level so it pickles under every multiprocessing start method;
-    runs the identical code path as the serial ``generate_policy`` call,
-    which is what makes parallel banks byte-identical to serial ones.
+    runs :func:`generate_policy`, which the stacked serial path is
+    byte-identical to.
     With observability shipping on, the solve is traced into this
     worker's shard (installed by :func:`repro.obs.aggregate.init_worker_obs`),
     stamped with the cell's sequence number for in-order merging.
     """
-    seq, config, tolerance, initial, ship, solver = payload
+    seq, config, tolerance, initial, ship = payload
     obs = worker_obs() if ship else None
     tracer: Optional[Tracer] = None
     if obs is not None:
@@ -195,7 +187,6 @@ def _solve_cell(
             tolerance=tolerance,
             tracer=tracer,
             initial=initial,
-            solver=solver,
         )
     finally:
         if obs is not None:
@@ -203,10 +194,11 @@ def _solve_cell(
 
 
 class PolicyGenerator:
-    """Caching, parallelizing wrapper around :func:`generate_policy`.
+    """Caching, batching policy source over one base configuration.
 
     Resolution order for every cell: in-memory cache -> persistent disk
-    cache (when ``cache`` is given) -> solve.  The in-memory key is
+    cache (when ``cache`` is given) -> solve (one stacked bank, or the
+    process pool; see :meth:`generate_many`).  The in-memory key is
     ``(load, workers, tolerance)`` on top of a base configuration; the
     disk key is a content hash of the full canonicalized config plus the
     solver tolerance (see :mod:`repro.cache.keys`).
@@ -220,14 +212,9 @@ class PolicyGenerator:
         tracer: Optional[Tracer] = None,
         registry: Optional["MetricsRegistry"] = None,
         run_dir: Optional[Union[str, Path]] = None,
-        solver: str = "auto",
     ) -> None:
         self._base = base_config
         self._tolerance = tolerance
-        #: Bellman-sweep backend for every cell this generator solves.
-        #: Not part of the cache keys: backends are value-identical (the
-        #: equivalence suite gates this), so artifacts are shared.
-        self._solver = solver
         self._cache: Dict[Tuple[float, int, float], GenerationResult] = {}
         self._disk = cache
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -249,11 +236,6 @@ class PolicyGenerator:
     def disk_cache(self) -> Optional["PolicyCache"]:
         """The persistent cache layer, if one is attached."""
         return self._disk
-
-    @property
-    def solver(self) -> str:
-        """The Bellman-sweep backend cells solve with (``auto`` default)."""
-        return self._solver
 
     def _count_cell(self, source: str) -> None:
         if self._registry is not None:
@@ -290,39 +272,13 @@ class PolicyGenerator:
     ) -> GenerationResult:
         """Policy for ``load_qps`` (and optionally a worker-count override).
 
-        ``initial`` warm-starts value iteration on a cache miss; cached
-        results are returned as-is (the fixed point does not depend on the
-        seed, and warm/cold convergence to the same policy is asserted by
-        the test suite).
+        A one-load :meth:`generate_many` call.  ``initial`` warm-starts
+        value iteration on a cache miss; cached results are returned as-is
+        (the fixed point does not depend on the seed, and warm/cold
+        convergence to the same policy is asserted by the test suite).
         """
-        workers = num_workers if num_workers is not None else self._base.num_workers
-        key = self._key(load_qps, workers)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._count_cell("memory")
-            return cached
-        config = self._config_for(load_qps, workers)
-        if self._disk is not None:
-            restored = self._disk.get(config, self._tolerance)
-            if restored is not None:
-                self._cache[key] = restored
-                self._count_cell("disk")
-                return restored
-        with self._tracer.span(
-            f"cell {load_qps:g}qps",
-            track="policy_bank",
-            args={"load_qps": load_qps, "workers": workers},
-        ):
-            result = generate_policy(
-                config,
-                tolerance=self._tolerance,
-                tracer=self._tracer,
-                initial=initial,
-                solver=self._solver,
-            )
-        self._count_cell("solve")
-        self._commit(key, config, result)
-        return result
+        initials = None if initial is None else {float(load_qps): initial}
+        return self.generate_many([load_qps], num_workers, initials=initials)[0]
 
     def generate_many(
         self,
@@ -337,9 +293,12 @@ class PolicyGenerator:
         ``max_workers > 1`` the misses fan out across a
         ``ProcessPoolExecutor`` (submit/solve/collect progress appears on
         the tracer's ``policy_bank`` track); otherwise they solve serially
-        in this process.  Either way results come back in the order of
-        ``loads_qps`` and are bit-identical, because every cell runs the
-        same :func:`generate_policy` code path.
+        as one stacked bank in this process
+        (:func:`repro.core.bank.solve_stacked_bank`, a single miss
+        included).  Either way results come back in the order of
+        ``loads_qps`` and are byte-identical to per-load
+        :func:`generate_policy` calls, so both paths share the per-load
+        cache keys.
 
         An attached ``tracer``/``registry`` instruments both paths: the
         parallel one ships each worker's records as shards (one
@@ -351,29 +310,7 @@ class PolicyGenerator:
 
         ``initials`` optionally maps a load to a warm-start value vector
         (see :meth:`generate`).
-
-        Backend routing for the misses: ``solver="stacked"`` solves them
-        all in-process as one batched tensor program
-        (:func:`repro.core.bank.solve_stacked_bank`, byte-identical to
-        the serial per-load path) and is mutually exclusive with a
-        ``max_workers > 1`` fan-out; ``solver="auto"`` picks the stacked
-        bank for serial calls with at least
-        :data:`~repro.core.bank.STACKED_AUTO_MIN_CELLS` misses — an
-        explicit ``max_workers > 1`` takes precedence and keeps the
-        process pool.
         """
-        if (
-            self._solver == "stacked"
-            and max_workers is not None
-            and max_workers > 1
-        ):
-            raise ConfigurationError(
-                "solver='stacked' solves the whole load grid in-process as "
-                "one batched tensor program and cannot be combined with a "
-                f"max_workers={max_workers} process-pool fan-out; drop "
-                "max_workers, or use solver='auto' to let grid size pick "
-                "the backend"
-            )
         workers = num_workers if num_workers is not None else self._base.num_workers
         loads = [float(q) for q in loads_qps]
         results: List[Optional[GenerationResult]] = [None] * len(loads)
@@ -399,38 +336,10 @@ class PolicyGenerator:
             pending.append((i, q, config, initial))
 
         if pending:
-            parallel = (
-                max_workers is not None and max_workers > 1 and len(pending) > 1
-            )
-            stacked = False
-            if not parallel and len(pending) > 1:
-                from repro.core.bank import STACKED_AUTO_MIN_CELLS
-
-                stacked = self._solver == "stacked" or (
-                    self._solver == "auto"
-                    and len(pending) >= STACKED_AUTO_MIN_CELLS
-                )
-            if stacked:
-                self._solve_stacked(pending, workers, results)
-            elif parallel:
+            if max_workers is not None and max_workers > 1 and len(pending) > 1:
                 self._solve_parallel(pending, max_workers, workers, results)
             else:
-                for i, q, config, initial in pending:
-                    with self._tracer.span(
-                        f"cell {q:g}qps",
-                        track="policy_bank",
-                        args={"load_qps": q, "workers": workers},
-                    ):
-                        result = generate_policy(
-                            config,
-                            tolerance=self._tolerance,
-                            tracer=self._tracer,
-                            initial=initial,
-                            solver=self._solver,
-                        )
-                    self._count_cell("solve")
-                    self._commit(self._key(q, workers), config, result)
-                    results[i] = result
+                self._solve_stacked(pending, workers, results)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
@@ -442,11 +351,10 @@ class PolicyGenerator:
     ) -> None:
         """Solve pending cells as one stacked bank; fill ``results`` in place.
 
-        Each cell's result is byte-identical to the serial per-load path
-        (asserted by the equivalence suite), so results commit to the
-        in-memory and disk caches under the *same* per-load keys —
-        artifacts stay shared across the serial, process-pool, and
-        stacked backends.
+        Each cell's result is byte-identical to a per-load
+        :func:`generate_policy` call (asserted by the equivalence suite),
+        so results commit to the in-memory and disk caches under the
+        *same* per-load keys the process-pool path uses.
         """
         from repro.core.bank import solve_stacked_bank
 
@@ -506,8 +414,7 @@ class PolicyGenerator:
                 futures = [
                     (i, q, config, pool.submit(
                         _solve_cell,
-                        (i, config, self._tolerance, initial, ship,
-                         self._solver),
+                        (i, config, self._tolerance, initial, ship),
                     ))
                     for i, q, config, initial in pending
                 ]

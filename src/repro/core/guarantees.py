@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.mdp import WorkerMDP, _FALLBACK
 from repro.core.policy import Policy
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import SolverError
 
 __all__ = [
     "PolicyGuarantees",
@@ -78,74 +78,26 @@ def _policy_action_table(
     return table
 
 
-def _chain_operator(
-    mdp: WorkerMDP, table: Dict[int, Tuple[int, int]], operator: str
-):
-    """The induced chain, either dense rows or a CSR step operator.
-
-    ``operator="dense"`` (the default everywhere) returns the ``(S, S)``
-    row matrix; power iteration on it is the float-``==``-gated path.
-    ``"sparse"``/``"auto"`` ask for the so-far-unexploited
-    :meth:`TensorizedWorkerMDP.policy_rows_operator` CSR form — banded
-    kernels at fine discretizations sit well below its density cutoff —
-    returned pre-transposed so each step is one ``P^T @ dist`` sparse
-    matvec.  Sparse matvecs reassociate sums, so this path is opt-in and
-    agrees with dense to ``allclose``, never bitwise; ``"auto"`` falls
-    back to dense when SciPy is missing, the backend has no operator
-    (loop), or the chain is too dense, while ``"sparse"`` raises.
-    """
-    if operator not in ("dense", "sparse", "auto"):
-        raise ConfigurationError(
-            f"unknown chain operator {operator!r}; "
-            "expected 'dense', 'sparse', or 'auto'"
-        )
-    rows = mdp.policy_rows(table)
-    if operator == "dense":
-        return rows, None
-    maker = getattr(mdp, "policy_rows_operator", None)
-    candidate = None if maker is None else maker(table)
-    if candidate is None or isinstance(candidate, np.ndarray):
-        if operator == "sparse":
-            raise ConfigurationError(
-                "sparse chain operator unavailable (SciPy missing, loop "
-                "backend, or chain density above the sparsity cutoff); "
-                "use operator='auto' to fall back to dense"
-            )
-        return rows, None
-    return rows, candidate.T.tocsr()
-
-
 def stationary_distribution(
     mdp: WorkerMDP,
     policy: Policy,
     tolerance: float = 1e-10,
     max_iterations: int = 100_000,
-    operator: str = "dense",
 ) -> np.ndarray:
     """Stationary state distribution of the policy-induced chain.
 
-    Power iteration on the chain's transition operator, matrix-free: each
-    step accumulates probability mass through the per-state transition rows
-    (§5.1 cites power iteration [40]).  Raises :class:`SolverError` when
-    the chain fails to mix within ``max_iterations`` steps.
-
-    ``operator`` selects the step operator (see :func:`_chain_operator`):
-    the dense default is bit-reproducible and feeds every gated path;
-    ``"sparse"``/``"auto"`` opt in to the CSR operator for large sparse
-    chains, trading bitwise agreement for an ``allclose`` one.
+    Power iteration on the chain's ``(S, S)`` row matrix (§5.1 cites power
+    iteration [40]), assembled once by :meth:`WorkerMDP.policy_rows`.
+    Raises :class:`SolverError` when the chain fails to mix within
+    ``max_iterations`` steps.
     """
     table = _policy_action_table(mdp, policy)
     size = mdp.space.size
-
-    # Pre-assemble the induced chain once; the tensor backend serves this
-    # from its policy-evaluation cache, so stationary analysis and policy
-    # evaluation share one array.  Power iteration below is then a pure
-    # matrix-vector loop regardless of backend.
-    rows, sparse_op = _chain_operator(mdp, table, operator)
+    rows = mdp.policy_rows(table)
 
     dist = np.full(size, 1.0 / size)
     for _ in range(max_iterations):
-        updated = dist @ rows if sparse_op is None else sparse_op @ dist
+        updated = dist @ rows
         total = updated.sum()
         if total <= 0:
             raise SolverError("stationary iteration lost all probability mass")
@@ -194,19 +146,14 @@ def stationary_occupancy(
     mdp: WorkerMDP,
     policy: Policy,
     tolerance: float = 1e-10,
-    operator: str = "dense",
 ) -> OccupancyDistribution:
     """The §5.1 stationary distribution keyed by ``(n, T_j)`` state.
 
     Same power iteration as :func:`stationary_distribution`, repackaged
     for consumers that need per-state probabilities (the live auditor's
     total-variation check) rather than the summary expectations.
-    ``operator="sparse"``/``"auto"`` opts large occupancy studies into
-    the CSR chain operator (see :func:`_chain_operator`).
     """
-    dist = stationary_distribution(
-        mdp, policy, tolerance=tolerance, operator=operator
-    )
+    dist = stationary_distribution(mdp, policy, tolerance=tolerance)
     space = mdp.space
     probs: Dict[str, float] = {}
     for n in range(1, mdp.max_queue + 1):

@@ -21,6 +21,30 @@ Action constraints implemented exactly as in the paper:
 The reward is ``Accuracy(a) * SLOSatisfied(s, a)`` (§4.1); an optional
 per-query weighting (``reward_per_query``) multiplies by the batch size,
 which the paper does not do — exposed as an ablation knob.
+
+Bellman sweeps are stacked tensor contractions:
+
+- the **optimality backup** stacks every variable-batching partial-drain
+  action into one candidate tensor and resolves the greedy choice with a
+  single first-maximum ``argmax`` reduction (the dense
+  ``Q[a, s] = r[a, s] + gamma[a, s] * (P[a] @ v)[s]`` layout, specialized
+  to this MDP's factored kernels);
+- **policy evaluation** (:meth:`WorkerMDP.backup_policy`) assembles the
+  policy-induced chain once per action table — reward, discount, and
+  transition-row arrays — so every expectation sweep is one
+  ``r + g * (P_pi @ v)`` matrix-vector product;
+- the same cached ``P_pi`` feeds the §5.1 stationary analysis
+  (:func:`repro.core.guarantees.stationary_distribution`).
+
+Exactness contract: the per-action / per-state loop formulation lives in
+the test suite as an oracle (``tests/oracles/loop_mdp.py``), and value
+iteration here is **float-identical** to it — every candidate Q value is
+produced by the same NumPy kernel calls on the same operands, and the
+stacked argmax keeps the loop's first-strict-maximum tie-breaking.
+``tests/test_solver_equivalence.py`` asserts ``==`` value functions and
+byte-identical ``Policy.save`` output.  Policy evaluation swaps per-state
+``dot`` calls for one ``gemv``, which reassociates sums, so policy
+iteration agrees with the oracle at the greedy-table level.
 """
 
 from __future__ import annotations
@@ -49,40 +73,11 @@ from repro.errors import ConfigurationError
 __all__ = [
     "WorkerMDP",
     "build_worker_mdp",
-    "resolve_solver",
     "BackupResult",
-    "SOLVER_BACKENDS",
 ]
 
 #: Encoded "no action possible other than the forced fallback".
 _FALLBACK = -1
-
-#: Recognized solver backends (see :func:`resolve_solver`).
-SOLVER_BACKENDS = ("auto", "tensor", "loop", "stacked")
-
-
-def resolve_solver(solver: str) -> str:
-    """Resolve a ``solver=`` knob to a concrete backend.
-
-    ``"loop"`` is the reference implementation (per-action / per-state
-    Python iteration in the fold and policy-evaluation paths);
-    ``"tensor"`` is the stacked-contraction backend
-    (:class:`repro.core.tensor.TensorizedWorkerMDP`), float-identical on
-    the value-iteration path and ≥3x faster at bench scale (gated by
-    ``benchmarks/bench_state_space.py``).  ``"auto"`` picks the tensor
-    backend — the equivalence suite keeps that substitution honest.
-
-    ``"stacked"`` is a *bank-level* backend: whole load grids solve as
-    one batched tensor program (:mod:`repro.core.bank`), dispatched in
-    :meth:`PolicyGenerator.generate_many`.  A single-MDP construction
-    under it resolves to the tensor backend — one load's stacked solve
-    *is* the tensor solve.
-    """
-    if solver not in SOLVER_BACKENDS:
-        raise ConfigurationError(
-            f"unknown solver {solver!r}; expected one of {SOLVER_BACKENDS}"
-        )
-    return "tensor" if solver in ("auto", "stacked") else solver
 
 
 @dataclass
@@ -186,6 +181,12 @@ class WorkerMDP:
             if config.batching is BatchingMode.VARIABLE
             else []
         )
+        self._stack_partial_plan()
+        # Policy-evaluation cache: one assembled chain per action table.
+        self._pe_table: Optional[Dict[int, Tuple[int, int]]] = None
+        self._pe_rows: Optional[np.ndarray] = None
+        self._pe_reward: Optional[np.ndarray] = None
+        self._pe_discount: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -194,11 +195,6 @@ class WorkerMDP:
     def config(self) -> WorkerMDPConfig:
         """The offline inputs this MDP was built from."""
         return self._config
-
-    @property
-    def solver(self) -> str:
-        """The solve backend this instance implements (``"loop"`` here)."""
-        return "loop"
 
     @property
     def grid(self) -> TimeGrid:
@@ -344,6 +340,58 @@ class WorkerMDP:
                 )
         return plan
 
+    def _stack_partial_plan(self) -> None:
+        """Stack the per-action partial-drain plan into batched arrays.
+
+        Everything except the per-entry value contraction (whose matmul
+        call must stay bitwise identical to the per-action formulation)
+        is hoisted into ``(P, ...)`` arrays consumed by one batched pass.
+        """
+        plan = self._partial_plan
+        n_max, j_count = self._max_queue, len(self._grid)
+        p_count = len(plan)
+        self._plan_m = np.array([e[0] for e in plan], dtype=np.intp)
+        self._plan_b = np.array([e[1] for e in plan], dtype=np.intp)
+        self._plan_valid = (
+            np.array([e[2] for e in plan], dtype=bool)
+            if plan
+            else np.zeros((0, j_count), dtype=bool)
+        )
+        self._plan_counts = [e[3] for e in plan]
+        self._plan_residual = np.array([e[4] for e in plan], dtype=np.float64)
+        self._plan_jmap = (
+            np.array([e[5] for e in plan], dtype=np.intp)
+            if plan
+            else np.zeros((0, j_count), dtype=np.intp)
+        )
+        self._plan_reward = np.array([e[6] for e in plan], dtype=np.float64)
+        self._plan_gamma = np.array([e[7] for e in plan], dtype=np.float64)
+        # region[p, n-1]: does entry p's action (b < n) apply in queue n?
+        region = np.zeros((p_count, n_max), dtype=bool)
+        for p, b in enumerate(self._plan_b):
+            region[p, b:] = True
+        # Dead candidate cells: outside queue-region x slack-validity.
+        self._plan_dead = ~(region[:, :, None] & self._plan_valid[:, None, :])
+        # Flat gather indices: q_cand[p, n, j] reads ev_stack[p, n,
+        # jmap[p, j]], resolved once into one fancy-index vector so each
+        # sweep is a single ``take`` instead of ``take_along_axis`` index
+        # construction.
+        base = (
+            np.arange(p_count, dtype=np.intp)[:, None, None] * n_max
+            + np.arange(n_max, dtype=np.intp)[None, :, None]
+        ) * j_count
+        self._plan_take = np.ascontiguousarray(
+            base + self._plan_jmap[:, None, :]
+        )
+        # Greedy lookup tables with the incoming full-drain best at slot 0.
+        self._plan_m_lut = np.concatenate(([0], self._plan_m))
+        self._plan_b_lut = np.concatenate(([0], self._plan_b))
+        # Reusable sweep buffers.  ``_fold_ev`` rows below each entry's
+        # ``b`` are never written and never read (masked to -inf), so the
+        # buffer is allocated once and left unzeroed between sweeps.
+        self._fold_vpad = np.empty((2 * n_max + 1, j_count), dtype=np.float64)
+        self._fold_ev = np.empty((p_count, n_max, j_count), dtype=np.float64)
+
     # ------------------------------------------------------------------
     # Bellman backup
     # ------------------------------------------------------------------
@@ -400,7 +448,7 @@ class WorkerMDP:
 
         if self._config.batching is BatchingMode.VARIABLE:
             best_q, best_m, best_b = self._fold_partial_actions(
-                values, best_q, best_m, best_b
+                values, best_q, best_m, best_b, want_greedy
             )
 
         new_values = np.empty_like(values)
@@ -434,6 +482,7 @@ class WorkerMDP:
         best_q: np.ndarray,
         best_m: np.ndarray,
         best_b: np.ndarray,
+        want_greedy: bool,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mix in variable-batching actions ``(m, b)`` with ``b < n``.
 
@@ -441,38 +490,61 @@ class WorkerMDP:
         whose earliest slack is the conservative ``T_j - l`` (DESIGN.md §3),
         so the slack bin of the next state is deterministic and only the
         arrival count is stochastic.
+
+        All actions resolve as one stacked candidate tensor, bitwise
+        identical to a sequential per-action fold: each entry's expected
+        continuation value uses the *same* windowed matmul, scalar
+        reward/discount broadcasting performs the same per-element float
+        ops, and ``argmax`` takes the first maximum — exactly the strict
+        ``>`` update order of a loop with the incoming full-drain best as
+        candidate 0.
         """
+        if not self._plan_counts:
+            return best_q, best_m, best_b
         space = self._space
-        n_max, j_count = self._max_queue, len(self._grid)
-        v_occ = space.occupied_view(values)
+        n_max = self._max_queue
         v_full = values[space.FULL]
 
         # vpad[i + k] is the value of "base i+1 plus k arrivals"; rows past
         # N_w stand in for the overflow (FULL) state, so one windowed
-        # contraction below covers both the in-range mass and the tail.
-        vpad = np.vstack(
-            [v_occ, np.full((n_max + 1, j_count), v_full, dtype=np.float64)]
-        )
+        # contraction covers both the in-range mass and the tail.
+        vpad = self._fold_vpad
+        vpad[:n_max] = space.occupied_view(values)
+        vpad[n_max:] = v_full
         windows = np.lib.stride_tricks.sliding_window_view(
             vpad, n_max + 1, axis=0
         )  # (N + 1, J, N + 1); windows[i, :, k] == vpad[i + k]
 
-        for m, b, valid_j, counts, residual, j_map, reward, gamma_mb in (
-            self._partial_plan
-        ):
-            max_base = n_max - b
-            # ev[base-1, j] = E[V(next) | leftover = base, slack bin j]
-            ev = windows[:max_base] @ counts
-            if residual > 0.0:
-                ev = ev + residual * v_full
-            # States (n, j) with n > b: rows b..N-1 of the (N, J) block.
-            q_part = reward + gamma_mb * ev[:, j_map]  # (max_base, J)
-            q_part = np.where(valid_j[None, :], q_part, -np.inf)
-            region = slice(b, n_max)
-            better = q_part > best_q[region]
-            best_q[region] = np.where(better, q_part, best_q[region])
-            best_m[region] = np.where(better, m, best_m[region])
-            best_b[region] = np.where(better, b, best_b[region])
+        # ev_stack[p, b_p + i] = E[V(next) | leftover base i + 1] — the one
+        # per-entry kernel call, aligned to queue rows at assignment time
+        # and written straight into the reusable buffer.
+        ev_stack = self._fold_ev
+        for p, b in enumerate(self._plan_b):
+            np.matmul(
+                windows[: n_max - b], self._plan_counts[p], out=ev_stack[p, b:]
+            )
+        # Overflow tail mass, batched (exact: adds 0.0 where residual is 0).
+        ev_stack += self._plan_residual[:, None, None] * v_full
+        # Leftover-slack requantization: one flat gather for every entry.
+        q_cand = ev_stack.take(self._plan_take)
+        q_cand *= self._plan_gamma[:, None, None]
+        q_cand += self._plan_reward[:, None, None]
+        np.copyto(q_cand, -np.inf, where=self._plan_dead)
+
+        if not want_greedy:
+            # Plain max: same result as a sequential strict-``>`` fold
+            # (float max is exact and order-independent).
+            return (
+                np.maximum(q_cand.max(axis=0), best_q, out=best_q),
+                best_m,
+                best_b,
+            )
+        cand = np.concatenate([best_q[None], q_cand], axis=0)
+        winner = cand.argmax(axis=0)
+        best_q = np.take_along_axis(cand, winner[None], axis=0)[0]
+        keep = winner == 0
+        best_m = np.where(keep, best_m, self._plan_m_lut[winner])
+        best_b = np.where(keep, best_b, self._plan_b_lut[winner])
         return best_q, best_m, best_b
 
     def _counts_for(self, latency: float) -> np.ndarray:
@@ -507,25 +579,43 @@ class WorkerMDP:
     # ------------------------------------------------------------------
     # Fixed-policy backup (policy evaluation / iteration)
     # ------------------------------------------------------------------
+    def _policy_eval_arrays(
+        self, action_table: Dict[int, Tuple[int, int]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reward / discount / transition arrays of the induced chain.
+
+        Cached against the action table — policy iteration evaluates the
+        same table for hundreds of sweeps, so assembly cost is paid once
+        per improvement round instead of once per sweep per state.
+        """
+        if self._pe_table is not None and action_table == self._pe_table:
+            return self._pe_reward, self._pe_discount, self._pe_rows
+        space = self._space
+        size = space.size
+        rows = self.policy_rows(action_table)
+        reward = np.zeros(size, dtype=np.float64)
+        discount = np.empty(size, dtype=np.float64)
+        discount[space.EMPTY] = self._gamma_empty
+        for state_id in range(size):
+            if state_id == space.EMPTY:
+                continue
+            n, _ = space.decode(state_id)
+            action = action_table.get(state_id, (_FALLBACK, n))
+            reward[state_id] = self.reward_of(state_id, action)
+            discount[state_id] = self.discount_of(state_id, action)
+        self._pe_table = dict(action_table)
+        self._pe_rows = rows
+        self._pe_reward = reward
+        self._pe_discount = discount
+        return reward, discount, rows
+
     def backup_policy(
         self, values: np.ndarray, action_table: Dict[int, Tuple[int, int]]
     ) -> np.ndarray:
-        """One expectation backup under a fixed action table."""
-        space = self._space
-        new_values = np.empty_like(values)
-        new_values[space.EMPTY] = self._gamma_empty * values[
-            space.index(1, self._grid.slo_index)
-        ]
-        for state_id in range(space.size):
-            if state_id == space.EMPTY:
-                continue
-            n, j = space.decode(state_id)
-            m, b = action_table.get(state_id, (_FALLBACK, n))
-            row = self.transition_row(state_id, (m, b))
-            reward = self.reward_of(state_id, (m, b))
-            discount = self.discount_of(state_id, (m, b))
-            new_values[state_id] = reward + discount * float(row @ values)
-        return new_values
+        """One expectation backup under a fixed action table, as a single
+        matrix-vector product on the cached induced chain."""
+        reward, discount, rows = self._policy_eval_arrays(action_table)
+        return reward + discount * (rows @ values)
 
     def discount_of(self, state_id: int, action: Tuple[int, int]) -> float:
         """Continuation discount of an encoded action (semi-MDP aware)."""
@@ -606,11 +696,12 @@ class WorkerMDP:
         precomputed ``(M, N, S)`` row bank, so those states gather in one
         fancy-indexed copy; everything else (partial drains, drop-mode
         fallbacks, the exact view's phase mixtures) goes through
-        :meth:`transition_row`.  Both solver backends assemble through
-        this method, which is what makes the §5.1 stationary analysis
-        bit-identical across them (power iteration is a matrix-vector
-        loop on the returned array).
+        :meth:`transition_row`.  A table equal to the one policy
+        evaluation last assembled is served from that cache, so the §5.1
+        stationary analysis and policy evaluation read the same array.
         """
+        if self._pe_table is not None and table == self._pe_table:
+            return self._pe_rows
         space = self._space
         size = space.size
         rows = np.zeros((size, size), dtype=np.float64)
@@ -681,19 +772,6 @@ class WorkerMDP:
         return np.zeros(self._space.size, dtype=np.float64)
 
 
-def build_worker_mdp(
-    config: WorkerMDPConfig, solver: str = "auto"
-) -> WorkerMDP:
-    """Construct a worker MDP from its offline inputs.
-
-    ``solver`` selects the solve backend: ``"loop"`` keeps the reference
-    per-action/per-state implementation, ``"tensor"`` builds the
-    stacked-contraction backend, and ``"auto"`` (default) resolves to
-    tensor — see :func:`resolve_solver`.
-    """
-    if resolve_solver(solver) == "tensor":
-        # Local import: tensor subclasses WorkerMDP from this module.
-        from repro.core.tensor import TensorizedWorkerMDP
-
-        return TensorizedWorkerMDP(config)
+def build_worker_mdp(config: WorkerMDPConfig) -> WorkerMDP:
+    """Construct a worker MDP from its offline inputs."""
     return WorkerMDP(config)

@@ -65,24 +65,13 @@ class PolicySet:
 
         Refinement proceeds in rounds: every adjacent pair currently over
         the gap threshold gets its midpoint in the *same* round, worst gaps
-        first when the ``max_policies`` budget cannot cover them all.  With
-        ``max_workers > 1`` each round's midpoints (and the initial grid)
-        solve concurrently across processes; results are bit-identical to
-        the serial order because every cell runs the same solve path.  With
-        ``warm_start`` each midpoint's value iteration is seeded from the
-        lower neighbour's converged values — fewer sweeps, same fixed
-        point.
-
-        Every cell (initial grid and refinement midpoints alike) solves
-        with the generator's ``solver=`` backend
-        (``PolicyGenerator(..., solver="auto"|"tensor"|"loop"|"stacked")``);
-        since backends are value-identical, refined sets are byte-identical
-        regardless of which backend produced them.  With the ``stacked``
-        backend (or ``auto`` on a large enough serial grid) each round —
-        the initial grid, then every round's midpoints — solves as *one*
-        batched :class:`repro.core.bank.StackedBankMDP` program, with the
-        round's warm starts threaded through as the stacked solve's
-        per-cell ``initials``.
+        first when the ``max_policies`` budget cannot cover them all.  Each
+        round — the initial grid, then every round's midpoints — solves as
+        *one* batched :class:`repro.core.bank.StackedBankMDP` program, or
+        with ``max_workers > 1`` concurrently across processes; the two
+        produce byte-identical sets.  With ``warm_start`` each midpoint's
+        value iteration is seeded from the lower neighbour's converged
+        values — fewer sweeps, same fixed point.
         """
         if not load_grid_qps:
             raise PolicyError("load grid must be non-empty")

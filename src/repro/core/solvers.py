@@ -10,13 +10,11 @@ exposing the :class:`WorkerMDP` backup protocol::
 
 so small dense MDPs used in the test suite can exercise the same solvers.
 
-The *implementation* of those backups is selected when the MDP is built:
-``build_worker_mdp(config, solver="auto"|"tensor"|"loop")`` returns either
-the reference loop backend or the tensorized one
-(:mod:`repro.core.tensor`), and the solvers here are backend-agnostic —
-value iteration is float-identical across backends (asserted by
-``tests/test_solver_equivalence.py``), policy iteration agrees at the
-greedy-table level.  Both raise :class:`~repro.errors.SolverError` with
+The solvers are agnostic to how the backups are computed: value
+iteration on :class:`~repro.core.mdp.WorkerMDP` is float-identical to the
+per-action loop oracle in ``tests/oracles/`` (asserted by
+``tests/test_solver_equivalence.py``), and policy iteration agrees with
+it at the greedy-table level.  Both raise :class:`~repro.errors.SolverError` with
 residual diagnostics when their iteration ceilings are hit, so a
 non-converging solve at a too-tight tolerance fails loudly instead of
 spinning.

@@ -537,26 +537,29 @@ def check_bench_history(
 ) -> List[Regression]:
     """Compare each benchmark's latest history entry against its previous.
 
+    Entries are grouped by ``(bench, data["scale"])``, so a smoke run is
+    only ever judged against the previous smoke run of the same bench.
     A tracked metric (see :func:`metric_direction`) that moved in the
     worse direction by more than ``tolerance`` (fractional) is reported.
-    Benchmarks with fewer than two entries, and keys present in only one
+    Groups with fewer than two entries, and keys present in only one
     entry, are skipped — the first recorded run can never regress.
     """
     history = Path(history_path)
     if not history.is_file():
         return []
-    by_bench: Dict[str, List[Dict[str, Any]]] = {}
+    by_bench: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
     with history.open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             entry = json.loads(line)
-            by_bench.setdefault(entry["bench"], []).append(entry)
+            data = entry.get("data")
+            scale = str(data.get("scale", "")) if isinstance(data, dict) else ""
+            by_bench.setdefault((entry["bench"], scale), []).append(entry)
 
     regressions: List[Regression] = []
-    for bench in sorted(by_bench):
-        entries = by_bench[bench]
+    for (bench, _scale), entries in sorted(by_bench.items()):
         if len(entries) < 2:
             continue
         previous = _flatten(entries[-2].get("data", {}))

@@ -89,8 +89,6 @@ class TestGen:
                 "40",
                 "50",
                 "60",
-                "--solver",
-                "stacked",
                 "--no-cache",
                 "--fld-resolution",
                 "12",
@@ -104,26 +102,6 @@ class TestGen:
         assert sorted(p.name for p in out_dir.glob("*.json")) == [
             "30.json", "40.json", "50.json", "60.json",
         ]
-
-    def test_stacked_solver_rejects_jobs(self, tmp_path):
-        with pytest.raises(SystemExit, match="stacked"):
-            main(
-                [
-                    "gen",
-                    "--task",
-                    "image",
-                    "--loads",
-                    "30",
-                    "40",
-                    "--solver",
-                    "stacked",
-                    "--jobs",
-                    "2",
-                    "--no-cache",
-                    "--out",
-                    str(tmp_path / "pol"),
-                ]
-            )
 
 
 class TestSimulateAndReport:

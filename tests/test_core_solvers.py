@@ -6,57 +6,15 @@ import pytest
 from repro.core.mdp import build_worker_mdp
 from repro.core.solvers import policy_iteration, value_iteration
 from repro.errors import SolverError
-
-
-class DenseMDP:
-    """A tiny dense MDP implementing the solver backup protocol.
-
-    Two states, two actions; analytic optimum is easy to derive.
-    """
-
-    def __init__(self, gamma: float = 0.9) -> None:
-        self.gamma = gamma
-        # P[a][s, s'], R[a][s]
-        self.P = np.array(
-            [
-                [[1.0, 0.0], [0.5, 0.5]],  # action 0
-                [[0.0, 1.0], [0.0, 1.0]],  # action 1
-            ]
-        )
-        self.R = np.array(
-            [
-                [1.0, 0.0],  # action 0 rewards per state
-                [0.0, 2.0],  # action 1 rewards per state
-            ]
-        )
-
-    def initial_values(self):
-        return np.zeros(2)
-
-    def backup(self, values, want_greedy=False):
-        from repro.core.mdp import BackupResult
-
-        q = self.R + self.gamma * (self.P @ values)  # (A, S)
-        new_values = q.max(axis=0)
-        greedy = {}
-        if want_greedy:
-            best = q.argmax(axis=0)
-            greedy = {s: (int(best[s]), 1) for s in range(2)}
-        return BackupResult(values=new_values, greedy=greedy)
-
-    def backup_policy(self, values, action_table):
-        out = np.empty(2)
-        for s in range(2):
-            a, _ = action_table[s]
-            out[s] = self.R[a, s] + self.gamma * (self.P[a, s] @ values)
-        return out
+from tests.oracles.dense_mdp import two_state_mdp
+from tests.oracles.loop_mdp import LoopWorkerMDP
 
 
 class TestValueIterationOnDenseMDP:
     def test_converges_to_analytic_fixed_point(self):
         """State 1 loops on action 1 forever: V(1) = 2 / (1 - gamma).
         State 0 picks action... compare both closed forms."""
-        mdp = DenseMDP(gamma=0.9)
+        mdp = two_state_mdp(gamma=0.9)
         stats = value_iteration(mdp, tolerance=1e-12)
         v1 = 2.0 / (1.0 - 0.9)
         # State 0: action 1 gives 0 + 0.9 * V(1); action 0 gives
@@ -65,21 +23,21 @@ class TestValueIterationOnDenseMDP:
         assert stats.values[0] == pytest.approx(0.9 * v1, abs=1e-6)
 
     def test_reports_iterations_and_runtime(self):
-        stats = value_iteration(DenseMDP(), tolerance=1e-10)
+        stats = value_iteration(two_state_mdp(), tolerance=1e-10)
         assert stats.converged
         assert stats.iterations > 10
         assert stats.runtime_s >= 0.0
 
     def test_raises_on_iteration_cap(self):
         with pytest.raises(SolverError):
-            value_iteration(DenseMDP(), tolerance=1e-12, max_iterations=3)
+            value_iteration(two_state_mdp(), tolerance=1e-12, max_iterations=3)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(SolverError):
-            value_iteration(DenseMDP(), tolerance=0.0)
+            value_iteration(two_state_mdp(), tolerance=0.0)
 
     def test_warm_start(self):
-        mdp = DenseMDP()
+        mdp = two_state_mdp()
         cold = value_iteration(mdp, tolerance=1e-10)
         warm = value_iteration(mdp, tolerance=1e-10, initial=cold.values)
         assert warm.iterations < cold.iterations
@@ -87,11 +45,11 @@ class TestValueIterationOnDenseMDP:
 
 class TestResidualHistory:
     def test_off_by_default(self):
-        assert value_iteration(DenseMDP(), tolerance=1e-10).residuals is None
+        assert value_iteration(two_state_mdp(), tolerance=1e-10).residuals is None
 
     def test_recorded_on_request(self):
         stats = value_iteration(
-            DenseMDP(), tolerance=1e-10, record_residuals=True
+            two_state_mdp(), tolerance=1e-10, record_residuals=True
         )
         assert stats.residuals is not None
         assert len(stats.residuals) == stats.iterations
@@ -104,7 +62,7 @@ class TestResidualHistory:
         ``r_{k+1} <= gamma * r_k`` (up to float noise)."""
         gamma = 0.9
         stats = value_iteration(
-            DenseMDP(gamma=gamma), tolerance=1e-10, record_residuals=True
+            two_state_mdp(gamma=gamma), tolerance=1e-10, record_residuals=True
         )
         residuals = stats.residuals
         assert len(residuals) > 10
@@ -124,7 +82,7 @@ class TestResidualHistory:
         from repro.obs.trace import RecordingTracer
 
         tracer = RecordingTracer()
-        stats = value_iteration(DenseMDP(), tolerance=1e-8, tracer=tracer)
+        stats = value_iteration(two_state_mdp(), tolerance=1e-8, tracer=tracer)
         sweeps = [ev for ev in tracer.events if ev.name == "vi_sweep"]
         assert len(sweeps) == stats.iterations
         assert [ev.args["iteration"] for ev in sweeps] == list(
@@ -138,7 +96,7 @@ class TestResidualHistory:
         from repro.obs.trace import RecordingTracer
 
         tracer = RecordingTracer()
-        stats, _ = policy_iteration(DenseMDP(), tracer=tracer)
+        stats, _ = policy_iteration(two_state_mdp(), tracer=tracer)
         rounds = [ev for ev in tracer.events if ev.name == "pi_round"]
         assert rounds
         assert all("actions_changed" in ev.args for ev in rounds)
@@ -146,7 +104,7 @@ class TestResidualHistory:
 
 class TestPolicyIterationOnDenseMDP:
     def test_matches_value_iteration(self):
-        mdp = DenseMDP(gamma=0.9)
+        mdp = two_state_mdp(gamma=0.9)
         vi = value_iteration(mdp, tolerance=1e-12)
         pi_stats, table = policy_iteration(mdp)
         assert np.allclose(pi_stats.values, vi.values, atol=1e-5)
@@ -178,7 +136,7 @@ class TestIterationCeilings:
     def test_vi_cap_message_includes_residual_tail(self):
         with pytest.raises(SolverError, match="last residuals"):
             value_iteration(
-                DenseMDP(),
+                two_state_mdp(),
                 tolerance=1e-12,
                 max_iterations=3,
                 record_residuals=True,
@@ -188,7 +146,7 @@ class TestIterationCeilings:
         with pytest.raises(
             SolverError, match=r"did not converge after 3 sweeps"
         ) as excinfo:
-            value_iteration(DenseMDP(), tolerance=1e-12, max_iterations=3)
+            value_iteration(two_state_mdp(), tolerance=1e-12, max_iterations=3)
         assert "residual" in str(excinfo.value)
         assert "last residuals" not in str(excinfo.value)
 
@@ -196,24 +154,24 @@ class TestIterationCeilings:
         with pytest.raises(
             SolverError, match=r"greedy action\(s\) still changing"
         ) as excinfo:
-            policy_iteration(DenseMDP(), max_iterations=1)
+            policy_iteration(two_state_mdp(), max_iterations=1)
         assert "delta" in str(excinfo.value)
 
     def test_vi_rejects_nonpositive_max_iterations(self):
         with pytest.raises(SolverError, match="max_iterations"):
-            value_iteration(DenseMDP(), max_iterations=0)
+            value_iteration(two_state_mdp(), max_iterations=0)
 
     def test_pi_rejects_nonpositive_max_iterations(self):
         with pytest.raises(SolverError, match="max_iterations"):
-            policy_iteration(DenseMDP(), max_iterations=0)
+            policy_iteration(two_state_mdp(), max_iterations=0)
 
     def test_pi_rejects_nonpositive_evaluation_sweeps(self):
         with pytest.raises(SolverError, match="evaluation_sweeps"):
-            policy_iteration(DenseMDP(), evaluation_sweeps=0)
+            policy_iteration(two_state_mdp(), evaluation_sweeps=0)
 
     def test_vi_cap_on_worker_mdp_backends(self, tiny_config):
-        """The ceiling fires identically on both solver backends."""
-        for solver in ("loop", "tensor"):
-            mdp = build_worker_mdp(tiny_config, solver=solver)
+        """The ceiling fires identically on the worker MDP and its loop
+        oracle."""
+        for mdp in (build_worker_mdp(tiny_config), LoopWorkerMDP(tiny_config)):
             with pytest.raises(SolverError, match="did not converge"):
                 value_iteration(mdp, tolerance=1e-13, max_iterations=2)

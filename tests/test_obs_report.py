@@ -8,7 +8,6 @@ from repro.cli import main
 from repro.obs.aggregate import ShardTracer, merge_run_dir, write_merged_artifacts
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
-    Regression,
     append_bench_history,
     check_bench_history,
     metric_direction,
@@ -335,6 +334,28 @@ class TestBenchHistory:
         for value in (5.0, 1.0, 1.1):  # old spike, then stable
             self._record(out, value)
         assert check_bench_history(out / "history.jsonl") == []
+
+    def test_entries_compared_within_their_scale(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        history = out / "history.jsonl"
+
+        def record(scale, value):
+            (out / "micro.json").write_text(
+                json.dumps({"scale": scale, "solve_s": value})
+            )
+            append_bench_history(out)
+            return check_bench_history(history)
+
+        record("bench", 1.0)
+        # The first smoke run has no smoke predecessor; the second is
+        # judged against the first.
+        assert record("smoke", 0.1) == []
+        (regression,) = record("smoke", 0.2)
+        assert (regression.previous, regression.latest) == (0.1, 0.2)
+        # A bench run after smoke runs meets the previous bench run only.
+        (regression,) = record("bench", 1.1)
+        assert (regression.previous, regression.latest) == (0.1, 0.2)
 
     def test_single_entry_and_zero_baseline_skipped(self, tmp_path):
         out = tmp_path / "out"

@@ -9,7 +9,6 @@ import pytest
 
 from repro.cache import PolicyCache
 from repro.core.generator import PolicyGenerator, generate_policy
-from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RecordingTracer
 
@@ -116,42 +115,83 @@ def test_tolerance_partitions_the_cache(tiny_config, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Stacked bank backend
+# Serial misses: one stacked solve, byte-equal to per-load generate_policy
 # ----------------------------------------------------------------------
-def test_stacked_bank_matches_serial(tiny_config):
-    serial = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="tensor"
-    ).generate_many(LOADS)
+def _per_load(config, loads, initials=None):
+    initials = initials or {}
+    return [
+        generate_policy(
+            config.with_load(q), tolerance=TOL, initial=initials.get(q)
+        )
+        for q in loads
+    ]
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 4])
+def test_serial_misses_solve_as_one_stacked_bank(tiny_config, cells):
+    loads = LOADS[:cells]
+    tracer = RecordingTracer()
+    registry = MetricsRegistry()
     stacked = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="stacked"
-    ).generate_many(LOADS)
-    assert _bank_bytes(serial) == _bank_bytes(stacked)
-    for s, p in zip(serial, stacked):
-        assert s.guarantees == p.guarantees
-        assert s.iterations == p.iterations
-
-
-def test_stacked_rejects_process_fanout(tiny_config):
-    generator = PolicyGenerator(tiny_config, tolerance=TOL, solver="stacked")
-    with pytest.raises(ConfigurationError, match="max_workers"):
-        generator.generate_many(LOADS, max_workers=2)
-
-
-def test_auto_routes_serial_grids_to_stacked(tiny_config):
-    tracer = RecordingTracer()
-    generator = PolicyGenerator(tiny_config, tolerance=TOL, tracer=tracer)
-    generator.generate_many(LOADS)  # 4 cells >= STACKED_AUTO_MIN_CELLS
-    spans = [s.name for s in tracer.spans if s.track == "policy_bank"]
-    assert "policy_bank_stacked" in spans
-
-
-def test_auto_keeps_small_grids_serial(tiny_config):
-    tracer = RecordingTracer()
-    PolicyGenerator(tiny_config, tolerance=TOL, tracer=tracer).generate_many(
-        LOADS[:2]
+        tiny_config, tolerance=TOL, tracer=tracer, registry=registry
+    ).generate_many(loads)
+    spans = [s for s in tracer.spans if s.track == "policy_bank"]
+    assert [s.name for s in spans] == ["policy_bank_stacked"]
+    assert spans[0].args["cells"] == cells
+    solves = registry.counter(
+        "policy_bank_cells_total", labels={"source": "solve"}
     )
-    spans = [s.name for s in tracer.spans if s.track == "policy_bank"]
-    assert "policy_bank_stacked" not in spans
+    assert solves.value == cells
+
+    reference = _per_load(tiny_config, loads)
+    assert _bank_bytes(stacked) == _bank_bytes(reference)
+    for s, r in zip(stacked, reference):
+        assert s.guarantees == r.guarantees
+        assert s.iterations == r.iterations
+
+
+def _cell_sources(registry):
+    return {
+        source: registry.counter(
+            "policy_bank_cells_total", labels={"source": source}
+        ).value
+        for source in ("memory", "disk", "solve")
+    }
+
+
+def test_generate_is_a_one_load_generate_many(tiny_config, tmp_path):
+    reg_one, reg_many = MetricsRegistry(), MetricsRegistry()
+    one = PolicyGenerator(
+        tiny_config,
+        tolerance=TOL,
+        cache=PolicyCache(directory=tmp_path / "one"),
+        registry=reg_one,
+    )
+    many = PolicyGenerator(
+        tiny_config,
+        tolerance=TOL,
+        cache=PolicyCache(directory=tmp_path / "many"),
+        registry=reg_many,
+    )
+    q = LOADS[1]
+    assert _policy_bytes(one.generate(q)) == _policy_bytes(
+        many.generate_many([q])[0]
+    )
+    assert _cell_sources(reg_one) == _cell_sources(reg_many)
+    # Memory hits, then disk hits through fresh generators, alike.
+    one.generate(q)
+    many.generate_many([q])
+    assert _cell_sources(reg_one) == _cell_sources(reg_many)
+    for name, registry in (("one", reg_one), ("many", reg_many)):
+        PolicyGenerator(
+            tiny_config,
+            tolerance=TOL,
+            cache=PolicyCache(directory=tmp_path / name),
+            registry=registry,
+        ).generate(q)
+    assert _cell_sources(reg_one) == _cell_sources(reg_many) == {
+        "memory": 1, "disk": 1, "solve": 1,
+    }
 
 
 def test_explicit_workers_keep_the_pool_under_auto(tiny_config):
@@ -164,16 +204,25 @@ def test_explicit_workers_keep_the_pool_under_auto(tiny_config):
     assert "policy_bank_submit" in spans
 
 
+def test_stacked_bank_matches_serial(tiny_config):
+    serial = _per_load(tiny_config, LOADS)
+    stacked = PolicyGenerator(tiny_config, tolerance=TOL).generate_many(LOADS)
+    assert _bank_bytes(serial) == _bank_bytes(stacked)
+    for s, p in zip(serial, stacked):
+        assert s.guarantees == p.guarantees
+        assert s.iterations == p.iterations
+
+
 def test_stacked_shares_cache_keys_with_serial(tiny_config, tmp_path):
     cache_a = PolicyCache(directory=tmp_path)
     bank = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="tensor", cache=cache_a
-    ).generate_many(LOADS)
+        tiny_config, tolerance=TOL, cache=cache_a
+    ).generate_many(LOADS, max_workers=2)
     assert cache_a.stores == len(LOADS)
 
     cache_b = PolicyCache(directory=tmp_path)
     restored = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="stacked", cache=cache_b
+        tiny_config, tolerance=TOL, cache=cache_b
     ).generate_many(LOADS)
     assert cache_b.hits == len(LOADS)
     assert all(r.from_cache for r in restored)
@@ -181,15 +230,19 @@ def test_stacked_shares_cache_keys_with_serial(tiny_config, tmp_path):
 
 
 def test_stacked_threads_initials(tiny_config):
-    seed = PolicyGenerator(tiny_config, tolerance=TOL).generate(20.0)
-    cold = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="tensor"
-    ).generate_many(LOADS)
-    warm = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="stacked"
-    ).generate_many(LOADS, initials={q: seed.values for q in LOADS})
+    seed = generate_policy(tiny_config.with_load(20.0), tolerance=TOL)
+    cold = _per_load(tiny_config, LOADS)
+    initials = {q: seed.values for q in LOADS}
+    warm = PolicyGenerator(tiny_config, tolerance=TOL).generate_many(
+        LOADS, initials=initials
+    )
     assert _bank_bytes(warm) == _bank_bytes(cold)
     assert all(w.iterations <= c.iterations for w, c in zip(warm, cold))
+    # Warm-started stacked cells follow the per-load warm trajectory.
+    warm_reference = _per_load(tiny_config, LOADS, initials)
+    assert [w.iterations for w in warm] == [
+        r.iterations for r in warm_reference
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Exactness contract between the ``loop`` and ``tensor`` solver backends.
+"""Exactness contract between the worker MDP and its loop oracle.
 
-The tensorized backend (:class:`repro.core.tensor.TensorizedWorkerMDP`) is
-not "numerically close" to the reference loop — it is required to be
+The tensorized sweeps of :class:`repro.core.mdp.WorkerMDP` are not
+"numerically close" to the per-action / per-state loop formulation
+(:class:`tests.oracles.loop_mdp.LoopWorkerMDP`) — they are required to be
 *float-identical* on the value-iteration path and byte-identical in every
 serialized artifact.  This suite is the contract:
 
@@ -13,7 +14,11 @@ serialized artifact.  This suite is the contract:
 - policy iteration agrees at the greedy-table level (its evaluation
   sweeps use a fused matrix-vector product, which reassociates sums);
 - hypothesis draws random small MDPs and checks the same agreement plus
-  the simplex invariants of the policy-induced chain.
+  the simplex invariants of the policy-induced chain;
+- the stacked policy bank is float-``==`` to per-load solves;
+- a dense action-by-action enumeration
+  (:class:`tests.oracles.dense_mdp.DenseMDP`) agrees to ``allclose`` values
+  and identical greedy tables away from near-ties.
 """
 
 import numpy as np
@@ -34,13 +39,14 @@ from repro.core.guarantees import (
     stationary_distribution,
     stationary_occupancy,
 )
-from repro.core.mdp import WorkerMDP, build_worker_mdp, resolve_solver
+from repro.core.mdp import WorkerMDP, build_worker_mdp
 from repro.core.solvers import policy_iteration, value_iteration
-from repro.core.tensor import TensorizedWorkerMDP
 from repro.errors import ConfigurationError
 from repro.profiles.latency import LinearLatencyModel
 from repro.profiles.models import ModelProfile, ModelSet
 from tests.conftest import make_tiny_model_set
+from tests.oracles.dense_mdp import DenseMDP
+from tests.oracles.loop_mdp import LoopWorkerMDP, generate_loop_policy
 
 
 def _ladder(num_models: int) -> ModelSet:
@@ -76,27 +82,15 @@ def _config(**overrides) -> WorkerMDPConfig:
 
 
 class TestBackendDispatch:
-    def test_resolve_solver(self):
-        assert resolve_solver("auto") == "tensor"
-        assert resolve_solver("tensor") == "tensor"
-        assert resolve_solver("loop") == "loop"
-        # "stacked" is a bank-level routing choice; a single-MDP build
-        # resolves to the per-load tensor backend it is bitwise-equal to.
-        assert resolve_solver("stacked") == "tensor"
-
-    def test_resolve_solver_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            resolve_solver("gpu")
-
     def test_build_worker_mdp_dispatch(self):
+        """One production class; the oracle only overrides the sweeps."""
         config = _config()
-        auto = build_worker_mdp(config)
-        assert isinstance(auto, TensorizedWorkerMDP)
-        assert auto.solver == "tensor"
-        loop = build_worker_mdp(config, solver="loop")
+        mdp = build_worker_mdp(config)
+        assert type(mdp) is WorkerMDP
+        loop = LoopWorkerMDP(config)
         assert isinstance(loop, WorkerMDP)
-        assert not isinstance(loop, TensorizedWorkerMDP)
-        assert loop.solver == "loop"
+        assert loop.num_states == mdp.num_states
+        assert loop.model_names == mdp.model_names
 
 
 GOLDEN_CASES = [
@@ -135,8 +129,8 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("overrides", GOLDEN_CASES)
     def test_backends_agree_exactly(self, overrides, tmp_path):
         config = _config(**overrides)
-        loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
+        loop = LoopWorkerMDP(config)
+        tensor = build_worker_mdp(config)
 
         # Value iteration: bitwise-identical trajectories.
         vi_loop = value_iteration(loop, tolerance=1e-7)
@@ -169,21 +163,22 @@ class TestGoldenEquivalence:
 
     def test_generate_policy_backend_interchangeable(self, tmp_path):
         config = _config(batching=BatchingMode.VARIABLE)
-        result_loop = generate_policy(config, solver="loop")
-        result_tensor = generate_policy(config, solver="tensor")
+        result_loop = generate_loop_policy(config)
+        result_tensor = generate_policy(config)
         path_loop = tmp_path / "loop.json"
         path_tensor = tmp_path / "tensor.json"
         result_loop.policy.save(path_loop)
         result_tensor.policy.save(path_tensor)
         assert path_loop.read_bytes() == path_tensor.read_bytes()
         assert result_loop.guarantees == result_tensor.guarantees
+        assert result_loop.iterations == result_tensor.iterations
 
 
 class TestChainRows:
     def test_policy_rows_identical_and_stochastic(self):
         config = _config(batching=BatchingMode.VARIABLE)
-        loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
+        loop = LoopWorkerMDP(config)
+        tensor = build_worker_mdp(config)
         stats = value_iteration(tensor, tolerance=1e-7)
         table = tensor.backup(stats.values, want_greedy=True).greedy
         rows_loop = loop.policy_rows(table)
@@ -193,49 +188,6 @@ class TestChainRows:
         np.testing.assert_allclose(
             rows_tensor.sum(axis=1), 1.0, atol=1e-8
         )
-
-    def test_policy_rows_operator_matches_dense(self):
-        config = _config(batching=BatchingMode.VARIABLE, fld_resolution=12)
-        tensor = build_worker_mdp(config, solver="tensor")
-        stats = value_iteration(tensor, tolerance=1e-7)
-        table = tensor.backup(stats.values, want_greedy=True).greedy
-        dense = tensor.policy_rows(table)
-        operator = tensor.policy_rows_operator(table)
-        probe = np.linspace(-1.0, 1.0, dense.shape[0])
-        np.testing.assert_allclose(operator @ probe, dense @ probe, atol=1e-12)
-
-    def test_sparse_operator_stationary_matches_dense(self):
-        """The opt-in CSR chain operator agrees with the dense power
-        iteration to allclose (sparse matvecs reassociate sums)."""
-        pytest.importorskip("scipy")
-        config = _config(batching=BatchingMode.VARIABLE, fld_resolution=12)
-        tensor = build_worker_mdp(config, solver="tensor")
-        stats = value_iteration(tensor, tolerance=1e-7)
-        policy = tensor.extract_policy(stats.values)
-        dense = stationary_distribution(tensor, policy)
-        sparse = stationary_distribution(tensor, policy, operator="sparse")
-        np.testing.assert_allclose(sparse, dense, atol=1e-9)
-        occ_dense = stationary_occupancy(tensor, policy)
-        occ_sparse = stationary_occupancy(tensor, policy, operator="auto")
-        assert occ_sparse.probs.keys() == occ_dense.probs.keys()
-        for key, p in occ_dense.probs.items():
-            assert occ_sparse.probs[key] == pytest.approx(p, abs=1e-9)
-
-    def test_auto_operator_falls_back_on_loop_backend(self):
-        config = _config(batching=BatchingMode.VARIABLE)
-        loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
-        stats = value_iteration(tensor, tolerance=1e-7)
-        policy = tensor.extract_policy(stats.values)
-        # "auto" on a backend without a CSR operator is the dense path,
-        # bitwise: the loop backend exposes no policy_rows_operator.
-        dense = stationary_distribution(loop, policy)
-        auto = stationary_distribution(loop, policy, operator="auto")
-        assert np.array_equal(auto, dense)
-        with pytest.raises(ConfigurationError):
-            stationary_distribution(loop, policy, operator="sparse")
-        with pytest.raises(ConfigurationError):
-            stationary_distribution(tensor, policy, operator="csr")
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +215,7 @@ class TestStackedBank:
         stats = StackedBankMDP(configs).solve(tolerance=1e-7)
         for config, s in zip(configs, stats):
             ref = value_iteration(
-                build_worker_mdp(config, solver="tensor"), tolerance=1e-7
+                build_worker_mdp(config), tolerance=1e-7
             )
             assert np.array_equal(s.values, ref.values)
             assert s.iterations == ref.iterations
@@ -274,7 +226,7 @@ class TestStackedBank:
         configs = [base.with_load(q) for q in BANK_LOADS]
         results = solve_stacked_bank(configs)
         for config, result in zip(configs, results):
-            ref = generate_policy(config, solver="tensor")
+            ref = generate_policy(config)
             stacked_path = tmp_path / "stacked.json"
             ref_path = tmp_path / "ref.json"
             result.policy.save(stacked_path)
@@ -359,8 +311,8 @@ class TestRandomEquivalence:
             ),
             pareto_prune=False,
         )
-        loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
+        loop = LoopWorkerMDP(config)
+        tensor = build_worker_mdp(config)
         vi_loop = value_iteration(loop, tolerance=1e-6)
         vi_tensor = value_iteration(tensor, tolerance=1e-6)
         assert np.array_equal(vi_loop.values, vi_tensor.values)
@@ -387,8 +339,8 @@ class TestRandomEquivalence:
             batching=BatchingMode.VARIABLE,
             pareto_prune=False,
         )
-        loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
+        loop = LoopWorkerMDP(config)
+        tensor = build_worker_mdp(config)
         stats = value_iteration(tensor, tolerance=1e-6)
         policy = tensor.extract_policy(stats.values)
         occ_loop = stationary_occupancy(loop, policy)
@@ -448,7 +400,44 @@ class TestRandomEquivalence:
         stats = StackedBankMDP(configs).solve(tolerance=1e-6)
         for config, s in zip(configs, stats):
             ref = value_iteration(
-                build_worker_mdp(config, solver="tensor"), tolerance=1e-6
+                build_worker_mdp(config), tolerance=1e-6
             )
             assert np.array_equal(s.values, ref.values)
             assert s.iterations == ref.iterations
+
+
+# ----------------------------------------------------------------------
+# Dense oracle: action-by-action enumeration of the worker MDP
+# ----------------------------------------------------------------------
+DENSE_CASES = [
+    pytest.param(
+        dict(view=view, batching=batching, drop_late=drop_late),
+        id=f"{view.value}-{batching.value}{'-drop' if drop_late else ''}",
+    )
+    for view in (TransitionView.POISSON_SPLIT, TransitionView.EXACT_ROUND_ROBIN)
+    for batching in (BatchingMode.MAXIMAL, BatchingMode.VARIABLE)
+    for drop_late in (False, True)
+]
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("overrides", DENSE_CASES)
+    def test_worker_mdp_matches_dense_enumeration(self, overrides):
+        config = _config(max_queue=4, max_batch_size=4, fld_resolution=6, **overrides)
+        mdp = build_worker_mdp(config)
+        dense = DenseMDP.from_worker_mdp(mdp)
+        vi = value_iteration(mdp, tolerance=1e-10)
+        vi_dense = value_iteration(dense, tolerance=1e-10)
+        np.testing.assert_allclose(vi.values, vi_dense.values, rtol=0, atol=1e-8)
+
+        # Greedy tables on the same value vector, away from near-ties.
+        greedy = mdp.backup(vi.values, want_greedy=True).greedy
+        dense_greedy = dense.greedy(vi.values)
+        q = np.sort(dense.q_values(vi.values), axis=0)
+        gap = q[-1] - q[-2]
+        compared = 0
+        for state_id, action in greedy.items():
+            if gap[state_id] > 1e-9:
+                assert dense_greedy[state_id] == action, state_id
+                compared += 1
+        assert compared > len(greedy) // 2
