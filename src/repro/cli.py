@@ -761,7 +761,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a trace on the sharded asyncio runtime.
+    """Serve a trace on the sharded runtime.
 
     Replays a constant or Twitter-shaped trace across ``--shards``
     controller shards of ``--workers`` workers each, with optional
@@ -1265,7 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=cmd_audit)
 
     serve = sub.add_parser(
-        "serve", help="serve a trace on the sharded asyncio runtime"
+        "serve", help="serve a trace on the sharded runtime"
     )
     serve.add_argument("--task", default="image", choices=["image", "text"])
     serve.add_argument("--slo", type=float, default=None)

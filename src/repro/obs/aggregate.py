@@ -531,7 +531,7 @@ def write_live_snapshot(
 ) -> List[Path]:
     """Atomically publish ``metrics-<pid>.json`` / ``attribution-<pid>.json``.
 
-    The periodic snapshot feed for ``ramsis top``: the runtime controller
+    The periodic snapshot feed for ``ramsis top``: the sharded runtime
     (and anything else that wants a live view) calls this on a timer;
     sweep workers get the metrics half for free from
     :meth:`WorkerObs.flush`.  Writes go through a temp file + ``rename``

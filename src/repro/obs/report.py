@@ -395,7 +395,7 @@ def render_top_frame(run_dir: Union[str, Path], limit: int = 12) -> str:
     """One ``ramsis top`` frame: the run directory's freshest state.
 
     Reads the periodic live snapshots (``metrics-<pid>.json`` /
-    ``attribution-<pid>.json``, written by the runtime controller's
+    ``attribution-<pid>.json``, written by the sharded runtime's
     snapshot thread and by ``run_sweep`` pool workers) plus any merged
     artifacts, and renders a single text frame.  Pure read — safe to
     call while the run is still writing (snapshots are atomic renames).

@@ -1,30 +1,27 @@
-"""Workload generation in wall-clock time (§6 "Prototype Implementation").
+"""Workload generation (§6 "Prototype Implementation").
 
 The prototype's workload generator process produces a stream of query
 arrivals according to a query load trace under a stochastic inter-arrival
-pattern.  :class:`WorkloadGenerator` pre-samples the arrival timestamps
-(identically to the simulator, so runs are comparable) and replays them on
-the shared virtual clock, invoking the controller's submit callback per
-query.
+pattern.  :class:`WorkloadGenerator` samples the arrival timestamps
+identically to the simulator, so runtime and simulator runs are
+comparable query for query.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.arrivals.distributions import ArrivalDistribution, PoissonArrivals
 from repro.arrivals.processes import sample_arrival_times
 from repro.arrivals.traces import LoadTrace
-from repro.runtime.clock import VirtualClock
-from repro.sim.queries import Query
 
 __all__ = ["WorkloadGenerator"]
 
 
 class WorkloadGenerator:
-    """Replays a trace's arrival stream in (scaled) real time."""
+    """Samples a trace's arrival stream."""
 
     def __init__(
         self,
@@ -39,26 +36,6 @@ class WorkloadGenerator:
         self._seed = seed
 
     def sample(self) -> np.ndarray:
-        """The arrival timestamps this generator will replay."""
+        """The sorted arrival timestamps (ms) of this generator's stream."""
         rng = np.random.default_rng(self._seed)
         return np.sort(sample_arrival_times(self._trace, self._pattern, rng))
-
-    def run(
-        self,
-        clock: VirtualClock,
-        submit: Callable[[Query], None],
-        arrivals: Optional[np.ndarray] = None,
-    ) -> int:
-        """Replay arrivals against ``submit``; returns the query count.
-
-        Blocks until the last query has been submitted.  Timestamps are
-        honoured on the virtual clock; if generation falls behind (GIL,
-        scheduling), queries are submitted immediately with their original
-        deadlines, which only makes the workload harder — never easier.
-        """
-        if arrivals is None:
-            arrivals = self.sample()
-        for query_id, t_ms in enumerate(arrivals):
-            clock.sleep_until_ms(float(t_ms))
-            submit(Query.create(query_id, float(t_ms), self._slo_ms))
-        return int(arrivals.shape[0])

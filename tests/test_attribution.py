@@ -445,20 +445,22 @@ class TestPlumbing:
 class TestRuntimeAttribution:
     def test_controller_attribution_and_snapshots(self, tmp_path):
         from repro.profiles.zoo import build_image_model_set
-        from repro.runtime.controller import CentralController
+        from repro.runtime import ShardedController
 
         attributor = LatencyAttributor(slo_ms=150.0, record_queries=True)
-        controller = CentralController(
+        controller = ShardedController(
             build_image_model_set(),
             slo_ms=150.0,
-            num_workers=2,
+            num_shards=1,
+            workers_per_shard=2,
             time_scale=0.01,
-            tracer=attributor,
-            snapshot_dir=str(tmp_path),
+            run_dir=str(tmp_path),
             snapshot_interval_s=0.05,
         )
         report = controller.serve(
-            JellyfishPlusSelector(), LoadTrace.constant(40.0, 1_500.0)
+            lambda s: JellyfishPlusSelector(),
+            LoadTrace.constant(40.0, 1_500.0),
+            attributors=[attributor],
         )
         snap = attributor.to_json_dict()
         assert snap["totals"]["queries"] == report.submitted

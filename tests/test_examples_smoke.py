@@ -45,7 +45,7 @@ class TestExamples:
     def test_serving_runtime_demo_runs(self):
         result = _run("serving_runtime_demo.py")
         assert result.returncode == 0, result.stderr
-        assert "runtime (threads" in result.stdout
+        assert "runtime (paced" in result.stdout
         assert "simulator (deterministic p95)" in result.stdout
 
     def test_custom_models_runs(self):

@@ -1,18 +1,11 @@
-"""Tests for the wall-clock serving runtime."""
+"""Tests for the runtime's virtual clock and workload generator."""
 
 import numpy as np
 import pytest
 
-from repro.arrivals.distributions import PoissonArrivals
 from repro.arrivals.traces import LoadTrace
-from repro.core.generator import generate_policy
-from repro.runtime import CentralController, WorkloadGenerator
+from repro.runtime import WorkloadGenerator
 from repro.runtime.clock import VirtualClock
-from repro.selectors import GreedyDeadlineSelector, JellyfishPlusSelector, RamsisSelector
-from repro.sim.latency_model import DeterministicLatency
-
-#: Aggressive compression keeps runtime tests fast (100x real time).
-FAST = 0.01
 
 
 class TestVirtualClock:
@@ -63,119 +56,26 @@ class TestWorkloadGenerator:
         assert np.array_equal(a, b)
         assert a.shape[0] == pytest.approx(400, rel=0.2)
 
-    def test_run_submits_all(self):
-        trace = LoadTrace.constant(100.0, 1_000.0)
-        gen = WorkloadGenerator(trace, slo_ms=100.0, seed=4)
-        clock = VirtualClock(time_scale=FAST)
-        seen = []
-        count = gen.run(clock, seen.append)
-        assert count == len(seen)
-        # Deadlines carry the SLO.
-        assert all(
-            q.deadline_ms == pytest.approx(q.arrival_ms + 100.0) for q in seen
-        )
-
     def test_pacing_error_bounded_at_high_compression(self):
         """Absolute-deadline pacing does not accumulate drift.
 
-        10k arrivals replayed at heavy compression: with relative
-        sleeps, per-call overhead (sub-ms each) would compound into
-        hundreds of ms of wall-clock drift by the last arrival; pacing
-        to the absolute virtual deadline keeps the *max* wall lag at
-        scheduling-jitter scale regardless of the arrival count.
+        10k arrivals replayed at heavy compression (the paced serving
+        loop sleeps to each next event with ``sleep_until_ms``): with
+        relative sleeps, per-call overhead (sub-ms each) would compound
+        into hundreds of ms of wall-clock drift by the last arrival;
+        pacing to the absolute virtual deadline keeps the *max* wall lag
+        at scheduling-jitter scale regardless of the arrival count.
         """
         n = 10_000
         duration_ms = 2_000.0
         arrivals = np.linspace(0.0, duration_ms, n, endpoint=False)
-        trace = LoadTrace.constant(n / (duration_ms / 1_000.0), duration_ms)
-        gen = WorkloadGenerator(trace, slo_ms=100.0, seed=0)
         scale = 0.001  # 1000x compression: 2s of trace in 2ms of wall
         clock = VirtualClock(time_scale=scale)
         max_lag_wall_ms = 0.0
-
-        def submit(query):
-            nonlocal max_lag_wall_ms
-            lag_virtual = clock.now_ms() - query.arrival_ms
+        for t_ms in arrivals.tolist():
+            clock.sleep_until_ms(t_ms)
+            lag_virtual = clock.now_ms() - t_ms
             max_lag_wall_ms = max(max_lag_wall_ms, lag_virtual * scale)
-
-        count = gen.run(clock, submit, arrivals=arrivals)
-        assert count == n
         # Bound in *wall* milliseconds: generous for CI-noise, but far
         # below the O(n * per-call-overhead) a drifting pacer shows.
         assert max_lag_wall_ms < 250.0
-
-
-class TestCentralController:
-    def test_serves_every_query(self, tiny_models):
-        trace = LoadTrace.constant(150.0, 2_000.0)
-        controller = CentralController(
-            tiny_models, slo_ms=100.0, num_workers=2, time_scale=FAST, seed=1,
-            latency_model=DeterministicLatency(),
-        )
-        report = controller.serve(
-            GreedyDeadlineSelector(), trace, pattern=PoissonArrivals(150.0)
-        )
-        assert report.metrics.total_queries == report.submitted
-        assert report.submitted > 0
-
-    def test_ramsis_policy_runs(self, tiny_config):
-        policy = generate_policy(tiny_config).policy
-        trace = LoadTrace.constant(25.0, 2_000.0)
-        # Gentler compression here: at 100x the 100 ms SLO is 1 ms of wall
-        # time, which thread-wakeup jitter alone would blow through.
-        controller = CentralController(
-            tiny_config.model_set,
-            slo_ms=100.0,
-            num_workers=1,
-            time_scale=0.1,
-            seed=2,
-            latency_model=DeterministicLatency(),
-        )
-        report = controller.serve(
-            RamsisSelector(policy), trace, pattern=PoissonArrivals(25.0)
-        )
-        assert report.metrics.total_queries == report.submitted
-        # At this easy load the policy should rarely violate even with the
-        # runtime's scheduling jitter.
-        assert report.metrics.violation_rate < 0.25
-
-    def test_central_scope_selector_runs(self, tiny_models):
-        trace = LoadTrace.constant(100.0, 1_500.0)
-        controller = CentralController(
-            tiny_models, slo_ms=100.0, num_workers=2, time_scale=FAST, seed=3,
-            latency_model=DeterministicLatency(),
-        )
-        report = controller.serve(
-            JellyfishPlusSelector(), trace, pattern=PoissonArrivals(100.0)
-        )
-        assert report.metrics.total_queries == report.submitted
-
-    def test_rejects_zero_workers(self, tiny_models):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            CentralController(tiny_models, slo_ms=100.0, num_workers=0)
-
-    def test_zero_query_run_terminates_without_poll_dead_time(self, tiny_models):
-        """The drain path is event-driven: no arrivals, no waiting.
-
-        Under the old 5 ms polling loop an empty run still burned at
-        least one poll interval; the condition-variable drain falls
-        straight through, so the whole serve() call is bounded by thread
-        start/stop costs only.
-        """
-        import time
-
-        trace = LoadTrace.constant(100.0, 1_000.0)
-        controller = CentralController(
-            tiny_models, slo_ms=100.0, num_workers=4, time_scale=FAST,
-            seed=0, latency_model=DeterministicLatency(),
-        )
-        start = time.monotonic()
-        report = controller.serve(
-            GreedyDeadlineSelector(), trace, arrivals=np.array([])
-        )
-        elapsed = time.monotonic() - start
-        assert report.submitted == 0
-        assert report.metrics.total_queries == 0
-        assert elapsed < 1.0

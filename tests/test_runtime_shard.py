@@ -1,17 +1,23 @@
-"""Tests for the sharded asyncio serving tier.
+"""Tests for the sharded serving tier.
 
 The tier's headline property is layout-independence: because query ``i``
 goes to global worker ``i mod G`` and every worker replays a deterministic
 virtual timeline, an ``S x W`` run must produce *float-exactly* the same
-metrics, event feeds and audit verdicts as a ``1 x S*W`` run on the same
-trace — paced or not.  These tests pin that, plus the overload accounting
-identities, attribution exactness, hot-swap atomicity, and the merged-feed
-reconstruction path that ``ramsis report`` / ``ramsis explain`` consume.
+metrics and per-worker event feeds as a ``1 x S*W`` run on the same trace
+— paced or not.  Audit verdicts are per shard (each auditor sees only its
+own shard's workers), so they are pinned across pacing modes, not across
+layouts.  These tests pin that, plus the overload accounting identities,
+attribution exactness, hot-swap atomicity, the merged-feed reconstruction
+path that ``ramsis report`` / ``ramsis explain`` consume, and the
+dispatch kernel's equivalence with the fast simulator.
 """
 
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrivals.traces import LoadTrace
 from repro.errors import SimulationError
@@ -19,10 +25,14 @@ from repro.obs.aggregate import merge_run_dir
 from repro.obs.attribution import LatencyAttributor
 from repro.obs.audit import GuaranteeAuditor
 from repro.obs.reconstruct import reconstruct_metrics
-from repro.runtime import AdmissionControl, ShardedController
+from repro.runtime import AdmissionControl, ShardedController, WorkloadGenerator
 from repro.runtime.shard import DROPPED_MODEL, REJECTED_MODEL
 from repro.selectors import GreedyDeadlineSelector, RamsisSelector
 from repro.sim.latency_model import DeterministicLatency
+from repro.sim.metrics import MetricsCollector
+from repro.sim.monitor import OracleLoadMonitor
+from repro.sim.simulator import Simulation, SimulationConfig
+from tests.conftest import make_tiny_model_set
 
 #: Aggressive compression keeps paced runs fast (100x real time).
 FAST = 0.01
@@ -280,3 +290,184 @@ class TestAudit:
             audit = auditor.finalize()
             assert audit.violation_breaches == 0
             assert audit.accuracy_breaches == 0
+
+
+class TestAuditOrder:
+    def test_auditors_see_virtual_time_order(self, tiny_config):
+        """Shard auditors receive their shard's events in virtual time.
+
+        The auditor's drift detector estimates the arrival rate from a
+        trailing window, so an arrival stream that jumps backwards fires
+        spurious load-drift alarms.  Every worker here has thousands of
+        events, and each auditor must still see non-decreasing arrival
+        timestamps — and the identical event sequence paced or unpaced,
+        so the finalized audits agree exactly.
+        """
+        from repro.core.generator import generate_policy
+        from repro.core.guarantees import stationary_occupancy
+        from repro.core.mdp import build_worker_mdp
+
+        generated = generate_policy(tiny_config)
+        policy = generated.policy
+        occupancy = stationary_occupancy(
+            build_worker_mdp(tiny_config), policy
+        ).decision_conditional()
+
+        class ArrivalLog(GuaranteeAuditor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.arrival_ts = []
+
+            def instant(self, name, track, ts_ms, category="sim", args=None):
+                if name == "arrival":
+                    self.arrival_ts.append(ts_ms)
+                super().instant(name, track, ts_ms, category, args)
+
+        trace = LoadTrace.constant(160.0, 60_000.0)
+
+        def audited(paced):
+            auditors = [
+                ArrivalLog(
+                    generated.guarantees, policy=policy,
+                    expected_occupancy=occupancy,
+                )
+                for _ in range(2)
+            ]
+            controller = ShardedController(
+                tiny_config.model_set, slo_ms=tiny_config.slo_ms,
+                num_shards=2, workers_per_shard=2,
+                latency_model=DeterministicLatency(), time_scale=0.002,
+                seed=2, paced=paced,
+            )
+            controller.serve(
+                lambda s: RamsisSelector(policy), trace, auditors=auditors
+            )
+            return auditors
+
+        unpaced = audited(paced=False)
+        paced = audited(paced=True)
+        for auditor in unpaced + paced:
+            # Two workers per shard, each well past a few thousand events.
+            assert len(auditor.arrival_ts) > 4_000
+            assert auditor.arrival_ts == sorted(auditor.arrival_ts)
+        for a, b in zip(unpaced, paced):
+            assert a.finalize().to_json_dict() == b.finalize().to_json_dict()
+
+
+class TestReportWall:
+    def test_wall_covers_the_metrics_fold(self, tiny_models, monkeypatch):
+        finalize = MetricsCollector.finalize
+
+        def slow_finalize(self):
+            time.sleep(0.05)
+            return finalize(self)
+
+        monkeypatch.setattr(MetricsCollector, "finalize", slow_finalize)
+        r = run_sharded(tiny_models, 2, 2)
+        assert r.wall_seconds >= 0.05
+        assert r.qps == r.metrics.total_queries / r.wall_seconds
+
+
+class _TerminalTap:
+    """Attributor-shaped tap collecting the id of every terminal record."""
+
+    def __init__(self):
+        self.query_ids = []
+
+    def observe_decision(self, worker, model, batch, exec_ms):
+        pass
+
+    def observe_service_start(self, query_id, worker, model, batch, wait_ms):
+        pass
+
+    def observe_completion(self, query_id, *args, **kwargs):
+        self.query_ids.append(query_id)
+
+
+_ADMISSIONS = (
+    None,
+    AdmissionControl(max_queue_depth=3),
+    AdmissionControl(min_slack_ms=20.0),
+)
+_FLOAT_FIELDS = (
+    "violation_rate",
+    "accuracy_per_satisfied_query",
+    "mean_response_ms",
+    "p50_response_ms",
+    "p99_response_ms",
+    "mean_batch_size",
+)
+
+
+class TestKernelProperties:
+    """The dispatch kernel against layouts, pacing and the fast simulator."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shards=st.sampled_from([1, 2, 3]),
+        wps=st.integers(1, 3),
+        drop_late=st.booleans(),
+        admission=st.sampled_from(_ADMISSIONS),
+        # From light load to far beyond what nine workers drain.
+        load_qps=st.sampled_from([40.0, 400.0, 3_000.0]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_kernel_properties(
+        self, shards, wps, drop_late, admission, load_qps, seed
+    ):
+        models = make_tiny_model_set()
+        trace = LoadTrace.constant(load_qps, 500.0)
+        arrivals = WorkloadGenerator(trace, 100.0, seed=seed).sample()
+        total = shards * wps
+
+        def serve(num_shards, workers_per_shard, paced, **kwargs):
+            controller = ShardedController(
+                models, slo_ms=100.0, num_shards=num_shards,
+                workers_per_shard=workers_per_shard, max_batch_size=8,
+                latency_model=DeterministicLatency(), time_scale=FAST,
+                seed=seed, admission=admission, drop_late=drop_late,
+                paced=paced,
+            )
+            return controller.serve(
+                lambda s: GreedyDeadlineSelector(), trace, arrivals=arrivals,
+                **kwargs,
+            )
+
+        report = serve(shards, wps, paced=False)
+        assert serve(1, total, paced=False).metrics == report.metrics
+        taps = [_TerminalTap() for _ in range(shards)]
+        paced = serve(shards, wps, paced=True, attributors=taps)
+        assert paced.metrics == report.metrics
+        assert (paced.rejected, paced.dropped) == (report.rejected, report.dropped)
+
+        # Closed accounting: one terminal record per submitted query.
+        assert report.submitted == len(arrivals)
+        assert report.submitted == report.rejected + report.dropped + report.served
+        assert report.metrics.total_queries == report.submitted
+        counts = report.metrics.model_query_counts
+        assert counts.get(REJECTED_MODEL, 0) == report.rejected
+        assert counts.get(DROPPED_MODEL, 0) == report.dropped
+        query_ids = sorted(q for tap in taps for q in tap.query_ids)
+        assert query_ids == list(range(report.submitted))
+
+        if admission is None:
+            simulated = Simulation(
+                SimulationConfig(
+                    model_set=models, slo_ms=100.0, num_workers=total,
+                    max_batch_size=8, monitor=OracleLoadMonitor(trace),
+                    drop_late=drop_late,
+                )
+            ).run(
+                GreedyDeadlineSelector(), trace, arrival_times=arrivals,
+                engine="fast",
+            )
+            served = report.metrics
+            for name in ("total_queries", "satisfied_queries", "decisions"):
+                assert getattr(served, name) == getattr(simulated, name)
+            assert dict(served.model_query_counts) == dict(
+                simulated.model_query_counts
+            )
+            for name in _FLOAT_FIELDS:
+                assert getattr(served, name) == pytest.approx(
+                    getattr(simulated, name), rel=1e-12, abs=0.0
+                )
