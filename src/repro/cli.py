@@ -14,7 +14,7 @@ plot.py            ``ramsis report --trace real ...``
 (model profiles)   ``ramsis zoo --task image``
 (observability)    ``ramsis trace --m RAMSIS --load 40 --out-dir obs``
 (live audit)       ``ramsis audit --load 40 --workers 2 --out-dir audit``
-(run reports)      ``ramsis report --run-dir run0 [--html]``
+(run reports)      ``ramsis report --run-dir run0 [--html] [--export]``
 (bench history)    ``ramsis bench-history --check``
 (tail attribution) ``ramsis explain --run-dir run0 [--json]``
 (live view)        ``ramsis top --run-dir run0 [--once]``
@@ -97,8 +97,9 @@ def _write_obs_dir(tracer, registry, obs_dir) -> None:
     """Export the run's merged trace + metrics under ``obs_dir``.
 
     Leaves the directory in the layout ``ramsis report --run-dir``
-    consumes (``merged.jsonl``, ``trace.json``, ``metrics.prom``,
-    ``metrics.json``, plus any per-batch worker shards).
+    consumes (``merged.cols``, ``metrics.prom``, ``metrics.json``, plus
+    any per-batch worker feeds); ``ramsis report --export`` adds
+    ``merged.jsonl`` and ``trace.json``.
     """
     from repro.obs.aggregate import MergedRun, write_merged_artifacts
 
@@ -344,22 +345,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Summarize stored results (artifact: plot.py).
 
     With ``--run-dir`` the report instead consumes one observability run
-    directory (worker shards, merged trace/metrics, audit report) and
+    directory (worker feeds, merged table/metrics, audit report) and
     emits a single text or HTML summary — printed, and written alongside
-    the artifacts (or at ``--out``).
+    the artifacts (or at ``--out``).  ``--export`` first writes the
+    ``merged.jsonl`` event log and the Perfetto ``trace.json`` beside
+    every ``merged.cols``.
     """
     if getattr(args, "run_dir", None) is not None:
-        from repro.obs.report import render_run_report, write_run_report
+        from repro.obs.aggregate import export_run_dir
+        from repro.obs.report import write_run_report
 
         fmt = "html" if args.html else "text"
-        try:
-            rendered = render_run_report(args.run_dir, fmt=fmt)
-        except FileNotFoundError as exc:
-            print(str(exc))
+        if not Path(args.run_dir).is_dir():
+            print(f"run directory not found: {args.run_dir}")
             return 1
+        if args.export:
+            for path in export_run_dir(args.run_dir):
+                log.info("wrote %s", path)
         out_path = write_run_report(args.run_dir, out_path=args.out, fmt=fmt)
         if fmt == "text":
-            print(rendered, end="")
+            print(out_path.read_text(), end="")
         log.info("run report written to %s", out_path)
         return 0
 
@@ -446,7 +451,8 @@ def _explain_attributor(run_dir: Path, slo: Optional[float]):
 
     Returns ``(snapshot_dict, attributor_or_None)``: an existing
     ``attribution.json`` is authoritative (it was folded from the merged
-    tracer in serial cell order); otherwise the event log is refolded.
+    table in serial cell order); otherwise the merged table, else the
+    event log, is refolded.
     """
     direct = run_dir / "attribution.json"
     if direct.is_file():
@@ -454,8 +460,17 @@ def _explain_attributor(run_dir: Path, slo: Optional[float]):
     batches = sorted(run_dir.glob("batch-*/attribution.json"))
     if batches:
         return json.loads(batches[-1].read_text()), None
-    from repro.obs.attribution import attribution_from_jsonl
+    from repro.obs.aggregate import merged_tables
+    from repro.obs.attribution import attribution_from_jsonl, attribution_from_table
+    from repro.obs.columns import EventTable
 
+    tables = merged_tables(run_dir)
+    if tables:
+        table, header = EventTable.load(tables[0])
+        attributor = attribution_from_table(
+            table, slo_ms=slo if slo is not None else header.get("slo_ms")
+        )
+        return attributor.to_json_dict(), attributor
     for name in ("merged.jsonl", "events.jsonl"):
         candidates = [run_dir / name] + sorted(run_dir.glob(f"batch-*/{name}"))
         for path in candidates:
@@ -470,8 +485,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     Reads a run directory's ``attribution.json`` (written by traced
     sweeps and ``write_merged_artifacts``) or, absent that, folds the
-    run's ``merged.jsonl``/``events.jsonl`` event log through the
-    attribution engine.  Prints the per-(model, worker) phase table with
+    run's ``merged.cols`` table or ``merged.jsonl``/``events.jsonl``
+    event log through the attribution engine.  Prints the per-(model, worker) phase table with
     model-choice blame, the SLO burn-rate windows, and the retained tail
     exemplars — or the full JSON snapshot with ``--json``.
     """
@@ -483,7 +498,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if snapshot is None:
         print(
             f"no attribution source in {run_dir} "
-            "(expected attribution.json, merged.jsonl, or events.jsonl)"
+            "(expected attribution.json, merged.cols, merged.jsonl, "
+            "or events.jsonl)"
         )
         return 1
     if args.json:
@@ -1117,6 +1133,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="with --run-dir: report destination (default: "
         "report.txt/report.html inside the run directory)",
+    )
+    report.add_argument(
+        "--export",
+        action="store_true",
+        help="with --run-dir: also write merged.jsonl and trace.json "
+        "(Perfetto) beside every merged.cols",
     )
     report.set_defaults(func=cmd_report)
 

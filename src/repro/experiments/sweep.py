@@ -288,10 +288,10 @@ def run_sweep(
             registry=registry,
         )
         if attributor is not None:
-            # The merged tracer replays in serial cell order, so folding
-            # it here produces tables exactly equal to a serial run with
+            # The merged table is in serial cell order, so folding it
+            # here produces tables exactly equal to a serial run with
             # the attributor attached to every cell.
-            attributor.replay_tracer(merged.tracer)
+            attributor.fold(merged.table)
         if owns_run_dir:
             shutil.rmtree(shard_dir, ignore_errors=True)
         else:

@@ -17,9 +17,12 @@ end-of-run :class:`~repro.sim.metrics.SimulationMetrics`:
 - :mod:`repro.obs.reconstruct` — recompute violation rate / accuracy /
   batch sizes from a trace alone (the instrumentation's correctness
   oracle);
+- :mod:`repro.obs.columns` — the columnar event table behind every run
+  dir: typed column buffers, append-only ``np.save`` blocks, merge,
+  and materialization back into a tracer;
 - :mod:`repro.obs.aggregate` — cross-process trace shipping: per-worker
-  JSONL shard tracers + registries installed by a pool initializer,
-  merged back into one multi-track tracer/registry in serial cell order;
+  columnar feed tracers + registries installed by a pool initializer,
+  merged back into one event table/registry in serial cell order;
 - :mod:`repro.obs.profile` — the phase profiler: nested wall-clock phase
   timers on the tracer protocol, with hotspot tables and
   flamegraph-folded output (online, or rebuilt offline from recorded
@@ -49,6 +52,7 @@ from repro.obs.aggregate import (
     ShardInfo,
     ShardTracer,
     WorkerObs,
+    export_run_dir,
     init_worker_obs,
     merge_run_dir,
     new_run_dir,
@@ -62,6 +66,7 @@ from repro.obs.attribution import (
     LatencyAttributor,
     PhaseBreakdown,
     attribution_from_jsonl,
+    attribution_from_table,
     attribution_from_tracer,
     exact_phase_split,
 )
@@ -78,6 +83,7 @@ from repro.obs.audit import (
     hoeffding_interval,
     wilson_interval,
 )
+from repro.obs.columns import EventTable
 from repro.obs.log import configure, get_logger
 from repro.obs.metrics import (
     Counter,
@@ -91,11 +97,13 @@ from repro.obs.profile import (
     folded_lines,
     render_hotspots,
     stats_from_spans,
+    stats_from_table,
 )
 from repro.obs.reconstruct import (
     TraceSummary,
     reconstruct_from_jsonl,
     reconstruct_metrics,
+    summarize,
 )
 from repro.obs.report import (
     Regression,
@@ -125,6 +133,7 @@ __all__ = [
     "Counter",
     "DriftEvent",
     "Event",
+    "EventTable",
     "ForwardingTracer",
     "Gauge",
     "GuaranteeAuditor",
@@ -150,10 +159,12 @@ __all__ = [
     "WorkerObs",
     "append_bench_history",
     "attribution_from_jsonl",
+    "attribution_from_table",
     "attribution_from_tracer",
     "check_bench_history",
     "configure",
     "exact_phase_split",
+    "export_run_dir",
     "exporters",
     "folded_lines",
     "get_logger",
@@ -167,6 +178,8 @@ __all__ = [
     "render_run_report",
     "render_top_frame",
     "stats_from_spans",
+    "stats_from_table",
+    "summarize",
     "wilson_interval",
     "worker_obs",
     "write_live_snapshot",

@@ -5,38 +5,43 @@
 :class:`~repro.obs.metrics.MetricsRegistry` — records would have to
 cross a pickle boundary on every event.  Instead each worker gets a
 file-backed :class:`ShardTracer` plus its own registry (installed by
-:func:`init_worker_obs`, the pool initializer) and writes *shards* under
+:func:`init_worker_obs`, the pool initializer) and writes *feeds* under
 a per-run directory::
 
-    <run_dir>/shard-<pid>.jsonl     one JSONL record per span/event
+    <run_dir>/shard-<pid>.cols      the worker's event table, in blocks
     <run_dir>/metrics-<pid>.json    the worker registry, serialized
 
-After the pool drains, :func:`merge_run_dir` reads every shard back into
-one multi-track tracer and one registry:
+A feed is the columnar event table of :mod:`repro.obs.columns`: every
+:meth:`ShardTracer.flush` appends the rows recorded since the last one
+as one block, whose header carries the worker pid, the wall-clock anchor
+and the served SLO (when the writer knows it).  After the pool drains,
+:func:`merge_run_dir` loads every feed back into one table and one
+registry:
 
-- records are replayed in **cell order** — each record carries the cell
+- rows are ordered in **cell order** — each row carries the cell
   sequence number (``seq``, stamped via :meth:`ShardTracer.set_sequence`)
-  and a per-shard emission counter (``n``), and the merge sorts by
-  ``(seq, shard, n)``, so a parallel run folds to byte-identical
+  and a per-feed emission counter (``n``), and the merge stable-sorts by
+  ``(seq, worker, n)``, so a parallel run folds to byte-identical
   aggregates as the serial run (``reconstruct_metrics`` equality is the
   test suite's oracle);
 - worker tracks are renamed ``w<idx>/<track>`` so exporters can group
   one track set per worker process (see ``split_processes`` in
   :func:`repro.obs.exporters.chrome_trace`);
 - wall-clock (``category == "offline"``) timestamps are re-anchored:
-  every shard header records the Unix time paired with the worker's
-  ``perf_counter`` epoch, and the merge shifts each shard's offline
-  records by its anchor delta against the earliest anchor, making
-  cross-process timings comparable and non-negative.  Simulation-time
-  records already share a timeline and are never shifted;
+  every feed header records the Unix time paired with the worker's
+  ``perf_counter`` epoch, and the merge shifts each feed's offline rows
+  by its anchor delta against the earliest anchor, making cross-process
+  timings comparable and non-negative.  Simulation-time records already
+  share a timeline and are never shifted;
 - registries merge with counter **sums**, histogram **combines**, and
   gauges republished under a per-worker ``worker=<idx>`` label (gauges
   are last-write-wins, so merging them unlabelled would lose data).
 
-Shards are themselves valid input to
-:func:`repro.obs.reconstruct.reconstruct_from_jsonl` — the record schema
-is the :func:`repro.obs.exporters.events_jsonl` schema plus the
-``seq``/``n`` ordering fields.
+:func:`write_merged_artifacts` then writes ``merged.cols`` (the merged
+table), ``metrics.json``, ``metrics.prom`` and ``attribution.json``;
+:func:`export_run_dir` (``ramsis report --export``) turns ``merged.cols``
+into the ``merged.jsonl`` event log and the Perfetto ``trace.json`` on
+demand.
 """
 
 from __future__ import annotations
@@ -48,12 +53,21 @@ import re
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
+from repro.obs.columns import (
+    COUNTER,
+    INSTANT,
+    SPAN,
+    EventTable,
+    TableWriter,
+    encode_block,
+    json_default,
+    write_table,
+)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.reconstruct import _iter_jsonl
 from repro.obs.trace import RecordingTracer, Tracer
 
 __all__ = [
@@ -66,42 +80,46 @@ __all__ = [
     "MergedRun",
     "merge_run_dir",
     "write_merged_artifacts",
+    "export_run_dir",
     "write_live_snapshot",
 ]
 
-#: Bump when the shard record layout changes incompatibly.
-SHARD_SCHEMA = 1
-
-_SHARD_RE = re.compile(r"shard-(\d+)\.jsonl$")
+_SHARD_RE = re.compile(r"shard-(\d+)\.cols$")
 _METRICS_RE = re.compile(r"metrics-(\d+)\.json$")
 
-
-def _json_default(value: Any) -> Any:
-    """Make numpy scalars (and other exotic leaves) JSON-serializable."""
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()
-    return str(value)
+#: Warning logged when a feed ends in a torn or refused block.
+TORN_FEED = "skipping unparseable shard block (worker crashed mid-write?)"
+#: A feed flushes on its own once this many rows are buffered.
+BLOCK_ROWS = 1 << 16
 
 
 class ShardTracer(Tracer):
-    """File-backed JSONL tracer for one worker process.
+    """File-backed columnar tracer for one worker process.
 
     Mirrors :class:`~repro.obs.trace.RecordingTracer` (wall-clock spans
     relative to a ``perf_counter`` epoch, per-track parent stacks) but
-    appends each record to a shard file instead of keeping it in memory,
-    so a long worker's trace never grows the process heap.  Every record
-    is stamped with the current *sequence number* (the cell index, set by
-    the pool task via :meth:`set_sequence`) and a monotonically
-    increasing per-shard counter, which is what lets the parent merge
-    shards back into serial cell order.
+    buffers its rows (args copied shallowly when recorded) and appends
+    them to a feed file as one block of typed columns per :meth:`flush`
+    -- or per ``BLOCK_ROWS`` rows -- so a long worker's trace stays
+    bounded in the process heap.  Every row is stamped with the current *sequence
+    number* (the cell index, set by the pool task via
+    :meth:`set_sequence`) and a monotonically increasing per-feed
+    counter, which is what lets the parent merge feeds back into serial
+    cell order.  ``slo_ms`` is recorded in every block header, so the
+    merged attribution tables of a served run carry the SLO.
     """
 
     enabled = True
 
-    def __init__(self, path: Union[str, Path], pid: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        path: Union[str, Path],
+        pid: Optional[int] = None,
+        slo_ms: Optional[float] = None,
+    ) -> None:
         self._path = Path(path)
         self.pid = os.getpid() if pid is None else pid
+        self.slo_ms = None if slo_ms is None else float(slo_ms)
         self._epoch = time.perf_counter()
         #: Unix wall-clock (ms) paired with the ``perf_counter`` epoch.
         self.anchor_unix_ms: float = time.time() * 1000.0
@@ -109,19 +127,15 @@ class ShardTracer(Tracer):
         self._n = 0
         self._next_id = 1
         self._open: Dict[str, List[int]] = {}
-        self._fh = self._path.open("w", encoding="utf-8")
-        self._write_raw(
-            {
-                "type": "shard_header",
-                "schema": SHARD_SCHEMA,
-                "pid": self.pid,
-                "anchor_unix_ms": self.anchor_unix_ms,
-            }
-        )
+        self._rows = TableWriter()
+        self._blocks = 0
+        #: Flush on its own once the buffer reaches ``BLOCK_ROWS`` rows.
+        self._flush_at = BLOCK_ROWS - 1
+        self._fh = self._path.open("wb")
 
     @property
     def path(self) -> Path:
-        """The shard file this tracer appends to."""
+        """The feed file this tracer appends to."""
         return self._path
 
     def set_sequence(self, seq: int) -> None:
@@ -129,18 +143,29 @@ class ShardTracer(Tracer):
         self._seq = int(seq)
 
     # ------------------------------------------------------------------
-    # Recording (events_jsonl schema + seq/n)
+    # Recording (one table row per record)
     # ------------------------------------------------------------------
-    def _write_raw(self, record: Dict[str, Any]) -> None:
-        self._fh.write(
-            json.dumps(record, sort_keys=True, default=_json_default) + "\n"
+    def _row(
+        self,
+        kind: int,
+        name: str,
+        track: str,
+        category: str,
+        ts_ms: float,
+        duration_ms: float,
+        value: float,
+        span_id: int,
+        parent: int,
+        args: Optional[Dict[str, Any]],
+    ) -> None:
+        n = self._n
+        self._n = n + 1
+        self._rows.append(
+            kind, name, track, category, ts_ms, duration_ms, value, span_id,
+            parent, self._seq, n, args,
         )
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        record["seq"] = self._seq
-        record["n"] = self._n
-        self._n += 1
-        self._write_raw(record)
+        if n >= self._flush_at:
+            self.flush()
 
     def complete(
         self,
@@ -153,18 +178,10 @@ class ShardTracer(Tracer):
     ) -> None:
         span_id = self._next_id
         self._next_id += 1
-        record: Dict[str, Any] = {
-            "type": "span",
-            "name": name,
-            "track": track,
-            "ts_ms": start_ms,
-            "dur_ms": duration_ms,
-            "cat": category,
-        }
-        if args:
-            record["args"] = args
-        record["id"] = span_id
-        self._write(record)
+        self._row(
+            SPAN, name, track, category, start_ms, duration_ms, 0.0, span_id,
+            -1, args,
+        )
 
     def instant(
         self,
@@ -174,27 +191,18 @@ class ShardTracer(Tracer):
         category: str = "sim",
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
-        record: Dict[str, Any] = {
-            "type": "instant",
-            "name": name,
-            "track": track,
-            "ts_ms": ts_ms,
-            "cat": category,
-        }
-        if args:
-            record["args"] = args
-        self._write(record)
+        n = self._n
+        self._n = n + 1
+        self._rows.append(
+            INSTANT, name, track, category, ts_ms, 0.0, 0.0, -1, -1, self._seq,
+            n, args,
+        )
+        if n >= self._flush_at:
+            self.flush()
 
     def counter(self, name: str, track: str, ts_ms: float, value: float) -> None:
-        self._write(
-            {
-                "type": "counter",
-                "name": name,
-                "track": track,
-                "ts_ms": ts_ms,
-                "cat": "counter",
-                "value": float(value),
-            }
+        self._row(
+            COUNTER, name, track, "counter", ts_ms, 0.0, float(value), -1, -1, None
         )
 
     @contextmanager
@@ -209,30 +217,20 @@ class ShardTracer(Tracer):
         span_id = self._next_id
         self._next_id += 1
         stack = self._open.setdefault(track, [])
-        parent = stack[-1] if stack else None
+        parent = stack[-1] if stack else -1
         stack.append(span_id)
         try:
             yield
         finally:
             stack.pop()
-            record: Dict[str, Any] = {
-                "type": "span",
-                "name": name,
-                "track": track,
-                "ts_ms": start,
-                "dur_ms": self._now_ms() - start,
-                "cat": category,
-            }
             # ``args`` is captured by reference at exit, like
             # RecordingTracer: a dict mutated inside the with-block
             # records its final contents (the cache get/put outcome
             # pattern).
-            if args:
-                record["args"] = args
-            if parent is not None:
-                record["parent"] = parent
-            record["id"] = span_id
-            self._write(record)
+            self._row(
+                SPAN, name, track, category, start, self._now_ms() - start,
+                0.0, span_id, parent, args,
+            )
 
     def _now_ms(self) -> float:
         return (time.perf_counter() - self._epoch) * 1000.0
@@ -241,13 +239,28 @@ class ShardTracer(Tracer):
     # Lifecycle
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Push buffered records to disk (call after every pool task)."""
+        """Append the rows since the last flush as one block (call after
+        every pool task).  The first flush writes a block even when
+        empty, so every feed carries its header."""
+        if self._fh.closed:
+            raise ValueError(f"shard feed {self._path} is closed")
+        if len(self._rows) or not self._blocks:
+            self._fh.write(
+                encode_block(
+                    self._rows.take(),
+                    pid=self.pid,
+                    anchor_unix_ms=self.anchor_unix_ms,
+                    slo_ms=self.slo_ms,
+                )
+            )
+            self._blocks += 1
+        self._flush_at = self._n + BLOCK_ROWS - 1
         self._fh.flush()
 
     def close(self) -> None:
-        """Flush and close the shard file; further records raise."""
+        """Flush and close the feed file."""
         if not self._fh.closed:
-            self._fh.flush()
+            self.flush()
             self._fh.close()
 
 
@@ -276,7 +289,7 @@ class WorkerObs:
             json.dumps(
                 self.registry.to_json_dict(),
                 sort_keys=True,
-                default=_json_default,
+                default=json_default,
             )
         )
         if (
@@ -296,7 +309,7 @@ _WORKER_OBS: Optional[WorkerObs] = None
 def init_worker_obs(run_dir: str) -> None:
     """Process-pool initializer: install shard tracer + registry.
 
-    Runs once per worker process.  The shard and metrics filenames embed
+    Runs once per worker process.  The feed and metrics filenames embed
     the worker pid, so concurrent workers never collide; the merge
     assigns stable worker indices by sorting pids.
     """
@@ -306,7 +319,7 @@ def init_worker_obs(run_dir: str) -> None:
     directory = Path(run_dir)
     directory.mkdir(parents=True, exist_ok=True)
     pid = os.getpid()
-    tracer = ShardTracer(directory / f"shard-{pid}.jsonl", pid=pid)
+    tracer = ShardTracer(directory / f"shard-{pid}.cols", pid=pid)
     obs = WorkerObs(
         tracer=tracer,
         registry=MetricsRegistry(),
@@ -324,7 +337,7 @@ def worker_obs() -> Optional[WorkerObs]:
 
 
 def new_run_dir(prefix: str = "ramsis-run-") -> Path:
-    """A fresh private directory for one parallel run's shards."""
+    """A fresh private directory for one parallel run's feeds."""
     return Path(tempfile.mkdtemp(prefix=prefix))
 
 
@@ -333,26 +346,60 @@ def new_run_dir(prefix: str = "ramsis-run-") -> Path:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardInfo:
-    """Provenance of one worker shard after a merge."""
+    """Provenance of one worker feed after a merge."""
 
     path: Path
     pid: int
     worker_index: int
     anchor_unix_ms: float
     records: int
+    #: The SLO the feed's writer served (``None`` when it did not say).
+    slo_ms: Optional[float] = None
 
 
-@dataclass
 class MergedRun:
-    """The result of folding a run directory back into one timeline."""
+    """The result of folding a run directory back into one timeline.
 
-    tracer: RecordingTracer
-    registry: MetricsRegistry
-    shards: List[ShardInfo] = field(default_factory=list)
+    Holds the merged :class:`~repro.obs.columns.EventTable` (``table``)
+    or a recorded tracer, and builds the other on first use: a plain
+    merge never materializes per-record objects unless ``tracer`` is
+    read.  ``slo_ms`` is the SLO every feed header agreed on, else
+    ``None``.
+    """
+
+    def __init__(
+        self,
+        tracer: Optional[RecordingTracer] = None,
+        registry: Optional[MetricsRegistry] = None,
+        shards: Iterable[ShardInfo] = (),
+        table: Optional[EventTable] = None,
+        slo_ms: Optional[float] = None,
+    ) -> None:
+        if tracer is None and table is None:
+            table = EventTable.empty()
+        self._tracer = tracer
+        self._table = table
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.shards: List[ShardInfo] = list(shards)
+        self.slo_ms = slo_ms
+
+    @property
+    def tracer(self) -> RecordingTracer:
+        """The merged records as a :class:`RecordingTracer` (exporters)."""
+        if self._tracer is None:
+            self._tracer = self._table.to_tracer()
+        return self._tracer
+
+    @property
+    def table(self) -> EventTable:
+        """The merged records as one event table (the folds' input)."""
+        if self._table is None:
+            self._table = EventTable.from_tracer(self._tracer)
+        return self._table
 
     @property
     def records(self) -> int:
-        """Total merged records across all shards."""
+        """Total merged records across all feeds."""
         return sum(s.records for s in self.shards)
 
 
@@ -366,32 +413,26 @@ def merge_run_dir(
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> MergedRun:
-    """Fold every shard under ``run_dir`` into one tracer + registry.
+    """Fold every feed under ``run_dir`` into one table + registry.
 
-    Records are replayed in ``(seq, worker, n)`` order — i.e. serial cell
-    order — with worker tracks renamed ``w<idx>/<track>`` and offline
-    (wall-clock) timestamps re-anchored against the earliest shard/parent
-    anchor.  When ``tracer``/``registry`` are given, records and metrics
-    merge *into* them (the parent's sweep-level records stay in place);
-    otherwise fresh ones are created.  The returned
-    :class:`MergedRun.tracer` is always a :class:`RecordingTracer` usable
-    with the exporters.
+    Rows are ordered ``(seq, worker, n)`` — i.e. serial cell order — with
+    worker tracks renamed ``w<idx>/<track>`` and offline (wall-clock)
+    timestamps re-anchored against the earliest feed/parent anchor.  A
+    ``tracer`` gets every merged record replayed into it, in that order
+    (a :class:`RecordingTracer` then *is* the returned
+    :attr:`MergedRun.tracer`, keeping the parent's own records in
+    place); without one, :attr:`MergedRun.tracer` is built from the
+    table only when read.  ``registry`` likewise merges metrics in
+    place; otherwise a fresh one is created.
     """
     directory = Path(run_dir)
-    shard_paths = sorted(
-        (p for p in directory.glob("shard-*.jsonl") if _SHARD_RE.search(p.name)),
+    feed_paths = sorted(
+        (p for p in directory.glob("shard-*.cols") if _SHARD_RE.search(p.name)),
         key=_shard_pid,
     )
-
-    if isinstance(tracer, RecordingTracer):
-        recorder: RecordingTracer = tracer
-        extra_sink: Optional[Tracer] = None
-    else:
-        recorder = RecordingTracer()
-        extra_sink = tracer if (tracer is not None and tracer.enabled) else None
     out_registry = registry if registry is not None else MetricsRegistry()
 
-    keyed: List[Tuple[int, int, int, Dict[str, Any]]] = []
+    tables: List[EventTable] = []
     shards: List[ShardInfo] = []
     pid_to_index: Dict[int, int] = {}
     anchors: List[float] = []
@@ -399,63 +440,34 @@ def merge_run_dir(
     if parent_anchor is not None:
         anchors.append(float(parent_anchor))
 
-    for widx, path in enumerate(shard_paths):
+    for widx, path in enumerate(feed_paths):
         pid = _shard_pid(path)
         pid_to_index[pid] = widx
-        anchor = 0.0
-        count = 0
-        for record in _iter_jsonl(
-            path,
-            "obs.aggregate",
-            "skipping unparseable shard record (worker crashed mid-write?)",
-        ):
-            if record.get("type") == "shard_header":
-                anchor = float(record.get("anchor_unix_ms", 0.0))
-                continue
-            count += 1
-            keyed.append(
-                (int(record.get("seq", 0)), widx, int(record.get("n", 0)), record)
-            )
+        table, header = EventTable.load(path, "obs.aggregate", TORN_FEED)
+        anchor = float(header.get("anchor_unix_ms", 0.0))
+        slo = header.get("slo_ms")
         anchors.append(anchor)
+        tables.append(table)
         shards.append(
             ShardInfo(
                 path=path,
                 pid=pid,
                 worker_index=widx,
                 anchor_unix_ms=anchor,
-                records=count,
+                records=len(table),
+                slo_ms=None if slo is None else float(slo),
             )
         )
 
     base_anchor = min(anchors) if anchors else 0.0
-    offsets = {
-        s.worker_index: max(0.0, s.anchor_unix_ms - base_anchor) for s in shards
-    }
-
-    keyed.sort(key=lambda item: item[:3])
-    for seq, widx, _n, record in keyed:
-        kind = record.get("type")
-        name = record.get("name", "")
-        track = "w{}/{}".format(widx, record.get("track", "offline"))
-        category = record.get("cat", "sim")
-        ts_ms = float(record.get("ts_ms", 0.0))
-        if category == "offline":
-            ts_ms += offsets.get(widx, 0.0)
-        args = record.get("args")
-        if kind == "span":
-            dur = float(record.get("dur_ms", 0.0))
-            recorder.complete(name, track, ts_ms, dur, category, args)
-            if extra_sink is not None:
-                extra_sink.complete(name, track, ts_ms, dur, category, args)
-        elif kind == "instant":
-            recorder.instant(name, track, ts_ms, category, args)
-            if extra_sink is not None:
-                extra_sink.instant(name, track, ts_ms, category, args)
-        elif kind == "counter":
-            value = float(record.get("value", 0.0))
-            recorder.counter(name, track, ts_ms, value)
-            if extra_sink is not None:
-                extra_sink.counter(name, track, ts_ms, value)
+    table = EventTable.merge(
+        [
+            (t, f"w{s.worker_index}/", max(0.0, s.anchor_unix_ms - base_anchor))
+            for t, s in zip(tables, shards)
+        ]
+    )
+    slos = {s.slo_ms for s in shards}
+    slo_ms = slos.pop() if len(slos) == 1 else None
 
     metrics_paths = sorted(
         (p for p in directory.glob("metrics-*.json") if _METRICS_RE.search(p.name)),
@@ -471,35 +483,41 @@ def merge_run_dir(
         data = json.loads(path.read_text())
         out_registry.merge_json_dict(data, extra_labels={"worker": str(widx)})
 
-    return MergedRun(tracer=recorder, registry=out_registry, shards=shards)
+    if isinstance(tracer, RecordingTracer):
+        table.replay(tracer)
+        return MergedRun(
+            tracer=tracer, registry=out_registry, shards=shards, slo_ms=slo_ms
+        )
+    if tracer is not None and tracer.enabled:
+        table.replay(tracer)
+    return MergedRun(
+        registry=out_registry, shards=shards, table=table, slo_ms=slo_ms
+    )
 
 
 def write_merged_artifacts(
     merged: MergedRun, out_dir: Union[str, Path]
 ) -> Dict[str, Path]:
-    """Write the merged run's exportable artifacts under ``out_dir``.
+    """Write the merged run's artifacts under ``out_dir``.
 
-    Produces ``merged.jsonl`` (reconstruction input), ``trace.json``
-    (Chrome/Perfetto, one process group per worker), ``metrics.prom``,
+    Produces ``merged.cols`` (the merged event table, which ``ramsis
+    report`` and ``ramsis explain`` fold and ``ramsis report --export``
+    turns into ``merged.jsonl`` / ``trace.json``), ``metrics.prom``,
     ``metrics.json`` (the re-mergeable registry snapshot), and
     ``attribution.json`` — the tail-latency attribution tables folded
-    from the merged tracer, whose ``(seq, worker, n)`` replay order is
-    serial cell order, so the tables equal a serially attached
+    from the merged table at the feeds' SLO, whose ``(seq, worker, n)``
+    order is serial cell order, so the tables equal a serially attached
     attributor's exactly (see :mod:`repro.obs.attribution`).  Returns
     the artifact paths by name.
     """
     from repro.obs import exporters
-    from repro.obs.attribution import attribution_from_tracer
+    from repro.obs.attribution import attribution_from_table
 
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    table = merged.table
     paths = {
-        "events": exporters.write_events_jsonl(
-            merged.tracer, directory / "merged.jsonl"
-        ),
-        "chrome": exporters.write_chrome_trace(
-            merged.tracer, directory / "trace.json", split_processes=True
-        ),
+        "table": write_table(directory / "merged.cols", table, slo_ms=merged.slo_ms),
         "prometheus": exporters.write_prometheus_text(
             merged.registry, directory / "metrics.prom"
         ),
@@ -507,20 +525,54 @@ def write_merged_artifacts(
     metrics_json = directory / "metrics.json"
     metrics_json.write_text(
         json.dumps(
-            merged.registry.to_json_dict(), sort_keys=True, default=_json_default
+            merged.registry.to_json_dict(), sort_keys=True, default=json_default
         )
     )
     paths["metrics"] = metrics_json
     # Only written when the trace carries the lifecycle schema the
-    # attributor understands — older shards fold to zero queries.
-    snapshot = attribution_from_tracer(merged.tracer).to_json_dict()
+    # attributor understands — older feeds fold to zero queries.
+    snapshot = attribution_from_table(table, slo_ms=merged.slo_ms).to_json_dict()
     if snapshot["totals"]["queries"]:
         attribution_json = directory / "attribution.json"
         attribution_json.write_text(
-            json.dumps(snapshot, sort_keys=True, default=_json_default)
+            json.dumps(snapshot, sort_keys=True, default=json_default)
         )
         paths["attribution"] = attribution_json
     return paths
+
+
+def merged_tables(run_dir: Union[str, Path]) -> List[Path]:
+    """The run's ``merged.cols`` files: its own, then each batch's."""
+    directory = Path(run_dir)
+    direct = directory / "merged.cols"
+    return ([direct] if direct.is_file() else []) + sorted(
+        directory.glob("batch-*/merged.cols")
+    )
+
+
+def export_run_dir(run_dir: Union[str, Path]) -> List[Path]:
+    """Write ``merged.jsonl`` and ``trace.json`` beside every
+    ``merged.cols`` of a run directory (``ramsis report --export``).
+
+    Both are built from the materialized tracer by
+    :func:`~repro.obs.exporters.events_jsonl` and
+    :func:`~repro.obs.exporters.chrome_trace` (one process group per
+    worker).  Returns the written paths.
+    """
+    from repro.obs import exporters
+
+    written: List[Path] = []
+    for path in merged_tables(run_dir):
+        tracer = EventTable.load(path)[0].to_tracer()
+        written.append(
+            exporters.write_events_jsonl(tracer, path.parent / "merged.jsonl")
+        )
+        written.append(
+            exporters.write_chrome_trace(
+                tracer, path.parent / "trace.json", split_processes=True
+            )
+        )
+    return written
 
 
 def write_live_snapshot(
@@ -550,7 +602,7 @@ def write_live_snapshot(
         target = directory / name
         tmp = directory / f".{name}.tmp"
         tmp.write_text(
-            json.dumps(payload, sort_keys=True, default=_json_default)
+            json.dumps(payload, sort_keys=True, default=json_default)
         )
         tmp.replace(target)
         written.append(target)

@@ -45,12 +45,13 @@ Attachment points:
   reference loop).
 - As a forwarding tracer (``tracer=LatencyAttributor(inner=...)``) for
   the wall-clock runtime or any recorded stream.
-- Offline: :func:`attribution_from_tracer` replays a
-  :class:`~repro.obs.trace.RecordingTracer` (e.g. the merged tracer of a
-  parallel sweep, whose ``(seq, worker, n)`` replay order equals serial
-  cell order — the parallel == serial contract), and
-  :func:`attribution_from_jsonl` folds a ``merged.jsonl`` /
-  ``events.jsonl`` file.
+- Offline: :meth:`LatencyAttributor.fold` runs the direct hooks over a
+  columnar :class:`~repro.obs.columns.EventTable` in recorded order —
+  e.g. the merged table of a parallel sweep, whose ``(seq, worker, n)``
+  order equals serial cell order (the parallel == serial contract).
+  :func:`attribution_from_tracer` and :func:`attribution_from_jsonl`
+  encode a recorded tracer or an ``events.jsonl`` / ``merged.jsonl``
+  file as a table first and fold it the same way.
 """
 
 from __future__ import annotations
@@ -65,23 +66,26 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
+import numpy as np
+
 from repro.obs.audit import AuditAlert
+from repro.obs.columns import INSTANT, MISSING, SPAN, EventTable
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.reconstruct import TORN_RECORD, _iter_jsonl
-from repro.obs.trace import RecordingTracer, Tracer, ForwardingTracer
+from repro.obs.trace import ForwardingTracer, RecordingTracer, Tracer
 
 __all__ = [
     "PhaseBreakdown",
     "AttributionRow",
     "BurnWindow",
     "LatencyAttributor",
+    "attribution_from_table",
     "attribution_from_tracer",
     "attribution_from_jsonl",
     "exact_phase_split",
@@ -783,90 +787,87 @@ class LatencyAttributor(ForwardingTracer):
         return table + "\n" + "\n".join(burn_lines + tail_lines)
 
     # ------------------------------------------------------------------
-    # Replay
+    # Offline fold
     # ------------------------------------------------------------------
-    def observe_record(self, record: Mapping[str, Any]) -> None:
-        """Fold one ``events_jsonl``-schema record dict."""
-        kind = record.get("type")
-        name = record.get("name", "")
-        args = record.get("args")
-        track = record.get("track", "")
-        if kind == "span" and name == _SERVE and args:
-            self.observe_decision(
-                int(args.get("worker", _worker_from_track(track))),
-                str(args.get("model", "")),
-                int(args.get("batch", 1)),
-                float(record.get("dur_ms", 0.0)),
-            )
-        elif kind == "instant" and args:
-            if name == _SERVICE_START and "query" in args and "wait_ms" in args:
-                self.observe_service_start(
-                    int(args["query"]),
-                    _worker_from_track(track),
-                    str(args.get("model", "")),
-                    int(args.get("batch", 1)),
-                    float(args["wait_ms"]),
-                )
-            elif name == _COMPLETION and "query" in args:
-                self.observe_completion(
-                    int(args["query"]),
-                    int(args.get("worker", _worker_from_track(track))),
-                    str(args.get("model", "")),
-                    float(args.get("response_ms", 0.0)),
-                    bool(args.get("satisfied", False)),
-                    t_ms=float(record.get("ts_ms", 0.0)),
-                    dropped=bool(args.get("dropped", False)),
-                )
+    def fold(self, table: EventTable) -> "LatencyAttributor":
+        """Fold a recorded event table through the direct hooks, in its
+        recorded order.
 
-    def replay_tracer(self, tracer: RecordingTracer) -> "LatencyAttributor":
-        """Fold a recorded trace in its recorded order.
-
-        Spans feed only the decision table and instants only the phase /
-        burn / exemplar state, so replaying the two lists separately
-        (the recorder keeps them apart) is order-equivalent to the live
-        interleaved stream — the float accumulation order within each
-        table is identical.
+        ``serve`` spans feed only the decision table and instants only
+        the phase / burn / exemplar state, so this is order-equivalent to
+        the live interleaved stream.  Records without the lifecycle keys
+        (older or foreign schemas) are skipped.
         """
-        for span in tracer.spans:
-            if span.name == _SERVE and span.args:
-                self.observe_decision(
-                    int(
-                        span.args.get(
-                            "worker", _worker_from_track(span.track)
-                        )
-                    ),
-                    str(span.args.get("model", "")),
-                    int(span.args.get("batch", 1)),
-                    float(span.duration_ms),
-                )
-        for event in tracer.events:
-            if event.is_counter or not event.args:
-                continue
-            if (
-                event.name == _SERVICE_START
-                and "query" in event.args
-                and "wait_ms" in event.args
-            ):
+        has_args = table.has_args()
+        workers_of: Dict[str, int] = {}
+
+        def track_workers(rows: np.ndarray) -> List[int]:
+            out = []
+            for track in table.strings_at("track", rows):
+                worker = workers_of.get(track)
+                if worker is None:
+                    worker = workers_of[track] = _worker_from_track(track)
+                out.append(worker)
+            return out
+
+        serves = table.rows(SPAN, _SERVE)
+        serves = serves[has_args[serves]]
+        for track_worker, worker, model, batch, exec_ms in zip(
+            track_workers(serves),
+            table.arg("worker", serves),
+            table.arg("model", serves),
+            table.arg("batch", serves),
+            table.columns["dur_ms"][serves].tolist(),
+        ):
+            self.observe_decision(
+                int(track_worker if worker is MISSING else worker),
+                str("" if model is MISSING else model),
+                int(1 if batch is MISSING else batch),
+                float(exec_ms),
+            )
+
+        query = table.present("query")
+        starts = np.zeros(len(table), np.bool_)
+        starts[table.rows(INSTANT, _SERVICE_START)] = True
+        starts &= query & table.present("wait_ms")
+        ends = np.zeros(len(table), np.bool_)
+        ends[table.rows(INSTANT, _COMPLETION)] = True
+        ends &= query
+        rows = np.flatnonzero(starts | ends)
+        for (
+            is_start, track_worker, query_id, worker, model, batch, wait_ms,
+            response_ms, satisfied, dropped, ts_ms,
+        ) in zip(
+            starts[rows].tolist(),
+            track_workers(rows),
+            table.arg("query", rows),
+            table.arg("worker", rows),
+            table.arg("model", rows),
+            table.arg("batch", rows),
+            table.arg("wait_ms", rows),
+            table.arg("response_ms", rows),
+            table.arg("satisfied", rows),
+            table.arg("dropped", rows),
+            table.columns["ts_ms"][rows].tolist(),
+        ):
+            model = "" if model is MISSING else model
+            if is_start:
                 self.observe_service_start(
-                    int(event.args["query"]),
-                    _worker_from_track(event.track),
-                    str(event.args.get("model", "")),
-                    int(event.args.get("batch", 1)),
-                    float(event.args["wait_ms"]),
+                    int(query_id),
+                    track_worker,
+                    str(model),
+                    int(1 if batch is MISSING else batch),
+                    float(wait_ms),
                 )
-            elif event.name == _COMPLETION and "query" in event.args:
+            else:
                 self.observe_completion(
-                    int(event.args["query"]),
-                    int(
-                        event.args.get(
-                            "worker", _worker_from_track(event.track)
-                        )
-                    ),
-                    str(event.args.get("model", "")),
-                    float(event.args.get("response_ms", 0.0)),
-                    bool(event.args.get("satisfied", False)),
-                    t_ms=event.ts_ms,
-                    dropped=bool(event.args.get("dropped", False)),
+                    int(query_id),
+                    int(track_worker if worker is MISSING else worker),
+                    str(model),
+                    float(0.0 if response_ms is MISSING else response_ms),
+                    bool(False if satisfied is MISSING else satisfied),
+                    t_ms=float(ts_ms),
+                    dropped=bool(False if dropped is MISSING else dropped),
                 )
         return self
 
@@ -882,16 +883,22 @@ def _worker_from_track(track: str) -> int:
     return -1
 
 
+def attribution_from_table(table: EventTable, **kwargs: Any) -> LatencyAttributor:
+    """A fresh attributor folded over an event table.
+
+    On a merged run the table's order is the serial ``(seq, worker, n)``
+    cell order, so the resulting tables are float-identical to a serially
+    attached attributor's.
+    """
+    return LatencyAttributor(**kwargs).fold(table)
+
+
 def attribution_from_tracer(
     tracer: RecordingTracer, **kwargs: Any
 ) -> LatencyAttributor:
-    """A fresh attributor folded over a recorded trace.
-
-    On the merged tracer of a parallel sweep the recorded order is the
-    serial ``(seq, worker, n)`` cell order, so the resulting tables are
-    float-identical to a serially attached attributor's.
-    """
-    return LatencyAttributor(**kwargs).replay_tracer(tracer)
+    """A fresh attributor folded over a recorded trace (spans, then
+    events, each in recorded order)."""
+    return attribution_from_table(EventTable.from_tracer(tracer), **kwargs)
 
 
 def attribution_from_jsonl(
@@ -899,17 +906,14 @@ def attribution_from_jsonl(
 ) -> LatencyAttributor:
     """A fresh attributor folded over a JSONL event log.
 
-    Works on ``events.jsonl`` / ``merged.jsonl`` (timestamp-ordered) and
-    raw worker shards.  Truncated trailing lines (a worker crashed
-    mid-write) are skipped with a warning, like the reconstruction
-    folds.  Note that exported logs are globally timestamp-sorted: on a
-    *multi-cell* merged log, query ids may collide across cells, which
-    can swap the queue-wait pairing between two colliding queries —
-    aggregate sums are unaffected; for exact tables prefer
-    :func:`attribution_from_tracer` on the merged tracer (what
-    ``run_sweep`` and ``write_merged_artifacts`` do).
+    Works on ``events.jsonl`` and exported ``merged.jsonl`` logs
+    (timestamp-ordered).  Truncated trailing lines (a crashed writer)
+    are skipped with a warning, like the reconstruction folds.  Note
+    that exported logs are globally timestamp-sorted: on a *multi-cell*
+    merged log, query ids may collide across cells, which can swap the
+    queue-wait pairing between two colliding queries — aggregate sums
+    are unaffected; for exact tables fold the run's ``merged.cols``
+    (what ``write_merged_artifacts`` and ``ramsis explain`` do).
     """
-    attributor = LatencyAttributor(**kwargs)
-    for record in _iter_jsonl(Path(path), "obs.attribution", TORN_RECORD):
-        attributor.observe_record(record)
-    return attributor
+    records = _iter_jsonl(Path(path), "obs.attribution", TORN_RECORD)
+    return attribution_from_table(EventTable.from_records(records), **kwargs)

@@ -37,12 +37,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.obs.trace import ForwardingTracer, Tracer
 
 __all__ = [
     "PhaseStats",
     "PhaseProfiler",
     "stats_from_spans",
+    "stats_from_table",
     "render_hotspots",
     "folded_lines",
 ]
@@ -285,6 +288,34 @@ def stats_from_spans(records: Any) -> List[PhaseStats]:
         )
     out.sort(key=lambda s: (-s.self_ms, s.path))
     return out
+
+
+def stats_from_table(table: Any) -> List[PhaseStats]:
+    """:func:`stats_from_spans` over an event table's span rows.
+
+    The spans are taken in timestamp order (stable), the order the
+    exported ``merged.jsonl`` lists them, so the hotspot totals equal
+    the ones folded from that log.
+    """
+    from repro.obs.columns import SPAN
+
+    rows = np.flatnonzero(table.columns["kind"] == SPAN)
+    rows = rows[np.argsort(table.columns["ts_ms"][rows], kind="stable")]
+    records = []
+    for name, track, dur, span_id, parent in zip(
+        table.strings_at("name", rows),
+        table.strings_at("track", rows),
+        table.columns["dur_ms"][rows].tolist(),
+        table.columns["id"][rows].tolist(),
+        table.columns["parent"][rows].tolist(),
+    ):
+        record = {"type": "span", "name": name, "track": track, "dur_ms": dur}
+        if span_id >= 0:
+            record["id"] = span_id
+        if parent >= 0:
+            record["parent"] = parent
+        records.append(record)
+    return stats_from_spans(records)
 
 
 def render_hotspots(stats: List[PhaseStats], n: int = 10) -> str:

@@ -8,21 +8,33 @@ back into the same aggregates :class:`~repro.sim.metrics.SimulationMetrics`
 reports, which the integration tests compare *exactly* — any divergence
 means the instrumentation dropped or duplicated lifecycle events.
 
-Works from a live :class:`~repro.obs.trace.RecordingTracer` or from a
-JSONL event log written by
-:func:`repro.obs.exporters.write_events_jsonl`.
+:func:`summarize` is the one fold; it runs over a columnar
+:class:`~repro.obs.columns.EventTable` (a run dir's ``merged.cols``).  A
+live :class:`~repro.obs.trace.RecordingTracer` or a JSONL event log
+written by :func:`repro.obs.exporters.write_events_jsonl` is encoded to
+a table first.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Mapping, Union
+from typing import Any, Dict, Iterator, Union
 
+import numpy as np
+
+from repro.obs.columns import INSTANT, MISSING, SPAN, EventTable
 from repro.obs.trace import RecordingTracer
 
-__all__ = ["TraceSummary", "reconstruct_metrics", "reconstruct_from_jsonl"]
+__all__ = [
+    "TraceSummary",
+    "summarize",
+    "reconstruct_metrics",
+    "reconstruct_from_jsonl",
+]
 
 #: Span name used by all service-span emitters.
 SERVICE_SPAN = "serve"
@@ -68,45 +80,42 @@ class TraceSummary:
         return self.batch_total / self.decisions
 
 
-def _fold(records: Iterable[Mapping]) -> TraceSummary:
-    total = satisfied = decisions = batch_total = arrivals = 0
-    accuracy_sum = 0.0
-    for record in records:
-        name = record.get("name")
-        kind = record.get("type")
-        if kind == "instant":
-            if name == COMPLETION_EVENT:
-                total += 1
-                args = record.get("args", {})
-                if args.get("satisfied"):
-                    satisfied += 1
-                    accuracy_sum += float(args.get("accuracy", 0.0))
-            elif name == ARRIVAL_EVENT:
-                arrivals += 1
-        elif kind == "span" and name == SERVICE_SPAN:
-            decisions += 1
-            batch_total += int(record.get("args", {}).get("batch", 0))
+def summarize(table: EventTable) -> TraceSummary:
+    """The lifecycle summary of an event table, folded in row order."""
+    completions = table.rows(INSTANT, COMPLETION_EVENT)
+    satisfied = [
+        value is not MISSING and bool(value)
+        for value in table.arg("satisfied", completions)
+    ]
+    accuracy_sum = reduce(
+        add,
+        (
+            0.0 if value is MISSING else float(value)
+            for value in table.arg("accuracy", completions[np.array(satisfied, bool)])
+        ),
+        0.0,
+    )
+    serves = table.rows(SPAN, SERVICE_SPAN)
     return TraceSummary(
-        total_queries=total,
-        satisfied_queries=satisfied,
-        decisions=decisions,
-        batch_total=batch_total,
-        arrivals=arrivals,
+        total_queries=len(completions),
+        satisfied_queries=sum(satisfied),
+        decisions=len(serves),
+        batch_total=sum(
+            0 if value is MISSING else int(value)
+            for value in table.arg("batch", serves)
+        ),
+        arrivals=len(table.rows(INSTANT, ARRIVAL_EVENT)),
         accuracy_sum=accuracy_sum,
     )
 
 
-def reconstruct_metrics(tracer: RecordingTracer) -> TraceSummary:
-    """Recompute the summary from an in-memory tracer."""
-    records = []
-    for span in tracer.spans:
-        records.append({"type": "span", "name": span.name, "args": span.args})
-    for event in tracer.events:
-        if not event.is_counter:
-            records.append(
-                {"type": "instant", "name": event.name, "args": event.args}
-            )
-    return _fold(records)
+def reconstruct_metrics(
+    source: Union[RecordingTracer, EventTable]
+) -> TraceSummary:
+    """Recompute the summary from an in-memory tracer or event table."""
+    if not isinstance(source, EventTable):
+        source = EventTable.from_tracer(source)
+    return summarize(source)
 
 
 #: Warning logged for a torn line of an event log (see :func:`_iter_jsonl`).
@@ -119,8 +128,8 @@ def _iter_jsonl(path: Path, logger: str, warning: str) -> Iterator[Dict[str, Any
     A crashed worker truncates its file mid-line; every record before
     the tear is still good, so readers degrade to a ``warning`` (logged
     as ``<path>:<line>: <warning>`` on the ``logger`` channel) instead
-    of raising on the torn line.  This is the one JSONL reader behind
-    shard merges, reconstruction, attribution folds and run reports.
+    of raising on the torn line.  This is the one JSONL reader, behind
+    the reconstruction and attribution folds of event logs.
     """
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -138,7 +147,8 @@ def _iter_jsonl(path: Path, logger: str, warning: str) -> Iterator[Dict[str, Any
 def reconstruct_from_jsonl(path: Union[str, Path]) -> TraceSummary:
     """Recompute the summary from a JSONL event log on disk.
 
-    The log is streamed line by line — shard files from large parallel
-    runs never need to fit in memory.
+    The log is encoded to an event table line by line, then folded like
+    every other input.
     """
-    return _fold(_iter_jsonl(Path(path), "obs.reconstruct", TORN_RECORD))
+    records = _iter_jsonl(Path(path), "obs.reconstruct", TORN_RECORD)
+    return summarize(EventTable.from_records(records))

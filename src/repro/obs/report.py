@@ -3,11 +3,13 @@
 Two consumers of on-disk observability artifacts:
 
 - **Run reports** (:func:`render_run_report`, ``ramsis report
-  --run-dir``): fold one run directory — worker shards and merged
+  --run-dir``): fold one run directory — worker feeds and merged
   artifacts from :mod:`repro.obs.aggregate`, plus an ``audit.json`` from
   the live guarantee auditor when present — into a single text or HTML
-  summary: shard inventory, reconstructed lifecycle aggregates, metric
-  highlights, audit verdicts.
+  summary: feed inventory, reconstructed lifecycle aggregates, metric
+  highlights, audit verdicts.  The merged table (``merged.cols``) is
+  read once and folded for the summary, the phase hotspots and, when no
+  ``attribution.json`` was written, the attribution tables.
 
 - **Bench history** (:func:`append_bench_history` /
   :func:`check_bench_history`, ``ramsis bench-history``): append every
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.obs.reconstruct import TORN_RECORD, TraceSummary, _fold, _iter_jsonl
+from repro.obs.reconstruct import TORN_RECORD, TraceSummary, summarize
 
 __all__ = [
     "render_run_report",
@@ -58,23 +60,6 @@ HIGHER_IS_BETTER_MARKERS: Tuple[str, ...] = ("_qps", "speedup", "throughput")
 # ----------------------------------------------------------------------
 # Run reports
 # ----------------------------------------------------------------------
-def _count_lines(path: Path) -> int:
-    count = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                count += 1
-    return count
-
-
-def _find_merged_jsonl(run_dir: Path) -> Optional[Path]:
-    direct = run_dir / "merged.jsonl"
-    if direct.is_file():
-        return direct
-    batches = sorted(run_dir.glob("batch-*/merged.jsonl"))
-    return batches[-1] if batches else None
-
-
 def _summary_rows(summary: TraceSummary) -> List[Tuple[str, str]]:
     return [
         ("arrivals", str(summary.arrivals)),
@@ -134,31 +119,6 @@ def _attribution_json(run_dir: Path) -> Optional[Dict[str, Any]]:
     if batches:
         return json.loads(batches[-1].read_text())
     return None
-
-
-def _scan_merged(
-    merged: Path, attributor: Optional[Any]
-) -> Tuple[TraceSummary, List[Any]]:
-    """The lifecycle summary and phase stats of ``merged.jsonl``, in one
-    streaming pass that also feeds every record to ``attributor``.
-
-    Only the span records are kept; the rest of the log is folded as it
-    streams, so the file is never held in memory.
-    """
-    from repro.obs.profile import stats_from_spans
-
-    spans: List[Dict[str, Any]] = []
-
-    def records():
-        for record in _iter_jsonl(merged, "obs.reconstruct", TORN_RECORD):
-            if record.get("type") == "span":
-                spans.append(record)
-            if attributor is not None:
-                attributor.observe_record(record)
-            yield record
-
-    summary = _fold(records())
-    return summary, stats_from_spans(spans)
 
 
 def _attribution_rows(snap: Dict[str, Any]) -> List[Tuple[str, str]]:
@@ -223,37 +183,44 @@ def _gather_sections(
     run_dir: Path,
 ) -> Tuple[List[Tuple[str, List[Tuple[str, str]]]], List[Any]]:
     """The report sections, plus the merged trace's phase stats."""
+    from repro.obs.aggregate import merged_tables
+    from repro.obs.columns import EventTable, block_rows
+
     sections: List[Tuple[str, List[Tuple[str, str]]]] = []
 
     shard_rows: List[Tuple[str, str]] = []
-    for path in sorted(run_dir.glob("shard-*.jsonl")) + sorted(
-        run_dir.glob("batch-*/shard-*.jsonl")
+    for path in sorted(run_dir.glob("shard-*.cols")) + sorted(
+        run_dir.glob("batch-*/shard-*.cols")
     ):
         shard_rows.append(
-            (str(path.relative_to(run_dir)), f"{_count_lines(path) - 1} records")
+            (str(path.relative_to(run_dir)), f"{block_rows(path)} records")
         )
     if shard_rows:
         sections.append(("worker shards", shard_rows))
 
     attribution = _attribution_json(run_dir)
     stats: List[Any] = []
-    merged = _find_merged_jsonl(run_dir)
-    if merged is not None:
-        # Without a written attribution.json (e.g. the sweep ran with no
-        # attributor attached), fold one from the same pass.
-        attributor = None
-        if attribution is None:
-            from repro.obs.attribution import LatencyAttributor
+    merged = merged_tables(run_dir)
+    if merged:
+        from repro.obs.profile import stats_from_table
 
-            attributor = LatencyAttributor()
-        summary, stats = _scan_merged(merged, attributor)
-        if attributor is not None:
-            snap = attributor.to_json_dict()
+        # The latest table: the run's own, else its last batch's.
+        path = merged[0] if merged[0].parent == run_dir else merged[-1]
+        table, header = EventTable.load(path, "obs.reconstruct", TORN_RECORD)
+        if attribution is None:
+            # No attribution.json (e.g. the sweep ran with no attributor
+            # attached): fold one from the same table.
+            from repro.obs.attribution import attribution_from_table
+
+            snap = attribution_from_table(
+                table, slo_ms=header.get("slo_ms")
+            ).to_json_dict()
             attribution = snap if snap["totals"]["queries"] else None
+        stats = stats_from_table(table)
         sections.append(
             (
-                f"reconstructed from {merged.relative_to(run_dir)}",
-                _summary_rows(summary),
+                f"reconstructed from {path.relative_to(run_dir)}",
+                _summary_rows(summarize(table)),
             )
         )
 
@@ -275,6 +242,7 @@ def _gather_sections(
     artifact_rows = [
         (name, f"{(run_dir / name).stat().st_size} bytes")
         for name in (
+            "merged.cols",
             "merged.jsonl",
             "trace.json",
             "metrics.prom",
@@ -349,7 +317,7 @@ def write_run_report(
     Alongside the report, the merged trace's phase self-times are written
     as ``profile.folded`` in the run directory (flamegraph-folded lines,
     directly consumable by ``flamegraph.pl``/speedscope) whenever the run
-    recorded any spans.  ``merged.jsonl`` is read once for both.
+    recorded any spans.  ``merged.cols`` is read once for both.
     """
     directory = Path(run_dir)
     if out_path is None:

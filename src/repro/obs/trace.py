@@ -298,6 +298,18 @@ class RecordingTracer(Tracer):
     def _now_ms(self) -> float:
         return (time.perf_counter() - self._epoch) * 1000.0
 
+    @classmethod
+    def from_records(
+        cls, spans: List[Span], events: List[Event]
+    ) -> "RecordingTracer":
+        """A tracer holding already-built records (a decoded run, say);
+        further spans are numbered after the highest id it holds."""
+        tracer = cls()
+        tracer._spans = spans
+        tracer._events = events
+        tracer._next_id = max((s.span_id for s in spans), default=0) + 1
+        return tracer
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------

@@ -34,8 +34,9 @@ timeline in virtual milliseconds:
   :class:`~repro.cache.PolicyCache`) without stalling a single batch;
   auditors follow along through ``RamsisSelector.on_policy_change``.
 - **Per-shard observability.**  With a ``run_dir``, every worker writes a
-  :class:`~repro.obs.aggregate.ShardTracer` feed (``shard-<gid>.jsonl``)
-  in the simulator's event schema, and each shard publishes periodic
+  columnar :class:`~repro.obs.aggregate.ShardTracer` feed
+  (``shard-<gid>.cols``, headed with the served SLO) in the simulator's
+  event schema, and each shard publishes periodic
   atomic metrics/attribution snapshots — so ``ramsis top``, ``ramsis
   report`` and ``ramsis explain`` work unchanged against a sharded run.
   Every observer call sits behind one ``observed`` check: an unobserved
@@ -592,7 +593,7 @@ class ShardedController:
         added latency; ``False`` runs the same kernels flat out — the
         sustained-throughput stress mode.
     run_dir:
-        With a directory, every worker writes a ``shard-<gid>.jsonl``
+        With a directory, every worker writes a ``shard-<gid>.cols``
         event feed and every shard publishes periodic live
         metrics/attribution snapshots there;
         :func:`repro.obs.aggregate.merge_run_dir` folds the feeds back
@@ -750,7 +751,11 @@ class ShardedController:
             run_path.mkdir(parents=True, exist_ok=True)
             for shard in shards:
                 shard.tracers = [
-                    ShardTracer(run_path / f"shard-{gid}.jsonl", pid=gid)
+                    ShardTracer(
+                        run_path / f"shard-{gid}.cols",
+                        pid=gid,
+                        slo_ms=self._slo_ms,
+                    )
                     for gid in range(
                         shard.index, self._total_workers, self._num_shards
                     )

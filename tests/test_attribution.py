@@ -528,3 +528,43 @@ class TestSortedQuantileGolden:
         assert len(mirror_snap["burn"]["windows"]) == 2
         assert mirror_snap == oracle_snap
         assert mirror_bytes == oracle_bytes
+
+
+class TestServedRunSlo:
+    """The merged attribution of a served run dir carries the served SLO,
+    recorded in every feed header; feeds that disagree fold without one."""
+
+    def test_served_run_dir_attribution_has_slo(self, tmp_path):
+        from repro.obs.aggregate import merge_run_dir, write_merged_artifacts
+        from repro.runtime import ShardedController
+
+        run_dir = tmp_path / "run"
+        ShardedController(
+            make_tiny_model_set(),
+            slo_ms=100.0,
+            num_shards=2,
+            workers_per_shard=2,
+            seed=7,
+            paced=False,
+            run_dir=str(run_dir),
+        ).serve(
+            lambda s: GreedyDeadlineSelector(),
+            LoadTrace.constant(120.0, 5_000.0, name="slo"),
+        )
+        merged = merge_run_dir(run_dir)
+        assert merged.slo_ms == 100.0
+        write_merged_artifacts(merged, run_dir)
+        snap = json.loads((run_dir / "attribution.json").read_text())
+        assert snap["slo_ms"] == 100.0
+        assert {row["slo"] for row in snap["rows"]} == {"100"}
+        expected = attribution_from_tracer(merged.tracer, slo_ms=100.0)
+        assert snap == json.loads(json.dumps(expected.to_json_dict()))
+
+    def test_mixed_slo_feeds_fold_without_slo(self, tmp_path):
+        from repro.obs.aggregate import ShardTracer, merge_run_dir
+
+        for pid, slo in ((1, 100.0), (2, 150.0)):
+            ShardTracer(tmp_path / f"shard-{pid}.cols", pid=pid, slo_ms=slo).close()
+        assert merge_run_dir(tmp_path).slo_ms is None
+        ShardTracer(tmp_path / "shard-2.cols", pid=2).close()
+        assert merge_run_dir(tmp_path).slo_ms is None

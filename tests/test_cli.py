@@ -183,13 +183,16 @@ class TestServe:
         assert "2 shards x 2 workers" in out
         assert "served=" in out
         # Merged artifacts for ramsis report/explain, plus shard feeds.
-        for name in ("merged.jsonl", "metrics.json", "attribution.json"):
+        for name in ("merged.cols", "metrics.json", "attribution.json"):
             assert (run_dir / name).is_file()
-        assert sorted(run_dir.glob("shard-*.jsonl"))
-        # The merged feed drives the standard run report unchanged.
-        assert main(["report", "--run-dir", str(run_dir)]) == 0
+        assert sorted(run_dir.glob("shard-*.cols"))
+        # The merged table drives the standard run report unchanged, and
+        # --export writes the JSONL log and Perfetto trace on demand.
+        assert main(["report", "--run-dir", str(run_dir), "--export"]) == 0
         report = capsys.readouterr().out
-        assert "reconstructed from merged.jsonl" in report
+        assert "reconstructed from merged.cols" in report
+        for name in ("merged.jsonl", "trace.json"):
+            assert (run_dir / name).stat().st_size > 0
 
     def test_audited_serve_is_clean(self, capsys):
         code = main(

@@ -1,15 +1,20 @@
 """Cross-process trace shipping and merge semantics.
 
-The tentpole contract: worker shards written by :class:`ShardTracer`
-merge back into one multi-track tracer/registry in serial cell order, so
-a traced parallel sweep reconstructs to *exactly* the serial traced
-run's numbers, and the merged Chrome trace is Perfetto-loadable with one
-process group per worker.
+The tentpole contract: columnar worker feeds written by
+:class:`ShardTracer` merge back into one multi-track table/registry in
+serial cell order, so a traced parallel sweep reconstructs to *exactly*
+the serial traced run's numbers, and the merged Chrome trace is
+Perfetto-loadable with one process group per worker.  A property suite
+pins the feed round trip to the JSONL ship path it replaced.
 """
 
 import json
+from itertools import count
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrivals.traces import LoadTrace
 from repro.cache import PolicyCache
@@ -19,10 +24,12 @@ from repro.experiments.sweep import SweepCell, run_sweep
 from repro.experiments.tasks import image_task
 from repro.obs.aggregate import (
     ShardTracer,
+    export_run_dir,
     merge_run_dir,
     write_merged_artifacts,
 )
-from repro.obs.exporters import chrome_trace
+from repro.obs.columns import EventTable, encode_block, json_default
+from repro.obs.exporters import chrome_trace, events_jsonl, write_events_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.reconstruct import reconstruct_from_jsonl, reconstruct_metrics
 from repro.obs.trace import RecordingTracer
@@ -58,8 +65,8 @@ def sweep_cells(loads=(20.0, 50.0)):
 
 class TestShardTracer:
     def test_header_and_record_schema(self, tmp_path):
-        path = tmp_path / "shard-123.jsonl"
-        tracer = ShardTracer(path, pid=123)
+        path = tmp_path / "shard-123.cols"
+        tracer = ShardTracer(path, pid=123, slo_ms=150.0)
         tracer.set_sequence(4)
         with tracer.span("outer", track="t"):
             with tracer.span("inner", track="t"):
@@ -68,34 +75,48 @@ class TestShardTracer:
         tracer.counter("queue", "t", 2.0, 7.0)
         tracer.close()
 
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        header, rest = records[0], records[1:]
-        assert header["type"] == "shard_header"
+        table, header = EventTable.load(path)
         assert header["pid"] == 123
         assert header["anchor_unix_ms"] > 0
+        assert header["slo_ms"] == 150.0
         # Every record carries the sequence stamp and a monotonic counter.
-        assert [r["seq"] for r in rest] == [4] * len(rest)
-        assert [r["n"] for r in rest] == list(range(len(rest)))
+        assert table.columns["seq"].tolist() == [4] * len(table)
+        assert table.columns["n"].tolist() == list(range(len(table)))
+        rest = list(table.records())
         inner, outer = rest[0], rest[1]  # inner span closes first
-        assert inner["name"] == "inner"
-        assert inner["parent"] == outer["id"]
-        assert rest[2]["type"] == "instant"
-        assert rest[3]["type"] == "counter"
+        assert inner[1] == "inner"
+        assert inner[8] == outer[7]  # parent == the outer span's id
+        assert table.strings_at("name", np.arange(4)) == [
+            "inner", "outer", "tick", "queue"
+        ]
+        assert table.columns["kind"].tolist() == [0, 0, 1, 2]
 
     def test_mutable_args_captured_at_exit(self, tmp_path):
-        tracer = ShardTracer(tmp_path / "shard-1.jsonl", pid=1)
+        tracer = ShardTracer(tmp_path / "shard-1.cols", pid=1)
         outcome = {}
         with tracer.span("cache_get", track="cache", args=outcome):
             outcome["hit"] = True
         tracer.close()
-        records = [
-            json.loads(line)
-            for line in tracer.path.read_text().splitlines()
-        ]
-        assert records[-1]["args"] == {"hit": True}
+        spans = EventTable.load(tracer.path)[0].to_tracer().spans
+        assert spans[-1].args == {"hit": True}
+
+    def test_full_buffer_flushes_a_block(self, tmp_path, monkeypatch):
+        from repro.obs import aggregate
+        from repro.obs.columns import read_blocks
+
+        monkeypatch.setattr(aggregate, "BLOCK_ROWS", 3)
+        tracer = ShardTracer(tmp_path / "shard-5.cols", pid=5)
+        for i in range(10):
+            tracer.instant("tick", "t", float(i), args={"i": i})
+        tracer.flush()
+        blocks = list(read_blocks(tracer.path, "obs.aggregate", "torn"))
+        assert [header["rows"] for header, _ in blocks] == [3, 3, 3, 1]
+        tracer.close()
+        events = merge_run_dir(tmp_path).tracer.events
+        assert [ev.args["i"] for ev in events] == list(range(10))
 
     def test_shard_is_reconstruction_input(self, tmp_path, tiny_models):
-        """A shard file is itself valid events_jsonl for reconstruction."""
+        """A shard feed is itself valid input for reconstruction."""
         from tests.test_obs_integration import traced_run
         from tests.test_sim_simulator import AlwaysModelSelector
 
@@ -104,7 +125,7 @@ class TestShardTracer:
             AlwaysModelSelector("fast"),
             LoadTrace.constant(100.0, 5_000.0),
         )
-        shard = ShardTracer(tmp_path / "shard-9.jsonl", pid=9)
+        shard = ShardTracer(tmp_path / "shard-9.cols", pid=9)
         for span in tracer.spans:
             shard.complete(
                 span.name,
@@ -120,7 +141,7 @@ class TestShardTracer:
             else:
                 shard.instant(ev.name, ev.track, ev.ts_ms, args=dict(ev.args))
         shard.close()
-        summary = reconstruct_from_jsonl(shard.path)
+        summary = reconstruct_metrics(EventTable.load(shard.path)[0])
         assert summary.total_queries == metrics.total_queries
         assert summary.violation_rate == metrics.violation_rate
 
@@ -128,8 +149,8 @@ class TestShardTracer:
 class TestMergeRunDir:
     def _write_shards(self, tmp_path):
         """Two shards with interleaved sequence numbers."""
-        a = ShardTracer(tmp_path / "shard-100.jsonl", pid=100)
-        b = ShardTracer(tmp_path / "shard-200.jsonl", pid=200)
+        a = ShardTracer(tmp_path / "shard-100.cols", pid=100)
+        b = ShardTracer(tmp_path / "shard-200.cols", pid=200)
         a.set_sequence(0)
         a.instant("cell_start", "worker", 1.0)
         b.set_sequence(1)
@@ -163,7 +184,7 @@ class TestMergeRunDir:
         assert set(parent.tracks()) == {"sweep", "w0/worker", "w1/worker"}
 
     def test_offline_timestamps_reanchored_non_negative(self, tmp_path):
-        a = ShardTracer(tmp_path / "shard-1.jsonl", pid=1)
+        a = ShardTracer(tmp_path / "shard-1.cols", pid=1)
         with a.span("solve", track="solver"):
             pass
         a.close()
@@ -229,17 +250,28 @@ class TestParallelSweepEquality:
             tracer=RecordingTracer(),
             run_dir=run_dir,
         )
-        for name in ("merged.jsonl", "trace.json", "metrics.prom", "metrics.json"):
+        for name in ("merged.cols", "metrics.prom", "metrics.json"):
             assert (run_dir / name).is_file(), name
-        assert list(run_dir.glob("shard-*.jsonl"))
-        summary = reconstruct_from_jsonl(run_dir / "merged.jsonl")
+        assert list(run_dir.glob("shard-*.cols"))
+        summary = reconstruct_metrics(EventTable.load(run_dir / "merged.cols")[0])
         assert summary.total_queries > 0
+        # The JSONL log and Perfetto trace are written on demand; the log
+        # (timestamp-sorted, so float sums fold in another order) counts
+        # the same lifecycle records.
+        assert not (run_dir / "merged.jsonl").exists()
+        export_run_dir(run_dir)
+        assert (run_dir / "trace.json").is_file()
+        from_log = reconstruct_from_jsonl(run_dir / "merged.jsonl")
+        for name in ("total_queries", "satisfied_queries", "decisions",
+                     "batch_total", "arrivals"):
+            assert getattr(from_log, name) == getattr(summary, name)
+        assert from_log.accuracy_sum == pytest.approx(summary.accuracy_sum)
 
 
 class TestChromeTraceSplitProcesses:
     def _merged_tracer(self, tmp_path):
-        a = ShardTracer(tmp_path / "shard-1.jsonl", pid=1)
-        b = ShardTracer(tmp_path / "shard-2.jsonl", pid=2)
+        a = ShardTracer(tmp_path / "shard-1.cols", pid=1)
+        b = ShardTracer(tmp_path / "shard-2.cols", pid=2)
         for shard in (a, b):
             shard.complete("serve", "worker-0", 0.0, 5.0)
             shard.instant("arrival", "balancer", 0.5)
@@ -276,8 +308,9 @@ class TestChromeTraceSplitProcesses:
 
     def test_document_is_loadable_json(self, tmp_path):
         merged = merge_run_dir(tmp_path, tracer=self._merged_tracer(tmp_path))
-        paths = write_merged_artifacts(merged, tmp_path / "out")
-        doc = json.loads(paths["chrome"].read_text())
+        write_merged_artifacts(merged, tmp_path / "out")
+        assert export_run_dir(tmp_path / "out")
+        doc = json.loads((tmp_path / "out" / "trace.json").read_text())
         assert isinstance(doc["traceEvents"], list)
         assert doc["displayTimeUnit"]
 
@@ -298,31 +331,49 @@ class TestGenerateManyShipping:
         # Each parallel batch writes its own subdirectory of artifacts.
         batches = sorted(run_dir.glob("batch-*"))
         assert batches
+        assert (batches[0] / "merged.cols").is_file()
+        export_run_dir(run_dir)
         assert (batches[0] / "merged.jsonl").is_file()
 
 
 class TestTruncatedShards:
-    """A crashed worker tears its shard mid-line; merging must degrade
-    gracefully: every record before the tear survives, the torn line is
-    skipped with a warning, nothing raises."""
+    """A crashed worker tears its feed mid-block (or an event log
+    mid-line); merging must degrade gracefully: every block or record
+    before the tear survives, the torn tail is skipped with a warning,
+    nothing raises."""
+
+    @staticmethod
+    def _completion(tracer, i):
+        tracer.instant(
+            "completion",
+            "worker-0",
+            float(i),
+            args={
+                "query": i, "worker": 0, "model": "m",
+                "satisfied": True, "response_ms": 1.0,
+            },
+        )
 
     def _torn_shard(self, tmp_path):
-        from repro.obs.aggregate import ShardTracer
-
-        path = tmp_path / "shard-7.jsonl"
+        """Five one-record blocks, then a sixth torn mid-block."""
+        path = tmp_path / "shard-7.cols"
         tracer = ShardTracer(path, pid=7)
         tracer.set_sequence(0)
-        for i in range(5):
-            tracer.instant(
-                "completion",
-                "worker-0",
-                float(i),
-                args={
-                    "query": i, "worker": 0, "model": "m",
-                    "satisfied": True, "response_ms": 1.0,
-                },
-            )
+        for i in range(6):
+            self._completion(tracer, i)
+            tracer.flush()
         tracer.close()
+        data = path.read_bytes()
+        last = len(encode_block(EventTable.load(path)[0].take(np.array([5]))))
+        path.write_bytes(data[: len(data) - last // 2])  # torn mid-write
+        return path
+
+    def _torn_log(self, tmp_path):
+        """The feed's records as an event log torn mid-line."""
+        tracer = RecordingTracer()
+        for i in range(5):
+            self._completion(tracer, i)
+        path = write_events_jsonl(tracer, tmp_path / "events.jsonl")
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"type": "instant", "name": "comp')  # torn mid-write
         return path
@@ -333,9 +384,10 @@ class TestTruncatedShards:
             merged = merge_run_dir(tmp_path)
         assert any("unparseable" in r.message for r in caplog.records)
         assert len(merged.tracer.events) == 5
+        assert merged.records == 5
 
     def test_reconstruct_from_jsonl_skips_torn_line(self, tmp_path, caplog):
-        path = self._torn_shard(tmp_path)
+        path = self._torn_log(tmp_path)
         with caplog.at_level("WARNING", logger="repro.obs.reconstruct"):
             summary = reconstruct_from_jsonl(path)
         assert any("unparseable" in r.message for r in caplog.records)
@@ -344,11 +396,211 @@ class TestTruncatedShards:
     def test_attribution_fold_skips_torn_line(self, tmp_path, caplog):
         from repro.obs.attribution import attribution_from_jsonl
 
-        path = self._torn_shard(tmp_path)
+        path = self._torn_log(tmp_path)
         with caplog.at_level("WARNING", logger="repro.obs.attribution"):
             attributor = attribution_from_jsonl(path)
         assert any("unparseable" in r.message for r in caplog.records)
         assert attributor.to_json_dict()["totals"]["queries"] == 5
+
+    def test_object_array_block_refused_not_unpickled(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        path = tmp_path / "shard-3.cols"
+        tracer = ShardTracer(path, pid=3)
+        self._completion(tracer, 0)
+        tracer.close()
+        table = EventTable.load(path)[0]
+        table.columns["ts_ms"] = np.array([_Payload()], dtype=object)
+        save = np.save
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                np, "save", lambda fh, a, allow_pickle=False: save(fh, a, allow_pickle=True)
+            )
+            block = encode_block(table)
+        with path.open("ab") as fh:
+            fh.write(block)
+        with caplog.at_level("WARNING", logger="repro.obs.aggregate"):
+            merged = merge_run_dir(tmp_path)
+        assert not _Payload.unpickled
+        assert any("refusing" in r.message for r in caplog.records)
+        assert merged.records == 1
+
+    def test_no_feeds_merges_to_an_empty_run(self, tmp_path):
+        merged = merge_run_dir(tmp_path)
+        assert merged.records == 0 and merged.shards == []
+        assert len(merged.table) == 0
+        assert merged.tracer.spans == () and merged.tracer.events == ()
+        assert merged.slo_ms is None
+
+
+class _Payload:
+    """Unpickling this object would flip :attr:`unpickled`."""
+
+    unpickled = False
+
+    def __reduce__(self):
+        return (_mark_unpickled, ())
+
+
+def _mark_unpickled():
+    _Payload.unpickled = True
+    return 0.0
+
+
+# ----------------------------------------------------------------------
+# Feed round trip vs. the JSONL ship path it replaced
+# ----------------------------------------------------------------------
+class _JsonShard:
+    """The JSONL feed writer this format replaced, kept as the oracle: it
+    keeps every record as its JSON round trip (sorted keys, numpy scalars
+    unwrapped), stamped with ``seq``/``n``."""
+
+    def __init__(self, clock):
+        self.records = []
+        self._clock = clock
+        self._seq = 0
+
+    def set_sequence(self, seq):
+        self._seq = seq
+
+    def _write(self, record):
+        record["seq"], record["n"] = self._seq, len(self.records)
+        self.records.append(
+            json.loads(json.dumps(record, sort_keys=True, default=json_default))
+        )
+
+    def complete(self, name, track, start_ms, duration_ms, category="sim", args=None):
+        record = {"type": "span", "name": name, "track": track, "ts_ms": start_ms,
+                  "dur_ms": duration_ms, "cat": category}
+        if args:
+            record["args"] = args
+        self._write(record)
+
+    def instant(self, name, track, ts_ms, category="sim", args=None):
+        record = {"type": "instant", "name": name, "track": track, "ts_ms": ts_ms,
+                  "cat": category}
+        if args:
+            record["args"] = args
+        self._write(record)
+
+    def counter(self, name, track, ts_ms, value):
+        self._write({"type": "counter", "name": name, "track": track,
+                     "ts_ms": ts_ms, "cat": "counter", "value": float(value)})
+
+    def span(self, name, track, category, args):
+        start = self._clock()
+        return lambda: self.complete(
+            name, track, start, self._clock() - start, category, args
+        )
+
+
+def _reference_merge(shards):
+    """The pre-columnar merge: sort on (seq, worker, n), rename tracks,
+    shift offline timestamps by the anchor delta, replay into a fresh
+    recorder."""
+    base = min(anchor for anchor, _ in shards)
+    keyed = [
+        (r["seq"], widx, r["n"], r, anchor - base)
+        for widx, (anchor, oracle) in enumerate(shards)
+        for r in oracle.records
+    ]
+    keyed.sort(key=lambda item: item[:3])
+    recorder = RecordingTracer()
+    for _seq, widx, _n, r, offset in keyed:
+        track = f"w{widx}/{r['track']}"
+        ts = float(r["ts_ms"])
+        if r["cat"] == "offline":
+            ts += max(0.0, offset)
+        if r["type"] == "span":
+            recorder.complete(r["name"], track, ts, float(r["dur_ms"]), r["cat"],
+                              r.get("args"))
+        elif r["type"] == "instant":
+            recorder.instant(r["name"], track, ts, r["cat"], r.get("args"))
+        else:
+            recorder.counter(r["name"], track, ts, float(r["value"]))
+    return recorder
+
+
+_scalars = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.none(),
+    st.builds(np.float64, st.floats(allow_nan=False)),
+    st.builds(np.float32, st.floats(allow_nan=False, width=32)),
+    st.builds(np.int64, st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+# A small key alphabet, so one key meets several value types.
+_args = st.one_of(
+    st.none(), st.dictionaries(st.sampled_from("abcdq"), _values, max_size=4)
+)
+_names = st.sampled_from(["serve", "completion", "arrival", "tick", "q"])
+_tracks = st.sampled_from(["worker-0", "worker-1", "balancer", "solver"])
+_cats = st.sampled_from(["sim", "offline", "counter", "x"])
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_ops = st.one_of(
+    st.tuples(st.just("complete"), _names, _tracks, _floats, _floats, _cats, _args),
+    st.tuples(st.just("instant"), _names, _tracks, _floats, _cats, _args),
+    st.tuples(st.just("counter"), _names, _tracks, _floats, _floats),
+    st.tuples(st.just("span"), _names, _tracks, _cats, _args),
+    st.tuples(st.just("seq"), st.integers(0, 3)),
+    st.tuples(st.just("flush"),),
+)
+
+
+class TestFeedRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(_ops, max_size=25), min_size=2, max_size=3))
+    def test_merge_equals_jsonl_ship_path(self, tmp_path_factory, programs):
+        run_dir = tmp_path_factory.mktemp("feeds")
+        shards = []
+        for pid, program in enumerate(programs):
+            clock = count(0.0, 0.25).__next__
+            feed = ShardTracer(run_dir / f"shard-{pid}.cols", pid=pid)
+            feed._now_ms = count(0.0, 0.25).__next__
+            oracle = _JsonShard(clock)
+            for op in program:
+                kind, rest = op[0], op[1:]
+                if kind == "flush":
+                    feed.flush()
+                elif kind == "seq":
+                    feed.set_sequence(rest[0])
+                    oracle.set_sequence(rest[0])
+                elif kind == "span":
+                    name, track, cat, args = rest
+                    done = oracle.span(name, track, cat, args)
+                    with feed.span(name, track=track, category=cat, args=args):
+                        pass
+                    done()
+                else:
+                    getattr(feed, kind)(*rest)
+                    getattr(oracle, kind)(*rest)
+            feed.close()
+            shards.append((feed.anchor_unix_ms, oracle))
+
+        merged = merge_run_dir(run_dir)
+        expected = _reference_merge(shards)
+        assert merged.tracer.spans == expected.spans
+        assert merged.tracer.events == expected.events
+        assert events_jsonl(merged.tracer) == events_jsonl(expected)
+        assert json.dumps(chrome_trace(merged.tracer, split_processes=True)) == (
+            json.dumps(chrome_trace(expected, split_processes=True))
+        )
+        assert merged.records == sum(len(o.records) for _, o in shards)
+        # The merged table survives its own file round trip.
+        write_merged_artifacts(merged, run_dir / "out")
+        table = EventTable.load(run_dir / "out" / "merged.cols")[0]
+        assert events_jsonl(table.to_tracer()) == events_jsonl(expected)
 
 
 class TestLiveSnapshots:

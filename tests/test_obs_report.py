@@ -21,7 +21,7 @@ from repro.obs.report import _flatten
 def populate_run_dir(run_dir):
     """One worker shard plus merged artifacts plus an audit report."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    shard = ShardTracer(run_dir / "shard-11.jsonl", pid=11)
+    shard = ShardTracer(run_dir / "shard-11.cols", pid=11)
     shard.instant("arrival", "balancer", 0.5)
     shard.complete("serve", "worker-0", 1.0, 4.0, args={"batch": 2})
     shard.instant(
@@ -56,8 +56,9 @@ class TestRunReport:
         report = render_run_report(populate_run_dir(tmp_path / "run"))
         assert "ramsis run report" in report
         assert "worker shards" in report
-        assert "shard-11.jsonl" in report
-        assert "reconstructed from merged.jsonl" in report
+        assert "shard-11.cols" in report
+        assert "5 records" in report
+        assert "reconstructed from merged.cols" in report
         assert "completed queries" in report
         # 1 of 2 completions satisfied.
         assert "violation rate" in report and "50.000%" in report
@@ -87,10 +88,14 @@ class TestRunReport:
             render_run_report(tmp_path / "run", fmt="pdf")
 
     def test_batch_subdir_merged_jsonl_found(self, tmp_path):
+        """A batch subdirectory's merged table (and its export) is found."""
         run_dir = tmp_path / "bank"
         populate_run_dir(run_dir / "batch-000")
         report = render_run_report(run_dir)
-        assert "batch-000/merged.jsonl" in report.replace("\\", "/")
+        assert "batch-000/merged.cols" in report.replace("\\", "/")
+        assert "completed queries     2" in report
+        assert main(["report", "--run-dir", str(run_dir), "--export"]) == 0
+        assert (run_dir / "batch-000" / "merged.jsonl").is_file()
 
     def test_write_run_report_default_and_explicit_path(self, tmp_path):
         run_dir = populate_run_dir(tmp_path / "run")
@@ -118,7 +123,7 @@ class TestRunReport:
 def populate_attributed_run_dir(run_dir):
     """A shard carrying the lifecycle schema the attribution engine folds."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    shard = ShardTracer(run_dir / "shard-3.jsonl", pid=3)
+    shard = ShardTracer(run_dir / "shard-3.cols", pid=3)
     for q, (response, ok) in enumerate(
         [(40.0, True), (90.0, True), (130.0, False)]
     ):
@@ -186,30 +191,40 @@ class TestAttributionReport:
         assert "worker-0;serve" in folded
 
     @pytest.mark.parametrize("with_attribution", [True, False])
-    def test_report_reads_merged_jsonl_once(
-        self, tmp_path, monkeypatch, with_attribution
+    def test_report_reads_merged_cols_once(
+        self, tmp_path, monkeypatch, with_attribution, capsys
     ):
-        from repro.obs import aggregate, attribution, reconstruct, report
+        from repro.obs import columns, reconstruct
 
         run_dir = populate_attributed_run_dir(tmp_path / "run")
         if not with_attribution:
             (run_dir / "attribution.json").unlink()
         expected = render_run_report(run_dir)
-        reader = reconstruct._iter_jsonl
+        if not with_attribution:
+            # Refolded from merged.cols, at the SLO its header carries.
+            assert "latency attribution" in expected
+        loader = columns.EventTable.load.__func__
         opened = []
 
-        def counting(path, *args):
+        def counting(cls, path, *args):
             opened.append(path.name)
-            return reader(path, *args)
+            return loader(cls, path, *args)
 
-        for module in (aggregate, attribution, reconstruct, report):
-            monkeypatch.setattr(module, "_iter_jsonl", counting)
+        def no_jsonl(*args):
+            raise AssertionError("the report read an event log")
+
+        monkeypatch.setattr(columns.EventTable, "load", classmethod(counting))
+        monkeypatch.setattr(reconstruct, "_iter_jsonl", no_jsonl)
         assert render_run_report(run_dir) == expected
-        assert opened == ["merged.jsonl"]
+        assert opened == ["merged.cols"]
         opened.clear()
         write_run_report(run_dir)
-        assert opened == ["merged.jsonl"]
+        assert opened == ["merged.cols"]
         assert (run_dir / "profile.folded").is_file()
+        opened.clear()
+        assert main(["report", "--run-dir", str(run_dir)]) == 0
+        assert opened == ["merged.cols"]
+        assert "reconstructed from merged.cols" in capsys.readouterr().out
 
     def test_render_top_frame_reads_merged_artifacts(self, tmp_path):
         run_dir = populate_attributed_run_dir(tmp_path / "run")

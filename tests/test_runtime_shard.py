@@ -148,7 +148,7 @@ class TestReconstruction:
                     snapshot_interval_s=0.05)
         names = {p.name for p in tmp_path.iterdir()}
         for gid in range(4):
-            assert f"shard-{gid}.jsonl" in names
+            assert f"shard-{gid}.cols" in names
         # Final live snapshots: one per shard, pids offset past worker gids.
         assert "metrics-4.json" in names and "metrics-5.json" in names
         assert "attribution-4.json" in names and "attribution-5.json" in names
