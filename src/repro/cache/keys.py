@@ -39,7 +39,7 @@ __all__ = ["CACHE_SCHEMA_VERSION", "cache_key", "canonical_config_dict"]
 
 #: Bump whenever policy generation can produce different bytes for the same
 #: config (kernel math, solver semantics, policy serialization).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 def _arrivals_dict(arrivals: ArrivalDistribution) -> Optional[Dict[str, Any]]:

@@ -7,11 +7,14 @@ transition kernels and discount-by-duration terms) changes with load.
 :class:`StackedBankMDP` exploits that by solving the whole load grid as
 one batched tensor program instead of ``L`` independent solves:
 
-- **kernel construction** batches the equilibrium-renewal quadrature
-  across the load axis (the gammainc/CDF evaluations are elementwise in
-  the load-dependent scale, while the §4.4 window geometry depends only
-  on grid × latency), then seeds each cell's builder caches so per-cell
-  assembly is a pure gather;
+- **kernel construction** derives the load-invariant skeleton (pruned
+  models, grid, latency table) once, batches the equilibrium-renewal
+  quadrature across the load axis (the Erlang k-fold CDFs come from one
+  Poisson-term recurrence, :func:`repro.core.transitions.gamma_cdfs`,
+  elementwise in the load-dependent scale, while the §4.4 window
+  geometry depends only on grid × latency), then seeds every cell's
+  builder caches, the first cell's included, so per-cell assembly is a
+  pure gather;
 - **value iteration** runs one batched Bellman sweep per iteration over
   ``(L, ...)`` layouts with per-load convergence masks — converged loads
   freeze (their matmuls are skipped and their value slices stop
@@ -31,7 +34,8 @@ The discipline that makes this hold: every matmul/einsum *reduction* is
 invoked per load with exactly the per-load solve's operand shapes and
 strides (batching a matmul across loads would dispatch a different BLAS
 kernel and reassociate sums), while every *elementwise* op (add,
-multiply, compare, max-reduce over in-row axes, gammainc, clip) batches
+multiply, compare, max-reduce over in-row axes, the CDF recurrence,
+clip) batches
 across the load axis — ufuncs are per-element, so batching them cannot
 change a single bit.  ``tests/test_solver_equivalence.py`` asserts the
 contract across views, batching modes, and random load grids;
@@ -46,7 +50,7 @@ serial batch of cache misses — a single load included — through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -58,14 +62,14 @@ from repro.core.guarantees import (
     _policy_action_table,
     evaluate_policy,
 )
-from repro.core.mdp import WorkerMDP
+from repro.core.mdp import WorkerMDP, _Skeleton
 from repro.core.policy import Policy
 from repro.core.solvers import SolveStats
 from repro.core.transitions import (
     DeterministicGaps,
     EquilibriumRenewalKernelBuilder,
     GammaGaps,
-    _service_windows,
+    RenewalGaps,
     gaps_for_distribution,
 )
 from repro.errors import ConfigurationError, SolverError
@@ -75,76 +79,8 @@ __all__ = ["StackedBankMDP", "solve_stacked_bank"]
 
 
 # ----------------------------------------------------------------------
-# Batched renewal-gap evaluation (construction-time only)
+# Batched kernel construction (construction-time only)
 # ----------------------------------------------------------------------
-def _bc(arr: np.ndarray, ndim: int) -> np.ndarray:
-    """Reshape a ``(L,)`` per-load array to broadcast over ``ndim`` axes."""
-    return arr.reshape(arr.shape + (1,) * ndim)
-
-
-class _GammaGapStack:
-    """:class:`GammaGaps` evaluated for all loads at once.
-
-    Requires a shared ``shape`` across loads (always true for one arrival
-    family swept over load: round-robin thinning fixes the shape and load
-    only scales the gap).  Every method is elementwise in the per-load
-    scale/mean, so each ``[i]`` slice of a result is bitwise identical to
-    the corresponding per-load :class:`GammaGaps` call.
-    """
-
-    def __init__(self, gaps: Sequence[GammaGaps]) -> None:
-        self.shape = gaps[0].shape
-        self.scale_ms = np.array([g.scale_ms for g in gaps])
-        self.mean_ms = np.array([g.mean_ms for g in gaps])
-
-    def gap_cdf(self, u: np.ndarray) -> np.ndarray:
-        from scipy.special import gammainc
-
-        x = np.maximum(u, 0.0)[None] / _bc(self.scale_ms, u.ndim)
-        return gammainc(self.shape, x)
-
-    def kfold_cdf(self, k: int, t: np.ndarray) -> np.ndarray:
-        from scipy.special import gammainc
-
-        x = np.maximum(t, 0.0)[None] / _bc(self.scale_ms, t.ndim)
-        return gammainc(k * self.shape, x)
-
-    def equilibrium_cdf(self, t: float) -> np.ndarray:
-        from scipy.special import gammainc
-
-        if t <= 0.0:
-            return np.zeros(self.scale_ms.size)
-        x = t / self.scale_ms
-        integral = (
-            t - t * gammainc(self.shape, x)
-            + self.mean_ms * gammainc(self.shape + 1.0, x)
-        )
-        return np.minimum(integral / self.mean_ms, 1.0)
-
-    def equilibrium_density(self, u: np.ndarray) -> np.ndarray:
-        return (1.0 - self.gap_cdf(u)) / _bc(self.mean_ms, u.ndim)
-
-
-class _DeterministicGapStack:
-    """:class:`DeterministicGaps` evaluated for all loads at once."""
-
-    def __init__(self, gaps: Sequence[DeterministicGaps]) -> None:
-        self.gap_ms = np.array([g.gap_ms for g in gaps])
-        self.mean_ms = self.gap_ms
-
-    def gap_cdf(self, u: np.ndarray) -> np.ndarray:
-        return (u[None] >= _bc(self.gap_ms, u.ndim)).astype(np.float64)
-
-    def kfold_cdf(self, k: int, t: np.ndarray) -> np.ndarray:
-        return (t[None] >= _bc(k * self.gap_ms, t.ndim)).astype(np.float64)
-
-    def equilibrium_cdf(self, t: float) -> np.ndarray:
-        return np.minimum(max(t, 0.0) / self.gap_ms, 1.0)
-
-    def equilibrium_density(self, u: np.ndarray) -> np.ndarray:
-        return (1.0 - self.gap_cdf(u)) / _bc(self.mean_ms, u.ndim)
-
-
 @dataclass
 class _KernelSeed:
     """Precomputed builder-cache contents for one load cell."""
@@ -153,165 +89,79 @@ class _KernelSeed:
     arrival_counts: Dict[float, np.ndarray]
 
 
-class _SeededCellMDP(WorkerMDP):
-    """A cell MDP whose renewal-kernel caches are pre-seeded.
+class _BankCellMDP(WorkerMDP):
+    """One load cell of a stacked bank.
 
-    The builder caches rows/counts by ``round(latency, 9)``; installing
-    the batched-construction results before row assembly turns every
-    ``service_row``/``arrival_counts`` call into a cache hit, so the cell
-    builds without re-running any quadrature.
+    It reuses the bank's shared load-invariant :class:`_Skeleton` instead
+    of recomputing it, and, where the view batches, starts with its
+    renewal-kernel caches pre-seeded: the builder caches rows/counts by
+    ``round(latency, 9)``, so installing the batched-construction results
+    before row assembly turns every ``service_row``/``arrival_counts``
+    call into a cache hit and the cell builds without any quadrature.
     """
 
-    def __init__(self, config: WorkerMDPConfig, seed: _KernelSeed) -> None:
+    def __init__(
+        self,
+        config: WorkerMDPConfig,
+        skeleton: _Skeleton,
+        seed: Optional[_KernelSeed],
+    ) -> None:
+        self._shared_skeleton = skeleton
         self._kernel_seed = seed
         super().__init__(config)
 
+    def _build_skeleton(self, config: WorkerMDPConfig) -> _Skeleton:
+        return self._shared_skeleton
+
     def _build_split_rows(self) -> np.ndarray:
-        self._split._service_cache.update(self._kernel_seed.service_rows)
-        self._split._count_cache.update(self._kernel_seed.arrival_counts)
+        if self._kernel_seed is not None:
+            self._split._service_cache.update(self._kernel_seed.service_rows)
+            self._split._count_cache.update(self._kernel_seed.arrival_counts)
         return super()._build_split_rows()
 
 
-def _count_pmf_stack(stack, remaining: np.ndarray, n_max: int) -> np.ndarray:
-    """Load-batched ``EquilibriumRenewalKernelBuilder._count_pmf_at``.
-
-    Returns ``(L, n_max, remaining.size)``; slice ``[i]`` is bitwise
-    identical to the per-load call (the k-fold CDFs and the adjacent
-    differences are elementwise per load).
-    """
-    loads = stack.mean_ms.size
-    cdfs = np.empty((loads, n_max, remaining.size), dtype=np.float64)
-    for k in range(1, n_max + 1):
-        cdfs[:, k - 1] = stack.kfold_cdf(k, remaining)
-    pmf = np.empty_like(cdfs)
-    pmf[:, 0] = 1.0 - cdfs[:, 0]
-    pmf[:, 1:] = cdfs[:, :-1] - cdfs[:, 1:]
-    return np.clip(pmf, 0.0, 1.0)
-
-
 def _stacked_kernel_seeds(
-    template: WorkerMDP, configs: Sequence[WorkerMDPConfig]
+    skeleton: _Skeleton, configs: Sequence[WorkerMDPConfig]
 ) -> Optional[List[_KernelSeed]]:
-    """Batched renewal-kernel construction for every non-template load.
+    """Batched renewal-kernel construction for every load cell.
 
     Only the ``ROUND_ROBIN_MARGINAL`` view with a single gap family
     (shared-shape Gamma, or deterministic) batches; other views return
     ``None`` and each cell builds its kernels independently (stacked
-    Bellman sweeps still apply).  The per-latency math mirrors
-    ``EquilibriumRenewalKernelBuilder.service_row``/``arrival_counts``
-    with all elementwise steps batched over loads and every reduction
-    (the window einsum, the count matvec, row sums) invoked per load on
-    per-load-shaped operands, so each seeded row is bitwise identical to
-    what the cell's own builder would have computed.
+    Bellman sweeps still apply).  One
+    :class:`~repro.core.transitions.EquilibriumRenewalKernelBuilder` over
+    a gap model stacked across loads computes every cell's rows at once,
+    each bitwise identical to what the cell's own one-load builder would
+    compute (see its ``service_rows``).
     """
-    if template.config.view is not TransitionView.ROUND_ROBIN_MARGINAL:
+    if configs[0].view is not TransitionView.ROUND_ROBIN_MARGINAL:
         return None
-    if not configs:
-        return []
     try:
         gaps = [gaps_for_distribution(c.per_worker_arrivals()) for c in configs]
     except TypeError:
         return None
     first = gaps[0]
-    if isinstance(first, GammaGaps):
-        if any(
-            not isinstance(g, GammaGaps) or g.shape != first.shape
-            for g in gaps
-        ):
-            return None
-        stack = _GammaGapStack(gaps)
-    elif isinstance(first, DeterministicGaps):
-        if any(not isinstance(g, DeterministicGaps) for g in gaps):
-            return None
-        stack = _DeterministicGapStack(gaps)
-    else:  # pragma: no cover - gaps_for_distribution is exhaustive
+    if all(isinstance(g, GammaGaps) and g.shape == first.shape for g in gaps):
+        stack: RenewalGaps = GammaGaps(
+            first.shape, np.array([g.scale_ms for g in gaps])
+        )
+    elif all(isinstance(g, DeterministicGaps) for g in gaps):
+        stack = DeterministicGaps(np.array([g.gap_ms for g in gaps]))
+    else:
         return None
 
-    grid = template.grid
-    space = template.space
-    n_max = space.max_queue
-    j_count = len(grid)
-    loads = len(configs)
-    grid_values = grid.as_array()
-
-    # Unique latencies in the builders' cache-key space, keeping the
-    # *first* raw latency per rounded key in the exact order construction
-    # encounters them — a later latency sharing a key is served the first
-    # one's cached row, and the seed must reproduce that collision.
-    service_lats: Dict[float, float] = {}
-    for m in range(template.num_models):
-        for n in range(1, n_max + 1):
-            lat = template.latency_ms(m, n)
-            service_lats.setdefault(round(lat, 9), lat)
-    count_lats: Dict[float, float] = {}
-    if template.config.batching is BatchingMode.VARIABLE:
-        for m in range(template.num_models):
-            for b in range(1, n_max):
-                lat = template.latency_ms(m, b)
-                if not (lat <= grid_values).any():
-                    continue
-                count_lats.setdefault(round(lat, 9), lat)
-
-    quad = EquilibriumRenewalKernelBuilder._QUAD_POINTS
-    nodes, weights = np.polynomial.legendre.leggauss(quad)
-    nodes_c, weights_c = np.polynomial.legendre.leggauss(
-        EquilibriumRenewalKernelBuilder._COUNT_QUAD_POINTS
+    builder = EquilibriumRenewalKernelBuilder(
+        skeleton.grid, stack, skeleton.max_queue
     )
-
-    service_rows: Dict[float, np.ndarray] = {}
-    for key, lat in service_lats.items():
-        rows = np.zeros((loads, space.size), dtype=np.float64)
-        rows[:, space.EMPTY] = 1.0 - stack.equilibrium_cdf(lat)
-        lo, width, _ = _service_windows(grid, lat)
-        live = np.nonzero(width > 0.0)[0]
-        if live.size:
-            half = 0.5 * width[live]
-            u = lo[live][:, None] + half[:, None] * (nodes[None, :] + 1.0)
-            w = weights[None, :] * half[:, None]
-            f_e = stack.equilibrium_density(u)  # (L, live, Q)
-            pmf = _count_pmf_stack(stack, (lat - u).ravel(), n_max)
-            wfe = w * f_e
-            for i in range(loads):
-                occupied = rows[i, 2:].reshape(n_max, j_count)
-                occupied[:, live] = np.einsum(
-                    "nlq,lq->nl",
-                    pmf[i].reshape(n_max, live.size, quad),
-                    wfe[i],
-                )
-        totals = rows.sum(axis=1)
-        over = totals > 1.0
-        if over.any():
-            rows[over] /= totals[over, None]
-            totals[over] = 1.0
-        rows[:, space.FULL] = np.maximum(0.0, 1.0 - totals)
-        service_rows[key] = rows
-
-    count_rows: Dict[float, np.ndarray] = {}
-    for key, lat in count_lats.items():
-        counts = np.zeros((loads, n_max + 1), dtype=np.float64)
-        counts[:, 0] = 1.0 - stack.equilibrium_cdf(lat)
-        if lat > 0.0:
-            half = 0.5 * lat
-            u = half * (nodes_c + 1.0)
-            w = weights_c * half
-            f_e = stack.equilibrium_density(u)  # (L, Qc)
-            pmf = _count_pmf_stack(stack, lat - u, n_max)  # (L, N, Qc)
-            wfe = w * f_e
-            for i in range(loads):
-                counts[i, 1:] = pmf[i] @ wfe[i]
-        np.clip(counts, 0.0, 1.0, out=counts)
-        totals = counts.sum(axis=1)
-        over = totals > 1.0
-        if over.any():
-            counts[over] /= totals[over, None]
-        count_rows[key] = counts
-
+    service_rows, count_rows = builder.prefill(
+        *skeleton.kernel_latencies(configs[0].batching)
+    )
     return [
         _KernelSeed(
             service_rows={k: v[i] for k, v in service_rows.items()},
             arrival_counts={k: v[i] for k, v in count_rows.items()},
         )
-        for i in range(loads)
+        for i in range(len(configs))
     ]
 
 
@@ -321,11 +171,11 @@ def _stacked_kernel_seeds(
 class StackedBankMDP:
     """One load grid's worth of worker MDPs, solved as a single program.
 
-    Construction builds one :class:`WorkerMDP` per load (the
-    non-template cells with pre-seeded kernel caches where the view
-    batches), validates that every cell shares the load-invariant
-    structure, and stacks the load-dependent arrays into ``(L, ...)``
-    layouts consumed by :meth:`solve`.
+    Construction builds one :class:`WorkerMDP` per load on a shared
+    load-invariant skeleton (every cell with pre-seeded kernel caches
+    where the view batches), validates that every cell shares the
+    load-invariant structure, and stacks the load-dependent arrays into
+    ``(L, ...)`` layouts consumed by :meth:`solve`.
     """
 
     def __init__(self, configs: Sequence[WorkerMDPConfig]) -> None:
@@ -333,18 +183,18 @@ class StackedBankMDP:
             raise ConfigurationError(
                 "stacked bank needs at least one load cell"
             )
-        template = WorkerMDP(configs[0])
-        seeds = _stacked_kernel_seeds(template, configs[1:])
-        if seeds is None:
-            rest: List[WorkerMDP] = [
-                WorkerMDP(c) for c in configs[1:]
-            ]
-        else:
-            rest = [
-                _SeededCellMDP(c, seed)
-                for c, seed in zip(configs[1:], seeds)
-            ]
-        self._cells: List[WorkerMDP] = [template, *rest]
+        base = configs[0]
+        skeleton = _Skeleton.of(base)
+        seeds = _stacked_kernel_seeds(skeleton, configs) or [None] * len(configs)
+        # A cell whose config differs from the first in more than its
+        # arrivals builds on its own; ``_validate`` then decides whether
+        # the structures still agree.
+        self._cells: List[WorkerMDP] = [
+            _BankCellMDP(c, skeleton, seed)
+            if replace(c, arrivals=base.arrivals) == base
+            else WorkerMDP(c)
+            for c, seed in zip(configs, seeds)
+        ]
         self._validate()
         self._stack()
 

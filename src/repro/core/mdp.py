@@ -69,6 +69,7 @@ from repro.core.transitions import (
     gaps_for_distribution,
 )
 from repro.errors import ConfigurationError
+from repro.profiles.models import ModelProfile
 
 __all__ = [
     "WorkerMDP",
@@ -92,6 +93,54 @@ class BackupResult:
     greedy: Dict[int, Tuple[int, int]]
 
 
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """The load-invariant structure of a worker MDP.
+
+    None of it depends on the arrival load, so a stacked bank
+    (:class:`repro.core.bank.StackedBankMDP`) builds it once and shares
+    it across its cells.
+    """
+
+    #: Pareto-pruned models, fastest first (action-index order).
+    models: Tuple[ModelProfile, ...]
+    grid: TimeGrid
+    max_queue: int
+    #: ``latency[m, b-1]``: p95 latency of model ``m`` at batch ``b``.
+    latency: np.ndarray
+
+    @classmethod
+    def of(cls, config: WorkerMDPConfig) -> "_Skeleton":
+        models = sorted(
+            config.effective_models(), key=lambda m: (m.latency_ms(1), -m.accuracy)
+        )
+        if not models:
+            raise ConfigurationError("no models available after pruning")
+        grid = config.build_grid()
+        n = config.effective_max_queue()
+        latency = np.array(
+            [[m.latency_ms(b) for b in range(1, n + 1)] for m in models]
+        )
+        return cls(tuple(models), grid, n, latency)
+
+    def kernel_latencies(
+        self, batching: BatchingMode
+    ) -> Tuple[List[float], List[float]]:
+        """Service latencies whose renewal kernels an MDP reads, in the
+        order its construction reads them: every full drain ``(m, n)``,
+        then (variable batching) every partial drain ``(m, b < N_w)`` that
+        fits some slack bin, whose arrival counts it reads."""
+        full = [float(lat) for lat in self.latency.ravel()]
+        partial = []
+        if batching is BatchingMode.VARIABLE:
+            partial = [
+                float(lat)
+                for lat in self.latency[:, : self.max_queue - 1].ravel()
+                if lat <= self.grid.values[-1]
+            ]
+        return full, partial
+
+
 class WorkerMDP:
     """A fully-materialized worker MDP ready for solving.
 
@@ -100,22 +149,15 @@ class WorkerMDP:
 
     def __init__(self, config: WorkerMDPConfig) -> None:
         self._config = config
-        models = sorted(
-            config.effective_models(), key=lambda m: (m.latency_ms(1), -m.accuracy)
-        )
-        if not models:
-            raise ConfigurationError("no models available after pruning")
-        self._models = models
-        self._grid: TimeGrid = config.build_grid()
-        self._max_queue = config.effective_max_queue()
-        self._num_models = len(models)
+        self._skeleton = skeleton = self._build_skeleton(config)
+        self._models = skeleton.models
+        self._grid: TimeGrid = skeleton.grid
+        self._max_queue = skeleton.max_queue
+        self._num_models = len(skeleton.models)
+        self._latency = skeleton.latency
 
-        n, j_count = self._max_queue, len(self._grid)
-        # latency[m, b-1] = p95 latency of model m at batch b, b = 1..N_w.
-        self._latency = np.array(
-            [[m.latency_ms(b) for b in range(1, n + 1)] for m in models]
-        )
-        self._accuracy = np.array([m.accuracy for m in models])
+        n = self._max_queue
+        self._accuracy = np.array([m.accuracy for m in self._models])
         grid_values = self._grid.as_array()
         # valid[m, n-1, j]: is (m, b=n) allowed in (n, T_j)?
         self._valid = self._latency[:, :, None] <= grid_values[None, None, :]
@@ -188,6 +230,10 @@ class WorkerMDP:
         self._pe_reward: Optional[np.ndarray] = None
         self._pe_discount: Optional[np.ndarray] = None
 
+    def _build_skeleton(self, config: WorkerMDPConfig) -> _Skeleton:
+        """The load-invariant structure (a bank cell reuses a shared one)."""
+        return _Skeleton.of(config)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -257,6 +303,11 @@ class WorkerMDP:
     def _build_split_rows(self) -> np.ndarray:
         """(M, N, S) full-drain transition rows under the split view."""
         assert self._split is not None
+        if isinstance(self._split, EquilibriumRenewalKernelBuilder):
+            # Every renewal kernel the MDP reads, in batched passes.
+            self._split.prefill(
+                *self._skeleton.kernel_latencies(self._config.batching)
+            )
         rows = np.zeros(
             (self._num_models, self._max_queue, self._space.size), dtype=np.float64
         )

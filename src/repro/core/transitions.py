@@ -40,7 +40,7 @@ with the conditional per-worker rate of Gupta et al. [18]; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,10 +56,82 @@ __all__ = [
     "GammaGaps",
     "DeterministicGaps",
     "gaps_for_distribution",
+    "gamma_cdfs",
 ]
 
 #: Probability mass below which kernel entries are treated as exactly zero.
 _MASS_EPSILON = 1e-12
+
+#: Gauss-Legendre rules of the renewal builder, computed once per process:
+#: 8 points per slack window, 64 for whole-service count integrals.
+_WINDOW_NODES, _WINDOW_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_COUNT_NODES, _COUNT_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+#: Largest ``x`` the Poisson-sum recurrence of :func:`gamma_cdfs` takes:
+#: its first term ``exp(-x)`` is still a normal double here (it turns
+#: subnormal past ~708 and underflows to 0.0 past ~745, which would read
+#: as ``P = 1``); larger ``x`` goes to ``gammainc``.
+_POISSON_SUM_MAX_X = 700.0
+
+#: Quadrature nodes times loads one batched renewal-kernel pass evaluates.
+_KERNEL_BLOCK = 1 << 16
+
+
+def gamma_cdfs(orders: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """``gammainc(s, x)`` for every ``s`` in ascending ``orders`` at once.
+
+    Returns an array of shape ``(len(orders),) + x.shape``.  When every
+    order is an integer (Erlang CDFs), the rows come from one running
+    Poisson-term recurrence ``P(s, x) = 1 - e^{-x} sum_{i<s} x^i / i!``
+    (each term is the previous one times ``x / i``), which agrees with
+    ``gammainc`` to ~1e-14 absolute (``tests/test_core_transitions.py``
+    gates it at 1e-13).
+    Non-integer orders, and elements with ``x`` past
+    ``_POISSON_SUM_MAX_X``, are evaluated by ``gammainc``.  Every step is
+    elementwise in ``x``, so batching ``x`` (e.g. across loads) cannot
+    change a bit of any element.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    orders = [float(s) for s in orders]
+    shape = (len(orders),) + x.shape
+    if not all(s.is_integer() for s in orders):
+        from scipy.special import gammainc
+
+        return gammainc(np.array(orders)[:, None], flat[None]).reshape(shape)
+    # Term i is e^{-x} x^i / i! = term i-1 times x / i; row r is 1 minus
+    # the running sum of the terms i < orders[r].
+    rows = [int(s) - 1 for s in orders]
+    out = np.empty((len(rows), flat.size), dtype=np.float64)
+    term = np.exp(-flat)
+    total = term.copy()
+    i = 1
+    for r, last in enumerate(rows):
+        while i <= last:
+            term *= flat / i
+            total += term
+            i += 1
+        np.subtract(1.0, total, out=out[r])
+    np.maximum(out, 0.0, out=out)  # rounding can push the sum past 1
+    if flat.size and flat.max() > _POISSON_SUM_MAX_X:
+        from scipy.special import gammainc
+
+        far = flat > _POISSON_SUM_MAX_X
+        out[:, far] = gammainc(np.array(orders)[:, None], flat[far][None])
+    return out.reshape(shape)
+
+
+def _count_pmf(cdfs: np.ndarray) -> np.ndarray:
+    """Renewal count pmf from k-fold gap-sum CDFs.
+
+    ``cdfs[k - 1]`` is the CDF of ``k`` gaps (``k = 1..n``) on the leading
+    axis; returns ``pmf[a] = P[exactly a arrivals]`` for ``a = 0..n - 1``
+    on the same axis.  Elementwise in every trailing axis.
+    """
+    pmf = np.empty_like(cdfs)
+    pmf[0] = 1.0 - cdfs[0]
+    pmf[1:] = cdfs[:-1] - cdfs[1:]
+    return np.clip(pmf, 0.0, 1.0, out=pmf)
 
 
 @dataclass(frozen=True)
@@ -119,7 +191,7 @@ def _service_windows(
     ``[T_j' + l - SLO, T_{j'+1} + l - SLO)`` clamped to ``[0, l]``.
     """
     values = grid.as_array()
-    uppers = np.array([grid.upper(j) for j in range(len(grid))])
+    uppers = np.append(values[1:], grid.slo_ms)  # == grid.upper(j) per bin
     lo = np.clip(values + latency_ms - grid.slo_ms, 0.0, latency_ms)
     hi = np.clip(uppers + latency_ms - grid.slo_ms, 0.0, latency_ms)
     # Bin 0 also absorbs *negative* slack: when the service outlasts the
@@ -236,43 +308,52 @@ class SplitViewKernelBuilder:
         return row
 
 
+def _per_load(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Reshape a ``(L,)`` per-load array to broadcast over ``ndim`` axes."""
+    return values.reshape(values.shape + (1,) * ndim)
+
+
 class RenewalGaps:
     """Inter-arrival gap distribution of a worker's renewal arrival process.
 
-    The equilibrium-renewal kernel builder needs three primitives:
+    One instance covers ``loads`` arrival loads of one family at once: a
+    worker MDP passes scalar parameters (``loads == 1``), a stacked policy
+    bank passes per-load parameter arrays.  The equilibrium-renewal kernel
+    builder needs these primitives, each with a load axis:
 
-    - ``gap_cdf(u)``: CDF of one gap;
-    - ``kfold_cdf(k, t)``: CDF of the sum of ``k`` i.i.d. gaps (``k >= 1``);
-    - ``mean_ms``: the mean gap.
+    - ``gap_cdf(u)``: CDF of one gap, ``(loads,) + u.shape``;
+    - ``kfold_cdfs(n, t)``: CDFs of the sums of ``k = 1..n`` i.i.d. gaps,
+      ``(n, loads) + t.shape``;
+    - ``equilibrium_cdf(t)``: CDF of the forward recurrence time (time to
+      the next arrival seen from an arbitrary time point),
+      ``(1/mean) int_0^t (1-F)``, ``(loads,) + t.shape``;
+    - ``mean_ms``: the mean gap (``_means`` holds it per load).
 
-    Subclasses provide vectorized implementations.
+    Every primitive is elementwise in the per-load parameters, so a load's
+    slice is bitwise what a one-load instance computes.
     """
 
     mean_ms: float
+    _means: np.ndarray
+
+    @property
+    def loads(self) -> int:
+        """Number of arrival loads evaluated at once."""
+        return self._means.size
 
     def gap_cdf(self, u: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def kfold_cdf(self, k: int, t: np.ndarray) -> np.ndarray:  # pragma: no cover
+    def kfold_cdfs(self, n: int, t: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def equilibrium_cdf(self, t: float) -> float:
-        """CDF of the forward recurrence time (time to the next arrival
-        seen from an arbitrary time point): ``(1/mean) int_0^t (1-F)``.
-
-        Default implementation by fixed Gauss-Legendre quadrature;
-        subclasses override with closed forms.
-        """
-        if t <= 0.0:
-            return 0.0
-        nodes, weights = np.polynomial.legendre.leggauss(48)
-        u = 0.5 * t * (nodes + 1.0)
-        integrand = 1.0 - self.gap_cdf(u)
-        return float((0.5 * t) * (weights @ integrand) / self.mean_ms)
+    def equilibrium_cdf(self, t: np.ndarray) -> np.ndarray:  # pragma: no cover
+        raise NotImplementedError
 
     def equilibrium_density(self, u: np.ndarray) -> np.ndarray:
         """Density of the forward recurrence time: ``(1 - F(u)) / mean``."""
-        return (1.0 - self.gap_cdf(np.asarray(u, dtype=np.float64))) / self.mean_ms
+        u = np.asarray(u, dtype=np.float64)
+        return (1.0 - self.gap_cdf(u)) / _per_load(self._means, u.ndim)
 
 
 class GammaGaps(RenewalGaps):
@@ -281,65 +362,63 @@ class GammaGaps(RenewalGaps):
     Round-robin thinning of a Poisson process with ``K`` workers yields
     Erlang(``K``) worker gaps; thinning a Gamma(``a``) renewal process
     yields Gamma(``a * K``) gaps.  ``shape = 1`` is the Poisson worker.
+    ``scale_ms`` may be an array of per-load scales (one shared shape).
     """
 
-    def __init__(self, shape: float, scale_ms: float) -> None:
-        if shape <= 0 or scale_ms <= 0:
+    def __init__(self, shape: float, scale_ms: Union[float, np.ndarray]) -> None:
+        scales = np.atleast_1d(np.asarray(scale_ms, dtype=np.float64))
+        if shape <= 0 or not (scales > 0).all():
             raise ValueError("shape and scale_ms must be > 0")
         self.shape = float(shape)
-        self.scale_ms = float(scale_ms)
+        self.scale_ms = float(scale_ms) if np.ndim(scale_ms) == 0 else scales
         self.mean_ms = self.shape * self.scale_ms
+        self._scales = scales
+        self._means = self.shape * scales
+
+    def _x(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        return np.maximum(t, 0.0)[None] / _per_load(self._scales, t.ndim)
 
     def gap_cdf(self, u: np.ndarray) -> np.ndarray:
-        from scipy.special import gammainc
+        return gamma_cdfs((self.shape,), self._x(u))[0]
 
-        x = np.maximum(np.asarray(u, dtype=np.float64), 0.0) / self.scale_ms
-        return gammainc(self.shape, x)
+    def kfold_cdfs(self, n: int, t: np.ndarray) -> np.ndarray:
+        return gamma_cdfs(self.shape * np.arange(1, n + 1), self._x(t))
 
-    def kfold_cdf(self, k: int, t: np.ndarray) -> np.ndarray:
-        from scipy.special import gammainc
-
-        if k < 1:
-            raise ValueError("kfold_cdf requires k >= 1")
-        x = np.maximum(np.asarray(t, dtype=np.float64), 0.0) / self.scale_ms
-        return gammainc(k * self.shape, x)
-
-    def equilibrium_cdf(self, t: float) -> float:
+    def equilibrium_cdf(self, t: np.ndarray) -> np.ndarray:
         # int_0^t (1 - F) = t - t F(t) + shape*scale*F_{shape+1}(t); / mean.
-        from scipy.special import gammainc
-
-        if t <= 0.0:
-            return 0.0
-        x = t / self.scale_ms
-        integral = (
-            t
-            - t * float(gammainc(self.shape, x))
-            + self.mean_ms * float(gammainc(self.shape + 1.0, x))
-        )
-        return min(integral / self.mean_ms, 1.0)
+        t = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
+        cdf, cdf_next = gamma_cdfs((self.shape, self.shape + 1.0), self._x(t))
+        means = _per_load(self._means, t.ndim)
+        return np.minimum((t - t * cdf + means * cdf_next) / means, 1.0)
 
 
 class DeterministicGaps(RenewalGaps):
-    """Fixed inter-arrival gaps — the zero-burstiness limit."""
+    """Fixed inter-arrival gaps — the zero-burstiness limit.
 
-    def __init__(self, gap_ms: float) -> None:
-        if gap_ms <= 0:
+    ``gap_ms`` may be an array of per-load gaps.
+    """
+
+    def __init__(self, gap_ms: Union[float, np.ndarray]) -> None:
+        gaps = np.atleast_1d(np.asarray(gap_ms, dtype=np.float64))
+        if not (gaps > 0).all():
             raise ValueError("gap_ms must be > 0")
-        self.gap_ms = float(gap_ms)
+        self.gap_ms = float(gap_ms) if np.ndim(gap_ms) == 0 else gaps
         self.mean_ms = self.gap_ms
+        self._means = gaps
 
     def gap_cdf(self, u: np.ndarray) -> np.ndarray:
-        return (np.asarray(u, dtype=np.float64) >= self.gap_ms).astype(np.float64)
+        u = np.asarray(u, dtype=np.float64)
+        return (u[None] >= _per_load(self._means, u.ndim)).astype(np.float64)
 
-    def kfold_cdf(self, k: int, t: np.ndarray) -> np.ndarray:
-        if k < 1:
-            raise ValueError("kfold_cdf requires k >= 1")
-        return (np.asarray(t, dtype=np.float64) >= k * self.gap_ms).astype(
-            np.float64
-        )
+    def kfold_cdfs(self, n: int, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        sums = np.arange(1, n + 1)[:, None] * self._means[None, :]  # (n, L)
+        return (t[None, None] >= _per_load(sums, t.ndim)).astype(np.float64)
 
-    def equilibrium_cdf(self, t: float) -> float:
-        return min(max(t, 0.0) / self.gap_ms, 1.0)
+    def equilibrium_cdf(self, t: np.ndarray) -> np.ndarray:
+        t = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
+        return np.minimum(t[None] / _per_load(self._means, t.ndim), 1.0)
 
 
 def gaps_for_distribution(distribution: ArrivalDistribution) -> RenewalGaps:
@@ -391,12 +470,12 @@ class EquilibriumRenewalKernelBuilder:
     Gauss-Legendre quadrature per window (exact window geometry, smooth
     integrands).  For exponential gaps this reproduces the Poisson split
     view exactly (memorylessness), which the test suite asserts.
-    """
 
-    #: Gauss-Legendre points per slack window.
-    _QUAD_POINTS = 8
-    #: Gauss-Legendre points for whole-service count integrals.
-    _COUNT_QUAD_POINTS = 64
+    Rows are built for many latencies (and, with a gap model over several
+    loads, a stacked policy bank, for every load) in batched passes by
+    :meth:`prefill`; the cached per-row accessors that MDP assembly reads
+    serve the first load.
+    """
 
     def __init__(
         self,
@@ -409,89 +488,152 @@ class EquilibriumRenewalKernelBuilder:
         self._space = StateSpace(max_queue=max_queue, grid_size=len(grid))
         self._service_cache: Dict[float, np.ndarray] = {}
         self._count_cache: Dict[float, np.ndarray] = {}
-        nodes, weights = np.polynomial.legendre.leggauss(self._QUAD_POINTS)
-        self._nodes = nodes
-        self._weights = weights
-        nodes_c, weights_c = np.polynomial.legendre.leggauss(self._COUNT_QUAD_POINTS)
-        self._nodes_c = nodes_c
-        self._weights_c = weights_c
 
     @property
     def space(self) -> StateSpace:
         """The state space the kernels are laid out over."""
         return self._space
 
-    def _count_pmf_at(self, remaining: np.ndarray) -> np.ndarray:
-        """``pmf[a, i] = P[a further arrivals in remaining[i]]`` for
-        ``a = 0..max_queue - 1`` (arrivals after the first one)."""
-        n_max = self._space.max_queue
-        cdfs = np.empty((n_max, remaining.size), dtype=np.float64)
-        for k in range(1, n_max + 1):
-            cdfs[k - 1] = self._gaps.kfold_cdf(k, remaining)
-        pmf = np.empty_like(cdfs)
-        pmf[0] = 1.0 - cdfs[0]
-        pmf[1:] = cdfs[:-1] - cdfs[1:]
-        return np.clip(pmf, 0.0, 1.0)
+    def _quadrature(
+        self, parts: Sequence[Tuple[float, np.ndarray, np.ndarray]]
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Integrand terms of each ``(latency_ms, u, w)`` quadrature part.
 
-    def service_row(self, latency_ms: float) -> np.ndarray:
-        """Transition row after a full drain taking ``latency_ms``."""
-        key = round(float(latency_ms), 9)
-        cached = self._service_cache.get(key)
-        if cached is not None:
-            return cached
+        Yields, per part, the weighted equilibrium density ``w * f_e(u)``,
+        ``(loads,) + u.shape``, and the pmf of the further arrivals in the
+        time ``latency_ms - u`` left after the first one, C-contiguous
+        ``(loads, max_queue, u.size)``.  Parts are evaluated in blocks of
+        at most ``_KERNEL_BLOCK`` nodes times loads; every step is
+        elementwise, so the blocking changes no bit.
+        """
+        loads = self._gaps.loads
+        blocks: list = [[]]
+        size = 0
+        for part in parts:
+            if blocks[-1] and size + part[1].size * loads > _KERNEL_BLOCK:
+                blocks.append([])
+                size = 0
+            blocks[-1].append(part)
+            size += part[1].size * loads
+        for block in blocks:
+            if not block:
+                continue
+            u_all = np.concatenate([u.ravel() for _, u, _ in block])
+            left = np.concatenate([(lat - u).ravel() for lat, u, _ in block])
+            f_e = self._gaps.equilibrium_density(u_all)
+            pmf = _count_pmf(self._gaps.kfold_cdfs(self._space.max_queue, left))
+            end = 0
+            for _, u, w in block:
+                start, end = end, end + u.size
+                yield (
+                    w * f_e[:, start:end].reshape((loads,) + u.shape),
+                    np.ascontiguousarray(pmf[:, :, start:end].transpose(1, 0, 2)),
+                )
 
+    def service_rows(self, latencies: Sequence[float]) -> np.ndarray:
+        """``(len(latencies), loads, S)`` full-drain transition rows, one
+        per latency and load of the gap model.
+
+        Elementwise steps batch across latencies, windows and loads (see
+        :meth:`_quadrature`); every reduction (the window quadrature, the
+        row sum) runs per latency and load on contiguous operands, so each
+        row is bitwise what a one-latency, one-load call gives.
+        """
         space = self._space
-        row = np.zeros(space.size, dtype=np.float64)
-        row[space.EMPTY] = 1.0 - self._gaps.equilibrium_cdf(latency_ms)
+        loads = self._gaps.loads
+        rows = np.zeros((len(latencies), loads, space.size), dtype=np.float64)
+        rows[:, :, space.EMPTY] = 1.0 - self._gaps.equilibrium_cdf(latencies).T
+        parts, where = [], []
+        for j, latency_ms in enumerate(latencies):
+            lo, width, _ = _service_windows(self._grid, latency_ms)
+            live = np.nonzero(width > 0.0)[0]
+            if live.size:
+                # Gauss-Legendre nodes for every live window at once: (W, Q).
+                half = 0.5 * width[live]
+                u = lo[live][:, None] + half[:, None] * (_WINDOW_NODES[None, :] + 1.0)
+                w = _WINDOW_WEIGHTS[None, :] * half[:, None]
+                parts.append((latency_ms, u, w))
+                where.append((j, live))
+        for (j, live), (wfe, pmf) in zip(where, self._quadrature(parts)):
+            for i in range(loads):
+                space.occupied_view(rows[j, i])[:, live] = np.einsum(
+                    "nlq,lq->nl", pmf[i].reshape((-1,) + wfe.shape[1:]), wfe[i]
+                )
 
-        lo, width, _ = _service_windows(self._grid, latency_ms)
-        occupied = space.occupied_view(row)
-        live = np.nonzero(width > 0.0)[0]
-        if live.size:
-            # Gauss-Legendre nodes for every live window at once: (L, Q).
-            half = 0.5 * width[live]
-            u = lo[live][:, None] + half[:, None] * (self._nodes[None, :] + 1.0)
-            w = self._weights[None, :] * half[:, None]
-            f_e = self._gaps.equilibrium_density(u)
-            # (N, L, Q) count pmf over the remaining time after the first
-            # arrival, flattened so each k-fold CDF is one vectorized call.
-            pmf = self._count_pmf_at((latency_ms - u).ravel()).reshape(
-                space.max_queue, live.size, self._QUAD_POINTS
-            )
-            occupied[:, live] = np.einsum("nlq,lq->nl", pmf, w * f_e)
-
-        total = row.sum()
-        if total > 1.0:
+        totals = rows.sum(axis=2)
+        over = totals > 1.0
+        if over.any():
             # Quadrature overshoot (only possible for discontinuous gap
             # densities, e.g. deterministic gaps): renormalize.
-            row /= total
-            total = 1.0
-        row[space.FULL] = max(0.0, 1.0 - total)
-        self._service_cache[key] = row
-        return row
+            rows[over] /= totals[over][:, None]
+            totals[over] = 1.0
+        rows[:, :, space.FULL] = np.maximum(0.0, 1.0 - totals)
+        return rows
+
+    def count_rows(self, latencies: Sequence[float]) -> np.ndarray:
+        """``(len(latencies), loads, max_queue + 1)`` arrival-count pmfs
+        ``P[k arrivals during latency]``, built like :meth:`service_rows`."""
+        loads = self._gaps.loads
+        counts = np.zeros(
+            (len(latencies), loads, self._space.max_queue + 1), dtype=np.float64
+        )
+        counts[:, :, 0] = 1.0 - self._gaps.equilibrium_cdf(latencies).T
+        parts, where = [], []
+        for j, latency_ms in enumerate(latencies):
+            if latency_ms > 0.0:
+                half = 0.5 * latency_ms
+                parts.append((latency_ms, half * (_COUNT_NODES + 1.0), _COUNT_WEIGHTS * half))
+                where.append(j)
+        for j, (wfe, pmf) in zip(where, self._quadrature(parts)):
+            for i in range(loads):
+                counts[j, i, 1:] = pmf[i] @ wfe[i]
+        np.clip(counts, 0.0, 1.0, out=counts)
+        totals = counts.sum(axis=2)
+        over = totals > 1.0
+        if over.any():
+            counts[over] /= totals[over][:, None]  # quadrature overshoot
+        return counts
+
+    def prefill(
+        self,
+        service_latencies: Sequence[float],
+        count_latencies: Sequence[float] = (),
+    ) -> Tuple[Dict[float, np.ndarray], Dict[float, np.ndarray]]:
+        """Build the rows of every latency not cached yet in batched passes.
+
+        Returns ``{key: (loads, S)}`` service rows and ``{key: (loads,
+        max_queue + 1)}`` count pmfs for the latencies it built, keyed like
+        the caches (``round(latency, 9)``; the first latency per key wins,
+        as with one-at-a-time calls), and caches the first load's rows.
+        """
+        built = []
+        for latencies, cache, build in (
+            (service_latencies, self._service_cache, self.service_rows),
+            (count_latencies, self._count_cache, self.count_rows),
+        ):
+            todo: Dict[float, float] = {}
+            for latency in latencies:
+                key = round(float(latency), 9)
+                if key not in cache:
+                    todo.setdefault(key, float(latency))
+            rows = dict(zip(todo, build(list(todo.values())))) if todo else {}
+            cache.update((key, r[0]) for key, r in rows.items())
+            built.append(rows)
+        return built[0], built[1]
+
+    def service_row(self, latency_ms: float) -> np.ndarray:
+        """Cached full-drain row of the first load (see :meth:`service_rows`)."""
+        key = round(float(latency_ms), 9)
+        if key not in self._service_cache:
+            self.prefill([latency_ms])
+        return self._service_cache[key]
 
     def arrival_counts(self, latency_ms: float) -> np.ndarray:
-        """``P[k arrivals during latency_ms]`` for ``k = 0..max_queue``."""
+        """Cached arrival-count pmf of the first load (see :meth:`count_rows`)."""
         key = round(float(latency_ms), 9)
-        cached = self._count_cache.get(key)
-        if cached is not None:
-            return cached
-        n_max = self._space.max_queue
-        counts = np.zeros(n_max + 1, dtype=np.float64)
-        counts[0] = 1.0 - self._gaps.equilibrium_cdf(latency_ms)
-        if latency_ms > 0.0:
-            half = 0.5 * latency_ms
-            u = half * (self._nodes_c + 1.0)
-            w = self._weights_c * half
-            f_e = self._gaps.equilibrium_density(u)
-            pmf = self._count_pmf_at(latency_ms - u)  # (N, Qc)
-            counts[1:] = pmf @ (w * f_e)
-        np.clip(counts, 0.0, 1.0, out=counts)
-        total = counts.sum()
-        if total > 1.0:
-            counts /= total  # quadrature overshoot; see service_row
-        self._count_cache[key] = counts
-        return counts
+        if key not in self._count_cache:
+            self.prefill((), [latency_ms])
+        return self._count_cache[key]
 
     def partial_row(
         self, latency_ms: float, leftover: int, leftover_slack_ms: float

@@ -16,6 +16,8 @@ from repro.core.transitions import (
     GammaGaps,
     SplitViewKernelBuilder,
     StateSpace,
+    _POISSON_SUM_MAX_X,
+    gamma_cdfs,
     gaps_for_distribution,
 )
 
@@ -182,6 +184,103 @@ class TestEquilibriumRenewalKernel:
         assert counts.sum() == pytest.approx(1.0, abs=1e-6)
         assert counts[0] == pytest.approx(0.0, abs=0.02)
         assert counts[1] + counts[2] == pytest.approx(1.0, abs=0.02)
+
+
+class TestGammaCdfs:
+    """The Erlang recurrence behind every integer-shape renewal kernel."""
+
+    #: Points on both sides of the underflow bound, up to x = 1e4.
+    X = np.unique(
+        np.concatenate(
+            [
+                np.linspace(0.0, 60.0, 601),
+                np.linspace(60.0, 1e4, 400),
+                _POISSON_SUM_MAX_X + np.array([-5.0, -1e-9, 0.0, 1e-9, 5.0]),
+                np.array([708.0, 709.0, 745.0, 746.0, 750.0, 800.0]),
+            ]
+        )
+    )
+
+    @pytest.mark.parametrize("shape", range(1, 17))
+    def test_matches_gammainc(self, shape):
+        from scipy.special import gammainc
+
+        orders = shape * np.arange(1, 65)
+        got = gamma_cdfs(orders, self.X)
+        want = gammainc(orders[:, None].astype(float), self.X[None])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_underflow_regime_falls_back_to_gammainc(self):
+        """exp(-750) is 0.0: the bare recurrence would return P = 1."""
+        from scipy.special import gammainc
+
+        x = np.array([750.0, 1e4])
+        got = gamma_cdfs((800.0,), x)[0]
+        assert np.array_equal(got, gammainc(800.0, x))
+        assert got[0] == pytest.approx(0.036, abs=1e-3)
+
+    def test_non_integer_orders_are_gammainc(self):
+        from scipy.special import gammainc
+
+        orders = 1.5 * np.arange(1, 9)
+        x = np.linspace(0.0, 40.0, 101)
+        got = gamma_cdfs(orders, x)
+        assert np.array_equal(got, gammainc(orders[:, None], x[None]))
+
+    def test_elementwise_in_x(self):
+        """Batching x (as the stacked bank does across loads) changes no
+        bit: each element equals its own one-element evaluation, and the
+        output keeps the input's trailing shape."""
+        orders = 2 * np.arange(1, 11)
+        x = np.array([[0.0, 0.3, 7.5], [42.0, 699.0, 900.0]])
+        got = gamma_cdfs(orders, x)
+        assert got.shape == (10, 2, 3)
+        for idx in np.ndindex(x.shape):
+            one = gamma_cdfs(orders, x[idx])
+            assert np.array_equal(got[(slice(None),) + idx], one)
+
+
+class TestBatchedRenewalRows:
+    """Rows built for many latencies (and loads) at once must be bitwise
+    the rows a one-latency call builds."""
+
+    LATENCIES = list(np.linspace(3.0, 140.0, 57))
+
+    @pytest.mark.parametrize(
+        "gaps",
+        [
+            GammaGaps(shape=2.0, scale_ms=7.0),
+            GammaGaps(shape=1.5, scale_ms=9.0),
+            GammaGaps(shape=8.0, scale_ms=0.1),
+            DeterministicGaps(gap_ms=11.0),
+        ],
+        ids=["erlang-2", "gamma-1.5", "erlang-8-underflow", "deterministic"],
+    )
+    def test_prefill_matches_one_at_a_time(self, gaps):
+        one = EquilibriumRenewalKernelBuilder(GRID, gaps, max_queue=N_MAX)
+        many = EquilibriumRenewalKernelBuilder(GRID, gaps, max_queue=N_MAX)
+        many.prefill(self.LATENCIES, self.LATENCIES)
+        for latency in self.LATENCIES:
+            assert np.array_equal(one.service_row(latency), many.service_row(latency))
+            assert np.array_equal(
+                one.arrival_counts(latency), many.arrival_counts(latency)
+            )
+
+    def test_stacked_loads_match_single_loads(self):
+        scales = [3.0, 7.5, 0.05]
+        stacked = EquilibriumRenewalKernelBuilder(
+            GRID, GammaGaps(shape=2.0, scale_ms=np.array(scales)), max_queue=N_MAX
+        )
+        rows, counts = stacked.prefill(self.LATENCIES, self.LATENCIES)
+        for i, scale in enumerate(scales):
+            single = EquilibriumRenewalKernelBuilder(
+                GRID, GammaGaps(shape=2.0, scale_ms=scale), max_queue=N_MAX
+            )
+            for latency in self.LATENCIES:
+                key = round(latency, 9)
+                assert np.array_equal(rows[key][i], single.service_row(latency))
+                assert np.array_equal(counts[key][i], single.arrival_counts(latency))
 
 
 class TestGapsForDistribution:

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.arrivals.distributions import DeterministicArrivals, GammaArrivals
 from repro.cache import PolicyCache
+from repro.core.bank import StackedBankMDP, solve_stacked_bank
 from repro.core.generator import PolicyGenerator, generate_policy
+from repro.core.transitions import _POISSON_SUM_MAX_X, gaps_for_distribution
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RecordingTracer
+from tests.oracles.loop_mdp import generate_loop_policy
 
 TOL = 1e-6
 LOADS = [15.0, 25.0, 35.0, 45.0]
@@ -243,6 +248,57 @@ def test_stacked_threads_initials(tiny_config):
     assert [w.iterations for w in warm] == [
         r.iterations for r in warm_reference
     ]
+
+
+# ----------------------------------------------------------------------
+# Every stacked cell, the first included, is built from the batched seed
+# ----------------------------------------------------------------------
+SEEDED_CASES = [
+    pytest.param(dict(num_workers=2), LOADS[:3], id="erlang-2"),
+    pytest.param(dict(num_workers=3), LOADS[:3], id="erlang-3"),
+    pytest.param(
+        dict(num_workers=2, arrivals=GammaArrivals(25.0, shape=0.75)),
+        LOADS[:3],
+        id="gamma-non-integer-shape",
+    ),
+    pytest.param(
+        dict(num_workers=2, arrivals=DeterministicArrivals(25.0)),
+        LOADS[:3],
+        id="deterministic",
+    ),
+    pytest.param(dict(num_workers=2), [25.0, 20000.0], id="underflow-load"),
+]
+
+
+@pytest.mark.parametrize("overrides, loads", SEEDED_CASES)
+def test_every_stacked_cell_matches_per_load_and_loop_oracle(
+    tiny_config, tmp_path, overrides, loads
+):
+    configs = [replace(tiny_config, **overrides).with_load(q) for q in loads]
+    bank = StackedBankMDP(configs)
+    assert all(cell._kernel_seed is not None for cell in bank.cells)
+    if loads[-1] > 1000.0:
+        # Some service latency spans more than _POISSON_SUM_MAX_X gap
+        # scales, so the recurrence hands those elements to gammainc.
+        gaps = gaps_for_distribution(configs[-1].per_worker_arrivals())
+        worst = max(
+            bank.cells[-1].latency_ms(m, n)
+            for m in range(bank.cells[-1].num_models)
+            for n in range(1, bank.cells[-1].max_queue + 1)
+        )
+        assert worst / gaps.scale_ms > _POISSON_SUM_MAX_X
+
+    stacked = solve_stacked_bank(configs, tolerance=TOL)
+    paths = [tmp_path / name for name in ("bank", "solo", "loop")]
+    for config, result in zip(configs, stacked):
+        solo = generate_policy(config, tolerance=TOL)
+        loop = generate_loop_policy(config, tolerance=TOL)
+        for path, r in zip(paths, (result, solo, loop)):
+            r.policy.save(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+        assert result.guarantees == solo.guarantees == loop.guarantees
+        assert result.iterations == solo.iterations == loop.iterations
 
 
 # ----------------------------------------------------------------------
