@@ -1,19 +1,19 @@
 """Attribution-engine overhead micro-benchmark.
 
 Runs the same simulation with the tail-latency attribution engine
-detached (the default), attached to the fast engine's direct hooks,
-attached with a metrics registry, and attached as a forwarding-tracer
-tap on the reference engine — and reports wall time and the relative
-cost.  The detached configuration is what every experiment and benchmark
-runs, so its overhead must stay negligible with the ``attributing``
-guard branches in the event loops: after every attributed variant has
+detached (the default), attached through the dispatch kernel's observer
+(its direct hooks), and attached with a metrics registry — and reports
+wall time and the relative cost.  The detached configuration is what
+every experiment and benchmark runs, so its overhead must stay
+negligible with the kernel's single ``observed`` guard branch per
+event: after every attributed variant has
 run, the detached path is re-timed against an interleaved detached
 control and gated at ≤1% drift (``RAMSIS_BENCH_MAX_OFF_OVERHEAD``
 overrides the tolerance; interleaving cancels machine-level clock drift
 a sequential before/after comparison would misread as overhead).  The
 recorded table under ``benchmarks/out/`` (and the root
 ``BENCH_attribution.json``) documents what opting in costs, and the
-attached fast-engine attributor is held to a fixed ceiling of
+attached attributor is held to a fixed ceiling of
 ``MAX_ATTACHED_VS_OFF`` times the detached run: its per-completion tail
 threshold must stay an O(1) histogram read (a per-completion reservoir
 sort cost ~35x here).
@@ -48,7 +48,7 @@ def _max_off_overhead() -> float:
     return float(os.environ.get("RAMSIS_BENCH_MAX_OFF_OVERHEAD", "1.01"))
 
 
-def _run(arrivals, trace, attributor=None, registry=None, engine="auto"):
+def _run(arrivals, trace, attributor=None, registry=None):
     task = image_task()
     sim = Simulation(
         SimulationConfig(
@@ -64,15 +64,13 @@ def _run(arrivals, trace, attributor=None, registry=None, engine="auto"):
         )
     )
     start = time.perf_counter()
-    metrics = sim.run(
-        JellyfishPlusSelector(), trace, arrival_times=arrivals, engine=engine
-    )
+    metrics = sim.run(JellyfishPlusSelector(), trace, arrival_times=arrivals)
     return time.perf_counter() - start, metrics
 
 
 def test_attribution_overhead(benchmark):
-    """Times detached/attached/attached+registry/tracer-tap variants on
-    one arrival realization; the benchmark fixture times the default
+    """Times detached/attached/attached+registry variants on one
+    arrival realization; the benchmark fixture times the default
     (detached) path, which is re-measured last against an interleaved
     control and gated at ≤1% drift."""
     trace = LoadTrace.constant(LOAD_QPS, DURATION_MS)
@@ -92,18 +90,17 @@ def test_attribution_overhead(benchmark):
         )
 
     def _with_registry():
-        # Registry feeds only the attributor's metric publication; the
-        # sim itself stays on the fast engine (a config-level registry
-        # would flip "auto" to the reference loop and swamp the ratio).
-        return _make_attr(MetricsRegistry()), None, "auto"
+        # Registry feeds only the attributor's metric publication (a
+        # config-level registry would also publish the sim's own series
+        # and swamp the ratio).
+        return _make_attr(MetricsRegistry()), None
 
     rows = []
     baseline_s = None
     variants = (
-        ("detached", lambda: (None, None, "auto")),
-        ("attributor (fast)", lambda: (_make_attr(), None, "auto")),
+        ("detached", lambda: (None, None)),
+        ("attributor (fast)", lambda: (_make_attr(), None)),
         ("attributor + registry", _with_registry),
-        ("tracer tap (reference)", lambda: (_make_attr(), None, "reference")),
     )
     reference = None
     attributed = None
@@ -111,14 +108,8 @@ def test_attribution_overhead(benchmark):
     for label, make in variants:
         best = None
         for _ in range(3):
-            attributor, registry, engine = make()
-            if engine == "reference":
-                # Attach through the tracer protocol instead of hooks.
-                elapsed, metrics = _run_tap(arrivals, trace, attributor)
-            else:
-                elapsed, metrics = _run(
-                    arrivals, trace, attributor, registry, engine
-                )
+            attributor, registry = make()
+            elapsed, metrics = _run(arrivals, trace, attributor, registry)
             best = elapsed if best is None else min(best, elapsed)
         if reference is None:
             reference = metrics
@@ -145,8 +136,8 @@ def test_attribution_overhead(benchmark):
         )
 
     # Re-measure the detached path after every attributed variant has
-    # run: pins the cost of the ``attributing`` guard branches in the
-    # event loops, interleaved with a control so the paired ratio
+    # run: pins the cost of the ``observed`` guard branch in the
+    # kernel, interleaved with a control so the paired ratio
     # cancels wall-clock drift.
     ceiling = _max_off_overhead()
 
@@ -186,13 +177,13 @@ def test_attribution_overhead(benchmark):
 
     assert off_drift <= ceiling, (
         f"detached path drifted to {off_drift:.3f}x the interleaved "
-        f"control (ceiling {ceiling:.2f}x) — attribution guard branches "
-        f"are no longer free"
+        f"control (ceiling {ceiling:.2f}x) — the observer guard branch "
+        f"is no longer free"
     )
 
     attached_vs_off = series["attributor (fast)"]["vs_off"]
     assert attached_vs_off <= MAX_ATTACHED_VS_OFF, (
-        f"attached fast-engine attributor costs {attached_vs_off:.1f}x the "
+        f"attached attributor costs {attached_vs_off:.1f}x the "
         f"detached run (ceiling {MAX_ATTACHED_VS_OFF:g}x) — is a "
         f"per-completion sort back on the tail-threshold path?"
     )
@@ -227,22 +218,3 @@ def test_attribution_overhead(benchmark):
     )
     assert result.total_queries > 1000
 
-
-def _run_tap(arrivals, trace, attributor):
-    """Reference engine with the attributor attached as a tracer tap."""
-    task = image_task()
-    sim = Simulation(
-        SimulationConfig(
-            model_set=task.model_set,
-            slo_ms=task.slos_ms[0],
-            num_workers=WORKERS,
-            max_batch_size=bench_scale().max_batch_size,
-            monitor=OracleLoadMonitor(trace),
-            seed=7,
-            track_responses=False,
-            tracer=attributor,
-        )
-    )
-    start = time.perf_counter()
-    metrics = sim.run(JellyfishPlusSelector(), trace, arrival_times=arrivals)
-    return time.perf_counter() - start, metrics

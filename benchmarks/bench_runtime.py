@@ -12,11 +12,12 @@ Four measurements, gated where the result is deterministic:
    smoke), and the runs must finish with **zero** violation/accuracy
    breaches.  Breach counts are a pure function of the seeded virtual
    timelines, so the audit half of the gate is machine-independent.
-2. **Dispatch-loop overhead vs. the fast simulator engine** — the same
-   arrival stream, models and policy through the discrete-event fast
-   engine and through a single sharded runtime (no auditors in either);
-   the ratio isolates what the shard dispatch kernels cost over the
-   engine's raw event loop, and must stay below
+2. **Dispatch-loop overhead vs. the simulator** — the same arrival
+   stream, models and policy through the discrete-event simulator (one
+   dispatch kernel over all workers) and through a single sharded
+   runtime (one kernel per shard, no auditors in either); the ratio
+   isolates what sharding, per-worker latency clones and the serving
+   report cost over one kernel, and must stay below
    ``MAX_DISPATCH_OVERHEAD``.
 3. **Paced added latency** — a paced run on the scaled wall clock; p99 of
    how far (wall ms) batch completions lag their virtual instants.
@@ -57,7 +58,7 @@ WORKERS_PER_SHARD = 2
 TOTAL_WORKERS = NUM_SHARDS * WORKERS_PER_SHARD
 #: Mean per-worker load of the scaled Twitter trace (QPS).
 PER_WORKER_QPS = 40.0
-#: Ceiling on the unpaced runtime's wall over the fast engine's on the
+#: Ceiling on the unpaced runtime's wall over the simulator's on the
 #: same arrival stream (``dispatch_overhead_vs_fast``).
 MAX_DISPATCH_OVERHEAD = 2.0
 
@@ -74,7 +75,7 @@ def _min_qps() -> float:
 
 
 def _bench_models() -> ModelSet:
-    """Deterministic three-model zoo (shared with bench_sim_engine)."""
+    """Deterministic three-model zoo (the perfbench zoo)."""
     return ModelSet(
         [
             ModelProfile(
@@ -204,7 +205,7 @@ def test_runtime_stress():
     )
 
     # ------------------------------------------------------------------
-    # Dispatch overhead vs. the fast simulator engine (single process,
+    # Dispatch overhead vs. the simulator (single process,
     # identical arrival stream, no auditors on either side).
     # ------------------------------------------------------------------
     from repro.runtime.workload import WorkloadGenerator
@@ -219,7 +220,7 @@ def test_runtime_stress():
         )
     )
     t0 = time.perf_counter()
-    sim.run(RamsisSelector(policy), trace, arrival_times=arrivals, engine="fast")
+    sim.run(RamsisSelector(policy), trace, arrival_times=arrivals)
     fast_s = time.perf_counter() - t0
     fast_qps = arrivals.shape[0] / fast_s
 
@@ -238,7 +239,7 @@ def test_runtime_stress():
     )
     overhead = fast_qps / single_report.qps if single_report.qps else 0.0
     assert overhead <= MAX_DISPATCH_OVERHEAD, (
-        f"dispatch overhead {overhead:.2f}x over the fast engine exceeds "
+        f"dispatch overhead {overhead:.2f}x over the simulator exceeds "
         f"the {MAX_DISPATCH_OVERHEAD:.1f}x ceiling"
     )
 
@@ -287,7 +288,7 @@ def test_runtime_stress():
         f"({trace.mean_qps:,.0f} QPS mean x {trace.duration_ms / 1000:g} s)",
         f"aggregate    {aggregate_qps:>10,.0f} q/s over {total_queries:,} "
         f"queries (floor {floor:,.0f}, fan-out wall {fanout_wall_s:.2f} s)",
-        f"fast engine  {fast_qps:>10,.0f} q/s -> dispatch overhead "
+        f"simulator    {fast_qps:>10,.0f} q/s -> dispatch overhead "
         f"{overhead:.2f}x (ceiling {MAX_DISPATCH_OVERHEAD:.1f}x; "
         f"single-process runtime {single_report.qps:,.0f} q/s)",
         f"paced        p99 added latency {paced_report.p99_added_latency_ms:.3f} ms "

@@ -415,8 +415,8 @@ def run_method(
     ``registry`` (see :mod:`repro.obs`) opt the underlying simulation into
     per-query tracing and time-series metrics; ``attributor`` attaches
     streaming tail-latency attribution
-    (:class:`repro.obs.attribution.LatencyAttributor`) on either engine
-    without forcing the reference path.  ``cache`` layers a persistent
+    (:class:`repro.obs.attribution.LatencyAttributor`); every variant
+    runs on the one dispatch kernel.  ``cache`` layers a persistent
     :class:`repro.cache.PolicyCache` under policy construction so
     concurrent sweep processes share solved policies.
     """

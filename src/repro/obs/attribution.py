@@ -38,11 +38,11 @@ products:
 
 Attachment points:
 
-- ``SimulationConfig(attributor=...)`` — both simulator engines call the
-  ``observe_*`` hooks directly with the same float expressions, so fast
-  and reference runs produce identical attribution (and ``engine="auto"``
-  keeps using the fast path: attribution alone does not force the
-  reference loop).
+- ``SimulationConfig(attributor=...)`` or a serving shard's
+  ``attributors=`` — the dispatch kernel's observer
+  (:class:`repro.sim.kernel.LifecycleObserver`) calls the ``observe_*``
+  hooks directly, so a simulation and a sharded serve of the same
+  arrivals attribute identically.
 - As a forwarding tracer (``tracer=LatencyAttributor(inner=...)``) for
   the wall-clock runtime or any recorded stream.
 - Offline: :meth:`LatencyAttributor.fold` runs the direct hooks over a

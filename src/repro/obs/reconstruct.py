@@ -53,8 +53,8 @@ class TraceSummary:
     batch_total: int
     arrivals: int
     #: Sum of per-query model accuracy over satisfied completions, folded
-    #: in record order — the same summation
-    #: :class:`~repro.sim.metrics.MetricsCollector` performs, so the
+    #: in ``(seq, worker)`` order — the same summation
+    #: :func:`~repro.sim.metrics.fold_worker_records` performs, so the
     #: reconstructed accuracy matches the simulator's float-exactly.
     accuracy_sum: float = 0.0
 
@@ -81,8 +81,17 @@ class TraceSummary:
 
 
 def summarize(table: EventTable) -> TraceSummary:
-    """The lifecycle summary of an event table, folded in row order."""
+    """The lifecycle summary of an event table.
+
+    Completions fold stably sorted on ``(seq, worker)``: per cell, worker
+    after worker, each worker's records in row order — the order
+    :func:`repro.sim.metrics.fold_worker_records` adds them in.  A merged
+    run dir is already in that order; an in-memory simulator trace
+    (completions in event order) is regrouped.
+    """
     completions = table.rows(INSTANT, COMPLETION_EVENT)
+    workers = [-1 if v is MISSING else int(v) for v in table.arg("worker", completions)]
+    completions = completions[np.lexsort((workers, table.columns["seq"][completions]))]
     satisfied = [
         value is not MISSING and bool(value)
         for value in table.arg("satisfied", completions)

@@ -5,16 +5,15 @@ that replays a trace of arrival times, tracks central/worker queue states
 and worker busy periods, and applies profiled inference latencies to MS&S
 decisions.  This subpackage is the equivalent component:
 
-- :mod:`repro.sim.queries` — queries and their deadlines;
 - :mod:`repro.sim.latency_model` — deterministic-p95 execution (the
   paper's "simulation" variant) and stochastic execution (its
   "implementation" variant, §7.3.1);
 - :mod:`repro.sim.monitor` — the 500 ms moving-average load monitor (§6);
 - :mod:`repro.sim.metrics` — Accuracy Per Satisfied Query and Latency SLO
   Violation Rate (§7 "Performance Metrics");
-- :mod:`repro.sim.simulator` — the event loop, supporting both the
-  per-worker-queue discipline RAMSIS uses and the central-queue
-  eager-worker discipline of the baselines.
+- :mod:`repro.sim.kernel` — the event kernel (shared with the serving
+  tier), for RAMSIS's per-worker queues and the baselines' central queue;
+- :mod:`repro.sim.simulator` — the simulation driver over that kernel.
 """
 
 from repro.sim.latency_model import (
@@ -25,11 +24,9 @@ from repro.sim.latency_model import (
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.monitor import LoadMonitor, OracleLoadMonitor
 from repro.sim.multislo import MultiSLOReport, SLOClass, partition_workers, run_multi_slo
-from repro.sim.queries import Query
 from repro.sim.simulator import QueueDiscipline, Simulation, SimulationConfig
 
 __all__ = [
-    "Query",
     "SLOClass",
     "MultiSLOReport",
     "partition_workers",

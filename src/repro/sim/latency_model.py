@@ -29,9 +29,9 @@ class LatencyModel(abc.ABC):
 
     #: True when :meth:`execution_ms` is a pure function of
     #: ``(model, batch_size)`` — no randomness, no hidden state.  The
-    #: simulator's fast event loop memoizes latencies per ``(model,
-    #: batch)`` (scaled per worker speed) only for cacheable models;
-    #: stochastic models are called on every dispatch.
+    #: dispatch kernel memoizes latencies per ``(model, batch)`` (scaled
+    #: per worker speed) only for cacheable models; stochastic models
+    #: are called on every dispatch.
     cacheable: bool = False
 
     @abc.abstractmethod

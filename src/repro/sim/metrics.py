@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from functools import reduce
+from operator import add
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro._util import percentile
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["MetricsCollector", "SimulationMetrics"]
+__all__ = ["MetricsCollector", "SimulationMetrics", "fold_worker_records"]
 
 
 @dataclass(frozen=True)
@@ -171,14 +173,8 @@ class MetricsCollector:
     ) -> None:
         """Bulk-load accumulators gathered outside the collector.
 
-        The simulator's fast event loop accumulates into local variables
-        (skipping per-completion method calls) and hands the totals over
-        here, so :meth:`finalize` stays the single source of the derived
-        statistics.  The sums must have been accumulated in completion
-        order with the same operations :meth:`record_completion` performs
-        — then the finalized metrics are float-identical to the
-        per-completion path.  Only meaningful without a registry attached
-        (the fast path never runs with one).
+        :func:`fold_worker_records` hands its totals over here, so
+        :meth:`finalize` stays the one source of the derived statistics.
         """
         self._total += total
         self._satisfied += satisfied
@@ -189,11 +185,6 @@ class MetricsCollector:
         self._model_counts.update(model_counts)
         self._decisions += decisions
         self._batch_sum += batch_sum
-
-    @property
-    def total(self) -> int:
-        """Completions recorded so far."""
-        return self._total
 
     def finalize(self) -> SimulationMetrics:
         """Freeze the accumulated statistics."""
@@ -224,3 +215,46 @@ class MetricsCollector:
             decisions=self._decisions,
             model_query_counts=dict(self._model_counts),
         )
+
+
+def fold_worker_records(
+    responses: Sequence[List[float]],
+    accuracies: Sequence[List[float]],
+    *,
+    model_counts: Mapping[str, int],
+    decisions: int,
+    batch_sum: int,
+    track_responses: bool = True,
+) -> SimulationMetrics:
+    """The one fold of per-worker records into :class:`SimulationMetrics`.
+
+    ``responses[w]`` holds worker ``w``'s terminal response times and
+    ``accuracies[w]`` the accuracy of each of its satisfied queries, both
+    in event order.  The running sums add worker after worker — the order
+    :func:`repro.obs.reconstruct.summarize` folds a trace in — so a
+    simulation, a sharded serve of the same arrivals and their trace
+    reconstructions agree float-exactly.
+    """
+    response_sum = 0.0
+    accuracy_sum = 0.0
+    total = 0
+    satisfied = 0
+    for worker_responses, worker_accuracies in zip(responses, accuracies):
+        response_sum = reduce(add, worker_responses, response_sum)
+        accuracy_sum = reduce(add, worker_accuracies, accuracy_sum)
+        total += len(worker_responses)
+        satisfied += len(worker_accuracies)
+    collector = MetricsCollector(track_responses=track_responses)
+    collector.absorb(
+        total=total,
+        satisfied=satisfied,
+        accuracy_sum=accuracy_sum,
+        response_sum=response_sum,
+        responses=(
+            [r for worker in responses for r in worker] if track_responses else []
+        ),
+        model_counts=model_counts,
+        decisions=decisions,
+        batch_sum=batch_sum,
+    )
+    return collector.finalize()

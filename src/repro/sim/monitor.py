@@ -10,7 +10,7 @@ predicts the load to isolate MS&S quality from prediction error;
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from repro.arrivals.traces import LoadTrace
 from repro.obs.metrics import MetricsRegistry
@@ -42,6 +42,11 @@ class LoadMonitor:
     def window_ms(self) -> float:
         """Averaging window length."""
         return self._window_ms
+
+    @property
+    def publishing(self) -> bool:
+        """Whether a registry is attached (every call then publishes)."""
+        return self._c_arrivals is not None
 
     def attach_registry(self, registry: Optional[MetricsRegistry]) -> None:
         """Publish arrivals and anticipated/realized load into ``registry``
@@ -94,22 +99,6 @@ class LoadMonitor:
             return 0.0
         return len(arrivals) / horizon * 1000.0
 
-    def _evict(self, now_ms: float) -> None:
-        cutoff = now_ms - self._window_ms
-        arrivals = self._arrivals
-        while arrivals and arrivals[0] < cutoff:
-            arrivals.popleft()
-
-    def hot_state(self) -> "Tuple[Deque[float], float]":
-        """``(arrivals deque, window_ms)`` for the simulator's fast loop.
-
-        The fast event loop inlines :meth:`record_arrival` /
-        :meth:`realized_load_qps` for the built-in monitors (no registry
-        attached); this accessor keeps that coupling explicit instead of
-        reaching into private attributes.
-        """
-        return self._arrivals, self._window_ms
-
     def reset(self) -> None:
         """Forget all recorded arrivals.
 
@@ -132,6 +121,11 @@ class OracleLoadMonitor(LoadMonitor):
     def __init__(self, trace: LoadTrace) -> None:
         super().__init__(window_ms=500.0)
         self._trace = trace
+
+    @property
+    def trace(self) -> LoadTrace:
+        """The trace whose true load this monitor reports."""
+        return self._trace
 
     def anticipated_load_qps(self, now_ms: float) -> float:
         clamped = min(max(now_ms, 0.0), self._trace.duration_ms - 1e-9)

