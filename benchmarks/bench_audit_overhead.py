@@ -1,12 +1,13 @@
 """Live-auditor overhead micro-benchmark.
 
 A/B of the same RAMSIS pinned-policy simulation with auditing off (the
-default ``NULL_TRACER`` path every experiment uses), with a bare
-:class:`GuaranteeAuditor` as the tracer, and with the auditor fanning out
-to a :class:`RecordingTracer`.  The off variant is the PR 1 baseline path
-byte-for-byte — the auditor attaches purely through the tracer interface —
-so its timing documents that auditing disabled costs nothing; the other
-rows document what the runtime contract costs when switched on.
+unobserved path every experiment uses), with a bare
+:class:`GuaranteeAuditor` in the ``SimulationConfig.auditor`` slot, and
+with a :class:`RecordingTracer` as the run's tracer and the auditor's
+``inner`` tracer.  The auditor attaches only through the kernel's
+observer, so the off variant makes no observer call and its timing
+documents that auditing disabled costs nothing; the other rows document
+what the runtime contract costs when switched on.
 """
 
 import time
@@ -31,7 +32,7 @@ WORKERS = 2
 DURATION_MS = 20_000.0
 
 
-def _run(task, arrivals, trace, slo_ms, policy, tracer):
+def _run(task, arrivals, trace, slo_ms, policy, tracer=None, auditor=None):
     sim = Simulation(
         SimulationConfig(
             model_set=task.model_set,
@@ -42,6 +43,7 @@ def _run(task, arrivals, trace, slo_ms, policy, tracer):
             seed=7,
             track_responses=False,
             tracer=tracer,
+            auditor=auditor,
         )
     )
     start = time.perf_counter()
@@ -72,13 +74,17 @@ def test_audit_overhead(benchmark):
             inner=inner,
         )
 
+    def recorded():
+        recorder = RecordingTracer()
+        return {"tracer": recorder, "auditor": make_auditor(recorder)}
+
     # Warm once (primes policy/latency caches fairly).
-    _run(task, arrivals, trace, slo_ms, policy, None)
+    _run(task, arrivals, trace, slo_ms, policy)
 
     variants = (
-        ("off (no auditor)", lambda: None),
-        ("auditor", make_auditor),
-        ("auditor + recording", lambda: make_auditor(RecordingTracer())),
+        ("off (no auditor)", dict),
+        ("auditor", lambda: {"auditor": make_auditor()}),
+        ("auditor + recording", recorded),
     )
     rows = []
     series = {}
@@ -88,7 +94,7 @@ def test_audit_overhead(benchmark):
         best = None
         for _ in range(3):
             elapsed, metrics = _run(
-                task, arrivals, trace, slo_ms, policy, make()
+                task, arrivals, trace, slo_ms, policy, **make()
             )
             best = elapsed if best is None else min(best, elapsed)
         if reference is None:
@@ -132,7 +138,7 @@ def test_audit_overhead(benchmark):
 
     # The pytest-benchmark timing tracks the default (auditing-off) path.
     result = benchmark.pedantic(
-        lambda: _run(task, arrivals, trace, slo_ms, policy, None)[1],
+        lambda: _run(task, arrivals, trace, slo_ms, policy)[1],
         rounds=1,
         iterations=1,
     )

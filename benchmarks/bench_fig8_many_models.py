@@ -36,7 +36,7 @@ def test_fig8_run_and_render(benchmark, fig8_result):
         render_fig8(result),
         data={
             "points": [
-                dict(method=label, model_count=count, **row)
+                {**row, "method": label, "model_count": count}
                 for (label, count, p) in result.points
                 for row in points_payload([p])
             ]

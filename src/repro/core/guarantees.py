@@ -167,8 +167,12 @@ def stationary_occupancy(
 
 
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
-    """Total-variation distance ``0.5 * sum |p - q|`` over the key union."""
-    keys = set(p) | set(q)
+    """Total-variation distance ``0.5 * sum |p - q|`` over the key union.
+
+    Summed in sorted key order: a set's iteration order follows the
+    process's string-hash seed, and float addition is not associative.
+    """
+    keys = sorted(set(p) | set(q))
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 

@@ -405,6 +405,7 @@ def run_method(
     registry: Optional[MetricsRegistry] = None,
     cache: Optional["PolicyCache"] = None,
     attributor: Optional["LatencyAttributor"] = None,
+    auditor: Optional[GuaranteeAuditor] = None,
 ) -> MethodPoint:
     """Execute one evaluation cell and collect its metrics.
 
@@ -415,8 +416,9 @@ def run_method(
     ``registry`` (see :mod:`repro.obs`) opt the underlying simulation into
     per-query tracing and time-series metrics; ``attributor`` attaches
     streaming tail-latency attribution
-    (:class:`repro.obs.attribution.LatencyAttributor`); every variant
-    runs on the one dispatch kernel.  ``cache`` layers a persistent
+    (:class:`repro.obs.attribution.LatencyAttributor`) and ``auditor``
+    live §5.1 auditing (:class:`repro.obs.audit.GuaranteeAuditor`);
+    every variant runs on the one dispatch kernel.  ``cache`` layers a persistent
     :class:`repro.cache.PolicyCache` under policy construction so
     concurrent sweep processes share solved policies.
     """
@@ -449,6 +451,7 @@ def run_method(
             track_responses=False,
             tracer=tracer,
             registry=registry,
+            auditor=auditor,
             attributor=attributor,
         )
     )
@@ -495,9 +498,10 @@ def run_audited(
     generated for ``policy_load_qps`` when given, else the trace's mean
     load.  Passing a ``policy_load_qps`` below the trace's actual load
     deliberately audits a *stale* policy — the adversarial case where the
-    auditor must flag bound breaches and load drift.  ``tracer`` becomes
-    the auditor's inner tracer, so a :class:`~repro.obs.RecordingTracer`
-    here also captures the emitted ``audit_*`` events.
+    auditor must flag bound breaches and load drift.  ``tracer`` records
+    the run and is also the auditor's inner tracer, so a
+    :class:`~repro.obs.RecordingTracer` here captures the emitted
+    ``audit_*`` events too.
     """
     models = model_set if model_set is not None else task.model_set
     actual_load = trace.qps[0] if len(trace.qps) == 1 else trace.mean_qps
@@ -526,8 +530,9 @@ def run_audited(
         latency_model=latency_model,
         model_set=models,
         selector=selector,
-        tracer=auditor,
+        tracer=tracer,
         registry=registry,
+        auditor=auditor,
     )
     report = auditor.finalize(trace.duration_ms)
     return AuditedRun(point=point, report=report, guarantees=guarantees)

@@ -143,20 +143,25 @@ def _pool_cell(
     obs = worker_obs() if ship else None
     tracer: Optional[Tracer] = None
     registry: Optional["MetricsRegistry"] = None
+    attributor: Optional["LatencyAttributor"] = None
     if obs is not None:
         obs.tracer.set_sequence(seq)
-        # The attributor tap forwards every record to the shard verbatim
-        # while folding a live per-worker attribution view; flush() at the
-        # end of the task publishes it for ``ramsis top``.
-        tracer = obs.attributor if obs.attributor is not None else obs.tracer
+        # The worker's attributor folds a live attribution view across its
+        # cells; flush() at the end of the task publishes it for
+        # ``ramsis top``.
+        tracer = obs.tracer
         registry = obs.registry
+        attributor = obs.attributor
     cache: Optional["PolicyCache"] = None
     if cache_dir is not None:
         from repro.cache import PolicyCache
 
         cache = PolicyCache(directory=cache_dir, registry=registry, tracer=tracer)
     try:
-        return run_cell(cell, scale, cache=cache, tracer=tracer, registry=registry)
+        return run_cell(
+            cell, scale, cache=cache, tracer=tracer, registry=registry,
+            attributor=attributor,
+        )
     finally:
         if obs is not None:
             obs.flush()

@@ -272,8 +272,8 @@ class WorkerObs:
     registry: MetricsRegistry
     run_dir: Path
     metrics_path: Path
-    #: Forwarding-tracer tap around ``tracer``; pool tasks attach this so
-    #: the worker accumulates a live attribution view across its cells.
+    #: Pool tasks attach this as their simulation's attributor, so the
+    #: worker accumulates a live attribution view across its cells.
     attributor: Optional[Any] = None
 
     def flush(self) -> None:
@@ -325,7 +325,7 @@ def init_worker_obs(run_dir: str) -> None:
         registry=MetricsRegistry(),
         run_dir=directory,
         metrics_path=directory / f"metrics-{pid}.json",
-        attributor=LatencyAttributor(inner=tracer),
+        attributor=LatencyAttributor(),
     )
     _WORKER_OBS = obs
     atexit.register(obs.flush)

@@ -1,11 +1,10 @@
 """Tail-latency attribution: per-phase decomposition, blame, burn rate.
 
 The guarantee machinery answers *whether* P(latency <= SLO) holds; this
-module answers *why* it stopped holding.  :class:`LatencyAttributor` is a
-:class:`~repro.obs.trace.ForwardingTracer` that folds the per-query
-lifecycle stream the simulator and runtime already emit (``serve`` spans,
-``service_start`` / ``completion`` instants) into three streaming
-products:
+module answers *why* it stopped holding.  :class:`LatencyAttributor`
+folds the per-query lifecycle the dispatch kernel reports through three
+typed hooks (``observe_decision`` per batch, ``observe_service_start`` /
+``observe_completion`` per query) into three streaming products:
 
 - **Phase tables.**  Every query's end-to-end latency is decomposed into
   *admission/queue wait* (arrival to dispatch), *batch wait* (dispatch
@@ -38,14 +37,12 @@ products:
 
 Attachment points:
 
-- ``SimulationConfig(attributor=...)`` or a serving shard's
+- Live: ``SimulationConfig(attributor=...)`` or a serving shard's
   ``attributors=`` — the dispatch kernel's observer
   (:class:`repro.sim.kernel.LifecycleObserver`) calls the ``observe_*``
-  hooks directly, so a simulation and a sharded serve of the same
-  arrivals attribute identically.
-- As a forwarding tracer (``tracer=LatencyAttributor(inner=...)``) for
-  the wall-clock runtime or any recorded stream.
-- Offline: :meth:`LatencyAttributor.fold` runs the direct hooks over a
+  hooks, so a simulation and a sharded serve of the same arrivals
+  attribute identically.
+- Offline: :meth:`LatencyAttributor.fold` runs the same hooks over a
   columnar :class:`~repro.obs.columns.EventTable` in recorded order —
   e.g. the merged table of a parallel sweep, whose ``(seq, worker, n)``
   order equals serial cell order (the parallel == serial contract).
@@ -78,7 +75,7 @@ from repro.obs.audit import AuditAlert
 from repro.obs.columns import INSTANT, MISSING, SPAN, EventTable
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.reconstruct import TORN_RECORD, _iter_jsonl
-from repro.obs.trace import ForwardingTracer, RecordingTracer, Tracer
+from repro.obs.trace import RecordingTracer
 
 __all__ = [
     "PhaseBreakdown",
@@ -267,7 +264,7 @@ class BurnWindow:
         return False
 
 
-class LatencyAttributor(ForwardingTracer):
+class LatencyAttributor:
     """Streaming tail-latency attribution engine (see module docstring).
 
     ``slo_ms`` labels the rows and enables violation-excess tracking;
@@ -278,8 +275,9 @@ class LatencyAttributor(ForwardingTracer):
     divided by it.  ``alert_sink`` callables receive each
     :class:`~repro.obs.audit.AuditAlert` — pass an existing
     :meth:`GuaranteeAuditor.emit_alert <repro.obs.audit.GuaranteeAuditor>`
-    to feed the auditor's alert stream.  Thread-safe: the wall-clock
-    runtime's worker threads may call the hooks concurrently.
+    to feed the auditor's alert stream.  Thread-safe: a serving shard's
+    snapshot thread serializes the tables while the kernel folds into
+    them.
     """
 
     def __init__(
@@ -287,7 +285,6 @@ class LatencyAttributor(ForwardingTracer):
         slo_ms: Optional[float] = None,
         *,
         models: Optional[Iterable[Any]] = None,
-        inner: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
         burn_windows: Sequence[int] = (1000, 10000),
         burn_threshold: float = 1.0,
@@ -298,7 +295,6 @@ class LatencyAttributor(ForwardingTracer):
         alert_sink: Optional[Callable[[AuditAlert], None]] = None,
         record_queries: bool = False,
     ) -> None:
-        super().__init__(inner)
         self.slo_ms = float(slo_ms) if slo_ms is not None else None
         self._models = list(models) if models is not None else None
         self._registry = registry
@@ -375,59 +371,7 @@ class LatencyAttributor(ForwardingTracer):
             sink(alert)
 
     # ------------------------------------------------------------------
-    # Tracer tap: the forwarding-tracer attachment mode
-    # ------------------------------------------------------------------
-    def complete(
-        self,
-        name: str,
-        track: str,
-        start_ms: float,
-        duration_ms: float,
-        category: str = "sim",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        if name == _SERVE and args is not None:
-            self.observe_decision(
-                int(args.get("worker", _worker_from_track(track))),
-                str(args.get("model", "")),
-                int(args.get("batch", 1)),
-                float(duration_ms),
-            )
-        self._inner.complete(name, track, start_ms, duration_ms, category, args)
-
-    def instant(
-        self,
-        name: str,
-        track: str,
-        ts_ms: float,
-        category: str = "sim",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        # Events missing the lifecycle keys (older or foreign trace
-        # schemas) are forwarded but not attributed.
-        if args is not None:
-            if name == _SERVICE_START and "query" in args and "wait_ms" in args:
-                self.observe_service_start(
-                    int(args["query"]),
-                    _worker_from_track(track),
-                    str(args.get("model", "")),
-                    int(args.get("batch", 1)),
-                    float(args["wait_ms"]),
-                )
-            elif name == _COMPLETION and "query" in args and "response_ms" in args:
-                self.observe_completion(
-                    int(args["query"]),
-                    int(args.get("worker", _worker_from_track(track))),
-                    str(args.get("model", "")),
-                    float(args["response_ms"]),
-                    bool(args.get("satisfied", False)),
-                    t_ms=ts_ms,
-                    dropped=bool(args.get("dropped", False)),
-                )
-        self._inner.instant(name, track, ts_ms, category, args)
-
-    # ------------------------------------------------------------------
-    # Direct hooks: the engine attachment mode
+    # Kernel hooks
     # ------------------------------------------------------------------
     def observe_decision(
         self, worker: int, model: str, batch: int, exec_ms: float
@@ -542,17 +486,6 @@ class LatencyAttributor(ForwardingTracer):
                         if self._budget is not None
                         else ")"
                     )
-                )
-                self._inner.instant(
-                    "audit_burn",
-                    "audit",
-                    t_ms,
-                    args={
-                        "window": window.size,
-                        "burn": burn,
-                        "rate": window.rate,
-                        "threshold": self._burn_threshold,
-                    },
                 )
                 self._alert(AuditAlert("slo-burn-rate", t_ms, detail))
 
@@ -790,7 +723,7 @@ class LatencyAttributor(ForwardingTracer):
     # Offline fold
     # ------------------------------------------------------------------
     def fold(self, table: EventTable) -> "LatencyAttributor":
-        """Fold a recorded event table through the direct hooks, in its
+        """Fold a recorded event table through the kernel hooks, in its
         recorded order.
 
         ``serve`` spans feed only the decision table and instants only

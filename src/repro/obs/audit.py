@@ -25,13 +25,16 @@ contract:
    monitor) and flags when load leaves the active policy's profiled
    operating point before the selector has switched policies.
 
-The auditor is a :class:`~repro.obs.trace.ForwardingTracer`: it taps the
-simulator's existing lifecycle stream (``arrival`` instants, ``serve``
-spans, ``completion`` instants), relays everything to an optional inner
-:class:`~repro.obs.trace.RecordingTracer`, and emits its own ``audit_*``
-events onto an ``audit`` track so verdicts flow through the JSONL/Chrome
-exporters unchanged.  With no auditor configured the simulator hot path is
-untouched (the usual ``tracer.enabled`` guard).
+The auditor is fed by the dispatch kernel's observer
+(:class:`~repro.sim.kernel.LifecycleObserver`) through three typed hooks —
+:meth:`~GuaranteeAuditor.observe_arrival`,
+:meth:`~GuaranteeAuditor.observe_decision` and
+:meth:`~GuaranteeAuditor.observe_completion` — attached as
+``SimulationConfig(auditor=...)`` or a serving shard's ``auditors=``.  It
+emits its own ``audit_*`` events onto an ``audit`` track of an optional
+``inner`` tracer (e.g. the run's :class:`~repro.obs.trace.RecordingTracer`),
+so verdicts flow through the JSONL/Chrome exporters unchanged.  With no
+auditor attached the kernel makes no audit call.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 from repro.core.guarantees import PolicyGuarantees, total_variation
 from repro.core.policy import Policy
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import ForwardingTracer, Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 
 __all__ = [
     "wilson_interval",
@@ -487,8 +490,8 @@ class AuditReport:
 # ----------------------------------------------------------------------
 # The streaming auditor
 # ----------------------------------------------------------------------
-class GuaranteeAuditor(ForwardingTracer):
-    """Streams a run's lifecycle events and audits them against §5.1.
+class GuaranteeAuditor:
+    """Streams a run's lifecycle hooks and audits them against §5.1.
 
     Parameters
     ----------
@@ -505,7 +508,7 @@ class GuaranteeAuditor(ForwardingTracer):
         ``stationary_occupancy(mdp, policy).decision_conditional()``.
         ``None`` disables the occupancy audit.
     inner:
-        Optional tracer every record is forwarded to (fan-out).
+        Optional tracer receiving the auditor's own ``audit_*`` records.
     registry:
         Optional metrics registry receiving ``audit_*`` counters/gauges.
     reference_load_qps:
@@ -523,7 +526,8 @@ class GuaranteeAuditor(ForwardingTracer):
         registry: Optional[MetricsRegistry] = None,
         reference_load_qps: Optional[float] = None,
     ) -> None:
-        super().__init__(inner)
+        #: Where the ``audit_*`` records go (``NULL_TRACER`` if none).
+        self.inner: Tracer = inner if inner is not None else NULL_TRACER
         if isinstance(bounds, PolicyGuarantees):
             bounds = AuditBounds.from_guarantees(bounds)
         if bounds is not None and not isinstance(bounds, AuditBounds):
@@ -675,45 +679,16 @@ class GuaranteeAuditor(ForwardingTracer):
             )
 
     # ------------------------------------------------------------------
-    # Tracer interface (tap + forward)
+    # Kernel hooks
     # ------------------------------------------------------------------
-    def complete(
-        self,
-        name: str,
-        track: str,
-        start_ms: float,
-        duration_ms: float,
-        category: str = "sim",
-        args: Optional[Dict[str, Any]] = None,
+    def observe_completion(
+        self, t_ms: float, satisfied: bool, accuracy: float
     ) -> None:
-        super().complete(name, track, start_ms, duration_ms, category, args)
-        if name == "serve" and args is not None:
-            self._observe_decision(args)
-            self._last_ts_ms = max(self._last_ts_ms, start_ms + duration_ms)
-
-    def instant(
-        self,
-        name: str,
-        track: str,
-        ts_ms: float,
-        category: str = "sim",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        super().instant(name, track, ts_ms, category, args)
-        self._last_ts_ms = max(self._last_ts_ms, ts_ms)
-        if name == "completion" and args is not None:
-            self._observe_completion(ts_ms, args)
-        elif name == "arrival":
-            self._observe_arrival(ts_ms)
-
-    # ------------------------------------------------------------------
-    # Stream consumers
-    # ------------------------------------------------------------------
-    def _observe_completion(self, ts_ms: float, args: Mapping[str, Any]) -> None:
+        """A query ended at ``t_ms`` (``accuracy`` 0 when unsatisfied)."""
+        if t_ms > self._last_ts_ms:
+            self._last_ts_ms = t_ms
         if self._win_total == 0:
-            self._win_start_ms = ts_ms
-        satisfied = bool(args.get("satisfied"))
-        accuracy = float(args.get("accuracy", 0.0))
+            self._win_start_ms = t_ms
         self._win_total += 1
         self._total += 1
         if satisfied:
@@ -722,24 +697,30 @@ class GuaranteeAuditor(ForwardingTracer):
             self._win_accuracy_sum += accuracy
             self._accuracy_sum += accuracy
         if self._win_total >= self._cfg.window_queries:
-            self._close_window(ts_ms)
+            self._close_window(t_ms)
 
-    def _observe_decision(self, args: Mapping[str, Any]) -> None:
-        if self._policy is None:
+    def observe_decision(
+        self, queue_len: int, slack_ms: float, end_ms: float
+    ) -> None:
+        """A worker decided in state ``(queue_len, slack_ms)``; its batch
+        runs until ``end_ms``."""
+        if end_ms > self._last_ts_ms:
+            self._last_ts_ms = end_ms
+        policy = self._policy
+        if policy is None:
             return
-        n = args.get("queue_len")
-        slack = args.get("slack_ms")
-        if n is None or slack is None:
-            return
-        if n > self._policy.max_queue:
+        if queue_len > policy.max_queue:
             key = "full"
         else:
-            key = f"{int(n)},{self._policy.grid.floor_index(float(slack))}"
+            key = f"{queue_len},{policy.grid.floor_index(slack_ms)}"
         self._occupancy[key] = self._occupancy.get(key, 0) + 1
         self._epochs += 1
 
-    def _observe_arrival(self, ts_ms: float) -> None:
-        realized = self._rate.record(ts_ms)
+    def observe_arrival(self, t_ms: float) -> None:
+        """A query arrived at ``t_ms`` (feeds the load-drift audit)."""
+        if t_ms > self._last_ts_ms:
+            self._last_ts_ms = t_ms
+        realized = self._rate.record(t_ms)
         if self._detector is None or not self._drift_armed:
             return
         direction = self._detector.update(realized)
@@ -754,7 +735,7 @@ class GuaranteeAuditor(ForwardingTracer):
         if direction == "down" and realized >= reference * (1.0 - self._cfg.drift_delta):
             return
         event = DriftEvent(
-            t_ms=ts_ms,
+            t_ms=t_ms,
             direction=direction,
             realized_qps=realized,
             reference_qps=reference,
@@ -766,12 +747,12 @@ class GuaranteeAuditor(ForwardingTracer):
         self.inner.instant(
             "audit_drift",
             "audit",
-            ts_ms,
+            t_ms,
             category="audit",
             args=event.to_json_dict(),
         )
         self._alert(
-            AuditAlert(kind="load-drift", t_ms=ts_ms, detail=event.to_json_dict())
+            AuditAlert(kind="load-drift", t_ms=t_ms, detail=event.to_json_dict())
         )
 
     # ------------------------------------------------------------------

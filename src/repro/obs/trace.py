@@ -136,8 +136,9 @@ class ForwardingTracer(Tracer):
     """A tracer that relays every record to an inner tracer.
 
     Subclasses observe the stream (override a method, call ``super()``)
-    without owning storage — the pattern the streaming auditor uses to sit
-    between the simulator and a :class:`RecordingTracer`.  With no inner
+    without owning storage — the pattern
+    :class:`~repro.obs.profile.PhaseProfiler` uses to time wall-clock
+    spans on their way to a :class:`RecordingTracer`.  With no inner
     tracer the records are consumed by the subclass alone.
     """
 

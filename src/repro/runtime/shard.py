@@ -289,8 +289,9 @@ class ShardedController:
         ``auditors`` / ``attributors`` optionally attach one
         :class:`~repro.obs.audit.GuaranteeAuditor` /
         :class:`~repro.obs.attribution.LatencyAttributor` per shard —
-        they receive the shard's lifecycle events (virtual timestamps, in
-        virtual-time order) as a direct tap.
+        the shard's kernel calls their ``observe_*`` hooks (virtual
+        timestamps, in virtual-time order), as a simulation's
+        ``SimulationConfig.auditor`` / ``attributor`` slots do.
         """
         start_wall = time.monotonic()
         num_shards = self._num_shards

@@ -92,10 +92,12 @@ class LifecycleObserver:
 
     Every query's ``arrival`` / ``service_start`` / ``completion``
     instants and every batch's ``serve`` span go to its worker's tracer
-    (``tracers[w]``; ``None`` entries are skipped); the arrival, serve
-    and completion records also go to ``auditor`` (any tracer-shaped
-    sink); ``attributor`` gets its direct ``observe_*`` hooks; and with
-    a ``registry`` every decision and completion is published through a
+    (``tracers[w]``; ``None`` entries are skipped, and only a tracer gets
+    an argument dict); ``auditor`` (a
+    :class:`~repro.obs.audit.GuaranteeAuditor`) and ``attributor`` (a
+    :class:`~repro.obs.attribution.LatencyAttributor`) get their typed
+    ``observe_*`` hooks, in that order after the tracer; and with a
+    ``registry`` every decision and completion is published through a
     :class:`~repro.sim.metrics.MetricsCollector` (the ``sim_*`` series).
     Kernel-local worker ``w`` and query ``j`` are recorded as the global
     ids ``base + w * stride`` and ``base + j * stride`` — shard ``s`` of
@@ -130,16 +132,13 @@ class LifecycleObserver:
     def arrival(self, w: int, j: int, t: float, depth: int) -> None:
         """Query ``j`` arrived; ``depth`` is its queue's length after it."""
         tracer = self.tracers[max(w, 0)]
-        auditor = self.auditor
-        if tracer is None and auditor is None:
-            return
-        args = {"query": self.base + j * self.stride}
-        if w >= 0:
-            args["worker"] = self.base + w * self.stride
         if tracer is not None:
+            args = {"query": self.base + j * self.stride}
+            if w >= 0:
+                args["worker"] = self.base + w * self.stride
             tracer.instant("arrival", "balancer", t, args=args)
-        if auditor is not None:
-            auditor.instant("arrival", "balancer", t, args=args)
+        if self.auditor is not None:
+            self.auditor.observe_arrival(t)
 
     def dispatch(
         self,
@@ -161,33 +160,36 @@ class LifecycleObserver:
         if self.live is not None:
             self.live.record_decision(batch, model_name=model_name)
         tracer = self.tracers[w]
-        auditor = self.auditor
-        if tracer is not None or auditor is not None:
+        if tracer is not None:
             track = f"worker-{gid}"
-            serve_args = {
-                "worker": gid,
-                "model": model_name,
-                "batch": batch,
-                "queue_len": queue_len,
-                "slack_ms": slack_ms,
-                "anticipated_qps": anticipated,
-            }
-            if tracer is not None:
-                tracer.complete("serve", track, t, exec_ms, args=serve_args)
-                for j in served:
-                    tracer.instant(
-                        "service_start",
-                        track,
-                        t,
-                        args={
-                            "query": base + j * stride,
-                            "model": model_name,
-                            "batch": batch,
-                            "wait_ms": t - arrivals[j],
-                        },
-                    )
-            if auditor is not None:
-                auditor.complete("serve", track, t, exec_ms, args=serve_args)
+            tracer.complete(
+                "serve",
+                track,
+                t,
+                exec_ms,
+                args={
+                    "worker": gid,
+                    "model": model_name,
+                    "batch": batch,
+                    "queue_len": queue_len,
+                    "slack_ms": slack_ms,
+                    "anticipated_qps": anticipated,
+                },
+            )
+            for j in served:
+                tracer.instant(
+                    "service_start",
+                    track,
+                    t,
+                    args={
+                        "query": base + j * stride,
+                        "model": model_name,
+                        "batch": batch,
+                        "wait_ms": t - arrivals[j],
+                    },
+                )
+        if self.auditor is not None:
+            self.auditor.observe_decision(queue_len, slack_ms, t + exec_ms)
         attributor = self.attributor
         if attributor is not None:
             attributor.observe_decision(gid, model_name, batch, exec_ms)
@@ -245,8 +247,7 @@ class LifecycleObserver:
                 satisfied=satisfied,
             )
         tracer = self.tracers[w]
-        auditor = self.auditor
-        if tracer is not None or auditor is not None:
+        if tracer is not None:
             args = {"query": query_id, "worker": gid, "model": model_name}
             args["satisfied"] = satisfied
             if dropped:
@@ -255,10 +256,9 @@ class LifecycleObserver:
             args["response_ms"] = response_ms
             if rejected:
                 args["rejected"] = True
-            if tracer is not None:
-                tracer.instant("completion", f"worker-{gid}", t, args=args)
-            if auditor is not None:
-                auditor.instant("completion", f"worker-{gid}", t, args=args)
+            tracer.instant("completion", f"worker-{gid}", t, args=args)
+        if self.auditor is not None:
+            self.auditor.observe_completion(t, satisfied, accuracy)
         if self.attributor is not None:
             self.attributor.observe_completion(
                 query_id, gid, model_name, response_ms, satisfied,

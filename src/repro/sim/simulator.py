@@ -20,9 +20,12 @@ so the run cost is O((arrivals + decisions) log K).  By default queries
 are never dropped — like the paper's evaluation, late queries are "better
 served late than never" (§4.3.1); ``drop_late`` opts into dropping.
 
-Observability (tracer, registry, attributor) attaches through one
-observer, :class:`_SimObserver`, on the same kernel: an observed run
-returns the same metrics as an unobserved one.  The original
+Observability attaches through one observer, :class:`_SimObserver`, on
+the same kernel: ``tracer`` records the lifecycle stream, ``registry``
+receives the ``sim_*`` series, and ``auditor`` / ``attributor`` take the
+kernel's typed ``observe_*`` hooks exactly as a serving shard's
+``auditors=`` / ``attributors=`` do.  An observed run returns the same
+metrics as an unobserved one.  The original
 per-query-object loop lives on as the kernel's oracle in
 ``tests/oracles/sim_loop.py``; ``tests/test_sim_equivalence.py`` pins the
 kernel to it float-exactly.
@@ -42,6 +45,7 @@ from repro.arrivals.traces import LoadTrace
 from repro.balancers import LoadBalancer, RoundRobinBalancer
 from repro.errors import SimulationError
 from repro.obs.attribution import LatencyAttributor
+from repro.obs.audit import GuaranteeAuditor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.profiles.models import ModelSet
@@ -94,9 +98,13 @@ class SimulationConfig:
     #: load, batch sizes, per-model dispatch counts).  Both default off.
     tracer: Optional[Tracer] = None
     registry: Optional[MetricsRegistry] = None
+    #: Live §5.1 guarantee auditing (repro.obs.audit), fed through its
+    #: ``observe_*`` hooks; its ``audit_*`` records go to its own
+    #: ``inner`` tracer.
+    auditor: Optional[GuaranteeAuditor] = None
     #: Streaming tail-latency attribution (repro.obs.attribution), fed
-    #: through its direct ``observe_*`` hooks.
-    attributor: Optional["LatencyAttributor"] = None
+    #: through its ``observe_*`` hooks.
+    attributor: Optional[LatencyAttributor] = None
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -241,14 +249,15 @@ class Simulation:
             drop_late=cfg.drop_late,
         )
         tracer = cfg.tracer if cfg.tracer is not None and cfg.tracer.enabled else None
-        if tracer is not None or cfg.registry is not None or cfg.attributor is not None:
+        sinks = (tracer, cfg.registry, cfg.auditor, cfg.attributor)
+        if any(sink is not None for sink in sinks):
             kernel.observer = _SimObserver(kernel, central, monitor, tracer, cfg)
         kernel.advance()
         return fold_kernels([kernel], track_responses=cfg.track_responses)
 
 
 class _SimObserver(LifecycleObserver):
-    """The simulator's taps: one tracer, one registry, one attributor.
+    """The simulator's taps: one tracer, registry, auditor and attributor.
 
     On top of the shared lifecycle records, keeps every series the
     simulator has always emitted: ``queue_depth`` counters on the tracer
@@ -267,7 +276,9 @@ class _SimObserver(LifecycleObserver):
     ) -> None:
         workers = len(kernel.in_flight)
         registry = cfg.registry
-        super().__init__(kernel, [tracer] * workers, None, cfg.attributor, registry)
+        super().__init__(
+            kernel, [tracer] * workers, cfg.auditor, cfg.attributor, registry
+        )
         self.tracer = tracer
         self.central = central
         self.monitor = monitor

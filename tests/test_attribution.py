@@ -397,30 +397,6 @@ class TestPlumbing:
         assert _worker_from_track("balancer") == -1
         assert _worker_from_track("worker-x") == -1
 
-    def test_tracer_tap_forwards_to_inner(self):
-        inner = RecordingTracer()
-        attributor = LatencyAttributor(slo_ms=100.0, inner=inner)
-        attributor.complete(
-            "serve", "worker-0", 0.0, 12.0,
-            args={"worker": 0, "model": "m", "batch": 2},
-        )
-        attributor.instant(
-            "service_start", "worker-0", 0.0,
-            args={"query": 1, "model": "m", "batch": 2, "wait_ms": 3.0},
-        )
-        attributor.instant(
-            "completion", "worker-0", 15.0,
-            args={
-                "query": 1, "worker": 0, "model": "m",
-                "satisfied": True, "response_ms": 15.0,
-            },
-        )
-        assert len(inner.spans) == 1
-        assert len(inner.events) == 2
-        rows = attributor.rows()
-        assert rows[0]["queries"] == 1
-        assert rows[0]["queue_wait_ms"] + rows[0]["service_ms"] == 15.0
-
     def test_render_text_smoke(self):
         _, attributor = run_attributed("fast")
         text = attributor.render_text(limit=3)

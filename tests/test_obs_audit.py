@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,19 +171,18 @@ class TestAuditBounds:
 
 
 def feed_completions(auditor, n, violations=0, accuracy=0.9, start_ms=0.0):
-    """Emit ``n`` completion instants, the first ``violations`` unsatisfied."""
+    """Report ``n`` completions, the first ``violations`` unsatisfied."""
     for i in range(n):
         satisfied = i >= violations
-        auditor.instant(
-            "completion",
-            "worker-0",
-            start_ms + i,
-            args={
-                "query": i,
-                "satisfied": satisfied,
-                "accuracy": accuracy if satisfied else 0.0,
-            },
+        auditor.observe_completion(
+            start_ms + i, satisfied, accuracy if satisfied else 0.0
         )
+
+
+def feed_decisions(auditor, states, exec_ms=1.0):
+    """Report one decision per ``(queue_len, slack_ms)`` state, 10 ms apart."""
+    for i, (queue_len, slack_ms) in enumerate(states):
+        auditor.observe_decision(queue_len, slack_ms, 10.0 * i + exec_ms)
 
 
 class TestWindowVerdicts:
@@ -272,15 +275,7 @@ class TestWindowVerdicts:
 class TestOccupancy:
     def test_decision_states_are_quantized_onto_policy_grid(self):
         auditor = GuaranteeAuditor(policy=make_policy())
-        auditor.complete(
-            "serve", "worker-0", 0.0, 5.0, args={"queue_len": 1, "slack_ms": 80.0}
-        )
-        auditor.complete(
-            "serve", "worker-0", 10.0, 5.0, args={"queue_len": 2, "slack_ms": 10.0}
-        )
-        auditor.complete(
-            "serve", "worker-0", 20.0, 5.0, args={"queue_len": 5, "slack_ms": 0.0}
-        )
+        feed_decisions(auditor, [(1, 80.0), (2, 10.0), (5, 0.0)], exec_ms=5.0)
         occ = auditor.empirical_occupancy()
         assert occ == {
             "1,1": pytest.approx(1 / 3),
@@ -295,16 +290,7 @@ class TestOccupancy:
             expected_occupancy=expected,
             config=AuditConfig(window_queries=4, min_occupancy_epochs=1),
         )
-        for i in range(10):
-            slack = 80.0 if i % 2 == 0 else 10.0
-            queue = 1 if i % 2 == 0 else 2
-            auditor.complete(
-                "serve",
-                "worker-0",
-                float(i),
-                1.0,
-                args={"queue_len": queue, "slack_ms": slack},
-            )
+        feed_decisions(auditor, [(1, 80.0), (2, 10.0)] * 5)
         report = auditor.finalize(now_ms=100.0)
         assert report.occupancy is not None
         assert report.occupancy.tv_distance == pytest.approx(0.0)
@@ -316,14 +302,7 @@ class TestOccupancy:
             expected_occupancy={"2,2": 1.0},
             config=AuditConfig(tv_threshold=0.3, min_occupancy_epochs=5),
         )
-        for i in range(10):
-            auditor.complete(
-                "serve",
-                "worker-0",
-                float(i),
-                1.0,
-                args={"queue_len": 1, "slack_ms": 80.0},
-            )
+        feed_decisions(auditor, [(1, 80.0)] * 10)
         report = auditor.finalize(now_ms=100.0)
         assert report.occupancy.tv_distance == pytest.approx(1.0)
         assert report.occupancy.trusted
@@ -337,13 +316,39 @@ class TestOccupancy:
             expected_occupancy={"2,2": 1.0},
             config=AuditConfig(min_occupancy_epochs=100),
         )
-        auditor.complete(
-            "serve", "worker-0", 0.0, 1.0, args={"queue_len": 1, "slack_ms": 80.0}
-        )
+        feed_decisions(auditor, [(1, 80.0)])
         report = auditor.finalize(now_ms=10.0)
         assert not report.occupancy.trusted
         assert not report.occupancy.diverged
         assert report.ok
+
+    def test_total_variation_independent_of_hash_seed(self):
+        """String keys hash per process; the TV sum must not follow the
+        resulting set order (float addition is not associative)."""
+        code = (
+            "import random\n"
+            "from repro.core.guarantees import total_variation\n"
+            "rng = random.Random(5)\n"
+            "keys = [f'{n},{j}' for n in range(1, 9) for j in range(40)]\n"
+            "def dist(ks):\n"
+            "    w = [rng.random() for _ in ks]\n"
+            "    return {k: x / sum(w) for k, x in zip(ks, w)}\n"
+            "print(repr(total_variation(dist(keys), dist(keys[::2]))))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-c", code],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert len(outputs) == 1, outputs
 
     def test_total_variation_helper(self):
         assert total_variation({"a": 1.0}, {"a": 1.0}) == 0.0
@@ -357,7 +362,7 @@ class TestDrift:
     def _arrive(self, auditor, rate_qps, count, start_ms=0.0):
         gap = 1000.0 / rate_qps
         for i in range(count):
-            auditor.instant("arrival", "balancer", start_ms + i * gap)
+            auditor.observe_arrival(start_ms + i * gap)
         return start_ms + count * gap
 
     def test_overload_raises_one_up_alarm(self):
@@ -411,17 +416,10 @@ class TestAlertsAndMetrics:
             ),
         )
         auditor.add_alert_callback(alerts.append)
-        for i in range(50):
-            auditor.complete(
-                "serve",
-                "worker-0",
-                float(i),
-                1.0,
-                args={"queue_len": 1, "slack_ms": 80.0},
-            )
+        feed_decisions(auditor, [(1, 80.0)] * 50)
         gap = 1000.0 / 200.0
         for i in range(200):
-            auditor.instant("arrival", "balancer", i * gap)
+            auditor.observe_arrival(i * gap)
         feed_completions(auditor, 100, violations=40, accuracy=0.5)
         kinds = {a.kind for a in alerts}
         assert kinds == {
@@ -467,34 +465,31 @@ class TestAlertsAndMetrics:
         assert window_event.args["violation_verdict"] == OK
 
 
-class TestFanOut:
-    def test_forwarding_preserves_the_stream(self):
-        direct = RecordingTracer()
+class TestInner:
+    def test_inner_receives_only_audit_records(self):
+        """``inner`` gets the auditor's own records — windows, drift and
+        policy switches, in the order they happen — and none of the
+        lifecycle the hooks report."""
         inner = RecordingTracer()
-        auditor = GuaranteeAuditor(inner=inner)
-        for sink in (direct, auditor):
-            sink.instant("arrival", "balancer", 1.0, args={"query": 0})
-            sink.complete("serve", "worker-0", 1.0, 5.0, args={"batch": 1})
-            sink.counter("queue_depth", "worker-0", 1.0, 0)
-            sink.instant(
-                "completion",
-                "worker-0",
-                6.0,
-                args={"query": 0, "satisfied": True, "accuracy": 0.9},
-            )
-        assert [s.name for s in inner.spans] == [s.name for s in direct.spans]
-        assert [e.name for e in inner.events] == [e.name for e in direct.events]
-        assert inner.events[-1].args == direct.events[-1].args
-
-    def test_span_context_manager_forwards(self):
-        inner = RecordingTracer()
-        auditor = GuaranteeAuditor(inner=inner)
-        with auditor.span("offline_phase", track="generator"):
-            pass
-        assert [s.name for s in inner.spans] == ["offline_phase"]
-
-    def test_enabled_flag_set(self):
-        assert GuaranteeAuditor().enabled is True
+        auditor = GuaranteeAuditor(
+            policy=make_policy(load_qps=20.0),
+            config=AuditConfig(window_queries=10),
+            inner=inner,
+        )
+        for i in range(200):
+            auditor.observe_arrival(i * 10.0)
+        feed_decisions(auditor, [(1, 80.0)] * 5)
+        feed_completions(auditor, 10, start_ms=2000.0)
+        auditor.note_policy(make_policy(load_qps=100.0), 2500.0)
+        assert inner.spans == ()
+        assert [(e.name, e.track, e.category) for e in inner.events] == [
+            ("audit_drift", "audit", "audit"),
+            ("audit_window", "audit", "audit"),
+            ("audit_policy_switch", "audit", "audit"),
+        ]
+        assert inner.events[0].args == auditor.drift_events[0].to_json_dict()
+        assert inner.events[1].args == auditor.windows[0].to_json_dict()
+        assert inner.events[2].args == {"load_qps": 100.0}
 
 
 class TestReport:
@@ -513,9 +508,7 @@ class TestReport:
             expected_occupancy={"1,1": 1.0},
             config=AuditConfig(window_queries=10, min_occupancy_epochs=1),
         )
-        auditor.complete(
-            "serve", "worker-0", 0.0, 1.0, args={"queue_len": 1, "slack_ms": 80.0}
-        )
+        feed_decisions(auditor, [(1, 80.0)])
         feed_completions(auditor, 10, violations=1, accuracy=0.9)
         report = auditor.finalize(now_ms=50.0)
         payload = json.loads(json.dumps(report.to_json_dict()))

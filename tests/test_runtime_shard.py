@@ -319,10 +319,9 @@ class TestAuditOrder:
                 super().__init__(*args, **kwargs)
                 self.arrival_ts = []
 
-            def instant(self, name, track, ts_ms, category="sim", args=None):
-                if name == "arrival":
-                    self.arrival_ts.append(ts_ms)
-                super().instant(name, track, ts_ms, category, args)
+            def observe_arrival(self, t_ms):
+                self.arrival_ts.append(t_ms)
+                super().observe_arrival(t_ms)
 
         trace = LoadTrace.constant(160.0, 60_000.0)
 
@@ -353,6 +352,53 @@ class TestAuditOrder:
             assert auditor.arrival_ts == sorted(auditor.arrival_ts)
         for a, b in zip(unpaced, paced):
             assert a.finalize().to_json_dict() == b.finalize().to_json_dict()
+
+
+class TestAuditAttachments:
+    @pytest.mark.parametrize("load_qps", [30.0, 60.0])
+    def test_simulation_and_shard_audit_alike(self, load_qps):
+        """One auditor protocol: a simulation's ``auditor`` slot and a
+        single shard's ``auditors=`` entry report the same audit on the
+        same arrivals.  The policy is profiled for 40 q/s, so the load
+        drift alarm fires on both sides."""
+        from repro.experiments.runner import build_audit_references
+        from repro.experiments.scale import ExperimentScale
+        from repro.experiments.tasks import text_task
+
+        task = text_task()
+        slo_ms = task.slos_ms[0]
+        scale = ExperimentScale.smoke()
+        policy, guarantees, occupancy = build_audit_references(
+            task.model_set, slo_ms, 40.0, 2, scale
+        )
+        trace = LoadTrace.constant(load_qps, 10_000.0)
+        arrivals = WorkloadGenerator(trace, slo_ms, seed=11).sample()
+
+        def audited_selector():
+            auditor = GuaranteeAuditor(
+                guarantees, policy=policy, expected_occupancy=occupancy
+            )
+            selector = RamsisSelector(policy, on_policy_change=auditor.note_policy)
+            return auditor, selector
+
+        simulated, selector = audited_selector()
+        Simulation(
+            SimulationConfig(
+                model_set=task.model_set, slo_ms=slo_ms, num_workers=2,
+                max_batch_size=scale.max_batch_size,
+                monitor=OracleLoadMonitor(trace), auditor=simulated,
+            )
+        ).run(selector, trace, arrival_times=arrivals)
+        served, selector = audited_selector()
+        ShardedController(
+            task.model_set, slo_ms=slo_ms, num_shards=1, workers_per_shard=2,
+            max_batch_size=scale.max_batch_size,
+            latency_model=DeterministicLatency(), paced=False,
+        ).serve(lambda s: selector, trace, arrivals=arrivals, auditors=[served])
+        report = simulated.finalize()
+        assert report.drift_events
+        assert report.total_queries == len(arrivals)
+        assert report.to_json_dict() == served.finalize().to_json_dict()
 
 
 class TestArrivalInput:
