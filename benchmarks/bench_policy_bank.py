@@ -4,7 +4,8 @@ Times four passes over the same 32-cell load grid and gates the tentpole
 invariants of the pipeline:
 
 - **cold serial**: a per-load :func:`repro.core.generator.generate_policy`
-  loop, persisting each cell into a fresh cache directory;
+  loop (each call a one-load stacked bank), persisting each cell into a
+  fresh cache directory;
 - **cold parallel**: the same cells fanned across ``--workers`` processes
   (at least two) by ``PolicyGenerator.generate_many(max_workers=...)``
   into a second fresh directory;
@@ -18,9 +19,15 @@ invariants of the pipeline:
 All banks must be byte-identical (the stacked sweep is float-``==`` to
 independent per-load solves), a subset of loads is additionally checked
 against the loop oracle (``tests/oracles/loop_mdp.py``), and the stacked
-pass must beat
-the process-pool pass by ``RAMSIS_BENCH_MIN_SPEEDUP`` (default 2x at
-bench scale, 1.2x at ``RAMSIS_BENCH_SCALE=smoke``).
+pass must beat the cold serial pass by ``RAMSIS_BENCH_MIN_SPEEDUP``
+(default 2x at bench scale, 1.2x at ``RAMSIS_BENCH_SCALE=smoke``).
+
+The floor gates stacked vs serial because every pass runs the same
+Bellman kernel (:class:`repro.core.mdp.BellmanKernel`) in the same
+process, so that ratio is exactly what stacking loads into one solve
+adds.  Stacked vs pool compares one process with several on that same
+code, so it measures the host's core count; it is recorded with
+``parallel_speedup`` but not gated.
 
 Headline numbers land in ``benchmarks/out/policy_bank.{txt,json}`` and
 ``BENCH_policy_bank.json`` at the repo root, regression-gated in CI via
@@ -162,9 +169,9 @@ def test_policy_bank_speedups(tmp_path):
     stacked_speedup_vs_serial = cold_serial_s / stacked_s
     parallel_speedup = cold_serial_s / cold_parallel_s
     warm_speedup = None if warm_s is None else cold_serial_s / warm_s
-    assert stacked_speedup_vs_pool >= floor, (
-        f"stacked bank solve {stacked_s:.3f}s vs pool {cold_parallel_s:.3f}s "
-        f"= {stacked_speedup_vs_pool:.2f}x, below the {floor:.1f}x floor"
+    assert stacked_speedup_vs_serial >= floor, (
+        f"stacked bank solve {stacked_s:.3f}s vs serial {cold_serial_s:.3f}s "
+        f"= {stacked_speedup_vs_serial:.2f}x, below the {floor:.1f}x floor"
     )
 
     lines = [
@@ -176,7 +183,7 @@ def test_policy_bank_speedups(tmp_path):
         f"cold stacked:  {stacked_s:8.3f} s "
         f"({stacked_speedup_vs_pool:.2f}x vs pool, "
         f"{stacked_speedup_vs_serial:.2f}x vs serial, "
-        f"floor {floor:.1f}x vs pool)",
+        f"floor {floor:.1f}x vs serial)",
     ]
     if warm_s is not None:
         lines.append(

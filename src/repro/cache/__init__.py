@@ -1,6 +1,6 @@
 """Persistent content-addressed caching of generated policies.
 
-The offline pipeline keys each :class:`~repro.core.generator.GenerationResult`
+The offline pipeline keys each :class:`~repro.core.bank.GenerationResult`
 by a stable hash of its canonicalized configuration plus solver tolerance and
 a code-schema version (:mod:`repro.cache.keys`) and stores artifacts under a
 shared cache directory (:mod:`repro.cache.store`), so repeated experiment

@@ -1,7 +1,7 @@
 """Stable content-addressed cache keys for generated policies.
 
 A cache key is the SHA-256 digest of a canonical JSON rendering of
-everything that determines a :class:`~repro.core.generator.GenerationResult`
+everything that determines a :class:`~repro.core.bank.GenerationResult`
 bit-for-bit: the full :class:`~repro.core.config.WorkerMDPConfig` (model
 profiles, arrival family + load, every MDP knob), the solver tolerance, and
 a code-schema version that must be bumped whenever the kernel/solver math

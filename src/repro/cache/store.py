@@ -34,7 +34,7 @@ from repro.obs.log import get_logger
 from repro.obs.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.generator import GenerationResult
+    from repro.core.bank import GenerationResult
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["PolicyCache", "DEFAULT_CACHE_DIR", "ENV_VAR"]
@@ -242,7 +242,7 @@ class PolicyCache:
 
     @staticmethod
     def _decode(raw: str) -> "GenerationResult":
-        from repro.core.generator import GenerationResult
+        from repro.core.bank import GenerationResult
 
         data = json.loads(raw)
         if data["schema_version"] != CACHE_SCHEMA_VERSION:

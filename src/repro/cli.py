@@ -416,9 +416,9 @@ def cmd_bench_history(args: argparse.Namespace) -> int:
 
     Appends every ``<out-dir>/*.json`` benchmark result to the history
     log (one JSON line per benchmark per invocation), then — with
-    ``--check`` — compares each benchmark's latest entry against its
-    previous one and exits non-zero when a tracked metric regressed
-    beyond ``--tolerance``.  ``--no-append`` checks the existing history
+    ``--check`` — compares each benchmark's latest entry against its best
+    recent one and exits non-zero when a tracked metric regressed beyond
+    ``--tolerance``.  ``--no-append`` checks the existing history
     without recording a new generation.
     """
     from repro.obs.report import append_bench_history, check_bench_history
@@ -1159,8 +1159,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_history.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) when a tracked metric regressed vs. the "
-        "previous recorded generation",
+        help="fail (exit 1) when a tracked metric regressed vs. its "
+        "best value in the recent recorded generations",
     )
     bench_history.add_argument(
         "--tolerance",

@@ -6,18 +6,18 @@ This package implements the paper's primary contribution (§3-§5):
   Discretization (MD, §4.2.1) and Fixed Length Discretization (FLD, §4.2.2).
 - :mod:`repro.core.config` — :class:`WorkerMDPConfig`, the offline inputs.
 - :mod:`repro.core.mdp` — the per-worker MDP: state space, action validity,
-  rewards (§4.1-§4.3), and its tensorized Bellman sweeps.
+  rewards (§4.1-§4.3), and the one Bellman optimality kernel.
 - :mod:`repro.core.transitions` — transition kernels from the arrival
   distribution + load balancing strategy (§4.4, Appendix I).
-- :mod:`repro.core.solvers` — value iteration and policy iteration (§4.1).
+- :mod:`repro.core.solvers` — per-MDP value and policy iteration (§4.1).
 - :mod:`repro.core.policy` — model-selection policies + JSON serialization.
 - :mod:`repro.core.guarantees` — stationary analysis: expected accuracy and
   expected SLO violation rate (§5.1).
 - :mod:`repro.core.policy_set` — load-indexed policy sets with the 1 %
   adjacent-accuracy refinement rule (§6 "Query Load Adaptation").
 - :mod:`repro.core.generator` — the high-level offline entry point.
-- :mod:`repro.core.bank` — the stacked policy-bank solver: one batched
-  tensor program for a whole load grid, bitwise-equal to per-load solves.
+- :mod:`repro.core.bank` — the policy solve path: one batched tensor
+  program for a whole load grid (or one load), bitwise-equal in any stack.
 """
 
 from repro.core.bank import StackedBankMDP, solve_stacked_bank

@@ -1,11 +1,16 @@
-"""Stacked policy-bank solver.
+"""The policy solve path: stacked policy banks.
 
 A policy bank solves the *same* worker MDP at many query loads (§6): the
 grid, models, rewards, action validity, and partial-drain geometry are
 identical across cells — only the arrival distribution (hence the
 transition kernels and discount-by-duration terms) changes with load.
 :class:`StackedBankMDP` exploits that by solving the whole load grid as
-one batched tensor program instead of ``L`` independent solves:
+one batched tensor program instead of ``L`` independent solves, and
+:func:`solve_stacked_bank` is the one entry point every policy solve
+goes through: :func:`repro.core.generator.generate_policy` is a one-load
+bank, and :meth:`repro.core.generator.PolicyGenerator.generate_many`
+solves every serial batch of cache misses as one bank (its process pool
+runs ``generate_policy`` per cell).
 
 - **kernel construction** derives the load-invariant skeleton (pruned
   models, grid, latency table) once, batches the equilibrium-renewal
@@ -15,55 +20,46 @@ one batched tensor program instead of ``L`` independent solves:
   geometry depends only on grid × latency), then seeds every cell's
   builder caches, the first cell's included, so per-cell assembly is a
   pure gather;
-- **value iteration** runs one batched Bellman sweep per iteration over
-  ``(L, ...)`` layouts with per-load convergence masks — converged loads
-  freeze (their matmuls are skipped and their value slices stop
+- **value iteration** drives one :class:`~repro.core.mdp.BellmanKernel`
+  over the stacked cells with per-load convergence masks — converged
+  loads freeze (their matmuls are skipped and their value slices stop
   updating), so every load observes exactly the trajectory and sweep
   count of its independent solve;
-- **stationary analysis** interleaves the per-load power iterations with
-  the same freeze masking, batching the normalization/residual
-  elementwise work across loads.
+- **policy extraction** is one greedy pass of the same kernel over every
+  load;
+- **stationary analysis** runs every cell's chain through
+  :func:`repro.core.guarantees.power_iterate` with the same freeze
+  masking.
 
 Exactness contract
 ------------------
-Results are **float-identical** to independent per-load solves (hence to
-the loop oracle in ``tests/oracles/``), and ``Policy.save`` output is
-byte-identical — the same guarantee :class:`~repro.core.mdp.WorkerMDP`
-gives against that oracle.
-The discipline that makes this hold: every matmul/einsum *reduction* is
-invoked per load with exactly the per-load solve's operand shapes and
-strides (batching a matmul across loads would dispatch a different BLAS
-kernel and reassociate sums), while every *elementwise* op (add,
-multiply, compare, max-reduce over in-row axes, the CDF recurrence,
-clip) batches
-across the load axis — ufuncs are per-element, so batching them cannot
-change a single bit.  ``tests/test_solver_equivalence.py`` asserts the
+Results are **float-identical** whatever the stack, and ``Policy.save``
+output is byte-identical to the loop oracle in ``tests/oracles/`` (see
+:class:`~repro.core.mdp.BellmanKernel` for the discipline that makes
+this hold; the CDF recurrence and clips of kernel construction are
+elementwise too).  ``tests/test_solver_equivalence.py`` asserts the
 contract across views, batching modes, and random load grids;
-``benchmarks/bench_policy_bank.py`` gates the bank-solve speedup floor
-over the process-pool fan-out in CI via ``BENCH_policy_bank.json``.
-
-:meth:`repro.core.generator.PolicyGenerator.generate_many` solves every
-serial batch of cache misses — a single load included — through
-:func:`solve_stacked_bank`.
+``benchmarks/bench_policy_bank.py`` gates the speedup of one stacked
+solve over per-load solves in CI via ``BENCH_policy_bank.json``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import BatchingMode, TransitionView, WorkerMDPConfig
-from repro.core.generator import GenerationResult, _annotate
+from repro.core.config import TransitionView, WorkerMDPConfig
 from repro.core.guarantees import (
     PolicyGuarantees,
     _policy_action_table,
     evaluate_policy,
+    power_iterate,
 )
-from repro.core.mdp import WorkerMDP, _Skeleton
-from repro.core.policy import Policy
+from repro.core.mdp import BellmanKernel, WorkerMDP, _Skeleton
+from repro.core.policy import Policy, PolicyMetadata
 from repro.core.solvers import SolveStats
 from repro.core.transitions import (
     DeterministicGaps,
@@ -75,7 +71,53 @@ from repro.core.transitions import (
 from repro.errors import ConfigurationError, SolverError
 from repro.obs.trace import NULL_TRACER, Tracer
 
-__all__ = ["StackedBankMDP", "solve_stacked_bank"]
+__all__ = ["GenerationResult", "StackedBankMDP", "solve_stacked_bank"]
+
+
+@dataclass(frozen=True)
+class GenerationResult:
+    """A generated policy plus its provenance and offline guarantees.
+
+    ``residuals`` carries value iteration's per-sweep residual history
+    when the caller asked for it (``record_residuals`` or an enabled
+    tracer).  ``values`` is the converged value vector — kept so the §6
+    refinement loop can warm-start adjacent loads — and ``from_cache``
+    marks results restored from the persistent disk cache rather than
+    solved.
+    """
+
+    policy: Policy
+    guarantees: PolicyGuarantees
+    iterations: int
+    runtime_s: float
+    residuals: Optional[Tuple[float, ...]] = None
+    values: Optional[np.ndarray] = field(default=None, compare=False)
+    from_cache: bool = field(default=False, compare=False)
+
+
+def _annotate(policy: Policy, guarantees: PolicyGuarantees) -> Policy:
+    """Re-package a policy with expectation metadata filled in."""
+    meta = policy.metadata
+    annotated = PolicyMetadata(
+        task=meta.task,
+        slo_ms=meta.slo_ms,
+        load_qps=meta.load_qps,
+        num_workers=meta.num_workers,
+        arrival_family=meta.arrival_family,
+        discretization=meta.discretization,
+        fld_resolution=meta.fld_resolution,
+        batching=meta.batching,
+        view=meta.view,
+        discount=meta.discount,
+        expected_accuracy=guarantees.expected_accuracy,
+        expected_violation_rate=guarantees.expected_violation_rate,
+    )
+    return Policy(
+        grid=policy.grid,
+        max_queue=policy.max_queue,
+        actions=policy.states(),
+        metadata=annotated,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -173,9 +215,9 @@ class StackedBankMDP:
 
     Construction builds one :class:`WorkerMDP` per load on a shared
     load-invariant skeleton (every cell with pre-seeded kernel caches
-    where the view batches), validates that every cell shares the
-    load-invariant structure, and stacks the load-dependent arrays into
-    ``(L, ...)`` layouts consumed by :meth:`solve`.
+    where the view batches) and one :class:`BellmanKernel` over all of
+    them, which validates that every cell shares the load-invariant
+    structure.
     """
 
     def __init__(self, configs: Sequence[WorkerMDPConfig]) -> None:
@@ -187,265 +229,20 @@ class StackedBankMDP:
         skeleton = _Skeleton.of(base)
         seeds = _stacked_kernel_seeds(skeleton, configs) or [None] * len(configs)
         # A cell whose config differs from the first in more than its
-        # arrivals builds on its own; ``_validate`` then decides whether
-        # the structures still agree.
+        # arrivals builds on its own; the kernel then decides whether the
+        # structures still agree.
         self._cells: List[WorkerMDP] = [
             _BankCellMDP(c, skeleton, seed)
             if replace(c, arrivals=base.arrivals) == base
             else WorkerMDP(c)
             for c, seed in zip(configs, seeds)
         ]
-        self._validate()
-        self._stack()
+        self._kernel = BellmanKernel(self._cells)
 
     @property
     def cells(self) -> List[WorkerMDP]:
         """The per-load MDPs (used for extraction and evaluation)."""
         return self._cells
-
-    def _validate(self) -> None:
-        first = self._cells[0]
-        cfg = first.config
-        for cell in self._cells[1:]:
-            c = cell.config
-            same = (
-                cell.space.size == first.space.size
-                and cell.num_models == first.num_models
-                and cell.max_queue == first.max_queue
-                and c.view is cfg.view
-                and c.batching is cfg.batching
-                and c.drop_late == cfg.drop_late
-                and c.duration_aware_discount == cfg.duration_aware_discount
-                and c.discount == cfg.discount
-                and cell.grid.slo_ms == first.grid.slo_ms
-                and np.array_equal(
-                    cell.grid.as_array(), first.grid.as_array()
-                )
-                and np.array_equal(cell._latency, first._latency)
-                and np.array_equal(cell._valid, first._valid)
-                and np.array_equal(cell._reward, first._reward)
-                and len(cell._plan_counts) == len(first._plan_counts)
-                and np.array_equal(cell._plan_jmap, first._plan_jmap)
-                and np.array_equal(cell._plan_valid, first._plan_valid)
-            )
-            if not same:
-                raise ConfigurationError(
-                    "stacked bank cells must share every load-invariant "
-                    "input (models, grid, SLO, batching, view, extensions) "
-                    "and differ only in the arrival load"
-                )
-
-    def _stack(self) -> None:
-        cells = self._cells
-        first = cells[0]
-        cfg = first.config
-        self._space = first.space
-        self._grid = first.grid
-        loads = len(cells)
-        n_max = first.max_queue
-        j_count = len(first.grid)
-        m_count = first.num_models
-        size = first.space.size
-        self._n_max = n_max
-        self._j_count = j_count
-
-        self._split_view = cfg.view is not TransitionView.EXACT_ROUND_ROBIN
-        self._drop_late = cfg.drop_late
-        self._drop_gamma = (
-            1.0 if cfg.duration_aware_discount else cfg.discount
-        )
-        self._variable = cfg.batching is BatchingMode.VARIABLE
-        self._idx_one = first.space.index(1, first.grid.slo_index)
-
-        # Load-invariant structure (validated equal across cells).
-        self._reward = first._reward  # (M, N, J)
-        self._valid = first._valid  # (M, N, J)
-        self._no_valid = ~first._valid.any(axis=0)  # (N, J)
-
-        # Load-dependent stacks.  Kernel row banks stay per-cell array
-        # references: reductions run per load on the cell's own operands.
-        self._gamma_action = np.stack([c._gamma_action for c in cells])
-        self._gamma_empty = np.array([c._gamma_empty for c in cells])
-        self._gamma_full = self._gamma_action[:, 0, n_max - 1].copy()
-        if self._split_view:
-            self._rows_list = [c._rows for c in cells]
-        else:
-            self._rows_by_phase_list = [c._rows_by_phase for c in cells]
-            self._phase_weights_list = [c._phase_weights for c in cells]
-            self._full_phase_list = [c._full_phase for c in cells]
-            self._ev_phase = np.empty(
-                (loads, m_count, n_max, self._rows_by_phase_list[0].shape[2])
-            )
-            self._ev_state = np.empty((loads, m_count, n_max, j_count))
-            self._ev_full = np.empty(loads)
-
-        # Sweep buffers.
-        self._ev = np.empty((loads, m_count, n_max))
-        self._prod = np.empty((loads, m_count, n_max))
-        self._q = np.empty((loads, m_count, n_max, j_count))
-        self._best = np.empty((loads, n_max, j_count))
-        self._new_values = np.empty((loads, size))
-
-        # Variable-batching partial-drain plan, stacked.
-        self._p_count = len(first._plan_counts)
-        if self._variable and self._p_count:
-            self._plan_b = first._plan_b
-            self._plan_dead = first._plan_dead
-            self._plan_gamma = np.stack([c._plan_gamma for c in cells])
-            self._plan_reward = np.stack([c._plan_reward for c in cells])
-            self._plan_residual = np.stack(
-                [c._plan_residual for c in cells]
-            )
-            self._plan_counts_list = [c._plan_counts for c in cells]
-            block = self._p_count * n_max * j_count
-            self._take_stack = (
-                first._plan_take[None]
-                + (np.arange(loads, dtype=np.intp) * block)[
-                    :, None, None, None
-                ]
-            )
-            self._fold_vpad = np.empty((loads, 2 * n_max + 1, j_count))
-            self._fold_ev = np.empty(
-                (loads, self._p_count, n_max, j_count)
-            )
-            self._fold_q = np.empty_like(self._fold_ev)
-
-    # ------------------------------------------------------------------
-    # One batched Bellman sweep
-    # ------------------------------------------------------------------
-    def _sweep(
-        self,
-        values: np.ndarray,
-        new_values: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        """Write one optimality backup of every active load.
-
-        Frozen (converged) loads skip their reductions; the batched
-        elementwise passes still touch their stale rows, but those rows
-        are never read back — ``solve`` only copies active slices.
-        """
-        space = self._space
-        n_max = self._n_max
-
-        # Expected continuation value of full-drain actions: the one
-        # per-load reduction, invoked with the per-load solve's exact
-        # operand shapes so the BLAS kernel (and its summation order)
-        # matches the independent solve bit for bit.
-        ev = self._ev
-        if self._split_view:
-            for i in active:
-                np.matmul(self._rows_list[i], values[i], out=ev[i])
-            # q[l, m, n, j] = reward[m, n, j] + gamma[l, m, n] * ev[l, m, n]
-            # — the same two IEEE ops per element as the per-load backup
-            # (the j axis broadcasts the identical product).
-            np.multiply(self._gamma_action, ev, out=self._prod)
-            np.add(
-                self._reward[None],
-                self._prod[:, :, :, None],
-                out=self._q,
-            )
-            ev_full = ev[:, 0, n_max - 1]
-        else:
-            for i in active:
-                np.matmul(
-                    self._rows_by_phase_list[i],
-                    values[i],
-                    out=self._ev_phase[i],
-                )
-                self._ev_state[i] = np.einsum(
-                    "mnk,njk->mnj",
-                    self._ev_phase[i],
-                    self._phase_weights_list[i],
-                )
-                self._ev_full[i] = float(
-                    self._ev_phase[i][0, n_max - 1]
-                    @ self._full_phase_list[i]
-                )
-            np.multiply(
-                self._gamma_action[:, :, :, None],
-                self._ev_state,
-                out=self._q,
-            )
-            np.add(self._reward[None], self._q, out=self._q)
-            ev_full = self._ev_full
-
-        # Masked max over actions — bitwise equal to the per-load
-        # ``np.where(valid, q, -inf).max(axis=0)``.
-        np.max(
-            self._q,
-            axis=1,
-            where=self._valid[None],
-            initial=-np.inf,
-            out=self._best,
-        )
-
-        # Forced fallback (§4.3.1) where nothing is valid.
-        if self._drop_late:
-            fb = self._drop_gamma * values[:, space.EMPTY]
-            np.copyto(
-                self._best, fb[:, None, None], where=self._no_valid[None]
-            )
-        elif self._split_view:
-            # prod[l, 0, n] is exactly the per-load fallback product
-            # gamma[0, n] * ev[0, n].
-            np.copyto(
-                self._best,
-                self._prod[:, 0, :, None],
-                where=self._no_valid[None],
-            )
-        else:
-            fb = self._gamma_action[:, 0, :, None] * self._ev_state[:, 0]
-            np.copyto(self._best, fb, where=self._no_valid[None])
-
-        if self._variable and self._p_count:
-            self._fold_partial_stack(values, active)
-
-        new_values[:, 2:] = self._best.reshape(len(self._cells), -1)
-        new_values[:, space.EMPTY] = (
-            self._gamma_empty * values[:, self._idx_one]
-        )
-        if self._drop_late:
-            new_values[:, space.FULL] = (
-                self._drop_gamma * values[:, space.EMPTY]
-            )
-        else:
-            new_values[:, space.FULL] = self._gamma_full * ev_full
-
-    def _fold_partial_stack(
-        self, values: np.ndarray, active: np.ndarray
-    ) -> None:
-        """Load-batched mirror of :meth:`WorkerMDP._fold_partial_actions`."""
-        space = self._space
-        n_max = self._n_max
-        loads = len(self._cells)
-        v_full = values[:, space.FULL]
-
-        vpad = self._fold_vpad
-        vpad[:, :n_max] = values[:, 2:].reshape(loads, n_max, self._j_count)
-        vpad[:, n_max:] = v_full[:, None, None]
-        windows = np.lib.stride_tricks.sliding_window_view(
-            vpad, n_max + 1, axis=1
-        )  # (L, N + 1, J, N + 1); per-load slice has the per-load strides
-
-        ev_stack = self._fold_ev
-        for i in active:
-            counts = self._plan_counts_list[i]
-            win = windows[i]
-            for p, b in enumerate(self._plan_b):
-                np.matmul(
-                    win[: n_max - b], counts[p], out=ev_stack[i, p, b:]
-                )
-        ev_stack += (
-            self._plan_residual[:, :, None, None]
-            * v_full[:, None, None, None]
-        )
-        q_cand = self._fold_q
-        np.take(ev_stack, self._take_stack, out=q_cand)
-        q_cand *= self._plan_gamma[:, :, None, None]
-        q_cand += self._plan_reward[:, :, None, None]
-        np.copyto(q_cand, -np.inf, where=self._plan_dead[None])
-        np.maximum(q_cand.max(axis=1), self._best, out=self._best)
 
     # ------------------------------------------------------------------
     # Batched value iteration with per-load convergence masks
@@ -455,6 +252,8 @@ class StackedBankMDP:
         tolerance: float = 1e-7,
         max_iterations: int = 20_000,
         initials: Optional[Sequence[Optional[np.ndarray]]] = None,
+        tracer: Optional[Tracer] = None,
+        record_residuals: bool = False,
     ) -> List[SolveStats]:
         """Value-iterate every load to its sup-norm fixed point.
 
@@ -462,8 +261,17 @@ class StackedBankMDP:
         residual drops below ``tolerance`` freezes (its slice stops
         updating and its reductions are skipped), so its recorded
         ``iterations`` equals the independent solve's sweep count.
-        Raises :class:`SolverError` naming the unconverged loads when the
-        ceiling is hit.
+        ``initials`` warm-starts individual loads; each vector must have
+        shape ``(S,)``.  Raises :class:`SolverError` naming the
+        unconverged loads when the ceiling is hit.
+
+        With ``record_residuals`` (or an enabled ``tracer``) every load's
+        per-sweep residual history is kept on :attr:`SolveStats.residuals`.
+        The tracer additionally receives one ``bellman_sweep`` wall-clock
+        span on the ``solver`` track per lockstep sweep — the phase the
+        profiler (:class:`repro.obs.profile.PhaseProfiler`) aggregates —
+        and one ``vi_sweep`` event per active load per sweep (timestamped
+        in wall-clock ms since solve start).
         """
         if tolerance <= 0:
             raise SolverError(f"tolerance must be > 0, got {tolerance}")
@@ -471,54 +279,91 @@ class StackedBankMDP:
             raise SolverError(
                 f"max_iterations must be >= 1, got {max_iterations}"
             )
-        loads = len(self._cells)
+        cells = self._cells
+        loads = len(cells)
         if initials is not None and len(initials) != loads:
             raise ConfigurationError(
                 f"got {len(initials)} warm-start vectors for {loads} cells"
             )
-        size = self._space.size
+        size = cells[0].num_states
         values = np.zeros((loads, size), dtype=np.float64)
         warm = np.zeros(loads, dtype=bool)
-        if initials is not None:
-            for i, init in enumerate(initials):
-                if init is not None:
-                    values[i] = init
-                    warm[i] = True
+        for i, init in enumerate(initials or ()):
+            if init is None:
+                continue
+            if np.shape(init) != (size,):
+                raise ConfigurationError(
+                    f"warm start for load {cells[i].config.load_qps:g} qps "
+                    f"has shape {np.shape(init)}, expected ({size},)"
+                )
+            values[i] = init
+            warm[i] = True
+        tracing = tracer is not None and tracer.enabled
+        histories = (
+            [[] for _ in range(loads)]
+            if (record_residuals or tracing)
+            else None
+        )
         stats: List[Optional[SolveStats]] = [None] * loads
         frozen = np.zeros(loads, dtype=bool)
-        new_values = self._new_values
+        kernel = self._kernel
         start = time.perf_counter()
         for sweep in range(1, max_iterations + 1):
             active = np.nonzero(~frozen)[0]
-            self._sweep(values, new_values, active)
+            if tracing:
+                # Skipped entirely when untraced so the hot path stays
+                # free of context-manager overhead.
+                with tracer.span(
+                    "bellman_sweep", track="solver", args={"iteration": sweep}
+                ):
+                    new_values = kernel.sweep(values, active)
+            else:
+                new_values = kernel.sweep(values, active)
             # Row-wise sup-norm over the whole stack: per-row max-abs along
-            # axis 1 is element-for-element the same IEEE ops as the
-            # per-load ``np.max(np.abs(new - old))``, so residuals match
-            # the independent solves bitwise.  Frozen rows are stale in
+            # axis 1 is element-for-element the same IEEE ops as a one-load
+            # ``np.max(np.abs(new - old))``.  Frozen rows are stale in
             # ``new_values`` — their entries are computed but never read.
             resid = np.max(np.abs(new_values - values), axis=1)
             values[active] = new_values[active]
             for i in active:
-                if resid[i] < tolerance:
+                residual = float(resid[i])
+                if histories is not None:
+                    histories[i].append(residual)
+                    if tracing:
+                        tracer.instant(
+                            "vi_sweep",
+                            "solver",
+                            (time.perf_counter() - start) * 1000.0,
+                            category="solver",
+                            args={"iteration": sweep, "residual": residual},
+                        )
+                if residual < tolerance:
                     frozen[i] = True
                     stats[i] = SolveStats(
                         values=values[i].copy(),
                         iterations=sweep,
-                        residual=float(resid[i]),
+                        residual=residual,
                         runtime_s=time.perf_counter() - start,
                         converged=True,
+                        residuals=(
+                            None if histories is None else tuple(histories[i])
+                        ),
                         warm_started=bool(warm[i]),
                     )
             if frozen.all():
                 return stats  # type: ignore[return-value]
         missing = ", ".join(
-            f"{self._cells[i].config.load_qps:g}"
-            for i in np.nonzero(~frozen)[0]
+            f"{cells[i].config.load_qps:g}" for i in np.nonzero(~frozen)[0]
         )
         raise SolverError(
             f"stacked bank value iteration did not converge after "
             f"{max_iterations} sweeps (unconverged load(s): {missing} qps)"
         )
+
+    def extract_policies(self, stats: Sequence[SolveStats]) -> List[Policy]:
+        """Every cell's greedy policy, from one greedy kernel pass."""
+        _, tables = self._kernel.greedy(np.stack([s.values for s in stats]))
+        return [cell.policy_of(t) for cell, t in zip(self._cells, tables)]
 
     # ------------------------------------------------------------------
     # Batched stationary analysis (§5.1)
@@ -529,53 +374,19 @@ class StackedBankMDP:
         tolerance: float = 1e-10,
         max_iterations: int = 100_000,
     ) -> List[np.ndarray]:
-        """Stationary distribution of every cell's policy-induced chain.
-
-        Power iteration over the block-diagonal stack of chains: one
-        per-load matrix-vector application per step (the reduction whose
-        summation order must match the independent solve), with the
-        normalization and residual passes batched across loads and the
-        same per-load freeze masking as :meth:`solve` — each returned
-        vector is bitwise identical to
-        :func:`repro.core.guarantees.stationary_distribution`.
-        """
+        """Stationary distribution of every cell's policy-induced chain,
+        each bitwise identical to
+        :func:`repro.core.guarantees.stationary_distribution`."""
         cells = self._cells
         if len(policies) != len(cells):
             raise ConfigurationError(
                 f"got {len(policies)} policies for {len(cells)} cells"
             )
-        rows_list = [
+        chains = [
             cell.policy_rows(_policy_action_table(cell, policy))
             for cell, policy in zip(cells, policies)
         ]
-        loads = len(cells)
-        size = self._space.size
-        dist = np.full((loads, size), 1.0 / size)
-        upd = np.empty_like(dist)
-        result = np.empty_like(dist)
-        frozen = np.zeros(loads, dtype=bool)
-        for _ in range(max_iterations):
-            active = np.nonzero(~frozen)[0]
-            for i in active:
-                upd[i] = dist[i] @ rows_list[i]
-            totals = upd.sum(axis=1)
-            if (totals[active] <= 0).any():
-                raise SolverError(
-                    "stationary iteration lost all probability mass"
-                )
-            np.divide(upd, totals[:, None], out=upd)
-            resid = np.max(np.abs(upd - dist), axis=1)
-            for i in active:
-                if resid[i] < tolerance:
-                    frozen[i] = True
-                    result[i] = upd[i]
-                else:
-                    dist[i] = upd[i]
-            if frozen.all():
-                return [result[i] for i in range(loads)]
-        raise SolverError(
-            f"power iteration did not converge within {max_iterations} steps"
-        )
+        return power_iterate(chains, tolerance, max_iterations)
 
     def evaluate(
         self, policies: Sequence[Policy], tolerance: float = 1e-10
@@ -600,22 +411,23 @@ def solve_stacked_bank(
     initials: Optional[Sequence[Optional[np.ndarray]]] = None,
     with_guarantees: bool = True,
     tracer: Optional[Tracer] = None,
+    record_residuals: bool = False,
 ) -> List[GenerationResult]:
     """Solve a whole load grid as one stacked tensor program.
 
-    The bank-level analogue of :func:`repro.core.generator.generate_policy`:
-    one call builds the stacked bank, value-iterates every load with
+    One call builds the stacked bank, value-iterates every load with
     convergence masks, extracts per-load policies, and (by default)
     computes the §5.1 guarantees through the batched stationary solve.
     Every returned :class:`GenerationResult` is byte-identical — policy,
-    guarantees, iteration count — to an independent ``generate_policy``
-    call for that cell; ``runtime_s`` divides the bank's wall clock
-    evenly across cells (per-cell attribution has no meaning inside one
-    batched solve).
+    guarantees, iteration count, residuals — to a one-load call for that
+    cell; ``runtime_s`` divides the bank's wall clock evenly across cells
+    (per-cell attribution has no meaning inside one batched solve).
 
     ``initials`` optionally warm-starts individual loads (aligned with
-    ``configs``); an enabled ``tracer`` records the build / solve /
-    evaluate phases on the ``generator`` track.
+    ``configs``).  An enabled ``tracer`` records the build / solve /
+    evaluate phases on the ``generator`` track and the per-sweep events
+    of :meth:`StackedBankMDP.solve`; ``record_residuals`` keeps the
+    residual history on the results even without a tracer.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     start = time.perf_counter()
@@ -625,11 +437,13 @@ def solve_stacked_bank(
         with tracer.span("build_stacked_bank", track="generator"):
             bank = StackedBankMDP(configs)
         with tracer.span("stacked_value_iteration", track="generator"):
-            stats = bank.solve(tolerance=tolerance, initials=initials)
-        policies = [
-            cell.extract_policy(s.values)
-            for cell, s in zip(bank.cells, stats)
-        ]
+            stats = bank.solve(
+                tolerance=tolerance,
+                initials=initials,
+                tracer=tracer,
+                record_residuals=record_residuals,
+            )
+        policies = bank.extract_policies(stats)
         if with_guarantees:
             with tracer.span("stacked_evaluate", track="generator"):
                 guarantees = bank.evaluate(policies)

@@ -1,7 +1,8 @@
 """High-level offline policy generation (§3.1).
 
 :func:`generate_policy` is the one-call entry point: configuration in,
-solved and annotated :class:`~repro.core.policy.Policy` out.
+solved and annotated :class:`~repro.core.policy.Policy` out, as a
+one-load :func:`repro.core.bank.solve_stacked_bank`.
 :class:`PolicyGenerator` layers three caches and a parallel fan-out on top:
 
 - an **in-memory** cache keyed by ``(load, workers, tolerance)`` so sweeps
@@ -10,18 +11,17 @@ solved and annotated :class:`~repro.core.policy.Policy` out.
   keyed by a content hash of the canonicalized config, so experiment
   invocations share solved policies across processes and runs;
 - :meth:`PolicyGenerator.generate_many`, which solves cache misses either
-  in-process as one stacked bank (:func:`repro.core.bank.solve_stacked_bank`)
-  or across a ``ProcessPoolExecutor`` running :func:`generate_policy` per
-  cell, with deterministic result ordering — both are byte-identical to
-  per-load :func:`generate_policy` calls.
+  in-process as one stacked bank or across a ``ProcessPoolExecutor``
+  running :func:`generate_policy` per cell, with deterministic result
+  ordering — both are byte-identical to per-load :func:`generate_policy`
+  calls.
 """
 
 from __future__ import annotations
 
 import shutil
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -36,11 +36,8 @@ from typing import (
 
 import numpy as np
 
+from repro.core.bank import GenerationResult, solve_stacked_bank
 from repro.core.config import WorkerMDPConfig
-from repro.core.guarantees import PolicyGuarantees, evaluate_policy
-from repro.core.mdp import build_worker_mdp
-from repro.core.policy import Policy, PolicyMetadata
-from repro.core.solvers import value_iteration
 from repro.obs.aggregate import (
     init_worker_obs,
     merge_run_dir,
@@ -54,27 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache uses results)
     from repro.cache import PolicyCache
     from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["GenerationResult", "PolicyGenerator", "generate_policy"]
-
-
-@dataclass(frozen=True)
-class GenerationResult:
-    """A generated policy plus its provenance and offline guarantees.
-
-    ``residuals`` carries value iteration's per-sweep residual history
-    when the caller asked for it (see :func:`generate_policy`).
-    ``values`` is the converged value vector — kept so the §6 refinement
-    loop can warm-start adjacent loads — and ``from_cache`` marks results
-    restored from the persistent disk cache rather than solved.
-    """
-
-    policy: Policy
-    guarantees: PolicyGuarantees
-    iterations: int
-    runtime_s: float
-    residuals: Optional[Tuple[float, ...]] = None
-    values: Optional[np.ndarray] = field(default=None, compare=False)
-    from_cache: bool = field(default=False, compare=False)
+__all__ = ["PolicyGenerator", "generate_policy"]
 
 
 def generate_policy(
@@ -87,13 +64,14 @@ def generate_policy(
 ) -> GenerationResult:
     """Build the worker MDP, solve it, and package the optimal MS policy.
 
-    When ``with_guarantees`` is set (default), the §5.1 expectations are
+    A one-load :func:`repro.core.bank.solve_stacked_bank`.  When
+    ``with_guarantees`` is set (default), the §5.1 expectations are
     computed and embedded in the policy metadata — the policy-set
     refinement rule and the resource-planning example consume them.
 
     ``initial`` warm-starts value iteration from a previously converged
-    value vector (e.g. an adjacent load's), cutting sweep counts without
-    changing the fixed point.
+    value vector of shape ``(S,)`` (e.g. an adjacent load's), cutting
+    sweep counts without changing the fixed point.
 
     An enabled ``tracer`` records the three offline phases (kernel/MDP
     construction, value iteration, guarantee evaluation) as nested spans
@@ -101,66 +79,14 @@ def generate_policy(
     ``record_residuals`` keeps the residual history on the result even
     without a tracer.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    start = time.perf_counter()
-    with tracer.span("generate_policy", track="generator"):
-        with tracer.span("build_worker_mdp", track="generator"):
-            mdp = build_worker_mdp(config)
-        with tracer.span("value_iteration", track="generator"):
-            stats = value_iteration(
-                mdp,
-                tolerance=tolerance,
-                initial=initial,
-                tracer=tracer,
-                record_residuals=record_residuals,
-            )
-        policy = mdp.extract_policy(stats.values)
-        if with_guarantees:
-            with tracer.span("evaluate_policy", track="generator"):
-                guarantees = evaluate_policy(mdp, policy)
-            policy = _annotate(policy, guarantees)
-        else:
-            guarantees = PolicyGuarantees(
-                expected_accuracy=float("nan"),
-                expected_violation_rate=float("nan"),
-                per_epoch_accuracy=float("nan"),
-                per_epoch_violation_rate=float("nan"),
-                full_state_probability=float("nan"),
-                idle_probability=float("nan"),
-            )
-    return GenerationResult(
-        policy=policy,
-        guarantees=guarantees,
-        iterations=stats.iterations,
-        runtime_s=time.perf_counter() - start,
-        residuals=stats.residuals,
-        values=stats.values,
-    )
-
-
-def _annotate(policy: Policy, guarantees: PolicyGuarantees) -> Policy:
-    """Re-package a policy with expectation metadata filled in."""
-    meta = policy.metadata
-    annotated = PolicyMetadata(
-        task=meta.task,
-        slo_ms=meta.slo_ms,
-        load_qps=meta.load_qps,
-        num_workers=meta.num_workers,
-        arrival_family=meta.arrival_family,
-        discretization=meta.discretization,
-        fld_resolution=meta.fld_resolution,
-        batching=meta.batching,
-        view=meta.view,
-        discount=meta.discount,
-        expected_accuracy=guarantees.expected_accuracy,
-        expected_violation_rate=guarantees.expected_violation_rate,
-    )
-    return Policy(
-        grid=policy.grid,
-        max_queue=policy.max_queue,
-        actions=policy.states(),
-        metadata=annotated,
-    )
+    return solve_stacked_bank(
+        [config],
+        tolerance=tolerance,
+        initials=[initial],
+        with_guarantees=with_guarantees,
+        tracer=tracer,
+        record_residuals=record_residuals,
+    )[0]
 
 
 def _solve_cell(
@@ -169,8 +95,8 @@ def _solve_cell(
     """Process-pool entry point: solve one grid cell.
 
     Module-level so it pickles under every multiprocessing start method;
-    runs :func:`generate_policy`, which the stacked serial path is
-    byte-identical to.
+    runs :func:`generate_policy`, a one-load bank on the same kernel as
+    the stacked serial path.
     With observability shipping on, the solve is traced into this
     worker's shard (installed by :func:`repro.obs.aggregate.init_worker_obs`),
     stamped with the cell's sequence number for in-order merging.
@@ -356,8 +282,6 @@ class PolicyGenerator:
         so results commit to the in-memory and disk caches under the
         *same* per-load keys the process-pool path uses.
         """
-        from repro.core.bank import solve_stacked_bank
-
         with self._tracer.span(
             "policy_bank_stacked",
             track="policy_bank",

@@ -25,7 +25,7 @@ Two weightings are reported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.errors import SolverError
 __all__ = [
     "PolicyGuarantees",
     "OccupancyDistribution",
+    "power_iterate",
     "stationary_distribution",
     "stationary_occupancy",
     "total_variation",
@@ -78,6 +79,50 @@ def _policy_action_table(
     return table
 
 
+def power_iterate(
+    chains: Sequence[np.ndarray],
+    tolerance: float = 1e-10,
+    max_iterations: int = 100_000,
+) -> List[np.ndarray]:
+    """Stationary distributions of ``(S, S)`` row-stochastic chains.
+
+    Power iteration (§5.1 cites [40]) on every chain in lockstep: one
+    per-chain vector-matrix product per step (the reduction whose
+    summation order must not depend on the stack), with normalization and
+    residual passes batched elementwise across chains.  A chain whose
+    residual drops below ``tolerance`` freezes, so each result is bitwise
+    the same as iterating that chain alone.  Raises :class:`SolverError`
+    when a chain loses its mass or fails to mix within ``max_iterations``
+    steps.
+    """
+    loads = len(chains)
+    size = chains[0].shape[0]
+    dist = np.full((loads, size), 1.0 / size)
+    upd = np.empty_like(dist)
+    result = np.empty_like(dist)
+    frozen = np.zeros(loads, dtype=bool)
+    for _ in range(max_iterations):
+        active = np.nonzero(~frozen)[0]
+        for i in active:
+            upd[i] = dist[i] @ chains[i]
+        totals = upd.sum(axis=1)
+        if (totals[active] <= 0).any():
+            raise SolverError("stationary iteration lost all probability mass")
+        np.divide(upd, totals[:, None], out=upd)
+        resid = np.max(np.abs(upd - dist), axis=1)
+        for i in active:
+            if resid[i] < tolerance:
+                frozen[i] = True
+                result[i] = upd[i]
+            else:
+                dist[i] = upd[i]
+        if frozen.all():
+            return list(result)
+    raise SolverError(
+        f"power iteration did not converge within {max_iterations} steps"
+    )
+
+
 def stationary_distribution(
     mdp: WorkerMDP,
     policy: Policy,
@@ -86,28 +131,11 @@ def stationary_distribution(
 ) -> np.ndarray:
     """Stationary state distribution of the policy-induced chain.
 
-    Power iteration on the chain's ``(S, S)`` row matrix (§5.1 cites power
-    iteration [40]), assembled once by :meth:`WorkerMDP.policy_rows`.
-    Raises :class:`SolverError` when the chain fails to mix within
-    ``max_iterations`` steps.
+    :func:`power_iterate` on the chain's ``(S, S)`` row matrix, assembled
+    once by :meth:`WorkerMDP.policy_rows`.
     """
-    table = _policy_action_table(mdp, policy)
-    size = mdp.space.size
-    rows = mdp.policy_rows(table)
-
-    dist = np.full(size, 1.0 / size)
-    for _ in range(max_iterations):
-        updated = dist @ rows
-        total = updated.sum()
-        if total <= 0:
-            raise SolverError("stationary iteration lost all probability mass")
-        updated /= total
-        if float(np.max(np.abs(updated - dist))) < tolerance:
-            return updated
-        dist = updated
-    raise SolverError(
-        f"power iteration did not converge within {max_iterations} steps"
-    )
+    rows = mdp.policy_rows(_policy_action_table(mdp, policy))
+    return power_iterate([rows], tolerance, max_iterations)[0]
 
 
 @dataclass(frozen=True)

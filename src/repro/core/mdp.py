@@ -2,8 +2,8 @@
 
 :class:`WorkerMDP` assembles the state space (§4.2), action constraints
 (§4.3), rewards (§4.1), and transition kernels (§4.4) for one worker, and
-exposes vectorized Bellman backups that the solvers in
-:mod:`repro.core.solvers` drive to convergence.
+exposes the Bellman backups that the solvers in :mod:`repro.core.solvers`
+drive to convergence.
 
 State layout (see :class:`repro.core.transitions.StateSpace`): one empty
 state, one full-queue state, and ``N_w * |T_w|`` occupied states.
@@ -24,11 +24,14 @@ which the paper does not do — exposed as an ablation knob.
 
 Bellman sweeps are stacked tensor contractions:
 
-- the **optimality backup** stacks every variable-batching partial-drain
-  action into one candidate tensor and resolves the greedy choice with a
-  single first-maximum ``argmax`` reduction (the dense
-  ``Q[a, s] = r[a, s] + gamma[a, s] * (P[a] @ v)[s]`` layout, specialized
-  to this MDP's factored kernels);
+- the **optimality backup** is :class:`BellmanKernel`, the one backup in
+  the package: it stacks the load-dependent arrays of one or more cells
+  (a single worker MDP for :meth:`WorkerMDP.backup`, a whole load grid
+  for :class:`repro.core.bank.StackedBankMDP`), stacks every
+  variable-batching partial-drain action into one candidate tensor, and
+  resolves the greedy choice with first-maximum ``argmax`` reductions
+  (the dense ``Q[a, s] = r[a, s] + gamma[a, s] * (P[a] @ v)[s]`` layout,
+  specialized to this MDP's factored kernels);
 - **policy evaluation** (:meth:`WorkerMDP.backup_policy`) assembles the
   policy-induced chain once per action table — reward, discount, and
   transition-row arrays — so every expectation sweep is one
@@ -41,16 +44,17 @@ the test suite as an oracle (``tests/oracles/loop_mdp.py``), and value
 iteration here is **float-identical** to it — every candidate Q value is
 produced by the same NumPy kernel calls on the same operands, and the
 stacked argmax keeps the loop's first-strict-maximum tie-breaking.
-``tests/test_solver_equivalence.py`` asserts ``==`` value functions and
-byte-identical ``Policy.save`` output.  Policy evaluation swaps per-state
-``dot`` calls for one ``gemv``, which reassociates sums, so policy
-iteration agrees with the oracle at the greedy-table level.
+``tests/test_solver_equivalence.py`` asserts ``==`` value functions,
+equal greedy tables and byte-identical ``Policy.save`` output.  Policy
+evaluation swaps per-state ``dot`` calls for one ``gemv``, which
+reassociates sums, so policy iteration agrees with the oracle at the
+greedy-table level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +79,7 @@ __all__ = [
     "WorkerMDP",
     "build_worker_mdp",
     "BackupResult",
+    "BellmanKernel",
 ]
 
 #: Encoded "no action possible other than the forced fallback".
@@ -229,6 +234,8 @@ class WorkerMDP:
         self._pe_rows: Optional[np.ndarray] = None
         self._pe_reward: Optional[np.ndarray] = None
         self._pe_discount: Optional[np.ndarray] = None
+        # The one-cell optimality kernel, built on the first backup.
+        self._kernel: Optional[BellmanKernel] = None
 
     def _build_skeleton(self, config: WorkerMDPConfig) -> _Skeleton:
         """The load-invariant structure (a bank cell reuses a shared one)."""
@@ -392,15 +399,10 @@ class WorkerMDP:
         return plan
 
     def _stack_partial_plan(self) -> None:
-        """Stack the per-action partial-drain plan into batched arrays.
-
-        Everything except the per-entry value contraction (whose matmul
-        call must stay bitwise identical to the per-action formulation)
-        is hoisted into ``(P, ...)`` arrays consumed by one batched pass.
-        """
+        """Stack the per-action partial-drain plan into ``(P, ...)`` arrays
+        (see :class:`BellmanKernel`)."""
         plan = self._partial_plan
-        n_max, j_count = self._max_queue, len(self._grid)
-        p_count = len(plan)
+        j_count = len(self._grid)
         self._plan_m = np.array([e[0] for e in plan], dtype=np.intp)
         self._plan_b = np.array([e[1] for e in plan], dtype=np.intp)
         self._plan_valid = (
@@ -417,31 +419,6 @@ class WorkerMDP:
         )
         self._plan_reward = np.array([e[6] for e in plan], dtype=np.float64)
         self._plan_gamma = np.array([e[7] for e in plan], dtype=np.float64)
-        # region[p, n-1]: does entry p's action (b < n) apply in queue n?
-        region = np.zeros((p_count, n_max), dtype=bool)
-        for p, b in enumerate(self._plan_b):
-            region[p, b:] = True
-        # Dead candidate cells: outside queue-region x slack-validity.
-        self._plan_dead = ~(region[:, :, None] & self._plan_valid[:, None, :])
-        # Flat gather indices: q_cand[p, n, j] reads ev_stack[p, n,
-        # jmap[p, j]], resolved once into one fancy-index vector so each
-        # sweep is a single ``take`` instead of ``take_along_axis`` index
-        # construction.
-        base = (
-            np.arange(p_count, dtype=np.intp)[:, None, None] * n_max
-            + np.arange(n_max, dtype=np.intp)[None, :, None]
-        ) * j_count
-        self._plan_take = np.ascontiguousarray(
-            base + self._plan_jmap[:, None, :]
-        )
-        # Greedy lookup tables with the incoming full-drain best at slot 0.
-        self._plan_m_lut = np.concatenate(([0], self._plan_m))
-        self._plan_b_lut = np.concatenate(([0], self._plan_b))
-        # Reusable sweep buffers.  ``_fold_ev`` rows below each entry's
-        # ``b`` are never written and never read (masked to -inf), so the
-        # buffer is allocated once and left unzeroed between sweeps.
-        self._fold_vpad = np.empty((2 * n_max + 1, j_count), dtype=np.float64)
-        self._fold_ev = np.empty((p_count, n_max, j_count), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Bellman backup
@@ -449,154 +426,18 @@ class WorkerMDP:
     def backup(self, values: np.ndarray, want_greedy: bool = False) -> BackupResult:
         """One synchronous Bellman optimality backup.
 
-        Returns updated values; when ``want_greedy`` also returns the
-        greedy (argmax) action per state, used for policy extraction.
+        Runs :class:`BellmanKernel` over a one-cell stack.  Returns a fresh
+        value array on every call (value iteration keeps the previous
+        one); when ``want_greedy`` also returns the greedy (argmax) action
+        per state, used for policy extraction.
         """
-        gamma = self._config.discount
-        space = self._space
-        n_max, j_count, m_count = self._max_queue, len(self._grid), self._num_models
-
-        # Expected continuation value of every full-drain action (m, n).
-        if self._split is not None:
-            ev_serve = self._rows @ values  # (M, N)
-            ev_state = np.broadcast_to(
-                ev_serve[:, :, None], (m_count, n_max, j_count)
-            )
-            ev_full = ev_serve[0, n_max - 1]
-        else:
-            # (M, N, K) then mixed with per-state phase weights -> (M, N, J)
-            ev_phase = self._rows_by_phase @ values
-            ev_state = np.einsum("mnk,njk->mnj", ev_phase, self._phase_weights)
-            ev_full = float(ev_phase[0, n_max - 1] @ self._full_phase)
-
-        # Per-action discounting: gamma_action[m, n-1] is 'gamma' for plain
-        # MDPs and gamma**(l/reference) for the semi-MDP extension.
-        q_full_drain = (
-            self._reward + self._gamma_action[:, :, None] * ev_state
-        )  # (M, N, J)
-        q_masked = np.where(self._valid, q_full_drain, -np.inf)
-        best_q = q_masked.max(axis=0)  # (N, J)
-        best_m = q_masked.argmax(axis=0)
-        best_b = np.broadcast_to(
-            np.arange(1, n_max + 1)[:, None], (n_max, j_count)
-        ).copy()
-
-        # Forced fallback where nothing is valid (§4.3.1): serve the whole
-        # queue late on the fastest model — or, in drop mode, discard it
-        # and idle (an instantaneous transition to the empty state).
-        if self._config.drop_late:
-            drop_gamma = (
-                1.0 if self._config.duration_aware_discount else gamma
-            )
-            fallback_q = np.full(
-                (n_max, j_count), drop_gamma * values[space.EMPTY]
-            )
-        else:
-            fallback_q = self._gamma_action[0][:, None] * ev_state[0]
-        no_valid = ~self._valid.any(axis=0)
-        best_q = np.where(no_valid, fallback_q, best_q)
-        best_m = np.where(no_valid, _FALLBACK, best_m)
-
-        if self._config.batching is BatchingMode.VARIABLE:
-            best_q, best_m, best_b = self._fold_partial_actions(
-                values, best_q, best_m, best_b, want_greedy
-            )
-
-        new_values = np.empty_like(values)
-        occupied = space.occupied_view(new_values)
-        occupied[:, :] = best_q
-        new_values[space.EMPTY] = self._gamma_empty * values[
-            space.index(1, self._grid.slo_index)
-        ]
-        if self._config.drop_late:
-            drop_gamma = 1.0 if self._config.duration_aware_discount else gamma
-            new_values[space.FULL] = drop_gamma * values[space.EMPTY]
-        else:
-            new_values[space.FULL] = (
-                self._gamma_action[0, n_max - 1] * ev_full
-            )
-
-        greedy: Dict[int, Tuple[int, int]] = {}
+        if self._kernel is None:
+            self._kernel = BellmanKernel([self])
         if want_greedy:
-            for n in range(1, n_max + 1):
-                for j in range(j_count):
-                    greedy[space.index(n, j)] = (
-                        int(best_m[n - 1, j]),
-                        int(best_b[n - 1, j]),
-                    )
-            greedy[space.FULL] = (_FALLBACK, n_max)
-        return BackupResult(values=new_values, greedy=greedy)
-
-    def _fold_partial_actions(
-        self,
-        values: np.ndarray,
-        best_q: np.ndarray,
-        best_m: np.ndarray,
-        best_b: np.ndarray,
-        want_greedy: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mix in variable-batching actions ``(m, b)`` with ``b < n``.
-
-        For each such action the leftover queue keeps ``n - b`` queries
-        whose earliest slack is the conservative ``T_j - l`` (DESIGN.md §3),
-        so the slack bin of the next state is deterministic and only the
-        arrival count is stochastic.
-
-        All actions resolve as one stacked candidate tensor, bitwise
-        identical to a sequential per-action fold: each entry's expected
-        continuation value uses the *same* windowed matmul, scalar
-        reward/discount broadcasting performs the same per-element float
-        ops, and ``argmax`` takes the first maximum — exactly the strict
-        ``>`` update order of a loop with the incoming full-drain best as
-        candidate 0.
-        """
-        if not self._plan_counts:
-            return best_q, best_m, best_b
-        space = self._space
-        n_max = self._max_queue
-        v_full = values[space.FULL]
-
-        # vpad[i + k] is the value of "base i+1 plus k arrivals"; rows past
-        # N_w stand in for the overflow (FULL) state, so one windowed
-        # contraction covers both the in-range mass and the tail.
-        vpad = self._fold_vpad
-        vpad[:n_max] = space.occupied_view(values)
-        vpad[n_max:] = v_full
-        windows = np.lib.stride_tricks.sliding_window_view(
-            vpad, n_max + 1, axis=0
-        )  # (N + 1, J, N + 1); windows[i, :, k] == vpad[i + k]
-
-        # ev_stack[p, b_p + i] = E[V(next) | leftover base i + 1] — the one
-        # per-entry kernel call, aligned to queue rows at assignment time
-        # and written straight into the reusable buffer.
-        ev_stack = self._fold_ev
-        for p, b in enumerate(self._plan_b):
-            np.matmul(
-                windows[: n_max - b], self._plan_counts[p], out=ev_stack[p, b:]
-            )
-        # Overflow tail mass, batched (exact: adds 0.0 where residual is 0).
-        ev_stack += self._plan_residual[:, None, None] * v_full
-        # Leftover-slack requantization: one flat gather for every entry.
-        q_cand = ev_stack.take(self._plan_take)
-        q_cand *= self._plan_gamma[:, None, None]
-        q_cand += self._plan_reward[:, None, None]
-        np.copyto(q_cand, -np.inf, where=self._plan_dead)
-
-        if not want_greedy:
-            # Plain max: same result as a sequential strict-``>`` fold
-            # (float max is exact and order-independent).
-            return (
-                np.maximum(q_cand.max(axis=0), best_q, out=best_q),
-                best_m,
-                best_b,
-            )
-        cand = np.concatenate([best_q[None], q_cand], axis=0)
-        winner = cand.argmax(axis=0)
-        best_q = np.take_along_axis(cand, winner[None], axis=0)[0]
-        keep = winner == 0
-        best_m = np.where(keep, best_m, self._plan_m_lut[winner])
-        best_b = np.where(keep, best_b, self._plan_b_lut[winner])
-        return best_q, best_m, best_b
+            new_values, tables = self._kernel.greedy(values[None])
+            return BackupResult(values=new_values[0].copy(), greedy=tables[0])
+        new_values = self._kernel.sweep(values[None], (0,))
+        return BackupResult(values=new_values[0].copy(), greedy={})
 
     def _counts_for(self, latency: float) -> np.ndarray:
         """Arrival-count distribution over the service time.
@@ -785,11 +626,16 @@ class WorkerMDP:
     # ------------------------------------------------------------------
     def extract_policy(self, values: np.ndarray, task: Optional[str] = None) -> Policy:
         """Greedy policy for ``values``, packaged for online use."""
-        result = self.backup(values, want_greedy=True)
+        return self.policy_of(self.backup(values, want_greedy=True).greedy, task)
+
+    def policy_of(
+        self, greedy: Dict[int, Tuple[int, int]], task: Optional[str] = None
+    ) -> Policy:
+        """Package a greedy action table (see :class:`BackupResult`)."""
         actions: Dict[Tuple[int, int], Action] = {}
         for n in range(1, self._max_queue + 1):
             for j in range(len(self._grid)):
-                m, b = result.greedy[self._space.index(n, j)]
+                m, b = greedy[self._space.index(n, j)]
                 if m == _FALLBACK:
                     actions[(n, j)] = Action(
                         model=self._models[0].name, batch_size=n, is_late=True
@@ -821,6 +667,345 @@ class WorkerMDP:
     def initial_values(self) -> np.ndarray:
         """Zero value vector of the right shape."""
         return np.zeros(self._space.size, dtype=np.float64)
+
+
+class BellmanKernel:
+    """The Bellman optimality backup over a stack of worker MDPs.
+
+    Built from cells that share every load-invariant input (models, grid,
+    SLO, batching, view, extensions) and differ only in their arrival
+    load: one cell for :meth:`WorkerMDP.backup`, a whole load grid for
+    :class:`repro.core.bank.StackedBankMDP`.  The load-dependent arrays
+    are stacked into ``(L, ...)`` layouts; :meth:`sweep` backs up every
+    active load and :meth:`greedy` adds each load's argmax action table.
+
+    Exactness discipline: every matmul/einsum *reduction* is invoked per
+    load with exactly a one-cell stack's operand shapes and strides
+    (batching a matmul across loads would dispatch a different BLAS kernel
+    and reassociate sums), while every *elementwise* op (add, multiply,
+    compare, max-reduce over in-row axes) batches across the load axis —
+    ufuncs are per-element, so batching them cannot change a single bit,
+    and ``argmax`` only compares.  A load's backup is therefore bitwise
+    the same in whatever stack it sits.
+    """
+
+    def __init__(self, cells: Sequence[WorkerMDP]) -> None:
+        self._validate(cells)
+        first = cells[0]
+        cfg = first.config
+        self._space = space = first.space
+        self._loads = loads = len(cells)
+        self._n_max = n_max = first.max_queue
+        self._j_count = j_count = len(first.grid)
+        m_count = first.num_models
+
+        self._split_view = cfg.view is not TransitionView.EXACT_ROUND_ROBIN
+        self._drop_late = cfg.drop_late
+        self._drop_gamma = (
+            1.0 if cfg.duration_aware_discount else cfg.discount
+        )
+        self._idx_one = space.index(1, first.grid.slo_index)
+        self._batches = np.arange(1, n_max + 1)[:, None]
+
+        # Load-invariant structure (validated equal across cells).
+        self._reward = first._reward  # (M, N, J)
+        self._valid = first._valid  # (M, N, J)
+        self._no_valid = ~first._valid.any(axis=0)  # (N, J)
+
+        # Load-dependent stacks.  Kernel row banks stay per-cell array
+        # references: reductions run per load on the cell's own operands.
+        self._gamma_action = np.stack([c._gamma_action for c in cells])
+        self._gamma_empty = np.array([c._gamma_empty for c in cells])
+        self._gamma_full = self._gamma_action[:, 0, n_max - 1].copy()
+        if self._split_view:
+            self._rows_list = [c._rows for c in cells]
+        else:
+            self._rows_by_phase_list = [c._rows_by_phase for c in cells]
+            self._phase_weights_list = [c._phase_weights for c in cells]
+            self._full_phase_list = [c._full_phase for c in cells]
+            self._ev_phase = np.empty(
+                (loads, m_count, n_max, self._rows_by_phase_list[0].shape[2])
+            )
+            self._ev_state = np.empty((loads, m_count, n_max, j_count))
+            self._ev_full = np.empty(loads)
+
+        # Sweep buffers.
+        self._ev = np.empty((loads, m_count, n_max))
+        self._prod = np.empty((loads, m_count, n_max))
+        self._q = np.empty((loads, m_count, n_max, j_count))
+        self._best = np.empty((loads, n_max, j_count))
+        self._new_values = np.empty((loads, space.size))
+
+        # Variable-batching partial-drain plan, stacked.  Everything except
+        # the per-entry value contraction (whose matmul call must stay
+        # bitwise identical to the per-action formulation) is hoisted into
+        # ``(L, P, ...)`` arrays consumed by one batched pass.
+        self._p_count = p_count = len(first._plan_counts)
+        if p_count:
+            self._plan_b = first._plan_b
+            # region[p, n-1]: does entry p's action (b < n) apply in queue n?
+            region = np.zeros((p_count, n_max), dtype=bool)
+            for p, b in enumerate(self._plan_b):
+                region[p, b:] = True
+            # Dead candidate cells: outside queue-region x slack-validity.
+            self._plan_dead = ~(
+                region[:, :, None] & first._plan_valid[:, None, :]
+            )
+            # Greedy lookup tables with the incoming full-drain best at
+            # slot 0.
+            self._plan_m_lut = np.concatenate(([0], first._plan_m))
+            self._plan_b_lut = np.concatenate(([0], first._plan_b))
+            self._plan_gamma = np.stack([c._plan_gamma for c in cells])
+            self._plan_reward = np.stack([c._plan_reward for c in cells])
+            self._plan_residual = np.stack(
+                [c._plan_residual for c in cells]
+            )
+            self._plan_counts_list = [c._plan_counts for c in cells]
+            # Flat gather indices: q_cand[l, p, n, j] reads
+            # ev_stack[l, p, n, jmap[p, j]], resolved once into one
+            # fancy-index array so each sweep is a single ``take``.
+            self._take_stack = (
+                (
+                    np.arange(loads * p_count, dtype=np.intp).reshape(
+                        loads, p_count, 1, 1
+                    )
+                    * n_max
+                    + np.arange(n_max, dtype=np.intp)[:, None]
+                )
+                * j_count
+                + first._plan_jmap[None, :, None, :]
+            )
+            # ``_fold_ev`` rows below each entry's ``b`` are never written
+            # and never read (masked to -inf), so the buffer is left
+            # unzeroed between sweeps.
+            self._fold_vpad = np.empty((loads, 2 * n_max + 1, j_count))
+            self._fold_ev = np.empty(
+                (loads, self._p_count, n_max, j_count)
+            )
+            self._fold_q = np.empty_like(self._fold_ev)
+
+    @staticmethod
+    def _validate(cells: Sequence[WorkerMDP]) -> None:
+        first = cells[0]
+        cfg = first.config
+        for cell in cells[1:]:
+            c = cell.config
+            same = (
+                cell.space.size == first.space.size
+                and cell.num_models == first.num_models
+                and cell.max_queue == first.max_queue
+                and c.view is cfg.view
+                and c.batching is cfg.batching
+                and c.drop_late == cfg.drop_late
+                and c.duration_aware_discount == cfg.duration_aware_discount
+                and c.discount == cfg.discount
+                and cell.grid.slo_ms == first.grid.slo_ms
+                and np.array_equal(
+                    cell.grid.as_array(), first.grid.as_array()
+                )
+                and np.array_equal(cell._latency, first._latency)
+                and np.array_equal(cell._valid, first._valid)
+                and np.array_equal(cell._reward, first._reward)
+                and len(cell._plan_counts) == len(first._plan_counts)
+                and np.array_equal(cell._plan_jmap, first._plan_jmap)
+                and np.array_equal(cell._plan_valid, first._plan_valid)
+            )
+            if not same:
+                raise ConfigurationError(
+                    "stacked bank cells must share every load-invariant "
+                    "input (models, grid, SLO, batching, view, extensions) "
+                    "and differ only in the arrival load"
+                )
+
+    def sweep(self, values: np.ndarray, active: Sequence[int]) -> np.ndarray:
+        """One optimality backup of every active load of ``values`` (L, S).
+
+        Returns the kernel's ``(L, S)`` output buffer, which the next call
+        overwrites.  Inactive (converged) loads skip their reductions; the
+        batched elementwise passes still touch their rows, which are stale
+        and must not be read.
+        """
+        self._backup(values, active, greedy=False)
+        return self._new_values
+
+    def greedy(
+        self, values: np.ndarray
+    ) -> Tuple[np.ndarray, List[Dict[int, Tuple[int, int]]]]:
+        """Backup of every load plus each load's greedy action table.
+
+        Tables map state id -> encoded ``(model_index, batch)`` as in
+        :class:`BackupResult`.  Ties go to the first maximum — the lowest
+        model index among full drains, then the full-drain best ahead of
+        the partial drains in plan order — which is the strict ``>``
+        update order of a sequential per-action fold.
+        """
+        model, batch = self._backup(values, range(self._loads), greedy=True)
+        space = self._space
+        ids = range(2, space.size)
+        tables = []
+        for m_i, b_i in zip(model, batch):
+            table = dict(zip(ids, zip(m_i.ravel().tolist(), b_i.ravel().tolist())))
+            table[space.FULL] = (_FALLBACK, self._n_max)
+            tables.append(table)
+        return self._new_values, tables
+
+    def _backup(
+        self, values: np.ndarray, active: Sequence[int], greedy: bool
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        space = self._space
+        n_max = self._n_max
+
+        # Expected continuation value of full-drain actions: the one
+        # per-load reduction, invoked with a one-cell stack's operand
+        # shapes so the BLAS kernel (and its summation order) is the same
+        # in every stack.
+        ev = self._ev
+        if self._split_view:
+            for i in active:
+                np.matmul(self._rows_list[i], values[i], out=ev[i])
+            # q[l, m, n, j] = reward[m, n, j] + gamma[l, m, n] * ev[l, m, n]
+            # (the j axis broadcasts the identical product).
+            np.multiply(self._gamma_action, ev, out=self._prod)
+            np.add(
+                self._reward[None],
+                self._prod[:, :, :, None],
+                out=self._q,
+            )
+            ev_full = ev[:, 0, n_max - 1]
+        else:
+            for i in active:
+                np.matmul(
+                    self._rows_by_phase_list[i],
+                    values[i],
+                    out=self._ev_phase[i],
+                )
+                self._ev_state[i] = np.einsum(
+                    "mnk,njk->mnj",
+                    self._ev_phase[i],
+                    self._phase_weights_list[i],
+                )
+                self._ev_full[i] = float(
+                    self._ev_phase[i][0, n_max - 1]
+                    @ self._full_phase_list[i]
+                )
+            np.multiply(
+                self._gamma_action[:, :, :, None],
+                self._ev_state,
+                out=self._q,
+            )
+            np.add(self._reward[None], self._q, out=self._q)
+            ev_full = self._ev_full
+
+        # Masked max over models.
+        np.max(
+            self._q,
+            axis=1,
+            where=self._valid[None],
+            initial=-np.inf,
+            out=self._best,
+        )
+
+        # Forced fallback where nothing is valid (§4.3.1): serve the whole
+        # queue late on the fastest model — or, in drop mode, discard it
+        # and idle (an instantaneous transition to the empty state).
+        if self._drop_late:
+            fb = self._drop_gamma * values[:, space.EMPTY]
+            np.copyto(
+                self._best, fb[:, None, None], where=self._no_valid[None]
+            )
+        elif self._split_view:
+            # prod[l, 0, n] is the fallback product gamma[0, n] * ev[0, n].
+            np.copyto(
+                self._best,
+                self._prod[:, 0, :, None],
+                where=self._no_valid[None],
+            )
+        else:
+            fb = self._gamma_action[:, 0, :, None] * self._ev_state[:, 0]
+            np.copyto(self._best, fb, where=self._no_valid[None])
+
+        choice = None
+        if greedy:
+            model = np.where(self._valid[None], self._q, -np.inf).argmax(axis=1)
+            model[:, self._no_valid] = _FALLBACK
+            choice = (model, np.broadcast_to(self._batches, model.shape))
+
+        if self._p_count:
+            q_cand = self._partial_candidates(values, active)
+            if greedy:
+                winner = np.concatenate(
+                    [self._best[:, None], q_cand], axis=1
+                ).argmax(axis=1)
+                keep = winner == 0
+                choice = (
+                    np.where(keep, choice[0], self._plan_m_lut[winner]),
+                    np.where(keep, choice[1], self._plan_b_lut[winner]),
+                )
+            # Float max is exact, so this equals the winner's value.
+            np.maximum(q_cand.max(axis=1), self._best, out=self._best)
+
+        new_values = self._new_values
+        new_values[:, 2:] = self._best.reshape(self._loads, -1)
+        new_values[:, space.EMPTY] = (
+            self._gamma_empty * values[:, self._idx_one]
+        )
+        if self._drop_late:
+            new_values[:, space.FULL] = (
+                self._drop_gamma * values[:, space.EMPTY]
+            )
+        else:
+            new_values[:, space.FULL] = self._gamma_full * ev_full
+        return choice
+
+    def _partial_candidates(
+        self, values: np.ndarray, active: Sequence[int]
+    ) -> np.ndarray:
+        """Q of every variable-batching action ``(m, b)`` with ``b < n``.
+
+        For each such action the leftover queue keeps ``n - b`` queries
+        whose earliest slack is the conservative ``T_j - l`` (DESIGN.md §3),
+        so the slack bin of the next state is deterministic and only the
+        arrival count is stochastic.  Returns the ``(L, P, N, J)``
+        candidate buffer, ``-inf`` where an entry does not apply.
+        """
+        space = self._space
+        n_max = self._n_max
+        v_full = values[:, space.FULL]
+
+        # vpad[l, i + k] is the value of "base i+1 plus k arrivals"; rows
+        # past N_w stand in for the overflow (FULL) state, so one windowed
+        # contraction covers both the in-range mass and the tail.
+        vpad = self._fold_vpad
+        vpad[:, :n_max] = values[:, 2:].reshape(
+            self._loads, n_max, self._j_count
+        )
+        vpad[:, n_max:] = v_full[:, None, None]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            vpad, n_max + 1, axis=1
+        )  # (L, N + 1, J, N + 1); windows[l, i, :, k] == vpad[l, i + k]
+
+        # ev_stack[l, p, b_p + i] = E[V(next) | leftover base i + 1] — the
+        # one per-entry kernel call, aligned to queue rows at assignment.
+        ev_stack = self._fold_ev
+        for i in active:
+            counts = self._plan_counts_list[i]
+            win = windows[i]
+            for p, b in enumerate(self._plan_b):
+                np.matmul(
+                    win[: n_max - b], counts[p], out=ev_stack[i, p, b:]
+                )
+        # Overflow tail mass (exact: adds 0.0 where residual is 0).
+        ev_stack += (
+            self._plan_residual[:, :, None, None]
+            * v_full[:, None, None, None]
+        )
+        # Leftover-slack requantization: one flat gather for every entry.
+        q_cand = self._fold_q
+        np.take(ev_stack, self._take_stack, out=q_cand)
+        q_cand *= self._plan_gamma[:, :, None, None]
+        q_cand += self._plan_reward[:, :, None, None]
+        np.copyto(q_cand, -np.inf, where=self._plan_dead[None])
+        return q_cand
 
 
 def build_worker_mdp(config: WorkerMDPConfig) -> WorkerMDP:

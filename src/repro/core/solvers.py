@@ -1,18 +1,22 @@
 """Exact MDP solution methods (§4.1).
 
-RAMSIS uses value iteration by default; policy iteration is provided as the
-paper notes other exact methods may be used.  Both operate on any object
-exposing the :class:`WorkerMDP` backup protocol::
+Per-MDP drivers over the :class:`WorkerMDP` backup protocol::
 
     mdp.initial_values() -> np.ndarray
-    mdp.backup(values, want_greedy=...) -> BackupResult
+    mdp.backup(values, want_greedy=...) -> BackupResult  (a fresh array)
     mdp.backup_policy(values, action_table) -> np.ndarray  (policy iteration)
 
-so small dense MDPs used in the test suite can exercise the same solvers.
+so small dense MDPs and the loop oracle in ``tests/oracles/`` exercise
+the same solvers.  Policy generation itself does not use them: it runs
+value iteration as a stacked-bank solve
+(:meth:`repro.core.bank.StackedBankMDP.solve`).  They stay for Table 2's
+per-MDP timing and policy iteration, which the paper notes as another
+exact method.
 
-The solvers are agnostic to how the backups are computed: value
-iteration on :class:`~repro.core.mdp.WorkerMDP` is float-identical to the
-per-action loop oracle in ``tests/oracles/`` (asserted by
+The solvers are agnostic to how the backups are computed: on
+:class:`~repro.core.mdp.WorkerMDP` the backup is the one-cell
+:class:`~repro.core.mdp.BellmanKernel`; value iteration is
+float-identical to the per-action loop oracle (asserted by
 ``tests/test_solver_equivalence.py``), and policy iteration agrees with
 it at the greedy-table level.  Both raise :class:`~repro.errors.SolverError` with
 residual diagnostics when their iteration ceilings are hit, so a

@@ -45,7 +45,7 @@ from repro.sim.simulator import Simulation, SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.cache import PolicyCache
-    from repro.core.generator import GenerationResult
+    from repro.core.bank import GenerationResult
     from repro.obs.attribution import LatencyAttributor
 
 __all__ = [

@@ -13,7 +13,7 @@ is aggregated into per-*path* statistics without new instrumentation::
     Path("prof.folded").write_text("\\n".join(profiler.folded()))
 
 A *path* is the stack of open phase names rooted at the track
-(``generator;generate_policy;value_iteration``), so the
+(``generator;stacked_bank;stacked_value_iteration``), so the
 :meth:`folded` output is directly consumable by standard flamegraph
 tooling (``flamegraph.pl``, speedscope's folded importer).  *Self* time
 is a phase's total minus its direct children's totals, computed at

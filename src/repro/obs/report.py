@@ -15,7 +15,7 @@ Two consumers of on-disk observability artifacts:
   :func:`check_bench_history`, ``ramsis bench-history``): append every
   ``benchmarks/out/*.json`` result as one line of
   ``benchmarks/out/history.jsonl``, then compare each benchmark's latest
-  entry against its previous one.  Directionality is inferred from the
+  entry against its best recent one.  Directionality is inferred from the
   metric-key suffix (``*_s``/``*_ms``/``*_seconds``/``*_bytes``/
   ``*vs_off`` are lower-is-better; ``*_qps``/``*speedup*``/
   ``*throughput*`` are higher-is-better; anything else is informational
@@ -55,6 +55,10 @@ LOWER_IS_BETTER_SUFFIXES: Tuple[str, ...] = (
 )
 #: Metric-key markers where larger is better (rates of useful work).
 HIGHER_IS_BETTER_MARKERS: Tuple[str, ...] = ("_qps", "speedup", "throughput")
+#: Previous entries of a ``(bench, scale)`` series whose best value each
+#: metric's latest entry is judged against, so a slow drift of small
+#: per-entry losses still trips the tolerance.
+BENCH_HISTORY_WINDOW = 5
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +423,7 @@ class Regression:
 
     bench: str
     key: str
+    #: The best value among the previous entries compared against.
     previous: float
     latest: float
     #: "lower" or "higher" — which direction is better for this key.
@@ -503,14 +508,17 @@ def append_bench_history(
 def check_bench_history(
     history_path: Union[str, Path], tolerance: float = 0.25
 ) -> List[Regression]:
-    """Compare each benchmark's latest history entry against its previous.
+    """Compare each benchmark's latest history entry against its best
+    recent one.
 
     Entries are grouped by ``(bench, data["scale"])``, so a smoke run is
-    only ever judged against the previous smoke run of the same bench.
-    A tracked metric (see :func:`metric_direction`) that moved in the
-    worse direction by more than ``tolerance`` (fractional) is reported.
-    Groups with fewer than two entries, and keys present in only one
-    entry, are skipped — the first recorded run can never regress.
+    only ever judged against previous smoke runs of the same bench.  A
+    tracked metric (see :func:`metric_direction`) of the latest entry is
+    compared with its best value among up to
+    :data:`BENCH_HISTORY_WINDOW` previous entries, and reported when it is
+    worse by more than ``tolerance`` (fractional).  Groups with fewer
+    than two entries, and keys no previous entry in the window carries,
+    are skipped — the first recorded run can never regress.
     """
     history = Path(history_path)
     if not history.is_file():
@@ -530,13 +538,18 @@ def check_bench_history(
     for (bench, _scale), entries in sorted(by_bench.items()):
         if len(entries) < 2:
             continue
-        previous = _flatten(entries[-2].get("data", {}))
+        window = [
+            _flatten(entry.get("data", {}))
+            for entry in entries[-1 - BENCH_HISTORY_WINDOW : -1]
+        ]
         latest = _flatten(entries[-1].get("data", {}))
-        for key in sorted(previous.keys() & latest.keys()):
+        for key in sorted(latest):
             better = metric_direction(key)
-            if better is None:
+            seen = [previous[key] for previous in window if key in previous]
+            if better is None or not seen:
                 continue
-            old, new = previous[key], latest[key]
+            old = min(seen) if better == "lower" else max(seen)
+            new = latest[key]
             if old == 0:
                 continue
             change = (new - old) / abs(old)

@@ -2,17 +2,19 @@
 
 :class:`LoopWorkerMDP` shares :class:`~repro.core.mdp.WorkerMDP`'s
 construction (kernels, rewards, partial-drain plan) and overrides the
-three solve-path hot loops with their original per-action / per-state
-Python iterations:
+solve-path hot loops with their original per-load, per-action /
+per-state formulations:
 
-- the variable-batching partial-drain fold walks ``_partial_plan`` one
+- the optimality backup is the per-load masked max over full drains,
+  independent of :class:`~repro.core.mdp.BellmanKernel`;
+- its variable-batching partial-drain fold walks ``_partial_plan`` one
   action at a time with a strict ``>`` update;
 - policy evaluation builds every state's transition row per sweep;
 - ``policy_rows`` always assembles, never reading the evaluation cache.
 
-Value iteration on it is float-identical to the production sweeps, which
-``tests/test_solver_equivalence.py`` and
-``benchmarks/bench_state_space.py`` assert.
+Value iteration on it is float-identical to the production sweeps and
+its greedy tables are equal, which ``tests/test_solver_equivalence.py``
+and ``benchmarks/bench_state_space.py`` assert.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.config import WorkerMDPConfig
-from repro.core.generator import GenerationResult, _annotate
+from repro.core.bank import GenerationResult, _annotate
+from repro.core.config import BatchingMode, WorkerMDPConfig
 from repro.core.guarantees import evaluate_policy
-from repro.core.mdp import _FALLBACK, WorkerMDP
+from repro.core.mdp import _FALLBACK, BackupResult, WorkerMDP
 from repro.core.solvers import value_iteration
 
 __all__ = ["LoopWorkerMDP", "generate_loop_policy"]
@@ -32,6 +34,87 @@ __all__ = ["LoopWorkerMDP", "generate_loop_policy"]
 
 class LoopWorkerMDP(WorkerMDP):
     """A :class:`WorkerMDP` whose sweeps iterate actions and states."""
+
+    def backup(self, values: np.ndarray, want_greedy: bool = False) -> BackupResult:
+        """One synchronous Bellman optimality backup.
+
+        Returns updated values; when ``want_greedy`` also returns the
+        greedy (argmax) action per state, used for policy extraction.
+        """
+        gamma = self._config.discount
+        space = self._space
+        n_max, j_count, m_count = self._max_queue, len(self._grid), self._num_models
+
+        # Expected continuation value of every full-drain action (m, n).
+        if self._split is not None:
+            ev_serve = self._rows @ values  # (M, N)
+            ev_state = np.broadcast_to(
+                ev_serve[:, :, None], (m_count, n_max, j_count)
+            )
+            ev_full = ev_serve[0, n_max - 1]
+        else:
+            # (M, N, K) then mixed with per-state phase weights -> (M, N, J)
+            ev_phase = self._rows_by_phase @ values
+            ev_state = np.einsum("mnk,njk->mnj", ev_phase, self._phase_weights)
+            ev_full = float(ev_phase[0, n_max - 1] @ self._full_phase)
+
+        # Per-action discounting: gamma_action[m, n-1] is 'gamma' for plain
+        # MDPs and gamma**(l/reference) for the semi-MDP extension.
+        q_full_drain = (
+            self._reward + self._gamma_action[:, :, None] * ev_state
+        )  # (M, N, J)
+        q_masked = np.where(self._valid, q_full_drain, -np.inf)
+        best_q = q_masked.max(axis=0)  # (N, J)
+        best_m = q_masked.argmax(axis=0)
+        best_b = np.broadcast_to(
+            np.arange(1, n_max + 1)[:, None], (n_max, j_count)
+        ).copy()
+
+        # Forced fallback where nothing is valid (§4.3.1): serve the whole
+        # queue late on the fastest model — or, in drop mode, discard it
+        # and idle (an instantaneous transition to the empty state).
+        if self._config.drop_late:
+            drop_gamma = (
+                1.0 if self._config.duration_aware_discount else gamma
+            )
+            fallback_q = np.full(
+                (n_max, j_count), drop_gamma * values[space.EMPTY]
+            )
+        else:
+            fallback_q = self._gamma_action[0][:, None] * ev_state[0]
+        no_valid = ~self._valid.any(axis=0)
+        best_q = np.where(no_valid, fallback_q, best_q)
+        best_m = np.where(no_valid, _FALLBACK, best_m)
+
+        if self._config.batching is BatchingMode.VARIABLE:
+            best_q, best_m, best_b = self._fold_partial_actions(
+                values, best_q, best_m, best_b, want_greedy
+            )
+
+        new_values = np.empty_like(values)
+        occupied = space.occupied_view(new_values)
+        occupied[:, :] = best_q
+        new_values[space.EMPTY] = self._gamma_empty * values[
+            space.index(1, self._grid.slo_index)
+        ]
+        if self._config.drop_late:
+            drop_gamma = 1.0 if self._config.duration_aware_discount else gamma
+            new_values[space.FULL] = drop_gamma * values[space.EMPTY]
+        else:
+            new_values[space.FULL] = (
+                self._gamma_action[0, n_max - 1] * ev_full
+            )
+
+        greedy: Dict[int, Tuple[int, int]] = {}
+        if want_greedy:
+            for n in range(1, n_max + 1):
+                for j in range(j_count):
+                    greedy[space.index(n, j)] = (
+                        int(best_m[n - 1, j]),
+                        int(best_b[n - 1, j]),
+                    )
+            greedy[space.FULL] = (_FALLBACK, n_max)
+        return BackupResult(values=new_values, greedy=greedy)
 
     def _fold_partial_actions(
         self,

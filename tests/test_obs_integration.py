@@ -236,15 +236,15 @@ class TestGeneratorTracing:
         result = generate_policy(tiny_config, tracer=tracer)
         names = [s.name for s in tracer.spans]
         for expected in (
-            "generate_policy",
-            "build_worker_mdp",
-            "value_iteration",
-            "evaluate_policy",
+            "stacked_bank",
+            "build_stacked_bank",
+            "stacked_value_iteration",
+            "stacked_evaluate",
         ):
             assert expected in names
         spans = {s.name: s for s in tracer.spans}
-        root = spans["generate_policy"]
-        assert spans["value_iteration"].parent_id == root.span_id
+        root = spans["stacked_bank"]
+        assert spans["stacked_value_iteration"].parent_id == root.span_id
         assert result.policy is not None
 
     def test_vi_sweep_events(self, tiny_config):

@@ -197,8 +197,8 @@ class TestForwarding:
         profiler = PhaseProfiler()
         generate_policy(tiny_config, tracer=profiler)
         names = {s.name for s in profiler.stats()}
-        assert "generate_policy" in names
-        assert "value_iteration" in names
+        assert "stacked_bank" in names
+        assert "stacked_value_iteration" in names
         deepest = max(s.depth for s in profiler.stats())
         assert deepest >= 1
 

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.obs.aggregate import ShardTracer, merge_run_dir, write_merged_artifacts
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
+    BENCH_HISTORY_WINDOW,
     append_bench_history,
     check_bench_history,
     metric_direction,
@@ -343,6 +344,17 @@ class TestBenchHistory:
         (regression,) = check_bench_history(out / "history.jsonl")
         assert regression.better == "higher"
         assert regression.latest == 50.0
+
+    def test_drift_judged_against_best_recent_entry(self, tmp_path):
+        out = tmp_path / "out"
+        for value in (1.0, 1.2, 1.44):  # each 20% worse than the one before
+            self._record(out, value)
+        (regression,) = check_bench_history(out / "history.jsonl")
+        assert (regression.previous, regression.latest) == (1.0, 1.44)
+        # The best entry leaves the window after BENCH_HISTORY_WINDOW more.
+        for _ in range(BENCH_HISTORY_WINDOW):
+            self._record(out, 1.44)
+        assert check_bench_history(out / "history.jsonl") == []
 
     def test_only_latest_pair_compared(self, tmp_path):
         out = tmp_path / "out"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,44 @@ def test_generate_is_a_one_load_generate_many(tiny_config, tmp_path):
     assert _cell_sources(reg_one) == _cell_sources(reg_many) == {
         "memory": 1, "disk": 1, "solve": 1,
     }
+
+
+def test_traced_serial_and_pool_banks_record_the_same_sweeps(
+    tiny_config, tmp_path
+):
+    loads = [10.0, 20.0, 30.0]
+    banks, restored, sweeps = [], [], []
+    for max_workers in (None, 2):
+        tracer = RecordingTracer()
+        cache_dir = tmp_path / f"cache-{max_workers}"
+        banks.append(
+            PolicyGenerator(
+                tiny_config, tracer=tracer, cache=PolicyCache(cache_dir)
+            ).generate_many(loads, max_workers=max_workers)
+        )
+        restored.append(
+            PolicyGenerator(
+                tiny_config, cache=PolicyCache(cache_dir)
+            ).generate_many(loads)
+        )
+        # The vi_sweep events at iteration k count the cells still
+        # sweeping at k, so this tally fixes every cell's sweep count.
+        sweeps.append(
+            Counter(
+                ev.args["iteration"]
+                for ev in tracer.events
+                if not ev.is_counter and ev.name == "vi_sweep"
+            )
+        )
+    serial, pool = banks
+    assert all(r.residuals is not None for r in serial)
+    assert [len(r.residuals) for r in serial] == [r.iterations for r in serial]
+    assert [r.residuals for r in serial] == [r.residuals for r in pool]
+    assert [r.residuals for r in restored[0]] == [
+        r.residuals for r in restored[1]
+    ]
+    cells = Counter(k for r in serial for k in range(1, r.iterations + 1))
+    assert sweeps[0] == sweeps[1] == cells
 
 
 def test_explicit_workers_keep_the_pool_under_auto(tiny_config):

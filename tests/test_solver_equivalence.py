@@ -21,6 +21,8 @@ serialized artifact.  This suite is the contract:
   and identical greedy tables away from near-ties.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from repro.arrivals.distributions import (
 )
 from repro.core.bank import StackedBankMDP, solve_stacked_bank
 from repro.core.config import BatchingMode, TransitionView, WorkerMDPConfig
-from repro.core.generator import generate_policy
+from repro.core.generator import PolicyGenerator, generate_policy
 from repro.core.guarantees import (
     evaluate_policy,
     stationary_distribution,
@@ -64,6 +66,14 @@ def _ladder(num_models: int) -> ModelSet:
         ],
         task="eq",
     )
+
+
+def _with_twin() -> ModelSet:
+    """The tiny set plus an exact twin of one model: their Q values tie,
+    so the greedy choice rests on first-maximum tie-breaking."""
+    models = list(make_tiny_model_set())
+    twin = replace(models[1], name=f"{models[1].name}-twin")
+    return ModelSet(models + [twin], task="tiny")
 
 
 def _config(**overrides) -> WorkerMDPConfig:
@@ -122,6 +132,10 @@ GOLDEN_CASES = [
         ),
         id="all-extensions",
     ),
+    pytest.param(
+        dict(batching=BatchingMode.VARIABLE, model_set=_with_twin()),
+        id="tied-models",
+    ),
 ]
 
 
@@ -154,6 +168,24 @@ class TestGoldenEquivalence:
         assert evaluate_policy(loop, policy_loop) == (
             evaluate_policy(tensor, policy_tensor)
         )
+
+        # The one Bellman kernel against the oracle's per-load backup: on
+        # the fixed point, on zeros (every partial drain ties its full
+        # drain, so first-maximum tie-breaking decides), and on noise.
+        rng = np.random.default_rng(7)
+        for v in (
+            vi_tensor.values,
+            tensor.initial_values(),
+            rng.uniform(0.0, 5.0, tensor.num_states),
+        ):
+            want = loop.backup(v, want_greedy=True)
+            got = tensor.backup(v, want_greedy=True)
+            assert np.array_equal(got.values, want.values)
+            assert got.greedy == want.greedy
+        # Fresh arrays per call: value iteration keeps the previous one.
+        first, second = tensor.backup(v).values, tensor.backup(v).values
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
 
         # Policy iteration: identical greedy tables and round counts.
         pi_loop, table_loop = policy_iteration(loop, evaluation_sweeps=60)
@@ -273,6 +305,18 @@ class TestStackedBank:
         bank = StackedBankMDP([base.with_load(q) for q in BANK_LOADS[:2]])
         with pytest.raises(ConfigurationError):
             bank.solve(initials=[None])
+        # A warm start must be one value per state, never broadcast.
+        size = bank.cells[0].num_states
+        for bad in (np.array([0.5]), np.float64(0.5), np.zeros(size + 1)):
+            with pytest.raises(ConfigurationError, match="load 27 qps"):
+                bank.solve(initials=[None, bad])
+        config = base.with_load(BANK_LOADS[0])
+        with pytest.raises(ConfigurationError, match="load 18 qps"):
+            generate_policy(config, initial=np.array([0.5]))
+        with pytest.raises(ConfigurationError, match="load 18 qps"):
+            PolicyGenerator(base).generate(
+                BANK_LOADS[0], initial=np.array([0.5])
+            )
 
 
 # ----------------------------------------------------------------------
