@@ -55,7 +55,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.columns import (
     COUNTER,
@@ -65,6 +65,7 @@ from repro.obs.columns import (
     TableWriter,
     encode_block,
     json_default,
+    split_args,
     write_table,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -98,7 +99,8 @@ class ShardTracer(Tracer):
 
     Mirrors :class:`~repro.obs.trace.RecordingTracer` (wall-clock spans
     relative to a ``perf_counter`` epoch, per-track parent stacks) but
-    buffers its rows (args copied shallowly when recorded) and appends
+    buffers its rows (args taken as key and value tuples when recorded;
+    :meth:`instant_row` / :meth:`complete_row` store them as given) and appends
     them to a feed file as one block of typed columns per :meth:`flush`
     -- or per ``BLOCK_ROWS`` rows -- so a long worker's trace stays
     bounded in the process heap.  Every row is stamped with the current *sequence
@@ -156,13 +158,14 @@ class ShardTracer(Tracer):
         value: float,
         span_id: int,
         parent: int,
-        args: Optional[Dict[str, Any]],
+        keys: Tuple[Any, ...] = (),
+        values: Tuple[Any, ...] = (),
     ) -> None:
         n = self._n
         self._n = n + 1
         self._rows.append(
             kind, name, track, category, ts_ms, duration_ms, value, span_id,
-            parent, self._seq, n, args,
+            parent, self._seq, n, keys, values,
         )
         if n >= self._flush_at:
             self.flush()
@@ -176,11 +179,25 @@ class ShardTracer(Tracer):
         category: str = "sim",
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
+        self.complete_row(
+            name, track, start_ms, duration_ms, *split_args(args), category
+        )
+
+    def complete_row(
+        self,
+        name: str,
+        track: str,
+        start_ms: float,
+        duration_ms: float,
+        keys: Tuple[Any, ...],
+        values: Tuple[Any, ...],
+        category: str = "sim",
+    ) -> None:
         span_id = self._next_id
         self._next_id += 1
         self._row(
             SPAN, name, track, category, start_ms, duration_ms, 0.0, span_id,
-            -1, args,
+            -1, keys, values,
         )
 
     def instant(
@@ -191,18 +208,29 @@ class ShardTracer(Tracer):
         category: str = "sim",
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
+        self.instant_row(name, track, ts_ms, *split_args(args), category)
+
+    def instant_row(
+        self,
+        name: str,
+        track: str,
+        ts_ms: float,
+        keys: Tuple[Any, ...],
+        values: Tuple[Any, ...],
+        category: str = "sim",
+    ) -> None:
         n = self._n
         self._n = n + 1
         self._rows.append(
             INSTANT, name, track, category, ts_ms, 0.0, 0.0, -1, -1, self._seq,
-            n, args,
+            n, keys, values,
         )
         if n >= self._flush_at:
             self.flush()
 
     def counter(self, name: str, track: str, ts_ms: float, value: float) -> None:
         self._row(
-            COUNTER, name, track, "counter", ts_ms, 0.0, float(value), -1, -1, None
+            COUNTER, name, track, "counter", ts_ms, 0.0, float(value), -1, -1
         )
 
     @contextmanager
@@ -229,7 +257,7 @@ class ShardTracer(Tracer):
             # pattern).
             self._row(
                 SPAN, name, track, category, start, self._now_ms() - start,
-                0.0, span_id, parent, args,
+                0.0, span_id, parent, *split_args(args),
             )
 
     def _now_ms(self) -> float:

@@ -46,9 +46,9 @@ import io
 import json
 import os
 import struct
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import (
     Any,
     BinaryIO,
@@ -78,6 +78,7 @@ __all__ = [
     "encode_block",
     "json_default",
     "read_blocks",
+    "split_args",
     "write_table",
 ]
 
@@ -113,7 +114,6 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 MISSING: Any = type("Missing", (), {"__repr__": lambda self: "MISSING"})()
 
 ArgKey = Tuple[str, str]
-_NO_ARGS: Mapping[Any, Any] = MappingProxyType({})
 
 
 def json_default(value: Any) -> Any:
@@ -147,13 +147,16 @@ def _json_key(key: Any) -> str:
 
 def _int64_only(
     key: str, at: np.ndarray, values: List[Any], overflow: List[Tuple[int, str, str]]
-) -> Tuple[np.ndarray, List[int]]:
-    """An int column's rows and values as Python ints, with the values
-    int64 cannot hold spilled to ``overflow``."""
-    if not set(map(type, values)) <= {int}:
+) -> Tuple[np.ndarray, Sequence[int]]:
+    """An int column's rows and values, with the values int64 cannot hold
+    spilled to ``overflow``."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return at, np.array(values, np.int64)
+        except OverflowError:
+            pass
+    else:
         values = [int(v) for v in values]
-    if _I64_MIN <= min(values) and max(values) <= _I64_MAX:
-        return at, values
     fits = [_I64_MIN <= v <= _I64_MAX for v in values]
     overflow.extend(
         (row, key, json.dumps(v))
@@ -163,20 +166,31 @@ def _int64_only(
     return at[fits], [v for v, ok in zip(values, fits) if ok]
 
 
+class _Codes(dict):
+    """String -> index, numbering each new string in order of first use."""
+
+    def __missing__(self, string: str) -> int:
+        code = self[string] = len(self)
+        return code
+
+
 class TableWriter:
     """Append-only row buffer; :meth:`take` turns the rows into a table.
 
     The feed writer behind :class:`~repro.obs.aggregate.ShardTracer` and
     the encoder for every other input (recorded tracers, JSONL records).
-    Appending a row costs one tuple and a shallow copy of its args; the
-    typing and column building happen in bulk in :meth:`take`, which
-    groups rows by their args keys.  No JSON is built unless an args
-    value is not a scalar.
+    A row's args are its keys tuple and their values
+    (:func:`split_args` makes both from a dict); every caller's row is
+    one flat tuple, the fixed columns then the keys tuple then the
+    values.  A row whose values are scalars and whose keys tuple is a
+    constant holds no tracked object, so the garbage collector untracks
+    it the first time it looks.  The typing and column building happen
+    in bulk in :meth:`take`, which groups rows by their keys tuple.  No
+    JSON is built unless an args value is not a scalar.
     """
 
     def __init__(self) -> None:
         self._rows: List[tuple] = []
-        self._args: List[Mapping[Any, Any]] = []
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -194,51 +208,60 @@ class TableWriter:
         parent: int,
         seq: int,
         n: int,
-        args: Optional[Mapping[str, Any]],
+        keys: Tuple[Any, ...] = (),
+        values: Tuple[Any, ...] = (),
     ) -> None:
-        """Buffer one row; ``args`` is copied now (shallowly)."""
+        """Buffer one row whose args are ``keys`` with ``values``."""
         self._rows.append(
-            (kind, name, track, cat, ts_ms, dur_ms, value, span_id, parent, seq, n)
+            (kind, name, track, cat, ts_ms, dur_ms, value, span_id, parent,
+             seq, n, keys) + values
         )
-        self._args.append(dict(args) if args else _NO_ARGS)
 
     def take(self) -> "EventTable":
         """The buffered rows as a table; the buffer starts over empty."""
-        rows, row_args = self._rows, self._args
-        self._rows, self._args = [], []
+        rows = self._rows
+        self._rows = []
         count = len(rows)
-        strings: Dict[str, int] = {}
+        # The fixed columns and the keys tuples (zip is lazy, so the
+        # values are not transposed here).
+        fields = (
+            list(islice(zip(*rows), len(_FIXED) + 1)) if rows
+            else [()] * (len(_FIXED) + 1)
+        )
+        strings = _Codes()
 
         def codes(values: Sequence[Any]) -> np.ndarray:
-            for s in dict.fromkeys(values):
-                strings.setdefault(s, len(strings))
             return np.fromiter(
                 map(strings.__getitem__, values), np.int32, count=len(values)
             )
 
         columns = {}
-        for i, (name, dtype) in enumerate(_FIXED):
-            values = list(map(itemgetter(i), rows))
+        for (name, dtype), values in zip(_FIXED, fields):
             columns[name] = (
                 codes(values) if name in _STRING_COLUMNS
                 else np.array(values, dtype=dtype).reshape(-1)
             )
 
-        # Rows sharing a key tuple are typed one key at a time, in bulk.
-        shapes = list(map(tuple, row_args))
-        shape_index = {shape: i for i, shape in enumerate(dict.fromkeys(shapes))}
-        shape_of = np.fromiter(
-            map(shape_index.__getitem__, shapes), np.int64, count=count
-        )
-        built: Dict[ArgKey, List[Tuple[np.ndarray, List[Any]]]] = {}
+        # Rows sharing a keys tuple are typed one key at a time, in bulk.
+        # Equal tuples are found through their identities first: a caller
+        # passing constant key tuples shares one object per shape.
+        shapes = fields[len(_FIXED)]
+        ids = list(map(id, shapes))
+        shape_index: Dict[Tuple[Any, ...], int] = {}
+        id_index = {
+            ident: shape_index.setdefault(shape, len(shape_index))
+            for ident, shape in dict(zip(ids, shapes)).items()
+        }
+        shape_of = np.fromiter(map(id_index.__getitem__, ids), np.int64, count=count)
+        built: Dict[ArgKey, List[Tuple[np.ndarray, Sequence[Any]]]] = {}
         overflow: List[Tuple[int, str, str]] = []
         for keys, index in shape_index.items():
             if not keys:
                 continue
             at = np.flatnonzero(shape_of == index)
-            dicts = list(map(row_args.__getitem__, at.tolist()))
-            for key in keys:
-                values = list(map(itemgetter(key), dicts))
+            picked = list(map(rows.__getitem__, at.tolist()))
+            for pos, key in enumerate(keys, len(_FIXED) + 1):
+                values = list(map(itemgetter(pos), picked))
                 name = key if type(key) is str else _json_key(key)
                 kinds = set(map(type, values))
                 if len(kinds) == 1:
@@ -267,7 +290,7 @@ class TableWriter:
         args = {}
         for (key, tag), chunks in built.items():
             at = np.concatenate([chunk_rows for chunk_rows, _ in chunks])
-            values = [v for _, chunk_values in chunks for v in chunk_values]
+            values = list(chain.from_iterable(v for _, v in chunks))
             if tag == _INT:
                 at, values = _int64_only(key, at, values, overflow)
             mask = np.zeros(count, np.bool_)
@@ -278,6 +301,15 @@ class TableWriter:
         return EventTable(
             [str(s) for s in strings], columns, args, sorted(overflow)
         )
+
+
+def split_args(
+    args: Optional[Mapping[Any, Any]]
+) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
+    """An args dict as the ``(keys, values)`` tuples of a table row."""
+    if not args:
+        return (), ()
+    return tuple(args), tuple(args.values())
 
 
 class EventTable:
@@ -320,7 +352,8 @@ class EventTable:
             parent = -1 if span.parent_id is None else span.parent_id
             writer.append(
                 SPAN, span.name, span.track, span.category, span.start_ms,
-                span.duration_ms, 0.0, span.span_id, parent, 0, n, span.args,
+                span.duration_ms, 0.0, span.span_id, parent, 0, n,
+                *split_args(span.args),
             )
             n += 1
         for event in tracer.events:
@@ -328,7 +361,7 @@ class EventTable:
             value = event.value if event.is_counter else 0.0
             writer.append(
                 kind, event.name, event.track, event.category, event.ts_ms,
-                0.0, value, -1, -1, 0, n, event.args,
+                0.0, value, -1, -1, 0, n, *split_args(event.args),
             )
             n += 1
         return writer.take()
@@ -358,7 +391,7 @@ class EventTable:
                 -1 if parent is None else int(parent),
                 int(record.get("seq", 0)),
                 int(record.get("n", i)),
-                record.get("args"),
+                *split_args(record.get("args")),
             )
         return writer.take()
 

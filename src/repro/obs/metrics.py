@@ -22,10 +22,13 @@ The registry is passive: instrumented components call ``inc``/``set``/
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 import zlib
 from bisect import bisect_left, insort
+from functools import partial, reduce
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -205,6 +208,53 @@ class Histogram:
                 self._mirror_remove(self._reservoir[slot])
                 self._reservoir[slot] = value
                 self._mirror_add(value)
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Fold ``values`` in order, exactly as one :meth:`observe` each.
+
+        Buckets, sum, reservoir, sorted mirror and the RNG stream end up
+        as the per-sample calls leave them; the samples that fill the
+        reservoir join the mirror with one sort instead of an insort
+        each (equal mirror entries are the same float, zeros being
+        stored as ``+0.0``, so the order is the insorts'), unless a NaN
+        is involved.
+        """
+        values = list(map(float, values))
+        if not values:
+            return
+        buckets = self._bucket_counts
+        slots = map(partial(bisect_left, self._bounds), values)
+        for i, count in collections.Counter(slots).items():
+            buckets[i] += count
+        self._sum = reduce(add, values, self._sum)
+        reservoir = self._reservoir
+        capacity = self._capacity
+        room = max(0, capacity - len(reservoir))
+        head = values[:room]
+        ordered = self._ordered
+        if head:
+            reservoir.extend(head)
+            if any(map(math.isnan, head)) or any(map(math.isnan, ordered)):
+                for value in head:
+                    self._mirror_add(value)
+            else:
+                if 0.0 in head:
+                    self._neg_zeros += sum(
+                        1 for v in head if v == 0.0 and math.copysign(1.0, v) < 0.0
+                    )
+                    head = [v or 0.0 for v in head]
+                ordered.extend(head)
+                ordered.sort()
+        count = self._count + len(head)
+        randrange = self._rng.randrange
+        for value in values[room:]:
+            count += 1
+            slot = randrange(count)
+            if slot < capacity:
+                self._mirror_remove(reservoir[slot])
+                reservoir[slot] = value
+                self._mirror_add(value)
+        self._count = count
 
     def _mirror_add(self, value: float) -> None:
         if value == 0.0 and math.copysign(1.0, value) < 0.0:

@@ -347,12 +347,13 @@ def _live_attribution(run_dir: Path) -> Optional[Tuple[str, Dict[str, Any]]]:
 
     While a run is in flight the per-pid live feeds are newest; once the
     pool drains, the merged ``attribution.json`` (written last, global
-    rather than one worker's view) takes over.
+    rather than one worker's view) takes over, also when the file
+    system's clock gives both the same mtime.
     """
-    candidates = list(run_dir.glob("attribution-*.json"))
+    candidates = sorted(run_dir.glob("attribution-*.json"))
     merged = run_dir / "attribution.json"
     if merged.is_file():
-        candidates.append(merged)
+        candidates.insert(0, merged)
     for path in sorted(
         candidates, key=lambda p: p.stat().st_mtime, reverse=True
     ):

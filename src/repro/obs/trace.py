@@ -112,6 +112,35 @@ class Tracer:
     def counter(self, name: str, track: str, ts_ms: float, value: float) -> None:
         """Record one sample of a time-varying quantity."""
 
+    def complete_row(
+        self,
+        name: str,
+        track: str,
+        start_ms: float,
+        duration_ms: float,
+        keys: Tuple[Any, ...],
+        values: Tuple[Any, ...],
+        category: str = "sim",
+    ) -> None:
+        """:meth:`complete` with its args as parallel ``keys`` / ``values``
+        tuples, the form the dispatch kernel's observer emits; a columnar
+        feed stores them as they are, any other tracer gets the dict."""
+        self.complete(
+            name, track, start_ms, duration_ms, category, dict(zip(keys, values))
+        )
+
+    def instant_row(
+        self,
+        name: str,
+        track: str,
+        ts_ms: float,
+        keys: Tuple[Any, ...],
+        values: Tuple[Any, ...],
+        category: str = "sim",
+    ) -> None:
+        """:meth:`instant` with its args as ``keys`` / ``values`` tuples."""
+        self.instant(name, track, ts_ms, category, dict(zip(keys, values)))
+
     @contextmanager
     def span(
         self,
@@ -126,6 +155,13 @@ class Tracer:
 
 class NullTracer(Tracer):
     """The default tracer: records nothing, costs one attribute check."""
+
+    def complete_row(self, name, track, start_ms, duration_ms, keys, values,
+                     category="sim") -> None:
+        pass
+
+    def instant_row(self, name, track, ts_ms, keys, values, category="sim") -> None:
+        pass
 
 
 #: Shared no-op tracer used wherever no tracer was configured.
@@ -175,6 +211,25 @@ class ForwardingTracer(Tracer):
 
     def counter(self, name: str, track: str, ts_ms: float, value: float) -> None:
         self._inner.counter(name, track, ts_ms, value)
+
+    def complete_row(self, name, track, start_ms, duration_ms, keys, values,
+                     category="sim") -> None:
+        # Rows stay rows on their way through, unless a subclass observes
+        # the dict-form stream.
+        if type(self).complete is ForwardingTracer.complete:
+            self._inner.complete_row(
+                name, track, start_ms, duration_ms, keys, values, category
+            )
+        else:
+            super().complete_row(
+                name, track, start_ms, duration_ms, keys, values, category
+            )
+
+    def instant_row(self, name, track, ts_ms, keys, values, category="sim") -> None:
+        if type(self).instant is ForwardingTracer.instant:
+            self._inner.instant_row(name, track, ts_ms, keys, values, category)
+        else:
+            super().instant_row(name, track, ts_ms, keys, values, category)
 
     @contextmanager
     def span(
@@ -263,6 +318,20 @@ class RecordingTracer(Tracer):
                 category="counter",
                 value=float(value),
             )
+        )
+
+    def complete_row(self, name, track, start_ms, duration_ms, keys, values,
+                     category="sim") -> None:
+        span_id = self._next_id
+        self._next_id += 1
+        self._spans.append(
+            Span(name, track, start_ms, duration_ms, category,
+                 dict(zip(keys, values)), span_id)
+        )
+
+    def instant_row(self, name, track, ts_ms, keys, values, category="sim") -> None:
+        self._events.append(
+            Event(name, track, ts_ms, category, dict(zip(keys, values)))
         )
 
     @contextmanager

@@ -39,7 +39,8 @@ milliseconds:
   columnar :class:`~repro.obs.aggregate.ShardTracer` feed
   (``shard-<gid>.cols``, headed with the served SLO) in the simulator's
   event schema, and each shard publishes periodic
-  atomic metrics/attribution snapshots — so ``ramsis top``, ``ramsis
+  atomic metrics/attribution snapshots, folded off the dispatch path
+  from the shard's lifecycle capture — so ``ramsis top``, ``ramsis
   report`` and ``ramsis explain`` work unchanged against a sharded run.
   All of a shard's taps sit in one kernel observer: an unobserved run
   builds no per-query object or argument dict.
@@ -82,6 +83,8 @@ __all__ = [
 ]
 
 _INF = float("inf")
+#: Capture entries a snapshot tick folds between checks for the serve's end.
+_REPLAY_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ class ShardedController:
     run_dir:
         With a directory, every worker writes a ``shard-<gid>.cols``
         event feed and every shard publishes periodic live
-        metrics/attribution snapshots there;
+        metrics/attribution snapshots there (see :meth:`serve`);
         :func:`repro.obs.aggregate.merge_run_dir` folds the feeds back
         into one run — float-exactly, in any shard layout.
     load_probe:
@@ -231,6 +234,9 @@ class ShardedController:
         self._load_probe = load_probe
         self._kernels: List[DispatchKernel] = []
         self._observers: List[Optional[LifecycleObserver]] = []
+        #: Per shard: the snapshot attributor a run-dir serve without
+        #: ``attributors=`` publishes.
+        self._views: List[Optional[object]] = []
         self._policy_swaps = 0
 
     # ------------------------------------------------------------------
@@ -292,6 +298,18 @@ class ShardedController:
         the shard's kernel calls their ``observe_*`` hooks (virtual
         timestamps, in virtual-time order), as a simulation's
         ``SimulationConfig.auditor`` / ``attributor`` slots do.
+
+        With a ``run_dir``, every shard's observer also appends one
+        ordered lifecycle capture, and a snapshot thread publishes
+        ``metrics-<pid>.json`` / ``attribution-<pid>.json`` (``pid = G +
+        shard``) every ``snapshot_interval_s``, folding the entries
+        captured since its last tick.  Without ``attributors=``, the
+        attribution snapshot is that fold — it lags the serve by at most
+        one interval and is not rewritten when the serve ends (the run's
+        attribution is the merged ``attribution.json``); the end of the
+        serve folds only the registry's remainder and publishes the final
+        metrics.  An explicit attributor is fed live and published on
+        every tick and at the end.
         """
         start_wall = time.monotonic()
         num_shards = self._num_shards
@@ -328,6 +346,7 @@ class ShardedController:
             for s, selectors in enumerate(self._selectors(selector_factory))
         ]
         observers: List[Optional[LifecycleObserver]] = [None] * num_shards
+        views: List[Optional[object]] = [None] * num_shards
         run_path = None
         if self._run_dir is not None:
             from pathlib import Path
@@ -343,8 +362,8 @@ class ShardedController:
             attributor = None if attributors is None else attributors[s]
             registry = None
             if run_path is not None:
-                # Per-worker feeds, a live registry and an attributor for
-                # the snapshots ``ramsis top`` / ``explain`` read.
+                # Per-worker feeds, and a registry whose sim_* series the
+                # snapshots fold from the shard's lifecycle capture.
                 tracers = [
                     ShardTracer(
                         run_path / f"shard-{gid}.cols", pid=gid, slo_ms=self._slo_ms
@@ -353,7 +372,10 @@ class ShardedController:
                 ]
                 registry = MetricsRegistry()
                 if attributor is None:
-                    attributor = LatencyAttributor(slo_ms=self._slo_ms)
+                    # The ``ramsis top`` / ``explain`` view: folded from
+                    # the capture by the snapshot thread, off the
+                    # dispatch path.
+                    views[s] = LatencyAttributor(slo_ms=self._slo_ms)
             elif auditor is None and attributor is None:
                 continue
             observers[s] = kernel.observer = LifecycleObserver(
@@ -362,6 +384,7 @@ class ShardedController:
             )
         self._kernels = kernels
         self._observers = observers
+        self._views = views
         self._policy_swaps = 0
 
         snapshot_stop: Optional[threading.Event] = None
@@ -371,7 +394,7 @@ class ShardedController:
 
             def _publish() -> None:
                 while not snapshot_stop.wait(self._snapshot_interval_s):
-                    self._write_snapshots(run_path)
+                    self._write_snapshots(run_path, stop=snapshot_stop)
 
             snapshot_thread = threading.Thread(
                 target=_publish, name="shard-snapshot", daemon=True
@@ -394,7 +417,7 @@ class ShardedController:
                         if tracer is not None:
                             tracer.close()
         if run_path is not None:
-            self._write_snapshots(run_path)
+            self._write_snapshots(run_path, final=True)
 
         metrics = fold_kernels(kernels)
         rejected = sum(kernel.rejected for kernel in kernels)
@@ -442,15 +465,39 @@ class ShardedController:
             for kernel in kernels:
                 kernel.advance(now)
 
-    def _write_snapshots(self, run_path) -> None:
+    def _write_snapshots(
+        self, run_path, final: bool = False, stop: Optional[threading.Event] = None
+    ) -> None:
+        """Publish every observed shard's ``metrics-<pid>.json`` and
+        ``attribution-<pid>.json`` (``pid = G + shard``).
+
+        Each shard's capture is drained and its entries folded into the
+        registry's ``sim_*`` series.  A shard serving an explicit
+        attributor publishes that (live) attributor; otherwise its view
+        folds the same entries, in chunks that stop early once ``stop``
+        is set (the serve is over, so the fold so far — a prefix — is
+        published), and the final call, at the end of the serve,
+        publishes the metrics only: the run's attribution is the merged
+        ``attribution.json``.
+        """
         from repro.obs.aggregate import write_live_snapshot
 
         for s, observer in enumerate(self._observers):
             if observer is None:
                 continue
+            entries = observer.drain()
+            observer.publish(entries)
+            attributor = observer.attributor
+            view = self._views[s]
+            if view is not None and not final:
+                for start in range(0, len(entries), _REPLAY_CHUNK):
+                    if stop is not None and stop.is_set():
+                        break
+                    observer.replay(view, entries[start : start + _REPLAY_CHUNK])
+                attributor = view
             write_live_snapshot(
                 run_path,
                 registry=observer.registry,
-                attributor=observer.attributor,
+                attributor=attributor,
                 pid=self._total_workers + s,
             )

@@ -36,6 +36,7 @@ unobserved run makes no observer call and builds no argument dict.
 from __future__ import annotations
 
 import heapq
+import threading
 from collections import Counter, deque
 from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
@@ -48,11 +49,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.profiles.models import ModelSet
 from repro.selectors.base import ModelSelector
 from repro.sim.latency_model import LatencyModel
-from repro.sim.metrics import (
-    MetricsCollector,
-    SimulationMetrics,
-    fold_worker_records,
-)
+from repro.sim.metrics import SimSeries, SimulationMetrics, fold_worker_records
 from repro.sim.monitor import LoadMonitor, OracleLoadMonitor
 
 __all__ = [
@@ -87,18 +84,51 @@ def normalize_arrivals(arrival_times) -> np.ndarray:
     return arrivals
 
 
+#: Args keys of the lifecycle rows, in the order every feed stores them.
+_ARRIVAL_KEYS = ("query", "worker")
+_CENTRAL_ARRIVAL_KEYS = ("query",)
+_SERVE_KEYS = (
+    "worker", "model", "batch", "queue_len", "slack_ms", "anticipated_qps",
+)
+_START_KEYS = ("query", "model", "batch", "wait_ms")
+_DONE_KEYS = ("query", "worker", "model", "satisfied", "accuracy", "response_ms")
+_DROPPED_KEYS = (
+    "query", "worker", "model", "satisfied", "dropped", "accuracy", "response_ms",
+)
+_REJECTED_KEYS = _DROPPED_KEYS + ("rejected",)
+
+#: Capture entries, flat tuples of scalars (so the collector untracks
+#: them): ``(_DISPATCH, t, w, model, batch, exec_ms, *served)``,
+#: ``(_COMPLETE, t, w, model, *served)`` and
+#: ``(_TERMINAL, t, w, model, rejected, *queries)``.
+_DISPATCH, _COMPLETE, _TERMINAL = 0, 1, 2
+
+
 class LifecycleObserver:
     """The kernel's observer: one lifecycle record schema, fanned out.
 
     Every query's ``arrival`` / ``service_start`` / ``completion``
     instants and every batch's ``serve`` span go to its worker's tracer
-    (``tracers[w]``; ``None`` entries are skipped, and only a tracer gets
-    an argument dict); ``auditor`` (a
+    (``tracers[w]``; ``None`` entries are skipped) as
+    :meth:`~repro.obs.trace.Tracer.instant_row` /
+    :meth:`~repro.obs.trace.Tracer.complete_row` rows — fixed key tuples
+    and a value tuple, no argument dict; ``auditor`` (a
     :class:`~repro.obs.audit.GuaranteeAuditor`) and ``attributor`` (a
     :class:`~repro.obs.attribution.LatencyAttributor`) get their typed
-    ``observe_*`` hooks, in that order after the tracer; and with a
-    ``registry`` every decision and completion is published through a
-    :class:`~repro.sim.metrics.MetricsCollector` (the ``sim_*`` series).
+    ``observe_*`` hooks live, in that order after the tracer.
+
+    With a ``registry``, every dispatch (its service starts included),
+    batch completion, drop and rejection also appends one ordered entry
+    to :attr:`capture`.  Nothing reads the capture on the dispatch path:
+    :meth:`drain` hands the entries captured so far to a consumer, which
+    folds them into the registry's ``sim_*`` series
+    (:class:`~repro.sim.metrics.SimSeries`) in bulk with :meth:`publish`
+    and, for a snapshot view, into an attributor with :meth:`replay` —
+    its hooks called exactly as a live attributor's.  A simulation
+    drains once, at the end of its run; a run-dir shard on every
+    snapshot tick and at the end of its serve, so the capture holds at
+    most one snapshot interval of entries.
+
     Kernel-local worker ``w`` and query ``j`` are recorded as the global
     ids ``base + w * stride`` and ``base + j * stride`` — shard ``s`` of
     ``S`` uses ``(s, S)``, a simulation ``(0, 1)``.  A central-queue
@@ -121,22 +151,30 @@ class LifecycleObserver:
         self.auditor = auditor
         self.attributor = attributor
         self.registry = registry
-        self.live = (
-            None
-            if registry is None
-            else MetricsCollector(track_responses=False, registry=registry)
-        )
         self.base = base
         self.stride = stride
+        workers = len(kernel.in_flight)
+        self.tracks = [f"worker-{base + w * stride}" for w in range(workers)]
+        #: The ordered lifecycle entries (``None`` without a registry).
+        self.capture: Optional[List[tuple]] = None if registry is None else []
+        self._series = None if registry is None else SimSeries(registry)
+        #: Serializes drains and registry folds across threads.
+        self._folding = threading.Lock()
 
     def arrival(self, w: int, j: int, t: float, depth: int) -> None:
         """Query ``j`` arrived; ``depth`` is its queue's length after it."""
         tracer = self.tracers[max(w, 0)]
         if tracer is not None:
-            args = {"query": self.base + j * self.stride}
+            query = self.base + j * self.stride
             if w >= 0:
-                args["worker"] = self.base + w * self.stride
-            tracer.instant("arrival", "balancer", t, args=args)
+                tracer.instant_row(
+                    "arrival", "balancer", t, _ARRIVAL_KEYS,
+                    (query, self.base + w * self.stride),
+                )
+            else:
+                tracer.instant_row(
+                    "arrival", "balancer", t, _CENTRAL_ARRIVAL_KEYS, (query,)
+                )
         if self.auditor is not None:
             self.auditor.observe_arrival(t)
 
@@ -157,36 +195,22 @@ class LifecycleObserver:
         base, stride = self.base, self.stride
         gid = base + w * stride
         arrivals = self.arrivals
-        if self.live is not None:
-            self.live.record_decision(batch, model_name=model_name)
+        if self.capture is not None:
+            self.capture.append(
+                (_DISPATCH, t, w, model_name, batch, exec_ms, *served)
+            )
         tracer = self.tracers[w]
         if tracer is not None:
-            track = f"worker-{gid}"
-            tracer.complete(
-                "serve",
-                track,
-                t,
-                exec_ms,
-                args={
-                    "worker": gid,
-                    "model": model_name,
-                    "batch": batch,
-                    "queue_len": queue_len,
-                    "slack_ms": slack_ms,
-                    "anticipated_qps": anticipated,
-                },
+            track = self.tracks[w]
+            tracer.complete_row(
+                "serve", track, t, exec_ms, _SERVE_KEYS,
+                (gid, model_name, batch, queue_len, slack_ms, anticipated),
             )
+            instant_row = tracer.instant_row
             for j in served:
-                tracer.instant(
-                    "service_start",
-                    track,
-                    t,
-                    args={
-                        "query": base + j * stride,
-                        "model": model_name,
-                        "batch": batch,
-                        "wait_ms": t - arrivals[j],
-                    },
+                instant_row(
+                    "service_start", track, t, _START_KEYS,
+                    (base + j * stride, model_name, batch, t - arrivals[j]),
                 )
         if self.auditor is not None:
             self.auditor.observe_decision(queue_len, slack_ms, t + exec_ms)
@@ -202,12 +226,33 @@ class LifecycleObserver:
         self, w: int, t: float, model_name: str, accuracy: float, served: List[int]
     ) -> None:
         """Worker ``w`` finished the batch ``served``."""
+        if self.capture is not None:
+            self.capture.append((_COMPLETE, t, w, model_name, *served))
+        tracer = self.tracers[w]
+        auditor = self.auditor
+        attributor = self.attributor
+        if tracer is None and auditor is None and attributor is None:
+            return
+        base, stride = self.base, self.stride
+        gid = base + w * stride
+        track = self.tracks[w]
         arrivals = self.arrivals
         deadlines = self.deadlines
         for j in served:
-            self._end(
-                w, j, t, model_name, accuracy, t <= deadlines[j], t - arrivals[j]
-            )
+            query_id = base + j * stride
+            satisfied = t <= deadlines[j]
+            response_ms = t - arrivals[j]
+            if tracer is not None:
+                tracer.instant_row(
+                    "completion", track, t, _DONE_KEYS,
+                    (query_id, gid, model_name, satisfied, accuracy, response_ms),
+                )
+            if auditor is not None:
+                auditor.observe_completion(t, satisfied, accuracy)
+            if attributor is not None:
+                attributor.observe_completion(
+                    query_id, gid, model_name, response_ms, satisfied, t_ms=t
+                )
 
     def terminal(
         self,
@@ -219,51 +264,110 @@ class LifecycleObserver:
     ) -> None:
         """``queries`` ended without inference: dropped (the whole queue)
         or rejected at admission (one query, response 0)."""
-        arrivals = self.arrivals
-        for j in queries:
-            response_ms = 0.0 if rejected else t - arrivals[j]
-            self._end(w, j, t, model_name, 0.0, False, response_ms, True, rejected)
-
-    def _end(
-        self,
-        w: int,
-        j: int,
-        t: float,
-        model_name: str,
-        accuracy: float,
-        satisfied: bool,
-        response_ms: float,
-        dropped: bool = False,
-        rejected: bool = False,
-    ) -> None:
-        """One query's terminal record, to every sink."""
-        query_id = self.base + j * self.stride
-        gid = self.base + w * self.stride
-        if self.live is not None:
-            self.live.record_completion(
-                model_name=model_name,
-                model_accuracy=accuracy,
-                response_ms=response_ms,
-                satisfied=satisfied,
-            )
+        if self.capture is not None:
+            self.capture.append((_TERMINAL, t, w, model_name, rejected, *queries))
         tracer = self.tracers[w]
-        if tracer is not None:
-            args = {"query": query_id, "worker": gid, "model": model_name}
-            args["satisfied"] = satisfied
-            if dropped:
-                args["dropped"] = True
-            args["accuracy"] = accuracy
-            args["response_ms"] = response_ms
-            if rejected:
-                args["rejected"] = True
-            tracer.instant("completion", f"worker-{gid}", t, args=args)
-        if self.auditor is not None:
-            self.auditor.observe_completion(t, satisfied, accuracy)
-        if self.attributor is not None:
-            self.attributor.observe_completion(
-                query_id, gid, model_name, response_ms, satisfied,
-                t_ms=t, dropped=dropped,
+        auditor = self.auditor
+        attributor = self.attributor
+        if tracer is None and auditor is None and attributor is None:
+            return
+        base, stride = self.base, self.stride
+        gid = base + w * stride
+        track = self.tracks[w]
+        arrivals = self.arrivals
+        keys = _REJECTED_KEYS if rejected else _DROPPED_KEYS
+        for j in queries:
+            query_id = base + j * stride
+            response_ms = 0.0 if rejected else t - arrivals[j]
+            if tracer is not None:
+                values = (query_id, gid, model_name, False, True, 0.0, response_ms)
+                tracer.instant_row(
+                    "completion", track, t, keys,
+                    values + (True,) if rejected else values,
+                )
+            if auditor is not None:
+                auditor.observe_completion(t, False, 0.0)
+            if attributor is not None:
+                attributor.observe_completion(
+                    query_id, gid, model_name, response_ms, False,
+                    t_ms=t, dropped=True,
+                )
+
+    # ------------------------------------------------------------------
+    # Folds over the capture (off the dispatch path)
+    # ------------------------------------------------------------------
+    def drain(self) -> List[tuple]:
+        """The entries captured since the last drain, in order; the
+        observer forgets them."""
+        with self._folding:
+            capture = self.capture
+            entries = capture[: len(capture)]
+            del capture[: len(entries)]
+        return entries
+
+    def publish(self, entries: Sequence[tuple]) -> None:
+        """Fold drained ``entries`` into the registry's ``sim_*`` series,
+        in bulk."""
+        arrivals = self.arrivals
+        deadlines = self.deadlines
+        batches: List[int] = []
+        dispatched: Counter = Counter()
+        responses: List[float] = []
+        completed: Counter = Counter()
+        violations = 0
+        for entry in entries:
+            kind, t, _w, model_name = entry[:4]
+            if kind == _DISPATCH:
+                batches.append(entry[4])
+                dispatched[model_name] += 1
+                continue
+            if kind == _COMPLETE:
+                queries = entry[4:]
+                for j in queries:
+                    responses.append(t - arrivals[j])
+                    if not t <= deadlines[j]:
+                        violations += 1
+            else:
+                rejected, queries = entry[4], entry[5:]
+                for j in queries:
+                    responses.append(0.0 if rejected else t - arrivals[j])
+                violations += len(queries)
+            completed[model_name] += len(queries)
+        with self._folding:
+            self._series.publish(
+                batches, dispatched, responses, violations, completed
             )
+
+    def replay(self, attributor: Any, entries: Sequence[tuple]) -> None:
+        """Feed drained ``entries`` to ``attributor``'s hooks, as the live
+        observer calls them."""
+        base, stride = self.base, self.stride
+        arrivals = self.arrivals
+        deadlines = self.deadlines
+        for entry in entries:
+            kind, t, w, model_name = entry[:4]
+            gid = base + w * stride
+            if kind == _DISPATCH:
+                batch, exec_ms = entry[4:6]
+                attributor.observe_decision(gid, model_name, batch, exec_ms)
+                for j in entry[6:]:
+                    attributor.observe_service_start(
+                        base + j * stride, gid, model_name, batch, t - arrivals[j]
+                    )
+            elif kind == _COMPLETE:
+                for j in entry[4:]:
+                    attributor.observe_completion(
+                        base + j * stride, gid, model_name, t - arrivals[j],
+                        t <= deadlines[j], t_ms=t,
+                    )
+            else:
+                rejected = entry[4]
+                for j in entry[5:]:
+                    attributor.observe_completion(
+                        base + j * stride, gid, model_name,
+                        0.0 if rejected else t - arrivals[j], False,
+                        t_ms=t, dropped=True,
+                    )
 
 
 class DispatchKernel:

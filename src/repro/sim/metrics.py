@@ -22,7 +22,12 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro._util import percentile
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["MetricsCollector", "SimulationMetrics", "fold_worker_records"]
+__all__ = [
+    "MetricsCollector",
+    "SimSeries",
+    "SimulationMetrics",
+    "fold_worker_records",
+]
 
 
 @dataclass(frozen=True)
@@ -65,20 +70,67 @@ class SimulationMetrics:
         )
 
 
-class MetricsCollector:
-    """Accumulates per-query completions into :class:`SimulationMetrics`.
+class SimSeries:
+    """The ``sim_*`` series a run publishes to a registry.
 
-    With a :class:`~repro.obs.metrics.MetricsRegistry` attached, every
-    recorded decision/completion is also published as time-series metrics
-    (per-model dispatch counters, response-latency and batch-size
-    histograms, violation counts) without changing the frozen result.
+    Per-model dispatch and query counters, response-latency and
+    batch-size histograms, completion and violation counts, all
+    registered up front; the dispatch kernel's observer folds its
+    lifecycle capture into them in bulk through :meth:`publish`.
     """
 
-    def __init__(
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+        self.response = registry.histogram(
+            "sim_response_ms", help="per-query response latency"
+        )
+        self.batch = registry.histogram(
+            "sim_batch_size",
+            help="served batch size per MS&S decision",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
+        )
+        self.completions = registry.counter(
+            "sim_completions_total", help="queries completed"
+        )
+        self.violations = registry.counter(
+            "sim_violations_total", help="queries that missed the SLO"
+        )
+
+    def publish(
         self,
-        track_responses: bool = True,
-        registry: Optional[MetricsRegistry] = None,
+        batches: Sequence[int],
+        dispatched: Mapping[str, int],
+        responses: Sequence[float],
+        violations: int,
+        completed: Mapping[str, int],
     ) -> None:
+        """Many decisions (``batches`` in order, and per-model counts) and
+        completions (``responses`` in order, the violation count and
+        per-model counts) at once: the registry ends up as one record at
+        a time, in the same order, would leave it."""
+        registry = self._registry
+        self.batch.observe_many(batches)
+        for model_name, count in dispatched.items():
+            registry.counter(
+                "sim_dispatch_total",
+                help="MS&S decisions per model",
+                labels={"model": model_name},
+            ).inc(count)
+        self.response.observe_many(responses)
+        self.completions.inc(len(responses))
+        self.violations.inc(violations)
+        for model_name, count in completed.items():
+            registry.counter(
+                "sim_queries_total",
+                help="completed queries per serving model",
+                labels={"model": model_name},
+            ).inc(count)
+
+
+class MetricsCollector:
+    """Accumulates per-query completions into :class:`SimulationMetrics`."""
+
+    def __init__(self, track_responses: bool = True) -> None:
         self._track_responses = track_responses
         self._total = 0
         self._satisfied = 0
@@ -88,24 +140,6 @@ class MetricsCollector:
         self._model_counts: Counter = Counter()
         self._decisions = 0
         self._batch_sum = 0
-        self._registry = registry
-        if registry is not None:
-            self._h_response = registry.histogram(
-                "sim_response_ms", help="per-query response latency"
-            )
-            self._h_batch = registry.histogram(
-                "sim_batch_size",
-                help="served batch size per MS&S decision",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-            )
-            self._c_completions = registry.counter(
-                "sim_completions_total", help="queries completed"
-            )
-            self._c_violations = registry.counter(
-                "sim_violations_total", help="queries that missed the SLO"
-            )
-            self._dispatch_counters: Dict[str, object] = {}
-            self._query_counters: Dict[str, object] = {}
 
     def record_decision(
         self, batch_size: int, model_name: Optional[str] = None
@@ -113,19 +147,6 @@ class MetricsCollector:
         """Note one MS&S decision serving ``batch_size`` queries."""
         self._decisions += 1
         self._batch_sum += batch_size
-        registry = self._registry
-        if registry is not None:
-            self._h_batch.observe(batch_size)
-            if model_name is not None:
-                counter = self._dispatch_counters.get(model_name)
-                if counter is None:
-                    counter = registry.counter(
-                        "sim_dispatch_total",
-                        help="MS&S decisions per model",
-                        labels={"model": model_name},
-                    )
-                    self._dispatch_counters[model_name] = counter
-                counter.inc()
 
     def record_completion(
         self,
@@ -143,21 +164,6 @@ class MetricsCollector:
         if satisfied:
             self._satisfied += 1
             self._accuracy_sum += model_accuracy
-        registry = self._registry
-        if registry is not None:
-            self._h_response.observe(response_ms)
-            self._c_completions.inc()
-            if not satisfied:
-                self._c_violations.inc()
-            counter = self._query_counters.get(model_name)
-            if counter is None:
-                counter = registry.counter(
-                    "sim_queries_total",
-                    help="completed queries per serving model",
-                    labels={"model": model_name},
-                )
-                self._query_counters[model_name] = counter
-            counter.inc()
 
     def absorb(
         self,

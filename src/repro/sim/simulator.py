@@ -22,7 +22,8 @@ served late than never" (§4.3.1); ``drop_late`` opts into dropping.
 
 Observability attaches through one observer, :class:`_SimObserver`, on
 the same kernel: ``tracer`` records the lifecycle stream, ``registry``
-receives the ``sim_*`` series, and ``auditor`` / ``attributor`` take the
+receives the ``sim_*`` series (folded in bulk from the observer's
+lifecycle capture when the run ends), and ``auditor`` / ``attributor`` take the
 kernel's typed ``observe_*`` hooks exactly as a serving shard's
 ``auditors=`` / ``attributors=`` do.  An observed run returns the same
 metrics as an unobserved one.  The original
@@ -253,6 +254,9 @@ class Simulation:
         if any(sink is not None for sink in sinks):
             kernel.observer = _SimObserver(kernel, central, monitor, tracer, cfg)
         kernel.advance()
+        if cfg.registry is not None:
+            # The registry's sim_* series, folded from the run's capture.
+            kernel.observer.publish(kernel.observer.drain())
         return fold_kernels([kernel], track_responses=cfg.track_responses)
 
 

@@ -6,4 +6,10 @@
 - :mod:`tests.oracles.dense_mdp` — a dense ``Q[a] = R[a] + gamma[a] * P[a] v``
   MDP, either hand-written or enumerated from a worker MDP's per-state
   transition rows.
+- :mod:`tests.oracles.lifecycle_observer` — the dispatch kernel's observer
+  with an args dict per feed row and a registry fed per event; run-dir
+  artifacts served through it must be byte-equal to the lifecycle
+  capture's.
+- :mod:`tests.oracles.sim_series` — the ``sim_*`` registry series
+  published one record at a time, against which the bulk fold is gated.
 """

@@ -23,9 +23,10 @@ from repro.arrivals.traces import LoadTrace
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER
 from repro.selectors.base import ModelSelector
-from repro.sim.metrics import MetricsCollector, SimulationMetrics, fold_worker_records
+from repro.sim.metrics import SimulationMetrics, fold_worker_records
 from repro.sim.monitor import LoadMonitor
 from repro.sim.simulator import QueueDiscipline, Simulation, SimulationConfig
+from tests.oracles.sim_series import PublishingCollector
 
 __all__ = ["Query", "reference_event_loop", "run_reference"]
 
@@ -91,7 +92,7 @@ def reference_event_loop(
     balancer.reset()
     latency_model = cfg.latency_model.clone(cfg.seed + 1)
     registry = cfg.registry
-    metrics = MetricsCollector(
+    metrics = PublishingCollector(
         track_responses=cfg.track_responses, registry=registry
     )
     model_set = cfg.model_set

@@ -358,3 +358,85 @@ class TestSortedMirror:
                 for q in (0.0, 0.5, 1.0):
                     assert _same_float(h.quantile(q), sort_quantile(h, q))
         assert evicted
+
+
+#: Bulk-fold inputs: every bucket bound exactly, both signed zeros, NaN,
+#: infinities, integers (batch sizes) and arbitrary floats.
+_bulk_value = st.one_of(
+    st.sampled_from(DEFAULT_LATENCY_BUCKETS_MS),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(-3, 20_000),
+    st.floats(),
+)
+
+
+def _same_state(a, b) -> bool:
+    """Equal histogram state, floats compared bit-for-bit (NaN == NaN)."""
+    if isinstance(a, float) or isinstance(b, float):
+        return _same_float(float(a), float(b))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same_state(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _filler(seed: int, size: int) -> list:
+    """``size`` seeded samples, the specials sprinkled among them."""
+    rng = random.Random(seed)
+    specials = list(DEFAULT_LATENCY_BUCKETS_MS) + [0.0, -0.0, math.nan]
+    return [
+        rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-5.0, 12_000.0)
+        for _ in range(size)
+    ]
+
+
+class TestObserveMany:
+    """``observe_many`` is a bulk ``observe``: buckets, sum, reservoir, its
+    sorted mirror and the RNG stream end up exactly as the loop leaves
+    them, whatever the batch boundaries and a later ``merge_state``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prefill=st.sampled_from([0, 1, 4_000, 4_095, 4_096, 5_000]),
+        seed=st.integers(0, 2**16),
+        chunks=st.lists(st.lists(_bulk_value, max_size=200), max_size=4),
+        donor=st.lists(_bulk_value, max_size=20),
+    )
+    def test_equals_observe_loop(self, prefill, seed, chunks, donor):
+        bulk, loop = Histogram("lat"), Histogram("lat")
+        # The prefill itself is one bulk call, so it crosses the
+        # 4096-slot reservoir inside ``observe_many``; so do the chunks
+        # that follow a prefill just under capacity.
+        for batch in [_filler(seed, prefill), *chunks, []]:
+            bulk.observe_many(batch)
+            for value in batch:
+                loop.observe(value)
+            self._assert_same(bulk, loop)
+        source = Histogram("donor")
+        for value in donor:
+            source.observe(value)
+        bulk.merge_state(source.state_dict())
+        loop.merge_state(source.state_dict())
+        self._assert_same(bulk, loop)
+        tail = _filler(seed + 1, 50)
+        bulk.observe_many(tail)
+        for value in tail:
+            loop.observe(value)
+        self._assert_same(bulk, loop)
+
+    def test_empty_input_is_a_no_op(self):
+        h = Histogram("lat")
+        before = (h.state_dict(), h._rng.getstate())
+        h.observe_many([])
+        h.observe_many(iter(()))
+        assert (h.state_dict(), h._rng.getstate()) == before
+
+    @staticmethod
+    def _assert_same(bulk: Histogram, loop: Histogram) -> None:
+        assert _same_state(bulk.state_dict(), loop.state_dict())
+        assert _same_state(bulk._ordered, loop._ordered)
+        assert bulk._neg_zeros == loop._neg_zeros
+        assert bulk._rng.getstate() == loop._rng.getstate()
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert _same_float(bulk.quantile(q), loop.quantile(q))

@@ -12,6 +12,7 @@ path that ``ramsis report`` / ``ramsis explain`` consume, and the
 dispatch kernel's equivalence with the fast simulator.
 """
 
+import json
 import threading
 import time
 
@@ -22,13 +23,14 @@ from hypothesis import strategies as st
 
 from repro.arrivals.traces import LoadTrace
 from repro.errors import SimulationError
-from repro.obs.aggregate import merge_run_dir
+from repro.obs.aggregate import merge_run_dir, write_merged_artifacts
 from repro.obs.attribution import LatencyAttributor
 from repro.obs.audit import GuaranteeAuditor
 from repro.obs.reconstruct import reconstruct_metrics
 from repro.runtime import AdmissionControl, ShardedController, WorkloadGenerator
 from repro.runtime.shard import DROPPED_MODEL, REJECTED_MODEL
 from repro.selectors import GreedyDeadlineSelector, RamsisSelector
+from repro.sim.kernel import LifecycleObserver
 from repro.sim.latency_model import DeterministicLatency
 from repro.sim.metrics import MetricsCollector
 from repro.sim.monitor import OracleLoadMonitor
@@ -145,14 +147,156 @@ class TestReconstruction:
         assert a == b
 
     def test_artifacts_present(self, tiny_models, tmp_path):
-        run_sharded(tiny_models, 2, 2, run_dir=str(tmp_path),
-                    snapshot_interval_s=0.05)
+        report = run_sharded(tiny_models, 2, 2, run_dir=str(tmp_path),
+                             snapshot_interval_s=0.05)
         names = {p.name for p in tmp_path.iterdir()}
         for gid in range(4):
             assert f"shard-{gid}.cols" in names
-        # Final live snapshots: one per shard, pids offset past worker gids.
+        # Final metrics snapshots: one per shard, pids offset past worker gids.
         assert "metrics-4.json" in names and "metrics-5.json" in names
-        assert "attribution-4.json" in names and "attribution-5.json" in names
+        # Without ``attributors=``, attribution-<pid>.json comes from
+        # snapshot ticks only (this unpaced serve may end before the
+        # first), each a view of part of its own shard's queries; the
+        # run's attribution is the merged attribution.json.
+        for pid in (4, 5):
+            path = tmp_path / f"attribution-{pid}.json"
+            if path.exists():
+                queries = json.loads(path.read_text())["totals"]["queries"]
+                assert queries <= report.submitted
+        write_merged_artifacts(merge_run_dir(tmp_path), tmp_path)
+        merged = json.loads((tmp_path / "attribution.json").read_text())
+        assert merged["totals"]["queries"] == report.submitted
+
+
+class TestSnapshots:
+    """A run-dir serve without ``attributors=`` keeps attribution off the
+    dispatch path: the snapshot thread folds each shard's lifecycle
+    capture on its ticks, so ``attribution-<pid>.json`` lags by at most
+    one interval and is not rewritten when the serve ends."""
+
+    def test_no_tick_publishes_metrics_only(self, tiny_models, tmp_path):
+        run_sharded(tiny_models, 2, 2, run_dir=str(tmp_path),
+                    snapshot_interval_s=3600.0)
+        names = {p.name for p in tmp_path.iterdir()}
+        assert "metrics-4.json" in names and "metrics-5.json" in names
+        assert not any(name.startswith("attribution") for name in names)
+
+    def test_concurrent_ticks_lose_no_capture_entry(self, tiny_models, tmp_path):
+        """Ticks drain the capture while the kernel appends to it: with a
+        tick every 0.1 ms and a 1 us thread switch interval, the final
+        registries must equal those of a serve with no tick at all."""
+        import sys
+
+        trace = LoadTrace.constant(150.0, 20_000.0)
+        quiet, busy = tmp_path / "quiet", tmp_path / "busy"
+        run_sharded(tiny_models, 2, 2, trace=trace, run_dir=str(quiet),
+                    snapshot_interval_s=3600.0)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_sharded(tiny_models, 2, 2, trace=trace, run_dir=str(busy),
+                        snapshot_interval_s=1e-4)
+        finally:
+            sys.setswitchinterval(previous)
+        assert list(busy.glob("attribution-*.json"))
+        for pid in (4, 5):
+            name = f"metrics-{pid}.json"
+            assert (busy / name).read_bytes() == (quiet / name).read_bytes()
+
+    def test_paced_snapshots_fold_stream_prefixes(
+        self, tiny_models, tmp_path, monkeypatch
+    ):
+        import repro.obs.aggregate as aggregate
+        from repro.obs.columns import json_default
+        from repro.obs.report import render_top_frame
+
+        published = {4: [], 5: []}
+        writers = set()
+        write = aggregate.write_live_snapshot
+
+        def recording(run_dir, registry=None, attributor=None, pid=None):
+            paths = write(run_dir, registry=registry, attributor=attributor,
+                          pid=pid)
+            if attributor is not None:
+                path = tmp_path / f"attribution-{pid}.json"
+                published[pid].append(path.read_text())
+                writers.add(threading.current_thread().name)
+            return paths
+
+        monkeypatch.setattr(aggregate, "write_live_snapshot", recording)
+        monkeypatch.setattr("repro.runtime.shard.LifecycleObserver", HookLog)
+        controller = ShardedController(
+            tiny_models, slo_ms=100.0, num_shards=2, workers_per_shard=2,
+            latency_model=DeterministicLatency(), time_scale=0.1, seed=1,
+            paced=True, run_dir=str(tmp_path), snapshot_interval_s=0.05,
+        )
+        # ~0.4 s of wall: several snapshot intervals.
+        report = controller.serve(
+            lambda s: GreedyDeadlineSelector(), LoadTrace.constant(150.0, 4_000.0)
+        )
+        for s, pid in enumerate((4, 5)):
+            assert len(published[pid]) >= 2
+            # Every prefix of the shard's live hook stream, folded into a
+            # fresh attributor, as published text.
+            view = LatencyAttributor(slo_ms=100.0)
+            prefixes = {json.dumps(view.to_json_dict(), sort_keys=True,
+                                   default=json_default)}
+            for name, args, kwargs in controller._observers[s].calls:
+                getattr(view, name)(*args, **kwargs)
+                prefixes.add(json.dumps(view.to_json_dict(), sort_keys=True,
+                                        default=json_default))
+            assert all(text in prefixes for text in published[pid])
+            assert json.loads(published[pid][-1])["totals"]["queries"] > 0
+            # Not rewritten at the end: the file is the last tick's fold.
+            final = (tmp_path / f"attribution-{pid}.json").read_text()
+            assert final == published[pid][-1]
+        assert writers == {"shard-snapshot"}
+        write_merged_artifacts(merge_run_dir(tmp_path), tmp_path)
+        merged = json.loads((tmp_path / "attribution.json").read_text())
+        assert merged["totals"]["queries"] == report.submitted
+        frame = render_top_frame(tmp_path)
+        assert "latency attribution [attribution.json]" in frame
+
+
+class HookLog(LifecycleObserver):
+    """The production observer, also logging the attributor hook calls a
+    live attributor would get, in order — the stream a snapshot view must
+    fold a prefix of."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def _ids(self, w, j):
+        return self.base + j * self.stride, self.base + w * self.stride
+
+    def dispatch(self, w, t, model, batch, queue_len, slack_ms, anticipated,
+                 exec_ms, served, depth):
+        super().dispatch(w, t, model, batch, queue_len, slack_ms, anticipated,
+                         exec_ms, served, depth)
+        gid = self.base + w * self.stride
+        self.calls.append(("observe_decision", (gid, model, batch, exec_ms), {}))
+        for j in served:
+            query, _ = self._ids(w, j)
+            wait = t - self.arrivals[j]
+            self.calls.append(
+                ("observe_service_start", (query, gid, model, batch, wait), {})
+            )
+
+    def completion(self, w, t, model, accuracy, served):
+        super().completion(w, t, model, accuracy, served)
+        for j in served:
+            query, gid = self._ids(w, j)
+            args = (query, gid, model, t - self.arrivals[j], t <= self.deadlines[j])
+            self.calls.append(("observe_completion", args, {"t_ms": t}))
+
+    def terminal(self, w, queries, t, model, rejected=False):
+        super().terminal(w, queries, t, model, rejected)
+        for j in queries:
+            query, gid = self._ids(w, j)
+            response = 0.0 if rejected else t - self.arrivals[j]
+            self.calls.append(("observe_completion", (query, gid, model, response, False),
+                               {"t_ms": t, "dropped": True}))
 
 
 class TestOverload:
