@@ -37,11 +37,15 @@ typed hooks (``observe_decision`` per batch, ``observe_service_start`` /
 
 Attachment points:
 
-- Live: ``SimulationConfig(attributor=...)`` or a serving shard's
+- Kernel: ``SimulationConfig(attributor=...)`` or a serving shard's
   ``attributors=`` — the dispatch kernel's observer
-  (:class:`repro.sim.kernel.LifecycleObserver`) calls the ``observe_*``
-  hooks, so a simulation and a sharded serve of the same arrivals
-  attribute identically.
+  (:class:`repro.sim.kernel.LifecycleObserver`) appends one ordered
+  lifecycle capture and :meth:`~repro.sim.kernel.LifecycleObserver.replay`
+  calls the ``observe_*`` hooks from it, off the dispatch path: at the
+  end of a simulation, and on a shard's snapshot ticks and at the end of
+  its serve.  So a simulation and a sharded serve of the same arrivals
+  attribute identically, and burn-rate alerts fire when the capture is
+  folded (with the events' virtual ``t_ms``, in event order).
 - Offline: :meth:`LatencyAttributor.fold` runs the same hooks over a
   columnar :class:`~repro.obs.columns.EventTable` in recorded order —
   e.g. the merged table of a parallel sweep, whose ``(seq, worker, n)``
@@ -275,9 +279,9 @@ class LatencyAttributor:
     divided by it.  ``alert_sink`` callables receive each
     :class:`~repro.obs.audit.AuditAlert` — pass an existing
     :meth:`GuaranteeAuditor.emit_alert <repro.obs.audit.GuaranteeAuditor>`
-    to feed the auditor's alert stream.  Thread-safe: a serving shard's
-    snapshot thread serializes the tables while the kernel folds into
-    them.
+    to feed the auditor's alert stream.  Thread-safe: a shard's capture
+    is folded into it by the snapshot thread and, at the end of the
+    serve, by the serving thread, while readers serialize its tables.
     """
 
     def __init__(

@@ -174,8 +174,9 @@ class ForwardingTracer(Tracer):
     Subclasses observe the stream (override a method, call ``super()``)
     without owning storage — the pattern
     :class:`~repro.obs.profile.PhaseProfiler` uses to time wall-clock
-    spans on their way to a :class:`RecordingTracer`.  With no inner
-    tracer the records are consumed by the subclass alone.
+    spans on their way to a :class:`RecordingTracer`.  Rows
+    (:meth:`complete_row` / :meth:`instant_row`) are forwarded as rows.
+    With no inner tracer the records are consumed by the subclass alone.
     """
 
     enabled = True
@@ -214,22 +215,12 @@ class ForwardingTracer(Tracer):
 
     def complete_row(self, name, track, start_ms, duration_ms, keys, values,
                      category="sim") -> None:
-        # Rows stay rows on their way through, unless a subclass observes
-        # the dict-form stream.
-        if type(self).complete is ForwardingTracer.complete:
-            self._inner.complete_row(
-                name, track, start_ms, duration_ms, keys, values, category
-            )
-        else:
-            super().complete_row(
-                name, track, start_ms, duration_ms, keys, values, category
-            )
+        self._inner.complete_row(
+            name, track, start_ms, duration_ms, keys, values, category
+        )
 
     def instant_row(self, name, track, ts_ms, keys, values, category="sim") -> None:
-        if type(self).instant is ForwardingTracer.instant:
-            self._inner.instant_row(name, track, ts_ms, keys, values, category)
-        else:
-            super().instant_row(name, track, ts_ms, keys, values, category)
+        self._inner.instant_row(name, track, ts_ms, keys, values, category)
 
     @contextmanager
     def span(

@@ -40,7 +40,8 @@ milliseconds:
   (``shard-<gid>.cols``, headed with the served SLO) in the simulator's
   event schema, and each shard publishes periodic
   atomic metrics/attribution snapshots, folded off the dispatch path
-  from the shard's lifecycle capture — so ``ramsis top``, ``ramsis
+  from the shard's lifecycle capture (the one source of every
+  attributor's hooks) — so ``ramsis top``, ``ramsis
   report`` and ``ramsis explain`` work unchanged against a sharded run.
   All of a shard's taps sit in one kernel observer: an unobserved run
   builds no per-query object or argument dict.
@@ -84,7 +85,7 @@ __all__ = [
 
 _INF = float("inf")
 #: Capture entries a snapshot tick folds between checks for the serve's end.
-_REPLAY_CHUNK = 4096
+_FOLD_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -234,9 +235,6 @@ class ShardedController:
         self._load_probe = load_probe
         self._kernels: List[DispatchKernel] = []
         self._observers: List[Optional[LifecycleObserver]] = []
-        #: Per shard: the snapshot attributor a run-dir serve without
-        #: ``attributors=`` publishes.
-        self._views: List[Optional[object]] = []
         self._policy_swaps = 0
 
     # ------------------------------------------------------------------
@@ -294,22 +292,24 @@ class ShardedController:
         ``selector_factory(shard_index)`` builds each shard's selector.
         ``auditors`` / ``attributors`` optionally attach one
         :class:`~repro.obs.audit.GuaranteeAuditor` /
-        :class:`~repro.obs.attribution.LatencyAttributor` per shard —
-        the shard's kernel calls their ``observe_*`` hooks (virtual
-        timestamps, in virtual-time order), as a simulation's
-        ``SimulationConfig.auditor`` / ``attributor`` slots do.
+        :class:`~repro.obs.attribution.LatencyAttributor` per shard, as a
+        simulation's ``SimulationConfig.auditor`` / ``attributor`` slots
+        do: the shard's kernel calls an auditor's ``observe_*`` hooks live
+        (virtual timestamps, in virtual-time order), and an attributor's
+        hooks are replayed, in the same order, from the shard's ordered
+        lifecycle capture.  A caller's attributor has folded every query
+        when the serve returns.
 
-        With a ``run_dir``, every shard's observer also appends one
-        ordered lifecycle capture, and a snapshot thread publishes
-        ``metrics-<pid>.json`` / ``attribution-<pid>.json`` (``pid = G +
-        shard``) every ``snapshot_interval_s``, folding the entries
-        captured since its last tick.  Without ``attributors=``, the
-        attribution snapshot is that fold — it lags the serve by at most
-        one interval and is not rewritten when the serve ends (the run's
-        attribution is the merged ``attribution.json``); the end of the
-        serve folds only the registry's remainder and publishes the final
-        metrics.  An explicit attributor is fed live and published on
-        every tick and at the end.
+        With a ``run_dir``, a shard without a caller's attributor gets a
+        fresh one as its view, and a snapshot thread folds each shard's
+        capture into its registry and attributor every
+        ``snapshot_interval_s`` and publishes ``metrics-<pid>.json`` /
+        ``attribution-<pid>.json`` (``pid = G + shard``).  A view's
+        snapshot lags the serve by at most one interval and is not
+        rewritten when the serve ends (the run's attribution is the
+        merged ``attribution.json``): the end of the serve folds the rest
+        of the capture into the registry and a caller's attributor only,
+        then publishes once more.
         """
         start_wall = time.monotonic()
         num_shards = self._num_shards
@@ -346,7 +346,6 @@ class ShardedController:
             for s, selectors in enumerate(self._selectors(selector_factory))
         ]
         observers: List[Optional[LifecycleObserver]] = [None] * num_shards
-        views: List[Optional[object]] = [None] * num_shards
         run_path = None
         if self._run_dir is not None:
             from pathlib import Path
@@ -372,10 +371,8 @@ class ShardedController:
                 ]
                 registry = MetricsRegistry()
                 if attributor is None:
-                    # The ``ramsis top`` / ``explain`` view: folded from
-                    # the capture by the snapshot thread, off the
-                    # dispatch path.
-                    views[s] = LatencyAttributor(slo_ms=self._slo_ms)
+                    # The ``ramsis top`` / ``explain`` view.
+                    attributor = LatencyAttributor(slo_ms=self._slo_ms)
             elif auditor is None and attributor is None:
                 continue
             observers[s] = kernel.observer = LifecycleObserver(
@@ -384,7 +381,6 @@ class ShardedController:
             )
         self._kernels = kernels
         self._observers = observers
-        self._views = views
         self._policy_swaps = 0
 
         snapshot_stop: Optional[threading.Event] = None
@@ -394,7 +390,7 @@ class ShardedController:
 
             def _publish() -> None:
                 while not snapshot_stop.wait(self._snapshot_interval_s):
-                    self._write_snapshots(run_path, stop=snapshot_stop)
+                    self._fold_captures(run_path, stop=snapshot_stop)
 
             snapshot_thread = threading.Thread(
                 target=_publish, name="shard-snapshot", daemon=True
@@ -416,8 +412,14 @@ class ShardedController:
                     for tracer in observer.tracers:
                         if tracer is not None:
                             tracer.close()
-        if run_path is not None:
-            self._write_snapshots(run_path, final=True)
+        for s, observer in enumerate(observers):
+            if observer is not None and (
+                attributors is None or attributors[s] is None
+            ):
+                # Only a caller's attributor is owed the rest: a view's
+                # run-wide fold is the merged attribution.json.
+                observer.attributor = None
+        self._fold_captures(run_path)
 
         metrics = fold_kernels(kernels)
         rejected = sum(kernel.rejected for kernel in kernels)
@@ -465,20 +467,17 @@ class ShardedController:
             for kernel in kernels:
                 kernel.advance(now)
 
-    def _write_snapshots(
-        self, run_path, final: bool = False, stop: Optional[threading.Event] = None
+    def _fold_captures(
+        self, run_path=None, stop: Optional[threading.Event] = None
     ) -> None:
-        """Publish every observed shard's ``metrics-<pid>.json`` and
+        """Fold every observed shard's capture into its registry and
+        attributor; with a run dir, publish its ``metrics-<pid>.json`` and
         ``attribution-<pid>.json`` (``pid = G + shard``).
 
-        Each shard's capture is drained and its entries folded into the
-        registry's ``sim_*`` series.  A shard serving an explicit
-        attributor publishes that (live) attributor; otherwise its view
-        folds the same entries, in chunks that stop early once ``stop``
-        is set (the serve is over, so the fold so far — a prefix — is
-        published), and the final call, at the end of the serve,
-        publishes the metrics only: the run's attribution is the merged
-        ``attribution.json``.
+        The drained entries fold in chunks.  Once ``stop`` is set (the
+        serve is over), a snapshot tick hands the entries it has not
+        folded back to the capture and publishes the fold so far; the
+        final call, at the end of the serve, folds them.
         """
         from repro.obs.aggregate import write_live_snapshot
 
@@ -486,18 +485,15 @@ class ShardedController:
             if observer is None:
                 continue
             entries = observer.drain()
-            observer.publish(entries)
-            attributor = observer.attributor
-            view = self._views[s]
-            if view is not None and not final:
-                for start in range(0, len(entries), _REPLAY_CHUNK):
-                    if stop is not None and stop.is_set():
-                        break
-                    observer.replay(view, entries[start : start + _REPLAY_CHUNK])
-                attributor = view
-            write_live_snapshot(
-                run_path,
-                registry=observer.registry,
-                attributor=attributor,
-                pid=self._total_workers + s,
-            )
+            for start in range(0, len(entries), _FOLD_CHUNK):
+                if stop is not None and stop.is_set():
+                    observer.undrain(entries[start:])
+                    break
+                observer.fold(entries[start : start + _FOLD_CHUNK])
+            if run_path is not None:
+                write_live_snapshot(
+                    run_path,
+                    registry=observer.registry,
+                    attributor=observer.attributor,
+                    pid=self._total_workers + s,
+                )

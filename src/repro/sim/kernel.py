@@ -112,22 +112,24 @@ class LifecycleObserver:
     (``tracers[w]``; ``None`` entries are skipped) as
     :meth:`~repro.obs.trace.Tracer.instant_row` /
     :meth:`~repro.obs.trace.Tracer.complete_row` rows — fixed key tuples
-    and a value tuple, no argument dict; ``auditor`` (a
-    :class:`~repro.obs.audit.GuaranteeAuditor`) and ``attributor`` (a
-    :class:`~repro.obs.attribution.LatencyAttributor`) get their typed
-    ``observe_*`` hooks live, in that order after the tracer.
+    and a value tuple, no argument dict — and ``auditor`` (a
+    :class:`~repro.obs.audit.GuaranteeAuditor`) gets its typed
+    ``observe_*`` hooks live, after the tracer.  Those are the only taps
+    on the dispatch path.
 
-    With a ``registry``, every dispatch (its service starts included),
-    batch completion, drop and rejection also appends one ordered entry
-    to :attr:`capture`.  Nothing reads the capture on the dispatch path:
-    :meth:`drain` hands the entries captured so far to a consumer, which
-    folds them into the registry's ``sim_*`` series
-    (:class:`~repro.sim.metrics.SimSeries`) in bulk with :meth:`publish`
-    and, for a snapshot view, into an attributor with :meth:`replay` —
-    its hooks called exactly as a live attributor's.  A simulation
-    drains once, at the end of its run; a run-dir shard on every
-    snapshot tick and at the end of its serve, so the capture holds at
-    most one snapshot interval of entries.
+    With a ``registry`` or an ``attributor`` (a
+    :class:`~repro.obs.attribution.LatencyAttributor`), every dispatch
+    (its service starts included), batch completion, drop and rejection
+    also appends one ordered entry to :attr:`capture`.  Nothing reads the
+    capture on the dispatch path: :meth:`drain` hands the entries
+    captured so far to a consumer, and :meth:`fold` folds them into the
+    registry's ``sim_*`` series (:class:`~repro.sim.metrics.SimSeries`)
+    in bulk with :meth:`publish` and into the attributor with
+    :meth:`replay` — its hooks called in the order, and with the
+    arguments, of the events.  The capture is the only source of an
+    attributor's hooks.  A simulation drains once, at the end of its
+    run; a serving shard on every snapshot tick and at the end of its
+    serve.
 
     Kernel-local worker ``w`` and query ``j`` are recorded as the global
     ids ``base + w * stride`` and ``base + j * stride`` — shard ``s`` of
@@ -155,8 +157,11 @@ class LifecycleObserver:
         self.stride = stride
         workers = len(kernel.in_flight)
         self.tracks = [f"worker-{base + w * stride}" for w in range(workers)]
-        #: The ordered lifecycle entries (``None`` without a registry).
-        self.capture: Optional[List[tuple]] = None if registry is None else []
+        #: The ordered lifecycle entries (``None`` with nothing to fold
+        #: them into).
+        self.capture: Optional[List[tuple]] = (
+            None if registry is None and attributor is None else []
+        )
         self._series = None if registry is None else SimSeries(registry)
         #: Serializes drains and registry folds across threads.
         self._folding = threading.Lock()
@@ -214,13 +219,6 @@ class LifecycleObserver:
                 )
         if self.auditor is not None:
             self.auditor.observe_decision(queue_len, slack_ms, t + exec_ms)
-        attributor = self.attributor
-        if attributor is not None:
-            attributor.observe_decision(gid, model_name, batch, exec_ms)
-            for j in served:
-                attributor.observe_service_start(
-                    base + j * stride, gid, model_name, batch, t - arrivals[j]
-                )
 
     def completion(
         self, w: int, t: float, model_name: str, accuracy: float, served: List[int]
@@ -230,8 +228,7 @@ class LifecycleObserver:
             self.capture.append((_COMPLETE, t, w, model_name, *served))
         tracer = self.tracers[w]
         auditor = self.auditor
-        attributor = self.attributor
-        if tracer is None and auditor is None and attributor is None:
+        if tracer is None and auditor is None:
             return
         base, stride = self.base, self.stride
         gid = base + w * stride
@@ -249,10 +246,6 @@ class LifecycleObserver:
                 )
             if auditor is not None:
                 auditor.observe_completion(t, satisfied, accuracy)
-            if attributor is not None:
-                attributor.observe_completion(
-                    query_id, gid, model_name, response_ms, satisfied, t_ms=t
-                )
 
     def terminal(
         self,
@@ -268,8 +261,7 @@ class LifecycleObserver:
             self.capture.append((_TERMINAL, t, w, model_name, rejected, *queries))
         tracer = self.tracers[w]
         auditor = self.auditor
-        attributor = self.attributor
-        if tracer is None and auditor is None and attributor is None:
+        if tracer is None and auditor is None:
             return
         base, stride = self.base, self.stride
         gid = base + w * stride
@@ -287,11 +279,6 @@ class LifecycleObserver:
                 )
             if auditor is not None:
                 auditor.observe_completion(t, False, 0.0)
-            if attributor is not None:
-                attributor.observe_completion(
-                    query_id, gid, model_name, response_ms, False,
-                    t_ms=t, dropped=True,
-                )
 
     # ------------------------------------------------------------------
     # Folds over the capture (off the dispatch path)
@@ -299,15 +286,32 @@ class LifecycleObserver:
     def drain(self) -> List[tuple]:
         """The entries captured since the last drain, in order; the
         observer forgets them."""
+        capture = self.capture
+        if capture is None:
+            return []
         with self._folding:
-            capture = self.capture
             entries = capture[: len(capture)]
             del capture[: len(entries)]
         return entries
 
+    def undrain(self, entries: List[tuple]) -> None:
+        """Hand back drained ``entries`` that were not folded: the next
+        :meth:`drain` returns them first.  One slice assignment, so the
+        kernel's appends land after them."""
+        with self._folding:
+            self.capture[:0] = entries
+
+    def fold(self, entries: Sequence[tuple]) -> None:
+        """Fold drained ``entries`` into the registry and the attributor."""
+        self.publish(entries)
+        if self.attributor is not None:
+            self.replay(self.attributor, entries)
+
     def publish(self, entries: Sequence[tuple]) -> None:
         """Fold drained ``entries`` into the registry's ``sim_*`` series,
-        in bulk."""
+        in bulk (nothing without a registry)."""
+        if self._series is None:
+            return
         arrivals = self.arrivals
         deadlines = self.deadlines
         batches: List[int] = []
@@ -339,8 +343,8 @@ class LifecycleObserver:
             )
 
     def replay(self, attributor: Any, entries: Sequence[tuple]) -> None:
-        """Feed drained ``entries`` to ``attributor``'s hooks, as the live
-        observer calls them."""
+        """Feed drained ``entries`` to ``attributor``'s hooks, in the order
+        and with the arguments of the events they record."""
         base, stride = self.base, self.stride
         arrivals = self.arrivals
         deadlines = self.deadlines

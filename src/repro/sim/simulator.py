@@ -21,12 +21,12 @@ are never dropped — like the paper's evaluation, late queries are "better
 served late than never" (§4.3.1); ``drop_late`` opts into dropping.
 
 Observability attaches through one observer, :class:`_SimObserver`, on
-the same kernel: ``tracer`` records the lifecycle stream, ``registry``
-receives the ``sim_*`` series (folded in bulk from the observer's
-lifecycle capture when the run ends), and ``auditor`` / ``attributor`` take the
-kernel's typed ``observe_*`` hooks exactly as a serving shard's
-``auditors=`` / ``attributors=`` do.  An observed run returns the same
-metrics as an unobserved one.  The original
+the same kernel: ``tracer`` records the lifecycle stream and ``auditor``
+takes the kernel's typed ``observe_*`` hooks live; ``registry`` receives
+the ``sim_*`` series and ``attributor`` its ``observe_*`` hooks, both
+folded from the observer's lifecycle capture when the run ends — exactly
+as a serving shard's ``auditors=`` / ``attributors=`` are fed.  An
+observed run returns the same metrics as an unobserved one.  The original
 per-query-object loop lives on as the kernel's oracle in
 ``tests/oracles/sim_loop.py``; ``tests/test_sim_equivalence.py`` pins the
 kernel to it float-exactly.
@@ -103,8 +103,9 @@ class SimulationConfig:
     #: ``observe_*`` hooks; its ``audit_*`` records go to its own
     #: ``inner`` tracer.
     auditor: Optional[GuaranteeAuditor] = None
-    #: Streaming tail-latency attribution (repro.obs.attribution), fed
-    #: through its ``observe_*`` hooks.
+    #: Tail-latency attribution (repro.obs.attribution): its hooks are
+    #: replayed from the run's lifecycle capture when the run ends, so
+    #: burn-rate alerts fire then (with the events' virtual ``t_ms``).
     attributor: Optional[LatencyAttributor] = None
 
     def __post_init__(self) -> None:
@@ -254,9 +255,10 @@ class Simulation:
         if any(sink is not None for sink in sinks):
             kernel.observer = _SimObserver(kernel, central, monitor, tracer, cfg)
         kernel.advance()
-        if cfg.registry is not None:
-            # The registry's sim_* series, folded from the run's capture.
-            kernel.observer.publish(kernel.observer.drain())
+        if kernel.observer is not None:
+            # The registry's sim_* series and the attributor, folded from
+            # the run's capture.
+            kernel.observer.fold(kernel.observer.drain())
         return fold_kernels([kernel], track_responses=cfg.track_responses)
 
 

@@ -198,8 +198,5 @@ class DictLifecycleObserver:
         """Nothing captured: the registry is fed live."""
         return []
 
-    def publish(self, entries: Sequence[tuple]) -> None:
-        """Nothing to fold."""
-
-    def replay(self, attributor: Any, entries: Sequence[tuple]) -> None:
-        """Nothing to replay."""
+    def fold(self, entries: Sequence[tuple]) -> None:
+        """Nothing to fold: the registry and attributor are fed live."""

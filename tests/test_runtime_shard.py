@@ -46,7 +46,7 @@ OVERLOAD = LoadTrace.constant(4_000.0, 1_000.0)
 
 
 def run_sharded(models, shards, wps, *, paced=False, seed=1, trace=TRACE,
-                **kwargs):
+                attributors=None, **kwargs):
     controller = ShardedController(
         models,
         slo_ms=100.0,
@@ -58,7 +58,9 @@ def run_sharded(models, shards, wps, *, paced=False, seed=1, trace=TRACE,
         paced=paced,
         **kwargs,
     )
-    return controller.serve(lambda s: GreedyDeadlineSelector(), trace)
+    return controller.serve(
+        lambda s: GreedyDeadlineSelector(), trace, attributors=attributors
+    )
 
 
 class TestConstruction:
@@ -203,6 +205,69 @@ class TestSnapshots:
             name = f"metrics-{pid}.json"
             assert (busy / name).read_bytes() == (quiet / name).read_bytes()
 
+    @pytest.mark.parametrize("late_tick", [False, True],
+                             ids=["ticks", "tick-at-the-end"])
+    def test_concurrent_ticks_lose_no_attributor_entry(
+        self, tiny_models, tmp_path, monkeypatch, late_tick
+    ):
+        """A caller's attributors fold on every tick too: with a tick every
+        0.1 ms and a 1 us thread switch interval, they must end the serve
+        byte-equal to a no-tick serve's.  ``tick-at-the-end`` holds a tick
+        back until the serve is over, so it hands every entry it drained
+        back to the final fold."""
+        import sys
+
+        from repro.obs.columns import json_default
+        from repro.sim.kernel import DispatchKernel
+
+        trace = LoadTrace.constant(150.0, 20_000.0)
+
+        def folds(run_dir, interval):
+            attributors = [LatencyAttributor(slo_ms=100.0) for _ in range(2)]
+            run_sharded(tiny_models, 2, 2, trace=trace, run_dir=str(run_dir),
+                        snapshot_interval_s=interval, attributors=attributors)
+            return [json.dumps(a.to_json_dict(), sort_keys=True,
+                               default=json_default) for a in attributors]
+
+        quiet = folds(tmp_path / "quiet", 3600.0)
+        handed_back = []
+        if late_tick:
+            served = threading.Event()
+            advanced = []
+            advance = DispatchKernel.advance
+            drain = LifecycleObserver.drain
+            undrain = LifecycleObserver.undrain
+
+            def counting_advance(kernel, *args):
+                advance(kernel, *args)
+                advanced.append(kernel)
+                if len(advanced) == 2:
+                    served.set()
+
+            def late_drain(observer):
+                if threading.current_thread().name == "shard-snapshot":
+                    served.wait(5.0)
+                    time.sleep(0.05)  # the serve sets its stop event
+                return drain(observer)
+
+            def counting_undrain(observer, entries):
+                handed_back.append(len(entries))
+                undrain(observer, entries)
+
+            monkeypatch.setattr(DispatchKernel, "advance", counting_advance)
+            monkeypatch.setattr(LifecycleObserver, "drain", late_drain)
+            monkeypatch.setattr(LifecycleObserver, "undrain", counting_undrain)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            busy = folds(tmp_path / "busy", 1e-4)
+        finally:
+            sys.setswitchinterval(previous)
+        assert busy == quiet
+        assert json.loads(busy[0])["totals"]["queries"] > 0
+        if late_tick:
+            assert sum(handed_back) > 0
+
     def test_paced_snapshots_fold_stream_prefixes(
         self, tiny_models, tmp_path, monkeypatch
     ):
@@ -259,9 +324,9 @@ class TestSnapshots:
 
 
 class HookLog(LifecycleObserver):
-    """The production observer, also logging the attributor hook calls a
-    live attributor would get, in order — the stream a snapshot view must
-    fold a prefix of."""
+    """The production observer, also logging the attributor hook calls an
+    observer calling them live would make, in order — the stream every
+    attributor is replayed from (a snapshot view folds a prefix of it)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
