@@ -446,20 +446,18 @@ def cmd_bench_history(args: argparse.Namespace) -> int:
     return 1
 
 
-def _explain_attributor(run_dir: Path, slo: Optional[float]):
-    """The run's attribution, preferring the merged artifact's tracer fold.
+def _explain_snapshot(run_dir: Path, slo: Optional[float]) -> Optional[dict]:
+    """The run's attribution snapshot, preferring the merged artifact.
 
-    Returns ``(snapshot_dict, attributor_or_None)``: an existing
-    ``attribution.json`` is authoritative (it was folded from the merged
-    table in serial cell order); otherwise the merged table, else the
-    event log, is refolded.
+    An existing ``attribution.json`` is authoritative (it was folded from
+    the merged table in serial cell order); otherwise the merged table,
+    else the event log, is refolded.
     """
-    direct = run_dir / "attribution.json"
-    if direct.is_file():
-        return json.loads(direct.read_text()), None
-    batches = sorted(run_dir.glob("batch-*/attribution.json"))
-    if batches:
-        return json.loads(batches[-1].read_text()), None
+    from repro.obs.report import _attribution_json
+
+    snapshot = _attribution_json(run_dir)
+    if snapshot is not None:
+        return snapshot
     from repro.obs.aggregate import merged_tables
     from repro.obs.attribution import attribution_from_jsonl, attribution_from_table
     from repro.obs.columns import EventTable
@@ -467,17 +465,15 @@ def _explain_attributor(run_dir: Path, slo: Optional[float]):
     tables = merged_tables(run_dir)
     if tables:
         table, header = EventTable.load(tables[0])
-        attributor = attribution_from_table(
+        return attribution_from_table(
             table, slo_ms=slo if slo is not None else header.get("slo_ms")
-        )
-        return attributor.to_json_dict(), attributor
+        ).to_json_dict()
     for name in ("merged.jsonl", "events.jsonl"):
         candidates = [run_dir / name] + sorted(run_dir.glob(f"batch-*/{name}"))
         for path in candidates:
             if path.is_file():
-                attributor = attribution_from_jsonl(path, slo_ms=slo)
-                return attributor.to_json_dict(), attributor
-    return None, None
+                return attribution_from_jsonl(path, slo_ms=slo).to_json_dict()
+    return None
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -494,7 +490,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if not run_dir.is_dir():
         print(f"run directory not found: {run_dir}")
         return 1
-    snapshot, attributor = _explain_attributor(run_dir, args.slo)
+    snapshot = _explain_snapshot(run_dir, args.slo)
     if snapshot is None:
         print(
             f"no attribution source in {run_dir} "
@@ -504,10 +500,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return 1
     if args.json:
         rendered = json.dumps(snapshot, indent=1, sort_keys=True)
-    elif attributor is not None:
-        rendered = attributor.render_text(limit=args.top)
     else:
-        rendered = _render_attribution_snapshot(snapshot, limit=args.top)
+        from repro.obs.attribution import render_attribution_text
+
+        rendered = render_attribution_text(snapshot, limit=args.top)
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -515,55 +511,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         log.info("attribution written to %s", out_path)
     print(rendered)
     return 0
-
-
-def _render_attribution_snapshot(snapshot: dict, limit: Optional[int]) -> str:
-    """Text tables from a stored attribution.json (no live attributor)."""
-    rows = sorted(snapshot.get("rows", []), key=lambda r: -r["response_ms"])
-    if limit is not None:
-        rows = rows[:limit]
-    body = []
-    for r in rows:
-        n = max(r["queries"], 1)
-        body.append(
-            [
-                r["slo"],
-                r["model"],
-                str(r["worker"]),
-                str(r["queries"]),
-                f"{r['queue_wait_ms'] / n:.2f}",
-                f"{r['service_ms'] / n:.2f}",
-                f"{r['drop_ms'] / n:.2f}",
-                f"{r.get('blame_per_query_ms', 0.0):.2f}",
-                f"{r['violations'] / n:.1%}",
-                str(r["dropped"]),
-            ]
-        )
-    table = format_table(
-        [
-            "slo", "model", "worker", "queries", "wait ms", "service ms",
-            "drop ms", "blame/q ms", "viol %", "drops",
-        ],
-        body,
-        title="Latency attribution (per-query phase means)",
-    )
-    lines = [table, "", "SLO burn rate:"]
-    for w in snapshot.get("burn", {}).get("windows", []):
-        lines.append(
-            "  window {:>6}  rate {:.4f}  burn {:.3f}  alerts {}".format(
-                w["size"], w["rate"], w["burn"], w["alerts"]
-            )
-        )
-    chains = snapshot.get("exemplars", {}).get("chains", [])
-    lines.append("")
-    lines.append(f"Tail exemplars ({len(chains)} retained):")
-    for chain in chains[:5]:
-        lines.append(
-            "  q{query} worker {worker} {model}: {response_ms:.1f} ms "
-            "(wait {queue_wait_ms:.1f}, service {service_ms:.1f}, "
-            "drop {drop_ms:.1f})".format(**chain)
-        )
-    return "\n".join(lines)
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -877,23 +824,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not args.unpaced:
         print(f"  p99 added latency: {report.p99_added_latency_ms:.3f} ms wall")
 
+    audits = [] if auditors is None else [a.finalize() for a in auditors]
     if args.run_dir is not None:
         from repro.obs.aggregate import merge_run_dir, write_merged_artifacts
 
         merged = merge_run_dir(args.run_dir)
         for path in write_merged_artifacts(merged, args.run_dir).values():
             log.info("wrote %s", path)
+        if audits:
+            from repro.obs.audit import sharded_audit_json
+
+            audit_path = Path(args.run_dir) / "audit.json"
+            audit_path.write_text(
+                json.dumps(sharded_audit_json(audits), indent=1)
+            )
+            log.info("wrote %s", audit_path)
 
     breaches = 0
-    if auditors is not None:
-        for shard_index, auditor in enumerate(auditors):
-            audit = auditor.finalize()
-            breaches += audit.violation_breaches + audit.accuracy_breaches
-            print(
-                f"  shard {shard_index} audit: "
-                f"violation_breaches={audit.violation_breaches} "
-                f"accuracy_breaches={audit.accuracy_breaches}"
-            )
+    for shard_index, audit in enumerate(audits):
+        breaches += audit.violation_breaches + audit.accuracy_breaches
+        print(
+            f"  shard {shard_index} audit: "
+            f"violation_breaches={audit.violation_breaches} "
+            f"accuracy_breaches={audit.accuracy_breaches}"
+        )
     return 1 if breaches else 0
 
 

@@ -90,6 +90,7 @@ __all__ = [
     "attribution_from_tracer",
     "attribution_from_jsonl",
     "exact_phase_split",
+    "render_attribution_text",
 ]
 
 #: Bump when the ``to_json_dict`` layout changes incompatibly.
@@ -279,9 +280,8 @@ class LatencyAttributor:
     divided by it.  ``alert_sink`` callables receive each
     :class:`~repro.obs.audit.AuditAlert` — pass an existing
     :meth:`GuaranteeAuditor.emit_alert <repro.obs.audit.GuaranteeAuditor>`
-    to feed the auditor's alert stream.  Thread-safe: a shard's capture
-    is folded into it by the snapshot thread and, at the end of the
-    serve, by the serving thread, while readers serialize its tables.
+    to feed the auditor's alert stream.  Thread-safe: hooks and readers
+    serialize on one lock, so its tables can be read while it folds.
     """
 
     def __init__(
@@ -670,58 +670,7 @@ class LatencyAttributor:
 
     def render_text(self, limit: Optional[int] = None) -> str:
         """The attribution tables as aligned text (``ramsis explain``)."""
-        from repro.experiments.reporting import format_table
-
-        snap = self.to_json_dict()
-        rows = snap["rows"]
-        rows.sort(key=lambda r: -r["response_ms"])
-        if limit is not None:
-            rows = rows[:limit]
-        body = []
-        for r in rows:
-            n = max(r["queries"], 1)
-            body.append(
-                [
-                    r["slo"],
-                    r["model"],
-                    str(r["worker"]),
-                    str(r["queries"]),
-                    f"{r['queue_wait_ms'] / n:.2f}",
-                    f"{r['service_ms'] / n:.2f}",
-                    f"{r['drop_ms'] / n:.2f}",
-                    f"{r['blame_per_query_ms']:.2f}",
-                    f"{r['violations'] / n:.1%}",
-                    str(r["dropped"]),
-                ]
-            )
-        table = format_table(
-            [
-                "slo", "model", "worker", "queries", "wait ms", "service ms",
-                "drop ms", "blame/q ms", "viol %", "drops",
-            ],
-            body,
-            title="Latency attribution (per-query phase means)",
-        )
-        burn_lines = ["", "SLO burn rate:"]
-        for w in snap["burn"]["windows"]:
-            burn_lines.append(
-                "  window {:>6}  rate {:.4f}  burn {:.3f}  alerts {}".format(
-                    w["size"], w["rate"], w["burn"], w["alerts"]
-                )
-            )
-        chains = snap["exemplars"]["chains"]
-        tail_lines = [
-            "",
-            f"Tail exemplars (p{snap['exemplars']['quantile'] * 100:g} "
-            f"threshold, {len(chains)} retained):",
-        ]
-        for chain in chains[:5]:
-            tail_lines.append(
-                "  q{query} worker {worker} {model}: {response_ms:.1f} ms "
-                "(wait {queue_wait_ms:.1f}, service {service_ms:.1f}, "
-                "drop {drop_ms:.1f})".format(**chain)
-            )
-        return table + "\n" + "\n".join(burn_lines + tail_lines)
+        return render_attribution_text(self.to_json_dict(), limit=limit)
 
     # ------------------------------------------------------------------
     # Offline fold
@@ -807,6 +756,66 @@ class LatencyAttributor:
                     dropped=bool(False if dropped is MISSING else dropped),
                 )
         return self
+
+
+def render_attribution_text(
+    snapshot: Dict[str, Any], limit: Optional[int] = None
+) -> str:
+    """An attribution snapshot (:meth:`LatencyAttributor.to_json_dict`,
+    live or a stored ``attribution.json``) as aligned text tables: the
+    ``limit`` highest-latency rows, the burn-rate windows and the tail
+    exemplars."""
+    from repro.experiments.reporting import format_table
+
+    rows = sorted(snapshot["rows"], key=lambda r: -r["response_ms"])
+    if limit is not None:
+        rows = rows[:limit]
+    body = []
+    for r in rows:
+        n = max(r["queries"], 1)
+        body.append(
+            [
+                r["slo"],
+                r["model"],
+                str(r["worker"]),
+                str(r["queries"]),
+                f"{r['queue_wait_ms'] / n:.2f}",
+                f"{r['service_ms'] / n:.2f}",
+                f"{r['drop_ms'] / n:.2f}",
+                f"{r['blame_per_query_ms']:.2f}",
+                f"{r['violations'] / n:.1%}",
+                str(r["dropped"]),
+            ]
+        )
+    table = format_table(
+        [
+            "slo", "model", "worker", "queries", "wait ms", "service ms",
+            "drop ms", "blame/q ms", "viol %", "drops",
+        ],
+        body,
+        title="Latency attribution (per-query phase means)",
+    )
+    lines = [table, "", "SLO burn rate:"]
+    for w in snapshot["burn"]["windows"]:
+        lines.append(
+            "  window {:>6}  rate {:.4f}  burn {:.3f}  alerts {}".format(
+                w["size"], w["rate"], w["burn"], w["alerts"]
+            )
+        )
+    exemplars = snapshot["exemplars"]
+    chains = exemplars["chains"]
+    lines += [
+        "",
+        f"Tail exemplars (p{exemplars['quantile'] * 100:g} "
+        f"threshold, {len(chains)} retained):",
+    ]
+    for chain in chains[:5]:
+        lines.append(
+            "  q{query} worker {worker} {model}: {response_ms:.1f} ms "
+            "(wait {queue_wait_ms:.1f}, service {service_ms:.1f}, "
+            "drop {drop_ms:.1f})".format(**chain)
+        )
+    return "\n".join(lines)
 
 
 def _worker_from_track(track: str) -> int:

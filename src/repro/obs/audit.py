@@ -43,7 +43,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.guarantees import PolicyGuarantees, total_variation
 from repro.core.policy import Policy
@@ -62,6 +62,7 @@ __all__ = [
     "OccupancySummary",
     "AuditReport",
     "GuaranteeAuditor",
+    "sharded_audit_json",
 ]
 
 #: Window verdict when the whole confidence interval violates a bound.
@@ -485,6 +486,21 @@ class AuditReport:
                 )
             )
         return "\n".join(lines)
+
+
+def sharded_audit_json(audits: Sequence[AuditReport]) -> Dict[str, Any]:
+    """A sharded serve's ``audit.json``: each shard's report
+    (:meth:`AuditReport.to_json_dict`) under ``shards``, plus the run's
+    ``ok``, bound ``breaches`` and closed ``windows`` that ``ramsis
+    report`` summarizes."""
+    return {
+        "ok": all(a.ok for a in audits),
+        "windows": [w.to_json_dict() for a in audits for w in a.windows],
+        "breaches": sum(
+            a.violation_breaches + a.accuracy_breaches for a in audits
+        ),
+        "shards": [a.to_json_dict() for a in audits],
+    }
 
 
 # ----------------------------------------------------------------------

@@ -149,33 +149,12 @@ class PhaseProfiler(ForwardingTracer):
         return totals
 
     def stats(self) -> List[PhaseStats]:
-        """Per-path statistics, sorted by estimated self-time, descending.
-
-        Self-time is derived here (total minus direct children's totals,
-        clamped at zero — sampling can make children's estimates exceed
-        the parent's).
-        """
-        totals = self._estimated_totals()
-        out = []
-        for path, seen in self._seen.items():
-            children_ms = sum(
-                total
-                for other, total in totals.items()
-                if len(other) == len(path) + 1 and other[: len(path)] == path
-            )
-            out.append(
-                PhaseStats(
-                    path=path,
-                    count=seen,
-                    measured=self._measured.get(path, 0),
-                    total_ms=totals[path],
-                    self_ms=max(0.0, totals[path] - children_ms),
-                    min_ms=self._min.get(path, 0.0),
-                    max_ms=self._max.get(path, 0.0),
-                )
-            )
-        out.sort(key=lambda s: (-s.self_ms, s.path))
-        return out
+        """Per-path statistics, sorted by estimated self-time, descending
+        (see :func:`_fold_stats`)."""
+        return _fold_stats(
+            self._seen, self._measured, self._estimated_totals(),
+            self._min, self._max,
+        )
 
     def hotspots(self, n: int = 10) -> str:
         """Top-``n`` phases by self-time as an aligned text table."""
@@ -268,24 +247,38 @@ def stats_from_spans(records: Any) -> List[PhaseStats]:
         if path not in hi or dur > hi[path]:
             hi[path] = dur
 
-    out = []
-    for path, count in seen.items():
-        children_ms = sum(
-            t
-            for other, t in total.items()
-            if len(other) == len(path) + 1 and other[: len(path)] == path
+    return _fold_stats(seen, seen, total, lo, hi)
+
+
+def _fold_stats(
+    seen: Dict[PhasePath, int],
+    measured: Dict[PhasePath, int],
+    totals: Dict[PhasePath, float],
+    lo: Dict[PhasePath, float],
+    hi: Dict[PhasePath, float],
+) -> List[PhaseStats]:
+    """Per-path :class:`PhaseStats`, sorted by self-time, descending.
+
+    Self-time is a path's total minus its direct children's totals
+    (summed in ``totals`` order), clamped at zero — sampling can make
+    children's estimates exceed the parent's.  A path missing from
+    ``measured``/``lo``/``hi`` was never timed and reads 0 there.
+    """
+    children: Dict[PhasePath, float] = {}
+    for path, total in totals.items():
+        children[path[:-1]] = children.get(path[:-1], 0) + total
+    out = [
+        PhaseStats(
+            path=path,
+            count=count,
+            measured=measured.get(path, 0),
+            total_ms=totals[path],
+            self_ms=max(0.0, totals[path] - children.get(path, 0)),
+            min_ms=lo.get(path, 0.0),
+            max_ms=hi.get(path, 0.0),
         )
-        out.append(
-            PhaseStats(
-                path=path,
-                count=count,
-                measured=count,
-                total_ms=total[path],
-                self_ms=max(0.0, total[path] - children_ms),
-                min_ms=lo[path],
-                max_ms=hi[path],
-            )
-        )
+        for path, count in seen.items()
+    ]
     out.sort(key=lambda s: (-s.self_ms, s.path))
     return out
 

@@ -369,7 +369,7 @@ def render_top_frame(run_dir: Union[str, Path], limit: int = 12) -> str:
 
     Reads the periodic live snapshots (``metrics-<pid>.json`` /
     ``attribution-<pid>.json``, written by the sharded runtime's
-    snapshot thread and by ``run_sweep`` pool workers) plus any merged
+    snapshot ticks and by ``run_sweep`` pool workers) plus any merged
     artifacts, and renders a single text frame.  Pure read — safe to
     call while the run is still writing (snapshots are atomic renames).
     """

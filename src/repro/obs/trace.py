@@ -18,9 +18,7 @@ generation phases); a ``track`` is a logical timeline (one per worker,
 one for the balancer/monitor, one per offline phase) that exporters map
 to Chrome ``trace_event`` threads.
 
-:class:`RecordingTracer` appends records to plain lists, so concurrent
-use from the wall-clock runtime's worker threads is safe under CPython's
-atomic ``list.append``.
+:class:`RecordingTracer` appends records to plain lists.
 """
 
 from __future__ import annotations

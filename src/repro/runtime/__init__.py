@@ -9,8 +9,9 @@ subpackage reproduces that architecture *in process*:
   controller shards, each one array-backed dispatch kernel over its
   worker group in virtual time, with consistent round-robin, admission
   control / drop-late under overload, live policy hot-swap, and
-  per-shard auditor + snapshot feeds.  Unpaced it serves flat out in the
-  calling thread; paced it replays the trace on a scaled wall clock;
+  per-shard auditor + snapshot feeds, all on the calling thread.
+  Unpaced it serves flat out; paced it replays the trace on a scaled
+  wall clock;
 - :class:`~repro.runtime.workload.WorkloadGenerator` — samples the query
   arrival stream from a trace + inter-arrival pattern, identically to
   the simulator;

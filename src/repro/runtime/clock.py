@@ -1,9 +1,9 @@
 """Scaled wall-clock time for the runtime.
 
-All runtime components share one :class:`VirtualClock`.  Virtual time is
-measured in milliseconds, like everywhere else in the library; the
-``time_scale`` factor maps it onto wall-clock seconds (``time_scale = 0.1``
-runs 10x faster than real time).
+A paced serve drives its kernels on one :class:`VirtualClock`.  Virtual
+time is measured in milliseconds, like everywhere else in the library;
+the ``time_scale`` factor maps it onto wall-clock seconds
+(``time_scale = 0.1`` runs 10x faster than real time).
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ class VirtualClock:
         """Wall seconds per virtual second."""
         return self._scale
 
-    def restart(self) -> None:
-        """Re-zero the clock (``now_ms`` starts counting from here).
-
-        The sharded controller restarts the shared clock once every
-        shard loop is up, so thread-spawn latency is never charged to
-        the first arrivals.
-        """
-        self._start = time.monotonic()
-
     def now_ms(self) -> float:
         """Current virtual time in milliseconds since clock creation."""
         return (time.monotonic() - self._start) * 1000.0 / self._scale
@@ -44,11 +35,6 @@ class VirtualClock:
         """Wall seconds until the clock reaches ``virtual_deadline_ms``
         (negative when the deadline has already passed)."""
         return (virtual_deadline_ms - self.now_ms()) * self._scale / 1000.0
-
-    def sleep_ms(self, virtual_ms: float) -> None:
-        """Block for ``virtual_ms`` of virtual time."""
-        if virtual_ms > 0:
-            time.sleep(virtual_ms / 1000.0 * self._scale)
 
     def sleep_until_ms(self, virtual_deadline_ms: float) -> None:
         """Block until the virtual clock reaches ``virtual_deadline_ms``.

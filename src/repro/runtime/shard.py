@@ -21,11 +21,13 @@ milliseconds:
   float-exactly identical across shard layouts, pacing modes and repeat
   runs — and to a :class:`~repro.sim.simulator.Simulation` of the same
   arrivals with the trace-oracle monitor.
-- **Unpaced or paced.**  Unpaced serving runs each kernel to the end of
-  its stream in the calling thread — no event loop, no threads.  Paced
-  serving sleeps to the next event of any shard on the scaled wall clock
-  and then advances every kernel to the clock's current virtual time,
-  measuring how far batch completions lag their virtual instants.
+- **Unpaced or paced, on one thread.**  One serve loop in the calling
+  thread drives every kernel.  Unpaced, it advances them flat out in
+  slices of arrivals; paced, it sleeps to the next event of any shard on
+  the scaled wall clock and then advances every kernel to the clock's
+  current virtual time, measuring how far batch completions lag their
+  virtual instants.  Between slices or wake-ups it takes the snapshot
+  ticks.
 - **Admission control and drop-late.**  :class:`AdmissionControl` bounds
   per-worker queues and rejects hopeless queries at (virtual) arrival
   time; ``drop_late=True`` mirrors the simulator's drop-the-queue
@@ -39,8 +41,8 @@ milliseconds:
   columnar :class:`~repro.obs.aggregate.ShardTracer` feed
   (``shard-<gid>.cols``, headed with the served SLO) in the simulator's
   event schema, and each shard publishes periodic
-  atomic metrics/attribution snapshots, folded off the dispatch path
-  from the shard's lifecycle capture (the one source of every
+  atomic metrics/attribution snapshots, folded between dispatches by
+  the serve loop from the shard's lifecycle capture (the one source of every
   attributor's hooks) — so ``ramsis top``, ``ramsis
   report`` and ``ramsis explain`` work unchanged against a sharded run.
   All of a shard's taps sit in one kernel observer: an unobserved run
@@ -49,7 +51,6 @@ milliseconds:
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -84,8 +85,8 @@ __all__ = [
 ]
 
 _INF = float("inf")
-#: Capture entries a snapshot tick folds between checks for the serve's end.
-_FOLD_CHUNK = 4096
+#: Global arrivals one step of an unpaced serve advances.
+_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -300,11 +301,16 @@ class ShardedController:
         lifecycle capture.  A caller's attributor has folded every query
         when the serve returns.
 
-        With a ``run_dir``, a shard without a caller's attributor gets a
-        fresh one as its view, and a snapshot thread folds each shard's
-        capture into its registry and attributor every
-        ``snapshot_interval_s`` and publishes ``metrics-<pid>.json`` /
-        ``attribution-<pid>.json`` (``pid = G + shard``).  A view's
+        The serve loop folds each observed shard's capture into the
+        shard's registry and attributor between its steps (each slice of
+        arrivals unpaced, each wake-up paced), so a capture holds no more
+        than one step of the serve.  With a ``run_dir``, a shard without
+        a caller's attributor gets a fresh one as its view, and the loop
+        takes a snapshot tick every ``snapshot_interval_s`` of wall time
+        that folds and publishes ``metrics-<pid>.json`` /
+        ``attribution-<pid>.json`` (``pid = G + shard``); an unpaced
+        run-dir serve folds only on these ticks, so a serve shorter than
+        one interval never pays for its view.  A view's
         snapshot lags the serve by at most one interval and is not
         rewritten when the serve ends (the run's attribution is the
         merged ``attribution.json``): the end of the serve folds the rest
@@ -383,30 +389,9 @@ class ShardedController:
         self._observers = observers
         self._policy_swaps = 0
 
-        snapshot_stop: Optional[threading.Event] = None
-        snapshot_thread: Optional[threading.Thread] = None
-        if run_path is not None:
-            snapshot_stop = threading.Event()
-
-            def _publish() -> None:
-                while not snapshot_stop.wait(self._snapshot_interval_s):
-                    self._fold_captures(run_path, stop=snapshot_stop)
-
-            snapshot_thread = threading.Thread(
-                target=_publish, name="shard-snapshot", daemon=True
-            )
-            snapshot_thread.start()
-
         try:
-            if self._paced:
-                self._pace(kernels)
-            else:
-                for kernel in kernels:
-                    kernel.advance()
+            self._run(kernels, arrivals, run_path)
         finally:
-            if snapshot_stop is not None:
-                snapshot_stop.set()
-                snapshot_thread.join(timeout=5.0)
             for observer in observers:
                 if observer is not None:
                     for tracer in observer.tracers:
@@ -446,50 +431,74 @@ class ShardedController:
             policy_swaps=self._policy_swaps,
         )
 
-    def _pace(self, kernels: List[DispatchKernel]) -> None:
-        """Advance every kernel on the scaled wall clock.
+    def _run(
+        self, kernels: List[DispatchKernel], arrivals: np.ndarray, run_path
+    ) -> None:
+        """Advance every kernel to the end of its stream, folding the
+        captures on the way.
 
-        Sleeps to the earliest next event of any shard (absolute-deadline
-        pacing, so waits never accumulate drift), then advances each
-        kernel to the clock's current virtual time.  The clock starts
-        here, so set-up time is not charged to the first arrivals as
-        added latency.
+        Paced, the loop sleeps until the earlier of any shard's next event
+        (absolute-deadline pacing on the scaled wall clock, so waits never
+        accumulate drift) and, with a run dir, the next snapshot tick, then
+        advances each kernel to the clock's current virtual time; the
+        clock starts here, so set-up time is not charged to the first
+        arrivals as added latency.  Unpaced, it advances every kernel in
+        slices of :data:`_SLICE` global arrivals.  Kernel event order does
+        not depend on how ``advance`` is split, so neither the pacing mode
+        nor the folds change what is served.
+
+        Between steps, while events remain, the loop folds every observed
+        shard's capture (:meth:`_fold_captures`): with a run dir, a tick
+        folds and publishes once ``snapshot_interval_s`` of wall time has
+        passed since the last; every other step folds too, in small
+        increments, except in an unpaced run-dir serve, where only ticks
+        fold, so a serve shorter than one interval never pays for its view.
         """
-        clock = VirtualClock(self._time_scale)
-        for kernel in kernels:
-            kernel.clock = clock
+        ticking = run_path is not None
+        eager = (self._paced or not ticking) and any(
+            observer is not None and observer.attributor is not None
+            for observer in self._observers
+        )
+        interval = self._snapshot_interval_s
+        clock = None
+        if self._paced:
+            clock = VirtualClock(self._time_scale)
+            for kernel in kernels:
+                kernel.clock = clock
+        # Unpaced slice ends: every _SLICE-th arrival, then the rest.
+        bounds = iter(arrivals[_SLICE - 1 : -1 : _SLICE].tolist())
+        next_tick = time.monotonic() + interval
         while True:
             next_ms = min(kernel.next_ms() for kernel in kernels)
             if next_ms == _INF:
                 return
-            clock.sleep_until_ms(next_ms)
-            now = clock.now_ms()
+            if ticking and time.monotonic() >= next_tick:
+                self._fold_captures(run_path)
+                next_tick = time.monotonic() + interval
+            elif eager:
+                self._fold_captures()
+            if clock is None:
+                until_ms = next(bounds, _INF)
+            else:
+                tick_s = next_tick - time.monotonic()
+                if ticking and tick_s < clock.wall_s_until(next_ms):
+                    time.sleep(max(tick_s, 0.0))
+                    continue
+                clock.sleep_until_ms(next_ms)
+                until_ms = clock.now_ms()
             for kernel in kernels:
-                kernel.advance(now)
+                kernel.advance(until_ms)
 
-    def _fold_captures(
-        self, run_path=None, stop: Optional[threading.Event] = None
-    ) -> None:
-        """Fold every observed shard's capture into its registry and
-        attributor; with a run dir, publish its ``metrics-<pid>.json`` and
-        ``attribution-<pid>.json`` (``pid = G + shard``).
-
-        The drained entries fold in chunks.  Once ``stop`` is set (the
-        serve is over), a snapshot tick hands the entries it has not
-        folded back to the capture and publishes the fold so far; the
-        final call, at the end of the serve, folds them.
-        """
+    def _fold_captures(self, run_path=None) -> None:
+        """Fold every observed shard's drained capture into its registry
+        and attributor; with a run dir, publish its ``metrics-<pid>.json``
+        and ``attribution-<pid>.json`` (``pid = G + shard``)."""
         from repro.obs.aggregate import write_live_snapshot
 
         for s, observer in enumerate(self._observers):
             if observer is None:
                 continue
-            entries = observer.drain()
-            for start in range(0, len(entries), _FOLD_CHUNK):
-                if stop is not None and stop.is_set():
-                    observer.undrain(entries[start:])
-                    break
-                observer.fold(entries[start : start + _FOLD_CHUNK])
+            observer.fold(observer.drain())
             if run_path is not None:
                 write_live_snapshot(
                     run_path,

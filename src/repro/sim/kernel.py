@@ -128,8 +128,8 @@ class LifecycleObserver:
     :meth:`replay` — its hooks called in the order, and with the
     arguments, of the events.  The capture is the only source of an
     attributor's hooks.  A simulation drains once, at the end of its
-    run; a serving shard on every snapshot tick and at the end of its
-    serve.
+    run; a serving shard between the steps of its serve loop and at the
+    end of its serve.
 
     Kernel-local worker ``w`` and query ``j`` are recorded as the global
     ids ``base + w * stride`` and ``base + j * stride`` — shard ``s`` of
@@ -293,13 +293,6 @@ class LifecycleObserver:
             entries = capture[: len(capture)]
             del capture[: len(entries)]
         return entries
-
-    def undrain(self, entries: List[tuple]) -> None:
-        """Hand back drained ``entries`` that were not folded: the next
-        :meth:`drain` returns them first.  One slice assignment, so the
-        kernel's appends land after them."""
-        with self._folding:
-            self.capture[:0] = entries
 
     def fold(self, entries: Sequence[tuple]) -> None:
         """Fold drained ``entries`` into the registry and the attributor."""

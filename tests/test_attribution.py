@@ -450,7 +450,7 @@ class TestRuntimeAttribution:
                 b.queue_wait_ms + b.batch_wait_ms + b.service_ms + b.drop_ms
             )
             assert total == b.response_ms
-        # The snapshot thread published at least the final frame.
+        # The serve published at least the final frame.
         feeds = list(tmp_path.glob("attribution-*.json"))
         assert feeds
         published = json.loads(feeds[0].read_text())

@@ -1,21 +1,18 @@
 """An attributor's hooks come only from the kernel's lifecycle capture.
 
 A simulation folds its capture into ``SimulationConfig.attributor`` when
-the run ends; a serving shard folds it into its attributor on snapshot
-ticks and at the end of the serve.  Either way the attributor must get
-exactly the hook calls, in order, that an observer calling it live would
-make: the reference loop (``tests/oracles/sim_loop.py``) for a
+the run ends; a serving shard folds it into its attributor on the serve
+loop's snapshot ticks and at the end of the serve.  Either way the
+attributor must get exactly the hook calls, in order, that an observer
+calling it live would make: the reference loop (``tests/oracles/sim_loop.py``) for a
 simulation, and :class:`tests.test_runtime_shard.HookLog` (the production
 observer logging the live calls) for a serve.  Burn-rate alerts fire
 when the capture is folded, but with the same kinds, ``t_ms`` values,
 details and order.
 """
 
-import threading
-
 import pytest
 
-import repro.obs.aggregate as aggregate
 from repro.arrivals.traces import LoadTrace
 from repro.obs.attribution import LatencyAttributor
 from repro.runtime import AdmissionControl, ShardedController
@@ -23,7 +20,7 @@ from repro.selectors import GreedyDeadlineSelector, JellyfishPlusSelector
 from repro.selectors.base import QueueScope
 from repro.sim.latency_model import DeterministicLatency
 from tests.conftest import make_tiny_model_set
-from tests.test_runtime_shard import HookLog
+from tests.test_runtime_shard import HookLog, TickLog
 from tests.test_sim_equivalence import LoadKeyedSelector, run_kernel, run_oracle
 
 OVERLOAD = LoadTrace.constant(300.0, 3_000.0, name="replay-overload")
@@ -120,22 +117,14 @@ def serve(tmp_path, monkeypatch, mode, attributors):
 
 @pytest.mark.parametrize("mode", ["unpaced", "unpaced-run-dir", "paced-run-dir"])
 def test_serve_replays_the_live_stream(tmp_path, monkeypatch, mode):
-    ticks = []
-    write = aggregate.write_live_snapshot
-
-    def counting(run_dir, registry=None, attributor=None, pid=None):
-        if threading.current_thread().name == "shard-snapshot":
-            ticks.append(pid)
-        return write(run_dir, registry=registry, attributor=attributor, pid=pid)
-
-    monkeypatch.setattr(aggregate, "write_live_snapshot", counting)
+    log = TickLog(monkeypatch)
     taps = [HookTap(), HookTap()]
     controller = serve(tmp_path / "taps", monkeypatch, mode, taps)
     for s, tap in enumerate(taps):
         assert tap.calls == controller._observers[s].calls
     if mode == "paced-run-dir":
         # Several ticks per shard folded into the caller's taps.
-        assert ticks.count(4) >= 2 and ticks.count(5) >= 2
+        assert log.ticks(4) >= 2 and log.ticks(5) >= 2
 
     alerts = [[], []]
     attributors = [low_threshold_attributor(fired) for fired in alerts]

@@ -1,6 +1,7 @@
 """Tests for the artifact-style CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -211,6 +212,37 @@ class TestServe:
         out = capsys.readouterr().out
         assert "shard 0 audit: violation_breaches=0" in out
         assert "shard 1 audit: violation_breaches=0" in out
+
+    def test_audited_run_dir_writes_audit_json(self, tmp_path, capsys):
+        """``--audit --run-dir`` leaves the run's audit.json (one report
+        per shard) for ``ramsis report``'s guarantee-audit section."""
+        run_dir = tmp_path / "run"
+        code = main(
+            [
+                "serve",
+                "--load", "25",
+                "--duration", "3",
+                "--shards", "2",
+                "--workers", "1",
+                "--time-scale", "0.01",
+                "--unpaced",
+                "--audit",
+                "--run-dir", str(run_dir),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        audit = json.loads((run_dir / "audit.json").read_text())
+        assert audit["breaches"] == 0
+        assert len(audit["shards"]) == 2
+        assert audit["ok"] == all(shard["ok"] for shard in audit["shards"])
+        assert len(audit["windows"]) == sum(
+            len(shard["windows"]) for shard in audit["shards"]
+        )
+        assert main(["report", "--run-dir", str(run_dir)]) == 0
+        report = capsys.readouterr().out
+        assert "guarantee audit" in report
+        assert re.search(rf"windows +{len(audit['windows'])}\n", report)
 
     def test_admission_flags_reported(self, capsys):
         code = main(

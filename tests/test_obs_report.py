@@ -244,6 +244,36 @@ class TestAttributionReport:
         snap = json.loads(capsys.readouterr().out)
         assert snap["totals"]["queries"] == 3
 
+    def test_explain_renders_stored_and_refolded_alike(self, tmp_path, capsys):
+        """One renderer: ``ramsis explain`` on a stored attribution.json,
+        on the merged table it was folded from, and the attributor's own
+        ``render_text`` print the same text, exemplar quantile included."""
+        from repro.arrivals.traces import LoadTrace
+        from repro.obs.aggregate import merge_run_dir, write_merged_artifacts
+        from repro.obs.attribution import attribution_from_table
+        from repro.obs.columns import EventTable
+        from repro.runtime import ShardedController
+        from repro.selectors import GreedyDeadlineSelector
+        from tests.conftest import make_tiny_model_set
+
+        run_dir = tmp_path / "run"
+        ShardedController(
+            make_tiny_model_set(), slo_ms=100.0, num_shards=2,
+            workers_per_shard=2, seed=1, paced=False, run_dir=str(run_dir),
+        ).serve(lambda s: GreedyDeadlineSelector(),
+                LoadTrace.constant(150.0, 10_000.0))
+        write_merged_artifacts(merge_run_dir(run_dir), run_dir)
+        args = ["explain", "--run-dir", str(run_dir), "--top", "3"]
+        assert main(args) == 0
+        stored = capsys.readouterr().out
+        assert "Tail exemplars (p99 threshold" in stored
+        table, header = EventTable.load(run_dir / "merged.cols")
+        attributor = attribution_from_table(table, slo_ms=header["slo_ms"])
+        assert stored == attributor.render_text(limit=3) + "\n"
+        (run_dir / "attribution.json").unlink()
+        assert main(args) == 0
+        assert capsys.readouterr().out == stored
+
     def test_cli_explain_refolds_event_log(self, tmp_path, capsys):
         run_dir = populate_attributed_run_dir(tmp_path / "run")
         (run_dir / "attribution.json").unlink()

@@ -170,11 +170,68 @@ class TestReconstruction:
         assert merged["totals"]["queries"] == report.submitted
 
 
+class TickLog:
+    """Every capture fold and live snapshot of the serves in one test,
+    each marked ``ticked`` when a snapshot tick of the serve loop made it
+    (inside ``ShardedController._run``) rather than the end of the serve.
+
+    ``folds`` holds ``(ticked, entries folded)``; ``published`` holds
+    ``(pid, ticked, attribution text or None)``.
+    """
+
+    def __init__(self, monkeypatch):
+        import repro.obs.aggregate as aggregate
+
+        self.serving = False
+        self.folds = []
+        self.published = []
+        run = ShardedController._run
+        fold = LifecycleObserver.fold
+        write = aggregate.write_live_snapshot
+
+        def flagged_run(controller, *args):
+            self.serving = True
+            try:
+                return run(controller, *args)
+            finally:
+                self.serving = False
+
+        def logged_fold(observer, entries):
+            self.folds.append((self.serving, len(entries)))
+            return fold(observer, entries)
+
+        def logged_write(run_dir, registry=None, attributor=None, pid=None):
+            paths = write(run_dir, registry=registry, attributor=attributor,
+                          pid=pid)
+            text = None
+            if attributor is not None:
+                text = (run_dir / f"attribution-{pid}.json").read_text()
+            self.published.append((pid, self.serving, text))
+            return paths
+
+        monkeypatch.setattr(ShardedController, "_run", flagged_run)
+        monkeypatch.setattr(LifecycleObserver, "fold", logged_fold)
+        monkeypatch.setattr(aggregate, "write_live_snapshot", logged_write)
+
+    def ticks(self, pid):
+        """Snapshots a tick published for shard ``pid``."""
+        return sum(1 for p, ticked, _ in self.published if p == pid and ticked)
+
+    def ticked_entries(self):
+        """Capture entries the ticks folded."""
+        return sum(n for ticked, n in self.folds if ticked)
+
+
+#: Long enough for three unpaced slices of 4096 arrivals on a 2 x 2 serve.
+SLICED = LoadTrace.constant(150.0, 60_000.0)
+
+
 class TestSnapshots:
     """A run-dir serve without ``attributors=`` keeps attribution off the
-    dispatch path: the snapshot thread folds each shard's lifecycle
-    capture on its ticks, so ``attribution-<pid>.json`` lags by at most
-    one interval and is not rewritten when the serve ends."""
+    dispatch path: the serve loop folds each shard's lifecycle capture
+    between its steps and publishes on its ticks, so
+    ``attribution-<pid>.json`` lags by at most one interval and is not
+    rewritten when the serve ends."""
 
     def test_no_tick_publishes_metrics_only(self, tiny_models, tmp_path):
         run_sharded(tiny_models, 2, 2, run_dir=str(tmp_path),
@@ -183,112 +240,88 @@ class TestSnapshots:
         assert "metrics-4.json" in names and "metrics-5.json" in names
         assert not any(name.startswith("attribution") for name in names)
 
-    def test_concurrent_ticks_lose_no_capture_entry(self, tiny_models, tmp_path):
-        """Ticks drain the capture while the kernel appends to it: with a
-        tick every 0.1 ms and a 1 us thread switch interval, the final
-        registries must equal those of a serve with no tick at all."""
-        import sys
-
-        trace = LoadTrace.constant(150.0, 20_000.0)
-        quiet, busy = tmp_path / "quiet", tmp_path / "busy"
-        run_sharded(tiny_models, 2, 2, trace=trace, run_dir=str(quiet),
-                    snapshot_interval_s=3600.0)
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_sharded(tiny_models, 2, 2, trace=trace, run_dir=str(busy),
-                        snapshot_interval_s=1e-4)
-        finally:
-            sys.setswitchinterval(previous)
-        assert list(busy.glob("attribution-*.json"))
-        for pid in (4, 5):
-            name = f"metrics-{pid}.json"
-            assert (busy / name).read_bytes() == (quiet / name).read_bytes()
-
-    @pytest.mark.parametrize("late_tick", [False, True],
-                             ids=["ticks", "tick-at-the-end"])
-    def test_concurrent_ticks_lose_no_attributor_entry(
-        self, tiny_models, tmp_path, monkeypatch, late_tick
+    def test_concurrent_ticks_lose_no_capture_entry(
+        self, tiny_models, tmp_path, monkeypatch
     ):
-        """A caller's attributors fold on every tick too: with a tick every
-        0.1 ms and a 1 us thread switch interval, they must end the serve
-        byte-equal to a no-tick serve's.  ``tick-at-the-end`` holds a tick
-        back until the serve is over, so it hands every entry it drained
-        back to the final fold."""
-        import sys
+        """Ticks drain the capture between the kernels' appends: with a
+        tick due every 0.1 ms, unpaced (one per slice) and paced (one per
+        wake-up, where every other step folds too), the final registries
+        must equal those of a serve with no tick at all."""
+        quiet = tmp_path / "quiet"
+        run_sharded(tiny_models, 2, 2, trace=SLICED, run_dir=str(quiet),
+                    snapshot_interval_s=3600.0)
+        log = TickLog(monkeypatch)
+        for paced in (False, True):
+            busy = tmp_path / f"busy-{paced}"
+            log.published.clear()
+            run_sharded(tiny_models, 2, 2, trace=SLICED, paced=paced,
+                        run_dir=str(busy), snapshot_interval_s=1e-4)
+            assert log.ticks(4) >= 2 and log.ticks(5) >= 2
+            assert list(busy.glob("attribution-*.json"))
+            for pid in (4, 5):
+                name = f"metrics-{pid}.json"
+                assert (busy / name).read_bytes() == (quiet / name).read_bytes()
 
+    def test_concurrent_ticks_lose_no_attributor_entry(
+        self, tiny_models, tmp_path, monkeypatch
+    ):
+        """A caller's attributors fold on every tick too: with a tick due
+        every 0.1 ms, unpaced and paced, they must end the serve
+        byte-equal to a no-tick serve's."""
         from repro.obs.columns import json_default
-        from repro.sim.kernel import DispatchKernel
 
-        trace = LoadTrace.constant(150.0, 20_000.0)
-
-        def folds(run_dir, interval):
+        def folds(run_dir, interval, paced=False):
             attributors = [LatencyAttributor(slo_ms=100.0) for _ in range(2)]
-            run_sharded(tiny_models, 2, 2, trace=trace, run_dir=str(run_dir),
-                        snapshot_interval_s=interval, attributors=attributors)
+            run_sharded(tiny_models, 2, 2, trace=SLICED, paced=paced,
+                        run_dir=str(run_dir), snapshot_interval_s=interval,
+                        attributors=attributors)
             return [json.dumps(a.to_json_dict(), sort_keys=True,
                                default=json_default) for a in attributors]
 
         quiet = folds(tmp_path / "quiet", 3600.0)
-        handed_back = []
-        if late_tick:
-            served = threading.Event()
-            advanced = []
-            advance = DispatchKernel.advance
-            drain = LifecycleObserver.drain
-            undrain = LifecycleObserver.undrain
+        assert json.loads(quiet[0])["totals"]["queries"] > 0
+        log = TickLog(monkeypatch)
+        for paced in (False, True):
+            log.folds.clear()
+            assert folds(tmp_path / f"busy-{paced}", 1e-4, paced) == quiet
+            assert log.ticked_entries() > 0
 
-            def counting_advance(kernel, *args):
-                advance(kernel, *args)
-                advanced.append(kernel)
-                if len(advanced) == 2:
-                    served.set()
+    @pytest.mark.parametrize("paced", [False, True], ids=["unpaced", "paced"])
+    def test_caller_attributors_fold_every_step_without_run_dir(
+        self, tiny_models, tmp_path, monkeypatch, paced
+    ):
+        """Without a run dir the serve loop folds a caller's attributors
+        at every step, whatever the snapshot interval, so no fold holds
+        the whole serve; they end byte-equal to those of an unpaced
+        run-dir serve with no tick, and nothing is published."""
+        from repro.obs.columns import json_default
 
-            def late_drain(observer):
-                if threading.current_thread().name == "shard-snapshot":
-                    served.wait(5.0)
-                    time.sleep(0.05)  # the serve sets its stop event
-                return drain(observer)
+        def folds(**kwargs):
+            attributors = [LatencyAttributor(slo_ms=100.0) for _ in range(2)]
+            run_sharded(tiny_models, 2, 2, trace=SLICED,
+                        attributors=attributors, **kwargs)
+            return [json.dumps(a.to_json_dict(), sort_keys=True,
+                               default=json_default) for a in attributors]
 
-            def counting_undrain(observer, entries):
-                handed_back.append(len(entries))
-                undrain(observer, entries)
-
-            monkeypatch.setattr(DispatchKernel, "advance", counting_advance)
-            monkeypatch.setattr(LifecycleObserver, "drain", late_drain)
-            monkeypatch.setattr(LifecycleObserver, "undrain", counting_undrain)
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            busy = folds(tmp_path / "busy", 1e-4)
-        finally:
-            sys.setswitchinterval(previous)
-        assert busy == quiet
-        assert json.loads(busy[0])["totals"]["queries"] > 0
-        if late_tick:
-            assert sum(handed_back) > 0
+        log = TickLog(monkeypatch)
+        quiet = folds(run_dir=str(tmp_path), snapshot_interval_s=3600.0)
+        assert log.ticked_entries() == 0
+        log.published.clear()
+        total = sum(n for _, n in log.folds)
+        log.folds.clear()
+        assert folds(paced=paced, snapshot_interval_s=3600.0) == quiet
+        assert log.published == []
+        ticked = [n for ticked, n in log.folds if ticked]
+        assert sum(n for _, n in log.folds) == total
+        assert len(ticked) >= 4 and max(ticked) < total / 2
 
     def test_paced_snapshots_fold_stream_prefixes(
         self, tiny_models, tmp_path, monkeypatch
     ):
-        import repro.obs.aggregate as aggregate
         from repro.obs.columns import json_default
         from repro.obs.report import render_top_frame
 
-        published = {4: [], 5: []}
-        writers = set()
-        write = aggregate.write_live_snapshot
-
-        def recording(run_dir, registry=None, attributor=None, pid=None):
-            paths = write(run_dir, registry=registry, attributor=attributor,
-                          pid=pid)
-            if attributor is not None:
-                path = tmp_path / f"attribution-{pid}.json"
-                published[pid].append(path.read_text())
-                writers.add(threading.current_thread().name)
-            return paths
-
-        monkeypatch.setattr(aggregate, "write_live_snapshot", recording)
+        log = TickLog(monkeypatch)
         monkeypatch.setattr("repro.runtime.shard.LifecycleObserver", HookLog)
         controller = ShardedController(
             tiny_models, slo_ms=100.0, num_shards=2, workers_per_shard=2,
@@ -300,7 +333,10 @@ class TestSnapshots:
             lambda s: GreedyDeadlineSelector(), LoadTrace.constant(150.0, 4_000.0)
         )
         for s, pid in enumerate((4, 5)):
-            assert len(published[pid]) >= 2
+            published = [text for p, ticked, text in log.published
+                         if p == pid and text is not None]
+            # Only ticks publish a view, several over the serve.
+            assert len(published) == log.ticks(pid) >= 2
             # Every prefix of the shard's live hook stream, folded into a
             # fresh attributor, as published text.
             view = LatencyAttributor(slo_ms=100.0)
@@ -310,17 +346,43 @@ class TestSnapshots:
                 getattr(view, name)(*args, **kwargs)
                 prefixes.add(json.dumps(view.to_json_dict(), sort_keys=True,
                                         default=json_default))
-            assert all(text in prefixes for text in published[pid])
-            assert json.loads(published[pid][-1])["totals"]["queries"] > 0
+            assert all(text in prefixes for text in published)
+            assert json.loads(published[-1])["totals"]["queries"] > 0
             # Not rewritten at the end: the file is the last tick's fold.
             final = (tmp_path / f"attribution-{pid}.json").read_text()
-            assert final == published[pid][-1]
-        assert writers == {"shard-snapshot"}
+            assert final == published[-1]
         write_merged_artifacts(merge_run_dir(tmp_path), tmp_path)
         merged = json.loads((tmp_path / "attribution.json").read_text())
         assert merged["totals"]["queries"] == report.submitted
         frame = render_top_frame(tmp_path)
         assert "latency attribution [attribution.json]" in frame
+
+
+class TestOneThread:
+    @pytest.mark.parametrize("paced", [True, False], ids=["paced", "unpaced"])
+    def test_serve_starts_no_thread(self, tiny_models, tmp_path, paced):
+        """The serve loop folds and publishes its own ticks: a selector
+        deciding mid-serve sees only the threads that were running
+        before the serve, and decides on the serving thread."""
+        before = set(threading.enumerate())
+        seen = []
+
+        class Watching(GreedyDeadlineSelector):
+            def select(self, **kwargs):
+                seen.append((threading.current_thread(),
+                             set(threading.enumerate())))
+                return super().select(**kwargs)
+
+        controller = ShardedController(
+            tiny_models, slo_ms=100.0, num_shards=2, workers_per_shard=2,
+            latency_model=DeterministicLatency(), time_scale=FAST, seed=1,
+            paced=paced, run_dir=str(tmp_path), snapshot_interval_s=1e-4,
+        )
+        controller.serve(lambda s: Watching(), SLICED)
+        assert list(tmp_path.glob("attribution-*.json"))  # ticks happened
+        assert seen
+        assert all(current is threading.current_thread() and threads == before
+                   for current, threads in seen)
 
 
 class HookLog(LifecycleObserver):
