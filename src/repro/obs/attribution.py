@@ -46,13 +46,15 @@ Attachment points:
   its serve.  So a simulation and a sharded serve of the same arrivals
   attribute identically, and burn-rate alerts fire when the capture is
   folded (with the events' virtual ``t_ms``, in event order).
-- Offline: :meth:`LatencyAttributor.fold` runs the same hooks over a
-  columnar :class:`~repro.obs.columns.EventTable` in recorded order —
-  e.g. the merged table of a parallel sweep, whose ``(seq, worker, n)``
-  order equals serial cell order (the parallel == serial contract).
-  :func:`attribution_from_tracer` and :func:`attribution_from_jsonl`
-  encode a recorded tracer or an ``events.jsonl`` / ``merged.jsonl``
-  file as a table first and fold it the same way.
+- Offline: :meth:`LatencyAttributor.fold` folds a columnar
+  :class:`~repro.obs.columns.EventTable` in one pass over its arg
+  columns, leaving the attributor exactly as the hooks called once per
+  record in recorded order would — e.g. the merged table of a parallel
+  sweep, whose ``(seq, worker, n)`` order equals serial cell order (the
+  parallel == serial contract).  :func:`attribution_from_tracer` and
+  :func:`attribution_from_jsonl` encode a recorded tracer or an
+  ``events.jsonl`` / ``merged.jsonl`` file as a table first and fold it
+  the same way.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import (
     Any,
@@ -124,6 +128,28 @@ def exact_phase_split(response_ms: float, wait_ms: float) -> Tuple[float, float]
         if wait_ms + service == response_ms:
             break
     return wait_ms, service
+
+
+def _exact_phase_splits(
+    response_ms: np.ndarray, wait_ms: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`exact_phase_split` over arrays, equal to it element by
+    element (each pair runs the same fixpoint steps)."""
+    # Python floats overflow to inf and nan silently; so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        wait = np.array(wait_ms, np.float64)
+        service = response_ms - wait
+        unsplit = wait + service != response_ms
+        for _ in range(4):
+            if not unsplit.any():
+                break
+            response = response_ms[unsplit]
+            step_wait = response - service[unsplit]
+            step_service = response - step_wait
+            wait[unsplit] = step_wait
+            service[unsplit] = step_service
+            unsplit[unsplit] = step_wait + step_service != response
+    return wait, service
 
 
 @dataclass(frozen=True)
@@ -268,6 +294,47 @@ class BurnWindow:
         self._armed = True
         return False
 
+    def push_many(self, violations: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Fold outcomes in order, exactly as one :meth:`push` each.
+
+        Returns the window's violation count and covered count after
+        each push, read off one cumulative sum over the ring's contents
+        (oldest first) followed by ``violations``.
+        """
+        new = np.asarray(violations, np.bool_)
+        size = self.size
+        ring = np.array(self._ring, np.bool_)
+        held = np.roll(ring, -self._head) if self.full else ring[: self._filled]
+        history = np.concatenate([held, new])
+        sums = np.concatenate([[0], np.cumsum(history, dtype=np.int64)])
+        end = np.arange(len(held) + 1, len(history) + 1)
+        covered = np.minimum(end, size)
+        counts = sums[end] - sums[end - covered]
+        if new.size:
+            kept = min(new.size, size)
+            slots = (self._head + np.arange(new.size - kept, new.size)) % size
+            ring[slots] = new[new.size - kept:]
+            self._ring = ring.tolist()
+            self._head = (self._head + new.size) % size
+            self._filled = int(covered[-1])
+            self.violations = int(counts[-1])
+        return counts, covered
+
+    def check_alerts(
+        self, burns: np.ndarray, covered: np.ndarray, threshold: float
+    ) -> np.ndarray:
+        """Positions where :meth:`check_alert` fires, called once per push
+        with ``burns`` and the ``covered`` counts :meth:`push_many`
+        returned: the rising edges above ``threshold`` once full."""
+        full = np.flatnonzero(covered == self.size)
+        above = burns[full] > threshold
+        before = np.concatenate([[not self._armed], above])[:-1]
+        fired = full[above & ~before]
+        if full.size:
+            self._armed = not above[-1]
+            self.alerts += int(fired.size)
+        return fired
+
 
 class LatencyAttributor:
     """Streaming tail-latency attribution engine (see module docstring).
@@ -323,9 +390,11 @@ class LatencyAttributor:
         # Deterministic reservoir (seeded by name) -> reproducible
         # thresholds for a fixed completion order, every replay path.
         self._response_hist = Histogram("attribution_response_ms")
-        #: Min-heap of (response_ms, order, chain) for top-K retention.
+        #: Min-heap of (response_ms, seq, chain) for top-K retention.
         self._exemplars: List[Tuple[float, int, Dict[str, Any]]] = []
-        self._order = 0
+        #: Completions folded so far; an exemplar's ``seq`` is its
+        #: completion's number, so ties break by time.
+        self._seq = 0
 
         if registry is not None:
             self._m_queries = registry.counter(
@@ -455,6 +524,7 @@ class LatencyAttributor:
             if self._record_queries:
                 self.breakdowns.append(phases)
 
+            self._seq += 1
             self._observe_burn(satisfied, t_ms)
             self._observe_exemplar(phases, batch)
 
@@ -481,21 +551,23 @@ class LatencyAttributor:
                 counter = self._m_burn_alerts.get(window.size)
                 if counter is not None:
                     counter.inc()
-                detail = (
-                    f"burn {burn:.3f} > {self._burn_threshold:.3f} over the "
-                    f"last {window.size} queries "
-                    f"({window.violations}/{window.size} violations"
-                    + (
-                        f", budget {self._budget:.4f})"
-                        if self._budget is not None
-                        else ")"
-                    )
+                self._alert(
+                    self._burn_alert(window.size, burn, window.violations, t_ms)
                 )
-                self._alert(AuditAlert("slo-burn-rate", t_ms, detail))
 
     def _burn(self, window: BurnWindow) -> float:
         rate = window.rate
         return rate / self._budget if self._budget else rate
+
+    def _burn_alert(
+        self, size: int, burn: float, violations: int, t_ms: float
+    ) -> AuditAlert:
+        detail = (
+            f"burn {burn:.3f} > {self._burn_threshold:.3f} over the "
+            f"last {size} queries ({violations}/{size} violations"
+            + (f", budget {self._budget:.4f})" if self._budget is not None else ")")
+        )
+        return AuditAlert("slo-burn-rate", t_ms, detail)
 
     # ------------------------------------------------------------------
     # Exemplars
@@ -510,24 +582,8 @@ class LatencyAttributor:
             return
         if self._exemplar_capacity < 1:
             return
-        chain = {
-            "query": phases.query_id,
-            "worker": phases.worker,
-            "model": phases.model,
-            "batch": batch,
-            "queue_wait_ms": phases.queue_wait_ms,
-            "batch_wait_ms": phases.batch_wait_ms,
-            "service_ms": phases.service_ms,
-            "drop_ms": phases.drop_ms,
-            "response_ms": phases.response_ms,
-            "satisfied": phases.satisfied,
-            "dropped": phases.dropped,
-            "completed_ms": phases.t_ms,
-            "arrival_ms": phases.t_ms - phases.response_ms,
-            "threshold_ms": threshold,
-        }
-        self._order += 1
-        entry = (phases.response_ms, self._order, chain)
+        chain = _exemplar_chain(phases, batch, threshold)
+        entry = (phases.response_ms, self._seq, chain)
         if len(self._exemplars) < self._exemplar_capacity:
             heapq.heappush(self._exemplars, entry)
         elif entry[:2] > self._exemplars[0][:2]:
@@ -609,20 +665,16 @@ class LatencyAttributor:
         """The full attribution snapshot (deterministic, JSON-ready)."""
         with self._lock:
             rows = self.rows()
+            # Floats add left to right in row order: builtin ``sum``
+            # compensates its float additions from Python 3.12 on, which
+            # would make the bytes depend on the interpreter.
             totals = {
-                "queries": sum(r["queries"] for r in rows),
-                "satisfied": sum(r["satisfied"] for r in rows),
-                "dropped": sum(r["dropped"] for r in rows),
-                "violations": sum(r["violations"] for r in rows),
-                "queue_wait_ms": sum(r["queue_wait_ms"] for r in rows),
-                "batch_wait_ms": sum(r["batch_wait_ms"] for r in rows),
-                "service_ms": sum(r["service_ms"] for r in rows),
-                "drop_ms": sum(r["drop_ms"] for r in rows),
-                "response_ms": sum(r["response_ms"] for r in rows),
-                "violation_excess_ms": sum(
-                    r["violation_excess_ms"] for r in rows
-                ),
-                "blame_ms": sum(r["blame_ms"] for r in rows),
+                key: reduce(add, (r[key] for r in rows), 0)
+                for key in (
+                    "queries", "satisfied", "dropped", "violations",
+                    "queue_wait_ms", "batch_wait_ms", "service_ms", "drop_ms",
+                    "response_ms", "violation_excess_ms", "blame_ms",
+                )
             }
             return {
                 "schema": ATTRIBUTION_SCHEMA,
@@ -676,42 +728,71 @@ class LatencyAttributor:
     # Offline fold
     # ------------------------------------------------------------------
     def fold(self, table: EventTable) -> "LatencyAttributor":
-        """Fold a recorded event table through the kernel hooks, in its
-        recorded order.
+        """Fold a recorded event table, in its recorded order, in columns.
 
-        ``serve`` spans feed only the decision table and instants only
-        the phase / burn / exemplar state, so this is order-equivalent to
-        the live interleaved stream.  Records without the lifecycle keys
-        (older or foreign schemas) are skipped.
+        From any prior state this leaves every table, burn ring, reservoir,
+        exemplar, registry series and alert exactly as the ``observe_*``
+        hooks called once per lifecycle record in row order would (for
+        finite latencies): ``serve`` spans feed only the decision table
+        and instants only the phase / burn / exemplar state, so the hooks'
+        result does not depend on how the two streams interleave.  Records
+        without the lifecycle keys (older or foreign schemas) are skipped.
+
+        Decisions group by (worker, model, batch) in first-seen order; one
+        stable sort on (worker, query) pairs each completion with its
+        service start; phase sums add in row order per (model, worker)
+        row; burn windows are read off a violation cumulative sum; and the
+        exemplars are the top ``exemplar_capacity`` candidates by
+        (response, completion number).  Only the tail threshold steps per
+        completion, because the reservoir it reads draws from its RNG
+        (:meth:`~repro.obs.metrics.Histogram.observe_quantiles`).
         """
-        has_args = table.has_args()
-        workers_of: Dict[str, int] = {}
+        codes = table.columns["track"]
+        workers = np.full(len(table.strings), -1, np.int64)
+        for code in np.unique(codes).tolist():
+            workers[code] = _worker_from_track(table.strings[code])
+        track_worker = workers[codes]
+        with self._lock:
+            self._fold_decisions(table, track_worker)
+            self._fold_queries(table, track_worker)
+        return self
 
-        def track_workers(rows: np.ndarray) -> List[int]:
-            out = []
-            for track in table.strings_at("track", rows):
-                worker = workers_of.get(track)
-                if worker is None:
-                    worker = workers_of[track] = _worker_from_track(track)
-                out.append(worker)
-            return out
+    def _fold_decisions(self, table: EventTable, track_worker: np.ndarray) -> None:
+        """Bulk :meth:`observe_decision` over the table's ``serve`` spans."""
+        rows = table.rows(SPAN, _SERVE)
+        rows = rows[table.has_args()[rows]]
+        if not rows.size:
+            return
+        workers = table.arg_array("worker", rows, int, track_worker[rows])
+        models, names = table.arg_strings("model", rows)
+        batches = table.arg_array("batch", rows, int, 1)
+        exec_ms = table.columns["dur_ms"][rows]
+        firsts, group = _first_seen_groups(workers, models, batches)
+        # A new cell starts at its first duration (not 0.0 + it), so
+        # that row joins the cell instead of the row-order sums.
+        summed = np.ones(rows.size, np.bool_)
+        sums = np.empty(firsts.size)
+        cells = []
+        for g, (first, worker, model, batch) in enumerate(zip(
+            firsts.tolist(), workers[firsts].tolist(),
+            models[firsts].tolist(), batches[firsts].tolist(),
+        )):
+            key = (worker, names[model], batch)
+            cell = self._decisions.get(key)
+            if cell is None:
+                cell = self._decisions[key] = [0.0, float(exec_ms[first])]
+                summed[first] = False
+            sums[g] = cell[1]
+            cells.append(cell)
+        np.add.at(sums, group[summed], exec_ms[summed])
+        counts = np.bincount(group, minlength=firsts.size)
+        for cell, count, total in zip(cells, counts.tolist(), sums.tolist()):
+            cell[0] += count
+            cell[1] = total
 
-        serves = table.rows(SPAN, _SERVE)
-        serves = serves[has_args[serves]]
-        for track_worker, worker, model, batch, exec_ms in zip(
-            track_workers(serves),
-            table.arg("worker", serves),
-            table.arg("model", serves),
-            table.arg("batch", serves),
-            table.columns["dur_ms"][serves].tolist(),
-        ):
-            self.observe_decision(
-                int(track_worker if worker is MISSING else worker),
-                str("" if model is MISSING else model),
-                int(1 if batch is MISSING else batch),
-                float(exec_ms),
-            )
-
+    def _fold_queries(self, table: EventTable, track_worker: np.ndarray) -> None:
+        """Bulk :meth:`observe_service_start` / :meth:`observe_completion`
+        over the table's lifecycle instants."""
         query = table.present("query")
         starts = np.zeros(len(table), np.bool_)
         starts[table.rows(INSTANT, _SERVICE_START)] = True
@@ -720,42 +801,212 @@ class LatencyAttributor:
         ends[table.rows(INSTANT, _COMPLETION)] = True
         ends &= query
         rows = np.flatnonzero(starts | ends)
-        for (
-            is_start, track_worker, query_id, worker, model, batch, wait_ms,
-            response_ms, satisfied, dropped, ts_ms,
-        ) in zip(
-            starts[rows].tolist(),
-            track_workers(rows),
-            table.arg("query", rows),
-            table.arg("worker", rows),
-            table.arg("model", rows),
-            table.arg("batch", rows),
-            table.arg("wait_ms", rows),
-            table.arg("response_ms", rows),
-            table.arg("satisfied", rows),
-            table.arg("dropped", rows),
-            table.columns["ts_ms"][rows].tolist(),
+        if not rows.size:
+            return
+        is_start = starts[rows]
+        s_rows, e_rows = rows[is_start], rows[~is_start]
+        models, names = table.arg_strings("model", rows)
+        index = {name: i for i, name in enumerate(names)}
+
+        def code(name: str) -> int:
+            found = index.get(name)
+            if found is None:
+                found = index[name] = len(names)
+                names.append(name)
+            return found
+
+        s_query = table.arg_array("query", s_rows, int, 0)
+        s_worker = track_worker[s_rows]
+        s_model = models[is_start]
+        s_batch = table.arg_array("batch", s_rows, int, 1)
+        s_wait = table.arg_array("wait_ms", s_rows, float, 0.0)
+        e_query = table.arg_array("query", e_rows, int, 0)
+        e_worker = table.arg_array("worker", e_rows, int, track_worker[e_rows])
+        e_model = models[~is_start]
+        response = table.arg_array("response_ms", e_rows, float, 0.0)
+        satisfied = table.arg_array("satisfied", e_rows, bool, False)
+        dropped = table.arg_array("dropped", e_rows, bool, False)
+        t_ms = table.columns["ts_ms"][e_rows]
+
+        # Pairing: in a stable sort on (worker, query), a completion's
+        # pending start is the event just before it under the same key,
+        # if that event is a start; a key's first event, if a
+        # completion, takes what was pending before this fold.
+        key_worker = np.empty(rows.size, np.int64)
+        key_worker[is_start], key_worker[~is_start] = s_worker, e_worker
+        key_query = np.empty(rows.size, np.int64)
+        key_query[is_start], key_query[~is_start] = s_query, e_query
+        order = np.lexsort((key_query, key_worker))
+        sorted_start = is_start[order]
+        same = (key_worker[order][1:] == key_worker[order][:-1]) & (
+            key_query[order][1:] == key_query[order][:-1]
+        )
+        position = np.cumsum(is_start) - 1  # index among starts
+        e_position = np.cumsum(~is_start) - 1  # index among completions
+        pair = np.full(e_rows.size, -1, np.int64)
+        after = np.flatnonzero(~sorted_start[1:] & same & sorted_start[:-1]) + 1
+        pair[e_position[order[after]]] = position[order[after - 1]]
+        paired = pair >= 0
+        p_wait = np.zeros(e_rows.size)
+        p_model = np.zeros(e_rows.size, np.int64)
+        p_batch = np.zeros(e_rows.size, np.int64)
+        p_wait[paired] = s_wait[pair[paired]]
+        p_model[paired] = s_model[pair[paired]]
+        p_batch[paired] = s_batch[pair[paired]]
+        opens = np.concatenate([[True], ~same])
+        closes = np.concatenate([~same, [True]])
+        pending = self._pending
+        if pending:
+            for i in e_position[order[opens & ~sorted_start]].tolist():
+                found = pending.get((e_worker[i].item(), e_query[i].item()))
+                if found is not None:
+                    p_wait[i], model, p_batch[i] = found
+                    p_model[i] = code(model)
+                    paired[i] = True
+            for i in e_position[order[closes & ~sorted_start]].tolist():
+                pending.pop((e_worker[i].item(), e_query[i].item()), None)
+        for i in position[order[closes & sorted_start]].tolist():
+            pending[(s_worker[i].item(), s_query[i].item())] = (
+                s_wait[i].item(), names[s_model[i]], s_batch[i].item()
+            )
+
+        served = ~dropped
+        paired &= served
+        blank = e_model == code("")
+        model = e_model.copy()
+        model[dropped & blank] = code(DROPPED_MODEL)
+        model[paired & blank] = p_model[paired & blank]
+        batch = np.where(paired, p_batch, 0)
+        queue = np.zeros(e_rows.size)
+        service = np.where(served, response, 0.0)
+        queue[paired], service[paired] = _exact_phase_splits(
+            response[paired], p_wait[paired]
+        )
+        drop = np.where(dropped, response, 0.0)
+        batch_wait = np.zeros(e_rows.size)
+        excess = np.zeros(e_rows.size)
+        if self.slo_ms is not None:
+            late = response - self.slo_ms
+            excess[~satisfied & (late > 0.0)] = late[~satisfied & (late > 0.0)]
+
+        # Rows: counts in bulk, float sums added in row order.
+        firsts, group = _first_seen_groups(model, e_worker)
+        rows_of = []
+        for name, worker in zip(model[firsts].tolist(), e_worker[firsts].tolist()):
+            key = (names[name], worker)
+            row = self._rows.get(key)
+            if row is None:
+                row = self._rows[key] = AttributionRow(
+                    slo=self._slo_label(), model=key[0], worker=worker
+                )
+            rows_of.append(row)
+        size = firsts.size
+        for row, count, hits, drops in zip(
+            rows_of,
+            np.bincount(group, minlength=size).tolist(),
+            np.bincount(group[satisfied], minlength=size).tolist(),
+            np.bincount(group[dropped], minlength=size).tolist(),
         ):
-            model = "" if model is MISSING else model
-            if is_start:
-                self.observe_service_start(
-                    int(query_id),
-                    track_worker,
-                    str(model),
-                    int(1 if batch is MISSING else batch),
-                    float(wait_ms),
-                )
-            else:
-                self.observe_completion(
-                    int(query_id),
-                    int(track_worker if worker is MISSING else worker),
-                    str(model),
-                    float(0.0 if response_ms is MISSING else response_ms),
-                    bool(False if satisfied is MISSING else satisfied),
-                    t_ms=float(ts_ms),
-                    dropped=bool(False if dropped is MISSING else dropped),
-                )
-        return self
+            row.queries += count
+            row.satisfied += hits
+            row.violations += count - hits
+            row.dropped += drops
+        for field, values in (
+            ("queue_wait_ms", queue), ("batch_wait_ms", batch_wait),
+            ("service_ms", service), ("drop_ms", drop),
+            ("response_ms", response), ("violation_excess_ms", excess),
+        ):
+            sums = np.array([getattr(row, field) for row in rows_of], np.float64)
+            np.add.at(sums, group, values)
+            for row, total in zip(rows_of, sums.tolist()):
+                setattr(row, field, total)
+
+        # Each completion's PhaseBreakdown fields, one list per field.
+        latencies, times = response.tolist(), t_ms.tolist()
+        columns = (
+            e_query.tolist(), e_worker.tolist(), [names[m] for m in model.tolist()],
+            queue.tolist(), batch_wait.tolist(), service.tolist(), drop.tolist(),
+            latencies, satisfied.tolist(), dropped.tolist(), times,
+        )
+        if self._record_queries:
+            self.breakdowns.extend(map(PhaseBreakdown, *columns))
+        seq = self._seq + 1 + np.arange(e_rows.size)
+        self._seq += e_rows.size
+        self._fold_burn(~satisfied, times)
+        self._fold_exemplars(response, latencies, seq, batch.tolist(), columns)
+
+        if self._m_queries is not None:
+            self._m_queries.inc(e_rows.size)
+            self._m_drops.inc(int(dropped.sum()))
+            self._m_queue_wait.observe_many(queue[served].tolist())
+            self._m_service.observe_many(service[served].tolist())
+
+    def _fold_burn(self, violations: np.ndarray, t_ms: List[float]) -> None:
+        """Bulk :meth:`_observe_burn`: every window's rates, gauge series
+        and alerts, the alerts emitted in completion then window order."""
+        alerts = []
+        for w, window in enumerate(self._windows):
+            counts, covered = window.push_many(violations)
+            burns = counts / covered
+            if self._budget:
+                burns = burns / self._budget
+            gauge = self._m_burn.get(window.size)
+            if gauge is not None:
+                gauge.set_many(burns.tolist(), t_ms)
+            fired = window.check_alerts(burns, covered, self._burn_threshold)
+            counter = self._m_burn_alerts.get(window.size)
+            for i in fired.tolist():
+                if counter is not None:
+                    counter.inc()
+                alerts.append((i, w, self._burn_alert(
+                    window.size, burns[i].item(), counts[i].item(), t_ms[i]
+                )))
+        for _i, _w, alert in sorted(alerts, key=lambda a: a[:2]):
+            self._alert(alert)
+
+    def _fold_exemplars(
+        self,
+        response: np.ndarray,
+        latencies: List[float],
+        seq: np.ndarray,
+        batch: List[int],
+        columns: Tuple[List[Any], ...],
+    ) -> None:
+        """Bulk :meth:`_observe_exemplar`: the tail thresholds, then the
+        top ``exemplar_capacity`` of the held and new candidates by
+        (response, seq) — what the bounded heap keeps, whatever order the
+        candidates arrive in."""
+        thresholds = self._response_hist.observe_quantiles(
+            latencies, self._exemplar_quantile, self._exemplar_warmup
+        )
+        if self._exemplar_capacity < 1:
+            return
+        ready = next(
+            (i for i, t in enumerate(thresholds) if t is not None), len(thresholds)
+        )
+        picks = ready + np.flatnonzero(
+            ~(response[ready:] < np.array(thresholds[ready:], np.float64))
+        )
+        if not picks.size:
+            return
+        held = self._exemplars
+        keep = np.lexsort((
+            np.concatenate([np.array([e[1] for e in held], np.int64), seq[picks]]),
+            np.concatenate([np.array([e[0] for e in held], np.float64), response[picks]]),
+        ))[-self._exemplar_capacity:]
+        kept = []
+        for k in keep.tolist():
+            if k < len(held):
+                kept.append(held[k])
+                continue
+            i = picks[k - len(held)].item()
+            phases = PhaseBreakdown(*(column[i] for column in columns))
+            kept.append((
+                latencies[i], seq[i].item(),
+                _exemplar_chain(phases, batch[i], thresholds[i]),
+            ))
+        heapq.heapify(kept)
+        self._exemplars = kept
 
 
 def render_attribution_text(
@@ -816,6 +1067,47 @@ def render_attribution_text(
             "drop {drop_ms:.1f})".format(**chain)
         )
     return "\n".join(lines)
+
+
+def _exemplar_chain(
+    phases: PhaseBreakdown, batch: int, threshold: float
+) -> Dict[str, Any]:
+    """A retained tail query's span chain (one ``exemplars.chains`` entry)."""
+    return {
+        "query": phases.query_id,
+        "worker": phases.worker,
+        "model": phases.model,
+        "batch": batch,
+        "queue_wait_ms": phases.queue_wait_ms,
+        "batch_wait_ms": phases.batch_wait_ms,
+        "service_ms": phases.service_ms,
+        "drop_ms": phases.drop_ms,
+        "response_ms": phases.response_ms,
+        "satisfied": phases.satisfied,
+        "dropped": phases.dropped,
+        "completed_ms": phases.t_ms,
+        "arrival_ms": phases.t_ms - phases.response_ms,
+        "threshold_ms": threshold,
+    }
+
+
+def _first_seen_groups(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group rows by equal values across ``columns``: returns each
+    group's first row, groups numbered in first-seen order, and each
+    row's group."""
+    order = np.lexsort(columns[::-1])
+    change = np.zeros(max(order.size - 1, 0), np.bool_)
+    for column in columns:
+        ranked = column[order]
+        change |= ranked[1:] != ranked[:-1]
+    opens = np.concatenate([[True], change]) if order.size else change
+    firsts = order[opens]  # stable sort: a group's smallest row leads it
+    rank = np.argsort(firsts, kind="stable")
+    relabel = np.empty(rank.size, np.int64)
+    relabel[rank] = np.arange(rank.size)
+    group = np.empty(order.size, np.int64)
+    group[order] = relabel[np.cumsum(opens) - 1]
+    return firsts[rank], group
 
 
 def _worker_from_track(track: str) -> int:

@@ -108,6 +108,7 @@ _STRING_COLUMNS = ("name", "track", "cat")
 _BOOL, _INT, _FLOAT, _STR = "b", "i", "f", "s"
 _ARG_DTYPES = {_BOOL: np.bool_, _INT: np.int64, _FLOAT: np.float64, _STR: np.int32}
 _FAST_TAGS = {bool: _BOOL, int: _INT, float: _FLOAT, str: _STR}
+_KIND_DTYPES = {bool: np.bool_, int: np.int64, float: np.float64}
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 #: What :meth:`EventTable.arg` returns for a row without the key.
@@ -454,14 +455,91 @@ class EventTable:
                 values = [strings[i] for i in values]
             for i, value in zip(at.tolist(), values):
                 out[i] = value
-        extra = [(row, text) for row, k, text in self.overflow if k == key]
-        if extra:
-            where = {row: i for i, row in enumerate(rows.tolist())}
-            for row, text in extra:
-                i = where.get(row)
-                if i is not None:
-                    out[i] = json.loads(text)
+        for i, value in self._spilled(key, rows):
+            out[i] = value
         return out
+
+    def arg_array(
+        self, key: str, rows: np.ndarray, kind: type, default: Any
+    ) -> np.ndarray:
+        """``kind(args[key])`` of each of ``rows`` as one array, ``kind``
+        being ``bool``, ``int`` or ``float``; ``default`` (a scalar or one
+        value per row) where the row has no such key.
+
+        A column already of ``kind`` is read as it is; values of any
+        other type go through ``kind`` one by one, so they convert (or
+        raise) exactly as the Python call does.  An ``int`` that int64
+        cannot hold raises ``OverflowError``.
+        """
+        out = np.array(
+            np.broadcast_to(default, (len(rows),)), _KIND_DTYPES[kind]
+        )
+        native = _FAST_TAGS[kind]
+        for (k, tag), (data, present) in self.args.items():
+            if k != key:
+                continue
+            at = np.flatnonzero(present[rows])
+            if not at.size:
+                continue
+            values = data[rows[at]]
+            if tag != native:
+                values = list(map(kind, self._python(tag, values)))
+            out[at] = values
+        for i, value in self._spilled(key, rows):
+            out[i] = kind(value)
+        return out
+
+    def arg_strings(
+        self, key: str, rows: np.ndarray, default: str = ""
+    ) -> Tuple[np.ndarray, List[str]]:
+        """``str(args[key])`` of each of ``rows`` (``default`` where the
+        row has no such key) as ``(codes, names)``: ``names[codes[i]]``
+        is row ``i``'s string, and ``names`` lists each string once."""
+        extra: Dict[str, int] = {}
+
+        def code(string: str) -> int:
+            found = self.code(string)
+            if found < 0:
+                found = extra.setdefault(string, len(self.strings) + len(extra))
+            return found
+
+        out = np.full(len(rows), code(default), np.int64)
+        for (k, tag), (data, present) in self.args.items():
+            if k != key:
+                continue
+            at = np.flatnonzero(present[rows])
+            if not at.size:
+                continue
+            values = data[rows[at]]
+            if tag == _STR:
+                used, inverse = np.unique(values, return_inverse=True)
+                canonical = [code(self.strings[i]) for i in used.tolist()]
+                out[at] = np.array(canonical, np.int64)[inverse]
+            else:
+                out[at] = [code(str(v)) for v in self._python(tag, values)]
+        for i, value in self._spilled(key, rows):
+            out[i] = code(str(value))
+        used, codes = np.unique(out, return_inverse=True)
+        every = self.strings + list(extra)
+        return codes.reshape(-1), [every[i] for i in used.tolist()]
+
+    def _python(self, tag: str, values: np.ndarray) -> List[Any]:
+        """A typed column's values as the Python values they store."""
+        if tag == _STR:
+            strings = self.strings
+            return [strings[i] for i in values.tolist()]
+        return values.tolist()
+
+    def _spilled(self, key: str, rows: np.ndarray) -> List[Tuple[int, Any]]:
+        """``(position in rows, value)`` of the overflow ``key`` values of
+        ``rows``."""
+        extra = [(row, text) for row, k, text in self.overflow if k == key]
+        if not extra:
+            return []
+        where = {row: i for i, row in enumerate(rows.tolist())}
+        return [
+            (where[row], json.loads(text)) for row, text in extra if row in where
+        ]
 
     def _arg_dicts(self) -> List[Optional[Dict[str, Any]]]:
         """Every row's args dict (``None`` when empty), keys sorted."""
@@ -585,10 +663,12 @@ class EventTable:
         }
         overflow: List[Tuple[int, str, str]] = []
         if self.overflow:
-            position = np.empty(len(self), np.int64)
+            position = np.full(len(self), -1, np.int64)
             position[order] = np.arange(len(order))
             overflow = [
-                (int(position[row]), key, text) for row, key, text in self.overflow
+                (int(position[row]), key, text)
+                for row, key, text in self.overflow
+                if position[row] >= 0
             ]
         return EventTable(self.strings, columns, args, overflow)
 

@@ -104,6 +104,18 @@ class Gauge:
         if t_ms is not None and len(self._series) < self._max_samples:
             self._series.append((float(t_ms), float(value)))
 
+    def set_many(self, values: Sequence[float], t_ms: Sequence[float]) -> None:
+        """Record ``values[i]`` at ``t_ms[i]`` in order, exactly as one
+        :meth:`set` each."""
+        if not len(values):
+            return
+        self._value = float(values[-1])
+        room = self._max_samples - len(self._series)
+        if room > 0:
+            self._series.extend(
+                zip(map(float, t_ms[:room]), map(float, values[:room]))
+            )
+
     @property
     def value(self) -> float:
         """Most recent value (NaN before the first ``set``)."""
@@ -222,11 +234,7 @@ class Histogram:
         values = list(map(float, values))
         if not values:
             return
-        buckets = self._bucket_counts
-        slots = map(partial(bisect_left, self._bounds), values)
-        for i, count in collections.Counter(slots).items():
-            buckets[i] += count
-        self._sum = reduce(add, values, self._sum)
+        self._add_to_buckets_and_sum(values)
         reservoir = self._reservoir
         capacity = self._capacity
         room = max(0, capacity - len(reservoir))
@@ -255,6 +263,57 @@ class Histogram:
                 reservoir[slot] = value
                 self._mirror_add(value)
         self._count = count
+
+    def observe_quantiles(
+        self, values: Iterable[float], q: float, min_count: int = 0
+    ) -> List[Optional[float]]:
+        """Fold ``values`` in order, exactly as :meth:`observe_many`, and
+        return the :meth:`quantile` ``q`` the histogram gave just before
+        each value joined it (``None`` while it held fewer than
+        ``min_count`` observations).
+
+        The reservoir decides each replacement from the seeded RNG, so
+        the quantiles cannot be read off in bulk: past ``min_count`` this
+        is one ``quantile`` and one reservoir step per value.
+        """
+        values = list(map(float, values))
+        skip = min(len(values), max(0, min_count - self._count))
+        self.observe_many(values[:skip])
+        out: List[Optional[float]] = [None] * skip
+        rest = values[skip:]
+        if not rest:
+            return out
+        self._add_to_buckets_and_sum(rest)
+        quantile = self.quantile
+        append = out.append
+        reservoir = self._reservoir
+        capacity = self._capacity
+        randrange = self._rng.randrange
+        mirror_add, mirror_remove = self._mirror_add, self._mirror_remove
+        count = self._count
+        for value in rest:
+            append(quantile(q))
+            count += 1
+            if len(reservoir) < capacity:
+                reservoir.append(value)
+                mirror_add(value)
+            else:
+                slot = randrange(count)
+                if slot < capacity:
+                    mirror_remove(reservoir[slot])
+                    reservoir[slot] = value
+                    mirror_add(value)
+        self._count = count
+        return out
+
+    def _add_to_buckets_and_sum(self, values: List[float]) -> None:
+        """Count ``values`` into the buckets and add them to the sum, in
+        order, as one :meth:`observe` each does."""
+        buckets = self._bucket_counts
+        slots = map(partial(bisect_left, self._bounds), values)
+        for i, count in collections.Counter(slots).items():
+            buckets[i] += count
+        self._sum = reduce(add, values, self._sum)
 
     def _mirror_add(self, value: float) -> None:
         if value == 0.0 and math.copysign(1.0, value) < 0.0:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -197,6 +197,30 @@ def stats_from_spans(records: Any) -> List[PhaseStats]:
     by_id: Dict[Any, Dict[str, Any]] = {
         s["id"]: s for s in spans if s.get("id") is not None
     }
+    path_of = _path_resolver(by_id)
+    seen: Dict[PhasePath, int] = {}
+    total: Dict[PhasePath, float] = {}
+    lo: Dict[PhasePath, float] = {}
+    hi: Dict[PhasePath, float] = {}
+    for span in spans:
+        path = path_of(span)
+        dur = float(span.get("dur_ms", 0.0))
+        seen[path] = seen.get(path, 0) + 1
+        total[path] = total.get(path, 0.0) + dur
+        if path not in lo or dur < lo[path]:
+            lo[path] = dur
+        if path not in hi or dur > hi[path]:
+            hi[path] = dur
+
+    return _fold_stats(seen, seen, total, lo, hi)
+
+
+def _path_resolver(
+    by_id: Dict[Any, Dict[str, Any]]
+) -> Callable[[Dict[str, Any]], PhasePath]:
+    """The phase path of each span record, from its ``parent`` chain
+    through ``by_id``; call it on the spans in order, since a path found
+    for a span is cached for its id and reused by every later lookup."""
     path_cache: Dict[Any, PhasePath] = {}
 
     def path_of(span: Dict[str, Any]) -> PhasePath:
@@ -233,21 +257,7 @@ def stats_from_spans(records: Any) -> List[PhaseStats]:
                 path_cache[node_id] = path
         return path
 
-    seen: Dict[PhasePath, int] = {}
-    total: Dict[PhasePath, float] = {}
-    lo: Dict[PhasePath, float] = {}
-    hi: Dict[PhasePath, float] = {}
-    for span in spans:
-        path = path_of(span)
-        dur = float(span.get("dur_ms", 0.0))
-        seen[path] = seen.get(path, 0) + 1
-        total[path] = total.get(path, 0.0) + dur
-        if path not in lo or dur < lo[path]:
-            lo[path] = dur
-        if path not in hi or dur > hi[path]:
-            hi[path] = dur
-
-    return _fold_stats(seen, seen, total, lo, hi)
+    return path_of
 
 
 def _fold_stats(
@@ -284,31 +294,90 @@ def _fold_stats(
 
 
 def stats_from_table(table: Any) -> List[PhaseStats]:
-    """:func:`stats_from_spans` over an event table's span rows.
+    """:func:`stats_from_spans` over an event table's span rows, in columns.
 
     The spans are taken in timestamp order (stable), the order the
     exported ``merged.jsonl`` lists them, so the hotspot totals equal
-    the ones folded from that log.
+    the ones folded from that log.  A span's path depends on other spans
+    only through parent links and shared ids, so only spans with a parent
+    or with an id another span names walk the parent chain; every other
+    span's path is its ``(track, name)``.  Counts, totals (added in
+    timestamp order), minima and maxima are folded per path in bulk.
     """
     from repro.obs.columns import SPAN
 
-    rows = np.flatnonzero(table.columns["kind"] == SPAN)
-    rows = rows[np.argsort(table.columns["ts_ms"][rows], kind="stable")]
-    records = []
-    for name, track, dur, span_id, parent in zip(
-        table.strings_at("name", rows),
-        table.strings_at("track", rows),
-        table.columns["dur_ms"][rows].tolist(),
-        table.columns["id"][rows].tolist(),
-        table.columns["parent"][rows].tolist(),
-    ):
-        record = {"type": "span", "name": name, "track": track, "dur_ms": dur}
-        if span_id >= 0:
-            record["id"] = span_id
-        if parent >= 0:
-            record["parent"] = parent
-        records.append(record)
-    return stats_from_spans(records)
+    c = table.columns
+    rows = np.flatnonzero(c["kind"] == SPAN)
+    rows = rows[np.argsort(c["ts_ms"][rows], kind="stable")]
+    ids, parents = c["id"][rows], c["parent"][rows]
+    linked = parents >= 0
+    named = np.flatnonzero(ids >= 0)
+    _, inverse, counts = np.unique(
+        ids[named], return_inverse=True, return_counts=True
+    )
+    walks = linked.copy()
+    walks[named] |= (counts[inverse.reshape(-1)] > 1) | np.isin(
+        ids[named], parents[linked]
+    )
+    walk, plain = np.flatnonzero(walks), np.flatnonzero(~walks)
+
+    strings = table.strings
+    paths: Dict[PhasePath, int] = {}
+    path_of_row = np.empty(rows.size, np.int64)
+    if plain.size:
+        width = len(strings)
+        pairs = c["track"][rows[plain]].astype(np.int64) * width
+        pairs += c["name"][rows[plain]]
+        used, inverse = np.unique(pairs, return_inverse=True)
+        found = [
+            paths.setdefault((strings[pair // width], strings[pair % width]), len(paths))
+            for pair in used.tolist()
+        ]
+        path_of_row[plain] = np.array(found, np.int64)[inverse.reshape(-1)]
+    if walk.size:
+        records = []
+        for name, track, span_id, parent in zip(
+            table.strings_at("name", rows[walk]),
+            table.strings_at("track", rows[walk]),
+            ids[walk].tolist(),
+            parents[walk].tolist(),
+        ):
+            record = {"name": name, "track": track}
+            if span_id >= 0:
+                record["id"] = span_id
+            if parent >= 0:
+                record["parent"] = parent
+            records.append(record)
+        by_id = {r["id"]: r for r in records if "id" in r}
+        path_of = _path_resolver(by_id)
+        path_of_row[walk] = [
+            paths.setdefault(path_of(record), len(paths)) for record in records
+        ]
+
+    # Paths in first-seen order, each span's durations in row order.
+    firsts = np.full(len(paths), rows.size, np.int64)
+    np.minimum.at(firsts, path_of_row, np.arange(rows.size))
+    rank = np.empty(len(paths), np.int64)
+    rank[np.argsort(firsts, kind="stable")] = np.arange(len(paths))
+    group = rank[path_of_row]
+    dur = c["dur_ms"][rows]
+    total = np.zeros(len(paths))
+    np.add.at(total, group, dur)
+    lo = np.full(len(paths), np.inf)
+    np.minimum.at(lo, group, dur)
+    hi = np.full(len(paths), -np.inf)
+    np.maximum.at(hi, group, dur)
+    ordered = [None] * len(paths)
+    for path, index in paths.items():
+        ordered[rank[index]] = path
+    seen = dict(zip(ordered, np.bincount(group, minlength=len(paths)).tolist()))
+    return _fold_stats(
+        seen,
+        seen,
+        dict(zip(ordered, total.tolist())),
+        dict(zip(ordered, lo.tolist())),
+        dict(zip(ordered, hi.tolist())),
+    )
 
 
 def render_hotspots(stats: List[PhaseStats], n: int = 10) -> str:

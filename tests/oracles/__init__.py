@@ -12,4 +12,8 @@
   capture's.
 - :mod:`tests.oracles.sim_series` — the ``sim_*`` registry series
   published one record at a time, against which the bulk fold is gated.
+- :mod:`tests.oracles.attribution_fold` — the offline attribution fold
+  as one ``observe_*`` hook call per lifecycle record; the columnar
+  :meth:`repro.obs.attribution.LatencyAttributor.fold` must leave an
+  attributor in exactly the state it leaves.
 """

@@ -34,7 +34,7 @@ from repro.obs.attribution import (
     attribution_from_tracer,
     exact_phase_split,
 )
-from repro.obs.attribution import _worker_from_track
+from repro.obs.attribution import _exact_phase_splits, _worker_from_track
 from repro.obs.audit import AuditAlert, GuaranteeAuditor
 from repro.obs.exporters import write_events_jsonl
 from repro.obs.metrics import MetricsRegistry
@@ -92,6 +92,24 @@ class TestExactPhaseSplit:
         w, s = exact_phase_split(100.0, 30.0)
         assert w == pytest.approx(30.0)
         assert w + s == 100.0
+
+    def test_array_split_equals_scalar_split(self):
+        """The bulk fold's vectorised split runs the scalar one's fixpoint
+        steps element by element: same bits, signed zeros and NaN too."""
+        rng = np.random.default_rng(17)
+        responses = np.concatenate([
+            10.0 ** rng.uniform(-3, 6, size=20_000),
+            [0.0, -0.0, 0.0, 5.0, np.inf, np.nan, 1e308, 5e-324],
+        ])
+        waits = np.concatenate([
+            responses[:20_000] * rng.uniform(0.0, 1.0, size=20_000),
+            [-0.0, 0.0, 0.0, np.inf, 1.0, 1.0, -1e308, 5e-324],
+        ])
+        wait, service = _exact_phase_splits(responses, waits)
+        expected = [
+            exact_phase_split(r, w) for r, w in zip(responses.tolist(), waits.tolist())
+        ]
+        assert repr(list(zip(wait.tolist(), service.tolist()))) == repr(expected)
 
 
 class TestEngineAttribution:
@@ -397,6 +415,15 @@ class TestPlumbing:
         assert _worker_from_track("balancer") == -1
         assert _worker_from_track("worker-x") == -1
 
+    def test_totals_add_rows_left_to_right(self):
+        """Float totals are the plain left-to-right sum of the rows, on
+        every Python (builtin ``sum`` compensates from 3.12 on, which
+        would give 1.0 here)."""
+        attributor = LatencyAttributor()
+        for model, response in (("a", 1e16), ("b", 1.0), ("c", -1e16)):
+            attributor.observe_completion(0, 0, model, response, True)
+        assert attributor.to_json_dict()["totals"]["response_ms"] == 0.0
+
     def test_render_text_smoke(self):
         _, attributor = run_attributed("fast")
         text = attributor.render_text(limit=3)
@@ -460,16 +487,19 @@ class TestRuntimeAttribution:
 class TestSortedQuantileGolden:
     """The attributor's rolling tail threshold reads the histogram's sorted
     mirror; on a served run long enough to overflow the 4096-sample
-    reservoir, every table and artifact must equal the sort-per-call
-    oracle's bit for bit."""
+    reservoir, every table and artifact must equal, bit for bit, the
+    per-record hook oracle's asking the sort-per-call quantile at every
+    completion."""
 
     def test_served_run_attribution_equals_sort_oracle(
         self, tmp_path, monkeypatch
     ):
         from repro.obs.aggregate import merge_run_dir, write_merged_artifacts
+        from repro.obs.columns import EventTable, json_default
         from repro.obs.metrics import Histogram
         from repro.runtime import ShardedController
         from repro.sim.latency_model import DeterministicLatency
+        from tests.oracles.attribution_fold import hook_fold
         from tests.test_obs_metrics import sort_quantile
 
         controller = ShardedController(
@@ -489,26 +519,96 @@ class TestSortedQuantileGolden:
         )
         merged = merge_run_dir(tmp_path / "run")
 
-        def fold_and_write(out):
-            snap = attribution_from_tracer(
-                merged.tracer, slo_ms=100.0, burn_windows=(50, 500)
-            ).to_json_dict()
-            write_merged_artifacts(merged, out)
-            return snap, (out / "attribution.json").read_bytes()
+        snap = attribution_from_tracer(
+            merged.tracer, slo_ms=100.0, burn_windows=(50, 500)
+        ).to_json_dict()
+        write_merged_artifacts(merged, tmp_path / "mirror")
+        artifact = (tmp_path / "mirror" / "attribution.json").read_bytes()
 
-        mirror_snap, mirror_bytes = fold_and_write(tmp_path / "mirror")
+        asked = []
+
+        def counted_sort_quantile(self, q):
+            asked.append(q)
+            return sort_quantile(self, q)
+
         with monkeypatch.context() as patch:
-            patch.setattr(Histogram, "quantile", sort_quantile)
-            oracle_snap, oracle_bytes = fold_and_write(tmp_path / "oracle")
+            patch.setattr(Histogram, "quantile", counted_sort_quantile)
+            oracle_snap = hook_fold(
+                LatencyAttributor(slo_ms=100.0, burn_windows=(50, 500)),
+                EventTable.from_tracer(merged.tracer),
+            ).to_json_dict()
+            oracle_artifact = json.dumps(
+                hook_fold(
+                    LatencyAttributor(slo_ms=merged.slo_ms), merged.table
+                ).to_json_dict(),
+                sort_keys=True,
+                default=json_default,
+            ).encode()
 
-        assert mirror_snap["totals"]["queries"] > 4096
-        chains = mirror_snap["exemplars"]["chains"]
+        assert snap["totals"]["queries"] > 4096
+        # The oracle asked the sort quantile once per completion past the
+        # warm-up, so the patch is not vacuous.
+        assert len(asked) == 2 * (snap["totals"]["queries"] - 200)
+        chains = snap["exemplars"]["chains"]
         assert chains and all(c["threshold_ms"] is not None for c in chains)
         assert len({c["threshold_ms"] for c in chains}) > 1
-        assert 0 < mirror_snap["totals"]["dropped"] < mirror_snap["totals"]["queries"]
-        assert len(mirror_snap["burn"]["windows"]) == 2
-        assert mirror_snap == oracle_snap
-        assert mirror_bytes == oracle_bytes
+        assert 0 < snap["totals"]["dropped"] < snap["totals"]["queries"]
+        assert len(snap["burn"]["windows"]) == 2
+        assert snap == oracle_snap
+        assert artifact == oracle_artifact
+
+    def test_parallel_sweep_folds_into_callers_attributor(self, tmp_path):
+        """``run_sweep(jobs=2)`` folds the merged table into the caller's
+        attributor — here one with a registry and an alert sink that a
+        low burn threshold keeps busy — exactly as the hook oracle does."""
+        from repro.experiments.runner import clear_caches
+        from repro.obs.columns import EventTable
+        from tests.oracles.attribution_fold import hook_fold
+        from tests.test_attribution_fold import assert_same
+
+        scale = ExperimentScale.smoke()
+        task = image_task()
+        cells = [
+            SweepCell(
+                method=method,
+                task=task,
+                slo_ms=task.slos_ms[0],
+                num_workers=scale.constant_workers_image,
+                trace=LoadTrace.constant(
+                    load, scale.constant_duration_s * 1000.0, name=f"fold-{load:g}"
+                ),
+                seed=29,
+                oracle_load=True,
+            )
+            for load in (20.0, 90.0)
+            for method in ("JF", "Greedy")
+        ]
+
+        def attributor():
+            alerts = []
+            registry = MetricsRegistry()
+            return (
+                LatencyAttributor(
+                    slo_ms=task.slos_ms[0],
+                    registry=registry,
+                    burn_windows=(20, 200),
+                    burn_threshold=0.5,
+                    violation_budget=0.02,
+                    exemplar_warmup=20,
+                    alert_sink=alerts.append,
+                ),
+                registry,
+                alerts,
+            )
+
+        clear_caches()
+        bulk = attributor()
+        run_dir = tmp_path / "run"
+        run_sweep(cells, scale, jobs=2, attributor=bulk[0], run_dir=run_dir)
+        oracle = attributor()
+        hook_fold(oracle[0], EventTable.load(run_dir / "merged.cols")[0])
+        assert oracle[2], "the low burn threshold should alert"
+        assert_same(bulk, oracle)
 
 
 class TestServedRunSlo:

@@ -28,7 +28,7 @@ from repro.obs.aggregate import (
     merge_run_dir,
     write_merged_artifacts,
 )
-from repro.obs.columns import EventTable, encode_block, json_default
+from repro.obs.columns import MISSING, EventTable, encode_block, json_default
 from repro.obs.exporters import chrome_trace, events_jsonl, write_events_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.reconstruct import reconstruct_from_jsonl, reconstruct_metrics
@@ -431,6 +431,48 @@ class TestTruncatedShards:
         assert len(merged.table) == 0
         assert merged.tracer.spans == () and merged.tracer.events == ()
         assert merged.slo_ms is None
+
+
+class TestTableArgs:
+    """Typed arg columns read in bulk: as the Python casts, row by row."""
+
+    RECORDS = [
+        {"type": "instant", "name": "x", "args": {"v": 3, "m": "a"}},
+        {"type": "instant", "name": "x", "args": {"v": 2.5, "m": 7}},
+        {"type": "instant", "name": "x", "args": {"v": True, "m": None}},
+        {"type": "instant", "name": "x", "args": {"v": -0.0}},
+        {"type": "instant", "name": "x", "args": {"v": 2**70, "m": "a"}},
+        {"type": "instant", "name": "x", "args": {"m": ""}},
+    ]
+
+    def test_arg_array_casts_like_python(self):
+        table = EventTable.from_records(self.RECORDS)
+        rows = np.arange(len(table))
+        values = table.arg("v", rows)
+        for kind, default in ((float, 9.0), (bool, False)):
+            got = table.arg_array("v", rows, kind, default).tolist()
+            want = [default if v is MISSING else kind(v) for v in values]
+            assert repr(got) == repr(want)
+        picked = np.array([0, 1, 3])
+        assert table.arg_array("v", picked, int, np.array([4, 5, 6])).tolist() == [
+            3, 2, 0,
+        ]
+
+    def test_arg_strings_codes_each_string_once(self):
+        table = EventTable.from_records(self.RECORDS)
+        rows = np.arange(len(table))[::-1]
+        codes, names = table.arg_strings("m", rows, default="")
+        assert len(set(names)) == len(names)
+        assert [names[c] for c in codes.tolist()] == [
+            "" if m is MISSING else str(m) for m in table.arg("m", rows)
+        ]
+
+    def test_take_of_some_rows_keeps_their_overflow_only(self):
+        table = EventTable.from_records(self.RECORDS)
+        part = table.take(np.array([4, 1]))
+        assert part.arg("v", np.arange(2)) == [2**70, 2.5]
+        assert part.arg("m", np.arange(2)) == ["a", 7]
+        assert table.take(np.array([0])).arg("m", np.arange(1)) == ["a"]
 
 
 class _Payload:

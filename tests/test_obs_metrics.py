@@ -440,3 +440,32 @@ class TestObserveMany:
         assert bulk._rng.getstate() == loop._rng.getstate()
         for q in (0.0, 0.5, 0.99, 1.0):
             assert _same_float(bulk.quantile(q), loop.quantile(q))
+
+
+class TestObserveQuantiles:
+    """``observe_quantiles`` is ``quantile`` then ``observe`` per value:
+    the same thresholds, and the histogram left as the loop leaves it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prefill=st.sampled_from([0, 3, 4_090, 4_096, 5_000]),
+        seed=st.integers(0, 2**16),
+        values=st.lists(_bulk_value, max_size=300),
+        q=st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+        min_count=st.sampled_from([-1, 0, 2, 200, 4_100]),
+    )
+    def test_equals_quantile_observe_loop(self, prefill, seed, values, q, min_count):
+        bulk, loop = Histogram("lat"), Histogram("lat")
+        filler = _filler(seed, prefill)
+        bulk.observe_many(filler)
+        loop.observe_many(filler)
+        got = bulk.observe_quantiles(values, q, min_count)
+        want = []
+        for value in values:
+            want.append(loop.quantile(q) if loop.count >= min_count else None)
+            loop.observe(value)
+        assert [t is None for t in got] == [t is None for t in want]
+        assert _same_state(
+            [t for t in got if t is not None], [t for t in want if t is not None]
+        )
+        TestObserveMany._assert_same(bulk, loop)

@@ -1,6 +1,8 @@
 """Phase profiler: nested paths, self-time, sampling, folded output."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.generator import generate_policy
 from repro.obs.profile import PhaseProfiler
@@ -282,3 +284,69 @@ class TestOfflineStats:
         ]
         stats = stats_from_spans(records)
         assert [s.path for s in stats] == [("t", "child")]
+
+
+_span_record = st.fixed_dictionaries(
+    {
+        "type": st.just("span"),
+        "name": st.sampled_from(["a", "b", "c"]),
+        "track": st.sampled_from(["t", "u"]),
+        "ts_ms": st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+        "dur_ms": st.floats(0.0, 50.0),
+    },
+    optional={
+        "id": st.integers(0, 5),
+        "parent": st.integers(0, 7),
+    },
+)
+
+
+class TestStatsFromTable:
+    """The columnar table fold equals :func:`stats_from_spans` over the
+    same spans in timestamp order: stats, hotspot text and folded lines."""
+
+    @staticmethod
+    def _assert_same_as_records(records):
+        from repro.obs.columns import EventTable
+        from repro.obs.profile import (
+            folded_lines,
+            render_hotspots,
+            stats_from_spans,
+            stats_from_table,
+        )
+
+        got = stats_from_table(EventTable.from_records(records))
+        want = stats_from_spans(sorted(records, key=lambda r: r["ts_ms"]))
+        assert got == want
+        assert render_hotspots(got, n=50) == render_hotspots(want, n=50)
+        assert folded_lines(got) == folded_lines(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(_span_record, max_size=12))
+    def test_parents_shared_ids_and_orphans(self, records):
+        """Parent chains, ids shared by several spans, orphan parents,
+        cycles, children tied with (or ahead of) their parents in time."""
+        self._assert_same_as_records(records)
+
+    def test_recorded_nested_trace(self):
+        import json
+
+        from repro.obs.exporters import events_jsonl
+
+        tracer = RecordingTracer()
+        for _ in range(3):
+            with tracer.span("outer", track="t"):
+                with tracer.span("inner", track="t"):
+                    pass
+        with tracer.span("other", track="u"):
+            pass
+        records = [json.loads(line) for line in events_jsonl(tracer)]
+        self._assert_same_as_records([r for r in records if r["type"] == "span"])
+
+    def test_flat_merged_spans(self):
+        records = [
+            {"type": "span", "name": f"s{i % 3}", "track": f"w{i % 2}",
+             "ts_ms": float(i // 4), "dur_ms": float(i), "id": i + 1}
+            for i in range(40)
+        ]
+        self._assert_same_as_records(records)
