@@ -103,7 +103,7 @@ def _write_obs_dir(tracer, registry, obs_dir) -> None:
     """
     from repro.obs.aggregate import MergedRun, write_merged_artifacts
 
-    merged = MergedRun(tracer=tracer, registry=registry)
+    merged = MergedRun(tracer.table, registry)
     for path in write_merged_artifacts(merged, obs_dir).values():
         log.info("wrote %s", path)
 

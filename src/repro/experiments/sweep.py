@@ -188,10 +188,11 @@ def run_sweep(
     ``tracer`` and ``registry`` instrument **both** paths.  Serially they
     are threaded straight into every cell.  In parallel they cross the
     process boundary by *shipping*: each pool worker records into a
-    JSONL shard + private registry under a per-run directory
-    (:mod:`repro.obs.aggregate`), and after the pool drains the shards
-    are merged back into the caller's ``tracer``/``registry`` in serial
-    cell order, with worker tracks renamed ``w<idx>/<track>`` —
+    columnar feed + private registry under a per-run directory
+    (:mod:`repro.obs.aggregate`), and after the pool drains the feeds
+    are merged and replayed into the caller's ``tracer`` (after its own
+    records) and ``registry`` in serial cell order, with worker tracks
+    renamed ``w<idx>/<track>`` —
     ``reconstruct_metrics`` on a traced parallel sweep equals the serial
     traced run exactly.  ``run_dir`` pins the shard directory (merged
     artifacts are then written there for ``ramsis report``); without it a

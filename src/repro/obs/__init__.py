@@ -6,7 +6,8 @@ inspectable *as it happens* rather than only through the frozen
 end-of-run :class:`~repro.sim.metrics.SimulationMetrics`:
 
 - :mod:`repro.obs.trace` — per-query lifecycle spans/events with a
-  no-op default tracer (zero overhead when off);
+  no-op default tracer (zero overhead when off) and one recorder that
+  keeps event-table rows, in memory or (subclassed) in a run-dir feed;
 - :mod:`repro.obs.metrics` — counters, gauges (with time series), and
   streaming histograms in a Prometheus-flavoured registry;
 - :mod:`repro.obs.audit` — the live guarantee auditor: per-window §5.1
@@ -17,9 +18,9 @@ end-of-run :class:`~repro.sim.metrics.SimulationMetrics`:
 - :mod:`repro.obs.reconstruct` — recompute violation rate / accuracy /
   batch sizes from a trace alone (the instrumentation's correctness
   oracle);
-- :mod:`repro.obs.columns` — the columnar event table behind every run
-  dir: typed column buffers, append-only ``np.save`` blocks, merge,
-  and materialization back into a tracer;
+- :mod:`repro.obs.columns` — the columnar event table behind every
+  recorder and run dir: typed column buffers, append-only ``np.save``
+  blocks, merge, and replay into a tracer;
 - :mod:`repro.obs.aggregate` — cross-process trace shipping: per-worker
   columnar feed tracers + registries installed by a pool initializer,
   merged back into one event table/registry in serial cell order;

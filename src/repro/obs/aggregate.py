@@ -4,19 +4,21 @@
 :class:`~repro.obs.trace.RecordingTracer` or
 :class:`~repro.obs.metrics.MetricsRegistry` — records would have to
 cross a pickle boundary on every event.  Instead each worker gets a
-file-backed :class:`ShardTracer` plus its own registry (installed by
-:func:`init_worker_obs`, the pool initializer) and writes *feeds* under
-a per-run directory::
+:class:`ShardTracer` -- the same recorder, whose rows go to a file --
+plus its own registry (installed by :func:`init_worker_obs`, the pool
+initializer) and writes *feeds* under a per-run directory::
 
     <run_dir>/shard-<pid>.cols      the worker's event table, in blocks
     <run_dir>/metrics-<pid>.json    the worker registry, serialized
 
-A feed is the columnar event table of :mod:`repro.obs.columns`: every
+A feed holds the rows a :class:`~repro.obs.trace.RecordingTracer`
+records, in the columnar event table of :mod:`repro.obs.columns`: every
 :meth:`ShardTracer.flush` appends the rows recorded since the last one
 as one block, whose header carries the worker pid, the wall-clock anchor
 and the served SLO (when the writer knows it).  After the pool drains,
 :func:`merge_run_dir` loads every feed back into one table and one
-registry:
+registry (and replays the table into the caller's tracer, if any; the
+merged table never holds the caller's own records):
 
 - rows are ordered in **cell order** — each row carries the cell
   sequence number (``seq``, stamped via :meth:`ShardTracer.set_sequence`)
@@ -51,23 +53,11 @@ import json
 import os
 import re
 import tempfile
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.obs.columns import (
-    COUNTER,
-    INSTANT,
-    SPAN,
-    EventTable,
-    TableWriter,
-    encode_block,
-    json_default,
-    split_args,
-    write_table,
-)
+from repro.obs.columns import EventTable, encode_block, json_default, write_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RecordingTracer, Tracer
 
@@ -94,24 +84,20 @@ TORN_FEED = "skipping unparseable shard block (worker crashed mid-write?)"
 BLOCK_ROWS = 1 << 16
 
 
-class ShardTracer(Tracer):
-    """File-backed columnar tracer for one worker process.
+class ShardTracer(RecordingTracer):
+    """A :class:`~repro.obs.trace.RecordingTracer` whose rows go to a feed
+    file: the columnar tracer of one worker process.
 
-    Mirrors :class:`~repro.obs.trace.RecordingTracer` (wall-clock spans
-    relative to a ``perf_counter`` epoch, per-track parent stacks) but
-    buffers its rows (args taken as key and value tuples when recorded;
-    :meth:`instant_row` / :meth:`complete_row` store them as given) and appends
-    them to a feed file as one block of typed columns per :meth:`flush`
-    -- or per ``BLOCK_ROWS`` rows -- so a long worker's trace stays
-    bounded in the process heap.  Every row is stamped with the current *sequence
-    number* (the cell index, set by the pool task via
-    :meth:`set_sequence`) and a monotonically increasing per-feed
-    counter, which is what lets the parent merge feeds back into serial
-    cell order.  ``slo_ms`` is recorded in every block header, so the
-    merged attribution tables of a served run carry the SLO.
+    Every :meth:`flush` -- or every ``BLOCK_ROWS`` rows -- appends the
+    rows recorded since the last one to the feed as one block of typed
+    columns and drops them, so a long worker's trace stays bounded in the
+    process heap (:attr:`table` holds the unflushed rows only).  Each
+    block header carries the worker ``pid``, the wall-clock anchor and
+    ``slo_ms``, so the merged attribution tables of a served run carry
+    the SLO.  The rows' sequence numbers (the cell index, set by the pool
+    task via :meth:`set_sequence`) and per-feed counters are what let
+    the parent merge feeds back into serial cell order.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -119,19 +105,11 @@ class ShardTracer(Tracer):
         pid: Optional[int] = None,
         slo_ms: Optional[float] = None,
     ) -> None:
+        super().__init__()
         self._path = Path(path)
         self.pid = os.getpid() if pid is None else pid
         self.slo_ms = None if slo_ms is None else float(slo_ms)
-        self._epoch = time.perf_counter()
-        #: Unix wall-clock (ms) paired with the ``perf_counter`` epoch.
-        self.anchor_unix_ms: float = time.time() * 1000.0
-        self._seq = 0
-        self._n = 0
-        self._next_id = 1
-        self._open: Dict[str, List[int]] = {}
-        self._rows = TableWriter()
         self._blocks = 0
-        #: Flush on its own once the buffer reaches ``BLOCK_ROWS`` rows.
         self._flush_at = BLOCK_ROWS - 1
         self._fh = self._path.open("wb")
 
@@ -140,148 +118,24 @@ class ShardTracer(Tracer):
         """The feed file this tracer appends to."""
         return self._path
 
-    def set_sequence(self, seq: int) -> None:
-        """Stamp subsequent records with cell index ``seq`` (merge order)."""
-        self._seq = int(seq)
-
-    # ------------------------------------------------------------------
-    # Recording (one table row per record)
-    # ------------------------------------------------------------------
-    def _row(
-        self,
-        kind: int,
-        name: str,
-        track: str,
-        category: str,
-        ts_ms: float,
-        duration_ms: float,
-        value: float,
-        span_id: int,
-        parent: int,
-        keys: Tuple[Any, ...] = (),
-        values: Tuple[Any, ...] = (),
-    ) -> None:
-        n = self._n
-        self._n = n + 1
-        self._rows.append(
-            kind, name, track, category, ts_ms, duration_ms, value, span_id,
-            parent, self._seq, n, keys, values,
-        )
-        if n >= self._flush_at:
-            self.flush()
-
-    def complete(
-        self,
-        name: str,
-        track: str,
-        start_ms: float,
-        duration_ms: float,
-        category: str = "sim",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.complete_row(
-            name, track, start_ms, duration_ms, *split_args(args), category
-        )
-
-    def complete_row(
-        self,
-        name: str,
-        track: str,
-        start_ms: float,
-        duration_ms: float,
-        keys: Tuple[Any, ...],
-        values: Tuple[Any, ...],
-        category: str = "sim",
-    ) -> None:
-        span_id = self._next_id
-        self._next_id += 1
-        self._row(
-            SPAN, name, track, category, start_ms, duration_ms, 0.0, span_id,
-            -1, keys, values,
-        )
-
-    def instant(
-        self,
-        name: str,
-        track: str,
-        ts_ms: float,
-        category: str = "sim",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.instant_row(name, track, ts_ms, *split_args(args), category)
-
-    def instant_row(
-        self,
-        name: str,
-        track: str,
-        ts_ms: float,
-        keys: Tuple[Any, ...],
-        values: Tuple[Any, ...],
-        category: str = "sim",
-    ) -> None:
-        n = self._n
-        self._n = n + 1
-        self._rows.append(
-            INSTANT, name, track, category, ts_ms, 0.0, 0.0, -1, -1, self._seq,
-            n, keys, values,
-        )
-        if n >= self._flush_at:
-            self.flush()
-
-    def counter(self, name: str, track: str, ts_ms: float, value: float) -> None:
-        self._row(
-            COUNTER, name, track, "counter", ts_ms, 0.0, float(value), -1, -1
-        )
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        track: str = "offline",
-        category: str = "offline",
-        args: Optional[Dict[str, Any]] = None,
-    ) -> Iterator[None]:
-        start = self._now_ms()
-        span_id = self._next_id
-        self._next_id += 1
-        stack = self._open.setdefault(track, [])
-        parent = stack[-1] if stack else -1
-        stack.append(span_id)
-        try:
-            yield
-        finally:
-            stack.pop()
-            # ``args`` is captured by reference at exit, like
-            # RecordingTracer: a dict mutated inside the with-block
-            # records its final contents (the cache get/put outcome
-            # pattern).
-            self._row(
-                SPAN, name, track, category, start, self._now_ms() - start,
-                0.0, span_id, parent, *split_args(args),
-            )
-
-    def _now_ms(self) -> float:
-        return (time.perf_counter() - self._epoch) * 1000.0
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def flush(self) -> None:
         """Append the rows since the last flush as one block (call after
         every pool task).  The first flush writes a block even when
         empty, so every feed carries its header."""
         if self._fh.closed:
             raise ValueError(f"shard feed {self._path} is closed")
-        if len(self._rows) or not self._blocks:
+        table = self.table
+        if len(table) or not self._blocks:
             self._fh.write(
                 encode_block(
-                    self._rows.take(),
+                    table,
                     pid=self.pid,
                     anchor_unix_ms=self.anchor_unix_ms,
                     slo_ms=self.slo_ms,
                 )
             )
             self._blocks += 1
+        self._table = None
         self._flush_at = self._n + BLOCK_ROWS - 1
         self._fh.flush()
 
@@ -386,44 +240,28 @@ class ShardInfo:
 
 
 class MergedRun:
-    """The result of folding a run directory back into one timeline.
-
-    Holds the merged :class:`~repro.obs.columns.EventTable` (``table``)
-    or a recorded tracer, and builds the other on first use: a plain
-    merge never materializes per-record objects unless ``tracer`` is
-    read.  ``slo_ms`` is the SLO every feed header agreed on, else
-    ``None``.
+    """The result of folding a run directory back into one timeline: the
+    merged :class:`~repro.obs.columns.EventTable` (``table``, the folds'
+    input), the merged ``registry``, each feed's provenance (``shards``)
+    and ``slo_ms``, the SLO every feed header agreed on (else ``None``).
     """
 
     def __init__(
         self,
-        tracer: Optional[RecordingTracer] = None,
+        table: Optional[EventTable] = None,
         registry: Optional[MetricsRegistry] = None,
         shards: Iterable[ShardInfo] = (),
-        table: Optional[EventTable] = None,
         slo_ms: Optional[float] = None,
     ) -> None:
-        if tracer is None and table is None:
-            table = EventTable.empty()
-        self._tracer = tracer
-        self._table = table
+        self.table = table if table is not None else EventTable.empty()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.shards: List[ShardInfo] = list(shards)
         self.slo_ms = slo_ms
 
     @property
     def tracer(self) -> RecordingTracer:
-        """The merged records as a :class:`RecordingTracer` (exporters)."""
-        if self._tracer is None:
-            self._tracer = self._table.to_tracer()
-        return self._tracer
-
-    @property
-    def table(self) -> EventTable:
-        """The merged records as one event table (the folds' input)."""
-        if self._table is None:
-            self._table = EventTable.from_tracer(self._tracer)
-        return self._table
+        """A new recorder over :attr:`table` (what the exporters read)."""
+        return RecordingTracer.from_table(self.table)
 
     @property
     def records(self) -> int:
@@ -445,13 +283,11 @@ def merge_run_dir(
 
     Rows are ordered ``(seq, worker, n)`` — i.e. serial cell order — with
     worker tracks renamed ``w<idx>/<track>`` and offline (wall-clock)
-    timestamps re-anchored against the earliest feed/parent anchor.  A
-    ``tracer`` gets every merged record replayed into it, in that order
-    (a :class:`RecordingTracer` then *is* the returned
-    :attr:`MergedRun.tracer`, keeping the parent's own records in
-    place); without one, :attr:`MergedRun.tracer` is built from the
-    table only when read.  ``registry`` likewise merges metrics in
-    place; otherwise a fresh one is created.
+    timestamps re-anchored against the earliest feed/parent anchor.  The
+    returned :attr:`MergedRun.table` holds exactly the merged feeds; an
+    enabled ``tracer`` also gets them replayed into it, in that order,
+    after its own records.  ``registry`` merges metrics in place;
+    otherwise a fresh one is created.
     """
     directory = Path(run_dir)
     feed_paths = sorted(
@@ -511,16 +347,9 @@ def merge_run_dir(
         data = json.loads(path.read_text())
         out_registry.merge_json_dict(data, extra_labels={"worker": str(widx)})
 
-    if isinstance(tracer, RecordingTracer):
-        table.replay(tracer)
-        return MergedRun(
-            tracer=tracer, registry=out_registry, shards=shards, slo_ms=slo_ms
-        )
     if tracer is not None and tracer.enabled:
         table.replay(tracer)
-    return MergedRun(
-        registry=out_registry, shards=shards, table=table, slo_ms=slo_ms
-    )
+    return MergedRun(table, out_registry, shards, slo_ms)
 
 
 def write_merged_artifacts(
@@ -582,16 +411,15 @@ def export_run_dir(run_dir: Union[str, Path]) -> List[Path]:
     """Write ``merged.jsonl`` and ``trace.json`` beside every
     ``merged.cols`` of a run directory (``ramsis report --export``).
 
-    Both are built from the materialized tracer by
-    :func:`~repro.obs.exporters.events_jsonl` and
+    Both are built by :func:`~repro.obs.exporters.events_jsonl` and
     :func:`~repro.obs.exporters.chrome_trace` (one process group per
-    worker).  Returns the written paths.
+    worker) from a recorder over the table.  Returns the written paths.
     """
     from repro.obs import exporters
 
     written: List[Path] = []
     for path in merged_tables(run_dir):
-        tracer = EventTable.load(path)[0].to_tracer()
+        tracer = RecordingTracer.from_table(EventTable.load(path)[0])
         written.append(
             exporters.write_events_jsonl(tracer, path.parent / "merged.jsonl")
         )

@@ -1134,9 +1134,8 @@ def attribution_from_table(table: EventTable, **kwargs: Any) -> LatencyAttributo
 def attribution_from_tracer(
     tracer: RecordingTracer, **kwargs: Any
 ) -> LatencyAttributor:
-    """A fresh attributor folded over a recorded trace (spans, then
-    events, each in recorded order)."""
-    return attribution_from_table(EventTable.from_tracer(tracer), **kwargs)
+    """A fresh attributor folded over a recorded trace's table."""
+    return attribution_from_table(tracer.table, **kwargs)
 
 
 def attribution_from_jsonl(

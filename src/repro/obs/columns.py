@@ -27,7 +27,10 @@ changes between records simply owns two columns.  A value that is none
 of those scalars (``None``, lists, dicts, out-of-range ints, ...) goes to
 a small JSON overflow, encoded when it is recorded exactly as the JSONL
 schema encoded it (sorted keys, numpy scalars unwrapped).  Materialized
-args dicts therefore equal what a JSON round trip gave, keys sorted.
+args dicts therefore equal what a JSON round trip gave.  A table built in
+memory also keeps each row's key order (:attr:`EventTable.key_order`),
+so its args dicts come back in the order they were recorded; files do
+not store it, so a loaded table's args dicts have their keys sorted.
 
 On disk a file is a sequence of self-contained *blocks*::
 
@@ -64,8 +67,6 @@ from typing import (
 )
 
 import numpy as np
-
-from repro.obs.trace import Event, RecordingTracer, Span
 
 __all__ = [
     "SPAN",
@@ -115,6 +116,9 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 MISSING: Any = type("Missing", (), {"__repr__": lambda self: "MISSING"})()
 
 ArgKey = Tuple[str, str]
+#: Args key tuples, and the index of each row's tuple (a row without args
+#: has the empty tuple).
+KeyOrder = Tuple[List[Tuple[str, ...]], np.ndarray]
 
 
 def json_default(value: Any) -> Any:
@@ -178,8 +182,8 @@ class _Codes(dict):
 class TableWriter:
     """Append-only row buffer; :meth:`take` turns the rows into a table.
 
-    The feed writer behind :class:`~repro.obs.aggregate.ShardTracer` and
-    the encoder for every other input (recorded tracers, JSONL records).
+    The row buffer behind :class:`~repro.obs.trace.RecordingTracer` (and
+    so every run-dir feed) and the encoder of JSONL records.
     A row's args are its keys tuple and their values
     (:func:`split_args` makes both from a dict); every caller's row is
     one flat tuple, the fixed columns then the keys tuple then the
@@ -299,8 +303,13 @@ class TableWriter:
             data = np.zeros(count, _ARG_DTYPES[tag])
             data[at] = codes(values) if tag == _STR else values
             args[(key, tag)] = (data, mask)
+        key_order = (
+            [tuple(k if type(k) is str else _json_key(k) for k in keys)
+             for keys in shape_index],
+            shape_of,
+        )
         return EventTable(
-            [str(s) for s in strings], columns, args, sorted(overflow)
+            [str(s) for s in strings], columns, args, sorted(overflow), key_order
         )
 
 
@@ -325,12 +334,16 @@ class EventTable:
         columns: Dict[str, np.ndarray],
         args: Optional[Dict[ArgKey, Tuple[np.ndarray, np.ndarray]]] = None,
         overflow: Optional[List[Tuple[int, str, str]]] = None,
+        key_order: Optional[KeyOrder] = None,
     ) -> None:
         self.strings = strings
         self.columns = columns
         self.args = args if args is not None else {}
         #: ``(row, key, JSON text)`` for args values that are not scalars.
         self.overflow = overflow if overflow is not None else []
+        #: Each row's args keys in recorded order (:data:`KeyOrder`);
+        #: ``None`` (keys sorted) for a table read from a file.
+        self.key_order = key_order
         self._codes: Optional[Dict[str, int]] = None
 
     @classmethod
@@ -344,29 +357,6 @@ class EventTable:
     # ------------------------------------------------------------------
     # Encoders
     # ------------------------------------------------------------------
-    @classmethod
-    def from_tracer(cls, tracer: RecordingTracer) -> "EventTable":
-        """Encode a recorded trace: its spans, then its events."""
-        writer = TableWriter()
-        n = 0
-        for span in tracer.spans:
-            parent = -1 if span.parent_id is None else span.parent_id
-            writer.append(
-                SPAN, span.name, span.track, span.category, span.start_ms,
-                span.duration_ms, 0.0, span.span_id, parent, 0, n,
-                *split_args(span.args),
-            )
-            n += 1
-        for event in tracer.events:
-            kind = COUNTER if event.is_counter else INSTANT
-            value = event.value if event.is_counter else 0.0
-            writer.append(
-                kind, event.name, event.track, event.category, event.ts_ms,
-                0.0, value, -1, -1, 0, n, *split_args(event.args),
-            )
-            n += 1
-        return writer.take()
-
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "EventTable":
         """Encode ``events_jsonl``-schema record dicts, in the given order.
@@ -542,7 +532,8 @@ class EventTable:
         ]
 
     def _arg_dicts(self) -> List[Optional[Dict[str, Any]]]:
-        """Every row's args dict (``None`` when empty), keys sorted."""
+        """Every row's args dict (``None`` when empty), keys in recorded
+        order (:attr:`key_order`), else sorted."""
         dicts: List[Optional[Dict[str, Any]]] = [None] * len(self)
         by_key: Dict[str, List[Tuple[str, np.ndarray, np.ndarray]]] = {}
         for (key, tag), (data, present) in self.args.items():
@@ -566,6 +557,13 @@ class EventTable:
                     dicts[row] = {key: value}
                 else:
                     args[key] = value
+        if self.key_order is not None:
+            shapes, shape_of = self.key_order
+            for index, keys in enumerate(shapes):
+                if list(keys) != sorted(set(keys)):
+                    for row in np.flatnonzero(shape_of == index).tolist():
+                        args = dicts[row]
+                        dicts[row] = {key: args[key] for key in keys}
         return dicts
 
     def records(self) -> Iterator[tuple]:
@@ -588,29 +586,8 @@ class EventTable:
         )
 
     # ------------------------------------------------------------------
-    # Materialization
+    # Replay
     # ------------------------------------------------------------------
-    def to_tracer(self) -> RecordingTracer:
-        """A :class:`RecordingTracer` holding these rows (spans and events
-        each in row order)."""
-        spans: List[Span] = []
-        events: List[Event] = []
-        for kind, name, track, cat, ts, dur, value, span_id, parent, args in (
-            self.records()
-        ):
-            if kind == SPAN:
-                spans.append(
-                    Span(
-                        name, track, ts, dur, cat, args or {}, span_id,
-                        None if parent < 0 else parent,
-                    )
-                )
-            elif kind == INSTANT:
-                events.append(Event(name, track, ts, cat, args or {}))
-            else:
-                events.append(Event(name, track, ts, cat, {}, value))
-        return RecordingTracer.from_records(spans, events)
-
     def replay(self, *tracers: Any) -> None:
         """Feed every row, in row order, to each of ``tracers``."""
         for kind, name, track, cat, ts, dur, value, _id, _parent, args in (
@@ -670,7 +647,10 @@ class EventTable:
                 for row, key, text in self.overflow
                 if position[row] >= 0
             ]
-        return EventTable(self.strings, columns, args, overflow)
+        key_order = self.key_order
+        if key_order is not None:
+            key_order = (key_order[0], key_order[1][order])
+        return EventTable(self.strings, columns, args, overflow, key_order)
 
     # ------------------------------------------------------------------
     # Files
@@ -695,7 +675,8 @@ def _stack(
 ) -> Tuple[EventTable, np.ndarray]:
     """Concatenate ``(table, track prefix, offset)`` parts into one string
     list; ``offset`` (``None``: untouched) moves the part's ``offline``
-    timestamps.  Also returns each row's part index."""
+    timestamps.  Also returns each row's part index.  The key order is
+    kept when every part has one."""
     strings: Dict[str, int] = {}
 
     def remap(names: Iterable[str]) -> np.ndarray:
@@ -755,7 +736,15 @@ def _stack(
         [np.full(len(t), i, np.int64) for i, (t, _p, _o) in enumerate(parts)]
         or [np.zeros(0, np.int64)]
     )
-    return EventTable(list(strings), columns, args, overflow), part
+    key_order: Optional[KeyOrder] = None
+    if parts and all(t.key_order is not None for t, _p, _o in parts):
+        shapes: List[Tuple[str, ...]] = []
+        indices = []
+        for table, _prefix, _offset in parts:
+            indices.append(table.key_order[1] + len(shapes))
+            shapes.extend(table.key_order[0])
+        key_order = (shapes, np.concatenate(indices))
+    return EventTable(list(strings), columns, args, overflow, key_order), part
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ reports, which the integration tests compare *exactly* — any divergence
 means the instrumentation dropped or duplicated lifecycle events.
 
 :func:`summarize` is the one fold; it runs over a columnar
-:class:`~repro.obs.columns.EventTable` (a run dir's ``merged.cols``).  A
-live :class:`~repro.obs.trace.RecordingTracer` or a JSONL event log
-written by :func:`repro.obs.exporters.write_events_jsonl` is encoded to
-a table first.
+:class:`~repro.obs.columns.EventTable` (a run dir's ``merged.cols``, or
+a live :class:`~repro.obs.trace.RecordingTracer`'s ``table``).  A JSONL
+event log written by :func:`repro.obs.exporters.write_events_jsonl` is
+encoded to a table first.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterator, Union
 
 import numpy as np
 
-from repro.obs.columns import INSTANT, MISSING, SPAN, EventTable
+from repro.obs.columns import INSTANT, SPAN, EventTable
 from repro.obs.trace import RecordingTracer
 
 __all__ = [
@@ -87,34 +87,22 @@ def summarize(table: EventTable) -> TraceSummary:
     after worker, each worker's records in row order — the order
     :func:`repro.sim.metrics.fold_worker_records` adds them in.  A merged
     run dir is already in that order; an in-memory simulator trace
-    (completions in event order) is regrouped.
+    (completions in event order) is regrouped.  Accuracies add left to
+    right, one Python float at a time, as that fold does.
     """
     completions = table.rows(INSTANT, COMPLETION_EVENT)
-    workers = [-1 if v is MISSING else int(v) for v in table.arg("worker", completions)]
+    workers = table.arg_array("worker", completions, int, -1)
     completions = completions[np.lexsort((workers, table.columns["seq"][completions]))]
-    satisfied = [
-        value is not MISSING and bool(value)
-        for value in table.arg("satisfied", completions)
-    ]
-    accuracy_sum = reduce(
-        add,
-        (
-            0.0 if value is MISSING else float(value)
-            for value in table.arg("accuracy", completions[np.array(satisfied, bool)])
-        ),
-        0.0,
-    )
+    satisfied = table.arg_array("satisfied", completions, bool, False)
+    accuracy = table.arg_array("accuracy", completions[satisfied], float, 0.0)
     serves = table.rows(SPAN, SERVICE_SPAN)
     return TraceSummary(
         total_queries=len(completions),
-        satisfied_queries=sum(satisfied),
+        satisfied_queries=int(satisfied.sum()),
         decisions=len(serves),
-        batch_total=sum(
-            0 if value is MISSING else int(value)
-            for value in table.arg("batch", serves)
-        ),
+        batch_total=int(table.arg_array("batch", serves, int, 0).sum()),
         arrivals=len(table.rows(INSTANT, ARRIVAL_EVENT)),
-        accuracy_sum=accuracy_sum,
+        accuracy_sum=reduce(add, accuracy.tolist(), 0.0),
     )
 
 
@@ -123,7 +111,7 @@ def reconstruct_metrics(
 ) -> TraceSummary:
     """Recompute the summary from an in-memory tracer or event table."""
     if not isinstance(source, EventTable):
-        source = EventTable.from_tracer(source)
+        source = source.table
     return summarize(source)
 
 

@@ -16,4 +16,7 @@
   as one ``observe_*`` hook call per lifecycle record; the columnar
   :meth:`repro.obs.attribution.LatencyAttributor.fold` must leave an
   attributor in exactly the state it leaves.
+- :mod:`tests.oracles.recording_tracer` — the in-memory recorder as span
+  and event objects; :class:`repro.obs.trace.RecordingTracer`, which
+  records table rows, must give equal views and byte-equal exports.
 """

@@ -535,7 +535,7 @@ class TestSortedQuantileGolden:
             patch.setattr(Histogram, "quantile", counted_sort_quantile)
             oracle_snap = hook_fold(
                 LatencyAttributor(slo_ms=100.0, burn_windows=(50, 500)),
-                EventTable.from_tracer(merged.tracer),
+                merged.tracer.table,
             ).to_json_dict()
             oracle_artifact = json.dumps(
                 hook_fold(

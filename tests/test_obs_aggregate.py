@@ -97,7 +97,7 @@ class TestShardTracer:
         with tracer.span("cache_get", track="cache", args=outcome):
             outcome["hit"] = True
         tracer.close()
-        spans = EventTable.load(tracer.path)[0].to_tracer().spans
+        spans = RecordingTracer.from_table(EventTable.load(tracer.path)[0]).spans
         assert spans[-1].args == {"hit": True}
 
     def test_full_buffer_flushes_a_block(self, tmp_path, monkeypatch):
@@ -180,8 +180,12 @@ class TestMergeRunDir:
         with parent.span("sweep_submit", track="sweep"):
             pass
         merged = merge_run_dir(tmp_path, tracer=parent)
-        assert merged.tracer is parent
+        # The feeds are replayed after the parent's own records; the
+        # merged run holds the feeds alone.
         assert set(parent.tracks()) == {"sweep", "w0/worker", "w1/worker"}
+        assert [s.name for s in parent.spans] == ["sweep_submit"]
+        assert len(parent.events) == merged.records == 3
+        assert merged.tracer.tracks() == ["w0/worker", "w1/worker"]
 
     def test_offline_timestamps_reanchored_non_negative(self, tmp_path):
         a = ShardTracer(tmp_path / "shard-1.cols", pid=1)
@@ -280,7 +284,8 @@ class TestChromeTraceSplitProcesses:
         parent = RecordingTracer()
         with parent.span("sweep_submit", track="sweep"):
             pass
-        return merge_run_dir(tmp_path, tracer=parent).tracer
+        merge_run_dir(tmp_path, tracer=parent)
+        return parent
 
     def test_one_process_group_per_worker(self, tmp_path):
         doc = chrome_trace(self._merged_tracer(tmp_path), split_processes=True)
@@ -334,6 +339,60 @@ class TestGenerateManyShipping:
         assert (batches[0] / "merged.cols").is_file()
         export_run_dir(run_dir)
         assert (batches[0] / "merged.jsonl").is_file()
+
+
+class TestSharedRecorder:
+    """A caller's recorder shared by several parallel runs: each run dir
+    holds that run's feeds, and nothing else."""
+
+    def test_repeated_sweeps_attribute_their_own_queries(self, tmp_path):
+        from repro.obs.attribution import LatencyAttributor
+
+        cells = [
+            cell for cell in sweep_cells(loads=(20.0, 50.0))[0]
+            if cell.method == "RAMSIS"
+        ]
+        scale = ExperimentScale.smoke()
+        tracer = RecordingTracer()
+        totals, rows = [], []
+        for run in range(2):
+            attributor = LatencyAttributor()
+            run_dir = tmp_path / f"run-{run}"
+            run_sweep(
+                cells, scale, jobs=2, tracer=tracer, run_dir=run_dir,
+                attributor=attributor,
+            )
+            totals.append(attributor.to_json_dict()["totals"])
+            rows.append(len(EventTable.load(run_dir / "merged.cols")[0]))
+            feeds = sum(
+                len(EventTable.load(path)[0])
+                for path in run_dir.glob("shard-*.cols")
+            )
+            assert rows[-1] == feeds
+        assert totals[0]["queries"] > 0
+        assert totals[1] == totals[0]
+        assert rows[1] == rows[0]
+
+    def test_refinement_batches_hold_their_own_feeds(self, tmp_path, tiny_config):
+        from repro.core.generator import PolicyGenerator
+        from repro.core.policy_set import PolicySet
+
+        run_dir = tmp_path / "bank"
+        generator = PolicyGenerator(
+            tiny_config, tracer=RecordingTracer(), run_dir=run_dir
+        )
+        PolicySet.generate(
+            generator, [5.0, 40.0], accuracy_gap_threshold=0.0, max_policies=5,
+            max_workers=2,
+        )
+        batches = sorted(run_dir.glob("batch-*"))
+        assert len(batches) >= 2
+        for batch in batches:
+            feeds = sum(
+                len(EventTable.load(path)[0]) for path in batch.glob("shard-*.cols")
+            )
+            assert feeds > 0
+            assert len(EventTable.load(batch / "merged.cols")[0]) == feeds, batch.name
 
 
 class TestTruncatedShards:
@@ -642,7 +701,7 @@ class TestFeedRoundTrip:
         # The merged table survives its own file round trip.
         write_merged_artifacts(merged, run_dir / "out")
         table = EventTable.load(run_dir / "out" / "merged.cols")[0]
-        assert events_jsonl(table.to_tracer()) == events_jsonl(expected)
+        assert events_jsonl(RecordingTracer.from_table(table)) == events_jsonl(expected)
 
 
 class TestLiveSnapshots:
