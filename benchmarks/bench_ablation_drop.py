@@ -8,7 +8,6 @@ their deadlines, while serve-late grinds through everything late.
 """
 
 import pytest
-from dataclasses import replace
 
 from benchmarks._common import bench_scale, emit
 from repro.arrivals.distributions import PoissonArrivals

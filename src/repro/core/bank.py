@@ -21,10 +21,13 @@ runs ``generate_policy`` per cell).
   builder caches, the first cell's included, so per-cell assembly is a
   pure gather;
 - **value iteration** drives one :class:`~repro.core.mdp.BellmanKernel`
-  over the stacked cells with per-load convergence masks — converged
-  loads freeze (their matmuls are skipped and their value slices stop
-  updating), so every load observes exactly the trajectory and sweep
-  count of its independent solve;
+  over the stacked cells with per-load freeze masks — a load freezes
+  once its greedy table is certified optimal
+  (:func:`repro.core.solvers.certified`: its greedy margin beats the
+  span bound of its last change) or once its residual drops below the
+  tolerance, whichever comes first; frozen loads skip their matmuls and
+  their value slices stop updating, so every load observes exactly the
+  trajectory and sweep count of its independent solve;
 - **policy extraction** is one greedy pass of the same kernel over every
   load;
 - **stationary analysis** runs every cell's chain through
@@ -60,7 +63,7 @@ from repro.core.guarantees import (
 )
 from repro.core.mdp import BellmanKernel, WorkerMDP, _Skeleton
 from repro.core.policy import Policy, PolicyMetadata
-from repro.core.solvers import SolveStats
+from repro.core.solvers import SolveStats, certified
 from repro.core.transitions import (
     DeterministicGaps,
     EquilibriumRenewalKernelBuilder,
@@ -78,10 +81,13 @@ __all__ = ["GenerationResult", "StackedBankMDP", "solve_stacked_bank"]
 class GenerationResult:
     """A generated policy plus its provenance and offline guarantees.
 
-    ``residuals`` carries value iteration's per-sweep residual history
-    when the caller asked for it (``record_residuals`` or an enabled
-    tracer).  ``values`` is the converged value vector — kept so the §6
-    refinement loop can warm-start adjacent loads — and ``from_cache``
+    ``iterations`` counts the Bellman backups behind ``values``, and
+    ``residuals`` carries their per-sweep residual history when the
+    caller asked for it (``record_residuals`` or an enabled tracer).
+    ``values`` is the vector value iteration stopped at — the one whose
+    greedy table is the policy, kept so the §6 refinement loop can
+    warm-start adjacent loads; when the stop was certified it is not
+    within ``tolerance / (1 - gamma)`` of optimal — and ``from_cache``
     marks results restored from the persistent disk cache rather than
     solved.
     """
@@ -255,12 +261,24 @@ class StackedBankMDP:
         tracer: Optional[Tracer] = None,
         record_residuals: bool = False,
     ) -> List[SolveStats]:
-        """Value-iterate every load to its sup-norm fixed point.
+        """Value-iterate every load until its greedy policy is settled.
 
-        All loads start together and sweep in lockstep; a load whose
-        residual drops below ``tolerance`` freezes (its slice stops
-        updating and its reductions are skipped), so its recorded
-        ``iterations`` equals the independent solve's sweep count.
+        All loads start together and sweep in lockstep.  A load freezes
+        (its slice stops updating and its reductions are skipped) at the
+        first of two stops, each the rule of
+        :func:`repro.core.solvers.value_iteration`, so its recorded
+        ``iterations`` and values equal the independent solve's:
+
+        - **certified**: the sweep's greedy margin on the load's vector
+          passes :func:`~repro.core.solvers.certified` against the span
+          of the change that produced it, so that vector's greedy table
+          is the unique optimal policy; the load freezes with it, and
+          the sweep that measured the margin is not counted;
+        - **tolerance**: the residual drops below ``tolerance``, and the
+          load freezes with the new vector.  Kernels that report no
+          margins (duration-aware discounts, rows that do not sum to 1)
+          and loads with exact ties stop only this way.
+
         ``initials`` warm-starts individual loads; each vector must have
         shape ``(S,)``.  Raises :class:`SolverError` naming the
         unconverged loads when the ceiling is hit.
@@ -270,8 +288,8 @@ class StackedBankMDP:
         The tracer additionally receives one ``bellman_sweep`` wall-clock
         span on the ``solver`` track per lockstep sweep — the phase the
         profiler (:class:`repro.obs.profile.PhaseProfiler`) aggregates —
-        and one ``vi_sweep`` event per active load per sweep (timestamped
-        in wall-clock ms since solve start).
+        and one ``vi_sweep`` event per active load per counted sweep
+        (timestamped in wall-clock ms since solve start).
         """
         if tolerance <= 0:
             raise SolverError(f"tolerance must be > 0, got {tolerance}")
@@ -306,8 +324,26 @@ class StackedBankMDP:
         )
         stats: List[Optional[SolveStats]] = [None] * loads
         frozen = np.zeros(loads, dtype=bool)
+        # Per load: the last recorded residual and the span of the last
+        # change, which the certified stop reads (no change yet: inf).
+        residuals = np.full(loads, np.inf)
+        spans = np.full(loads, np.inf)
+        gamma = cells[0].config.discount
         kernel = self._kernel
         start = time.perf_counter()
+
+        def freeze(i: int, iterations: int) -> None:
+            frozen[i] = True
+            stats[i] = SolveStats(
+                values=values[i].copy(),
+                iterations=iterations,
+                residual=float(residuals[i]),
+                runtime_s=time.perf_counter() - start,
+                converged=True,
+                residuals=None if histories is None else tuple(histories[i]),
+                warm_started=bool(warm[i]),
+            )
+
         for sweep in range(1, max_iterations + 1):
             active = np.nonzero(~frozen)[0]
             if tracing:
@@ -319,15 +355,29 @@ class StackedBankMDP:
                     new_values = kernel.sweep(values, active)
             else:
                 new_values = kernel.sweep(values, active)
-            # Row-wise sup-norm over the whole stack: per-row max-abs along
-            # axis 1 is element-for-element the same IEEE ops as a one-load
-            # ``np.max(np.abs(new - old))``.  Frozen rows are stale in
-            # ``new_values`` — their entries are computed but never read.
-            resid = np.max(np.abs(new_values - values), axis=1)
+            # Row-wise reductions over the whole stack: per-row max/min
+            # along axis 1 are element-for-element the same IEEE ops as a
+            # one-load solve's.  Frozen rows are stale in ``new_values``
+            # and the kernel's margins — computed but never read.
+            if kernel.margins is not None:
+                sure = certified(
+                    kernel.margins,
+                    spans,
+                    np.max(np.abs(values), axis=1),
+                    gamma,
+                )[active]
+                # A certified load freezes with the vector it holds; this
+                # sweep's backup of it goes unrecorded.
+                for i in active[sure]:
+                    freeze(i, sweep - 1)
+                active = active[~sure]
+            change = new_values - values
+            residuals = np.max(np.abs(change), axis=1)
+            spans = np.max(change, axis=1) - np.min(change, axis=1)
             values[active] = new_values[active]
             for i in active:
-                residual = float(resid[i])
                 if histories is not None:
+                    residual = float(residuals[i])
                     histories[i].append(residual)
                     if tracing:
                         tracer.instant(
@@ -337,19 +387,8 @@ class StackedBankMDP:
                             category="solver",
                             args={"iteration": sweep, "residual": residual},
                         )
-                if residual < tolerance:
-                    frozen[i] = True
-                    stats[i] = SolveStats(
-                        values=values[i].copy(),
-                        iterations=sweep,
-                        residual=residual,
-                        runtime_s=time.perf_counter() - start,
-                        converged=True,
-                        residuals=(
-                            None if histories is None else tuple(histories[i])
-                        ),
-                        warm_started=bool(warm[i]),
-                    )
+                if residuals[i] < tolerance:
+                    freeze(i, sweep)
             if frozen.all():
                 return stats  # type: ignore[return-value]
         missing = ", ".join(
@@ -419,9 +458,10 @@ def solve_stacked_bank(
     convergence masks, extracts per-load policies, and (by default)
     computes the §5.1 guarantees through the batched stationary solve.
     Every returned :class:`GenerationResult` is byte-identical — policy,
-    guarantees, iteration count, residuals — to a one-load call for that
-    cell; ``runtime_s`` divides the bank's wall clock evenly across cells
-    (per-cell attribution has no meaning inside one batched solve).
+    guarantees, iteration count, residuals, values — to a one-load call
+    for that cell; ``runtime_s`` divides the bank's wall clock evenly
+    across cells (per-cell attribution has no meaning inside one batched
+    solve).
 
     ``initials`` optionally warm-starts individual loads (aligned with
     ``configs``).  An enabled ``tracer`` records the build / solve /

@@ -91,11 +91,17 @@ class BackupResult:
     """One Bellman backup: new values plus the greedy action table.
 
     ``greedy`` maps state id -> encoded action ``(model_index, batch)``;
-    fallback states carry ``(_FALLBACK, n)``.
+    fallback states carry ``(_FALLBACK, n)``.  ``margin`` is the smallest
+    best-minus-runner-up gap of the backed-up Q values over all states
+    (``+inf`` where one action is forced, ``0.0`` on an exact tie), which
+    value iteration's certified stop reads; ``None`` when the backup does
+    not report it (a greedy backup, a duration-aware discount, a dense
+    MDP), and the solver then stops by its tolerance alone.
     """
 
     values: np.ndarray
     greedy: Dict[int, Tuple[int, int]]
+    margin: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,15 +435,20 @@ class WorkerMDP:
         Runs :class:`BellmanKernel` over a one-cell stack.  Returns a fresh
         value array on every call (value iteration keeps the previous
         one); when ``want_greedy`` also returns the greedy (argmax) action
-        per state, used for policy extraction.
+        per state, used for policy extraction, and otherwise the kernel's
+        greedy margin (see :class:`BackupResult`).
         """
-        if self._kernel is None:
-            self._kernel = BellmanKernel([self])
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = BellmanKernel([self])
         if want_greedy:
-            new_values, tables = self._kernel.greedy(values[None])
+            new_values, tables = kernel.greedy(values[None])
             return BackupResult(values=new_values[0].copy(), greedy=tables[0])
-        new_values = self._kernel.sweep(values[None], (0,))
-        return BackupResult(values=new_values[0].copy(), greedy={})
+        new_values = kernel.sweep(values[None], (0,))
+        margin = None if kernel.margins is None else float(kernel.margins[0])
+        return BackupResult(
+            values=new_values[0].copy(), greedy={}, margin=margin
+        )
 
     def _counts_for(self, latency: float) -> np.ndarray:
         """Arrival-count distribution over the service time.
@@ -669,6 +680,31 @@ class WorkerMDP:
         return np.zeros(self._space.size, dtype=np.float64)
 
 
+#: Largest ``|row sum - 1|`` of a kernel that reports greedy margins.
+#: Shifting ``V`` by a constant ``c`` must shift every Q value by
+#: ``gamma * c``; stochastic rows miss 1 by a few ulps.
+_ROW_SUM_SLACK = 1e-13
+
+
+def _row_sum_error(cell: WorkerMDP) -> float:
+    """Largest ``|row sum - 1|`` over a cell's transition data: full-drain
+    rows (per phase, and the phase weights, under the exact view) and
+    partial-drain counts plus their overflow mass."""
+    if cell._split is not None:
+        sums = [cell._rows.sum(axis=-1)]
+    else:
+        sums = [
+            cell._rows_by_phase.sum(axis=-1),
+            cell._phase_weights.sum(axis=-1),
+            cell._full_phase.sum(),
+        ]
+    sums += [
+        counts.sum() + residual
+        for counts, residual in zip(cell._plan_counts, cell._plan_residual)
+    ]
+    return max(float(np.max(np.abs(np.asarray(x) - 1.0))) for x in sums)
+
+
 class BellmanKernel:
     """The Bellman optimality backup over a stack of worker MDPs.
 
@@ -678,6 +714,20 @@ class BellmanKernel:
     :class:`repro.core.bank.StackedBankMDP`.  The load-dependent arrays
     are stacked into ``(L, ...)`` layouts; :meth:`sweep` backs up every
     active load and :meth:`greedy` adds each load's argmax action table.
+
+    Under one discount for every transition, :meth:`sweep` also leaves
+    each load's greedy margin in :attr:`margins`: the smallest gap, over
+    all states, between the best candidate Q value (every valid full
+    drain, the forced fallback where none is valid, every applicable
+    partial drain) and the runner-up, counted with multiplicity so an
+    exact tie reads ``0.0``; a state with a single candidate reads
+    ``+inf``, as do EMPTY and FULL, which are forced.  Both terms are
+    candidate values themselves (max selects, never rounds), so a load's
+    margin is bitwise the same in whatever stack it sits.  The span bound
+    that turns a margin into a certificate needs one ``gamma`` and
+    transition rows that sum to 1, so duration-aware discounts, and
+    kernels with a row sum off 1 by more than ``_ROW_SUM_SLACK``, leave
+    :attr:`margins` ``None``.
 
     Exactness discipline: every matmul/einsum *reduction* is invoked per
     load with exactly a one-cell stack's operand shapes and strides
@@ -736,6 +786,17 @@ class BellmanKernel:
         self._best = np.empty((loads, n_max, j_count))
         self._new_values = np.empty((loads, space.size))
 
+        # Greedy margins (see the class docstring) and their buffers.
+        certifies = not cfg.duration_aware_discount and all(
+            _row_sum_error(c) <= _ROW_SUM_SLACK for c in cells
+        )
+        self.margins: Optional[np.ndarray] = (
+            np.empty(loads) if certifies else None
+        )
+        self._n_valid = self._valid.sum(axis=0)  # (N, J)
+        self._below = np.empty((loads, m_count, n_max, j_count), dtype=bool)
+        self._second = np.empty((loads, n_max, j_count))
+
         # Variable-batching partial-drain plan, stacked.  Everything except
         # the per-entry value contraction (whose matmul call must stay
         # bitwise identical to the per-action formulation) is hoisted into
@@ -783,6 +844,7 @@ class BellmanKernel:
                 (loads, self._p_count, n_max, j_count)
             )
             self._fold_q = np.empty_like(self._fold_ev)
+            self._fold_below = np.empty(self._fold_q.shape, dtype=bool)
 
     @staticmethod
     def _validate(cells: Sequence[WorkerMDP]) -> None:
@@ -821,9 +883,10 @@ class BellmanKernel:
         """One optimality backup of every active load of ``values`` (L, S).
 
         Returns the kernel's ``(L, S)`` output buffer, which the next call
-        overwrites.  Inactive (converged) loads skip their reductions; the
-        batched elementwise passes still touch their rows, which are stale
-        and must not be read.
+        overwrites, and refreshes :attr:`margins` for the Q values of
+        ``values``.  Inactive (converged) loads skip their reductions; the
+        batched elementwise passes still touch their rows and margins,
+        which are stale and must not be read.
         """
         self._backup(values, active, greedy=False)
         return self._new_values
@@ -904,6 +967,18 @@ class BellmanKernel:
             initial=-np.inf,
             out=self._best,
         )
+        margins = self.margins is not None and not greedy
+        if margins:
+            # Runner-up full drain: the best valid Q strictly below the
+            # best, or the best itself when two valid models tie on it.
+            below = np.less(self._q, self._best[:, None], out=self._below)
+            below &= self._valid[None]
+            second = np.max(
+                self._q, axis=1, where=below, initial=-np.inf,
+                out=self._second,
+            )
+            tie = self._n_valid - np.count_nonzero(below, axis=1) >= 2
+            np.copyto(second, self._best, where=tie)
 
         # Forced fallback where nothing is valid (§4.3.1): serve the whole
         # queue late on the fastest model — or, in drop mode, discard it
@@ -941,8 +1016,27 @@ class BellmanKernel:
                     np.where(keep, choice[0], self._plan_m_lut[winner]),
                     np.where(keep, choice[1], self._plan_b_lut[winner]),
                 )
+            part_best = q_cand.max(axis=1)
+            if margins:
+                # The partial drains' own runner-up (dead entries are
+                # -inf), then the runner-up of the union with the full
+                # drains: the lesser of the two bests, or either side's
+                # own runner-up.
+                below = np.less(
+                    q_cand, part_best[:, None], out=self._fold_below
+                )
+                part_second = np.max(q_cand, axis=1, where=below, initial=-np.inf)
+                tie = self._p_count - np.count_nonzero(below, axis=1) >= 2
+                np.copyto(part_second, part_best, where=tie)
+                np.maximum(second, part_second, out=second)
+                np.maximum(
+                    second, np.minimum(part_best, self._best), out=second
+                )
             # Float max is exact, so this equals the winner's value.
-            np.maximum(q_cand.max(axis=1), self._best, out=self._best)
+            np.maximum(part_best, self._best, out=self._best)
+        if margins:
+            np.subtract(self._best, second, out=second)
+            np.min(second.reshape(self._loads, -1), axis=1, out=self.margins)
 
         new_values = self._new_values
         new_values[:, 2:] = self._best.reshape(self._loads, -1)

@@ -35,17 +35,47 @@ import numpy as np
 from repro.errors import SolverError
 from repro.obs.trace import Tracer
 
-__all__ = ["SolveStats", "value_iteration", "policy_iteration"]
+__all__ = ["SolveStats", "certified", "value_iteration", "policy_iteration"]
+
+#: Rounding allowance of the certified stop, relative to ``max|V|``:
+#: covers the rounding of the Q values a margin subtracts and of the
+#: backups the span bound sums, both of order (states x machine epsilon)
+#: x ``max|V|`` and the latter amplified by ``1 / (1 - gamma)``.
+_CERTIFY_ROUNDING = 1e-12
+
+
+def certified(margin, span, scale, gamma):
+    """Does a greedy margin certify its value vector's greedy table?
+
+    ``margin`` is the backup's smallest best-minus-runner-up Q gap on a
+    vector ``V_k`` (see :class:`~repro.core.mdp.BackupResult`), ``span``
+    is ``max(d) - min(d)`` of the previous change ``d = V_k - V_{k-1}``
+    and ``scale`` is ``max|V_k|``.  MacQueen's bounds put the optimal
+    values within ``V_k + gamma/(1-gamma) * [min d, max d]``, so every
+    optimal Q value is within ``gamma**2/(1-gamma) * span`` of the
+    backed-up one up to a common shift (Puterman, §6.6.3, §6.7.2): a
+    margin above that, plus the rounding allowance, makes each state's
+    greedy action its unique optimal action.  Elementwise on arrays, with
+    the same float operations as on scalars.
+    """
+    return margin > (
+        gamma * gamma / (1.0 - gamma) * span
+        + _CERTIFY_ROUNDING * scale / (1.0 - gamma)
+    )
 
 
 @dataclass(frozen=True)
 class SolveStats:
     """Outcome of one solver run.
 
-    ``residuals`` is the per-sweep sup-norm residual history, recorded
-    when the caller asked for it (``record_residuals=True`` or an enabled
-    tracer); ``None`` otherwise so the hot path stays allocation-free.
-    For value iteration on a ``gamma``-discounted MDP the sequence obeys
+    For value iteration ``iterations`` counts the backups behind
+    ``values`` and ``residual`` is the last one's sup-norm change; after
+    a certified stop that residual can be far above the tolerance (see
+    :func:`value_iteration`).  ``residuals`` is the per-sweep sup-norm
+    residual history, one entry per counted backup, recorded when the
+    caller asked for it (``record_residuals=True`` or an enabled tracer);
+    ``None`` otherwise so the hot path stays allocation-free.  On a
+    ``gamma``-discounted MDP the sequence obeys
     ``residuals[k+1] <= gamma * residuals[k]`` (Bellman contraction), the
     property the convergence plots and regression tests check.
     """
@@ -69,16 +99,30 @@ def value_iteration(
     tracer: Optional[Tracer] = None,
     record_residuals: bool = False,
 ) -> SolveStats:
-    """Iterate Bellman optimality backups to a sup-norm fixed point.
+    """Iterate Bellman optimality backups until the greedy policy is settled.
 
-    The returned values are within ``tolerance / (1 - gamma)`` of optimal
-    in sup norm (standard contraction bound).  Raises :class:`SolverError`
-    if the residual has not dropped below ``tolerance`` after
+    Stops at the first of two rules:
+
+    - **certified**: the backup of ``V_k`` reports a greedy margin (see
+      :class:`~repro.core.mdp.BackupResult`) that passes
+      :func:`certified` against the span of ``V_k - V_{k-1}``.  The
+      greedy table of ``V_k`` is then the unique optimal policy, and
+      ``V_k`` is returned with ``iterations = k``; that last backup is
+      not counted or recorded.  ``V_k`` itself is *not* within
+      ``tolerance / (1 - gamma)`` of optimal — only its policy is
+      guaranteed.
+    - **tolerance**: the sup-norm residual drops below ``tolerance``;
+      the values are then within ``tolerance / (1 - gamma)`` of optimal
+      (standard contraction bound).  Backups that report no margin — a
+      duration-aware discount, rows that do not sum to 1, a dense MDP —
+      and exact ties (margin 0) stop only this way.
+
+    Raises :class:`SolverError` if neither rule has fired after
     ``max_iterations`` sweeps.
 
     With ``record_residuals`` (or an enabled ``tracer``) the per-sweep
     residual history is kept on :attr:`SolveStats.residuals`; the tracer
-    additionally receives one ``vi_sweep`` event per sweep on the
+    additionally receives one ``vi_sweep`` event per counted sweep on the
     ``solver`` track (timestamped in wall-clock ms since solve start)
     plus one ``bellman_sweep`` wall-clock span per backup — the phase
     the profiler (:class:`repro.obs.profile.PhaseProfiler`) aggregates.
@@ -94,6 +138,7 @@ def value_iteration(
     values = mdp.initial_values() if initial is None else initial.copy()
     start = time.perf_counter()
     residual = np.inf
+    span = np.inf
     for iteration in range(1, max_iterations + 1):
         if tracing:
             # One wall-clock phase per Bellman backup, nested under the
@@ -103,11 +148,30 @@ def value_iteration(
             with tracer.span(
                 "bellman_sweep", track="solver", args={"iteration": iteration}
             ):
-                new_values = mdp.backup(values).values
+                result = mdp.backup(values)
         else:
-            new_values = mdp.backup(values).values
-        residual = float(np.max(np.abs(new_values - values)))
-        values = new_values
+            result = mdp.backup(values)
+        if result.margin is not None and certified(
+            result.margin,
+            span,
+            float(np.max(np.abs(values))),
+            mdp.config.discount,
+        ):
+            # ``values`` is certified: stop with it, leaving this sweep's
+            # backup (and its residual) unrecorded.
+            return SolveStats(
+                values=values,
+                iterations=iteration - 1,
+                residual=residual,
+                runtime_s=time.perf_counter() - start,
+                converged=True,
+                residuals=None if history is None else tuple(history),
+                warm_started=initial is not None,
+            )
+        change = result.values - values
+        residual = float(np.max(np.abs(change)))
+        span = float(np.max(change) - np.min(change))
+        values = result.values
         if history is not None:
             history.append(residual)
             if tracing:

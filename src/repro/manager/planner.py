@@ -16,7 +16,6 @@ accuracy with fewer resources" claim measurable as a provisioning outcome.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple

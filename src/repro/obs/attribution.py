@@ -80,7 +80,7 @@ from typing import (
 import numpy as np
 
 from repro.obs.audit import AuditAlert
-from repro.obs.columns import INSTANT, MISSING, SPAN, EventTable
+from repro.obs.columns import INSTANT, SPAN, EventTable
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.reconstruct import TORN_RECORD, _iter_jsonl
 from repro.obs.trace import RecordingTracer

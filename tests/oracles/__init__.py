@@ -6,6 +6,10 @@
 - :mod:`tests.oracles.dense_mdp` — a dense ``Q[a] = R[a] + gamma[a] * P[a] v``
   MDP, either hand-written or enumerated from a worker MDP's per-state
   transition rows.
+- :mod:`tests.oracles.tolerance_vi` — value iteration that stops by its
+  tolerance alone; the certified stop must give byte-identical policies
+  and equal §5.1 guarantees, and fixed-point tests read converged values
+  from it.
 - :mod:`tests.oracles.lifecycle_observer` — the dispatch kernel's observer
   with an args dict per feed row and a registry fed per event; run-dir
   artifacts served through it must be byte-equal to the lifecycle

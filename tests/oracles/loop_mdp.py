@@ -12,9 +12,12 @@ per-state formulations:
 - policy evaluation builds every state's transition row per sweep;
 - ``policy_rows`` always assembles, never reading the evaluation cache.
 
-Value iteration on it is float-identical to the production sweeps and
-its greedy tables are equal, which ``tests/test_solver_equivalence.py``
-and ``benchmarks/bench_state_space.py`` assert.
+Its backup reports the greedy margin from each state's sorted list of
+candidate Q values, so value iteration on it takes the same certified
+stop.  Value iteration on it is float-identical to the production
+sweeps — values and sweep counts — and its greedy tables are equal,
+which ``tests/test_solver_equivalence.py`` and
+``benchmarks/bench_state_space.py`` assert.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ import numpy as np
 from repro.core.bank import GenerationResult, _annotate
 from repro.core.config import BatchingMode, WorkerMDPConfig
 from repro.core.guarantees import evaluate_policy
-from repro.core.mdp import _FALLBACK, BackupResult, WorkerMDP
+from repro.core.mdp import (
+    _FALLBACK,
+    _ROW_SUM_SLACK,
+    BackupResult,
+    WorkerMDP,
+    _row_sum_error,
+)
 from repro.core.solvers import value_iteration
 
 __all__ = ["LoopWorkerMDP", "generate_loop_policy"]
@@ -85,10 +94,13 @@ class LoopWorkerMDP(WorkerMDP):
         no_valid = ~self._valid.any(axis=0)
         best_q = np.where(no_valid, fallback_q, best_q)
         best_m = np.where(no_valid, _FALLBACK, best_m)
+        # Every candidate Q per state, -inf where it does not apply.
+        candidates = list(q_masked)
+        candidates.append(np.where(no_valid, fallback_q, -np.inf))
 
         if self._config.batching is BatchingMode.VARIABLE:
             best_q, best_m, best_b = self._fold_partial_actions(
-                values, best_q, best_m, best_b, want_greedy
+                values, best_q, best_m, best_b, candidates
             )
 
         new_values = np.empty_like(values)
@@ -114,7 +126,16 @@ class LoopWorkerMDP(WorkerMDP):
                         int(best_b[n - 1, j]),
                     )
             greedy[space.FULL] = (_FALLBACK, n_max)
-        return BackupResult(values=new_values, greedy=greedy)
+        margin = None
+        if not (
+            want_greedy
+            or self._config.duration_aware_discount
+            or _row_sum_error(self) > _ROW_SUM_SLACK
+        ):
+            # Best minus runner-up of each state's sorted candidates.
+            ranked = np.sort(np.stack(candidates), axis=0)
+            margin = float(np.min(ranked[-1] - ranked[-2]))
+        return BackupResult(values=new_values, greedy=greedy, margin=margin)
 
     def _fold_partial_actions(
         self,
@@ -122,15 +143,15 @@ class LoopWorkerMDP(WorkerMDP):
         best_q: np.ndarray,
         best_m: np.ndarray,
         best_b: np.ndarray,
-        want_greedy: bool = False,
+        candidates: List[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mix in variable-batching actions ``(m, b)`` with ``b < n``.
 
         For each such action the leftover queue keeps ``n - b`` queries
         whose earliest slack is the conservative ``T_j - l`` (DESIGN.md §3),
         so the slack bin of the next state is deterministic and only the
-        arrival count is stochastic.  (``want_greedy`` is accepted for
-        signature compatibility; the loop always tracks the argmax.)
+        arrival count is stochastic.  Each action's ``(N, J)`` Q values
+        (-inf where it does not apply) join ``candidates``.
         """
         space = self._space
         n_max, j_count = self._max_queue, len(self._grid)
@@ -159,6 +180,9 @@ class LoopWorkerMDP(WorkerMDP):
             q_part = reward + gamma_mb * ev[:, j_map]  # (max_base, J)
             q_part = np.where(valid_j[None, :], q_part, -np.inf)
             region = slice(b, n_max)
+            candidate = np.full((n_max, j_count), -np.inf)
+            candidate[region] = q_part
+            candidates.append(candidate)
             better = q_part > best_q[region]
             best_q[region] = np.where(better, q_part, best_q[region])
             best_m[region] = np.where(better, m, best_m[region])

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from repro.core.generator import generate_policy
-from repro.core.guarantees import evaluate_policy, stationary_distribution
+from repro.core.guarantees import stationary_distribution
 from repro.core.mdp import build_worker_mdp
 from repro.core.solvers import value_iteration
 

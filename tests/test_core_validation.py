@@ -4,7 +4,6 @@ import pytest
 from dataclasses import replace
 
 from repro.core.config import TransitionView, WorkerMDPConfig
-from repro.core.generator import generate_policy
 from repro.core.guarantees import evaluate_policy, stationary_distribution
 from repro.core.mdp import build_worker_mdp
 from repro.core.solvers import value_iteration

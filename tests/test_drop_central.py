@@ -1,7 +1,6 @@
 """Drop-late in the central-queue discipline: worker bookkeeping."""
 
 import numpy as np
-import pytest
 
 from repro.arrivals.traces import LoadTrace
 from repro.core.policy import Action

@@ -16,7 +16,7 @@ from repro.experiments import (
     text_task,
 )
 from repro.experiments.runner import MethodPoint, clear_caches, shared_arrivals
-from repro.experiments.tasks import TaskSpec, slo_grid_for
+from repro.experiments.tasks import slo_grid_for
 
 
 @pytest.fixture(autouse=True)

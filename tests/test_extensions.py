@@ -12,13 +12,13 @@ from repro.core.mdp import _FALLBACK, build_worker_mdp
 from repro.errors import ConfigurationError
 from repro.selectors import GreedyDeadlineSelector, RamsisSelector
 from repro.sim import (
-    MultiSLOReport,
     SLOClass,
     Simulation,
     SimulationConfig,
     partition_workers,
     run_multi_slo,
 )
+from tests.oracles.tolerance_vi import converged_values
 
 
 class TestDropLateMDP:
@@ -33,10 +33,8 @@ class TestDropLateMDP:
     def test_full_state_drops(self, tiny_config):
         config = replace(tiny_config, drop_late=True)
         mdp = build_worker_mdp(config)
-        from repro.core.solvers import value_iteration
-
-        stats = value_iteration(mdp)
-        # V(FULL) = gamma * V(EMPTY) exactly in drop mode.
+        stats = converged_values(config)
+        # V(FULL) = gamma * V(EMPTY) at the fixed point in drop mode.
         assert stats.values[mdp.space.FULL] == pytest.approx(
             tiny_config.discount * stats.values[mdp.space.EMPTY], abs=1e-6
         )

@@ -263,7 +263,10 @@ class TestGeneratorTracing:
         result = generate_policy(tiny_config, record_residuals=True)
         assert result.residuals is not None
         assert len(result.residuals) == result.iterations
-        assert result.residuals[-1] <= 1e-7  # converged below tolerance
+        # Bellman contraction: each sweep shrinks the sup-norm change.
+        gamma = tiny_config.discount
+        for prev, cur in zip(result.residuals, result.residuals[1:]):
+            assert cur <= gamma * prev + 1e-9
 
     def test_residuals_off_by_default(self, tiny_config):
         assert generate_policy(tiny_config).residuals is None

@@ -1,6 +1,5 @@
 """Property-based tests on model sets and Pareto pruning (§4.3.3)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

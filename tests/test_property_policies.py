@@ -5,7 +5,6 @@ structural guarantees of §4-§5 (coverage, slack feasibility, probabilistic
 bounds within [0, 1], monotone conservatism in load).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.arrivals.traces import LoadTrace
 from repro.core.generator import PolicyGenerator, generate_policy
 from repro.core.policy_set import PolicySet
 from repro.errors import CapacityError

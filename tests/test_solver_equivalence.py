@@ -49,6 +49,7 @@ from repro.profiles.models import ModelProfile, ModelSet
 from tests.conftest import make_tiny_model_set
 from tests.oracles.dense_mdp import DenseMDP
 from tests.oracles.loop_mdp import LoopWorkerMDP, generate_loop_policy
+from tests.oracles.tolerance_vi import ToleranceWorkerMDP
 
 
 def _ladder(num_models: int) -> ModelSet:
@@ -280,17 +281,23 @@ class TestStackedBank:
         for cell, policy, dist in zip(bank.cells, policies, dists):
             assert np.array_equal(dist, stationary_distribution(cell, policy))
 
-    def test_stacked_warm_start_reaches_same_fixed_point(self):
+    def test_stacked_warm_start_reaches_same_policy(self):
         base = _config()
         configs = [base.with_load(q) for q in BANK_LOADS]
-        cold = StackedBankMDP(configs).solve(tolerance=1e-7)
+        bank = StackedBankMDP(configs)
+        cold = bank.solve(tolerance=1e-7)
         initials = [cold[0].values] + [None] * (len(configs) - 1)
         warm = StackedBankMDP(configs).solve(
             tolerance=1e-7, initials=initials
         )
         assert warm[0].warm_started and not warm[1].warm_started
-        for c, w in zip(cold, warm):
-            np.testing.assert_allclose(w.values, c.values, atol=1e-6)
+        # Values stop wherever the greedy table is certified, so a warm
+        # start reaches the same policy, not the same vector.
+        assert [p.states() for p in bank.extract_policies(warm)] == [
+            p.states() for p in bank.extract_policies(cold)
+        ]
+        for c, w in zip(cold[1:], warm[1:]):
+            assert np.array_equal(w.values, c.values)
         assert warm[0].iterations <= cold[0].iterations
 
     def test_stacked_rejects_mismatched_cells(self):
@@ -470,7 +477,9 @@ class TestDenseOracle:
         config = _config(max_queue=4, max_batch_size=4, fld_resolution=6, **overrides)
         mdp = build_worker_mdp(config)
         dense = DenseMDP.from_worker_mdp(mdp)
-        vi = value_iteration(mdp, tolerance=1e-10)
+        # Both sides sweep to the tolerance rule (the dense backup reports
+        # no margin), so both values sit at the fixed point.
+        vi = value_iteration(ToleranceWorkerMDP(config), tolerance=1e-10)
         vi_dense = value_iteration(dense, tolerance=1e-10)
         np.testing.assert_allclose(vi.values, vi_dense.values, rtol=0, atol=1e-8)
 
