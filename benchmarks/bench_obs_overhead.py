@@ -7,8 +7,10 @@ uses), a live :class:`RecordingTracer`, a tracer plus a
 :class:`MetricsRegistry`, the :class:`PhaseProfiler` (full and 1/16
 sampled), a :class:`GuaranteeAuditor` (bare, and recording into a
 tracer), and a :class:`LatencyAttributor` (bare, and publishing to its
-own registry) — and reports wall time relative to the unobserved run.
-Two gates:
+own registry) — and reports wall time relative to the unobserved run:
+each variant's best of three runs over the best of three unobserved runs
+interleaved with them, so every ratio's base shares its variant's
+stretch of machine drift.  Two gates:
 
 - **Off path.**  After every attached variant has run, the unobserved
   path is re-timed against an interleaved unobserved control and gated
@@ -54,8 +56,11 @@ DURATION_MS = 20_000.0
 MIN_PAIRS = 7
 MIN_SIDE_S = 1.5
 #: Ceiling on the attached attributor's wall time relative to the
-#: unobserved run (a per-completion quantile sort puts it above 30x).
-MAX_ATTACHED_VS_OFF = 10.0
+#: interleaved unobserved runs (a per-completion quantile sort puts it
+#: above 30x).  Columnar folds read 3.1x-3.8x in eleven runs at smoke
+#: and bench scale on 2 vCPU, and 6.5x once on a busy host: the ceiling
+#: keeps a margin over that worst run.
+MAX_ATTACHED_VS_OFF = 8.0
 
 
 def _max_off_overhead() -> float:
@@ -130,18 +135,18 @@ def test_obs_overhead(benchmark):
     )
     rows = []
     series = {}
-    baseline_s = None
     reference = None
     attributed = None
     for label, make in variants:
-        best = None
+        best = off_best = None
         for _ in range(3):
+            elapsed, _ = run()
+            off_best = elapsed if off_best is None else min(off_best, elapsed)
             obs = make()
             elapsed, metrics = run(**obs)
             best = elapsed if best is None else min(best, elapsed)
         if reference is None:
             reference = metrics
-            baseline_s = best
         # Observability must never change simulation results.
         assert metrics.violation_rate == reference.violation_rate
         assert metrics.total_queries == reference.total_queries
@@ -152,13 +157,15 @@ def test_obs_overhead(benchmark):
                 attributed = snap
         series[label] = {
             "best_of_3_ms": best * 1000.0,
-            "vs_off": best / baseline_s,
+            "off_best_of_3_ms": off_best * 1000.0,
+            "vs_off": best / off_best,
         }
         rows.append(
             [
                 label,
                 f"{best * 1000.0:.1f}",
-                f"{best / baseline_s:.2f}x",
+                f"{off_best * 1000.0:.1f}",
+                f"{best / off_best:.2f}x",
                 f"{metrics.total_queries}",
             ]
         )
@@ -208,6 +215,7 @@ def test_obs_overhead(benchmark):
         [
             "off (re-measured)",
             f"{remeasured_best * 1000.0:.1f}",
+            f"{remeasured_best / off_drift * 1000.0:.1f}",
             f"{off_drift:.2f}x",
             f"{reference.total_queries}",
         ]
@@ -228,7 +236,7 @@ def test_obs_overhead(benchmark):
     emit(
         "obs_overhead",
         format_table(
-            ["variant", "best ms", "vs off", "queries"],
+            ["variant", "best ms", "off ms", "vs off", "queries"],
             rows,
             title=(
                 f"Observability overhead (RAMSIS, {LOAD_QPS:.0f} QPS, "

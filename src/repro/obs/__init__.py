@@ -65,11 +65,11 @@ from repro.obs.attribution import (
     AttributionRow,
     BurnWindow,
     LatencyAttributor,
+    Lifecycle,
     PhaseBreakdown,
     attribution_from_jsonl,
     attribution_from_table,
     attribution_from_tracer,
-    exact_phase_split,
 )
 from repro.obs.audit import (
     AuditAlert,
@@ -140,6 +140,7 @@ __all__ = [
     "GuaranteeAuditor",
     "Histogram",
     "LatencyAttributor",
+    "Lifecycle",
     "MergedRun",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -164,7 +165,6 @@ __all__ = [
     "attribution_from_tracer",
     "check_bench_history",
     "configure",
-    "exact_phase_split",
     "export_run_dir",
     "exporters",
     "folded_lines",

@@ -2,9 +2,9 @@
 
 The guarantee machinery answers *whether* P(latency <= SLO) holds; this
 module answers *why* it stopped holding.  :class:`LatencyAttributor`
-folds the per-query lifecycle the dispatch kernel reports through three
-typed hooks (``observe_decision`` per batch, ``observe_service_start`` /
-``observe_completion`` per query) into three streaming products:
+folds a source's per-query lifecycle — one decision per dispatched
+batch, one service start and one completion per query, read into
+:class:`Lifecycle` columns — into three streaming products:
 
 - **Phase tables.**  Every query's end-to-end latency is decomposed into
   *admission/queue wait* (arrival to dispatch), *batch wait* (dispatch
@@ -35,26 +35,29 @@ typed hooks (``observe_decision`` per batch, ``observe_service_start`` /
   histogram) are retained as full span-chain exemplars, capped at a
   fixed count, keeping the worst offenders inspectable after the run.
 
-Attachment points:
+One fold, :meth:`LatencyAttributor.fold`, reads :class:`Lifecycle`
+columns from either of two sources:
 
 - Kernel: ``SimulationConfig(attributor=...)`` or a serving shard's
   ``attributors=`` — the dispatch kernel's observer
   (:class:`repro.sim.kernel.LifecycleObserver`) appends one ordered
-  lifecycle capture and :meth:`~repro.sim.kernel.LifecycleObserver.replay`
-  calls the ``observe_*`` hooks from it, off the dispatch path: at the
-  end of a simulation, and on a shard's snapshot ticks and at the end of
-  its serve.  So a simulation and a sharded serve of the same arrivals
+  lifecycle capture and reads its drained entries into columns, off the
+  dispatch path: at the end of a simulation, and in a serve as a
+  shard's capture grows, on its snapshot ticks and at the end of its
+  serve.  So a simulation and a sharded serve of the same arrivals
   attribute identically, and burn-rate alerts fire when the capture is
   folded (with the events' virtual ``t_ms``, in event order).
-- Offline: :meth:`LatencyAttributor.fold` folds a columnar
-  :class:`~repro.obs.columns.EventTable` in one pass over its arg
-  columns, leaving the attributor exactly as the hooks called once per
-  record in recorded order would — e.g. the merged table of a parallel
-  sweep, whose ``(seq, worker, n)`` order equals serial cell order (the
-  parallel == serial contract).  :func:`attribution_from_tracer` and
-  :func:`attribution_from_jsonl` encode a recorded tracer or an
-  ``events.jsonl`` / ``merged.jsonl`` file as a table first and fold it
-  the same way.
+- Offline: a columnar :class:`~repro.obs.columns.EventTable`
+  (:meth:`Lifecycle.from_table`), in recorded order — e.g. the merged
+  table of a parallel sweep, whose ``(seq, worker, n)`` order equals
+  serial cell order (the parallel == serial contract).
+  :func:`attribution_from_tracer` and :func:`attribution_from_jsonl`
+  encode a recorded tracer or an ``events.jsonl`` / ``merged.jsonl``
+  file as a table first and fold it the same way.
+
+Either way the attributor ends exactly as one streaming hook call per
+lifecycle record, in recorded order, would leave it; that per-record
+form lives on as the oracle in ``tests/oracles/attribution_fold.py``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -93,7 +97,7 @@ __all__ = [
     "attribution_from_table",
     "attribution_from_tracer",
     "attribution_from_jsonl",
-    "exact_phase_split",
+    "Lifecycle",
     "render_attribution_text",
 ]
 
@@ -108,33 +112,20 @@ _SERVICE_START = "service_start"
 _COMPLETION = "completion"
 
 
-def exact_phase_split(response_ms: float, wait_ms: float) -> Tuple[float, float]:
-    """Split ``response`` into ``(wait, service)`` with an exact float sum.
+def _exact_phase_splits(
+    response_ms: np.ndarray, wait_ms: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split each ``response`` into ``(wait, service)`` with an exact
+    float sum.
 
     The naive residual ``service = response - wait`` leaves
     ``wait + service != response`` for a few percent of double pairs
     (the subtraction rounds).  Recomputing the wait as the residual of
     the residual moves it by at most one ulp and makes the pair sum back
     exactly — empirically without exception, with a bounded fixpoint
-    loop as a guard.  Deterministic in (response, wait), so every replay
-    path reproduces the same split.
+    loop as a guard.  Deterministic in (response, wait), so every fold
+    reproduces the same split.
     """
-    service = response_ms - wait_ms
-    if wait_ms + service == response_ms:
-        return wait_ms, service
-    for _ in range(4):
-        wait_ms = response_ms - service
-        service = response_ms - wait_ms
-        if wait_ms + service == response_ms:
-            break
-    return wait_ms, service
-
-
-def _exact_phase_splits(
-    response_ms: np.ndarray, wait_ms: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`exact_phase_split` over arrays, equal to it element by
-    element (each pair runs the same fixpoint steps)."""
     # Python floats overflow to inf and nan silently; so does this.
     with np.errstate(over="ignore", invalid="ignore"):
         wait = np.array(wait_ms, np.float64)
@@ -157,7 +148,7 @@ class PhaseBreakdown:
     """One query's exact latency decomposition.
 
     ``queue_wait_ms + batch_wait_ms + service_ms + drop_ms ==
-    response_ms`` holds exactly (see :func:`exact_phase_split`).
+    response_ms`` holds exactly (see :func:`_exact_phase_splits`).
     """
 
     query_id: int
@@ -171,14 +162,6 @@ class PhaseBreakdown:
     satisfied: bool
     dropped: bool
     t_ms: float = 0.0
-
-    @property
-    def phase_sum_ms(self) -> float:
-        """Left-to-right sum of the four phases (== ``response_ms``)."""
-        return (
-            self.queue_wait_ms + self.batch_wait_ms + self.service_ms
-            + self.drop_ms
-        )
 
 
 @dataclass
@@ -200,22 +183,6 @@ class AttributionRow:
     #: Served-but-late excess beyond the SLO (informational; not part of
     #: the exact phase partition).  Zero when the SLO is unknown.
     violation_excess_ms: float = 0.0
-
-    def add(self, phases: PhaseBreakdown, excess_ms: float) -> None:
-        """Fold one query's breakdown into the row."""
-        self.queries += 1
-        if phases.satisfied:
-            self.satisfied += 1
-        else:
-            self.violations += 1
-        if phases.dropped:
-            self.dropped += 1
-        self.queue_wait_ms += phases.queue_wait_ms
-        self.batch_wait_ms += phases.batch_wait_ms
-        self.service_ms += phases.service_ms
-        self.drop_ms += phases.drop_ms
-        self.response_ms += phases.response_ms
-        self.violation_excess_ms += excess_ms
 
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-ready row (blame fields are attached by the attributor)."""
@@ -267,55 +234,35 @@ class BurnWindow:
         """Violation fraction over the covered completions."""
         return self.violations / self._filled if self._filled else 0.0
 
-    def push(self, violation: bool) -> None:
-        """Fold one completion outcome into the ring."""
-        if self._filled == self.size:
-            if self._ring[self._head]:
-                self.violations -= 1
-        else:
-            self._filled += 1
-        self._ring[self._head] = violation
-        if violation:
-            self.violations += 1
-        self._head += 1
-        if self._head == self.size:
-            self._head = 0
-
-    def check_alert(self, burn: float, threshold: float) -> bool:
-        """Hysteresis: fire once per excursion above ``threshold``."""
-        if not self.full:
-            return False
-        if burn > threshold:
-            if self._armed:
-                self._armed = False
-                self.alerts += 1
-                return True
-            return False
-        self._armed = True
-        return False
-
     def push_many(self, violations: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold outcomes in order, exactly as one :meth:`push` each.
+        """Fold outcomes in order, one push of the ring each.
 
         Returns the window's violation count and covered count after
-        each push, read off one cumulative sum over the ring's contents
-        (oldest first) followed by ``violations``.
+        each push: the count before, plus the new outcomes so far, minus
+        those the pushes evicted — the oldest held outcomes, then the
+        earliest new ones.  Reads only the held outcomes it evicts, so a
+        small fold costs little whatever the window size.
         """
         new = np.asarray(violations, np.bool_)
-        size = self.size
-        ring = np.array(self._ring, np.bool_)
-        held = np.roll(ring, -self._head) if self.full else ring[: self._filled]
-        history = np.concatenate([held, new])
-        sums = np.concatenate([[0], np.cumsum(history, dtype=np.int64)])
-        end = np.arange(len(held) + 1, len(history) + 1)
-        covered = np.minimum(end, size)
-        counts = sums[end] - sums[end - covered]
-        if new.size:
-            kept = min(new.size, size)
-            slots = (self._head + np.arange(new.size - kept, new.size)) % size
-            ring[slots] = new[new.size - kept:]
-            self._ring = ring.tolist()
-            self._head = (self._head + new.size) % size
+        n, size, filled = new.size, self.size, self._filled
+        first = max(size - filled, 0)  # the first push that evicts
+        evicting = max(n - first, 0)
+        oldest = self._head if filled == size else 0
+        ring = self._ring
+        held = np.array(
+            [ring[(oldest + i) % size] for i in range(min(evicting, filled))],
+            np.bool_,
+        )
+        evicted = np.zeros(n, np.int64)
+        evicted[first:] = np.concatenate([held, new])[:evicting]
+        counts = self.violations + np.cumsum(new, dtype=np.int64) - np.cumsum(evicted)
+        covered = np.minimum(np.arange(filled + 1, filled + n + 1), size)
+        if n:
+            kept = min(n, size)
+            slots = (self._head + np.arange(n - kept, n)) % size
+            for slot, value in zip(slots.tolist(), new[n - kept:].tolist()):
+                ring[slot] = value
+            self._head = (self._head + n) % size
             self._filled = int(covered[-1])
             self.violations = int(counts[-1])
         return counts, covered
@@ -323,9 +270,10 @@ class BurnWindow:
     def check_alerts(
         self, burns: np.ndarray, covered: np.ndarray, threshold: float
     ) -> np.ndarray:
-        """Positions where :meth:`check_alert` fires, called once per push
-        with ``burns`` and the ``covered`` counts :meth:`push_many`
-        returned: the rising edges above ``threshold`` once full."""
+        """Positions where the alert fires, given each push's ``burns``
+        and the ``covered`` counts :meth:`push_many` returned: the rising
+        edges above ``threshold`` once full (hysteresis: once per
+        excursion above ``threshold``)."""
         full = np.flatnonzero(covered == self.size)
         above = burns[full] > threshold
         before = np.concatenate([[not self._armed], above])[:-1]
@@ -334,6 +282,143 @@ class BurnWindow:
             self._armed = not above[-1]
             self.alerts += int(fired.size)
         return fired
+
+
+@dataclass
+class Lifecycle:
+    """One source's lifecycle records as the columns the fold reads.
+
+    Decisions (one per dispatched batch) are in recorded order, and so
+    are the query events: service starts and completions interleaved as
+    ``is_start`` marks them, each kind's columns in that order.
+    ``names[code]`` is the model behind every ``*_model`` code.  An event
+    table is read by :meth:`from_table`; a kernel capture by
+    :meth:`repro.sim.kernel.LifecycleObserver.columns`.
+    """
+
+    names: List[str]
+    #: Decisions: global worker, model code, batch size, execution ms.
+    d_worker: np.ndarray
+    d_model: np.ndarray
+    d_batch: np.ndarray
+    d_exec_ms: np.ndarray
+    #: Query events recorded before each decision: places the two
+    #: streams in one order for :meth:`replay`.
+    d_at: np.ndarray
+    #: One flag per query event: a service start (else a completion).
+    is_start: np.ndarray
+    #: Service starts: query, worker, model code, batch size, queue wait.
+    s_query: np.ndarray
+    s_worker: np.ndarray
+    s_model: np.ndarray
+    s_batch: np.ndarray
+    s_wait_ms: np.ndarray
+    #: Completions (drops and rejections included): query, worker, model
+    #: code, response, satisfied, dropped and the completion instant.
+    e_query: np.ndarray
+    e_worker: np.ndarray
+    e_model: np.ndarray
+    e_response_ms: np.ndarray
+    e_satisfied: np.ndarray
+    e_dropped: np.ndarray
+    e_t_ms: np.ndarray
+
+    @classmethod
+    def from_table(cls, table: EventTable) -> "Lifecycle":
+        """An event table's lifecycle records, in row order: ``serve``
+        spans with args, ``completion`` instants with a ``query`` and
+        ``service_start`` instants with a ``query`` and a ``wait_ms``.
+        Other records (older or foreign schemas) are skipped; a missing
+        worker is read off a ``worker-<i>`` track, missing fields take
+        the defaults the JSONL schema implies."""
+        codes = table.columns["track"]
+        workers = np.full(len(table.strings), -1, np.int64)
+        for code in np.unique(codes).tolist():
+            workers[code] = _worker_from_track(table.strings[code])
+        track_worker = workers[codes]
+
+        serves = table.rows(SPAN, _SERVE)
+        serves = serves[table.has_args()[serves]]
+        query = table.present("query")
+        starts = np.zeros(len(table), np.bool_)
+        starts[table.rows(INSTANT, _SERVICE_START)] = True
+        starts &= query & table.present("wait_ms")
+        ends = np.zeros(len(table), np.bool_)
+        ends[table.rows(INSTANT, _COMPLETION)] = True
+        ends &= query
+        rows = np.flatnonzero(starts | ends)
+        is_start = starts[rows]
+        s_rows, e_rows = rows[is_start], rows[~is_start]
+
+        # One code space for both streams' model strings.
+        models, names = table.arg_strings("model", rows)
+        index = {name: i for i, name in enumerate(names)}
+        d_codes, d_names = table.arg_strings("model", serves)
+        for name in d_names:
+            if name not in index:
+                index[name] = len(names)
+                names.append(name)
+        d_model = np.array([index[n] for n in d_names], np.int64)[d_codes]
+        return cls(
+            names=names,
+            d_worker=table.arg_array("worker", serves, int, track_worker[serves]),
+            d_model=d_model,
+            d_batch=table.arg_array("batch", serves, int, 1),
+            d_exec_ms=table.columns["dur_ms"][serves],
+            d_at=np.searchsorted(rows, serves),
+            is_start=is_start,
+            s_query=table.arg_array("query", s_rows, int, 0),
+            s_worker=track_worker[s_rows],
+            s_model=models[is_start],
+            s_batch=table.arg_array("batch", s_rows, int, 1),
+            s_wait_ms=table.arg_array("wait_ms", s_rows, float, 0.0),
+            e_query=table.arg_array("query", e_rows, int, 0),
+            e_worker=table.arg_array("worker", e_rows, int, track_worker[e_rows]),
+            e_model=models[~is_start],
+            e_response_ms=table.arg_array("response_ms", e_rows, float, 0.0),
+            e_satisfied=table.arg_array("satisfied", e_rows, bool, False),
+            e_dropped=table.arg_array("dropped", e_rows, bool, False),
+            e_t_ms=table.columns["ts_ms"][e_rows],
+        )
+
+    def replay(self, tap: Any) -> None:
+        """Call a hook-shaped tap once per record, in recorded order:
+        ``observe_decision(worker, model, batch, exec_ms)`` per decision,
+        ``observe_service_start(query, worker, model, batch, wait_ms)``
+        and ``observe_completion(query, worker, model, response_ms,
+        satisfied, t_ms=..., dropped=True)`` (``dropped`` only on drops)
+        per query event.  What attaches a tap that is not a
+        :class:`LatencyAttributor` (which folds the columns instead)."""
+        names = self.names
+
+        def rows(*columns: np.ndarray) -> Iterator[tuple]:
+            return zip(*(column.tolist() for column in columns))
+
+        decisions = rows(self.d_worker, self.d_model, self.d_batch, self.d_exec_ms)
+        starts = rows(
+            self.s_query, self.s_worker, self.s_model, self.s_batch, self.s_wait_ms
+        )
+        ends = rows(
+            self.e_query, self.e_worker, self.e_model, self.e_response_ms,
+            self.e_satisfied, self.e_t_ms, self.e_dropped,
+        )
+        flags = self.is_start.tolist()
+        # Decision i sorts just before query event d_at[i].
+        keys = np.concatenate([2 * self.d_at, 2 * np.arange(len(flags)) + 1])
+        held = self.d_at.size
+        for i in np.argsort(keys, kind="stable").tolist():
+            if i < held:
+                worker, model, batch, exec_ms = next(decisions)
+                tap.observe_decision(worker, names[model], batch, exec_ms)
+            elif flags[i - held]:
+                query, worker, model, batch, wait_ms = next(starts)
+                tap.observe_service_start(query, worker, names[model], batch, wait_ms)
+            else:
+                query, worker, model, response, satisfied, t, dropped = next(ends)
+                extra = {"dropped": True} if dropped else {}
+                tap.observe_completion(
+                    query, worker, names[model], response, satisfied, t_ms=t, **extra
+                )
 
 
 class LatencyAttributor:
@@ -347,7 +432,7 @@ class LatencyAttributor:
     divided by it.  ``alert_sink`` callables receive each
     :class:`~repro.obs.audit.AuditAlert` — pass an existing
     :meth:`GuaranteeAuditor.emit_alert <repro.obs.audit.GuaranteeAuditor>`
-    to feed the auditor's alert stream.  Thread-safe: hooks and readers
+    to feed the auditor's alert stream.  Thread-safe: folds and readers
     serialize on one lock, so its tables can be read while it folds.
     """
 
@@ -444,121 +529,8 @@ class LatencyAttributor:
             sink(alert)
 
     # ------------------------------------------------------------------
-    # Kernel hooks
+    # Burn-rate alerts
     # ------------------------------------------------------------------
-    def observe_decision(
-        self, worker: int, model: str, batch: int, exec_ms: float
-    ) -> None:
-        """Fold one serve decision (one batch dispatched)."""
-        with self._lock:
-            cell = self._decisions.get((worker, model, batch))
-            if cell is None:
-                self._decisions[(worker, model, batch)] = [1.0, exec_ms]
-            else:
-                cell[0] += 1.0
-                cell[1] += exec_ms
-
-    def observe_service_start(
-        self, query_id: int, worker: int, model: str, batch: int, wait_ms: float
-    ) -> None:
-        """Record a query's dispatch: its queue wait is now known."""
-        with self._lock:
-            self._pending[(worker, query_id)] = (wait_ms, model, batch)
-
-    def observe_completion(
-        self,
-        query_id: int,
-        worker: int,
-        model: str,
-        response_ms: float,
-        satisfied: bool,
-        t_ms: float = 0.0,
-        dropped: bool = False,
-    ) -> None:
-        """Fold one completed (or dropped) query into every aggregate."""
-        with self._lock:
-            pending = self._pending.pop((worker, query_id), None)
-            if dropped:
-                model = model or DROPPED_MODEL
-                queue_wait = batch_wait = service = 0.0
-                drop = response_ms
-                batch = 0
-            else:
-                batch_wait = drop = 0.0
-                if pending is not None:
-                    wait_ms, p_model, batch = pending
-                    if not model:
-                        model = p_model
-                    queue_wait, service = exact_phase_split(
-                        response_ms, wait_ms
-                    )
-                else:
-                    # No service_start seen (schema gap or truncated
-                    # shard): the whole latency counts as service.
-                    queue_wait = 0.0
-                    service = response_ms
-                    batch = 0
-            phases = PhaseBreakdown(
-                query_id=query_id,
-                worker=worker,
-                model=model,
-                queue_wait_ms=queue_wait,
-                batch_wait_ms=batch_wait,
-                service_ms=service,
-                drop_ms=drop,
-                response_ms=response_ms,
-                satisfied=satisfied,
-                dropped=dropped,
-                t_ms=t_ms,
-            )
-            excess = 0.0
-            if not satisfied and self.slo_ms is not None:
-                excess = max(0.0, response_ms - self.slo_ms)
-            key = (model, worker)
-            row = self._rows.get(key)
-            if row is None:
-                row = self._rows[key] = AttributionRow(
-                    slo=self._slo_label(), model=model, worker=worker
-                )
-            row.add(phases, excess)
-            if self._record_queries:
-                self.breakdowns.append(phases)
-
-            self._seq += 1
-            self._observe_burn(satisfied, t_ms)
-            self._observe_exemplar(phases, batch)
-
-            if self._m_queries is not None:
-                self._m_queries.inc()
-                if dropped:
-                    self._m_drops.inc()
-                else:
-                    self._m_queue_wait.observe(queue_wait)
-                    self._m_service.observe(service)
-
-    # ------------------------------------------------------------------
-    # Burn rate
-    # ------------------------------------------------------------------
-    def _observe_burn(self, satisfied: bool, t_ms: float) -> None:
-        violation = not satisfied
-        for window in self._windows:
-            window.push(violation)
-            burn = self._burn(window)
-            gauge = self._m_burn.get(window.size)
-            if gauge is not None:
-                gauge.set(burn, t_ms=t_ms)
-            if window.check_alert(burn, self._burn_threshold):
-                counter = self._m_burn_alerts.get(window.size)
-                if counter is not None:
-                    counter.inc()
-                self._alert(
-                    self._burn_alert(window.size, burn, window.violations, t_ms)
-                )
-
-    def _burn(self, window: BurnWindow) -> float:
-        rate = window.rate
-        return rate / self._budget if self._budget else rate
-
     def _burn_alert(
         self, size: int, burn: float, violations: int, t_ms: float
     ) -> AuditAlert:
@@ -568,26 +540,6 @@ class LatencyAttributor:
             + (f", budget {self._budget:.4f})" if self._budget is not None else ")")
         )
         return AuditAlert("slo-burn-rate", t_ms, detail)
-
-    # ------------------------------------------------------------------
-    # Exemplars
-    # ------------------------------------------------------------------
-    def _observe_exemplar(self, phases: PhaseBreakdown, batch: int) -> None:
-        hist = self._response_hist
-        threshold = None
-        if hist.count >= self._exemplar_warmup:
-            threshold = hist.quantile(self._exemplar_quantile)
-        hist.observe(phases.response_ms)
-        if threshold is None or phases.response_ms < threshold:
-            return
-        if self._exemplar_capacity < 1:
-            return
-        chain = _exemplar_chain(phases, batch, threshold)
-        entry = (phases.response_ms, self._seq, chain)
-        if len(self._exemplars) < self._exemplar_capacity:
-            heapq.heappush(self._exemplars, entry)
-        elif entry[:2] > self._exemplars[0][:2]:
-            heapq.heapreplace(self._exemplars, entry)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -701,7 +653,7 @@ class LatencyAttributor:
                             "count": w.count,
                             "violations": w.violations,
                             "rate": w.rate,
-                            "burn": self._burn(w),
+                            "burn": w.rate / self._budget if self._budget else w.rate,
                             "alerts": w.alerts,
                         }
                         for w in self._windows
@@ -725,59 +677,55 @@ class LatencyAttributor:
         return render_attribution_text(self.to_json_dict(), limit=limit)
 
     # ------------------------------------------------------------------
-    # Offline fold
+    # The fold
     # ------------------------------------------------------------------
-    def fold(self, table: EventTable) -> "LatencyAttributor":
-        """Fold a recorded event table, in its recorded order, in columns.
+    def fold(self, source: Union["Lifecycle", EventTable]) -> "LatencyAttributor":
+        """Fold a source's lifecycle records, in recorded order, in columns.
 
-        From any prior state this leaves every table, burn ring, reservoir,
-        exemplar, registry series and alert exactly as the ``observe_*``
-        hooks called once per lifecycle record in row order would (for
-        finite latencies): ``serve`` spans feed only the decision table
-        and instants only the phase / burn / exemplar state, so the hooks'
-        result does not depend on how the two streams interleave.  Records
-        without the lifecycle keys (older or foreign schemas) are skipped.
+        ``source`` is :class:`Lifecycle` columns — a drained kernel
+        capture (:meth:`repro.sim.kernel.LifecycleObserver.columns`) — or
+        an event table, read with :meth:`Lifecycle.from_table`.  From any
+        prior state this leaves every table, burn ring, reservoir,
+        exemplar, registry series and alert exactly as one streaming hook
+        call per lifecycle record in recorded order would (for finite
+        latencies): decisions feed only the decision table and query
+        events only the phase / burn / exemplar state, so the result does
+        not depend on how the two streams interleave.
 
         Decisions group by (worker, model, batch) in first-seen order; one
         stable sort on (worker, query) pairs each completion with its
-        service start; phase sums add in row order per (model, worker)
-        row; burn windows are read off a violation cumulative sum; and the
+        service start (a start left unpaired stays pending for the next
+        fold); phase sums add in recorded order per (model, worker) row;
+        burn windows are read off a violation cumulative sum; and the
         exemplars are the top ``exemplar_capacity`` candidates by
         (response, completion number).  Only the tail threshold steps per
         completion, because the reservoir it reads draws from its RNG
         (:meth:`~repro.obs.metrics.Histogram.observe_quantiles`).
         """
-        codes = table.columns["track"]
-        workers = np.full(len(table.strings), -1, np.int64)
-        for code in np.unique(codes).tolist():
-            workers[code] = _worker_from_track(table.strings[code])
-        track_worker = workers[codes]
+        if isinstance(source, EventTable):
+            source = Lifecycle.from_table(source)
         with self._lock:
-            self._fold_decisions(table, track_worker)
-            self._fold_queries(table, track_worker)
+            self._fold_decisions(source)
+            self._fold_queries(source)
         return self
 
-    def _fold_decisions(self, table: EventTable, track_worker: np.ndarray) -> None:
-        """Bulk :meth:`observe_decision` over the table's ``serve`` spans."""
-        rows = table.rows(SPAN, _SERVE)
-        rows = rows[table.has_args()[rows]]
-        if not rows.size:
+    def _fold_decisions(self, lc: "Lifecycle") -> None:
+        """The decisions into the per-(worker, model, batch) table."""
+        if not lc.d_worker.size:
             return
-        workers = table.arg_array("worker", rows, int, track_worker[rows])
-        models, names = table.arg_strings("model", rows)
-        batches = table.arg_array("batch", rows, int, 1)
-        exec_ms = table.columns["dur_ms"][rows]
+        workers, models, batches = lc.d_worker, lc.d_model, lc.d_batch
+        exec_ms = lc.d_exec_ms
         firsts, group = _first_seen_groups(workers, models, batches)
         # A new cell starts at its first duration (not 0.0 + it), so
         # that row joins the cell instead of the row-order sums.
-        summed = np.ones(rows.size, np.bool_)
+        summed = np.ones(workers.size, np.bool_)
         sums = np.empty(firsts.size)
         cells = []
         for g, (first, worker, model, batch) in enumerate(zip(
             firsts.tolist(), workers[firsts].tolist(),
             models[firsts].tolist(), batches[firsts].tolist(),
         )):
-            key = (worker, names[model], batch)
+            key = (worker, lc.names[model], batch)
             cell = self._decisions.get(key)
             if cell is None:
                 cell = self._decisions[key] = [0.0, float(exec_ms[first])]
@@ -790,22 +738,13 @@ class LatencyAttributor:
             cell[0] += count
             cell[1] = total
 
-    def _fold_queries(self, table: EventTable, track_worker: np.ndarray) -> None:
-        """Bulk :meth:`observe_service_start` / :meth:`observe_completion`
-        over the table's lifecycle instants."""
-        query = table.present("query")
-        starts = np.zeros(len(table), np.bool_)
-        starts[table.rows(INSTANT, _SERVICE_START)] = True
-        starts &= query & table.present("wait_ms")
-        ends = np.zeros(len(table), np.bool_)
-        ends[table.rows(INSTANT, _COMPLETION)] = True
-        ends &= query
-        rows = np.flatnonzero(starts | ends)
-        if not rows.size:
+    def _fold_queries(self, lc: "Lifecycle") -> None:
+        """The service starts and completions into the phase rows, the
+        burn windows, the exemplars and the registry series."""
+        is_start = lc.is_start
+        if not is_start.size:
             return
-        is_start = starts[rows]
-        s_rows, e_rows = rows[is_start], rows[~is_start]
-        models, names = table.arg_strings("model", rows)
+        names = list(lc.names)
         index = {name: i for i, name in enumerate(names)}
 
         def code(name: str) -> int:
@@ -815,26 +754,20 @@ class LatencyAttributor:
                 names.append(name)
             return found
 
-        s_query = table.arg_array("query", s_rows, int, 0)
-        s_worker = track_worker[s_rows]
-        s_model = models[is_start]
-        s_batch = table.arg_array("batch", s_rows, int, 1)
-        s_wait = table.arg_array("wait_ms", s_rows, float, 0.0)
-        e_query = table.arg_array("query", e_rows, int, 0)
-        e_worker = table.arg_array("worker", e_rows, int, track_worker[e_rows])
-        e_model = models[~is_start]
-        response = table.arg_array("response_ms", e_rows, float, 0.0)
-        satisfied = table.arg_array("satisfied", e_rows, bool, False)
-        dropped = table.arg_array("dropped", e_rows, bool, False)
-        t_ms = table.columns["ts_ms"][e_rows]
+        s_query, s_worker, s_model = lc.s_query, lc.s_worker, lc.s_model
+        s_batch, s_wait = lc.s_batch, lc.s_wait_ms
+        e_query, e_worker, e_model = lc.e_query, lc.e_worker, lc.e_model
+        response, satisfied = lc.e_response_ms, lc.e_satisfied
+        dropped, t_ms = lc.e_dropped, lc.e_t_ms
+        ends = e_query.size
 
         # Pairing: in a stable sort on (worker, query), a completion's
         # pending start is the event just before it under the same key,
         # if that event is a start; a key's first event, if a
         # completion, takes what was pending before this fold.
-        key_worker = np.empty(rows.size, np.int64)
+        key_worker = np.empty(is_start.size, np.int64)
         key_worker[is_start], key_worker[~is_start] = s_worker, e_worker
-        key_query = np.empty(rows.size, np.int64)
+        key_query = np.empty(is_start.size, np.int64)
         key_query[is_start], key_query[~is_start] = s_query, e_query
         order = np.lexsort((key_query, key_worker))
         sorted_start = is_start[order]
@@ -843,13 +776,13 @@ class LatencyAttributor:
         )
         position = np.cumsum(is_start) - 1  # index among starts
         e_position = np.cumsum(~is_start) - 1  # index among completions
-        pair = np.full(e_rows.size, -1, np.int64)
+        pair = np.full(ends, -1, np.int64)
         after = np.flatnonzero(~sorted_start[1:] & same & sorted_start[:-1]) + 1
         pair[e_position[order[after]]] = position[order[after - 1]]
         paired = pair >= 0
-        p_wait = np.zeros(e_rows.size)
-        p_model = np.zeros(e_rows.size, np.int64)
-        p_batch = np.zeros(e_rows.size, np.int64)
+        p_wait = np.zeros(ends)
+        p_model = np.zeros(ends, np.int64)
+        p_batch = np.zeros(ends, np.int64)
         p_wait[paired] = s_wait[pair[paired]]
         p_model[paired] = s_model[pair[paired]]
         p_batch[paired] = s_batch[pair[paired]]
@@ -863,8 +796,11 @@ class LatencyAttributor:
                     p_wait[i], model, p_batch[i] = found
                     p_model[i] = code(model)
                     paired[i] = True
-            for i in e_position[order[closes & ~sorted_start]].tolist():
-                pending.pop((e_worker[i].item(), e_query[i].item()), None)
+            # A key this fold touches is pending after it only if its
+            # last event is a start (re-entered below).
+            touched = set(zip(key_worker.tolist(), key_query.tolist()))
+            for key in [key for key in pending if key in touched]:
+                del pending[key]
         for i in position[order[closes & sorted_start]].tolist():
             pending[(s_worker[i].item(), s_query[i].item())] = (
                 s_wait[i].item(), names[s_model[i]], s_batch[i].item()
@@ -877,14 +813,14 @@ class LatencyAttributor:
         model[dropped & blank] = code(DROPPED_MODEL)
         model[paired & blank] = p_model[paired & blank]
         batch = np.where(paired, p_batch, 0)
-        queue = np.zeros(e_rows.size)
+        queue = np.zeros(ends)
         service = np.where(served, response, 0.0)
         queue[paired], service[paired] = _exact_phase_splits(
             response[paired], p_wait[paired]
         )
         drop = np.where(dropped, response, 0.0)
-        batch_wait = np.zeros(e_rows.size)
-        excess = np.zeros(e_rows.size)
+        batch_wait = np.zeros(ends)
+        excess = np.zeros(ends)
         if self.slo_ms is not None:
             late = response - self.slo_ms
             excess[~satisfied & (late > 0.0)] = late[~satisfied & (late > 0.0)]
@@ -930,20 +866,21 @@ class LatencyAttributor:
         )
         if self._record_queries:
             self.breakdowns.extend(map(PhaseBreakdown, *columns))
-        seq = self._seq + 1 + np.arange(e_rows.size)
-        self._seq += e_rows.size
+        seq = self._seq + 1 + np.arange(ends)
+        self._seq += ends
         self._fold_burn(~satisfied, times)
         self._fold_exemplars(response, latencies, seq, batch.tolist(), columns)
 
         if self._m_queries is not None:
-            self._m_queries.inc(e_rows.size)
+            self._m_queries.inc(ends)
             self._m_drops.inc(int(dropped.sum()))
             self._m_queue_wait.observe_many(queue[served].tolist())
             self._m_service.observe_many(service[served].tolist())
 
     def _fold_burn(self, violations: np.ndarray, t_ms: List[float]) -> None:
-        """Bulk :meth:`_observe_burn`: every window's rates, gauge series
-        and alerts, the alerts emitted in completion then window order."""
+        """Every window's rates, gauge series and alerts over the
+        completions' ``violations``, the alerts emitted in completion then
+        window order."""
         alerts = []
         for w, window in enumerate(self._windows):
             counts, covered = window.push_many(violations)
@@ -972,8 +909,9 @@ class LatencyAttributor:
         batch: List[int],
         columns: Tuple[List[Any], ...],
     ) -> None:
-        """Bulk :meth:`_observe_exemplar`: the tail thresholds, then the
-        top ``exemplar_capacity`` of the held and new candidates by
+        """The completions' tail thresholds (each read before its own
+        response joins the reservoir), then the top ``exemplar_capacity``
+        of the held and new candidates (at or above their threshold) by
         (response, seq) — what the bounded heap keeps, whatever order the
         candidates arrive in."""
         thresholds = self._response_hist.observe_quantiles(

@@ -43,7 +43,7 @@ milliseconds:
   event schema, and each shard publishes periodic
   atomic metrics/attribution snapshots, folded between dispatches by
   the serve loop from the shard's lifecycle capture (the one source of every
-  attributor's hooks) — so ``ramsis top``, ``ramsis
+  attributor's records) — so ``ramsis top``, ``ramsis
   report`` and ``ramsis explain`` work unchanged against a sharded run.
   All of a shard's taps sit in one kernel observer: an unobserved run
   builds no per-query object or argument dict.
@@ -87,6 +87,11 @@ __all__ = [
 _INF = float("inf")
 #: Global arrivals one step of an unpaced serve advances.
 _SLICE = 4096
+#: Capture entries that make the serve loop fold a shard's capture
+#: between ticks: few enough that a paced fold stays a stall of about a
+#: millisecond (a columnar fold's fixed cost is about half that); an
+#: unpaced step appends far more, so unpaced serves fold every step.
+_FOLD = 32
 
 
 @dataclass(frozen=True)
@@ -296,26 +301,29 @@ class ShardedController:
         :class:`~repro.obs.attribution.LatencyAttributor` per shard, as a
         simulation's ``SimulationConfig.auditor`` / ``attributor`` slots
         do: the shard's kernel calls an auditor's ``observe_*`` hooks live
-        (virtual timestamps, in virtual-time order), and an attributor's
-        hooks are replayed, in the same order, from the shard's ordered
-        lifecycle capture.  A caller's attributor has folded every query
-        when the serve returns.
+        (virtual timestamps, in virtual-time order), and an attributor
+        gets the shard's ordered lifecycle capture, off the dispatch
+        path — a ``LatencyAttributor`` folds it in columns, any other
+        hook-shaped tap has its ``observe_*`` hooks called in event
+        order.  A caller's attributor has folded every query when the
+        serve returns.
 
         The serve loop folds each observed shard's capture into the
-        shard's registry and attributor between its steps (each slice of
-        arrivals unpaced, each wake-up paced), so a capture holds no more
-        than one step of the serve.  With a ``run_dir``, a shard without
-        a caller's attributor gets a fresh one as its view, and the loop
-        takes a snapshot tick every ``snapshot_interval_s`` of wall time
-        that folds and publishes ``metrics-<pid>.json`` /
-        ``attribution-<pid>.json`` (``pid = G + shard``); an unpaced
-        run-dir serve folds only on these ticks, so a serve shorter than
-        one interval never pays for its view.  A view's
-        snapshot lags the serve by at most one interval and is not
-        rewritten when the serve ends (the run's attribution is the
-        merged ``attribution.json``): the end of the serve folds the rest
-        of the capture into the registry and a caller's attributor only,
-        then publishes once more.
+        shard's registry and attributor between its steps once the
+        capture holds :data:`_FOLD` entries (every slice of arrivals
+        unpaced), so a capture holds no more than one step of the serve.
+        With a ``run_dir``, a shard without a caller's attributor gets a
+        fresh one as its view, and the loop takes a snapshot tick of each
+        shard every ``snapshot_interval_s`` of wall time (the shards'
+        ticks spread over the interval) that folds and publishes its
+        ``metrics-<pid>.json`` / ``attribution-<pid>.json`` (``pid = G +
+        shard``); an unpaced run-dir serve folds nothing before its first
+        tick, so a serve shorter than one interval never pays for its
+        view.  A view's snapshot lags the serve by at most one interval
+        and is not rewritten when the serve ends (the run's attribution
+        is the merged ``attribution.json``): the end of the serve folds
+        the rest of the capture into the registry and a caller's
+        attributor only, then publishes once more.
         """
         start_wall = time.monotonic()
         num_shards = self._num_shards
@@ -404,7 +412,8 @@ class ShardedController:
                 # Only a caller's attributor is owed the rest: a view's
                 # run-wide fold is the merged attribution.json.
                 observer.attributor = None
-        self._fold_captures(run_path)
+        for s in range(num_shards):
+            self._fold_capture(s, run_path)
 
         metrics = fold_kernels(kernels)
         rejected = sum(kernel.rejected for kernel in kernels)
@@ -447,18 +456,21 @@ class ShardedController:
         not depend on how ``advance`` is split, so neither the pacing mode
         nor the folds change what is served.
 
-        Between steps, while events remain, the loop folds every observed
-        shard's capture (:meth:`_fold_captures`): with a run dir, a tick
-        folds and publishes once ``snapshot_interval_s`` of wall time has
-        passed since the last; every other step folds too, in small
-        increments, except in an unpaced run-dir serve, where only ticks
-        fold, so a serve shorter than one interval never pays for its view.
+        Between steps, while events remain, the loop folds the observed
+        shards' captures (:meth:`_fold_capture`): with a run dir, each
+        shard's tick folds its capture and publishes once
+        ``snapshot_interval_s`` of wall time has passed since its last;
+        the shards' ticks are spread over the interval, so one tick's
+        fold and publish stall the loop for one shard, not all of them.
+        Any other step folds only the captures holding at least
+        :data:`_FOLD` entries — every step unpaced, where a step appends
+        far more — so a capture never holds more than one step.  An
+        unpaced run-dir serve folds nothing before its first tick: its
+        views are read only on ticks, so a serve shorter than one
+        interval never pays for them.
         """
         ticking = run_path is not None
-        eager = (self._paced or not ticking) and any(
-            observer is not None and observer.attributor is not None
-            for observer in self._observers
-        )
+        folding = self._paced or not ticking
         interval = self._snapshot_interval_s
         clock = None
         if self._paced:
@@ -467,20 +479,27 @@ class ShardedController:
                 kernel.clock = clock
         # Unpaced slice ends: every _SLICE-th arrival, then the rest.
         bounds = iter(arrivals[_SLICE - 1 : -1 : _SLICE].tolist())
-        next_tick = time.monotonic() + interval
+        start = time.monotonic()
+        ticks = [start + interval * (1 + s / len(kernels)) for s in range(len(kernels))]
         while True:
             next_ms = min(kernel.next_ms() for kernel in kernels)
             if next_ms == _INF:
                 return
-            if ticking and time.monotonic() >= next_tick:
-                self._fold_captures(run_path)
-                next_tick = time.monotonic() + interval
-            elif eager:
-                self._fold_captures()
+            now = time.monotonic()
+            due = [s for s, tick in enumerate(ticks) if ticking and now >= tick]
+            for s in due:
+                self._fold_capture(s, run_path)
+                ticks[s] = time.monotonic() + interval
+            if due:
+                folding = True
+            elif folding:
+                for s, observer in enumerate(self._observers):
+                    if observer is not None and len(observer.capture or ()) >= _FOLD:
+                        self._fold_capture(s)
             if clock is None:
                 until_ms = next(bounds, _INF)
             else:
-                tick_s = next_tick - time.monotonic()
+                tick_s = min(ticks) - time.monotonic()
                 if ticking and tick_s < clock.wall_s_until(next_ms):
                     time.sleep(max(tick_s, 0.0))
                     continue
@@ -489,20 +508,20 @@ class ShardedController:
             for kernel in kernels:
                 kernel.advance(until_ms)
 
-    def _fold_captures(self, run_path=None) -> None:
-        """Fold every observed shard's drained capture into its registry
-        and attributor; with a run dir, publish its ``metrics-<pid>.json``
-        and ``attribution-<pid>.json`` (``pid = G + shard``)."""
+    def _fold_capture(self, s: int, run_path=None) -> None:
+        """Fold shard ``s``'s drained capture into its registry and
+        attributor; with a run dir, publish its ``metrics-<pid>.json``
+        and ``attribution-<pid>.json`` (``pid = G + s``)."""
         from repro.obs.aggregate import write_live_snapshot
 
-        for s, observer in enumerate(self._observers):
-            if observer is None:
-                continue
-            observer.fold(observer.drain())
-            if run_path is not None:
-                write_live_snapshot(
-                    run_path,
-                    registry=observer.registry,
-                    attributor=observer.attributor,
-                    pid=self._total_workers + s,
-                )
+        observer = self._observers[s]
+        if observer is None:
+            return
+        observer.fold(observer.drain())
+        if run_path is not None:
+            write_live_snapshot(
+                run_path,
+                registry=observer.registry,
+                attributor=observer.attributor,
+                pid=self._total_workers + s,
+            )

@@ -36,8 +36,9 @@ unobserved run makes no observer call and builds no argument dict.
 from __future__ import annotations
 
 import heapq
-import threading
 from collections import Counter, deque
+from itertools import chain, repeat
+from operator import getitem, itemgetter
 from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +46,7 @@ import numpy as np
 from repro.arrivals.traces import LoadTrace
 from repro.balancers import LoadBalancer, RoundRobinBalancer
 from repro.errors import SimulationError
+from repro.obs.attribution import LatencyAttributor, Lifecycle
 from repro.obs.metrics import MetricsRegistry
 from repro.profiles.models import ModelSet
 from repro.selectors.base import ModelSelector
@@ -102,6 +104,8 @@ _REJECTED_KEYS = _DROPPED_KEYS + ("rejected",)
 #: ``(_COMPLETE, t, w, model, *served)`` and
 #: ``(_TERMINAL, t, w, model, rejected, *queries)``.
 _DISPATCH, _COMPLETE, _TERMINAL = 0, 1, 2
+#: Where each kind's query indices start in its entry.
+_QUERIES_AT = np.array([6, 4, 5], np.int64)
 
 
 class LifecycleObserver:
@@ -117,19 +121,21 @@ class LifecycleObserver:
     ``observe_*`` hooks live, after the tracer.  Those are the only taps
     on the dispatch path.
 
-    With a ``registry`` or an ``attributor`` (a
-    :class:`~repro.obs.attribution.LatencyAttributor`), every dispatch
-    (its service starts included), batch completion, drop and rejection
-    also appends one ordered entry to :attr:`capture`.  Nothing reads the
-    capture on the dispatch path: :meth:`drain` hands the entries
-    captured so far to a consumer, and :meth:`fold` folds them into the
-    registry's ``sim_*`` series (:class:`~repro.sim.metrics.SimSeries`)
-    in bulk with :meth:`publish` and into the attributor with
-    :meth:`replay` — its hooks called in the order, and with the
-    arguments, of the events.  The capture is the only source of an
-    attributor's hooks.  A simulation drains once, at the end of its
-    run; a serving shard between the steps of its serve loop and at the
-    end of its serve.
+    With a ``registry`` or an ``attributor``, every dispatch (its service
+    starts included), batch completion, drop and rejection also appends
+    one ordered entry to :attr:`capture`.  Nothing reads the capture on
+    the dispatch path: :meth:`drain` hands the entries captured so far
+    to a consumer, and :meth:`fold` reads them into
+    :class:`~repro.obs.attribution.Lifecycle` columns (:meth:`columns`,
+    the one reader of the entry layout) and folds those into the
+    registry's ``sim_*`` series (:meth:`publish`) and into the
+    attributor: a :class:`~repro.obs.attribution.LatencyAttributor` folds
+    them in bulk, any other hook-shaped tap gets its ``observe_*`` calls
+    in the order, and with the arguments, of the events
+    (:meth:`~repro.obs.attribution.Lifecycle.replay`).  The capture is
+    the only source of an attributor's records.  A simulation drains
+    once, at the end of its run; a serving shard as its capture grows, on
+    its snapshot ticks and at the end of its serve.
 
     Kernel-local worker ``w`` and query ``j`` are recorded as the global
     ids ``base + w * stride`` and ``base + j * stride`` — shard ``s`` of
@@ -163,8 +169,10 @@ class LifecycleObserver:
             None if registry is None and attributor is None else []
         )
         self._series = None if registry is None else SimSeries(registry)
-        #: Serializes drains and registry folds across threads.
-        self._folding = threading.Lock()
+        if self.capture is not None:
+            # What the columns read per query, as arrays once.
+            self._arrival_ms = np.asarray(kernel.arrivals, np.float64)
+            self._deadline_ms = np.asarray(kernel.deadlines, np.float64)
 
     def arrival(self, w: int, j: int, t: float, depth: int) -> None:
         """Query ``j`` arrived; ``depth`` is its queue's length after it."""
@@ -286,85 +294,93 @@ class LifecycleObserver:
     def drain(self) -> List[tuple]:
         """The entries captured since the last drain, in order; the
         observer forgets them."""
-        capture = self.capture
-        if capture is None:
+        if self.capture is None:
             return []
-        with self._folding:
-            entries = capture[: len(capture)]
-            del capture[: len(entries)]
+        entries, self.capture = self.capture, []
         return entries
 
     def fold(self, entries: Sequence[tuple]) -> None:
         """Fold drained ``entries`` into the registry and the attributor."""
-        self.publish(entries)
-        if self.attributor is not None:
-            self.replay(self.attributor, entries)
+        if self.capture is None:
+            return
+        lifecycle = self.columns(entries)
+        self.publish(lifecycle)
+        attributor = self.attributor
+        if isinstance(attributor, LatencyAttributor):
+            attributor.fold(lifecycle)
+        elif attributor is not None:
+            lifecycle.replay(attributor)
 
-    def publish(self, entries: Sequence[tuple]) -> None:
-        """Fold drained ``entries`` into the registry's ``sim_*`` series,
-        in bulk (nothing without a registry)."""
+    def columns(self, entries: Sequence[tuple]) -> Lifecycle:
+        """Drained ``entries`` as lifecycle columns, with global worker
+        and query ids: the one reader of the capture's entry layout."""
+        n = len(entries)
+
+        def field(i: int, dtype: type) -> np.ndarray:
+            return np.fromiter(map(itemgetter(i), entries), dtype, n)
+
+        kind = field(0, np.int64)
+        t = field(1, np.float64)
+        gid = self.base + field(2, np.int64) * self.stride
+        models = list(map(itemgetter(3), entries))
+        names = list(dict.fromkeys(models))
+        model = np.fromiter(map({m: i for i, m in enumerate(names)}.get, models), np.int64, n)
+        # The batch of a dispatch, the rejected flag of a terminal (and
+        # a completion's first query, unused).
+        arg = field(4, np.int64)
+        dispatch = kind == _DISPATCH
+        exec_ms = np.array([entries[i][5] for i in np.flatnonzero(dispatch).tolist()], np.float64)
+        cuts = _QUERIES_AT[kind]
+        sizes = np.fromiter(map(len, entries), np.int64, n) - cuts
+        j = np.fromiter(
+            chain.from_iterable(map(getitem, entries, map(slice, cuts.tolist(), repeat(None)))),
+            np.int64,
+        )
+
+        of = np.repeat(np.arange(kind.size), sizes)  # each query's entry
+        q_kind = kind[of]
+        q_t = t[of]
+        lag = q_t - self._arrival_ms[j]
+        start = q_kind == _DISPATCH
+        end = ~start
+        rejected = (q_kind == _TERMINAL) & (arg[of] != 0)
+        ended = q_kind[end]
+        return Lifecycle(
+            names=names,
+            d_worker=gid[dispatch],
+            d_model=model[dispatch],
+            d_batch=arg[dispatch],
+            d_exec_ms=exec_ms,
+            d_at=(np.cumsum(sizes, dtype=np.int64) - sizes)[dispatch],
+            is_start=start,
+            s_query=self.base + j[start] * self.stride,
+            s_worker=gid[of[start]],
+            s_model=model[of[start]],
+            s_batch=arg[of[start]],
+            s_wait_ms=lag[start],
+            e_query=self.base + j[end] * self.stride,
+            e_worker=gid[of[end]],
+            e_model=model[of[end]],
+            e_response_ms=np.where(rejected, 0.0, lag)[end],
+            e_satisfied=(ended == _COMPLETE)
+            & (q_t[end] <= self._deadline_ms[j[end]]),
+            e_dropped=ended == _TERMINAL,
+            e_t_ms=q_t[end],
+        )
+
+    def publish(self, lifecycle: Lifecycle) -> None:
+        """Fold drained records into the registry's ``sim_*`` series, in
+        bulk (nothing without a registry)."""
         if self._series is None:
             return
-        arrivals = self.arrivals
-        deadlines = self.deadlines
-        batches: List[int] = []
-        dispatched: Counter = Counter()
-        responses: List[float] = []
-        completed: Counter = Counter()
-        violations = 0
-        for entry in entries:
-            kind, t, _w, model_name = entry[:4]
-            if kind == _DISPATCH:
-                batches.append(entry[4])
-                dispatched[model_name] += 1
-                continue
-            if kind == _COMPLETE:
-                queries = entry[4:]
-                for j in queries:
-                    responses.append(t - arrivals[j])
-                    if not t <= deadlines[j]:
-                        violations += 1
-            else:
-                rejected, queries = entry[4], entry[5:]
-                for j in queries:
-                    responses.append(0.0 if rejected else t - arrivals[j])
-                violations += len(queries)
-            completed[model_name] += len(queries)
-        with self._folding:
-            self._series.publish(
-                batches, dispatched, responses, violations, completed
-            )
-
-    def replay(self, attributor: Any, entries: Sequence[tuple]) -> None:
-        """Feed drained ``entries`` to ``attributor``'s hooks, in the order
-        and with the arguments of the events they record."""
-        base, stride = self.base, self.stride
-        arrivals = self.arrivals
-        deadlines = self.deadlines
-        for entry in entries:
-            kind, t, w, model_name = entry[:4]
-            gid = base + w * stride
-            if kind == _DISPATCH:
-                batch, exec_ms = entry[4:6]
-                attributor.observe_decision(gid, model_name, batch, exec_ms)
-                for j in entry[6:]:
-                    attributor.observe_service_start(
-                        base + j * stride, gid, model_name, batch, t - arrivals[j]
-                    )
-            elif kind == _COMPLETE:
-                for j in entry[4:]:
-                    attributor.observe_completion(
-                        base + j * stride, gid, model_name, t - arrivals[j],
-                        t <= deadlines[j], t_ms=t,
-                    )
-            else:
-                rejected = entry[4]
-                for j in entry[5:]:
-                    attributor.observe_completion(
-                        base + j * stride, gid, model_name,
-                        0.0 if rejected else t - arrivals[j], False,
-                        t_ms=t, dropped=True,
-                    )
+        name = lifecycle.names.__getitem__
+        self._series.publish(
+            lifecycle.d_batch.tolist(),
+            Counter(map(name, lifecycle.d_model.tolist())),
+            lifecycle.e_response_ms.tolist(),
+            int(np.count_nonzero(~lifecycle.e_satisfied)),
+            Counter(map(name, lifecycle.e_model.tolist())),
+        )
 
 
 class DispatchKernel:

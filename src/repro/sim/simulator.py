@@ -23,9 +23,10 @@ served late than never" (§4.3.1); ``drop_late`` opts into dropping.
 Observability attaches through one observer, :class:`_SimObserver`, on
 the same kernel: ``tracer`` records the lifecycle stream and ``auditor``
 takes the kernel's typed ``observe_*`` hooks live; ``registry`` receives
-the ``sim_*`` series and ``attributor`` its ``observe_*`` hooks, both
-folded from the observer's lifecycle capture when the run ends — exactly
-as a serving shard's ``auditors=`` / ``attributors=`` are fed.  An
+the ``sim_*`` series and ``attributor`` the lifecycle records, both
+folded in columns from the observer's lifecycle capture when the run
+ends — exactly as a serving shard's ``auditors=`` / ``attributors=`` are
+fed.  An
 observed run returns the same metrics as an unobserved one.  The original
 per-query-object loop lives on as the kernel's oracle in
 ``tests/oracles/sim_loop.py``; ``tests/test_sim_equivalence.py`` pins the
@@ -103,9 +104,11 @@ class SimulationConfig:
     #: ``observe_*`` hooks; its ``audit_*`` records go to its own
     #: ``inner`` tracer.
     auditor: Optional[GuaranteeAuditor] = None
-    #: Tail-latency attribution (repro.obs.attribution): its hooks are
-    #: replayed from the run's lifecycle capture when the run ends, so
-    #: burn-rate alerts fire then (with the events' virtual ``t_ms``).
+    #: Tail-latency attribution (repro.obs.attribution): folded from the
+    #: run's lifecycle capture when the run ends (in columns; any other
+    #: hook-shaped tap has its ``observe_*`` hooks called in event
+    #: order), so burn-rate alerts fire then (with the events' virtual
+    #: ``t_ms``).
     attributor: Optional[LatencyAttributor] = None
 
     def __post_init__(self) -> None:

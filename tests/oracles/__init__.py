@@ -16,10 +16,13 @@
   capture's.
 - :mod:`tests.oracles.sim_series` — the ``sim_*`` registry series
   published one record at a time, against which the bulk fold is gated.
-- :mod:`tests.oracles.attribution_fold` — the offline attribution fold
-  as one ``observe_*`` hook call per lifecycle record; the columnar
+- :mod:`tests.oracles.attribution_fold` — the attributor with its
+  per-record ``observe_*`` hooks (``HookAttributor``), driven over an
+  event table by ``hook_fold`` and over a kernel capture by
+  ``Lifecycle.replay``; the columnar
   :meth:`repro.obs.attribution.LatencyAttributor.fold` must leave an
-  attributor in exactly the state it leaves.
+  attributor in exactly the state they leave, from a table and from a
+  capture split into any drains.
 - :mod:`tests.oracles.recording_tracer` — the in-memory recorder as span
   and event objects; :class:`repro.obs.trace.RecordingTracer`, which
   records table rows, must give equal views and byte-equal exports.

@@ -31,7 +31,11 @@ class DictLifecycleObserver:
     a time through a :class:`~tests.oracles.sim_series.PublishingCollector`.  The
     shard's snapshot hooks are no-ops: the registry is already current,
     and the oracle keeps no capture to replay, so serve through it with
-    a snapshot interval longer than the serve.
+    a snapshot interval longer than the serve.  It feeds no attributor:
+    a shard's attribution artifacts come from the merged feeds, and the
+    attributor's own record stream is pinned by
+    ``tests/test_attribution_replay.py`` and
+    ``tests/test_attribution_live_fold.py``.
     """
 
     def __init__(
@@ -57,6 +61,8 @@ class DictLifecycleObserver:
         )
         self.base = base
         self.stride = stride
+        #: No capture: the serve loop never finds one to fold.
+        self.capture = None
 
     def arrival(self, w: int, j: int, t: float, depth: int) -> None:
         """Query ``j`` arrived; ``depth`` is its queue's length after it."""
@@ -119,13 +125,6 @@ class DictLifecycleObserver:
                 )
         if self.auditor is not None:
             self.auditor.observe_decision(queue_len, slack_ms, t + exec_ms)
-        attributor = self.attributor
-        if attributor is not None:
-            attributor.observe_decision(gid, model_name, batch, exec_ms)
-            for j in served:
-                attributor.observe_service_start(
-                    base + j * stride, gid, model_name, batch, t - arrivals[j]
-                )
 
     def completion(
         self, w: int, t: float, model_name: str, accuracy: float, served: List[int]
@@ -188,15 +187,10 @@ class DictLifecycleObserver:
             tracer.instant("completion", f"worker-{gid}", t, args=args)
         if self.auditor is not None:
             self.auditor.observe_completion(t, satisfied, accuracy)
-        if self.attributor is not None:
-            self.attributor.observe_completion(
-                query_id, gid, model_name, response_ms, satisfied,
-                t_ms=t, dropped=dropped,
-            )
 
     def drain(self) -> List[tuple]:
         """Nothing captured: the registry is fed live."""
         return []
 
     def fold(self, entries: Sequence[tuple]) -> None:
-        """Nothing to fold: the registry and attributor are fed live."""
+        """Nothing to fold: the registry is fed live."""

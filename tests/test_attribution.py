@@ -27,12 +27,10 @@ from repro.experiments.scale import ExperimentScale
 from repro.experiments.sweep import SweepCell, run_sweep
 from repro.experiments.tasks import image_task
 from repro.obs.attribution import (
-    BurnWindow,
     DROPPED_MODEL,
     LatencyAttributor,
     attribution_from_jsonl,
     attribution_from_tracer,
-    exact_phase_split,
 )
 from repro.obs.attribution import _exact_phase_splits, _worker_from_track
 from repro.obs.audit import AuditAlert, GuaranteeAuditor
@@ -43,6 +41,11 @@ from repro.selectors import GreedyDeadlineSelector, JellyfishPlusSelector
 from repro.sim.monitor import OracleLoadMonitor
 from repro.sim.simulator import Simulation, SimulationConfig
 from tests.conftest import make_tiny_model_set
+from tests.oracles.attribution_fold import (
+    HookAttributor,
+    HookBurnWindow,
+    exact_phase_split,
+)
 from tests.oracles.sim_loop import run_reference
 
 TRACE = LoadTrace.constant(140.0, 6_000.0, name="attr-const")
@@ -50,9 +53,10 @@ TRACE = LoadTrace.constant(140.0, 6_000.0, name="attr-const")
 
 def run_attributed(engine, trace=TRACE, selector=JellyfishPlusSelector, **kwargs):
     """One fresh attributed simulation on the dispatch kernel
-    (``engine="kernel"``) or the reference-loop oracle (``"oracle"``);
-    returns (metrics, attributor)."""
-    attributor = LatencyAttributor(
+    (``engine="kernel"``) or the reference-loop oracle (``"oracle"``,
+    which feeds the per-record hook oracle); returns (metrics,
+    attributor)."""
+    attributor = (HookAttributor if engine == "oracle" else LatencyAttributor)(
         slo_ms=100.0, record_queries=True, burn_windows=(50, 200), **kwargs
     )
     config = SimulationConfig(
@@ -282,7 +286,7 @@ class TestParallelSerialEquality:
 class TestBlame:
     def test_profiled_blame_charges_gap_to_fastest(self):
         models = list(make_tiny_model_set())
-        attributor = LatencyAttributor(slo_ms=100.0, models=models)
+        attributor = HookAttributor(slo_ms=100.0, models=models)
         # Two decisions on worker 0 at batch 2: "slow" vs "fast".
         by_name = {m.name: m for m in models}
         attributor.observe_decision(0, "slow", 2, by_name["slow"].latency_ms(2))
@@ -297,7 +301,7 @@ class TestBlame:
         assert rows["slow"]["blame_per_query_ms"] == pytest.approx(gap / 2.0)
 
     def test_observed_blame_without_model_set(self):
-        attributor = LatencyAttributor()
+        attributor = HookAttributor()
         # Same (worker, batch): mean 40 ms for "a", 10 ms for "b".
         attributor.observe_decision(0, "a", 1, 40.0)
         attributor.observe_decision(0, "b", 1, 10.0)
@@ -315,7 +319,7 @@ class TestBurnRate:
             attributor.observe_completion(i, 0, "m", 10.0, satisfied, t_ms=i)
 
     def test_window_rates(self):
-        window = BurnWindow(4)
+        window = HookBurnWindow(4)
         for v in (True, False, True, True):
             window.push(v)
         assert window.full
@@ -327,7 +331,7 @@ class TestBurnRate:
 
     def test_alert_fires_once_with_hysteresis(self):
         alerts = []
-        attributor = LatencyAttributor(
+        attributor = HookAttributor(
             slo_ms=100.0,
             burn_windows=(10,),
             burn_threshold=0.5,
@@ -343,7 +347,7 @@ class TestBurnRate:
         assert len(alerts) == 2
 
     def test_burn_uses_violation_budget(self):
-        attributor = LatencyAttributor(
+        attributor = HookAttributor(
             burn_windows=(10,), violation_budget=0.2, burn_threshold=1.0
         )
         self.feed(attributor, [True] * 5 + [False] * 5)
@@ -355,7 +359,7 @@ class TestBurnRate:
         auditor = GuaranteeAuditor()
         seen = []
         auditor.add_alert_callback(seen.append)
-        attributor = LatencyAttributor(
+        attributor = HookAttributor(
             burn_windows=(5,), burn_threshold=0.5,
             alert_sink=auditor.emit_alert,
         )
@@ -366,7 +370,7 @@ class TestBurnRate:
 
     def test_registry_metrics_published(self):
         registry = MetricsRegistry()
-        attributor = LatencyAttributor(
+        attributor = HookAttributor(
             burn_windows=(5,), burn_threshold=0.5, registry=registry
         )
         self.feed(attributor, [True] * 5 + [False] * 5)
@@ -380,7 +384,7 @@ class TestBurnRate:
 
 class TestExemplars:
     def test_capacity_and_threshold(self):
-        attributor = LatencyAttributor(
+        attributor = HookAttributor(
             exemplar_quantile=0.9, exemplar_capacity=4, exemplar_warmup=50
         )
         rng = np.random.default_rng(5)
@@ -402,7 +406,7 @@ class TestExemplars:
             assert c["threshold_ms"] <= c["response_ms"]
 
     def test_no_exemplars_before_warmup(self):
-        attributor = LatencyAttributor(exemplar_warmup=1000)
+        attributor = HookAttributor(exemplar_warmup=1000)
         for i in range(100):
             attributor.observe_completion(i, 0, "m", 1e6, True)
         assert attributor.to_json_dict()["exemplars"]["chains"] == []
@@ -419,7 +423,7 @@ class TestPlumbing:
         """Float totals are the plain left-to-right sum of the rows, on
         every Python (builtin ``sum`` compensates from 3.12 on, which
         would give 1.0 here)."""
-        attributor = LatencyAttributor()
+        attributor = HookAttributor()
         for model, response in (("a", 1e16), ("b", 1.0), ("c", -1e16)):
             attributor.observe_completion(0, 0, model, response, True)
         assert attributor.to_json_dict()["totals"]["response_ms"] == 0.0
@@ -534,12 +538,12 @@ class TestSortedQuantileGolden:
         with monkeypatch.context() as patch:
             patch.setattr(Histogram, "quantile", counted_sort_quantile)
             oracle_snap = hook_fold(
-                LatencyAttributor(slo_ms=100.0, burn_windows=(50, 500)),
+                HookAttributor(slo_ms=100.0, burn_windows=(50, 500)),
                 merged.tracer.table,
             ).to_json_dict()
             oracle_artifact = json.dumps(
                 hook_fold(
-                    LatencyAttributor(slo_ms=merged.slo_ms), merged.table
+                    HookAttributor(slo_ms=merged.slo_ms), merged.table
                 ).to_json_dict(),
                 sort_keys=True,
                 default=json_default,
@@ -584,11 +588,11 @@ class TestSortedQuantileGolden:
             for method in ("JF", "Greedy")
         ]
 
-        def attributor():
+        def attributor(cls=LatencyAttributor):
             alerts = []
             registry = MetricsRegistry()
             return (
-                LatencyAttributor(
+                cls(
                     slo_ms=task.slos_ms[0],
                     registry=registry,
                     burn_windows=(20, 200),
@@ -605,7 +609,7 @@ class TestSortedQuantileGolden:
         bulk = attributor()
         run_dir = tmp_path / "run"
         run_sweep(cells, scale, jobs=2, attributor=bulk[0], run_dir=run_dir)
-        oracle = attributor()
+        oracle = attributor(HookAttributor)
         hook_fold(oracle[0], EventTable.load(run_dir / "merged.cols")[0])
         assert oracle[2], "the low burn threshold should alert"
         assert_same(bulk, oracle)

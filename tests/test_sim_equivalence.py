@@ -37,6 +37,7 @@ from repro.sim.latency_model import DeterministicLatency, StochasticLatency
 from repro.sim.monitor import LoadMonitor, OracleLoadMonitor
 from repro.sim.simulator import Simulation, SimulationConfig
 from tests.conftest import make_tiny_model_set
+from tests.oracles.attribution_fold import HookAttributor
 from tests.oracles.sim_loop import run_reference
 
 TRACE = LoadTrace.constant(120.0, 8_000.0, name="eq-const")
@@ -220,10 +221,10 @@ class TestObservedRuns:
     def test_records_match_oracle(self, selector, extra):
         overload = LoadTrace.constant(300.0, 3_000.0, name="eq-obs")
         runs = []
-        for run in (run_kernel, run_oracle):
+        for run, cls in ((run_kernel, LatencyAttributor), (run_oracle, HookAttributor)):
             tracer = RecordingTracer()
             registry = MetricsRegistry()
-            attributor = LatencyAttributor(slo_ms=100.0, record_queries=True)
+            attributor = cls(slo_ms=100.0, record_queries=True)
             metrics = run(
                 selector,
                 trace=overload,
@@ -377,7 +378,7 @@ class TestKernelMatchesOracleProperty:
         arrivals = np.cumsum(gaps)
         if shuffle:  # unsorted input takes the sorting path
             arrivals = np.random.default_rng(shuffle).permutation(arrivals)
-        def config(observers):
+        def config(observers, attributor=LatencyAttributor):
             cfg = dict(
                 model_set=make_tiny_model_set(),
                 slo_ms=spec["slo_ms"],
@@ -402,7 +403,7 @@ class TestKernelMatchesOracleProperty:
             if observers in ("registry", "all"):
                 cfg["registry"] = MetricsRegistry()
             if observers in ("attributor", "all"):
-                cfg["attributor"] = LatencyAttributor(
+                cfg["attributor"] = attributor(
                     slo_ms=spec["slo_ms"], record_queries=True
                 )
             return SimulationConfig(**cfg)
@@ -416,7 +417,7 @@ class TestKernelMatchesOracleProperty:
         observed = Simulation(observed_cfg).run(
             kernel_selector, PROPERTY_TRACE, arrival_times=arrivals
         )
-        oracle_cfg = config(observers)
+        oracle_cfg = config(observers, HookAttributor)
         oracle_selector = selector()
         oracle = run_reference(
             oracle_cfg, oracle_selector, PROPERTY_TRACE, arrival_times=arrivals
