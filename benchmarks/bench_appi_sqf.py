@@ -12,10 +12,17 @@ from benchmarks._common import bench_scale, emit, points_payload
 from repro.experiments.appendix import render_appendix_i, run_appendix_i
 
 
+def _low_loads():
+    """The scale's two lowest constant loads."""
+    return bench_scale().constant_loads_qps[:2]
+
+
 @pytest.fixture(scope="module")
 def appi_points():
     scale = bench_scale()
-    return run_appendix_i(scale=scale, loads_qps=scale.constant_loads_qps[::2])
+    # Every other load, plus the two lowest ones the low-load test reads.
+    loads = sorted(set(scale.constant_loads_qps[::2]) | set(_low_loads()))
+    return run_appendix_i(scale=scale, loads_qps=loads)
 
 
 def test_appi_run_and_render(benchmark, appi_points):
@@ -48,7 +55,12 @@ def test_appi_sqf_comparable_to_round_robin(appi_points):
 
 
 def test_appi_sqf_satisfiable_at_low_load(appi_points):
-    lows = sorted({p.load_qps for _, p in appi_points})[:2]
-    for label, p in appi_points:
-        if label == "shortest-queue" and p.load_qps in lows:
-            assert p.violation_rate < 0.05
+    lows = _low_loads()
+    checked = [
+        p
+        for label, p in appi_points
+        if label == "shortest-queue" and p.load_qps in lows
+    ]
+    assert sorted(p.load_qps for p in checked) == sorted(lows)
+    for p in checked:
+        assert p.violation_rate < 0.05

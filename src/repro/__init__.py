@@ -45,7 +45,6 @@ from repro.core import (
     build_worker_mdp,
     evaluate_policy,
     generate_policy,
-    policy_iteration,
     value_iteration,
 )
 from repro.profiles import (
@@ -94,5 +93,4 @@ __all__ = [
     "generate_policy",
     "evaluate_policy",
     "value_iteration",
-    "policy_iteration",
 ]

@@ -9,7 +9,8 @@ This package implements the paper's primary contribution (§3-§5):
   rewards (§4.1-§4.3), and the one Bellman optimality kernel.
 - :mod:`repro.core.transitions` — transition kernels from the arrival
   distribution + load balancing strategy (§4.4, Appendix I).
-- :mod:`repro.core.solvers` — per-MDP value and policy iteration (§4.1).
+- :mod:`repro.core.solvers` — value iteration (§4.1): the one loop that
+  stacked banks and per-MDP solves share.
 - :mod:`repro.core.policy` — model-selection policies + JSON serialization.
 - :mod:`repro.core.guarantees` — stationary analysis: expected accuracy and
   expected SLO violation rate (§5.1).
@@ -29,7 +30,7 @@ from repro.core.mdp import WorkerMDP, build_worker_mdp
 from repro.core.naive import NaiveWorkerMDP
 from repro.core.policy import Action, Policy
 from repro.core.policy_set import PolicySet
-from repro.core.solvers import SolveStats, policy_iteration, value_iteration
+from repro.core.solvers import SolveStats, value_iteration
 from repro.core.validation import ChainStats, simulate_chain
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "evaluate_policy",
     "SolveStats",
     "value_iteration",
-    "policy_iteration",
     "NaiveWorkerMDP",
     "ChainStats",
     "simulate_chain",

@@ -20,14 +20,16 @@ runs ``generate_policy`` per cell).
   geometry depends only on grid × latency), then seeds every cell's
   builder caches, the first cell's included, so per-cell assembly is a
   pure gather;
-- **value iteration** drives one :class:`~repro.core.mdp.BellmanKernel`
-  over the stacked cells with per-load freeze masks — a load freezes
-  once its greedy table is certified optimal
-  (:func:`repro.core.solvers.certified`: its greedy margin beats the
-  span bound of its last change) or once its residual drops below the
-  tolerance, whichever comes first; frozen loads skip their matmuls and
-  their value slices stop updating, so every load observes exactly the
-  trajectory and sweep count of its independent solve;
+- **value iteration** is the one loop,
+  :func:`repro.core.solvers.iterate_stack`, sweeping one
+  :class:`~repro.core.mdp.BellmanKernel` over the stacked cells with
+  per-load freeze masks — a load freezes once its greedy table is
+  certified optimal (:func:`repro.core.solvers.certified`: its greedy
+  margin beats the span bound of its last change) or once its residual
+  drops below the tolerance, whichever comes first; frozen loads skip
+  their matmuls and their value slices stop updating, so every load
+  observes exactly the trajectory and sweep count of its independent
+  solve;
 - **policy extraction** is one greedy pass of the same kernel over every
   load;
 - **stationary analysis** runs every cell's chain through
@@ -63,7 +65,7 @@ from repro.core.guarantees import (
 )
 from repro.core.mdp import BellmanKernel, WorkerMDP, _Skeleton
 from repro.core.policy import Policy, PolicyMetadata
-from repro.core.solvers import SolveStats, certified
+from repro.core.solvers import SolveStats, iterate_stack
 from repro.core.transitions import (
     DeterministicGaps,
     EquilibriumRenewalKernelBuilder,
@@ -71,7 +73,7 @@ from repro.core.transitions import (
     RenewalGaps,
     gaps_for_distribution,
 )
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER, Tracer
 
 __all__ = ["GenerationResult", "StackedBankMDP", "solve_stacked_bank"]
@@ -263,40 +265,20 @@ class StackedBankMDP:
     ) -> List[SolveStats]:
         """Value-iterate every load until its greedy policy is settled.
 
-        All loads start together and sweep in lockstep.  A load freezes
-        (its slice stops updating and its reductions are skipped) at the
-        first of two stops, each the rule of
-        :func:`repro.core.solvers.value_iteration`, so its recorded
-        ``iterations`` and values equal the independent solve's:
-
-        - **certified**: the sweep's greedy margin on the load's vector
-          passes :func:`~repro.core.solvers.certified` against the span
-          of the change that produced it, so that vector's greedy table
-          is the unique optimal policy; the load freezes with it, and
-          the sweep that measured the margin is not counted;
-        - **tolerance**: the residual drops below ``tolerance``, and the
-          load freezes with the new vector.  Kernels that report no
-          margins (duration-aware discounts, rows that do not sum to 1)
-          and loads with exact ties stop only this way.
+        Runs :func:`repro.core.solvers.iterate_stack` over one
+        :class:`~repro.core.mdp.BellmanKernel` sweep of the whole load
+        grid: all loads sweep in lockstep, and a load freezes (its slice
+        stops updating and its reductions are skipped) once its greedy
+        table is certified optimal or its residual drops below
+        ``tolerance``, so its recorded ``iterations``, values and
+        residuals equal its independent solve's.
 
         ``initials`` warm-starts individual loads; each vector must have
-        shape ``(S,)``.  Raises :class:`SolverError` naming the
-        unconverged loads when the ceiling is hit.
-
-        With ``record_residuals`` (or an enabled ``tracer``) every load's
-        per-sweep residual history is kept on :attr:`SolveStats.residuals`.
-        The tracer additionally receives one ``bellman_sweep`` wall-clock
-        span on the ``solver`` track per lockstep sweep — the phase the
-        profiler (:class:`repro.obs.profile.PhaseProfiler`) aggregates —
-        and one ``vi_sweep`` event per active load per counted sweep
-        (timestamped in wall-clock ms since solve start).
+        shape ``(S,)``.  Raises :class:`~repro.errors.SolverError` naming
+        the unconverged loads and their residuals when the ceiling is
+        hit.  ``record_residuals`` and ``tracer`` record as
+        :func:`~repro.core.solvers.iterate_stack` does.
         """
-        if tolerance <= 0:
-            raise SolverError(f"tolerance must be > 0, got {tolerance}")
-        if max_iterations < 1:
-            raise SolverError(
-                f"max_iterations must be >= 1, got {max_iterations}"
-            )
         cells = self._cells
         loads = len(cells)
         if initials is not None and len(initials) != loads:
@@ -316,87 +298,21 @@ class StackedBankMDP:
                 )
             values[i] = init
             warm[i] = True
-        tracing = tracer is not None and tracer.enabled
-        histories = (
-            [[] for _ in range(loads)]
-            if (record_residuals or tracing)
-            else None
-        )
-        stats: List[Optional[SolveStats]] = [None] * loads
-        frozen = np.zeros(loads, dtype=bool)
-        # Per load: the last recorded residual and the span of the last
-        # change, which the certified stop reads (no change yet: inf).
-        residuals = np.full(loads, np.inf)
-        spans = np.full(loads, np.inf)
-        gamma = cells[0].config.discount
         kernel = self._kernel
-        start = time.perf_counter()
 
-        def freeze(i: int, iterations: int) -> None:
-            frozen[i] = True
-            stats[i] = SolveStats(
-                values=values[i].copy(),
-                iterations=iterations,
-                residual=float(residuals[i]),
-                runtime_s=time.perf_counter() - start,
-                converged=True,
-                residuals=None if histories is None else tuple(histories[i]),
-                warm_started=bool(warm[i]),
-            )
+        def sweep(stack: np.ndarray, active: np.ndarray):
+            return kernel.sweep(stack, active), kernel.margins
 
-        for sweep in range(1, max_iterations + 1):
-            active = np.nonzero(~frozen)[0]
-            if tracing:
-                # Skipped entirely when untraced so the hot path stays
-                # free of context-manager overhead.
-                with tracer.span(
-                    "bellman_sweep", track="solver", args={"iteration": sweep}
-                ):
-                    new_values = kernel.sweep(values, active)
-            else:
-                new_values = kernel.sweep(values, active)
-            # Row-wise reductions over the whole stack: per-row max/min
-            # along axis 1 are element-for-element the same IEEE ops as a
-            # one-load solve's.  Frozen rows are stale in ``new_values``
-            # and the kernel's margins — computed but never read.
-            if kernel.margins is not None:
-                sure = certified(
-                    kernel.margins,
-                    spans,
-                    np.max(np.abs(values), axis=1),
-                    gamma,
-                )[active]
-                # A certified load freezes with the vector it holds; this
-                # sweep's backup of it goes unrecorded.
-                for i in active[sure]:
-                    freeze(i, sweep - 1)
-                active = active[~sure]
-            change = new_values - values
-            residuals = np.max(np.abs(change), axis=1)
-            spans = np.max(change, axis=1) - np.min(change, axis=1)
-            values[active] = new_values[active]
-            for i in active:
-                if histories is not None:
-                    residual = float(residuals[i])
-                    histories[i].append(residual)
-                    if tracing:
-                        tracer.instant(
-                            "vi_sweep",
-                            "solver",
-                            (time.perf_counter() - start) * 1000.0,
-                            category="solver",
-                            args={"iteration": sweep, "residual": residual},
-                        )
-                if residuals[i] < tolerance:
-                    freeze(i, sweep)
-            if frozen.all():
-                return stats  # type: ignore[return-value]
-        missing = ", ".join(
-            f"{cells[i].config.load_qps:g}" for i in np.nonzero(~frozen)[0]
-        )
-        raise SolverError(
-            f"stacked bank value iteration did not converge after "
-            f"{max_iterations} sweeps (unconverged load(s): {missing} qps)"
+        return iterate_stack(
+            sweep,
+            values,
+            warm,
+            cells[0].config.discount,
+            tolerance=tolerance,
+            max_iterations=max_iterations,
+            tracer=tracer,
+            record_residuals=record_residuals,
+            labels=[f"load {c.config.load_qps:g} qps" for c in cells],
         )
 
     def extract_policies(self, stats: Sequence[SolveStats]) -> List[Policy]:

@@ -32,11 +32,8 @@ Bellman sweeps are stacked tensor contractions:
   resolves the greedy choice with first-maximum ``argmax`` reductions
   (the dense ``Q[a, s] = r[a, s] + gamma[a, s] * (P[a] @ v)[s]`` layout,
   specialized to this MDP's factored kernels);
-- **policy evaluation** (:meth:`WorkerMDP.backup_policy`) assembles the
-  policy-induced chain once per action table — reward, discount, and
-  transition-row arrays — so every expectation sweep is one
-  ``r + g * (P_pi @ v)`` matrix-vector product;
-- the same cached ``P_pi`` feeds the §5.1 stationary analysis
+- the **policy-induced chain** (:meth:`WorkerMDP.policy_rows`) feeds the
+  §5.1 stationary analysis
   (:func:`repro.core.guarantees.stationary_distribution`).
 
 Exactness contract: the per-action / per-state loop formulation lives in
@@ -45,10 +42,7 @@ iteration here is **float-identical** to it — every candidate Q value is
 produced by the same NumPy kernel calls on the same operands, and the
 stacked argmax keeps the loop's first-strict-maximum tie-breaking.
 ``tests/test_solver_equivalence.py`` asserts ``==`` value functions,
-equal greedy tables and byte-identical ``Policy.save`` output.  Policy
-evaluation swaps per-state ``dot`` calls for one ``gemv``, which
-reassociates sums, so policy iteration agrees with the oracle at the
-greedy-table level.
+equal greedy tables and byte-identical ``Policy.save`` output.
 """
 
 from __future__ import annotations
@@ -235,11 +229,6 @@ class WorkerMDP:
             else []
         )
         self._stack_partial_plan()
-        # Policy-evaluation cache: one assembled chain per action table.
-        self._pe_table: Optional[Dict[int, Tuple[int, int]]] = None
-        self._pe_rows: Optional[np.ndarray] = None
-        self._pe_reward: Optional[np.ndarray] = None
-        self._pe_discount: Optional[np.ndarray] = None
         # The one-cell optimality kernel, built on the first backup.
         self._kernel: Optional[BellmanKernel] = None
 
@@ -480,46 +469,8 @@ class WorkerMDP:
         return counts
 
     # ------------------------------------------------------------------
-    # Fixed-policy backup (policy evaluation / iteration)
+    # Per-(state, action) terms and the policy-induced chain
     # ------------------------------------------------------------------
-    def _policy_eval_arrays(
-        self, action_table: Dict[int, Tuple[int, int]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reward / discount / transition arrays of the induced chain.
-
-        Cached against the action table — policy iteration evaluates the
-        same table for hundreds of sweeps, so assembly cost is paid once
-        per improvement round instead of once per sweep per state.
-        """
-        if self._pe_table is not None and action_table == self._pe_table:
-            return self._pe_reward, self._pe_discount, self._pe_rows
-        space = self._space
-        size = space.size
-        rows = self.policy_rows(action_table)
-        reward = np.zeros(size, dtype=np.float64)
-        discount = np.empty(size, dtype=np.float64)
-        discount[space.EMPTY] = self._gamma_empty
-        for state_id in range(size):
-            if state_id == space.EMPTY:
-                continue
-            n, _ = space.decode(state_id)
-            action = action_table.get(state_id, (_FALLBACK, n))
-            reward[state_id] = self.reward_of(state_id, action)
-            discount[state_id] = self.discount_of(state_id, action)
-        self._pe_table = dict(action_table)
-        self._pe_rows = rows
-        self._pe_reward = reward
-        self._pe_discount = discount
-        return reward, discount, rows
-
-    def backup_policy(
-        self, values: np.ndarray, action_table: Dict[int, Tuple[int, int]]
-    ) -> np.ndarray:
-        """One expectation backup under a fixed action table, as a single
-        matrix-vector product on the cached induced chain."""
-        reward, discount, rows = self._policy_eval_arrays(action_table)
-        return reward + discount * (rows @ values)
-
     def discount_of(self, state_id: int, action: Tuple[int, int]) -> float:
         """Continuation discount of an encoded action (semi-MDP aware)."""
         config = self._config
@@ -599,12 +550,8 @@ class WorkerMDP:
         precomputed ``(M, N, S)`` row bank, so those states gather in one
         fancy-indexed copy; everything else (partial drains, drop-mode
         fallbacks, the exact view's phase mixtures) goes through
-        :meth:`transition_row`.  A table equal to the one policy
-        evaluation last assembled is served from that cache, so the §5.1
-        stationary analysis and policy evaluation read the same array.
+        :meth:`transition_row`.
         """
-        if self._pe_table is not None and table == self._pe_table:
-            return self._pe_rows
         space = self._space
         size = space.size
         rows = np.zeros((size, size), dtype=np.float64)

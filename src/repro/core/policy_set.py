@@ -54,7 +54,6 @@ class PolicySet:
         accuracy_gap_threshold: float = 0.01,
         max_policies: int = 64,
         max_workers: Optional[int] = None,
-        warm_start: bool = True,
     ) -> "PolicySet":
         """Generate a refined set over ``load_grid_qps``.
 
@@ -69,9 +68,9 @@ class PolicySet:
         round — the initial grid, then every round's midpoints — solves as
         *one* batched :class:`repro.core.bank.StackedBankMDP` program, or
         with ``max_workers > 1`` concurrently across processes; the two
-        produce byte-identical sets.  With ``warm_start`` each midpoint's
-        value iteration is seeded from the lower neighbour's converged
-        values — fewer sweeps, same fixed point.
+        produce byte-identical sets.  Each midpoint's value iteration is
+        seeded from the lower neighbour's stopping values — fewer sweeps,
+        same policy.
         """
         if not load_grid_qps:
             raise PolicyError("load grid must be non-empty")
@@ -100,7 +99,7 @@ class PolicySet:
                 if mid in results or b - a < 1e-6:
                     continue
                 midpoints.append(mid)
-                if warm_start and results[a].values is not None:
+                if results[a].values is not None:
                     initials[mid] = results[a].values
             if not midpoints:
                 break

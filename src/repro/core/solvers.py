@@ -1,41 +1,52 @@
-"""Exact MDP solution methods (§4.1).
+"""Value iteration (§4.1): the one loop every policy solve runs.
 
-Per-MDP drivers over the :class:`WorkerMDP` backup protocol::
+:func:`iterate_stack` value-iterates a stack of value vectors ``(L, S)``
+through a sweep callable that backs up every active row and reports
+each row's greedy margin (or ``None``).  It owns the stop rules, the
+per-row freeze masks, warm starts, residual histories, tracing and the
+iteration ceiling.  Two adapters drive it:
 
-    mdp.initial_values() -> np.ndarray
-    mdp.backup(values, want_greedy=...) -> BackupResult  (a fresh array)
-    mdp.backup_policy(values, action_table) -> np.ndarray  (policy iteration)
+- :meth:`repro.core.bank.StackedBankMDP.solve` sweeps a whole load grid
+  through one :class:`~repro.core.mdp.BellmanKernel` — the path every
+  generated policy takes;
+- :func:`value_iteration` sweeps a one-row stack through any MDP's
+  backup protocol::
 
-so small dense MDPs and the loop oracle in ``tests/oracles/`` exercise
-the same solvers.  Policy generation itself does not use them: it runs
-value iteration as a stacked-bank solve
-(:meth:`repro.core.bank.StackedBankMDP.solve`).  They stay for Table 2's
-per-MDP timing and policy iteration, which the paper notes as another
-exact method.
+      mdp.initial_values() -> np.ndarray
+      mdp.backup(values) -> BackupResult  (a fresh array, maybe a margin)
 
-The solvers are agnostic to how the backups are computed: on
-:class:`~repro.core.mdp.WorkerMDP` the backup is the one-cell
-:class:`~repro.core.mdp.BellmanKernel`; value iteration is
-float-identical to the per-action loop oracle (asserted by
-``tests/test_solver_equivalence.py``), and policy iteration agrees with
-it at the greedy-table level.  Both raise :class:`~repro.errors.SolverError` with
-residual diagnostics when their iteration ceilings are hit, so a
-non-converging solve at a too-tight tolerance fails loudly instead of
-spinning.
+  so small dense MDPs, Table 2's per-MDP timing and the loop and
+  tolerance oracles in ``tests/oracles/`` run the same loop.
+
+Every reduction the loop makes is row-wise (``max``/``min`` along the
+state axis, the elementwise :func:`certified`), so a row's floats, stop
+and sweep count are the same in whatever stack it sits; on
+:class:`~repro.core.mdp.WorkerMDP` value iteration is float-identical to
+the per-action loop oracle (``tests/test_solver_equivalence.py``).  The
+ceiling raises :class:`~repro.errors.SolverError` with residual
+diagnostics, so a non-converging solve at a too-tight tolerance fails
+loudly instead of spinning.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.obs.trace import Tracer
 
-__all__ = ["SolveStats", "certified", "value_iteration", "policy_iteration"]
+__all__ = ["SolveStats", "certified", "iterate_stack", "value_iteration"]
+
+#: One backup of every active row of a ``(L, S)`` stack: returns the
+#: backed-up ``(L, S)`` values (inactive rows may be stale) and each
+#: row's greedy margin, or ``None`` when the backup reports none.
+Sweep = Callable[
+    [np.ndarray, np.ndarray], Tuple[np.ndarray, Optional[np.ndarray]]
+]
 
 #: Rounding allowance of the certified stop, relative to ``max|V|``:
 #: covers the rounding of the Q values a margin subtracts and of the
@@ -66,12 +77,11 @@ def certified(margin, span, scale, gamma):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Outcome of one solver run.
+    """Outcome of one value-iteration solve (one row of a stack).
 
-    For value iteration ``iterations`` counts the backups behind
-    ``values`` and ``residual`` is the last one's sup-norm change; after
-    a certified stop that residual can be far above the tolerance (see
-    :func:`value_iteration`).  ``residuals`` is the per-sweep sup-norm
+    ``iterations`` counts the backups behind ``values`` and ``residual``
+    is the last one's sup-norm change; after a certified stop that
+    residual can be far above the tolerance (see :func:`iterate_stack`).  ``residuals`` is the per-sweep sup-norm
     residual history, one entry per counted backup, recorded when the
     caller asked for it (``record_residuals=True`` or an enabled tracer);
     ``None`` otherwise so the hot path stays allocation-free.  On a
@@ -91,6 +101,149 @@ class SolveStats:
     warm_started: bool = False
 
 
+def iterate_stack(
+    sweep: Sweep,
+    values: np.ndarray,
+    warm: Sequence[bool],
+    gamma: Optional[float],
+    tolerance: float = 1e-7,
+    max_iterations: int = 20_000,
+    tracer: Optional[Tracer] = None,
+    record_residuals: bool = False,
+    labels: Optional[Sequence[str]] = None,
+) -> List[SolveStats]:
+    """Value-iterate every row of ``values`` until its greedy policy is settled.
+
+    ``values`` is the ``(L, S)`` starting stack, updated in place;
+    ``warm`` marks rows seeded with a warm start.  All rows sweep in
+    lockstep, and a row freezes (its slice stops updating, and the
+    sweep may skip it) at the first of two stops:
+
+    - **certified**: the sweep reports a greedy margin (see
+      :class:`~repro.core.mdp.BackupResult`) on the row's vector ``V_k``
+      that passes :func:`certified` with discount ``gamma`` against the
+      span of ``V_k - V_{k-1}``.  The greedy table of ``V_k`` is then the
+      unique optimal policy, and the row freezes with ``V_k`` and
+      ``iterations = k``; the sweep that measured the margin is not
+      counted or recorded.  ``V_k`` itself is *not* within
+      ``tolerance / (1 - gamma)`` of optimal — only its policy is
+      guaranteed.
+    - **tolerance**: the row's sup-norm residual drops below
+      ``tolerance``, and it freezes with the new vector, which is then
+      within ``tolerance / (1 - gamma)`` of optimal (standard
+      contraction bound).  Sweeps that report no margins — a
+      duration-aware discount, rows that do not sum to 1, a dense MDP —
+      and exact ties (margin 0) stop only this way.
+
+    Raises :class:`SolverError` naming every unconverged row (by
+    ``labels``, when given) and its residual if neither rule has fired
+    after ``max_iterations`` sweeps.
+
+    With ``record_residuals`` (or an enabled ``tracer``) every row's
+    per-sweep residual history is kept on :attr:`SolveStats.residuals`.
+    The tracer additionally receives one ``bellman_sweep`` wall-clock
+    span on the ``solver`` track per lockstep sweep — the phase the
+    profiler (:class:`repro.obs.profile.PhaseProfiler`) aggregates — and
+    one ``vi_sweep`` event per active row per counted sweep (timestamped
+    in wall-clock ms since solve start).
+    """
+    if tolerance <= 0:
+        raise SolverError(f"tolerance must be > 0, got {tolerance}")
+    if max_iterations < 1:
+        raise SolverError(
+            f"max_iterations must be >= 1, got {max_iterations}"
+        )
+    loads = values.shape[0]
+    tracing = tracer is not None and tracer.enabled
+    histories = (
+        [[] for _ in range(loads)] if (record_residuals or tracing) else None
+    )
+    stats: List[Optional[SolveStats]] = [None] * loads
+    frozen = np.zeros(loads, dtype=bool)
+    # Per row: the last recorded residual and the span of the last
+    # change, which the certified stop reads (no change yet: inf).
+    residuals = np.full(loads, np.inf)
+    spans = np.full(loads, np.inf)
+    start = time.perf_counter()
+
+    def freeze(i: int, iterations: int) -> None:
+        frozen[i] = True
+        stats[i] = SolveStats(
+            values=values[i].copy(),
+            iterations=iterations,
+            residual=float(residuals[i]),
+            runtime_s=time.perf_counter() - start,
+            converged=True,
+            residuals=None if histories is None else tuple(histories[i]),
+            warm_started=bool(warm[i]),
+        )
+
+    for iteration in range(1, max_iterations + 1):
+        active = np.nonzero(~frozen)[0]
+        if tracing:
+            # Skipped entirely when untraced so the hot path stays free
+            # of context-manager overhead.
+            with tracer.span(
+                "bellman_sweep", track="solver", args={"iteration": iteration}
+            ):
+                new_values, margins = sweep(values, active)
+        else:
+            new_values, margins = sweep(values, active)
+        # Row-wise reductions over the whole stack: per-row max/min along
+        # axis 1 are element-for-element the same IEEE ops as a one-row
+        # stack's.  Frozen rows are stale in ``new_values`` and
+        # ``margins`` — computed but never read.
+        if margins is not None:
+            sure = certified(
+                margins, spans, np.max(np.abs(values), axis=1), gamma
+            )[active]
+            # A certified row freezes with the vector it holds; this
+            # sweep's backup of it goes unrecorded.
+            for i in active[sure]:
+                freeze(i, iteration - 1)
+            active = active[~sure]
+        change = new_values - values
+        residuals = np.max(np.abs(change), axis=1)
+        spans = np.max(change, axis=1) - np.min(change, axis=1)
+        values[active] = new_values[active]
+        for i in active:
+            if histories is not None:
+                residual = float(residuals[i])
+                histories[i].append(residual)
+                if tracing:
+                    tracer.instant(
+                        "vi_sweep",
+                        "solver",
+                        (time.perf_counter() - start) * 1000.0,
+                        category="solver",
+                        args={"iteration": iteration, "residual": residual},
+                    )
+            if residuals[i] < tolerance:
+                freeze(i, iteration)
+        if frozen.all():
+            return stats  # type: ignore[return-value]
+    # Non-convergence ceiling: surface enough residual diagnostics to tell
+    # a too-tight tolerance (residual plateaued near float noise) from a
+    # genuinely diverging model (residual flat or growing).
+    unconverged = []
+    for i in np.nonzero(~frozen)[0]:
+        name = "" if labels is None else f"{labels[i]}: "
+        tail = (
+            ""
+            if histories is None
+            else "; last residuals "
+            f"{[f'{r:.3e}' for r in histories[i][-3:]]}"
+        )
+        unconverged.append(
+            f"{name}residual {residuals[i]:.3e} > tolerance "
+            f"{tolerance:.3e}{tail}"
+        )
+    raise SolverError(
+        f"value iteration did not converge after {max_iterations} sweeps "
+        f"({'; '.join(unconverged)})"
+    )
+
+
 def value_iteration(
     mdp,
     tolerance: float = 1e-7,
@@ -99,180 +252,31 @@ def value_iteration(
     tracer: Optional[Tracer] = None,
     record_residuals: bool = False,
 ) -> SolveStats:
-    """Iterate Bellman optimality backups until the greedy policy is settled.
+    """Value-iterate one MDP: :func:`iterate_stack` over a one-row stack
+    whose sweep is ``mdp.backup``.
 
-    Stops at the first of two rules:
-
-    - **certified**: the backup of ``V_k`` reports a greedy margin (see
-      :class:`~repro.core.mdp.BackupResult`) that passes
-      :func:`certified` against the span of ``V_k - V_{k-1}``.  The
-      greedy table of ``V_k`` is then the unique optimal policy, and
-      ``V_k`` is returned with ``iterations = k``; that last backup is
-      not counted or recorded.  ``V_k`` itself is *not* within
-      ``tolerance / (1 - gamma)`` of optimal — only its policy is
-      guaranteed.
-    - **tolerance**: the sup-norm residual drops below ``tolerance``;
-      the values are then within ``tolerance / (1 - gamma)`` of optimal
-      (standard contraction bound).  Backups that report no margin — a
-      duration-aware discount, rows that do not sum to 1, a dense MDP —
-      and exact ties (margin 0) stop only this way.
-
-    Raises :class:`SolverError` if neither rule has fired after
-    ``max_iterations`` sweeps.
-
-    With ``record_residuals`` (or an enabled ``tracer``) the per-sweep
-    residual history is kept on :attr:`SolveStats.residuals`; the tracer
-    additionally receives one ``vi_sweep`` event per counted sweep on the
-    ``solver`` track (timestamped in wall-clock ms since solve start)
-    plus one ``bellman_sweep`` wall-clock span per backup — the phase
-    the profiler (:class:`repro.obs.profile.PhaseProfiler`) aggregates.
+    Stops, records, traces and raises exactly as :func:`iterate_stack`
+    does; ``initial`` warm-starts the solve in place of the MDP's zero
+    vector.
     """
-    if tolerance <= 0:
-        raise SolverError(f"tolerance must be > 0, got {tolerance}")
-    if max_iterations < 1:
-        raise SolverError(
-            f"max_iterations must be >= 1, got {max_iterations}"
-        )
-    tracing = tracer is not None and tracer.enabled
-    history: Optional[list] = [] if (record_residuals or tracing) else None
-    values = mdp.initial_values() if initial is None else initial.copy()
-    start = time.perf_counter()
-    residual = np.inf
-    span = np.inf
-    for iteration in range(1, max_iterations + 1):
-        if tracing:
-            # One wall-clock phase per Bellman backup, nested under the
-            # generator's value_iteration span — the phase profiler's
-            # per-sweep hotspot unit.  Skipped entirely when untraced so
-            # the hot path stays free of context-manager overhead.
-            with tracer.span(
-                "bellman_sweep", track="solver", args={"iteration": iteration}
-            ):
-                result = mdp.backup(values)
-        else:
-            result = mdp.backup(values)
-        if result.margin is not None and certified(
-            result.margin,
-            span,
-            float(np.max(np.abs(values))),
-            mdp.config.discount,
-        ):
-            # ``values`` is certified: stop with it, leaving this sweep's
-            # backup (and its residual) unrecorded.
-            return SolveStats(
-                values=values,
-                iterations=iteration - 1,
-                residual=residual,
-                runtime_s=time.perf_counter() - start,
-                converged=True,
-                residuals=None if history is None else tuple(history),
-                warm_started=initial is not None,
-            )
-        change = result.values - values
-        residual = float(np.max(np.abs(change)))
-        span = float(np.max(change) - np.min(change))
-        values = result.values
-        if history is not None:
-            history.append(residual)
-            if tracing:
-                tracer.instant(
-                    "vi_sweep",
-                    "solver",
-                    (time.perf_counter() - start) * 1000.0,
-                    category="solver",
-                    args={"iteration": iteration, "residual": residual},
-                )
-        if residual < tolerance:
-            return SolveStats(
-                values=values,
-                iterations=iteration,
-                residual=residual,
-                runtime_s=time.perf_counter() - start,
-                converged=True,
-                residuals=None if history is None else tuple(history),
-                warm_started=initial is not None,
-            )
-    # Non-convergence ceiling: surface enough residual diagnostics to tell
-    # a too-tight tolerance (residual plateaued near float noise) from a
-    # genuinely diverging model (residual flat or growing).
-    tail = (
-        ""
-        if history is None
-        else f"; last residuals {[f'{r:.3e}' for r in history[-3:]]}"
-    )
-    raise SolverError(
-        f"value iteration did not converge after {max_iterations} sweeps "
-        f"(residual {residual:.3e} > tolerance {tolerance:.3e}{tail})"
-    )
 
+    def sweep(values: np.ndarray, active: np.ndarray):
+        result = mdp.backup(values[0])
+        margins = None if result.margin is None else np.array([result.margin])
+        return result.values[None], margins
 
-def policy_iteration(
-    mdp,
-    evaluation_sweeps: int = 200,
-    evaluation_tolerance: float = 1e-9,
-    max_iterations: int = 200,
-    tracer: Optional[Tracer] = None,
-) -> Tuple[SolveStats, Dict[int, Tuple[int, int]]]:
-    """Modified policy iteration: greedy improvement + iterative evaluation.
-
-    Policy evaluation runs fixed-policy expectation backups until the value
-    change drops below ``evaluation_tolerance`` (or ``evaluation_sweeps``
-    backups, whichever first); improvement is one greedy backup.  Terminates
-    when the greedy action table stops changing.  An enabled ``tracer``
-    receives one ``pi_round`` event per improvement round.
-    """
-    if max_iterations < 1:
-        raise SolverError(
-            f"max_iterations must be >= 1, got {max_iterations}"
-        )
-    if evaluation_sweeps < 1:
-        raise SolverError(
-            f"evaluation_sweeps must be >= 1, got {evaluation_sweeps}"
-        )
-    tracing = tracer is not None and tracer.enabled
-    values = mdp.initial_values()
-    start = time.perf_counter()
-    action_table: Dict[int, Tuple[int, int]] = {}
-    changed = -1
-    delta = float("inf")
-    for iteration in range(1, max_iterations + 1):
-        result = mdp.backup(values, want_greedy=True)
-        new_table = result.greedy
-        values = result.values
-        changed = sum(
-            1 for s, a in new_table.items() if action_table.get(s) != a
-        )
-        if tracing:
-            tracer.instant(
-                "pi_round",
-                "solver",
-                (time.perf_counter() - start) * 1000.0,
-                category="solver",
-                args={"iteration": iteration, "actions_changed": changed},
-            )
-        if new_table == action_table and iteration > 1:
-            return (
-                SolveStats(
-                    values=values,
-                    iterations=iteration,
-                    residual=0.0,
-                    runtime_s=time.perf_counter() - start,
-                    converged=True,
-                ),
-                action_table,
-            )
-        action_table = new_table
-        for _ in range(evaluation_sweeps):
-            new_values = mdp.backup_policy(values, action_table)
-            delta = float(np.max(np.abs(new_values - values)))
-            values = new_values
-            if delta < evaluation_tolerance:
-                break
-    # Non-stabilization ceiling with residual diagnostics: how far the last
-    # evaluation was from its fixed point and how many greedy actions were
-    # still flipping when the budget ran out.
-    raise SolverError(
-        f"policy iteration did not stabilize after {max_iterations} rounds "
-        f"(last evaluation delta {delta:.3e}, "
-        f"{changed} greedy action(s) still changing)"
+    start = mdp.initial_values() if initial is None else initial
+    # Only margin-reporting backups (a worker MDP's) need the discount;
+    # a dense MDP has no single one.
+    config = getattr(mdp, "config", None)
+    (stats,) = iterate_stack(
+        sweep,
+        np.array(start, dtype=np.float64)[None],
+        [initial is not None],
+        None if config is None else config.discount,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
+        tracer=tracer,
+        record_residuals=record_residuals,
     )
+    return stats

@@ -226,8 +226,6 @@ class AuditConfig:
     window_queries: int = 200
     #: Two-sided confidence level of the window intervals.
     confidence: float = 0.95
-    #: Interval estimator for the violation proportion.
-    ci_method: str = "wilson"  # "wilson" | "hoeffding"
     #: TV distance above which the occupancy audit reports divergence.
     tv_threshold: float = 0.25
     #: Decision epochs required before the TV verdict is trusted.
@@ -244,10 +242,6 @@ class AuditConfig:
         if self.window_queries < 1:
             raise ValueError(
                 f"window_queries must be >= 1, got {self.window_queries}"
-            )
-        if self.ci_method not in ("wilson", "hoeffding"):
-            raise ValueError(
-                f"ci_method must be 'wilson' or 'hoeffding', got {self.ci_method!r}"
             )
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
@@ -774,21 +768,15 @@ class GuaranteeAuditor:
     # ------------------------------------------------------------------
     # Window evaluation
     # ------------------------------------------------------------------
-    def _interval_for_proportion(
-        self, successes: int, total: int
-    ) -> Tuple[float, float]:
-        if self._cfg.ci_method == "hoeffding":
-            mean = 0.0 if total == 0 else successes / total
-            return hoeffding_interval(mean, total, self._cfg.confidence)
-        return wilson_interval(successes, total, self._cfg.confidence)
-
     def _close_window(self, end_ms: float) -> None:
         total = self._win_total
         satisfied = self._win_satisfied
         violations = total - satisfied
         violation_rate = 0.0 if total == 0 else violations / total
         accuracy = 0.0 if satisfied == 0 else self._win_accuracy_sum / satisfied
-        violation_ci = self._interval_for_proportion(violations, total)
+        violation_ci = wilson_interval(
+            violations, total, self._cfg.confidence
+        )
         accuracy_ci = hoeffding_interval(accuracy, satisfied, self._cfg.confidence)
 
         if self._bounds is None:

@@ -118,22 +118,6 @@ class DenseMDP:
         greedy = self.greedy(values) if want_greedy else {}
         return BackupResult(values=new_values, greedy=greedy)
 
-    def backup_policy(
-        self, values: np.ndarray, action_table: Dict[int, Label]
-    ) -> np.ndarray:
-        """Expectation backup; states missing from the table take their
-        first valid action."""
-        out = np.empty(self.R.shape[1])
-        for s in range(out.size):
-            choices = np.nonzero(self.valid[:, s])[0]
-            a = choices[0]
-            if s in action_table:
-                a = next(
-                    c for c in choices if self.labels[c][s] == action_table[s]
-                )
-            out[s] = self.R[a, s] + self.gamma[a, s] * (self.P[a, s] @ values)
-        return out
-
 
 def two_state_mdp(gamma: float = 0.9) -> DenseMDP:
     """Two states, two actions; the analytic optimum is easy to derive.

@@ -8,9 +8,7 @@ per-state formulations:
 - the optimality backup is the per-load masked max over full drains,
   independent of :class:`~repro.core.mdp.BellmanKernel`;
 - its variable-batching partial-drain fold walks ``_partial_plan`` one
-  action at a time with a strict ``>`` update;
-- policy evaluation builds every state's transition row per sweep;
-- ``policy_rows`` always assembles, never reading the evaluation cache.
+  action at a time with a strict ``>`` update.
 
 Its backup reports the greedy margin from each state's sorted list of
 candidate Q values, so value iteration on it takes the same certified
@@ -188,64 +186,6 @@ class LoopWorkerMDP(WorkerMDP):
             best_m[region] = np.where(better, m, best_m[region])
             best_b[region] = np.where(better, b, best_b[region])
         return best_q, best_m, best_b
-
-    def backup_policy(
-        self, values: np.ndarray, action_table: Dict[int, Tuple[int, int]]
-    ) -> np.ndarray:
-        """One expectation backup under a fixed action table."""
-        space = self._space
-        new_values = np.empty_like(values)
-        new_values[space.EMPTY] = self._gamma_empty * values[
-            space.index(1, self._grid.slo_index)
-        ]
-        for state_id in range(space.size):
-            if state_id == space.EMPTY:
-                continue
-            n, j = space.decode(state_id)
-            m, b = action_table.get(state_id, (_FALLBACK, n))
-            row = self.transition_row(state_id, (m, b))
-            reward = self.reward_of(state_id, (m, b))
-            discount = self.discount_of(state_id, (m, b))
-            new_values[state_id] = reward + discount * float(row @ values)
-        return new_values
-
-    def policy_rows(
-        self, table: Dict[int, Tuple[int, int]]
-    ) -> np.ndarray:
-        """The ``(S, S)`` transition matrix of the chain ``table`` induces.
-
-        Full-drain actions under a split-family view share the
-        precomputed ``(M, N, S)`` row bank, so those states gather in one
-        fancy-indexed copy; everything else (partial drains, drop-mode
-        fallbacks, the exact view's phase mixtures) goes through
-        :meth:`transition_row`.
-        """
-        space = self._space
-        size = space.size
-        rows = np.zeros((size, size), dtype=np.float64)
-        rows[space.EMPTY, space.index(1, self._grid.slo_index)] = 1.0
-        gather_ids: List[int] = []
-        gather_m: List[int] = []
-        gather_n: List[int] = []
-        split_rows = self._rows if self._split is not None else None
-        for state_id in range(size):
-            if state_id == space.EMPTY:
-                continue
-            n, _ = space.decode(state_id)
-            action = table.get(state_id, (_FALLBACK, n))
-            if split_rows is not None:
-                m, b = action
-                if m == _FALLBACK and not self._config.drop_late:
-                    m, b = 0, n
-                if m != _FALLBACK and b == n:
-                    gather_ids.append(state_id)
-                    gather_m.append(m)
-                    gather_n.append(n - 1)
-                    continue
-            rows[state_id] = self.transition_row(state_id, action)
-        if gather_ids:
-            rows[gather_ids] = split_rows[gather_m, gather_n]
-        return rows
 
 
 def generate_loop_policy(

@@ -10,7 +10,7 @@ rule exactly as it did before the certified stop existed: its values are
 within ``tolerance / (1 - gamma)`` of optimal.  The certified stop must
 give byte-identical ``Policy.save`` output and bitwise-equal §5.1
 guarantees (``tests/test_certified_stop.py``); tests about the fixed
-point itself (dense enumeration, policy iteration, drop-mode identities)
+point itself (dense enumeration, drop-mode identities)
 read converged values from here.
 """
 

@@ -153,11 +153,25 @@ class TestBackup:
                 assert mdp.space.index(n, j) in result.greedy
 
     def test_backup_policy_consistent_with_backup(self, tiny_config):
-        """Evaluating the greedy policy for V reproduces backup(V)."""
+        """Backing V up under its own greedy policy — through the chain
+        the §5.1 analysis reads (``policy_rows``) and the per-pair
+        ``reward_of``/``discount_of`` — reproduces backup(V)."""
         mdp = build_worker_mdp(tiny_config)
         stats = value_iteration(mdp, tolerance=1e-9)
         result = mdp.backup(stats.values, want_greedy=True)
-        evaluated = mdp.backup_policy(stats.values, result.greedy)
+        table = result.greedy
+        actions = [
+            table.get(s, (0, 1)) for s in range(mdp.num_states)
+        ]
+        reward = np.array(
+            [mdp.reward_of(s, a) for s, a in enumerate(actions)]
+        )
+        discount = np.array(
+            [mdp.discount_of(s, a) for s, a in enumerate(actions)]
+        )
+        evaluated = reward + discount * (
+            mdp.policy_rows(table) @ stats.values
+        )
         assert np.allclose(evaluated, result.values, atol=1e-6)
 
     def test_exact_view_backup_runs(self, tiny_models):

@@ -1,14 +1,14 @@
-"""Tests for value iteration and policy iteration on known MDPs."""
+"""Tests for value iteration on known MDPs."""
 
 import numpy as np
 import pytest
 
 from repro.core.mdp import build_worker_mdp
-from repro.core.solvers import policy_iteration, value_iteration
+from repro.core.bank import StackedBankMDP
+from repro.core.solvers import value_iteration
 from repro.errors import SolverError
 from tests.oracles.dense_mdp import two_state_mdp
 from tests.oracles.loop_mdp import LoopWorkerMDP
-from tests.oracles.tolerance_vi import converged_values
 
 
 class TestValueIterationOnDenseMDP:
@@ -36,6 +36,12 @@ class TestValueIterationOnDenseMDP:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(SolverError):
             value_iteration(two_state_mdp(), tolerance=0.0)
+
+    def test_greedy_table_is_the_optimum(self):
+        """Both states take action 1 (see the fixed point above)."""
+        mdp = two_state_mdp(gamma=0.9)
+        stats = value_iteration(mdp, tolerance=1e-12)
+        assert mdp.greedy(stats.values) == {0: (1, 1), 1: (1, 1)}
 
     def test_warm_start(self):
         mdp = two_state_mdp()
@@ -93,38 +99,7 @@ class TestResidualHistory:
         # Tracing implies the history is kept too, and they agree.
         assert tuple(traced_residuals) == stats.residuals
 
-    def test_policy_iteration_rounds_traced(self):
-        from repro.obs.trace import RecordingTracer
-
-        tracer = RecordingTracer()
-        stats, _ = policy_iteration(two_state_mdp(), tracer=tracer)
-        rounds = [ev for ev in tracer.events if ev.name == "pi_round"]
-        assert rounds
-        assert all("actions_changed" in ev.args for ev in rounds)
-
-
-class TestPolicyIterationOnDenseMDP:
-    def test_matches_value_iteration(self):
-        mdp = two_state_mdp(gamma=0.9)
-        vi = value_iteration(mdp, tolerance=1e-12)
-        pi_stats, table = policy_iteration(mdp)
-        assert np.allclose(pi_stats.values, vi.values, atol=1e-5)
-        # Optimal policy: both states take action 1.
-        assert table[0][0] == 1
-        assert table[1][0] == 1
-
-
 class TestSolversOnWorkerMDP:
-    def test_policy_iteration_agrees_with_value_iteration(self, tiny_config):
-        mdp = build_worker_mdp(tiny_config)
-        vi = value_iteration(mdp, tolerance=1e-9)
-        pi_stats, table = policy_iteration(mdp, evaluation_sweeps=1500)
-        converged = converged_values(tiny_config, tolerance=1e-9)
-        assert np.allclose(pi_stats.values, converged.values, atol=1e-3)
-        # The greedy policies coincide exactly.
-        vi_greedy = mdp.backup(vi.values, want_greedy=True).greedy
-        assert table == vi_greedy
-
     def test_value_iteration_deterministic(self, tiny_config):
         mdp = build_worker_mdp(tiny_config)
         a = value_iteration(mdp).values
@@ -133,7 +108,7 @@ class TestSolversOnWorkerMDP:
 
 
 class TestIterationCeilings:
-    """Both solvers fail loudly — and informatively — at their ceilings."""
+    """Value iteration fails loudly — and informatively — at its ceiling."""
 
     def test_vi_cap_message_includes_residual_tail(self):
         with pytest.raises(SolverError, match="last residuals"):
@@ -152,24 +127,30 @@ class TestIterationCeilings:
         assert "residual" in str(excinfo.value)
         assert "last residuals" not in str(excinfo.value)
 
-    def test_pi_cap_message_reports_delta_and_flips(self):
+    def test_bank_cap_message_names_loads_and_residuals(self, tiny_config):
+        """Every production solve runs the bank: its ceiling names each
+        unconverged load with its residual, and the residual tail when
+        the history is kept."""
+        bank = StackedBankMDP(
+            [tiny_config.with_load(q) for q in (20.0, 35.0)]
+        )
         with pytest.raises(
-            SolverError, match=r"greedy action\(s\) still changing"
+            SolverError, match=r"did not converge after 2 sweeps"
         ) as excinfo:
-            policy_iteration(two_state_mdp(), max_iterations=1)
-        assert "delta" in str(excinfo.value)
+            bank.solve(tolerance=1e-13, max_iterations=2)
+        message = str(excinfo.value)
+        for load in ("20", "35"):
+            assert f"load {load} qps: residual" in message
+        assert "last residuals" not in message
+        with pytest.raises(SolverError) as excinfo:
+            bank.solve(
+                tolerance=1e-13, max_iterations=2, record_residuals=True
+            )
+        assert str(excinfo.value).count("last residuals") == 2
 
     def test_vi_rejects_nonpositive_max_iterations(self):
         with pytest.raises(SolverError, match="max_iterations"):
             value_iteration(two_state_mdp(), max_iterations=0)
-
-    def test_pi_rejects_nonpositive_max_iterations(self):
-        with pytest.raises(SolverError, match="max_iterations"):
-            policy_iteration(two_state_mdp(), max_iterations=0)
-
-    def test_pi_rejects_nonpositive_evaluation_sweeps(self):
-        with pytest.raises(SolverError, match="evaluation_sweeps"):
-            policy_iteration(two_state_mdp(), evaluation_sweeps=0)
 
     def test_vi_cap_on_worker_mdp_backends(self, tiny_config):
         """The ceiling fires identically on the worker MDP and its loop

@@ -131,15 +131,10 @@ class TestAuditConfig:
     def test_defaults_are_valid(self):
         cfg = AuditConfig()
         assert cfg.window_queries == 200
-        assert cfg.ci_method == "wilson"
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             AuditConfig(window_queries=0)
-
-    def test_rejects_bad_ci_method(self):
-        with pytest.raises(ValueError):
-            AuditConfig(ci_method="bayes")
 
     def test_rejects_bad_confidence(self):
         with pytest.raises(ValueError):
@@ -248,19 +243,6 @@ class TestWindowVerdicts:
         (window,) = auditor.windows
         assert window.accuracy_verdict == UNCHECKED
         assert window.violation_verdict == BREACH
-
-    def test_hoeffding_ci_method_for_violations(self):
-        auditor = GuaranteeAuditor(
-            AuditBounds(accuracy_floor=0.0, violation_ceiling=0.5),
-            config=AuditConfig(window_queries=100, ci_method="hoeffding"),
-        )
-        feed_completions(auditor, 100, violations=10)
-        (window,) = auditor.windows
-        eps = math.sqrt(math.log(2.0 / 0.05) / 200.0)
-        assert window.violation_ci == (
-            pytest.approx(max(0.0, 0.1 - eps)),
-            pytest.approx(0.1 + eps),
-        )
 
     def test_windows_split_at_configured_size(self):
         auditor = GuaranteeAuditor(config=AuditConfig(window_queries=25))
