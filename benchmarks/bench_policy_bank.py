@@ -1,33 +1,26 @@
-"""Offline policy-bank generation: serial vs. pool vs. stacked bank.
+"""Offline policy-bank generation: per-load solves vs. one stacked bank.
 
-Times four passes over the same 32-cell load grid and gates the tentpole
+Times three passes over the same 32-cell load grid and gates the tentpole
 invariants of the pipeline:
 
 - **cold serial**: a per-load :func:`repro.core.generator.generate_policy`
   loop (each call a one-load stacked bank), persisting each cell into a
   fresh cache directory;
-- **cold parallel**: the same cells fanned across ``--workers`` processes
-  (at least two) by ``PolicyGenerator.generate_many(max_workers=...)``
-  into a second fresh directory;
-- **cold stacked**: a serial ``PolicyGenerator.generate_many``, which
-  solves the whole grid as *one* batched tensor program
+- **cold stacked**: ``PolicyGenerator.generate_many``, which solves the
+  whole grid as *one* batched tensor program
   (:class:`repro.core.bank.StackedBankMDP`);
 - **warm cross-path**: a stacked generator pointed at the serial pass's
-  cache directory, resolving every cell from disk — proving the paths
-  share per-load cache keys.
+  cache directory, resolving every cell from disk — proving the two
+  passes share per-load cache keys.
 
-All banks must be byte-identical (the stacked sweep is float-``==`` to
+Both banks must be byte-identical (the stacked sweep is float-``==`` to
 independent per-load solves), a subset of loads is additionally checked
 against the loop oracle (``tests/oracles/loop_mdp.py``), and the stacked
 pass must beat the cold serial pass by ``RAMSIS_BENCH_MIN_SPEEDUP``
 (default 1.4x at bench scale, 1.2x at ``RAMSIS_BENCH_SCALE=smoke``).
-
-The floor gates stacked vs serial because every pass runs the same
-Bellman kernel (:class:`repro.core.mdp.BellmanKernel`) in the same
-process, so that ratio is exactly what stacking loads into one solve
-adds.  Stacked vs pool compares one process with several on that same
-code, so it measures the host's core count; it is recorded with
-``parallel_speedup`` but not gated.
+Both passes run the same Bellman kernel
+(:class:`repro.core.mdp.BellmanKernel`) in one process, so that ratio is
+exactly what stacking loads into one solve adds.
 
 Headline numbers land in ``benchmarks/out/policy_bank.{txt,json}`` and
 ``BENCH_policy_bank.json`` at the repo root, regression-gated in CI via
@@ -42,7 +35,7 @@ import time
 
 import pytest
 
-from benchmarks._common import bench_scale, bench_use_cache, bench_workers, emit
+from benchmarks._common import bench_scale, bench_use_cache, emit
 from repro.cache import PolicyCache
 from repro.core.config import WorkerMDPConfig
 from repro.core.generator import PolicyGenerator, generate_policy
@@ -92,11 +85,9 @@ def _bank_bytes(results) -> str:
 
 def test_policy_bank_speedups(tmp_path):
     config = _bank_config()
-    workers = bench_workers()
     use_cache = bench_use_cache()
 
     dir_serial = tmp_path / "cache-serial"
-    dir_parallel = tmp_path / "cache-parallel"
 
     start = time.perf_counter()
     serial_cache = PolicyCache(directory=dir_serial) if use_cache else None
@@ -110,20 +101,9 @@ def test_policy_bank_speedups(tmp_path):
     cold_serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = PolicyGenerator(
-        config,
-        tolerance=TOL,
-        cache=PolicyCache(directory=dir_parallel) if use_cache else None,
-    ).generate_many(LOADS, max_workers=max(workers, 2))
-    cold_parallel_s = time.perf_counter() - start
-
-    start = time.perf_counter()
     stacked = PolicyGenerator(config, tolerance=TOL).generate_many(LOADS)
     stacked_s = time.perf_counter() - start
 
-    assert _bank_bytes(serial) == _bank_bytes(parallel), (
-        "parallel bank differs from serial bank"
-    )
     assert _bank_bytes(serial) == _bank_bytes(stacked), (
         "stacked bank differs from serial bank"
     )
@@ -165,9 +145,7 @@ def test_policy_bank_speedups(tmp_path):
         )
 
     floor = _min_speedup()
-    stacked_speedup_vs_pool = cold_parallel_s / stacked_s
     stacked_speedup_vs_serial = cold_serial_s / stacked_s
-    parallel_speedup = cold_serial_s / cold_parallel_s
     warm_speedup = None if warm_s is None else cold_serial_s / warm_s
     assert stacked_speedup_vs_serial >= floor, (
         f"stacked bank solve {stacked_s:.3f}s vs serial {cold_serial_s:.3f}s "
@@ -176,14 +154,11 @@ def test_policy_bank_speedups(tmp_path):
 
     lines = [
         f"policy bank: {len(LOADS)}-cell grid, "
-        f"fld_resolution={config.fld_resolution}, workers={workers}",
+        f"fld_resolution={config.fld_resolution}",
         f"cold serial:   {cold_serial_s:8.3f} s",
-        f"cold parallel: {cold_parallel_s:8.3f} s "
-        f"({parallel_speedup:.2f}x)",
         f"cold stacked:  {stacked_s:8.3f} s "
-        f"({stacked_speedup_vs_pool:.2f}x vs pool, "
-        f"{stacked_speedup_vs_serial:.2f}x vs serial, "
-        f"floor {floor:.1f}x vs serial)",
+        f"({stacked_speedup_vs_serial:.2f}x vs serial, "
+        f"floor {floor:.1f}x)",
     ]
     if warm_s is not None:
         lines.append(
@@ -195,15 +170,11 @@ def test_policy_bank_speedups(tmp_path):
         data={
             "loads_qps": LOADS,
             "fld_resolution": config.fld_resolution,
-            "workers": workers,
             "scale": "smoke" if _smoke() else "bench",
             "min_speedup": floor,
             "cold_serial_s": cold_serial_s,
-            "cold_parallel_s": cold_parallel_s,
             "cold_stacked_s": stacked_s,
             "warm_cache_s": warm_s,
-            "parallel_speedup": parallel_speedup,
-            "stacked_speedup_vs_pool": stacked_speedup_vs_pool,
             "stacked_speedup_vs_serial": stacked_speedup_vs_serial,
             "warm_cache_speedup": warm_speedup,
         },

@@ -97,9 +97,8 @@ def _write_obs_dir(tracer, registry, obs_dir) -> None:
     """Export the run's merged trace + metrics under ``obs_dir``.
 
     Leaves the directory in the layout ``ramsis report --run-dir``
-    consumes (``merged.cols``, ``metrics.prom``, ``metrics.json``, plus
-    any per-batch worker feeds); ``ramsis report --export`` adds
-    ``merged.jsonl`` and ``trace.json``.
+    consumes (``merged.cols``, ``metrics.prom``, ``metrics.json``);
+    ``ramsis report --export`` adds ``merged.jsonl`` and ``trace.json``.
     """
     from repro.obs.aggregate import MergedRun, write_merged_artifacts
 
@@ -113,8 +112,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     One policy per ``--loads`` entry (default: just ``--load``); grid cells
     resolve through the persistent policy cache unless ``--no-cache``, and
-    misses solve in-process as one stacked bank or fan out across
-    ``--jobs`` processes.
+    misses solve in-process as one stacked bank.
     """
     from repro.core.config import WorkerMDPConfig
     from repro.core.generator import PolicyGenerator
@@ -140,9 +138,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cache=_cache_from_args(args),
         tracer=tracer,
         registry=registry,
-        run_dir=obs_dir,
     )
-    results = generator.generate_many(loads, max_workers=args.jobs)
+    results = generator.generate_many(loads)
     if obs_dir is not None:
         _write_obs_dir(tracer, registry, obs_dir)
     out_dir = Path(args.out) / f"RAMSIS_{args.workers}_{slo:g}"
@@ -458,21 +455,19 @@ def _explain_snapshot(run_dir: Path, slo: Optional[float]) -> Optional[dict]:
     snapshot = _attribution_json(run_dir)
     if snapshot is not None:
         return snapshot
-    from repro.obs.aggregate import merged_tables
     from repro.obs.attribution import attribution_from_jsonl, attribution_from_table
     from repro.obs.columns import EventTable
 
-    tables = merged_tables(run_dir)
-    if tables:
-        table, header = EventTable.load(tables[0])
+    merged = run_dir / "merged.cols"
+    if merged.is_file():
+        table, header = EventTable.load(merged)
         return attribution_from_table(
             table, slo_ms=slo if slo is not None else header.get("slo_ms")
         ).to_json_dict()
     for name in ("merged.jsonl", "events.jsonl"):
-        candidates = [run_dir / name] + sorted(run_dir.glob(f"batch-*/{name}"))
-        for path in candidates:
-            if path.is_file():
-                return attribution_from_jsonl(path, slo_ms=slo).to_json_dict()
+        path = run_dir / name
+        if path.is_file():
+            return attribution_from_jsonl(path, slo_ms=slo).to_json_dict()
     return None
 
 
@@ -957,12 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a policy per load (overrides --load)",
     )
     gen.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="solve grid cells across this many processes",
-    )
-    gen.add_argument(
         "--cache-dir",
         default=None,
         help="policy cache directory (default: $RAMSIS_CACHE_DIR or "
@@ -978,8 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--obs-dir",
         default=None,
-        help="trace the generation (serial and parallel) and write the "
-        "merged observability artifacts under this directory",
+        help="trace the generation and write the merged observability "
+        "artifacts under this directory",
     )
     gen.set_defaults(func=cmd_gen)
 

@@ -9,8 +9,7 @@ one batched tensor program instead of ``L`` independent solves, and
 :func:`solve_stacked_bank` is the one entry point every policy solve
 goes through: :func:`repro.core.generator.generate_policy` is a one-load
 bank, and :meth:`repro.core.generator.PolicyGenerator.generate_many`
-solves every serial batch of cache misses as one bank (its process pool
-runs ``generate_policy`` per cell).
+solves every batch of cache misses as one bank.
 
 - **kernel construction** derives the load-invariant skeleton (pruned
   models, grid, latency table) once, batches the equilibrium-renewal

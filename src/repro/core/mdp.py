@@ -770,22 +770,24 @@ class BellmanKernel:
             )
             self._plan_counts_list = [c._plan_counts for c in cells]
             # Flat gather indices: q_cand[l, p, n, j] reads
-            # ev_stack[l, p, n, jmap[p, j]], resolved once into one
-            # fancy-index array so each sweep is a single ``take``.
+            # ev_stack[l, p, max(n, b_p), jmap[p, j]], resolved once into
+            # one fancy-index array so each sweep is a single ``take``.
+            # Rows below ``b_p`` are never written; their candidates are
+            # dead, so they read row ``b_p`` instead and are masked.
+            rows = np.maximum(
+                np.arange(n_max, dtype=np.intp), self._plan_b[:, None]
+            )
             self._take_stack = (
                 (
                     np.arange(loads * p_count, dtype=np.intp).reshape(
                         loads, p_count, 1, 1
                     )
                     * n_max
-                    + np.arange(n_max, dtype=np.intp)[:, None]
+                    + rows[:, :, None]
                 )
                 * j_count
                 + first._plan_jmap[None, :, None, :]
             )
-            # ``_fold_ev`` rows below each entry's ``b`` are never written
-            # and never read (masked to -inf), so the buffer is left
-            # unzeroed between sweeps.
             self._fold_vpad = np.empty((loads, 2 * n_max + 1, j_count))
             self._fold_ev = np.empty(
                 (loads, self._p_count, n_max, j_count)
@@ -1035,14 +1037,16 @@ class BellmanKernel:
                 np.matmul(
                     win[: n_max - b], counts[p], out=ev_stack[i, p, b:]
                 )
-        # Overflow tail mass (exact: adds 0.0 where residual is 0).
-        ev_stack += (
-            self._plan_residual[:, :, None, None]
-            * v_full[:, None, None, None]
-        )
         # Leftover-slack requantization: one flat gather for every entry.
         q_cand = self._fold_q
         np.take(ev_stack, self._take_stack, out=q_cand)
+        # Overflow tail mass (exact: adds 0.0 where residual is 0).  It is
+        # constant along (n, j), so adding it after the gather gives the
+        # same sums and leaves ``ev_stack`` as its last sweep wrote it.
+        q_cand += (
+            self._plan_residual[:, :, None, None]
+            * v_full[:, None, None, None]
+        )
         q_cand *= self._plan_gamma[:, :, None, None]
         q_cand += self._plan_reward[:, :, None, None]
         np.copyto(q_cand, -np.inf, where=self._plan_dead[None])

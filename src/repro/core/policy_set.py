@@ -53,7 +53,6 @@ class PolicySet:
         load_grid_qps: Sequence[float],
         accuracy_gap_threshold: float = 0.01,
         max_policies: int = 64,
-        max_workers: Optional[int] = None,
     ) -> "PolicySet":
         """Generate a refined set over ``load_grid_qps``.
 
@@ -66,16 +65,14 @@ class PolicySet:
         the gap threshold gets its midpoint in the *same* round, worst gaps
         first when the ``max_policies`` budget cannot cover them all.  Each
         round — the initial grid, then every round's midpoints — solves as
-        *one* batched :class:`repro.core.bank.StackedBankMDP` program, or
-        with ``max_workers > 1`` concurrently across processes; the two
-        produce byte-identical sets.  Each midpoint's value iteration is
-        seeded from the lower neighbour's stopping values — fewer sweeps,
-        same policy.
+        *one* batched :class:`repro.core.bank.StackedBankMDP` program.
+        Each midpoint's value iteration is seeded from the lower
+        neighbour's stopping values — fewer sweeps, same policy.
         """
         if not load_grid_qps:
             raise PolicyError("load grid must be non-empty")
         loads = sorted(set(float(q) for q in load_grid_qps))
-        batch = generator.generate_many(loads, max_workers=max_workers)
+        batch = generator.generate_many(loads)
         results = dict(zip(loads, batch))
 
         def gap(a: float, b: float) -> float:
@@ -103,9 +100,7 @@ class PolicySet:
                     initials[mid] = results[a].values
             if not midpoints:
                 break
-            batch = generator.generate_many(
-                midpoints, max_workers=max_workers, initials=initials
-            )
+            batch = generator.generate_many(midpoints, initials=initials)
             results.update(zip(midpoints, batch))
             loads = sorted(results)
 

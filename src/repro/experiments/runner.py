@@ -242,17 +242,16 @@ def build_policy_set(
     min_load_qps: float,
     max_load_qps: float,
     scale: ExperimentScale,
-    max_workers: Optional[int] = None,
     cache: Optional["PolicyCache"] = None,
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> PolicySet:
     """A cached load-refined policy set covering ``[min, max]`` QPS.
 
-    ``max_workers > 1`` fans grid cells (and each refinement round's
-    midpoints) across processes; ``cache`` adds a persistent disk layer
+    The grid, then each refinement round's midpoints, solves as one
+    stacked bank; ``cache`` adds a persistent disk layer
     (:class:`repro.cache.PolicyCache`) so separate invocations share solved
-    policies.  Both paths produce byte-identical banks.
+    policies.
     """
     key = (
         "set",
@@ -282,7 +281,6 @@ def build_policy_set(
         load_grid_qps=[float(q) for q in grid],
         accuracy_gap_threshold=scale.policy_accuracy_gap,
         max_policies=max(scale.policy_grid_points * 2, 8),
-        max_workers=max_workers,
     )
     _POLICY_SET_CACHE[key] = policy_set
     return policy_set

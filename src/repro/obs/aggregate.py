@@ -1,6 +1,7 @@
 """Cross-process trace shipping and aggregation.
 
-``ProcessPoolExecutor`` workers cannot share the parent's
+Process-pool workers (the fan-out of
+:func:`repro.experiments.sweep.run_sweep`) cannot share the parent's
 :class:`~repro.obs.trace.RecordingTracer` or
 :class:`~repro.obs.metrics.MetricsRegistry` — records would have to
 cross a pickle boundary on every event.  Instead each worker gets a
@@ -218,9 +219,9 @@ def worker_obs() -> Optional[WorkerObs]:
     return _WORKER_OBS
 
 
-def new_run_dir(prefix: str = "ramsis-run-") -> Path:
+def new_run_dir() -> Path:
     """A fresh private directory for one parallel run's feeds."""
-    return Path(tempfile.mkdtemp(prefix=prefix))
+    return Path(tempfile.mkdtemp(prefix="ramsis-run-"))
 
 
 # ----------------------------------------------------------------------
@@ -398,37 +399,28 @@ def write_merged_artifacts(
     return paths
 
 
-def merged_tables(run_dir: Union[str, Path]) -> List[Path]:
-    """The run's ``merged.cols`` files: its own, then each batch's."""
-    directory = Path(run_dir)
-    direct = directory / "merged.cols"
-    return ([direct] if direct.is_file() else []) + sorted(
-        directory.glob("batch-*/merged.cols")
-    )
-
-
 def export_run_dir(run_dir: Union[str, Path]) -> List[Path]:
-    """Write ``merged.jsonl`` and ``trace.json`` beside every
-    ``merged.cols`` of a run directory (``ramsis report --export``).
+    """Write ``merged.jsonl`` and ``trace.json`` beside a run directory's
+    ``merged.cols`` (``ramsis report --export``).
 
     Both are built by :func:`~repro.obs.exporters.events_jsonl` and
     :func:`~repro.obs.exporters.chrome_trace` (one process group per
-    worker) from a recorder over the table.  Returns the written paths.
+    worker) from a recorder over the table.  Returns the written paths,
+    none when the directory holds no merged table.
     """
     from repro.obs import exporters
 
-    written: List[Path] = []
-    for path in merged_tables(run_dir):
-        tracer = RecordingTracer.from_table(EventTable.load(path)[0])
-        written.append(
-            exporters.write_events_jsonl(tracer, path.parent / "merged.jsonl")
-        )
-        written.append(
-            exporters.write_chrome_trace(
-                tracer, path.parent / "trace.json", split_processes=True
-            )
-        )
-    return written
+    directory = Path(run_dir)
+    path = directory / "merged.cols"
+    if not path.is_file():
+        return []
+    tracer = RecordingTracer.from_table(EventTable.load(path)[0])
+    return [
+        exporters.write_events_jsonl(tracer, directory / "merged.jsonl"),
+        exporters.write_chrome_trace(
+            tracer, directory / "trace.json", split_processes=True
+        ),
+    ]
 
 
 def write_live_snapshot(

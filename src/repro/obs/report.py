@@ -116,13 +116,8 @@ def _audit_rows(audit_json: Path) -> List[Tuple[str, str]]:
 
 def _attribution_json(run_dir: Path) -> Optional[Dict[str, Any]]:
     """The run's merged attribution snapshot, when one was written."""
-    direct = run_dir / "attribution.json"
-    if direct.is_file():
-        return json.loads(direct.read_text())
-    batches = sorted(run_dir.glob("batch-*/attribution.json"))
-    if batches:
-        return json.loads(batches[-1].read_text())
-    return None
+    path = run_dir / "attribution.json"
+    return json.loads(path.read_text()) if path.is_file() else None
 
 
 def _attribution_rows(snap: Dict[str, Any]) -> List[Tuple[str, str]]:
@@ -187,29 +182,23 @@ def _gather_sections(
     run_dir: Path,
 ) -> Tuple[List[Tuple[str, List[Tuple[str, str]]]], List[Any]]:
     """The report sections, plus the merged trace's phase stats."""
-    from repro.obs.aggregate import merged_tables
     from repro.obs.columns import EventTable, block_rows
 
     sections: List[Tuple[str, List[Tuple[str, str]]]] = []
 
-    shard_rows: List[Tuple[str, str]] = []
-    for path in sorted(run_dir.glob("shard-*.cols")) + sorted(
-        run_dir.glob("batch-*/shard-*.cols")
-    ):
-        shard_rows.append(
-            (str(path.relative_to(run_dir)), f"{block_rows(path)} records")
-        )
+    shard_rows: List[Tuple[str, str]] = [
+        (path.name, f"{block_rows(path)} records")
+        for path in sorted(run_dir.glob("shard-*.cols"))
+    ]
     if shard_rows:
         sections.append(("worker shards", shard_rows))
 
     attribution = _attribution_json(run_dir)
     stats: List[Any] = []
-    merged = merged_tables(run_dir)
-    if merged:
+    path = run_dir / "merged.cols"
+    if path.is_file():
         from repro.obs.profile import stats_from_table
 
-        # The latest table: the run's own, else its last batch's.
-        path = merged[0] if merged[0].parent == run_dir else merged[-1]
         table, header = EventTable.load(path, "obs.reconstruct", TORN_RECORD)
         if attribution is None:
             # No attribution.json (e.g. the sweep ran with no attributor
@@ -223,7 +212,7 @@ def _gather_sections(
         stats = stats_from_table(table)
         sections.append(
             (
-                f"reconstructed from {path.relative_to(run_dir)}",
+                f"reconstructed from {path.name}",
                 _summary_rows(summarize(table)),
             )
         )

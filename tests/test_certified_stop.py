@@ -228,6 +228,59 @@ class TestMargin:
             assert cell.backup(row).margin == margin
 
 
+#: A signaling NaN: any arithmetic on it raises under
+#: ``np.errstate(invalid="raise")``, where a quiet NaN or an infinity
+#: would pass through unnoticed.
+_SIGNALING_NAN = np.uint64(0x7FF4000000000001)
+
+
+class TestFoldReadsOnlyWrittenRows:
+    """The partial-drain fold touches no ``_fold_ev`` entry that the
+    current solve has not written: rows below each entry's batch size
+    are never written, and frozen loads stop being written."""
+
+    @staticmethod
+    def _solve(poison):
+        configs = [_tiny().with_load(q) for q in (15.0, 30.0, 55.0)]
+        bank = StackedBankMDP(configs)
+        kernel = bank._kernel
+        assert kernel._p_count
+        if poison is not None:
+            kernel._fold_ev.view(np.uint64)[...] = poison
+        margins = []
+        sweep = kernel.sweep
+
+        def recorded(values, active):
+            out = sweep(values, active)
+            margins.append(kernel.margins.copy())
+            return out
+
+        kernel.sweep = recorded
+        with np.errstate(all="raise"):
+            stats = bank.solve()
+        return stats, margins
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            pytest.param(_SIGNALING_NAN, id="signaling-nan"),
+            pytest.param(np.float64(np.nan).view(np.uint64), id="nan"),
+            pytest.param(np.float64(np.inf).view(np.uint64), id="inf"),
+        ],
+    )
+    def test_poisoned_buffer_solves_alike(self, poison):
+        dirty, dirty_margins = self._solve(poison)
+        clean, clean_margins = self._solve(None)
+        # One load freezes before the others.
+        assert len({s.iterations for s in clean}) > 1
+        assert [s.iterations for s in dirty] == [s.iterations for s in clean]
+        for d, c in zip(dirty, clean):
+            assert d.values.tobytes() == c.values.tobytes()
+        assert len(dirty_margins) == len(clean_margins)
+        for d, c in zip(dirty_margins, clean_margins):
+            assert d.tobytes() == c.tobytes()
+
+
 def test_certified_values_are_not_the_fixed_point():
     """The declared trade: certified values stop short of the fixed point
     (residual histories still contract), while the policy is optimal."""

@@ -104,6 +104,45 @@ class TestGen:
             "30.json", "40.json", "50.json", "60.json",
         ]
 
+    def test_obs_dir_writes_merged_artifacts(self, tmp_path, capsys):
+        from repro.obs.columns import EventTable
+        from repro.obs.trace import RecordingTracer
+
+        obs_dir = tmp_path / "obs"
+        code = main(
+            [
+                "gen",
+                "--loads", "30", "40", "50",
+                "--no-cache",
+                "--fld-resolution", "12",
+                "--out", str(tmp_path / "pol"),
+                "--obs-dir", str(obs_dir),
+            ]
+        )
+        assert code == 0
+        for name in ("merged.cols", "metrics.json", "metrics.prom"):
+            assert (obs_dir / name).is_file(), name
+        tracer = RecordingTracer.from_table(
+            EventTable.load(obs_dir / "merged.cols")[0]
+        )
+        bank = [s for s in tracer.spans if s.track == "policy_bank"]
+        assert [s.name for s in bank] == ["policy_bank_stacked"]
+        assert bank[0].args["cells"] == 3
+        # Every cell records its first sweep.
+        first_sweeps = [
+            ev for ev in tracer.events
+            if not ev.is_counter
+            and ev.name == "vi_sweep"
+            and ev.args["iteration"] == 1
+        ]
+        assert len(first_sweeps) == 3
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(obs_dir)]) == 0
+
+    def test_jobs_is_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["gen", "--jobs", "2"])
+
 
 class TestSimulateAndReport:
     def test_constant_roundtrip(self, tmp_path, capsys):

@@ -320,30 +320,9 @@ class TestChromeTraceSplitProcesses:
         assert doc["displayTimeUnit"]
 
 
-class TestGenerateManyShipping:
-    def test_parallel_generate_many_merges_solver_spans(self, tmp_path, tiny_config):
-        from repro.core.generator import PolicyGenerator
-
-        tracer = RecordingTracer()
-        run_dir = tmp_path / "bank"
-        generator = PolicyGenerator(
-            tiny_config, tracer=tracer, run_dir=run_dir
-        )
-        results = generator.generate_many([20.0, 30.0], max_workers=2)
-        assert len(results) == 2
-        tracks = tracer.tracks()
-        assert any(t.startswith("w") and t.endswith("/generator") for t in tracks)
-        # Each parallel batch writes its own subdirectory of artifacts.
-        batches = sorted(run_dir.glob("batch-*"))
-        assert batches
-        assert (batches[0] / "merged.cols").is_file()
-        export_run_dir(run_dir)
-        assert (batches[0] / "merged.jsonl").is_file()
-
-
 class TestSharedRecorder:
-    """A caller's recorder shared by several parallel runs: each run dir
-    holds that run's feeds, and nothing else."""
+    """A caller's recorder shared by several parallel sweeps: each run
+    dir holds that sweep's feeds, and nothing else."""
 
     def test_repeated_sweeps_attribute_their_own_queries(self, tmp_path):
         from repro.obs.attribution import LatencyAttributor
@@ -372,27 +351,6 @@ class TestSharedRecorder:
         assert totals[0]["queries"] > 0
         assert totals[1] == totals[0]
         assert rows[1] == rows[0]
-
-    def test_refinement_batches_hold_their_own_feeds(self, tmp_path, tiny_config):
-        from repro.core.generator import PolicyGenerator
-        from repro.core.policy_set import PolicySet
-
-        run_dir = tmp_path / "bank"
-        generator = PolicyGenerator(
-            tiny_config, tracer=RecordingTracer(), run_dir=run_dir
-        )
-        PolicySet.generate(
-            generator, [5.0, 40.0], accuracy_gap_threshold=0.0, max_policies=5,
-            max_workers=2,
-        )
-        batches = sorted(run_dir.glob("batch-*"))
-        assert len(batches) >= 2
-        for batch in batches:
-            feeds = sum(
-                len(EventTable.load(path)[0]) for path in batch.glob("shard-*.cols")
-            )
-            assert feeds > 0
-            assert len(EventTable.load(batch / "merged.cols")[0]) == feeds, batch.name
 
 
 class TestTruncatedShards:

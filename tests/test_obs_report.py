@@ -88,16 +88,6 @@ class TestRunReport:
         with pytest.raises(ValueError):
             render_run_report(tmp_path / "run", fmt="pdf")
 
-    def test_batch_subdir_merged_jsonl_found(self, tmp_path):
-        """A batch subdirectory's merged table (and its export) is found."""
-        run_dir = tmp_path / "bank"
-        populate_run_dir(run_dir / "batch-000")
-        report = render_run_report(run_dir)
-        assert "batch-000/merged.cols" in report.replace("\\", "/")
-        assert "completed queries     2" in report
-        assert main(["report", "--run-dir", str(run_dir), "--export"]) == 0
-        assert (run_dir / "batch-000" / "merged.jsonl").is_file()
-
     def test_write_run_report_default_and_explicit_path(self, tmp_path):
         run_dir = populate_run_dir(tmp_path / "run")
         default = write_run_report(run_dir)

@@ -1,4 +1,4 @@
-"""Policy-bank generation: parallel/serial equivalence, caching, warm starts."""
+"""Policy-bank generation: stacked/per-load equivalence, caching, warm starts."""
 
 from __future__ import annotations
 
@@ -33,24 +33,13 @@ def _bank_bytes(results) -> str:
 
 
 # ----------------------------------------------------------------------
-# Parallel == serial
+# Batches
 # ----------------------------------------------------------------------
-def test_parallel_bank_matches_serial(tiny_config):
-    serial = PolicyGenerator(tiny_config, tolerance=TOL).generate_many(LOADS)
-    parallel = PolicyGenerator(tiny_config, tolerance=TOL).generate_many(
-        LOADS, max_workers=2
-    )
-    assert _bank_bytes(serial) == _bank_bytes(parallel)
-    for s, p in zip(serial, parallel):
-        assert s.guarantees == p.guarantees
-        assert s.iterations == p.iterations
-
-
 def test_generate_many_preserves_load_order(tiny_config):
     generator = PolicyGenerator(tiny_config, tolerance=TOL)
     # Pre-warm one middle cell so the pending set is a strict subset.
     generator.generate(LOADS[2])
-    results = generator.generate_many(LOADS, max_workers=2)
+    results = generator.generate_many(LOADS)
     assert [r.policy.load_qps for r in results] == LOADS
 
 
@@ -60,11 +49,9 @@ def test_parallel_bank_emits_spans_and_counters(tiny_config):
     generator = PolicyGenerator(
         tiny_config, tolerance=TOL, tracer=tracer, registry=registry
     )
-    generator.generate_many(LOADS, max_workers=2)
+    generator.generate_many(LOADS)
     bank_spans = [s.name for s in tracer.spans if s.track == "policy_bank"]
-    assert "policy_bank_submit" in bank_spans
-    assert "policy_bank_collect" in bank_spans
-    assert sum(s.startswith("cell ") for s in bank_spans) == len(LOADS)
+    assert bank_spans == ["policy_bank_stacked"]
     solves = registry.counter(
         "policy_bank_cells_total",
         labels={"source": "solve"},
@@ -200,52 +187,34 @@ def test_generate_is_a_one_load_generate_many(tiny_config, tmp_path):
     }
 
 
-def test_traced_serial_and_pool_banks_record_the_same_sweeps(
-    tiny_config, tmp_path
-):
-    loads = [10.0, 20.0, 30.0]
-    banks, restored, sweeps = [], [], []
-    for max_workers in (None, 2):
-        tracer = RecordingTracer()
-        cache_dir = tmp_path / f"cache-{max_workers}"
-        banks.append(
-            PolicyGenerator(
-                tiny_config, tracer=tracer, cache=PolicyCache(cache_dir)
-            ).generate_many(loads, max_workers=max_workers)
-        )
-        restored.append(
-            PolicyGenerator(
-                tiny_config, cache=PolicyCache(cache_dir)
-            ).generate_many(loads)
-        )
-        # The vi_sweep events at iteration k count the cells still
-        # sweeping at k, so this tally fixes every cell's sweep count.
-        sweeps.append(
-            Counter(
-                ev.args["iteration"]
-                for ev in tracer.events
-                if not ev.is_counter and ev.name == "vi_sweep"
-            )
-        )
-    serial, pool = banks
-    assert all(r.residuals is not None for r in serial)
-    assert [len(r.residuals) for r in serial] == [r.iterations for r in serial]
-    assert [r.residuals for r in serial] == [r.residuals for r in pool]
-    assert [r.residuals for r in restored[0]] == [
-        r.residuals for r in restored[1]
-    ]
-    cells = Counter(k for r in serial for k in range(1, r.iterations + 1))
-    assert sweeps[0] == sweeps[1] == cells
-
-
-def test_explicit_workers_keep_the_pool_under_auto(tiny_config):
-    tracer = RecordingTracer()
-    PolicyGenerator(tiny_config, tolerance=TOL, tracer=tracer).generate_many(
-        LOADS, max_workers=2
+def _sweep_tally(tracer):
+    # The vi_sweep events at iteration k count the cells still sweeping
+    # at k, so this tally fixes every cell's sweep count.
+    return Counter(
+        ev.args["iteration"]
+        for ev in tracer.events
+        if not ev.is_counter and ev.name == "vi_sweep"
     )
-    spans = [s.name for s in tracer.spans if s.track == "policy_bank"]
-    assert "policy_bank_stacked" not in spans
-    assert "policy_bank_submit" in spans
+
+
+def test_traced_serial_and_pool_banks_record_the_same_sweeps(tiny_config):
+    """A traced stacked bank records the residual histories and vi_sweep
+    tallies of traced per-load generate_policy calls."""
+    loads = [10.0, 20.0, 30.0]
+    tracer = RecordingTracer()
+    stacked = PolicyGenerator(tiny_config, tracer=tracer).generate_many(loads)
+    per_load_tracer = RecordingTracer()
+    per_load = [
+        generate_policy(tiny_config.with_load(q), tracer=per_load_tracer)
+        for q in loads
+    ]
+    assert all(r.residuals is not None for r in stacked)
+    assert [len(r.residuals) for r in stacked] == [
+        r.iterations for r in stacked
+    ]
+    assert [r.residuals for r in stacked] == [r.residuals for r in per_load]
+    cells = Counter(k for r in stacked for k in range(1, r.iterations + 1))
+    assert _sweep_tally(tracer) == _sweep_tally(per_load_tracer) == cells
 
 
 def test_stacked_bank_matches_serial(tiny_config):
@@ -259,9 +228,9 @@ def test_stacked_bank_matches_serial(tiny_config):
 
 def test_stacked_shares_cache_keys_with_serial(tiny_config, tmp_path):
     cache_a = PolicyCache(directory=tmp_path)
-    bank = PolicyGenerator(
-        tiny_config, tolerance=TOL, cache=cache_a
-    ).generate_many(LOADS, max_workers=2)
+    bank = _per_load(tiny_config, LOADS)
+    for q, result in zip(LOADS, bank):
+        cache_a.put(tiny_config.with_load(q), TOL, result)
     assert cache_a.stores == len(LOADS)
 
     cache_b = PolicyCache(directory=tmp_path)
