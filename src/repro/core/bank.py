@@ -12,13 +12,14 @@ bank, and :meth:`repro.core.generator.PolicyGenerator.generate_many`
 solves every batch of cache misses as one bank.
 
 - **kernel construction** derives the load-invariant skeleton (pruned
-  models, grid, latency table) once, batches the equilibrium-renewal
-  quadrature across the load axis (the Erlang k-fold CDFs come from one
+  models, grid, latency table, distinct kernel latencies) once and,
+  where the loads share one renewal gap model, makes one batched
+  builder call over every load (the Erlang k-fold CDFs come from one
   Poisson-term recurrence, :func:`repro.core.transitions.gamma_cdfs`,
   elementwise in the load-dependent scale, while the §4.4 window
-  geometry depends only on grid × latency), then seeds every cell's
-  builder caches, the first cell's included, so per-cell assembly is a
-  pure gather;
+  geometry depends only on grid × latency); every cell, the first
+  included, takes its load's slice, so per-cell assembly is a pure
+  gather.  Other cells make the same builder call for their own load;
 - **value iteration** is the one loop,
   :func:`repro.core.solvers.iterate_stack`, sweeping one
   :class:`~repro.core.mdp.BellmanKernel` over the stacked cells with
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,58 +131,18 @@ def _annotate(policy: Policy, guarantees: PolicyGuarantees) -> Policy:
 # ----------------------------------------------------------------------
 # Batched kernel construction (construction-time only)
 # ----------------------------------------------------------------------
-@dataclass
-class _KernelSeed:
-    """Precomputed builder-cache contents for one load cell."""
-
-    service_rows: Dict[float, np.ndarray]
-    arrival_counts: Dict[float, np.ndarray]
-
-
-class _BankCellMDP(WorkerMDP):
-    """One load cell of a stacked bank.
-
-    It reuses the bank's shared load-invariant :class:`_Skeleton` instead
-    of recomputing it, and, where the view batches, starts with its
-    renewal-kernel caches pre-seeded: the builder caches rows/counts by
-    ``round(latency, 9)``, so installing the batched-construction results
-    before row assembly turns every ``service_row``/``arrival_counts``
-    call into a cache hit and the cell builds without any quadrature.
-    """
-
-    def __init__(
-        self,
-        config: WorkerMDPConfig,
-        skeleton: _Skeleton,
-        seed: Optional[_KernelSeed],
-    ) -> None:
-        self._shared_skeleton = skeleton
-        self._kernel_seed = seed
-        super().__init__(config)
-
-    def _build_skeleton(self, config: WorkerMDPConfig) -> _Skeleton:
-        return self._shared_skeleton
-
-    def _build_split_rows(self) -> np.ndarray:
-        if self._kernel_seed is not None:
-            self._split._service_cache.update(self._kernel_seed.service_rows)
-            self._split._count_cache.update(self._kernel_seed.arrival_counts)
-        return super()._build_split_rows()
-
-
-def _stacked_kernel_seeds(
+def _stacked_kernels(
     skeleton: _Skeleton, configs: Sequence[WorkerMDPConfig]
-) -> Optional[List[_KernelSeed]]:
-    """Batched renewal-kernel construction for every load cell.
+) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+    """Every cell's full-drain rows and count pmfs from one batched call.
 
     Only the ``ROUND_ROBIN_MARGINAL`` view with a single gap family
-    (shared-shape Gamma, or deterministic) batches; other views return
-    ``None`` and each cell builds its kernels independently (stacked
-    Bellman sweeps still apply).  One
+    (shared-shape Gamma, or deterministic) stacks; otherwise returns
+    ``None`` and each cell makes its own call.  One
     :class:`~repro.core.transitions.EquilibriumRenewalKernelBuilder` over
-    a gap model stacked across loads computes every cell's rows at once,
-    each bitwise identical to what the cell's own one-load builder would
-    compute (see its ``service_rows``).
+    a gap model stacked across loads builds every cell's rows at once,
+    each bitwise what the cell's own one-load builder computes (see its
+    ``service_rows``); cell ``i`` gets load slice ``i``.
     """
     if configs[0].view is not TransitionView.ROUND_ROBIN_MARGINAL:
         return None
@@ -202,16 +163,9 @@ def _stacked_kernel_seeds(
     builder = EquilibriumRenewalKernelBuilder(
         skeleton.grid, stack, skeleton.max_queue
     )
-    service_rows, count_rows = builder.prefill(
-        *skeleton.kernel_latencies(configs[0].batching)
-    )
-    return [
-        _KernelSeed(
-            service_rows={k: v[i] for k, v in service_rows.items()},
-            arrival_counts={k: v[i] for k, v in count_rows.items()},
-        )
-        for i in range(len(configs))
-    ]
+    rows = builder.service_rows(skeleton.full_latencies)
+    counts = builder.count_rows(skeleton.partial_latencies)
+    return [(rows[:, i], counts[:, i]) for i in range(len(configs))]
 
 
 # ----------------------------------------------------------------------
@@ -221,10 +175,10 @@ class StackedBankMDP:
     """One load grid's worth of worker MDPs, solved as a single program.
 
     Construction builds one :class:`WorkerMDP` per load on a shared
-    load-invariant skeleton (every cell with pre-seeded kernel caches
-    where the view batches) and one :class:`BellmanKernel` over all of
-    them, which validates that every cell shares the load-invariant
-    structure.
+    load-invariant skeleton (each cell with its load's slice of one
+    batched kernel call where the loads stack) and one
+    :class:`BellmanKernel` over all of them, which validates that every
+    cell shares the load-invariant structure.
     """
 
     def __init__(self, configs: Sequence[WorkerMDPConfig]) -> None:
@@ -234,15 +188,17 @@ class StackedBankMDP:
             )
         base = configs[0]
         skeleton = _Skeleton.of(base)
-        seeds = _stacked_kernel_seeds(skeleton, configs) or [None] * len(configs)
         # A cell whose config differs from the first in more than its
         # arrivals builds on its own; the kernel then decides whether the
         # structures still agree.
+        shared = [replace(c, arrivals=base.arrivals) == base for c in configs]
+        kernels = iter(
+            _stacked_kernels(skeleton, [c for c, s in zip(configs, shared) if s])
+            or ()
+        )
         self._cells: List[WorkerMDP] = [
-            _BankCellMDP(c, skeleton, seed)
-            if replace(c, arrivals=base.arrivals) == base
-            else WorkerMDP(c)
-            for c, seed in zip(configs, seeds)
+            WorkerMDP._cell(c, skeleton, next(kernels, None)) if s else WorkerMDP(c)
+            for c, s in zip(configs, shared)
         ]
         self._kernel = BellmanKernel(self._cells)
 

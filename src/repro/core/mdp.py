@@ -3,7 +3,12 @@
 :class:`WorkerMDP` assembles the state space (§4.2), action constraints
 (§4.3), rewards (§4.1), and transition kernels (§4.4) for one worker, and
 exposes the Bellman backups that the solvers in :mod:`repro.core.solvers`
-drive to convergence.
+drive to convergence.  Its kernels come from one batched builder call per
+kind of row (full drains, partial-drain arrival counts) over the distinct
+service latencies (:mod:`repro.core.transitions`), or, in a stacked bank,
+from its load's slice of one call for the whole bank; construction
+refuses kernels whose rows do not sum to 1 (Gamma arrivals with shape
+< 1 under the split and exact views).
 
 State layout (see :class:`repro.core.transitions.StateSpace`): one empty
 state, one full-queue state, and ``N_w * |T_w|`` occupied states.
@@ -98,6 +103,21 @@ class BackupResult:
     margin: Optional[float] = None
 
 
+def _distinct(latencies: Sequence[float]) -> Tuple[List[float], List[int]]:
+    """The distinct latencies, keyed by ``round(latency, 9)`` with the
+    first latency per key kept, and each input's index into them."""
+    slots: Dict[float, int] = {}
+    distinct: List[float] = []
+    index = []
+    for latency in latencies:
+        key = round(latency, 9)
+        if key not in slots:
+            slots[key] = len(distinct)
+            distinct.append(latency)
+        index.append(slots[key])
+    return distinct, index
+
+
 @dataclass(frozen=True, eq=False)
 class _Skeleton:
     """The load-invariant structure of a worker MDP.
@@ -113,6 +133,15 @@ class _Skeleton:
     max_queue: int
     #: ``latency[m, b-1]``: p95 latency of model ``m`` at batch ``b``.
     latency: np.ndarray
+    #: Distinct latencies of the full drains ``(m, n)``, and
+    #: ``full_index[m, n-1]``, each drain's row among them.
+    full_latencies: List[float]
+    full_index: np.ndarray
+    #: Distinct latencies of the partial drains ``(m, b < N_w)`` that fit
+    #: some slack bin (variable batching only), and ``partial_index[m,
+    #: b-1]``, each drain's count pmf among them (``-1``: none).
+    partial_latencies: List[float]
+    partial_index: np.ndarray
 
     @classmethod
     def of(cls, config: WorkerMDPConfig) -> "_Skeleton":
@@ -126,24 +155,23 @@ class _Skeleton:
         latency = np.array(
             [[m.latency_ms(b) for b in range(1, n + 1)] for m in models]
         )
-        return cls(tuple(models), grid, n, latency)
-
-    def kernel_latencies(
-        self, batching: BatchingMode
-    ) -> Tuple[List[float], List[float]]:
-        """Service latencies whose renewal kernels an MDP reads, in the
-        order its construction reads them: every full drain ``(m, n)``,
-        then (variable batching) every partial drain ``(m, b < N_w)`` that
-        fits some slack bin, whose arrival counts it reads."""
-        full = [float(lat) for lat in self.latency.ravel()]
-        partial = []
-        if batching is BatchingMode.VARIABLE:
-            partial = [
-                float(lat)
-                for lat in self.latency[:, : self.max_queue - 1].ravel()
-                if lat <= self.grid.values[-1]
-            ]
-        return full, partial
+        full, full_index = _distinct(latency.ravel().tolist())
+        partial = np.zeros(latency.shape, dtype=bool)
+        if config.batching is BatchingMode.VARIABLE:
+            partial[:, :-1] = latency[:, :-1] <= grid.values[-1]
+        partial_latencies, index = _distinct(latency[partial].tolist())
+        partial_index = np.full(latency.shape, -1, dtype=np.intp)
+        partial_index[partial] = index
+        return cls(
+            tuple(models),
+            grid,
+            n,
+            latency,
+            full,
+            np.array(full_index, dtype=np.intp).reshape(latency.shape),
+            partial_latencies,
+            partial_index,
+        )
 
 
 class WorkerMDP:
@@ -153,8 +181,30 @@ class WorkerMDP:
     """
 
     def __init__(self, config: WorkerMDPConfig) -> None:
+        self._build(config, _Skeleton.of(config), None)
+
+    @classmethod
+    def _cell(
+        cls,
+        config: WorkerMDPConfig,
+        skeleton: _Skeleton,
+        kernels: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> "WorkerMDP":
+        """A stacked-bank cell on the bank's shared ``skeleton``, with its
+        load's slice of the bank's batched kernel call (full-drain rows
+        and count pmfs over the skeleton's distinct latencies), or, with
+        ``kernels=None``, building its own."""
+        cell = cls.__new__(cls)
+        cell._build(config, skeleton, kernels)
+        return cell
+
+    def _build(
+        self,
+        config: WorkerMDPConfig,
+        skeleton: _Skeleton,
+        kernels: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> None:
         self._config = config
-        self._skeleton = skeleton = self._build_skeleton(config)
         self._models = skeleton.models
         self._grid: TimeGrid = skeleton.grid
         self._max_queue = skeleton.max_queue
@@ -188,36 +238,32 @@ class WorkerMDP:
             self._accuracy[:, None, None] * reward_scale[None, :, None] * self._valid
         )
 
-        if config.view is TransitionView.POISSON_SPLIT:
-            self._split = SplitViewKernelBuilder(
-                self._grid, config.per_worker_arrivals(), self._max_queue
+        # Transition kernels (§4.4): full-drain rows (per phase under the
+        # exact view) and partial-drain count pmfs over the skeleton's
+        # distinct latencies, gathered per action.
+        self._space = StateSpace(max_queue=n, grid_size=len(self._grid))
+        self._phase_weights: Optional[np.ndarray] = None
+        self._full_phase: Optional[np.ndarray] = None
+        exact = None
+        if config.view is TransitionView.EXACT_ROUND_ROBIN:
+            exact = ExactRoundRobinKernelBuilder(
+                self._grid, config.arrivals, config.num_workers, n
             )
-            self._exact: Optional[ExactRoundRobinKernelBuilder] = None
-            self._space = self._split.space
-            self._rows = self._build_split_rows()
-            self._phase_weights = None
-        elif config.view is TransitionView.ROUND_ROBIN_MARGINAL:
-            self._split = EquilibriumRenewalKernelBuilder(
-                self._grid,
-                gaps_for_distribution(config.per_worker_arrivals()),
-                self._max_queue,
+            self._phase_weights, self._full_phase = self._build_phase_weights(
+                exact
             )
-            self._exact = None
-            self._space = self._split.space
-            self._rows = self._build_split_rows()
-            self._phase_weights = None
-        elif config.view is TransitionView.EXACT_ROUND_ROBIN:
-            self._exact = ExactRoundRobinKernelBuilder(
-                self._grid, config.arrivals, config.num_workers, self._max_queue
-            )
-            self._split = None
-            self._space = self._exact.space
-            self._rows_by_phase = self._build_exact_rows()
-            self._phase_weights = self._build_phase_weights()
-        else:  # pragma: no cover - enum is exhaustive
-            raise ConfigurationError(f"unknown view {config.view}")
+        if kernels is None:
+            kernels = self._build_kernels(skeleton, exact)
+        rows, self._counts = kernels
+        self._count_index = skeleton.partial_index
+        # (M, N, S) full-drain rows, or (M, N, K, S) per phase.
+        self._rows: Optional[np.ndarray] = None
+        self._rows_by_phase: Optional[np.ndarray] = None
+        if exact is None:
+            self._rows = rows[skeleton.full_index]
+        else:
+            self._rows_by_phase = rows[skeleton.full_index]
 
-        self._counts_cache: Dict[float, np.ndarray] = {}
         # Variable batching: everything about a partial-drain action that
         # does not depend on the value vector (validity, arrival counts,
         # leftover slack-bin map, reward, discount) is precomputed once
@@ -229,12 +275,16 @@ class WorkerMDP:
             else []
         )
         self._stack_partial_plan()
+        worst = _worst_row_sum(self)
+        if abs(worst - 1.0) > _ROW_SUM_SLACK:
+            raise ConfigurationError(
+                f"TransitionView.{config.view.name} builds no stochastic "
+                f"kernel for {config.arrivals!r}: a transition row sums to "
+                f"{worst!r}; use TransitionView.ROUND_ROBIN_MARGINAL for "
+                "this arrival family"
+            )
         # The one-cell optimality kernel, built on the first backup.
         self._kernel: Optional[BellmanKernel] = None
-
-    def _build_skeleton(self, config: WorkerMDPConfig) -> _Skeleton:
-        """The load-invariant structure (a bank cell reuses a shared one)."""
-        return _Skeleton.of(config)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -302,52 +352,40 @@ class WorkerMDP:
     # ------------------------------------------------------------------
     # Kernel assembly
     # ------------------------------------------------------------------
-    def _build_split_rows(self) -> np.ndarray:
-        """(M, N, S) full-drain transition rows under the split view."""
-        assert self._split is not None
-        if isinstance(self._split, EquilibriumRenewalKernelBuilder):
-            # Every renewal kernel the MDP reads, in batched passes.
-            self._split.prefill(
-                *self._skeleton.kernel_latencies(self._config.batching)
+    def _build_kernels(
+        self, skeleton: _Skeleton, exact: Optional[ExactRoundRobinKernelBuilder]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Full-drain rows and count pmfs over the skeleton's distinct
+        latencies, one builder call each."""
+        full, partial = skeleton.full_latencies, skeleton.partial_latencies
+        if exact is not None:
+            return exact.service_rows(full), exact.count_rows(partial)
+        config = self._config
+        if config.view is TransitionView.POISSON_SPLIT:
+            split = SplitViewKernelBuilder(
+                self._grid, config.per_worker_arrivals(), self._max_queue
             )
-        rows = np.zeros(
-            (self._num_models, self._max_queue, self._space.size), dtype=np.float64
+            return split.service_rows(full), split.count_rows(partial)
+        renewal = EquilibriumRenewalKernelBuilder(
+            self._grid,
+            gaps_for_distribution(config.per_worker_arrivals()),
+            self._max_queue,
         )
-        for m in range(self._num_models):
-            for n in range(1, self._max_queue + 1):
-                rows[m, n - 1] = self._split.service_row(self._latency[m, n - 1])
-        return rows
+        # A one-load gap model: take its only load.
+        return renewal.service_rows(full)[:, 0], renewal.count_rows(partial)[:, 0]
 
-    def _build_exact_rows(self) -> np.ndarray:
-        """(M, N, K, S) full-drain rows per phase under the exact view."""
-        assert self._exact is not None
-        k = self._exact.num_workers
-        rows = np.zeros(
-            (self._num_models, self._max_queue, k, self._space.size),
-            dtype=np.float64,
-        )
-        for m in range(self._num_models):
-            for n in range(1, self._max_queue + 1):
-                rows[m, n - 1] = self._exact.service_rows_by_phase(
-                    self._latency[m, n - 1]
-                )
-        return rows
-
-    def _build_phase_weights(self) -> np.ndarray:
-        """(N, J, K) phase distributions for every occupied state, plus the
-        FULL state's weights stored separately in ``_full_phase``."""
-        assert self._exact is not None
+    def _build_phase_weights(
+        self, exact: ExactRoundRobinKernelBuilder
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(N, J, K) phase distributions for every occupied state, and the
+        FULL state's (K,) weights."""
         n_max, j_count = self._max_queue, len(self._grid)
-        k = self._exact.num_workers
-        weights = np.zeros((n_max, j_count, k), dtype=np.float64)
+        weights = np.zeros((n_max, j_count, exact.num_workers), dtype=np.float64)
         for j in range(j_count):
             # One batched pmf evaluation covers all queue lengths at this
             # slack (bit-identical to per-(n, j) phase_weights calls).
-            weights[:, j, :] = self._exact.phase_weights_table(
-                n_max, self._grid[j]
-            )
-        self._full_phase = self._exact.phase_weights(n_max, 0.0)
-        return weights
+            weights[:, j, :] = exact.phase_weights_table(n_max, self._grid[j])
+        return weights, exact.phase_weights(n_max, 0.0)
 
     def _build_partial_plan(
         self,
@@ -367,7 +405,7 @@ class WorkerMDP:
                 valid_j = latency <= grid_values  # (J,)
                 if not valid_j.any():
                     continue
-                counts = self._counts_for(latency)  # (N + 1,)
+                counts = self._counts[self._count_index[m, b - 1]]  # (N + 1,)
                 residual = max(0.0, 1.0 - float(counts.sum()))
                 # Leftover slack T_j - l quantizes to a per-j bin index.
                 j_map = np.array(
@@ -439,35 +477,6 @@ class WorkerMDP:
             values=new_values[0].copy(), greedy={}, margin=margin
         )
 
-    def _counts_for(self, latency: float) -> np.ndarray:
-        """Arrival-count distribution over the service time.
-
-        Split view: direct.  Exact view: phase-marginalized with the
-        stationary (uniform) phase, a documented simplification — the
-        partial-drain path is an extension; the paper's Table 2 variable
-        batching numbers use a single worker, where both coincide.
-        """
-        if self._split is not None:
-            return self._split.arrival_counts(latency)
-        assert self._exact is not None
-        key = round(float(latency), 9)
-        cached = self._counts_cache.get(key)
-        if cached is not None:
-            return cached
-        k = self._exact.num_workers
-        n_max = self._max_queue
-        pmf = self._config.arrivals.pmf_vector((n_max + 1) * k - 1, latency)
-        counts = np.zeros(n_max + 1, dtype=np.float64)
-        # Uniform phase: P(worker gets a | phase r) averaged over r.
-        for r in range(k):
-            for a in range(n_max + 1):
-                lo, hi = a * k - r, (a + 1) * k - r - 1
-                lo = max(lo, 0)
-                if lo <= hi:
-                    counts[a] += pmf[lo : hi + 1].sum() / k
-        self._counts_cache[key] = counts
-        return counts
-
     # ------------------------------------------------------------------
     # Per-(state, action) terms and the policy-induced chain
     # ------------------------------------------------------------------
@@ -518,9 +527,8 @@ class WorkerMDP:
             m, b = 0, n
         if b > n:
             raise ConfigurationError(f"batch {b} exceeds queue length {n}")
-        latency = self._latency[m, b - 1]
         if b == n:
-            if self._split is not None:
+            if self._rows is not None:
                 return self._rows[m, n - 1]
             weights = (
                 self._full_phase
@@ -528,14 +536,21 @@ class WorkerMDP:
                 else self._phase_weights[n - 1, j]
             )
             return weights @ self._rows_by_phase[m, n - 1]
-        # Partial drain.
+        # Partial drain: the earliest remaining deadline is the conservative
+        # closure T_j - l (DESIGN.md §3), which lower-bounds the true
+        # leftover slack and is never later than any new arrival's deadline,
+        # so the next slack bin is deterministic; only the arrival count is
+        # random.
+        index = self._count_index[m, b - 1]
+        if index < 0:
+            raise ConfigurationError(
+                f"partial drain {(m, b)} has no arrival counts: only variable "
+                "batching builds them, for latencies that fit a slack bin"
+            )
+        counts = self._counts[index]
         slack = 0.0 if state_id == space.FULL else self._grid[j]
-        leftover_slack = slack - latency
-        if self._split is not None:
-            return self._split.partial_row(latency, n - b, leftover_slack)
-        counts = self._counts_for(latency)
+        j_left = self._grid.floor_index(slack - self._latency[m, b - 1])
         row = np.zeros(space.size)
-        j_left = self._grid.floor_index(leftover_slack)
         for k in range(self._max_queue - (n - b) + 1):
             row[space.index(n - b + k, j_left)] = counts[k]
         row[space.FULL] = max(0.0, 1.0 - row.sum())
@@ -559,7 +574,7 @@ class WorkerMDP:
         gather_ids: List[int] = []
         gather_m: List[int] = []
         gather_n: List[int] = []
-        split_rows = self._rows if self._split is not None else None
+        split_rows = self._rows
         for state_id in range(size):
             if state_id == space.EMPTY:
                 continue
@@ -627,17 +642,18 @@ class WorkerMDP:
         return np.zeros(self._space.size, dtype=np.float64)
 
 
-#: Largest ``|row sum - 1|`` of a kernel that reports greedy margins.
-#: Shifting ``V`` by a constant ``c`` must shift every Q value by
-#: ``gamma * c``; stochastic rows miss 1 by a few ulps.
+#: Largest ``|row sum - 1|`` of a built MDP's transition data.  The
+#: certified stop's span bound needs stochastic rows (shifting ``V`` by a
+#: constant ``c`` must shift every Q value by ``gamma * c``); stochastic
+#: rows miss 1 by a few ulps.
 _ROW_SUM_SLACK = 1e-13
 
 
-def _row_sum_error(cell: WorkerMDP) -> float:
-    """Largest ``|row sum - 1|`` over a cell's transition data: full-drain
-    rows (per phase, and the phase weights, under the exact view) and
-    partial-drain counts plus their overflow mass."""
-    if cell._split is not None:
+def _worst_row_sum(cell: WorkerMDP) -> float:
+    """The row sum farthest from 1 over a cell's transition data:
+    full-drain rows (per phase, and the phase weights, under the exact
+    view) and partial-drain counts plus their overflow mass."""
+    if cell._rows is not None:
         sums = [cell._rows.sum(axis=-1)]
     else:
         sums = [
@@ -645,11 +661,9 @@ def _row_sum_error(cell: WorkerMDP) -> float:
             cell._phase_weights.sum(axis=-1),
             cell._full_phase.sum(),
         ]
-    sums += [
-        counts.sum() + residual
-        for counts, residual in zip(cell._plan_counts, cell._plan_residual)
-    ]
-    return max(float(np.max(np.abs(np.asarray(x) - 1.0))) for x in sums)
+    sums.append(cell._plan_residual + [c.sum() for c in cell._plan_counts])
+    flat = np.concatenate([np.ravel(x) for x in sums])
+    return float(flat[np.argmax(np.abs(flat - 1.0))])
 
 
 class BellmanKernel:
@@ -672,9 +686,9 @@ class BellmanKernel:
     candidate values themselves (max selects, never rounds), so a load's
     margin is bitwise the same in whatever stack it sits.  The span bound
     that turns a margin into a certificate needs one ``gamma`` and
-    transition rows that sum to 1, so duration-aware discounts, and
-    kernels with a row sum off 1 by more than ``_ROW_SUM_SLACK``, leave
-    :attr:`margins` ``None``.
+    transition rows that sum to 1 (every built MDP's do, to within
+    ``_ROW_SUM_SLACK``), so duration-aware discounts leave :attr:`margins`
+    ``None``.
 
     Exactness discipline: every matmul/einsum *reduction* is invoked per
     load with exactly a one-cell stack's operand shapes and strides
@@ -734,11 +748,8 @@ class BellmanKernel:
         self._new_values = np.empty((loads, space.size))
 
         # Greedy margins (see the class docstring) and their buffers.
-        certifies = not cfg.duration_aware_discount and all(
-            _row_sum_error(c) <= _ROW_SUM_SLACK for c in cells
-        )
         self.margins: Optional[np.ndarray] = (
-            np.empty(loads) if certifies else None
+            None if cfg.duration_aware_discount else np.empty(loads)
         )
         self._n_valid = self._valid.sum(axis=0)  # (N, J)
         self._below = np.empty((loads, m_count, n_max, j_count), dtype=bool)

@@ -19,18 +19,28 @@ For a next state ``(n', T_{j'})`` the window is the set of first-arrival
 times ``u`` with ``T_{j'} <= SLO - (l - u) < T_{j'+1}``, intersected with
 ``[0, l]``; exactly the paper's ``T_B = max(0, l + T_{j'} - SLO)`` etc.
 
-Two views are implemented (see :class:`repro.core.config.TransitionView`):
+Three builders implement the views (see
+:class:`repro.core.config.TransitionView`):
 
 - :class:`SplitViewKernelBuilder` — the worker's arrival process is the
   arrival family at ``load / K``.  Exact for ``K = 1``: with one worker the
   round-robin phase is degenerate and the interval-A conditioning of Eq. 2
   cancels between numerator and denominator, so transition rows do not
   depend on the current slack at all — only on ``(m, b, n)``.
+- :class:`EquilibriumRenewalKernelBuilder` — the worker's round-robin
+  marginal as a renewal process, over one or many loads at once.
 - :class:`ExactRoundRobinKernelBuilder` — the paper's Eq. 2 in full: the
   worker receives every K-th central-queue arrival, transition rows are
   conditioned on the round-robin *phase* ``r = k_A % K``, and the phase
   distribution is inferred from interval A (the time the earliest queued
   query has already spent waiting).
+
+Every builder has one batched method per kind of row, each over a list
+of latencies and holding no cache: ``service_rows`` (full-drain rows;
+per phase under the exact view, per load under the renewal view) and
+``count_rows`` (the arrival-count pmfs a partial drain reads).
+:class:`repro.core.mdp.WorkerMDP` calls each once and writes the
+partial-drain rows itself.
 
 Shortest-queue-first balancing (Appendix I) reuses the split-view builder
 with the conditional per-worker rate of Gupta et al. [18]; see
@@ -205,9 +215,8 @@ def _service_windows(
 class SplitViewKernelBuilder:
     """Transition rows under the per-worker split view.
 
-    Rows are keyed by the service latency ``l`` and, for partial-batch
-    (variable batching) actions, by the leftover-queue geometry; they do not
-    depend on the current state's slack (see module docstring).
+    Full-drain rows are keyed by the service latency ``l`` alone; they do
+    not depend on the current state's slack (see module docstring).
     """
 
     def __init__(
@@ -219,93 +228,56 @@ class SplitViewKernelBuilder:
         self._grid = grid
         self._arrivals = worker_arrivals
         self._space = StateSpace(max_queue=max_queue, grid_size=len(grid))
-        self._service_cache: Dict[float, np.ndarray] = {}
-        self._count_cache: Dict[float, np.ndarray] = {}
 
     @property
     def space(self) -> StateSpace:
         """The state space the kernels are laid out over."""
         return self._space
 
-    # ------------------------------------------------------------------
-    # Full-drain rows (maximal batching, Eq. 2 with b = n)
-    # ------------------------------------------------------------------
-    def service_row(self, latency_ms: float) -> np.ndarray:
-        """Transition row after draining the whole queue in ``latency_ms``.
+    def service_rows(self, latencies: Sequence[float]) -> np.ndarray:
+        """``(len(latencies), S)`` transition rows after draining the whole
+        queue (maximal batching, Eq. 2 with ``b = n``) in each latency.
 
-        Returns a probability vector over the full state space:
+        Each row is a probability vector over the full state space:
         ``P[EMPTY]`` is zero arrivals, occupied entries follow the
         B/C/D window decomposition, and ``P[FULL]`` absorbs the truncated
         tail (Eq. 3).
         """
-        key = round(float(latency_ms), 9)
-        cached = self._service_cache.get(key)
-        if cached is not None:
-            return cached
-
         space = self._space
-        row = np.zeros(space.size, dtype=np.float64)
         n_max = space.max_queue
-        row[space.EMPTY] = self._arrivals.pmf(0, latency_ms)
+        rows = np.zeros((len(latencies), space.size), dtype=np.float64)
+        for row, latency_ms in zip(rows, latencies):
+            row[space.EMPTY] = self._arrivals.pmf(0, latency_ms)
+            t_b, t_c, t_d = _service_windows(self._grid, latency_ms)
+            occupied = space.occupied_view(row)  # (N, J) view into `row`
+            live = np.nonzero(t_c > 0.0)[0]
+            if live.size:
+                # One batched pmf evaluation per window family; each matrix
+                # row is bit-identical to the per-bin pmf_vector call.
+                p_b0s = self._arrivals.pmf_matrix(0, t_b[live])[:, 0]
+                pmf_cs = self._arrivals.pmf_matrix(n_max, t_c[live])
+                pmf_ds = self._arrivals.pmf_matrix(n_max, t_d[live])
+                for i, j in enumerate(live):
+                    p_b0 = p_b0s[i]
+                    if p_b0 <= _MASS_EPSILON:
+                        continue
+                    conv = np.convolve(pmf_cs[i], pmf_ds[i])[: n_max + 1]
+                    # k_C >= 1: subtract the k_C = 0 term of the convolution.
+                    probs = p_b0 * (conv - pmf_cs[i][0] * pmf_ds[i])
+                    occupied[:, j] = np.maximum(probs[1:], 0.0)
+            row[space.FULL] = max(0.0, 1.0 - row.sum())
+        return rows
 
-        t_b, t_c, t_d = _service_windows(self._grid, latency_ms)
-        occupied = space.occupied_view(row)  # (N, J) view into `row`
-        live = np.nonzero(t_c > 0.0)[0]
-        if live.size:
-            # One batched pmf evaluation per window family; each matrix row
-            # is bit-identical to the per-bin pmf_vector call it replaces.
-            p_b0s = self._arrivals.pmf_matrix(0, t_b[live])[:, 0]
-            pmf_cs = self._arrivals.pmf_matrix(n_max, t_c[live])
-            pmf_ds = self._arrivals.pmf_matrix(n_max, t_d[live])
-            for i, j in enumerate(live):
-                p_b0 = p_b0s[i]
-                if p_b0 <= _MASS_EPSILON:
-                    continue
-                conv = np.convolve(pmf_cs[i], pmf_ds[i])[: n_max + 1]
-                # k_C >= 1: subtract the k_C = 0 term of the convolution.
-                probs = p_b0 * (conv - pmf_cs[i][0] * pmf_ds[i])
-                occupied[:, j] = np.maximum(probs[1:], 0.0)
-
-        total = row.sum()
-        row[space.FULL] = max(0.0, 1.0 - total)
-        self._service_cache[key] = row
-        return row
-
-    # ------------------------------------------------------------------
-    # Partial-drain rows (variable batching, b < n)
-    # ------------------------------------------------------------------
-    def arrival_counts(self, latency_ms: float) -> np.ndarray:
-        """``P[k arrivals during latency_ms]`` for ``k = 0..max_queue``;
-        the implicit tail mass is the overflow-to-FULL probability."""
-        key = round(float(latency_ms), 9)
-        cached = self._count_cache.get(key)
-        if cached is not None:
-            return cached
-        counts = self._arrivals.pmf_vector(self._space.max_queue, latency_ms)
-        self._count_cache[key] = counts
+    def count_rows(self, latencies: Sequence[float]) -> np.ndarray:
+        """``(len(latencies), max_queue + 1)`` pmfs ``P[k arrivals during
+        latency]`` for ``k = 0..max_queue``; each row's missing mass is the
+        overflow-to-FULL probability of a partial drain."""
+        counts = np.zeros(
+            (len(latencies), self._space.max_queue + 1), dtype=np.float64
+        )
+        for row, latency_ms in zip(counts, latencies):
+            row[:] = self._arrivals.pmf_vector(self._space.max_queue, latency_ms)
         return counts
-
-    def partial_row(
-        self, latency_ms: float, leftover: int, leftover_slack_ms: float
-    ) -> np.ndarray:
-        """Transition row when ``leftover >= 1`` queries remain queued.
-
-        The earliest remaining deadline is the conservative closure
-        ``T_j - l`` (DESIGN.md §3): it lower-bounds the true leftover slack
-        and is never later than any new arrival's deadline, so the next
-        state's slack bin is deterministic; only the arrival count is
-        random.
-        """
-        if leftover < 1:
-            raise ValueError("partial_row requires leftover >= 1")
-        space = self._space
-        row = np.zeros(space.size, dtype=np.float64)
-        j_left = self._grid.floor_index(leftover_slack_ms)
-        counts = self.arrival_counts(latency_ms)
-        for k in range(space.max_queue - leftover + 1):
-            row[space.index(leftover + k, j_left)] = counts[k]
-        row[space.FULL] = max(0.0, 1.0 - row.sum())
-        return row
 
 
 def _per_load(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -471,10 +443,9 @@ class EquilibriumRenewalKernelBuilder:
     integrands).  For exponential gaps this reproduces the Poisson split
     view exactly (memorylessness), which the test suite asserts.
 
-    Rows are built for many latencies (and, with a gap model over several
-    loads, a stacked policy bank, for every load) in batched passes by
-    :meth:`prefill`; the cached per-row accessors that MDP assembly reads
-    serve the first load.
+    :meth:`service_rows` and :meth:`count_rows` build the rows of many
+    latencies, and, with a gap model over several loads (a stacked policy
+    bank), of every load, in batched passes.
     """
 
     def __init__(
@@ -486,8 +457,6 @@ class EquilibriumRenewalKernelBuilder:
         self._grid = grid
         self._gaps = gaps
         self._space = StateSpace(max_queue=max_queue, grid_size=len(grid))
-        self._service_cache: Dict[float, np.ndarray] = {}
-        self._count_cache: Dict[float, np.ndarray] = {}
 
     @property
     def space(self) -> StateSpace:
@@ -594,69 +563,15 @@ class EquilibriumRenewalKernelBuilder:
             counts[over] /= totals[over][:, None]  # quadrature overshoot
         return counts
 
-    def prefill(
-        self,
-        service_latencies: Sequence[float],
-        count_latencies: Sequence[float] = (),
-    ) -> Tuple[Dict[float, np.ndarray], Dict[float, np.ndarray]]:
-        """Build the rows of every latency not cached yet in batched passes.
-
-        Returns ``{key: (loads, S)}`` service rows and ``{key: (loads,
-        max_queue + 1)}`` count pmfs for the latencies it built, keyed like
-        the caches (``round(latency, 9)``; the first latency per key wins,
-        as with one-at-a-time calls), and caches the first load's rows.
-        """
-        built = []
-        for latencies, cache, build in (
-            (service_latencies, self._service_cache, self.service_rows),
-            (count_latencies, self._count_cache, self.count_rows),
-        ):
-            todo: Dict[float, float] = {}
-            for latency in latencies:
-                key = round(float(latency), 9)
-                if key not in cache:
-                    todo.setdefault(key, float(latency))
-            rows = dict(zip(todo, build(list(todo.values())))) if todo else {}
-            cache.update((key, r[0]) for key, r in rows.items())
-            built.append(rows)
-        return built[0], built[1]
-
-    def service_row(self, latency_ms: float) -> np.ndarray:
-        """Cached full-drain row of the first load (see :meth:`service_rows`)."""
-        key = round(float(latency_ms), 9)
-        if key not in self._service_cache:
-            self.prefill([latency_ms])
-        return self._service_cache[key]
-
-    def arrival_counts(self, latency_ms: float) -> np.ndarray:
-        """Cached arrival-count pmf of the first load (see :meth:`count_rows`)."""
-        key = round(float(latency_ms), 9)
-        if key not in self._count_cache:
-            self.prefill((), [latency_ms])
-        return self._count_cache[key]
-
-    def partial_row(
-        self, latency_ms: float, leftover: int, leftover_slack_ms: float
-    ) -> np.ndarray:
-        """Transition row for a partial drain (see split-view analogue)."""
-        if leftover < 1:
-            raise ValueError("partial_row requires leftover >= 1")
-        space = self._space
-        row = np.zeros(space.size, dtype=np.float64)
-        j_left = self._grid.floor_index(leftover_slack_ms)
-        counts = self.arrival_counts(latency_ms)
-        for k in range(space.max_queue - leftover + 1):
-            row[space.index(leftover + k, j_left)] = counts[k]
-        row[space.FULL] = max(0.0, 1.0 - row.sum())
-        return row
-
 
 class ExactRoundRobinKernelBuilder:
     """The paper's exact Eq. 2 for ``K`` round-robin workers.
 
-    Rows are produced *per phase* ``r`` (central arrivals since this
-    worker's last arrival, mod ``K``); the caller mixes them with the
+    Full-drain rows are produced *per phase* ``r`` (central arrivals since
+    this worker's last arrival, mod ``K``); the caller mixes them with the
     phase distribution inferred from interval A via :meth:`phase_weights`.
+    Partial-drain arrival counts are phase-marginalized
+    (:meth:`count_rows`).
     """
 
     def __init__(
@@ -672,7 +587,6 @@ class ExactRoundRobinKernelBuilder:
         self._arrivals = central_arrivals
         self._k = num_workers
         self._space = StateSpace(max_queue=max_queue, grid_size=len(grid))
-        self._cache: Dict[float, np.ndarray] = {}
 
     @property
     def space(self) -> StateSpace:
@@ -726,17 +640,20 @@ class ExactRoundRobinKernelBuilder:
                 out[n - 1] = weights / total
         return out
 
-    def service_rows_by_phase(self, latency_ms: float) -> np.ndarray:
-        """``(K, S)`` matrix of transition rows, one per phase ``r``."""
-        key = round(float(latency_ms), 9)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+    def service_rows(self, latencies: Sequence[float]) -> np.ndarray:
+        """``(len(latencies), K, S)`` full-drain transition rows, one per
+        latency and phase ``r``."""
+        space = self._space
+        rows = np.zeros((len(latencies), self._k, space.size), dtype=np.float64)
+        for phase_rows, latency_ms in zip(rows, latencies):
+            self._fill_phase_rows(phase_rows, latency_ms)
+        return rows
 
+    def _fill_phase_rows(self, rows: np.ndarray, latency_ms: float) -> None:
+        """Write the ``(K, S)`` per-phase rows of one latency into ``rows``."""
         space = self._space
         k = self._k
         n_max = space.max_queue
-        rows = np.zeros((k, space.size), dtype=np.float64)
         t_b, t_c, t_d = _service_windows(self._grid, latency_ms)
 
         for r in range(k):
@@ -796,5 +713,27 @@ class ExactRoundRobinKernelBuilder:
 
         totals = rows.sum(axis=1)
         rows[:, space.FULL] = np.maximum(0.0, 1.0 - totals)
-        self._cache[key] = rows
-        return rows
+
+    def count_rows(self, latencies: Sequence[float]) -> np.ndarray:
+        """``(len(latencies), max_queue + 1)`` pmfs of the worker's arrival
+        count during each latency, marginalized over the stationary
+        (uniform) phase.
+
+        A documented simplification: the partial-drain path is an
+        extension, and the paper's Table 2 variable-batching numbers use a
+        single worker, where phase-conditioned and marginal counts
+        coincide.
+        """
+        k = self._k
+        n_max = self._space.max_queue
+        counts = np.zeros((len(latencies), n_max + 1), dtype=np.float64)
+        for row, latency_ms in zip(counts, latencies):
+            pmf = self._arrivals.pmf_vector((n_max + 1) * k - 1, latency_ms)
+            # Uniform phase: P(worker gets a | phase r) averaged over r.
+            for r in range(k):
+                for a in range(n_max + 1):
+                    lo, hi = a * k - r, (a + 1) * k - r - 1
+                    lo = max(lo, 0)
+                    if lo <= hi:
+                        row[a] += pmf[lo : hi + 1].sum() / k
+        return counts

@@ -222,13 +222,15 @@ def build_audit_references(
     cached = _AUDIT_REF_CACHE.get(key)
     if cached is not None:
         return cached
-    config = _base_config(model_set, slo_ms, load_qps, num_workers, scale, **overrides)
-    from repro.core.generator import generate_policy
     from repro.core.guarantees import stationary_occupancy
     from repro.core.mdp import build_worker_mdp
 
-    result = generate_policy(config)
-    mdp = build_worker_mdp(config)
+    result = build_ramsis_result(
+        model_set, slo_ms, load_qps, num_workers, scale, **overrides
+    )
+    mdp = build_worker_mdp(
+        _base_config(model_set, slo_ms, load_qps, num_workers, scale, **overrides)
+    )
     occupancy = stationary_occupancy(mdp, result.policy).decision_conditional()
     triple = (result.policy, result.guarantees, occupancy)
     _AUDIT_REF_CACHE[key] = triple

@@ -2,8 +2,7 @@
 
 Every evaluation figure is a grid of independent ``run_method`` cells —
 (method, task, SLO, workers, workload, seed) — so figures fan out across a
-``ProcessPoolExecutor`` the same way the policy bank does
-(:meth:`repro.core.generator.PolicyGenerator.generate_many`):
+``ProcessPoolExecutor``, one pool task per cell:
 
 - **Deterministic positional collection.**  Cells are enumerated in the
   figure's nested-loop order, submitted in that order, and results are
@@ -18,11 +17,13 @@ Every evaluation figure is a grid of independent ``run_method`` cells —
   re-solving.  Workers receive only the cache *directory* and rebuild the
   handle locally, so nothing unpicklable crosses the process boundary.
 - **Observability.**  Submit/collect progress and per-cell spans appear on
-  the tracer's ``sweep`` track, mirroring the ``policy_bank`` track — and
-  with a tracer, registry, or ``run_dir`` present, the cells themselves
-  stay instrumented across the process boundary: workers record into
-  per-process shards that are merged back into the caller's tracer and
-  registry after the pool drains (see :mod:`repro.obs.aggregate`).
+  the tracer's ``sweep`` track — and with a tracer, registry, attributor
+  or ``run_dir`` present, the cells themselves stay instrumented across
+  the process boundary: each cell records into its own feed, numbered by
+  its cell index rather than by the process that ran it, and the feeds
+  are merged back into the caller's tracer and registry after the pool
+  drains (see :mod:`repro.obs.aggregate`), so identical sweeps write
+  identical merged artifacts whatever the scheduling.
 
 :class:`SweepCell` is deliberately a plain frozen dataclass of picklable
 leaves (task spec, trace, scalars).  Stochastic execution latency is
@@ -45,10 +46,10 @@ from repro.experiments.scale import ExperimentScale
 from repro.experiments.tasks import TaskSpec
 from repro.obs.aggregate import (
     MergedRun,
-    init_worker_obs,
+    ShardTracer,
     merge_run_dir,
     new_run_dir,
-    worker_obs,
+    write_live_snapshot,
     write_merged_artifacts,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -130,28 +131,28 @@ def _cell_label(cell: SweepCell) -> str:
 
 
 def _pool_cell(
-    payload: Tuple[int, SweepCell, ExperimentScale, Optional[str], bool]
+    payload: Tuple[int, SweepCell, ExperimentScale, Optional[str], Optional[str]]
 ) -> MethodPoint:
     """Worker-process entry: rebuild the cache handle, run the cell.
 
-    With observability shipping on, the cell runs against this worker's
-    shard tracer/registry (installed by the pool initializer), stamped
-    with the cell index so the parent can merge shards back into serial
-    order, and flushes the shard after the cell completes.
+    With a run directory (observability shipping on), the cell records
+    into its own feed ``shard-<seq>.cols``, registry and attributor,
+    numbered by its cell index ``seq`` whichever process runs it; at the
+    end of the cell the feed is closed and ``metrics-<seq>.json`` /
+    ``attribution-<seq>.json`` are published for ``ramsis top``.
     """
-    seq, cell, scale, cache_dir, ship = payload
-    obs = worker_obs() if ship else None
-    tracer: Optional[Tracer] = None
+    seq, cell, scale, cache_dir, run_dir = payload
+    tracer: Optional[ShardTracer] = None
     registry: Optional["MetricsRegistry"] = None
     attributor: Optional["LatencyAttributor"] = None
-    if obs is not None:
-        obs.tracer.set_sequence(seq)
-        # The worker's attributor folds a live attribution view across its
-        # cells; flush() at the end of the task publishes it for
-        # ``ramsis top``.
-        tracer = obs.tracer
-        registry = obs.registry
-        attributor = obs.attributor
+    if run_dir is not None:
+        from repro.obs.attribution import LatencyAttributor
+        from repro.obs.metrics import MetricsRegistry
+
+        tracer = ShardTracer(Path(run_dir) / f"shard-{seq}.cols", pid=seq)
+        tracer.set_sequence(seq)
+        registry = MetricsRegistry()
+        attributor = LatencyAttributor()
     cache: Optional["PolicyCache"] = None
     if cache_dir is not None:
         from repro.cache import PolicyCache
@@ -163,8 +164,11 @@ def _pool_cell(
             attributor=attributor,
         )
     finally:
-        if obs is not None:
-            obs.flush()
+        if tracer is not None:
+            tracer.close()
+            write_live_snapshot(
+                run_dir, registry=registry, attributor=attributor, pid=seq
+            )
 
 
 def run_sweep(
@@ -187,12 +191,13 @@ def run_sweep(
 
     ``tracer`` and ``registry`` instrument **both** paths.  Serially they
     are threaded straight into every cell.  In parallel they cross the
-    process boundary by *shipping*: each pool worker records into a
-    columnar feed + private registry under a per-run directory
+    process boundary by *shipping*: each cell records into its own
+    columnar feed ``shard-<i>.cols`` + registry under a per-run directory
     (:mod:`repro.obs.aggregate`), and after the pool drains the feeds
     are merged and replayed into the caller's ``tracer`` (after its own
-    records) and ``registry`` in serial cell order, with worker tracks
-    renamed ``w<idx>/<track>`` —
+    records) and ``registry`` in serial cell order, with cell ``i``'s
+    tracks renamed ``w<i>/<track>`` and its gauges labelled
+    ``worker=<i>`` —
     ``reconstruct_metrics`` on a traced parallel sweep equals the serial
     traced run exactly.  ``run_dir`` pins the shard directory (merged
     artifacts are then written there for ``ramsis report``); without it a
@@ -258,20 +263,21 @@ def run_sweep(
             shard_dir.mkdir(parents=True, exist_ok=True)
 
     pool_size = min(jobs, len(cells))
-    pool_kwargs = {}
-    if shard_dir is not None:
-        pool_kwargs = {
-            "initializer": init_worker_obs,
-            "initargs": (str(shard_dir),),
-        }
-    with ProcessPoolExecutor(max_workers=pool_size, **pool_kwargs) as pool:
+    feed_dir = None if shard_dir is None else str(shard_dir)
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         with tracer.span(
             "sweep_submit",
             track="sweep",
             args={"cells": len(cells), "processes": pool_size},
         ):
             futures = [
-                (i, cell, pool.submit(_pool_cell, (i, cell, scale, cache_dir, ship)))
+                (
+                    i,
+                    cell,
+                    pool.submit(
+                        _pool_cell, (i, cell, scale, cache_dir, feed_dir)
+                    ),
+                )
                 for i, cell in enumerate(cells)
             ]
         with tracer.span(

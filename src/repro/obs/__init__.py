@@ -52,12 +52,9 @@ from repro.obs.aggregate import (
     MergedRun,
     ShardInfo,
     ShardTracer,
-    WorkerObs,
     export_run_dir,
-    init_worker_obs,
     merge_run_dir,
     new_run_dir,
-    worker_obs,
     write_live_snapshot,
     write_merged_artifacts,
 )
@@ -158,7 +155,6 @@ __all__ = [
     "Tracer",
     "TraceSummary",
     "WindowVerdict",
-    "WorkerObs",
     "append_bench_history",
     "attribution_from_jsonl",
     "attribution_from_table",
@@ -170,7 +166,6 @@ __all__ = [
     "folded_lines",
     "get_logger",
     "hoeffding_interval",
-    "init_worker_obs",
     "merge_run_dir",
     "new_run_dir",
     "reconstruct_from_jsonl",
@@ -182,7 +177,6 @@ __all__ = [
     "stats_from_table",
     "summarize",
     "wilson_interval",
-    "worker_obs",
     "write_live_snapshot",
     "write_merged_artifacts",
     "write_run_report",

@@ -4,18 +4,19 @@ Process-pool workers (the fan-out of
 :func:`repro.experiments.sweep.run_sweep`) cannot share the parent's
 :class:`~repro.obs.trace.RecordingTracer` or
 :class:`~repro.obs.metrics.MetricsRegistry` — records would have to
-cross a pickle boundary on every event.  Instead each worker gets a
-:class:`ShardTracer` -- the same recorder, whose rows go to a file --
-plus its own registry (installed by :func:`init_worker_obs`, the pool
-initializer) and writes *feeds* under a per-run directory::
+cross a pickle boundary on every event.  Instead each writer -- a sweep
+cell, or a shard of the sharded runtime -- gets a :class:`ShardTracer`
+(the same recorder, whose rows go to a file) plus its own registry, and
+writes *feeds* under a per-run directory, numbered by its ``pid``: the
+cell index of a sweep cell, the global worker id of a shard::
 
-    <run_dir>/shard-<pid>.cols      the worker's event table, in blocks
-    <run_dir>/metrics-<pid>.json    the worker registry, serialized
+    <run_dir>/shard-<pid>.cols      the writer's event table, in blocks
+    <run_dir>/metrics-<pid>.json    the writer's registry, serialized
 
 A feed holds the rows a :class:`~repro.obs.trace.RecordingTracer`
 records, in the columnar event table of :mod:`repro.obs.columns`: every
 :meth:`ShardTracer.flush` appends the rows recorded since the last one
-as one block, whose header carries the worker pid, the wall-clock anchor
+as one block, whose header carries the writer's pid, the wall-clock anchor
 and the served SLO (when the writer knows it).  After the pool drains,
 :func:`merge_run_dir` loads every feed back into one table and one
 registry (and replays the table into the caller's tracer, if any; the
@@ -49,7 +50,6 @@ demand.
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 import re
@@ -64,9 +64,6 @@ from repro.obs.trace import RecordingTracer, Tracer
 
 __all__ = [
     "ShardTracer",
-    "WorkerObs",
-    "init_worker_obs",
-    "worker_obs",
     "new_run_dir",
     "ShardInfo",
     "MergedRun",
@@ -87,13 +84,13 @@ BLOCK_ROWS = 1 << 16
 
 class ShardTracer(RecordingTracer):
     """A :class:`~repro.obs.trace.RecordingTracer` whose rows go to a feed
-    file: the columnar tracer of one worker process.
+    file: the columnar tracer of one sweep cell or one runtime shard.
 
     Every :meth:`flush` -- or every ``BLOCK_ROWS`` rows -- appends the
     rows recorded since the last one to the feed as one block of typed
     columns and drops them, so a long worker's trace stays bounded in the
     process heap (:attr:`table` holds the unflushed rows only).  Each
-    block header carries the worker ``pid``, the wall-clock anchor and
+    block header carries the writer's ``pid``, the wall-clock anchor and
     ``slo_ms``, so the merged attribution tables of a served run carry
     the SLO.  The rows' sequence numbers (the cell index, set by the pool
     task via :meth:`set_sequence`) and per-feed counters are what let
@@ -145,78 +142,6 @@ class ShardTracer(RecordingTracer):
         if not self._fh.closed:
             self.flush()
             self._fh.close()
-
-
-@dataclass
-class WorkerObs:
-    """The per-worker observability bundle installed by the initializer."""
-
-    tracer: ShardTracer
-    registry: MetricsRegistry
-    run_dir: Path
-    metrics_path: Path
-    #: Pool tasks attach this as their simulation's attributor, so the
-    #: worker accumulates a live attribution view across its cells.
-    attributor: Optional[Any] = None
-
-    def flush(self) -> None:
-        """Persist the shard tail and fresh registry/attribution snapshots.
-
-        Called at the end of every pool task (and again at interpreter
-        exit as a backstop), so the on-disk state is always the state
-        after the worker's most recent completed task — this is the
-        ``ramsis top`` feed for in-flight parallel sweeps.
-        """
-        self.tracer.flush()
-        self.metrics_path.write_text(
-            json.dumps(
-                self.registry.to_json_dict(),
-                sort_keys=True,
-                default=json_default,
-            )
-        )
-        if (
-            self.attributor is not None
-            and self.attributor.to_json_dict()["totals"]["queries"]
-        ):
-            write_live_snapshot(
-                self.run_dir,
-                attributor=self.attributor,
-                pid=self.tracer.pid,
-            )
-
-
-_WORKER_OBS: Optional[WorkerObs] = None
-
-
-def init_worker_obs(run_dir: str) -> None:
-    """Process-pool initializer: install shard tracer + registry.
-
-    Runs once per worker process.  The feed and metrics filenames embed
-    the worker pid, so concurrent workers never collide; the merge
-    assigns stable worker indices by sorting pids.
-    """
-    from repro.obs.attribution import LatencyAttributor
-
-    global _WORKER_OBS
-    directory = Path(run_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    pid = os.getpid()
-    tracer = ShardTracer(directory / f"shard-{pid}.cols", pid=pid)
-    obs = WorkerObs(
-        tracer=tracer,
-        registry=MetricsRegistry(),
-        run_dir=directory,
-        metrics_path=directory / f"metrics-{pid}.json",
-        attributor=LatencyAttributor(),
-    )
-    _WORKER_OBS = obs
-    atexit.register(obs.flush)
-
-
-def worker_obs() -> Optional[WorkerObs]:
-    """This process's worker bundle, or ``None`` outside an initialized pool."""
-    return _WORKER_OBS
 
 
 def new_run_dir() -> Path:
@@ -432,10 +357,10 @@ def write_live_snapshot(
     """Atomically publish ``metrics-<pid>.json`` / ``attribution-<pid>.json``.
 
     The periodic snapshot feed for ``ramsis top``: the sharded runtime
-    (and anything else that wants a live view) calls this on a timer;
-    sweep workers get the metrics half for free from
-    :meth:`WorkerObs.flush`.  Writes go through a temp file + ``rename``
-    so a concurrently polling reader never sees a torn snapshot.
+    (and anything else that wants a live view) calls this on a timer, and
+    a parallel sweep's pool task at the end of each cell.  Writes go
+    through a temp file + ``rename`` so a concurrently polling reader
+    never sees a torn snapshot.
     """
     directory = Path(run_dir)
     directory.mkdir(parents=True, exist_ok=True)

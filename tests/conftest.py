@@ -50,6 +50,25 @@ def make_tiny_model_set() -> ModelSet:
     )
 
 
+def make_one_model_set(latency_ms: float) -> ModelSet:
+    """One model whose batch-1 p95 latency is ``latency_ms`` (up to
+    rounding); larger batches take longer."""
+    return ModelSet(
+        [
+            ModelProfile(
+                name="only",
+                accuracy=0.5,
+                latency=LinearLatencyModel(
+                    overhead_ms=0.5 * latency_ms,
+                    per_item_ms=0.5 * latency_ms,
+                    std_ms=0.0,
+                ),
+            )
+        ],
+        task="one",
+    )
+
+
 @pytest.fixture
 def tiny_models() -> ModelSet:
     """Three-model deterministic-latency set for fast MDP tests."""

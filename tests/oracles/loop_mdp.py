@@ -27,13 +27,7 @@ import numpy as np
 from repro.core.bank import GenerationResult, _annotate
 from repro.core.config import BatchingMode, WorkerMDPConfig
 from repro.core.guarantees import evaluate_policy
-from repro.core.mdp import (
-    _FALLBACK,
-    _ROW_SUM_SLACK,
-    BackupResult,
-    WorkerMDP,
-    _row_sum_error,
-)
+from repro.core.mdp import _FALLBACK, BackupResult, WorkerMDP
 from repro.core.solvers import value_iteration
 
 __all__ = ["LoopWorkerMDP", "generate_loop_policy"]
@@ -53,7 +47,7 @@ class LoopWorkerMDP(WorkerMDP):
         n_max, j_count, m_count = self._max_queue, len(self._grid), self._num_models
 
         # Expected continuation value of every full-drain action (m, n).
-        if self._split is not None:
+        if self._rows is not None:
             ev_serve = self._rows @ values  # (M, N)
             ev_state = np.broadcast_to(
                 ev_serve[:, :, None], (m_count, n_max, j_count)
@@ -125,11 +119,7 @@ class LoopWorkerMDP(WorkerMDP):
                     )
             greedy[space.FULL] = (_FALLBACK, n_max)
         margin = None
-        if not (
-            want_greedy
-            or self._config.duration_aware_discount
-            or _row_sum_error(self) > _ROW_SUM_SLACK
-        ):
+        if not (want_greedy or self._config.duration_aware_discount):
             # Best minus runner-up of each state's sorted candidates.
             ranked = np.sort(np.stack(candidates), axis=0)
             margin = float(np.min(ranked[-1] - ranked[-2]))

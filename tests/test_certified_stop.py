@@ -8,9 +8,9 @@ tolerance-only oracle in ``tests/oracles/tolerance_vi.py``:
 - ``Policy.save`` output is byte-identical and §5.1 guarantees are
   bitwise equal, across task, workers, SLO, FLD resolution, batching,
   view, drop mode and arrival family;
-- cells the rule does not apply to — duration-aware discounts, kernels
-  whose rows do not sum to 1, exact ties — keep the tolerance rule's
-  values and sweep counts;
+- cells the rule does not apply to — duration-aware discounts, exact
+  ties — keep the tolerance rule's values and sweep counts, and kernels
+  whose rows do not sum to 1 are refused at construction;
 - the kernel's margin is the dense enumeration's best-minus-runner-up
   gap, and it is the same in every stack.
 """
@@ -32,6 +32,7 @@ from repro.core.config import BatchingMode, TransitionView, WorkerMDPConfig
 from repro.core.generator import generate_policy
 from repro.core.mdp import build_worker_mdp
 from repro.core.solvers import certified, value_iteration
+from repro.errors import ConfigurationError
 from repro.experiments.tasks import image_task, text_task
 from repro.profiles.models import ModelSet
 from tests.conftest import make_tiny_model_set
@@ -92,9 +93,9 @@ class TestSameArtifacts:
         per_worker_qps, batching, view, drop_late, family,
     ):
         # The split and exact views build renewal families other than
-        # Poisson poorly (gamma rows sum above 1 and can diverge, and
-        # deterministic exact chains are periodic): the seed's solver
-        # fails there too, so draws stay on the views that solve.
+        # Poisson poorly (they refuse gamma shapes below 1, whose rows sum
+        # above 1, and deterministic chains can be periodic), so draws
+        # stay on the views that solve.
         assume(family == "poisson" or view is TransitionView.ROUND_ROBIN_MARGINAL)
         spec = TASKS[task]()
         config = WorkerMDPConfig(
@@ -159,13 +160,6 @@ class TestToleranceRuleKept:
             pytest.param(
                 dict(model_set=_all_twins(), pareto_prune=False), id="exact-tie"
             ),
-            pytest.param(
-                dict(
-                    view=TransitionView.POISSON_SPLIT,
-                    arrivals=GammaArrivals(30.0, shape=0.98),
-                ),
-                id="rows-off-one",
-            ),
         ],
     )
     def test_iterations_and_values_unchanged(self, overrides, tmp_path):
@@ -191,6 +185,38 @@ class TestToleranceRuleKept:
     def test_greedy_backup_reports_no_margin(self):
         mdp = build_worker_mdp(_tiny())
         assert mdp.backup(mdp.initial_values(), want_greedy=True).margin is None
+
+
+class TestOffOneKernelsRejected:
+    """Gamma shapes below 1 under the split and exact views build rows
+    that sum above 1; construction refuses them, so every built cell's
+    rows sum to 1 and the certificate applies."""
+
+    @pytest.mark.parametrize(
+        "view", [TransitionView.POISSON_SPLIT, TransitionView.EXACT_ROUND_ROBIN]
+    )
+    def test_bursty_gamma_raises(self, view):
+        config = _tiny(view=view, arrivals=GammaArrivals(30.0, shape=0.7))
+        for build in (build_worker_mdp, generate_policy):
+            with pytest.raises(ConfigurationError) as info:
+                build(config)
+            message = str(info.value)
+            assert view.name in message and "shape=0.7" in message
+            assert "ROUND_ROBIN_MARGINAL" in message
+
+    @pytest.mark.parametrize(
+        "view, shape",
+        [
+            (TransitionView.ROUND_ROBIN_MARGINAL, 0.7),
+            (TransitionView.POISSON_SPLIT, 1.5),
+        ],
+    )
+    def test_stochastic_kernels_solve(self, view, shape):
+        config = _tiny(view=view, arrivals=GammaArrivals(30.0, shape=shape))
+        mdp = build_worker_mdp(config)
+        assert mdp.backup(mdp.initial_values()).margin is not None
+        result = generate_policy(config)
+        assert result.iterations > 0
 
 
 class TestMargin:

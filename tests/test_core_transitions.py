@@ -8,7 +8,9 @@ from repro.arrivals.distributions import (
     GammaArrivals,
     PoissonArrivals,
 )
+from repro.core.config import BatchingMode, TransitionView, WorkerMDPConfig
 from repro.core.discretization import fixed_length_grid
+from repro.core.mdp import WorkerMDP
 from repro.core.transitions import (
     DeterministicGaps,
     EquilibriumRenewalKernelBuilder,
@@ -20,6 +22,7 @@ from repro.core.transitions import (
     gamma_cdfs,
     gaps_for_distribution,
 )
+from tests.conftest import make_one_model_set
 
 SLO = 120.0
 GRID = fixed_length_grid(SLO, 12)
@@ -67,20 +70,19 @@ class TestSplitViewKernel:
         self.builder = SplitViewKernelBuilder(GRID, self.dist, max_queue=N_MAX)
 
     def test_row_is_distribution(self):
-        for latency in (5.0, 33.3, 80.0, 150.0):
-            row = self.builder.service_row(latency)
+        for row in self.builder.service_rows([5.0, 33.3, 80.0, 150.0]):
             assert row.min() >= 0.0
             assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_probability_matches_poisson(self):
-        row = self.builder.service_row(50.0)
+        row = self.builder.service_rows([50.0])[0]
         assert row[self.builder.space.EMPTY] == pytest.approx(
             self.dist.pmf(0, 50.0)
         )
 
     def test_count_marginal_matches_poisson(self):
         """Summing slack bins recovers P[n' = k arrivals during service]."""
-        row = self.builder.service_row(60.0)
+        row = self.builder.service_rows([60.0])[0]
         occ = self.builder.space.occupied_view(row)
         pois = self.dist.pmf_vector(N_MAX, 60.0)
         for k in range(1, N_MAX + 1):
@@ -89,7 +91,7 @@ class TestSplitViewKernel:
     def test_slack_support_window(self):
         """For n' >= 1, slack lies in [SLO - l, SLO) exactly."""
         latency = 60.0
-        row = self.builder.service_row(latency)
+        row = self.builder.service_rows([latency])[0]
         occ = self.builder.space.occupied_view(row)
         grid_values = GRID.as_array()
         for j in range(len(GRID)):
@@ -99,26 +101,34 @@ class TestSplitViewKernel:
 
     def test_full_state_takes_tail(self):
         # Huge service time: queue overflows with near certainty.
-        row = self.builder.service_row(1000.0)
+        row = self.builder.service_rows([1000.0])[0]
         assert row[self.builder.space.FULL] > 0.5
 
-    def test_rows_cached(self):
-        a = self.builder.service_row(42.0)
-        b = self.builder.service_row(42.0)
-        assert a is b
-
     def test_partial_row_geometry(self):
-        row = self.builder.partial_row(30.0, leftover=2, leftover_slack_ms=45.0)
-        sp = self.builder.space
+        """A partial drain leaving 2 queries: the leftover slack bin is
+        deterministic and the queue grows by the arrival count."""
+        mdp = WorkerMDP(
+            WorkerMDPConfig(
+                model_set=make_one_model_set(30.0),
+                slo_ms=SLO,
+                arrivals=self.dist,
+                max_queue=N_MAX,
+                fld_resolution=len(GRID) - 1,
+                batching=BatchingMode.VARIABLE,
+                view=TransitionView.POISSON_SPLIT,
+            )
+        )
+        sp = mdp.space
+        assert mdp.grid == GRID and sp == self.builder.space
+        latency = mdp.latency_ms(0, 1)
+        j = GRID.floor_index(75.0)
+        row = mdp.transition_row(sp.index(3, j), (0, 1))
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
-        j_left = GRID.floor_index(45.0)
-        counts = self.dist.pmf_vector(N_MAX, 30.0)
+        j_left = GRID.floor_index(GRID[j] - latency)
+        counts = self.builder.count_rows([latency])[0]
+        assert np.array_equal(counts, self.dist.pmf_vector(N_MAX, latency))
         for k in range(N_MAX - 2 + 1):
-            assert row[sp.index(2 + k, j_left)] == pytest.approx(counts[k])
-
-    def test_partial_row_requires_leftover(self):
-        with pytest.raises(ValueError):
-            self.builder.partial_row(30.0, leftover=0, leftover_slack_ms=0.0)
+            assert row[sp.index(2 + k, j_left)] == counts[k]
 
 
 class TestEquilibriumRenewalKernel:
@@ -130,17 +140,16 @@ class TestEquilibriumRenewalKernel:
         renewal = EquilibriumRenewalKernelBuilder(
             GRID, GammaGaps(shape=1.0, scale_ms=25.0), max_queue=N_MAX
         )
-        for latency in (10.0, 47.0, 90.0):
-            a = split.service_row(latency)
-            b = renewal.service_row(latency)
-            assert np.allclose(a, b, atol=5e-6)
+        latencies = [10.0, 47.0, 90.0]
+        a = split.service_rows(latencies)
+        b = renewal.service_rows(latencies)[:, 0]
+        assert np.allclose(a, b, atol=5e-6)
 
     def test_row_is_distribution(self):
         builder = EquilibriumRenewalKernelBuilder(
             GRID, GammaGaps(shape=6.0, scale_ms=25.0 / 6.0), max_queue=N_MAX
         )
-        for latency in (5.0, 40.0, 110.0):
-            row = builder.service_row(latency)
+        for row in builder.service_rows([5.0, 40.0, 110.0])[:, 0]:
             assert row.min() >= -1e-12
             assert row.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -155,8 +164,8 @@ class TestEquilibriumRenewalKernel:
             GRID, GammaGaps(shape=8.0, scale_ms=mean_gap / 8.0), max_queue=N_MAX
         )
         latency = 50.0  # ~2 arrivals expected
-        counts_p = pois.arrival_counts(latency)
-        counts_e = erl.arrival_counts(latency)
+        counts_p = pois.count_rows([latency])[0, 0]
+        counts_e = erl.count_rows([latency])[0, 0]
         ks = np.arange(N_MAX + 1)
 
         def variance(c):
@@ -170,7 +179,7 @@ class TestEquilibriumRenewalKernel:
             GRID, GammaGaps(shape=4.0, scale_ms=5.0), max_queue=N_MAX
         )
         latency = 60.0  # expected arrivals = 60 / 20 = 3
-        counts = builder.arrival_counts(latency)
+        counts = builder.count_rows([latency])[0, 0]
         mean = float((np.arange(N_MAX + 1) * counts).sum())
         # Tail mass beyond N_MAX is negligible here.
         assert mean == pytest.approx(3.0, rel=0.05)
@@ -179,7 +188,7 @@ class TestEquilibriumRenewalKernel:
         builder = EquilibriumRenewalKernelBuilder(
             GRID, DeterministicGaps(gap_ms=30.0), max_queue=N_MAX
         )
-        counts = builder.arrival_counts(45.0)
+        counts = builder.count_rows([45.0])[0, 0]
         # 45ms with 30ms gaps and uniform phase: 1 or 2 arrivals.
         assert counts.sum() == pytest.approx(1.0, abs=1e-6)
         assert counts[0] == pytest.approx(0.0, abs=0.02)
@@ -258,29 +267,30 @@ class TestBatchedRenewalRows:
         ids=["erlang-2", "gamma-1.5", "erlang-8-underflow", "deterministic"],
     )
     def test_prefill_matches_one_at_a_time(self, gaps):
-        one = EquilibriumRenewalKernelBuilder(GRID, gaps, max_queue=N_MAX)
-        many = EquilibriumRenewalKernelBuilder(GRID, gaps, max_queue=N_MAX)
-        many.prefill(self.LATENCIES, self.LATENCIES)
-        for latency in self.LATENCIES:
-            assert np.array_equal(one.service_row(latency), many.service_row(latency))
-            assert np.array_equal(
-                one.arrival_counts(latency), many.arrival_counts(latency)
-            )
+        builder = EquilibriumRenewalKernelBuilder(GRID, gaps, max_queue=N_MAX)
+        rows = builder.service_rows(self.LATENCIES)
+        counts = builder.count_rows(self.LATENCIES)
+        for i, latency in enumerate(self.LATENCIES):
+            assert np.array_equal(builder.service_rows([latency])[0], rows[i])
+            assert np.array_equal(builder.count_rows([latency])[0], counts[i])
 
     def test_stacked_loads_match_single_loads(self):
         scales = [3.0, 7.5, 0.05]
         stacked = EquilibriumRenewalKernelBuilder(
             GRID, GammaGaps(shape=2.0, scale_ms=np.array(scales)), max_queue=N_MAX
         )
-        rows, counts = stacked.prefill(self.LATENCIES, self.LATENCIES)
+        rows = stacked.service_rows(self.LATENCIES)
+        counts = stacked.count_rows(self.LATENCIES)
         for i, scale in enumerate(scales):
             single = EquilibriumRenewalKernelBuilder(
                 GRID, GammaGaps(shape=2.0, scale_ms=scale), max_queue=N_MAX
             )
-            for latency in self.LATENCIES:
-                key = round(latency, 9)
-                assert np.array_equal(rows[key][i], single.service_row(latency))
-                assert np.array_equal(counts[key][i], single.arrival_counts(latency))
+            assert np.array_equal(
+                rows[:, i], single.service_rows(self.LATENCIES)[:, 0]
+            )
+            assert np.array_equal(
+                counts[:, i], single.count_rows(self.LATENCIES)[:, 0]
+            )
 
 
 class TestGapsForDistribution:
@@ -309,16 +319,16 @@ class TestExactRoundRobinKernel:
         exact = ExactRoundRobinKernelBuilder(
             GRID, dist, num_workers=1, max_queue=N_MAX
         )
-        for latency in (15.0, 55.0, 100.0):
-            rows = exact.service_rows_by_phase(latency)
-            assert rows.shape[0] == 1
-            assert np.allclose(rows[0], split.service_row(latency), atol=1e-9)
+        latencies = [15.0, 55.0, 100.0]
+        rows = exact.service_rows(latencies)
+        assert rows.shape[1] == 1
+        assert np.allclose(rows[:, 0], split.service_rows(latencies), atol=1e-9)
 
     def test_rows_are_distributions(self):
         exact = ExactRoundRobinKernelBuilder(
             GRID, PoissonArrivals(120.0), num_workers=3, max_queue=N_MAX
         )
-        rows = exact.service_rows_by_phase(40.0)
+        rows = exact.service_rows([40.0])[0]
         assert rows.shape == (3, exact.space.size)
         assert rows.min() >= -1e-12
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-8)
@@ -348,7 +358,7 @@ class TestExactRoundRobinKernel:
         exact = ExactRoundRobinKernelBuilder(
             GRID, PoissonArrivals(120.0), num_workers=4, max_queue=N_MAX
         )
-        rows = exact.service_rows_by_phase(40.0)
+        rows = exact.service_rows([40.0])[0]
         sp = exact.space
         assert rows[3, sp.EMPTY] < rows[0, sp.EMPTY]
 
@@ -364,6 +374,6 @@ class TestExactRoundRobinKernel:
             max_queue=N_MAX,
         )
         latency = 50.0
-        mixed = exact.service_rows_by_phase(latency).mean(axis=0)
-        row = renewal.service_row(latency)
+        mixed = exact.service_rows([latency])[0].mean(axis=0)
+        row = renewal.service_rows([latency])[0, 0]
         assert np.allclose(mixed, row, atol=5e-3)

@@ -243,6 +243,34 @@ class TestParallelSweepEquality:
         assert "sweep" in tracks
         assert any(t.startswith("w0/") for t in tracks)
 
+    def test_feeds_are_numbered_by_cell(self, tmp_path):
+        """Which process runs which cell is the scheduler's choice; the
+        merged worker labels and ``w<i>/`` tracks must not depend on it."""
+        cells, scale = sweep_cells()
+        runs = []
+        for name in ("a", "b"):
+            clear_caches()
+            run_dir = tmp_path / name
+            run_sweep(cells, scale, jobs=2, run_dir=run_dir)
+            table = EventTable.load(run_dir / "merged.cols")[0]
+            tracks = {}
+            for seq, track in zip(
+                table.columns["seq"].tolist(),
+                table.strings_at("track", np.arange(len(table))),
+            ):
+                tracks.setdefault(seq, set()).add(track)
+            runs.append(((run_dir / "metrics.json").read_bytes(), tracks))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+        assert sorted(runs[0][1]) == list(range(len(cells)))
+        for seq, tracks in runs[0][1].items():
+            assert all(t.startswith(f"w{seq}/") for t in tracks)
+        workers = {
+            dict(metric["labels"]).get("worker")
+            for metric in json.loads(runs[0][0])["metrics"]
+        }
+        assert workers - {None} == {str(i) for i in range(len(cells))}
+
     def test_run_dir_gets_merged_artifacts(self, tmp_path):
         cells, scale = sweep_cells(loads=(20.0,))
         run_dir = tmp_path / "run"

@@ -11,8 +11,9 @@ import pytest
 
 from repro.arrivals.distributions import DeterministicArrivals, GammaArrivals
 from repro.cache import PolicyCache
-from repro.core.bank import StackedBankMDP, solve_stacked_bank
+from repro.core.bank import StackedBankMDP, _stacked_kernels, solve_stacked_bank
 from repro.core.generator import PolicyGenerator, generate_policy
+from repro.core.mdp import _Skeleton
 from repro.core.transitions import _POISSON_SUM_MAX_X, gaps_for_distribution
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RecordingTracer
@@ -259,7 +260,8 @@ def test_stacked_threads_initials(tiny_config):
 
 
 # ----------------------------------------------------------------------
-# Every stacked cell, the first included, is built from the batched seed
+# Every stacked cell, the first included, takes its load's slice of one
+# batched kernel call
 # ----------------------------------------------------------------------
 SEEDED_CASES = [
     pytest.param(dict(num_workers=2), LOADS[:3], id="erlang-2"),
@@ -284,7 +286,7 @@ def test_every_stacked_cell_matches_per_load_and_loop_oracle(
 ):
     configs = [replace(tiny_config, **overrides).with_load(q) for q in loads]
     bank = StackedBankMDP(configs)
-    assert all(cell._kernel_seed is not None for cell in bank.cells)
+    assert _stacked_kernels(_Skeleton.of(configs[0]), configs) is not None
     if loads[-1] > 1000.0:
         # Some service latency spans more than _POISSON_SUM_MAX_X gap
         # scales, so the recurrence hands those elements to gammainc.

@@ -16,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arrivals.distributions import GammaArrivals, PoissonArrivals
+from repro.core.config import BatchingMode, TransitionView, WorkerMDPConfig
 from repro.core.discretization import fixed_length_grid, model_based_grid
+from repro.core.mdp import WorkerMDP
 from repro.core.transitions import (
     EquilibriumRenewalKernelBuilder,
     GammaGaps,
     SplitViewKernelBuilder,
 )
+from tests.conftest import make_one_model_set
 
 loads = st.floats(min_value=1.0, max_value=500.0)
 slos = st.floats(min_value=20.0, max_value=600.0)
@@ -36,7 +39,7 @@ class TestSplitKernelProperties:
     def test_service_row_is_distribution(self, load, slo, latency, d, n):
         grid = fixed_length_grid(slo, d)
         builder = SplitViewKernelBuilder(grid, PoissonArrivals(load), n)
-        row = builder.service_row(latency)
+        row = builder.service_rows([latency])[0]
         assert row.min() >= -1e-12
         assert row.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -47,22 +50,40 @@ class TestSplitKernelProperties:
         grid = fixed_length_grid(slo, d)
         dist = PoissonArrivals(load)
         builder = SplitViewKernelBuilder(grid, dist, n)
-        row = builder.service_row(latency)
+        row = builder.service_rows([latency])[0]
         occ = builder.space.occupied_view(row)
         pois = dist.pmf_vector(n, latency)
         assert row[builder.space.EMPTY] == pytest.approx(pois[0], abs=1e-10)
         for k in range(1, n + 1):
             assert occ[k - 1].sum() == pytest.approx(pois[k], abs=1e-9)
 
-    @given(load=loads, slo=slos, latency=latencies, leftover=st.integers(1, 10))
+    @given(
+        load=loads,
+        slo=slos,
+        fraction=st.floats(min_value=0.01, max_value=1.0),
+        leftover=st.integers(1, 10),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_partial_row_is_distribution(self, load, slo, latency, leftover):
-        grid = fixed_length_grid(slo, 10)
-        builder = SplitViewKernelBuilder(grid, PoissonArrivals(load), 12)
-        row = builder.partial_row(latency, leftover, slo / 3.0)
+    def test_partial_row_is_distribution(self, load, slo, fraction, leftover):
+        # Partial-drain counts exist for latencies that fit a slack bin.
+        mdp = WorkerMDP(
+            WorkerMDPConfig(
+                model_set=make_one_model_set(fraction * slo),
+                slo_ms=slo,
+                arrivals=PoissonArrivals(load),
+                max_queue=12,
+                fld_resolution=10,
+                batching=BatchingMode.VARIABLE,
+                view=TransitionView.POISSON_SPLIT,
+            )
+        )
+        sp = mdp.space
+        top = len(mdp.grid) - 1
+        assert mdp.latency_ms(0, 1) <= mdp.grid[top]
+        row = mdp.transition_row(sp.index(1 + leftover, top), (0, 1))
         assert row.min() >= -1e-12
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
-        assert row[builder.space.EMPTY] == 0.0
+        assert row[sp.EMPTY] == 0.0
 
 
 class TestEquilibriumKernelProperties:
@@ -77,7 +98,7 @@ class TestEquilibriumKernelProperties:
         grid = fixed_length_grid(slo, 8)
         gaps = GammaGaps(shape=shape, scale_ms=1000.0 / load / shape)
         builder = EquilibriumRenewalKernelBuilder(grid, gaps, 10)
-        row = builder.service_row(latency)
+        row = builder.service_rows([latency])[0, 0]
         assert row.min() >= -1e-10
         assert row.sum() == pytest.approx(1.0, abs=1e-7)
 
@@ -90,7 +111,9 @@ class TestEquilibriumKernelProperties:
             grid, GammaGaps(shape=1.0, scale_ms=1000.0 / load), 10
         )
         assert np.allclose(
-            split.service_row(latency), renewal.service_row(latency), atol=1e-5
+            split.service_rows([latency])[0],
+            renewal.service_rows([latency])[0, 0],
+            atol=1e-5,
         )
 
     @given(
@@ -105,7 +128,7 @@ class TestEquilibriumKernelProperties:
         grid = fixed_length_grid(150.0, 4)
         gaps = GammaGaps(shape=shape, scale_ms=1000.0 / load / shape)
         builder = EquilibriumRenewalKernelBuilder(grid, gaps, n)
-        counts = builder.arrival_counts(latency)
+        counts = builder.count_rows([latency])[0, 0]
         tail = 1.0 - counts.sum()
         if tail < 1e-6:  # only check when the support captures the mass
             mean = float((np.arange(n + 1) * counts).sum())

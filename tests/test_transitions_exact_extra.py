@@ -10,6 +10,18 @@ from repro.core.config import BatchingMode, TransitionView, WorkerMDPConfig
 from repro.core.generator import generate_policy
 from repro.core.mdp import build_worker_mdp
 from repro.core.solvers import value_iteration
+from repro.core.transitions import ExactRoundRobinKernelBuilder
+
+
+def _counts(config, latency):
+    """Phase-marginal arrival counts of the config's exact builder."""
+    builder = ExactRoundRobinKernelBuilder(
+        config.build_grid(),
+        config.arrivals,
+        config.num_workers,
+        config.effective_max_queue(),
+    )
+    return builder.count_rows([latency])[0]
 
 
 @pytest.fixture
@@ -27,16 +39,14 @@ def exact_config(tiny_models):
 
 class TestExactCountsMarginal:
     def test_counts_sum_to_at_most_one(self, exact_config):
-        mdp = build_worker_mdp(exact_config)
-        counts = mdp._counts_for(40.0)
+        counts = _counts(exact_config, 40.0)
         assert counts.min() >= 0.0
         assert counts.sum() <= 1.0 + 1e-9
 
     def test_counts_mean_matches_per_worker_rate(self, exact_config):
         """Uniform-phase round-robin counts average to rate/K * t."""
-        mdp = build_worker_mdp(exact_config)
         latency = 50.0
-        counts = mdp._counts_for(latency)
+        counts = _counts(exact_config, latency)
         ks = np.arange(counts.shape[0])
         mean = float((ks * counts).sum())
         expected = 60.0 / 2 / 1000.0 * latency  # 1.5 arrivals
@@ -52,8 +62,7 @@ class TestExactCountsMarginal:
             fld_resolution=8,
             view=TransitionView.EXACT_ROUND_ROBIN,
         )
-        mdp = build_worker_mdp(config)
-        counts = mdp._counts_for(40.0)
+        counts = _counts(config, 40.0)
         pois = PoissonArrivals(30.0).pmf_vector(counts.shape[0] - 1, 40.0)
         assert np.allclose(counts, pois, atol=1e-10)
 
