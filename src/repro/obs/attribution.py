@@ -305,6 +305,10 @@ class Lifecycle:
     #: Query events recorded before each decision: places the two
     #: streams in one order for :meth:`replay`.
     d_at: np.ndarray
+    #: The state each decision was taken in: queue length and the
+    #: earliest query's slack.
+    d_queue_len: np.ndarray
+    d_slack_ms: np.ndarray
     #: One flag per query event: a service start (else a completion).
     is_start: np.ndarray
     #: Service starts: query, worker, model code, batch size, queue wait.
@@ -314,7 +318,8 @@ class Lifecycle:
     s_batch: np.ndarray
     s_wait_ms: np.ndarray
     #: Completions (drops and rejections included): query, worker, model
-    #: code, response, satisfied, dropped and the completion instant.
+    #: code, response, satisfied, dropped, the completion instant and
+    #: the model's accuracy (0 for drops and rejections).
     e_query: np.ndarray
     e_worker: np.ndarray
     e_model: np.ndarray
@@ -322,6 +327,7 @@ class Lifecycle:
     e_satisfied: np.ndarray
     e_dropped: np.ndarray
     e_t_ms: np.ndarray
+    e_accuracy: np.ndarray
 
     @classmethod
     def from_table(cls, table: EventTable) -> "Lifecycle":
@@ -366,6 +372,8 @@ class Lifecycle:
             d_batch=table.arg_array("batch", serves, int, 1),
             d_exec_ms=table.columns["dur_ms"][serves],
             d_at=np.searchsorted(rows, serves),
+            d_queue_len=table.arg_array("queue_len", serves, int, 0),
+            d_slack_ms=table.arg_array("slack_ms", serves, float, 0.0),
             is_start=is_start,
             s_query=table.arg_array("query", s_rows, int, 0),
             s_worker=track_worker[s_rows],
@@ -379,7 +387,9 @@ class Lifecycle:
             e_satisfied=table.arg_array("satisfied", e_rows, bool, False),
             e_dropped=table.arg_array("dropped", e_rows, bool, False),
             e_t_ms=table.columns["ts_ms"][e_rows],
+            e_accuracy=table.arg_array("accuracy", e_rows, float, 0.0),
         )
+
 
     def replay(self, tap: Any) -> None:
         """Call a hook-shaped tap once per record, in recorded order:

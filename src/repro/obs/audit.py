@@ -25,30 +25,38 @@ contract:
    monitor) and flags when load leaves the active policy's profiled
    operating point before the selector has switched policies.
 
-The auditor is fed by the dispatch kernel's observer
-(:class:`~repro.sim.kernel.LifecycleObserver`) through three typed hooks —
-:meth:`~GuaranteeAuditor.observe_arrival`,
-:meth:`~GuaranteeAuditor.observe_decision` and
-:meth:`~GuaranteeAuditor.observe_completion` — attached as
-``SimulationConfig(auditor=...)`` or a serving shard's ``auditors=``.  It
-emits its own ``audit_*`` events onto an ``audit`` track of an optional
-``inner`` tracer (e.g. the run's :class:`~repro.obs.trace.RecordingTracer`),
-so verdicts flow through the JSONL/Chrome exporters unchanged.  With no
-auditor attached the kernel makes no audit call.
+The auditor is not called on the dispatch path.  Attached as
+``SimulationConfig(auditor=...)`` or a serving shard's ``auditors=``, it
+is folded from the dispatch kernel's lifecycle capture
+(:class:`~repro.sim.kernel.LifecycleObserver`), as the latency
+attributor is: :meth:`GuaranteeAuditor.fold` reads a drain's
+:class:`~repro.obs.attribution.Lifecycle` columns and the arrival times
+processed with them, in columns, and leaves the state, records and
+alerts of one audit step per arrival, decision and completion in kernel
+order.  A simulation folds once, when its run ends; a serve as each
+shard's capture grows and at its end.  The auditor emits its own
+``audit_*`` events onto an ``audit`` track of an optional ``inner``
+tracer (e.g. the run's :class:`~repro.obs.trace.RecordingTracer`), so
+verdicts flow through the JSONL/Chrome exporters unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.guarantees import PolicyGuarantees, total_variation
 from repro.core.policy import Policy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.attribution import Lifecycle
 
 __all__ = [
     "wilson_interval",
@@ -115,31 +123,6 @@ def hoeffding_interval(
 # ----------------------------------------------------------------------
 # Drift detection
 # ----------------------------------------------------------------------
-class _RateEstimator:
-    """Trailing moving-average arrival rate — the load monitor's rule,
-    replicated here so the auditor's drift signal is independent of
-    whatever monitor the run uses (e.g. the oracle), and so ``obs`` keeps
-    no import edge into the ``sim`` layer."""
-
-    __slots__ = ("_window_ms", "_arrivals")
-
-    def __init__(self, window_ms: float) -> None:
-        self._window_ms = window_ms
-        self._arrivals: Deque[float] = deque()
-
-    def record(self, t_ms: float) -> float:
-        """Fold one arrival at ``t_ms`` and return the current rate (QPS)."""
-        arrivals = self._arrivals
-        arrivals.append(t_ms)
-        cutoff = t_ms - self._window_ms
-        while arrivals and arrivals[0] < cutoff:
-            arrivals.popleft()
-        horizon = min(t_ms, self._window_ms)
-        if horizon <= 0.0:
-            return 0.0
-        return len(arrivals) / horizon * 1000.0
-
-
 class PageHinkley:
     """Two-sided Page–Hinkley change detector on a normalized stream.
 
@@ -184,19 +167,41 @@ class PageHinkley:
 
     def update(self, value: float) -> Optional[str]:
         """Fold one observation; returns the drift direction on alarm."""
-        v = value / self._reference - 1.0
-        self._n += 1
-        self._cum_up += v - self._delta
-        self._min_up = min(self._min_up, self._cum_up)
-        self._cum_down += v + self._delta
-        self._max_down = max(self._max_down, self._cum_down)
-        if self._n < self._min_samples:
+        alarm = self.update_many(np.array([value]))
+        return None if alarm is None else alarm[1]
+
+    def update_many(
+        self,
+        values: np.ndarray,
+        up_ok: Optional[np.ndarray] = None,
+        down_ok: Optional[np.ndarray] = None,
+    ) -> Optional[Tuple[int, str]]:
+        """Fold ``values`` in order up to the first alarm that its
+        direction's mask (``up_ok`` / ``down_ok``, default all) admits at
+        that sample: returns ``(index, direction)`` with the detector
+        folded through that sample, or ``None`` with every value folded.
+        The sums run in order (``np.cumsum``), so the state is bitwise
+        that of one :meth:`update` per value."""
+        v = values / self._reference - 1.0
+        up = np.cumsum(np.concatenate(([self._cum_up], v - self._delta)))[1:]
+        low = np.minimum.accumulate(np.concatenate(([self._min_up], up)))[1:]
+        down = np.cumsum(np.concatenate(([self._cum_down], v + self._delta)))[1:]
+        high = np.maximum.accumulate(np.concatenate(([self._max_down], down)))[1:]
+        n = self._n + np.arange(1, v.size + 1)
+        rising = up - low > self._threshold
+        falling = ~rising & (high - down > self._threshold)
+        live = n >= self._min_samples
+        rises = live & rising & (True if up_ok is None else up_ok)
+        falls = live & falling & (True if down_ok is None else down_ok)
+        hits = np.flatnonzero(rises | falls)
+        last = hits[0] if hits.size else v.size - 1
+        if v.size:
+            self._n = int(n[last])
+            self._cum_up, self._min_up = float(up[last]), float(low[last])
+            self._cum_down, self._max_down = float(down[last]), float(high[last])
+        if not hits.size:
             return None
-        if self._cum_up - self._min_up > self._threshold:
-            return "up"
-        if self._max_down - self._cum_down > self._threshold:
-            return "down"
-        return None
+        return int(last), "up" if rises[last] else "down"
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +506,7 @@ def sharded_audit_json(audits: Sequence[AuditReport]) -> Dict[str, Any]:
 # The streaming auditor
 # ----------------------------------------------------------------------
 class GuaranteeAuditor:
-    """Streams a run's lifecycle hooks and audits them against §5.1.
+    """Folds a run's lifecycle records and audits them against §5.1.
 
     Parameters
     ----------
@@ -567,26 +572,31 @@ class GuaranteeAuditor:
         self._occupancy: Dict[str, int] = {}
         self._epochs = 0
 
-        # Drift detector over the auditor's own realized-load estimate.
-        self._rate = _RateEstimator(self._cfg.drift_window_ms)
+        # Drift detector over the auditor's own realized-load estimate:
+        # the trailing moving-average arrival rate (the load monitor's
+        # rule, replicated so the drift signal is independent of the
+        # run's monitor), over the arrivals still inside its window.
+        self._recent = np.empty(0)
         reference = reference_load_qps
         if reference is None and policy is not None:
             reference = policy.load_qps
-        self._detector = (
-            PageHinkley(
-                reference,
-                delta=self._cfg.drift_delta,
-                threshold=self._cfg.drift_threshold,
-                min_samples=self._cfg.drift_min_samples,
-            )
-            if reference is not None and reference > 0.0
-            else None
-        )
+        self._detector: Optional[PageHinkley] = None
+        if reference is not None and reference > 0.0:
+            self._detector = self._detector_for(reference)
         self._drift_events: List[DriftEvent] = []
         self._drift_armed = True
         self._policy_switches = 0
         self._last_ts_ms = 0.0
         self._report: Optional[AuditReport] = None
+        # Where the fold stands: arrivals and lifecycle records folded,
+        # the source's count of them (:meth:`attach`), its id layout, and
+        # the policy switches noted ahead of the fold.
+        self._arrived = self._records = 0
+        self._position: Callable[[], Tuple[int, int]] = lambda: (
+            self._arrived, self._records
+        )
+        self._base, self._stride = 0, 1
+        self._pending: List[Tuple[Tuple[int, int], Policy, float]] = []
 
         if registry is not None:
             self._c_windows = registry.counter(
@@ -623,7 +633,7 @@ class GuaranteeAuditor:
             self._g_tv = None
 
     # ------------------------------------------------------------------
-    # Configuration / hooks
+    # Configuration / policy switches
     # ------------------------------------------------------------------
     @property
     def config(self) -> AuditConfig:
@@ -649,19 +659,50 @@ class GuaranteeAuditor:
         """
         self._alert(alert)
 
+    def attach(
+        self, position: Callable[[], Tuple[int, int]], base: int = 0, stride: int = 1
+    ) -> None:
+        """Fold from a kernel observer's capture: ``position()`` counts its
+        arrivals and lifecycle records, to place noted policy switches;
+        kernel-local query ``j`` is the global id ``base + j * stride``."""
+        self._position = position
+        self._base, self._stride = base, stride
+        self._arrived = self._records = 0
+
     def note_policy(self, policy: Policy, now_ms: float) -> None:
         """Selector hook: the effective policy changed at ``now_ms``.
 
         Re-arms the drift detector around the new policy's load and, when
         the policy carries §5.1 metadata, switches the audited bounds.
         Matches :class:`~repro.selectors.ramsis.RamsisSelector`'s
-        ``on_policy_change`` signature.
+        ``on_policy_change`` signature.  The switch is stamped with the
+        attached source's position (zero before the run, the folded
+        position when detached) and takes effect when the fold reaches
+        that point: at once when nothing before it is left to fold.
         """
-        first = self._policy is None and self._policy_switches == 0
-        if self._policy is not policy:
-            if not first:
-                self._policy_switches += 1
-            self._policy = policy
+        at = self._position()
+        if self._pending or at != (self._arrived, self._records):
+            self._pending.append((at, policy, now_ms))
+        else:
+            self._switch(policy, now_ms)
+
+    def _detector_for(self, reference: float) -> PageHinkley:
+        cfg = self._cfg
+        return PageHinkley(
+            reference,
+            delta=cfg.drift_delta,
+            threshold=cfg.drift_threshold,
+            min_samples=cfg.drift_min_samples,
+        )
+
+    def _switch(self, policy: Policy, now_ms: float) -> None:
+        """Apply one noted policy change."""
+        switched = self._policy is not policy and not (
+            self._policy is None and self._policy_switches == 0
+        )
+        if switched:
+            self._policy_switches += 1
+        self._policy = policy
         meta = policy.metadata
         if meta.expected_accuracy is not None and meta.expected_violation_rate is not None:
             self._bounds = AuditBounds(
@@ -669,17 +710,9 @@ class GuaranteeAuditor:
                 violation_ceiling=meta.expected_violation_rate,
             )
         if policy.load_qps > 0.0:
-            if self._detector is None:
-                self._detector = PageHinkley(
-                    policy.load_qps,
-                    delta=self._cfg.drift_delta,
-                    threshold=self._cfg.drift_threshold,
-                    min_samples=self._cfg.drift_min_samples,
-                )
-            else:
-                self._detector.reset(policy.load_qps)
+            self._detector = self._detector_for(policy.load_qps)
         self._drift_armed = True
-        if not first:
+        if switched:
             self.inner.instant(
                 "audit_policy_switch",
                 "audit",
@@ -689,81 +722,161 @@ class GuaranteeAuditor:
             )
 
     # ------------------------------------------------------------------
-    # Kernel hooks
+    # The fold
     # ------------------------------------------------------------------
-    def observe_completion(
-        self, t_ms: float, satisfied: bool, accuracy: float
-    ) -> None:
-        """A query ended at ``t_ms`` (``accuracy`` 0 when unsatisfied)."""
-        if t_ms > self._last_ts_ms:
-            self._last_ts_ms = t_ms
-        if self._win_total == 0:
-            self._win_start_ms = t_ms
-        self._win_total += 1
-        self._total += 1
-        if satisfied:
-            self._win_satisfied += 1
-            self._satisfied += 1
-            self._win_accuracy_sum += accuracy
-            self._accuracy_sum += accuracy
-        if self._win_total >= self._cfg.window_queries:
-            self._close_window(t_ms)
+    def fold(self, lifecycle: "Lifecycle", arrivals: np.ndarray) -> "GuaranteeAuditor":
+        """Fold one drain: its lifecycle columns and the arrival times
+        (ms, non-decreasing) processed with them.
 
-    def observe_decision(
-        self, queue_len: int, slack_ms: float, end_ms: float
-    ) -> None:
-        """A worker decided in state ``(queue_len, slack_ms)``; its batch
-        runs until ``end_ms``."""
-        if end_ms > self._last_ts_ms:
-            self._last_ts_ms = end_ms
-        policy = self._policy
-        if policy is None:
-            return
-        if queue_len > policy.max_queue:
-            key = "full"
-        else:
-            key = f"{queue_len},{policy.grid.floor_index(slack_ms)}"
-        self._occupancy[key] = self._occupancy.get(key, 0) + 1
-        self._epochs += 1
-
-    def observe_arrival(self, t_ms: float) -> None:
-        """A query arrived at ``t_ms`` (feeds the load-drift audit)."""
-        if t_ms > self._last_ts_ms:
-            self._last_ts_ms = t_ms
-        realized = self._rate.record(t_ms)
-        if self._detector is None or not self._drift_armed:
-            return
-        direction = self._detector.update(realized)
-        if direction is None:
-            return
-        # Only flag once the realized level actually sits outside the
-        # active policy's tolerance band (the PH statistic is cumulative
-        # and can fire on a past excursion that already receded).
-        reference = self._detector.reference
-        if direction == "up" and realized <= reference * (1.0 + self._cfg.drift_delta):
-            return
-        if direction == "down" and realized >= reference * (1.0 - self._cfg.drift_delta):
-            return
-        event = DriftEvent(
-            t_ms=t_ms,
-            direction=direction,
-            realized_qps=realized,
-            reference_qps=reference,
+        From any prior state this leaves the windows, occupancy, drift
+        detector, registry series, ``audit_*`` records and alerts exactly
+        as one audit step per arrival, decision and completion in kernel
+        order would.  Noted policy switches split the drain at their
+        stamps; each completion's place among the arrivals follows the
+        kernel's order (arrivals first at equal times, a rejection or a
+        drop on arrival right after its own).  Windows, the occupancy
+        histogram, the trailing arrival rate and the Page–Hinkley sums
+        are computed in columns, every sum in order.
+        """
+        lc, arrivals = lifecycle, np.asarray(arrivals, np.float64)
+        ended = ~lc.is_start
+        # Each decision's place among the drain's records (decisions and
+        # query events), the unit switch stamps count in.
+        records = lc.d_at + np.arange(lc.d_at.size)
+        # Arrivals before each completion: all those up to its instant,
+        # but only up to its own for a rejection or a drop on arrival;
+        # the kernel's order never runs back.
+        own = (lc.e_query - self._base) // self._stride + 1 - self._arrived
+        lower = np.where(lc.e_dropped, own, np.searchsorted(arrivals, lc.e_t_ms, "right"))
+        # Per completion: arrivals and decisions before it.
+        before = (
+            np.maximum.accumulate(np.maximum(lower, 0)),
+            np.searchsorted(lc.d_at, np.flatnonzero(ended), "right"),
         )
+        rates = self._rates(arrivals)
+        for times in (arrivals, lc.e_t_ms):
+            if times.size:
+                self._last_ts_ms = max(self._last_ts_ms, float(times.max()))
+        end = (self._arrived + arrivals.size, self._records + records.size + ended.size)
+        cuts = []  # (arrivals, decisions, completions) before each switch
+        while self._pending and all(s <= e for s, e in zip(self._pending[0][0], end)):
+            (a, r), policy, now_ms = self._pending.pop(0)
+            r -= self._records
+            d = int(np.searchsorted(records, r))
+            cuts.append((a - self._arrived, d, int(np.count_nonzero(ended[: r - d])), policy, now_ms))
+        lo = (0, 0, 0)
+        for a, d, e, *switch in [*cuts, (arrivals.size, records.size, lower.size)]:
+            self._fold_segment(lc, arrivals, rates, before, lo, (a, d, e))
+            if switch:
+                self._switch(*switch)
+            lo = (a, d, e)
+        self._arrived, self._records = end
+        return self
+
+    def _rates(self, arrivals: np.ndarray) -> np.ndarray:
+        """The trailing arrival rate (QPS) at each of ``arrivals``."""
+        window = self._cfg.drift_window_ms
+        times = np.concatenate([self._recent, arrivals])
+        held = np.arange(self._recent.size + 1, times.size + 1)
+        counts = held - np.searchsorted(times, arrivals - window)
+        horizon = np.minimum(arrivals, window)
+        rates = np.zeros(arrivals.size)
+        np.divide(counts, horizon, out=rates, where=horizon > 0.0)
+        if times.size:
+            self._recent = times[np.searchsorted(times, times[-1] - window):]
+        return rates * 1000.0
+
+    def _fold_segment(self, lc, arrivals, rates, before, lo, hi) -> None:
+        """Arrivals, decisions and completions ``lo`` to ``hi``, under one
+        policy, with their records and alerts in kernel order."""
+        (a0, d0, e0), (a1, d1, e1) = lo, hi
+        drift = None
+        detector = self._detector
+        if detector is not None and self._drift_armed and a1 > a0:
+            # Only flag once the realized level actually sits outside the
+            # active policy's tolerance band (the PH statistic is
+            # cumulative and can fire on a past excursion that already
+            # receded).
+            reference, delta = detector.reference, self._cfg.drift_delta
+            realized = rates[a0:a1]
+            alarm = detector.update_many(
+                realized,
+                realized > reference * (1.0 + delta),
+                realized < reference * (1.0 - delta),
+            )
+            if alarm is not None:
+                self._drift_armed = False  # one alarm per policy period
+                i, direction = alarm
+                drift = a0 + i, DriftEvent(
+                    float(arrivals[a0 + i]), direction, float(realized[i]), reference
+                )
+        t = lc.e_t_ms[e0:e1].tolist()
+        satisfied, accuracy = lc.e_satisfied[e0:e1], lc.e_accuracy[e0:e1]
+        counted, start, size = d0, 0, self._cfg.window_queries
+        for q in range(size - self._win_total - 1, e1 - e0, size):
+            self._add_completions(t, satisfied, accuracy, start, q + 1)
+            decided = int(before[1][e0 + q])
+            self._add_states(lc, counted, decided)
+            counted, start = decided, q + 1
+            if drift is not None and drift[0] < before[0][e0 + q]:
+                self._raise_drift(drift[1])
+                drift = None
+            self._close_window(t[q])
+        self._add_completions(t, satisfied, accuracy, start, e1 - e0)
+        self._add_states(lc, counted, d1)
+        if drift is not None:
+            self._raise_drift(drift[1])
+
+    def _raise_drift(self, event: DriftEvent) -> None:
         self._drift_events.append(event)
-        self._drift_armed = False  # one alarm per policy period
         if self._c_drift is not None:
             self._c_drift.inc()
         self.inner.instant(
             "audit_drift",
             "audit",
-            t_ms,
+            event.t_ms,
             category="audit",
             args=event.to_json_dict(),
         )
         self._alert(
-            AuditAlert(kind="load-drift", t_ms=t_ms, detail=event.to_json_dict())
+            AuditAlert(kind="load-drift", t_ms=event.t_ms, detail=event.to_json_dict())
         )
+
+    def _add_states(self, lc: "Lifecycle", lo: int, hi: int) -> None:
+        """Count decisions ``lo`` to ``hi`` into the occupancy histogram,
+        each state on the active policy's grid (none without a policy)."""
+        policy = self._policy
+        if policy is None or hi <= lo:
+            return
+        queue_len, slack_ms = lc.d_queue_len[lo:hi], lc.d_slack_ms[lo:hi]
+        grid = np.asarray(policy.grid.values)
+        # TimeGrid.floor_index over the array.
+        index = np.clip(np.searchsorted(grid, slack_ms, "right") - 1, 0, grid.size - 1)
+        index[slack_ms <= 0.0] = 0
+        full = queue_len > policy.max_queue
+        states = np.where(full, -1, queue_len * grid.size + index)
+        for code, count in Counter(states.tolist()).items():
+            key = "full" if code < 0 else f"{code // grid.size},{code % grid.size}"
+            self._occupancy[key] = self._occupancy.get(key, 0) + count
+        self._epochs += hi - lo
+
+    def _add_completions(self, t, satisfied, accuracy, lo: int, hi: int) -> None:
+        """Completions ``lo`` to ``hi`` into the open window and the run
+        tallies, the accuracy sums in order."""
+        if hi <= lo:
+            return
+        if self._win_total == 0:
+            self._win_start_ms = t[lo]
+        met = satisfied[lo:hi]
+        gained = accuracy[lo:hi][met]
+        hits = int(np.count_nonzero(met))
+        self._win_total += hi - lo
+        self._total += hi - lo
+        self._win_satisfied += hits
+        self._satisfied += hits
+        if hits:
+            self._win_accuracy_sum = float(np.cumsum([self._win_accuracy_sum, *gained])[-1])
+            self._accuracy_sum = float(np.cumsum([self._accuracy_sum, *gained])[-1])
 
     # ------------------------------------------------------------------
     # Window evaluation

@@ -750,16 +750,14 @@ def _stack(
 # ----------------------------------------------------------------------
 # Blocks on disk
 # ----------------------------------------------------------------------
-def encode_block(table: EventTable, **meta: Any) -> bytes:
-    """One self-contained block holding ``table`` (``meta`` joins the
-    header)."""
+def write_block(fh: BinaryIO, table: EventTable, **meta: Any) -> None:
+    """Write one self-contained block holding ``table`` (``meta`` joins
+    the header) at ``fh``'s position, a seekable binary file.  The arrays
+    go straight to ``fh``, so the payload is never held in memory."""
     keys = list(table.args)
     arrays = [table.columns[name] for name, _ in _FIXED]
     for key in keys:
         arrays.extend(table.args[key])
-    payload = io.BytesIO()
-    for array in arrays:
-        np.save(payload, array, allow_pickle=False)
     header = dict(
         meta,
         schema=SCHEMA,
@@ -769,14 +767,30 @@ def encode_block(table: EventTable, **meta: Any) -> bytes:
         overflow=[list(entry) for entry in table.overflow],
     )
     head = json.dumps(header, sort_keys=True, default=json_default).encode("utf-8")
-    body = payload.getvalue()
-    return _PREFIX.pack(_MAGIC, len(head), len(body)) + head + body
+    start = fh.tell()
+    fh.seek(start + _PREFIX.size)
+    fh.write(head)
+    for array in arrays:
+        np.save(fh, array, allow_pickle=False)
+    end = fh.tell()
+    fh.seek(start)
+    fh.write(_PREFIX.pack(_MAGIC, len(head), end - start - _PREFIX.size - len(head)))
+    fh.seek(end)
+
+
+def encode_block(table: EventTable, **meta: Any) -> bytes:
+    """One self-contained block holding ``table`` (``meta`` joins the
+    header)."""
+    buffer = io.BytesIO()
+    write_block(buffer, table, **meta)
+    return buffer.getvalue()
 
 
 def write_table(path: Union[str, Path], table: EventTable, **meta: Any) -> Path:
     """Write ``table`` to ``path`` as a one-block file and return the path."""
     path = Path(path)
-    path.write_bytes(encode_block(table, **meta))
+    with path.open("wb") as fh:
+        write_block(fh, table, **meta)
     return path
 
 

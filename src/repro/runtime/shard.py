@@ -241,6 +241,7 @@ class ShardedController:
         self._load_probe = load_probe
         self._kernels: List[DispatchKernel] = []
         self._observers: List[Optional[LifecycleObserver]] = []
+        self._auditors: List[Optional[object]] = []
         self._policy_swaps = 0
 
     # ------------------------------------------------------------------
@@ -300,16 +301,15 @@ class ShardedController:
         :class:`~repro.obs.audit.GuaranteeAuditor` /
         :class:`~repro.obs.attribution.LatencyAttributor` per shard, as a
         simulation's ``SimulationConfig.auditor`` / ``attributor`` slots
-        do: the shard's kernel calls an auditor's ``observe_*`` hooks live
-        (virtual timestamps, in virtual-time order), and an attributor
-        gets the shard's ordered lifecycle capture, off the dispatch
-        path — a ``LatencyAttributor`` folds it in columns, any other
-        hook-shaped tap has its ``observe_*`` hooks called in event
-        order.  A caller's attributor has folded every query when the
-        serve returns.
+        do: both are folded from the shard's ordered lifecycle capture
+        (virtual timestamps, in virtual-time order), off the dispatch
+        path — an auditor and a ``LatencyAttributor`` in columns, any
+        other hook-shaped attributor has its ``observe_*`` hooks called in
+        event order.  A caller's auditor and attributor have folded every
+        query when the serve returns.
 
         The serve loop folds each observed shard's capture into the
-        shard's registry and attributor between its steps once the
+        shard's registry, attributor and auditor between its steps once the
         capture holds :data:`_FOLD` entries (every slice of arrivals
         unpaced), so a capture holds no more than one step of the serve.
         With a ``run_dir``, a shard without a caller's attributor gets a
@@ -322,8 +322,8 @@ class ShardedController:
         view.  A view's snapshot lags the serve by at most one interval
         and is not rewritten when the serve ends (the run's attribution
         is the merged ``attribution.json``): the end of the serve folds
-        the rest of the capture into the registry and a caller's
-        attributor only, then publishes once more.
+        the rest of the capture into the registry, a caller's attributor
+        and the auditor only, then publishes once more.
         """
         start_wall = time.monotonic()
         num_shards = self._num_shards
@@ -390,11 +390,13 @@ class ShardedController:
             elif auditor is None and attributor is None:
                 continue
             observers[s] = kernel.observer = LifecycleObserver(
-                kernel, tracers, auditor, attributor, registry,
-                base=s, stride=num_shards,
+                kernel, tracers, attributor, registry, base=s, stride=num_shards
             )
+            if auditor is not None:
+                observers[s].attach(auditor)
         self._kernels = kernels
         self._observers = observers
+        self._auditors = list(auditors or [None] * num_shards)
         self._policy_swaps = 0
 
         try:
@@ -509,15 +511,16 @@ class ShardedController:
                 kernel.advance(until_ms)
 
     def _fold_capture(self, s: int, run_path=None) -> None:
-        """Fold shard ``s``'s drained capture into its registry and
-        attributor; with a run dir, publish its ``metrics-<pid>.json``
-        and ``attribution-<pid>.json`` (``pid = G + s``)."""
+        """Fold shard ``s``'s drained capture into its registry,
+        attributor and auditor; with a run dir, publish its
+        ``metrics-<pid>.json`` and ``attribution-<pid>.json``
+        (``pid = G + s``)."""
         from repro.obs.aggregate import write_live_snapshot
 
         observer = self._observers[s]
         if observer is None:
             return
-        observer.fold(observer.drain())
+        observer.fold(observer.drain(), self._auditors[s])
         if run_path is not None:
             write_live_snapshot(
                 run_path,

@@ -100,12 +100,15 @@ _DROPPED_KEYS = (
 _REJECTED_KEYS = _DROPPED_KEYS + ("rejected",)
 
 #: Capture entries, flat tuples of scalars (so the collector untracks
-#: them): ``(_DISPATCH, t, w, model, batch, exec_ms, *served)``,
-#: ``(_COMPLETE, t, w, model, *served)`` and
+#: them): ``(_DISPATCH, t, w, model, batch, exec_ms, queue_len, slack_ms,
+#: *served)``, ``(_COMPLETE, t, w, model, accuracy, *served)`` and
 #: ``(_TERMINAL, t, w, model, rejected, *queries)``.
 _DISPATCH, _COMPLETE, _TERMINAL = 0, 1, 2
 #: Where each kind's query indices start in its entry.
-_QUERIES_AT = np.array([6, 4, 5], np.int64)
+_QUERIES_AT = np.array([8, 5, 5], np.int64)
+#: An entry's length less its lifecycle records (a dispatch is one
+#: decision and a service start per query).
+_RECORDS_LESS = (7, 5, 5)
 
 
 class LifecycleObserver:
@@ -116,26 +119,27 @@ class LifecycleObserver:
     (``tracers[w]``; ``None`` entries are skipped) as
     :meth:`~repro.obs.trace.Tracer.instant_row` /
     :meth:`~repro.obs.trace.Tracer.complete_row` rows — fixed key tuples
-    and a value tuple, no argument dict — and ``auditor`` (a
-    :class:`~repro.obs.audit.GuaranteeAuditor`) gets its typed
-    ``observe_*`` hooks live, after the tracer.  Those are the only taps
+    and a value tuple, no argument dict.  The tracers are the only taps
     on the dispatch path.
 
-    With a ``registry`` or an ``attributor``, every dispatch (its service
-    starts included), batch completion, drop and rejection also appends
-    one ordered entry to :attr:`capture`.  Nothing reads the capture on
-    the dispatch path: :meth:`drain` hands the entries captured so far
-    to a consumer, and :meth:`fold` reads them into
+    With a ``registry``, an ``attributor`` or an attached auditor
+    (:meth:`attach`), every dispatch (its service starts included),
+    batch completion, drop and rejection also appends one ordered entry
+    to :attr:`capture`.  Nothing reads the capture on the dispatch path:
+    :meth:`drain` hands the entries captured since the last drain to a
+    consumer, and :meth:`fold` reads them into
     :class:`~repro.obs.attribution.Lifecycle` columns (:meth:`columns`,
     the one reader of the entry layout) and folds those into the
-    registry's ``sim_*`` series (:meth:`publish`) and into the
-    attributor: a :class:`~repro.obs.attribution.LatencyAttributor` folds
-    them in bulk, any other hook-shaped tap gets its ``observe_*`` calls
-    in the order, and with the arguments, of the events
-    (:meth:`~repro.obs.attribution.Lifecycle.replay`).  The capture is
-    the only source of an attributor's records.  A simulation drains
-    once, at the end of its run; a serving shard as its capture grows, on
-    its snapshot ticks and at the end of its serve.
+    registry's ``sim_*`` series (:meth:`publish`), into the attributor
+    (a :class:`~repro.obs.attribution.LatencyAttributor` folds them in
+    bulk, any other hook-shaped tap gets its ``observe_*`` calls in the
+    order, and with the arguments, of the events:
+    :meth:`~repro.obs.attribution.Lifecycle.replay`) and, with the
+    arrival times drained alongside, into the caller's
+    :class:`~repro.obs.audit.GuaranteeAuditor`.  The capture is the only
+    source of an attributor's and an auditor's records.  A simulation
+    drains once, at the end of its run; a serving shard as its capture
+    grows, on its snapshot ticks and at the end of its serve.
 
     Kernel-local worker ``w`` and query ``j`` are recorded as the global
     ids ``base + w * stride`` and ``base + j * stride`` — shard ``s`` of
@@ -147,7 +151,6 @@ class LifecycleObserver:
         self,
         kernel: "DispatchKernel",
         tracers: Sequence[Optional[Any]],
-        auditor: Optional[Any] = None,
         attributor: Optional[Any] = None,
         registry: Optional[MetricsRegistry] = None,
         base: int = 0,
@@ -156,7 +159,6 @@ class LifecycleObserver:
         self.arrivals = kernel.arrivals
         self.deadlines = kernel.deadlines
         self.tracers = list(tracers)
-        self.auditor = auditor
         self.attributor = attributor
         self.registry = registry
         self.base = base
@@ -165,14 +167,43 @@ class LifecycleObserver:
         self.tracks = [f"worker-{base + w * stride}" for w in range(workers)]
         #: The ordered lifecycle entries (``None`` with nothing to fold
         #: them into).
-        self.capture: Optional[List[tuple]] = (
-            None if registry is None and attributor is None else []
-        )
+        self.capture: Optional[List[tuple]] = None
+        #: Arrivals processed so far.
+        self.arrived = 0
+        # The arrivals of the last drain (a slice); lifecycle records
+        # folded; the capture's entries and records :meth:`position` has
+        # counted so far.
+        self._drained = (0, 0)
+        self._records = 0
+        self._counted = (0, 0)
         self._series = None if registry is None else SimSeries(registry)
-        if self.capture is not None:
+        if registry is not None or attributor is not None:
+            self._start_capture()
+
+    def _start_capture(self) -> None:
+        if self.capture is None:
+            self.capture = []
             # What the columns read per query, as arrays once.
-            self._arrival_ms = np.asarray(kernel.arrivals, np.float64)
-            self._deadline_ms = np.asarray(kernel.deadlines, np.float64)
+            self._arrival_ms = np.asarray(self.arrivals, np.float64)
+            self._deadline_ms = np.asarray(self.deadlines, np.float64)
+
+    def attach(self, auditor: Any) -> None:
+        """Fold ``auditor`` (a :class:`~repro.obs.audit.GuaranteeAuditor`)
+        from the capture: it gets this observer's running count of
+        arrivals and lifecycle records (:meth:`position`), which places
+        each policy switch it is told of, and the id layout."""
+        self._start_capture()
+        auditor.attach(self.position, self.base, self.stride)
+
+    def position(self) -> Tuple[int, int]:
+        """Arrivals processed and lifecycle records (decisions and query
+        events) captured so far."""
+        capture = self.capture
+        entries, records = self._counted
+        for entry in capture[entries:]:
+            records += len(entry) - _RECORDS_LESS[entry[0]]
+        self._counted = (len(capture), records)
+        return self.arrived, self._records + records
 
     def arrival(self, w: int, j: int, t: float, depth: int) -> None:
         """Query ``j`` arrived; ``depth`` is its queue's length after it."""
@@ -188,8 +219,7 @@ class LifecycleObserver:
                 tracer.instant_row(
                     "arrival", "balancer", t, _CENTRAL_ARRIVAL_KEYS, (query,)
                 )
-        if self.auditor is not None:
-            self.auditor.observe_arrival(t)
+        self.arrived = j + 1
 
     def dispatch(
         self,
@@ -209,9 +239,10 @@ class LifecycleObserver:
         gid = base + w * stride
         arrivals = self.arrivals
         if self.capture is not None:
-            self.capture.append(
-                (_DISPATCH, t, w, model_name, batch, exec_ms, *served)
-            )
+            self.capture.append((
+                _DISPATCH, t, w, model_name, batch, exec_ms, queue_len,
+                slack_ms, *served,
+            ))
         tracer = self.tracers[w]
         if tracer is not None:
             track = self.tracks[w]
@@ -225,18 +256,15 @@ class LifecycleObserver:
                     "service_start", track, t, _START_KEYS,
                     (base + j * stride, model_name, batch, t - arrivals[j]),
                 )
-        if self.auditor is not None:
-            self.auditor.observe_decision(queue_len, slack_ms, t + exec_ms)
 
     def completion(
         self, w: int, t: float, model_name: str, accuracy: float, served: List[int]
     ) -> None:
         """Worker ``w`` finished the batch ``served``."""
         if self.capture is not None:
-            self.capture.append((_COMPLETE, t, w, model_name, *served))
+            self.capture.append((_COMPLETE, t, w, model_name, accuracy, *served))
         tracer = self.tracers[w]
-        auditor = self.auditor
-        if tracer is None and auditor is None:
+        if tracer is None:
             return
         base, stride = self.base, self.stride
         gid = base + w * stride
@@ -244,16 +272,11 @@ class LifecycleObserver:
         arrivals = self.arrivals
         deadlines = self.deadlines
         for j in served:
-            query_id = base + j * stride
-            satisfied = t <= deadlines[j]
-            response_ms = t - arrivals[j]
-            if tracer is not None:
-                tracer.instant_row(
-                    "completion", track, t, _DONE_KEYS,
-                    (query_id, gid, model_name, satisfied, accuracy, response_ms),
-                )
-            if auditor is not None:
-                auditor.observe_completion(t, satisfied, accuracy)
+            tracer.instant_row(
+                "completion", track, t, _DONE_KEYS,
+                (base + j * stride, gid, model_name, t <= deadlines[j],
+                 accuracy, t - arrivals[j]),
+            )
 
     def terminal(
         self,
@@ -268,8 +291,7 @@ class LifecycleObserver:
         if self.capture is not None:
             self.capture.append((_TERMINAL, t, w, model_name, rejected, *queries))
         tracer = self.tracers[w]
-        auditor = self.auditor
-        if tracer is None and auditor is None:
+        if tracer is None:
             return
         base, stride = self.base, self.stride
         gid = base + w * stride
@@ -277,39 +299,41 @@ class LifecycleObserver:
         arrivals = self.arrivals
         keys = _REJECTED_KEYS if rejected else _DROPPED_KEYS
         for j in queries:
-            query_id = base + j * stride
             response_ms = 0.0 if rejected else t - arrivals[j]
-            if tracer is not None:
-                values = (query_id, gid, model_name, False, True, 0.0, response_ms)
-                tracer.instant_row(
-                    "completion", track, t, keys,
-                    values + (True,) if rejected else values,
-                )
-            if auditor is not None:
-                auditor.observe_completion(t, False, 0.0)
+            values = (base + j * stride, gid, model_name, False, True, 0.0, response_ms)
+            tracer.instant_row(
+                "completion", track, t, keys,
+                values + (True,) if rejected else values,
+            )
 
     # ------------------------------------------------------------------
     # Folds over the capture (off the dispatch path)
     # ------------------------------------------------------------------
     def drain(self) -> List[tuple]:
         """The entries captured since the last drain, in order; the
-        observer forgets them."""
+        observer forgets them (and the arrivals processed with them)."""
         if self.capture is None:
             return []
         entries, self.capture = self.capture, []
+        self._drained = (self._drained[1], self.arrived)
+        self._counted = (0, 0)
         return entries
 
-    def fold(self, entries: Sequence[tuple]) -> None:
-        """Fold drained ``entries`` into the registry and the attributor."""
+    def fold(self, entries: Sequence[tuple], auditor: Optional[Any] = None) -> None:
+        """Fold the last drained ``entries`` into the registry, the
+        attributor and ``auditor`` (the arrivals drained with them too)."""
         if self.capture is None:
             return
         lifecycle = self.columns(entries)
+        self._records += lifecycle.d_batch.size + lifecycle.is_start.size
         self.publish(lifecycle)
         attributor = self.attributor
         if isinstance(attributor, LatencyAttributor):
             attributor.fold(lifecycle)
         elif attributor is not None:
             lifecycle.replay(attributor)
+        if auditor is not None:
+            auditor.fold(lifecycle, self._arrival_ms[slice(*self._drained)])
 
     def columns(self, entries: Sequence[tuple]) -> Lifecycle:
         """Drained ``entries`` as lifecycle columns, with global worker
@@ -325,11 +349,15 @@ class LifecycleObserver:
         models = list(map(itemgetter(3), entries))
         names = list(dict.fromkeys(models))
         model = np.fromiter(map({m: i for i, m in enumerate(names)}.get, models), np.int64, n)
-        # The batch of a dispatch, the rejected flag of a terminal (and
-        # a completion's first query, unused).
-        arg = field(4, np.int64)
+        # The batch of a dispatch, the accuracy of a completion, the
+        # rejected flag of a terminal.
+        arg = field(4, np.float64)
         dispatch = kind == _DISPATCH
-        exec_ms = np.array([entries[i][5] for i in np.flatnonzero(dispatch).tolist()], np.float64)
+        # Execution ms, queue length and slack of each dispatch.
+        decided = np.array(
+            [entries[i][5:8] for i in np.flatnonzero(dispatch).tolist()], np.float64
+        ).reshape(-1, 3)
+        batch = arg.astype(np.int64)
         cuts = _QUERIES_AT[kind]
         sizes = np.fromiter(map(len, entries), np.int64, n) - cuts
         j = np.fromiter(
@@ -349,14 +377,16 @@ class LifecycleObserver:
             names=names,
             d_worker=gid[dispatch],
             d_model=model[dispatch],
-            d_batch=arg[dispatch],
-            d_exec_ms=exec_ms,
+            d_batch=batch[dispatch],
+            d_exec_ms=decided[:, 0],
             d_at=(np.cumsum(sizes, dtype=np.int64) - sizes)[dispatch],
+            d_queue_len=decided[:, 1].astype(np.int64),
+            d_slack_ms=decided[:, 2],
             is_start=start,
             s_query=self.base + j[start] * self.stride,
             s_worker=gid[of[start]],
             s_model=model[of[start]],
-            s_batch=arg[of[start]],
+            s_batch=batch[of[start]],
             s_wait_ms=lag[start],
             e_query=self.base + j[end] * self.stride,
             e_worker=gid[of[end]],
@@ -366,6 +396,7 @@ class LifecycleObserver:
             & (q_t[end] <= self._deadline_ms[j[end]]),
             e_dropped=ended == _TERMINAL,
             e_t_ms=q_t[end],
+            e_accuracy=np.where(ended == _COMPLETE, arg[of[end]], 0.0),
         )
 
     def publish(self, lifecycle: Lifecycle) -> None:

@@ -21,13 +21,12 @@ are never dropped — like the paper's evaluation, late queries are "better
 served late than never" (§4.3.1); ``drop_late`` opts into dropping.
 
 Observability attaches through one observer, :class:`_SimObserver`, on
-the same kernel: ``tracer`` records the lifecycle stream and ``auditor``
-takes the kernel's typed ``observe_*`` hooks live; ``registry`` receives
-the ``sim_*`` series and ``attributor`` the lifecycle records, both
-folded in columns from the observer's lifecycle capture when the run
-ends — exactly as a serving shard's ``auditors=`` / ``attributors=`` are
-fed.  An
-observed run returns the same metrics as an unobserved one.  The original
+the same kernel: ``tracer`` records the lifecycle stream; ``registry``
+receives the ``sim_*`` series, ``attributor`` and ``auditor`` the
+lifecycle records, all folded in columns from the observer's lifecycle
+capture when the run ends — exactly as a serving shard's
+``auditors=`` / ``attributors=`` are fed.  An observed run returns the
+same metrics as an unobserved one.  The original
 per-query-object loop lives on as the kernel's oracle in
 ``tests/oracles/sim_loop.py``; ``tests/test_sim_equivalence.py`` pins the
 kernel to it float-exactly.
@@ -100,15 +99,13 @@ class SimulationConfig:
     #: load, batch sizes, per-model dispatch counts).  Both default off.
     tracer: Optional[Tracer] = None
     registry: Optional[MetricsRegistry] = None
-    #: Live §5.1 guarantee auditing (repro.obs.audit), fed through its
-    #: ``observe_*`` hooks; its ``audit_*`` records go to its own
-    #: ``inner`` tracer.
+    #: §5.1 guarantee auditing (repro.obs.audit) and tail-latency
+    #: attribution (repro.obs.attribution): folded from the run's
+    #: lifecycle capture when the run ends (in columns; a hook-shaped
+    #: attributor has its ``observe_*`` hooks called in event order), so
+    #: their alerts fire and the auditor's ``audit_*`` records reach its
+    #: ``inner`` tracer then (with the events' virtual ``t_ms``).
     auditor: Optional[GuaranteeAuditor] = None
-    #: Tail-latency attribution (repro.obs.attribution): folded from the
-    #: run's lifecycle capture when the run ends (in columns; any other
-    #: hook-shaped tap has its ``observe_*`` hooks called in event
-    #: order), so burn-rate alerts fire then (with the events' virtual
-    #: ``t_ms``).
     attributor: Optional[LatencyAttributor] = None
 
     def __post_init__(self) -> None:
@@ -255,18 +252,23 @@ class Simulation:
         )
         tracer = cfg.tracer if cfg.tracer is not None and cfg.tracer.enabled else None
         sinks = (tracer, cfg.registry, cfg.auditor, cfg.attributor)
+        observer = None
         if any(sink is not None for sink in sinks):
-            kernel.observer = _SimObserver(kernel, central, monitor, tracer, cfg)
+            observer = kernel.observer = _SimObserver(
+                kernel, central, monitor, tracer, cfg
+            )
+            if cfg.auditor is not None:
+                observer.attach(cfg.auditor)
         kernel.advance()
-        if kernel.observer is not None:
-            # The registry's sim_* series and the attributor, folded from
-            # the run's capture.
-            kernel.observer.fold(kernel.observer.drain())
+        if observer is not None:
+            # The registry's sim_* series, the attributor and the
+            # auditor, folded from the run's capture.
+            observer.fold(observer.drain(), cfg.auditor)
         return fold_kernels([kernel], track_responses=cfg.track_responses)
 
 
 class _SimObserver(LifecycleObserver):
-    """The simulator's taps: one tracer, registry, auditor and attributor.
+    """The simulator's taps: one tracer, registry and attributor.
 
     On top of the shared lifecycle records, keeps every series the
     simulator has always emitted: ``queue_depth`` counters on the tracer
@@ -285,9 +287,7 @@ class _SimObserver(LifecycleObserver):
     ) -> None:
         workers = len(kernel.in_flight)
         registry = cfg.registry
-        super().__init__(
-            kernel, [tracer] * workers, cfg.auditor, cfg.attributor, registry
-        )
+        super().__init__(kernel, [tracer] * workers, cfg.attributor, registry)
         self.tracer = tracer
         self.central = central
         self.monitor = monitor

@@ -23,6 +23,12 @@
   :meth:`repro.obs.attribution.LatencyAttributor.fold` must leave an
   attributor in exactly the state they leave, from a table and from a
   capture split into any drains.
+- :mod:`tests.oracles.audit_fold` — the guarantee auditor with its
+  per-record ``observe_*`` hooks (``HookAuditor``), fed live by
+  ``DictLifecycleObserver``; the columnar
+  :meth:`repro.obs.audit.GuaranteeAuditor.fold` must leave the same
+  report, alerts, records and registry series from a capture split into
+  any drains.
 - :mod:`tests.oracles.recording_tracer` — the in-memory recorder as span
   and event objects; :class:`repro.obs.trace.RecordingTracer`, which
   records table rows, must give equal views and byte-equal exports.

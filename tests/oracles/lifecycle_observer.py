@@ -35,14 +35,15 @@ class DictLifecycleObserver:
     a shard's attribution artifacts come from the merged feeds, and the
     attributor's own record stream is pinned by
     ``tests/test_attribution_replay.py`` and
-    ``tests/test_attribution_live_fold.py``.
+    ``tests/test_attribution_live_fold.py``.  An attached auditor (a
+    :class:`~tests.oracles.audit_fold.HookAuditor`) gets its
+    ``observe_*`` hooks live, after the tracer.
     """
 
     def __init__(
         self,
         kernel: Any,
         tracers: Sequence[Optional[Any]],
-        auditor: Optional[Any] = None,
         attributor: Optional[Any] = None,
         registry: Optional[MetricsRegistry] = None,
         base: int = 0,
@@ -51,7 +52,7 @@ class DictLifecycleObserver:
         self.arrivals = kernel.arrivals
         self.deadlines = kernel.deadlines
         self.tracers = list(tracers)
-        self.auditor = auditor
+        self.auditor: Optional[Any] = None
         self.attributor = attributor
         self.registry = registry
         self.live = (
@@ -63,6 +64,10 @@ class DictLifecycleObserver:
         self.stride = stride
         #: No capture: the serve loop never finds one to fold.
         self.capture = None
+
+    def attach(self, auditor: Any) -> None:
+        """Feed ``auditor``'s hooks live."""
+        self.auditor = auditor
 
     def arrival(self, w: int, j: int, t: float, depth: int) -> None:
         """Query ``j`` arrived; ``depth`` is its queue's length after it."""
@@ -192,5 +197,5 @@ class DictLifecycleObserver:
         """Nothing captured: the registry is fed live."""
         return []
 
-    def fold(self, entries: Sequence[tuple]) -> None:
-        """Nothing to fold: the registry is fed live."""
+    def fold(self, entries: Sequence[tuple], auditor: Optional[Any] = None) -> None:
+        """Nothing to fold: the registry and the auditor are fed live."""

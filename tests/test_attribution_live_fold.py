@@ -57,9 +57,9 @@ def _recording(run) -> List[Tuple[LifecycleObserver, List[tuple]]]:
     captures: Dict[int, Tuple[LifecycleObserver, List[tuple]]] = {}
     fold = LifecycleObserver.fold
 
-    def recorded(observer, entries):
+    def recorded(observer, entries, auditor=None):
         captures.setdefault(id(observer), (observer, []))[1].extend(entries)
-        return fold(observer, entries)
+        return fold(observer, entries, auditor)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LifecycleObserver, "fold", recorded)

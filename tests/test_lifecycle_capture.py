@@ -5,7 +5,8 @@ tuples and folds the registry's ``sim_*`` series from its lifecycle
 capture in bulk.  :class:`tests.oracles.lifecycle_observer.DictLifecycleObserver`
 builds an args dict per row and feeds the registry one event at a time,
 as the observer did before.  Served through either, the merged artifacts
-must be byte-equal.
+must be byte-equal, and the auditors folded from the capture must end
+as the per-record hook oracle fed live by the args-dict observer.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from repro.runtime import AdmissionControl, ShardedController
 from repro.selectors import GreedyDeadlineSelector, RamsisSelector
 from repro.sim.latency_model import DeterministicLatency
 from tests.conftest import make_tiny_model_set
+from tests.oracles.audit_fold import HookAuditor
 from tests.oracles.lifecycle_observer import DictLifecycleObserver
 
 ARTIFACTS = ("merged.cols", "metrics.json", "metrics.prom", "attribution.json")
@@ -44,10 +46,10 @@ def audited_policy():
     return config, generated, occupancy
 
 
-def _serve(run_dir, audited_policy, overload):
+def _serve(run_dir, audited_policy, overload, auditor=GuaranteeAuditor):
     config, generated, occupancy = audited_policy
     auditors = [
-        GuaranteeAuditor(
+        auditor(
             generated.guarantees, policy=generated.policy,
             expected_occupancy=occupancy,
         )
@@ -81,7 +83,7 @@ def test_capture_artifacts_equal_dict_oracle(
     monkeypatch.setattr(
         "repro.runtime.shard.LifecycleObserver", DictLifecycleObserver
     )
-    oracle = _serve(tmp_path / "oracle", audited_policy, overload)
+    oracle = _serve(tmp_path / "oracle", audited_policy, overload, HookAuditor)
     assert production[0].metrics == oracle[0].metrics
     assert production[1] == oracle[1]
     if overload:

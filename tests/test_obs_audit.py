@@ -1,4 +1,5 @@
-"""Unit tests for the live guarantee auditor (repro.obs.audit)."""
+"""Unit tests for the live guarantee auditor (repro.obs.audit), fed
+through its fold with columns built by hand."""
 
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.discretization import TimeGrid
@@ -25,6 +27,7 @@ from repro.obs.audit import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RecordingTracer
+from tests.oracles.audit_fold import hook_update, lifecycle
 
 
 def make_policy(load_qps: float = 20.0, accuracy=None, violation=None) -> Policy:
@@ -120,6 +123,17 @@ class TestPageHinkley:
         assert ph.reference == 300.0
         assert all(ph.update(300.0) is None for _ in range(100))
 
+    def test_update_many_is_one_update_per_value(self):
+        """The bulk step folds to the first admitted alarm and leaves the
+        detector bitwise where one ``+=`` per value leaves it."""
+        values = np.random.default_rng(3).gamma(2.0, 70.0, 400)
+        for up_ok in (None, values > 200.0):
+            bulk, hook = PageHinkley(100.0, min_samples=5), PageHinkley(100.0, min_samples=5)
+            i, direction = bulk.update_many(values, up_ok, values < 0.0)
+            steps = [hook_update(hook, v) for v in values[: i + 1].tolist()]
+            assert steps[-1] == direction == "up"
+            assert vars(bulk) == vars(hook)
+
     def test_rejects_nonpositive_reference(self):
         with pytest.raises(ValueError):
             PageHinkley(0.0)
@@ -165,19 +179,24 @@ class TestAuditBounds:
             GuaranteeAuditor("bounds")
 
 
+NO_ARRIVALS = np.empty(0)
+
+
 def feed_completions(auditor, n, violations=0, accuracy=0.9, start_ms=0.0):
-    """Report ``n`` completions, the first ``violations`` unsatisfied."""
-    for i in range(n):
-        satisfied = i >= violations
-        auditor.observe_completion(
-            start_ms + i, satisfied, accuracy if satisfied else 0.0
-        )
+    """Fold ``n`` completions 1 ms apart, the first ``violations``
+    unsatisfied."""
+    completions = [(start_ms + i, i >= violations, accuracy) for i in range(n)]
+    auditor.fold(lifecycle(completions=completions), NO_ARRIVALS)
 
 
-def feed_decisions(auditor, states, exec_ms=1.0):
-    """Report one decision per ``(queue_len, slack_ms)`` state, 10 ms apart."""
-    for i, (queue_len, slack_ms) in enumerate(states):
-        auditor.observe_decision(queue_len, slack_ms, 10.0 * i + exec_ms)
+def feed_decisions(auditor, states):
+    """Fold one decision per ``(queue_len, slack_ms)`` state."""
+    auditor.fold(lifecycle(decisions=states), NO_ARRIVALS)
+
+
+def feed_arrivals(auditor, times):
+    """Fold arrivals at ``times`` (ms, non-decreasing)."""
+    auditor.fold(lifecycle(), np.array(times, np.float64))
 
 
 class TestWindowVerdicts:
@@ -257,7 +276,7 @@ class TestWindowVerdicts:
 class TestOccupancy:
     def test_decision_states_are_quantized_onto_policy_grid(self):
         auditor = GuaranteeAuditor(policy=make_policy())
-        feed_decisions(auditor, [(1, 80.0), (2, 10.0), (5, 0.0)], exec_ms=5.0)
+        feed_decisions(auditor, [(1, 80.0), (2, 10.0), (5, 0.0)])
         occ = auditor.empirical_occupancy()
         assert occ == {
             "1,1": pytest.approx(1 / 3),
@@ -343,8 +362,7 @@ class TestOccupancy:
 class TestDrift:
     def _arrive(self, auditor, rate_qps, count, start_ms=0.0):
         gap = 1000.0 / rate_qps
-        for i in range(count):
-            auditor.observe_arrival(start_ms + i * gap)
+        feed_arrivals(auditor, [start_ms + i * gap for i in range(count)])
         return start_ms + count * gap
 
     def test_overload_raises_one_up_alarm(self):
@@ -400,8 +418,7 @@ class TestAlertsAndMetrics:
         auditor.add_alert_callback(alerts.append)
         feed_decisions(auditor, [(1, 80.0)] * 50)
         gap = 1000.0 / 200.0
-        for i in range(200):
-            auditor.observe_arrival(i * gap)
+        feed_arrivals(auditor, [i * gap for i in range(200)])
         feed_completions(auditor, 100, violations=40, accuracy=0.5)
         kinds = {a.kind for a in alerts}
         assert kinds == {
@@ -451,15 +468,14 @@ class TestInner:
     def test_inner_receives_only_audit_records(self):
         """``inner`` gets the auditor's own records — windows, drift and
         policy switches, in the order they happen — and none of the
-        lifecycle the hooks report."""
+        lifecycle it folds."""
         inner = RecordingTracer()
         auditor = GuaranteeAuditor(
             policy=make_policy(load_qps=20.0),
             config=AuditConfig(window_queries=10),
             inner=inner,
         )
-        for i in range(200):
-            auditor.observe_arrival(i * 10.0)
+        feed_arrivals(auditor, [i * 10.0 for i in range(200)])
         feed_decisions(auditor, [(1, 80.0)] * 5)
         feed_completions(auditor, 10, start_ms=2000.0)
         auditor.note_policy(make_policy(load_qps=100.0), 2500.0)
@@ -472,6 +488,17 @@ class TestInner:
         assert inner.events[0].args == auditor.drift_events[0].to_json_dict()
         assert inner.events[1].args == auditor.windows[0].to_json_dict()
         assert inner.events[2].args == {"load_qps": 100.0}
+
+
+    def test_renoting_the_audited_policy_records_no_switch(self):
+        """Re-noting the audited policy (as ``RamsisSelector`` does up
+        front) is no switch: no ``audit_policy_switch`` record."""
+        inner = RecordingTracer()
+        policy = make_policy(load_qps=20.0)
+        auditor = GuaranteeAuditor(policy=policy, inner=inner)
+        auditor.note_policy(policy, 0.0)
+        assert list(inner.events) == []
+        assert auditor.finalize(now_ms=1.0).policy_switches == 0
 
 
 class TestReport:

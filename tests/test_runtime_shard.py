@@ -197,9 +197,9 @@ class TickLog:
             finally:
                 self.serving = False
 
-        def logged_fold(observer, entries):
+        def logged_fold(observer, entries, auditor=None):
             self.folds.append((self.serving, len(entries)))
-            return fold(observer, entries)
+            return fold(observer, entries, auditor)
 
         def logged_write(run_dir, registry=None, attributor=None, pid=None):
             paths = write(run_dir, registry=registry, attributor=attributor,
@@ -574,14 +574,14 @@ class TestAudit:
 
 class TestAuditOrder:
     def test_auditors_see_virtual_time_order(self, tiny_config):
-        """Shard auditors receive their shard's events in virtual time.
+        """Shard auditors fold their shard's events in virtual time.
 
         The auditor's drift detector estimates the arrival rate from a
-        trailing window, so an arrival stream that jumps backwards fires
-        spurious load-drift alarms.  Every worker here has thousands of
-        events, and each auditor must still see non-decreasing arrival
-        timestamps — and the identical event sequence paced or unpaced,
-        so the finalized audits agree exactly.
+        trailing window over the shard's sorted arrival array, folded
+        drain by drain with the shard's capture; whether the serve is
+        paced or not, and so however the capture is drained, each
+        auditor must fold the identical event sequence, so the finalized
+        audits agree exactly.
         """
         from repro.core.generator import generate_policy
         from repro.core.guarantees import stationary_occupancy
@@ -592,21 +592,11 @@ class TestAuditOrder:
         occupancy = stationary_occupancy(
             build_worker_mdp(tiny_config), policy
         ).decision_conditional()
-
-        class ArrivalLog(GuaranteeAuditor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.arrival_ts = []
-
-            def observe_arrival(self, t_ms):
-                self.arrival_ts.append(t_ms)
-                super().observe_arrival(t_ms)
-
         trace = LoadTrace.constant(160.0, 60_000.0)
 
         def audited(paced):
             auditors = [
-                ArrivalLog(
+                GuaranteeAuditor(
                     generated.guarantees, policy=policy,
                     expected_occupancy=occupancy,
                 )
@@ -621,16 +611,13 @@ class TestAuditOrder:
             controller.serve(
                 lambda s: RamsisSelector(policy), trace, auditors=auditors
             )
-            return auditors
+            return [auditor.finalize().to_json_dict() for auditor in auditors]
 
         unpaced = audited(paced=False)
-        paced = audited(paced=True)
-        for auditor in unpaced + paced:
+        for audit in unpaced:
             # Two workers per shard, each well past a few thousand events.
-            assert len(auditor.arrival_ts) > 4_000
-            assert auditor.arrival_ts == sorted(auditor.arrival_ts)
-        for a, b in zip(unpaced, paced):
-            assert a.finalize().to_json_dict() == b.finalize().to_json_dict()
+            assert audit["total_queries"] > 4_000
+        assert unpaced == audited(paced=True)
 
 
 class TestAuditAttachments:
