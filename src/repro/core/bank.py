@@ -31,10 +31,12 @@ solves every batch of cache misses as one bank.
   observes exactly the trajectory and sweep count of its independent
   solve;
 - **policy extraction** is one greedy pass of the same kernel over every
-  load;
-- **stationary analysis** runs every cell's chain through
-  :func:`repro.core.guarantees.power_iterate` with the same freeze
-  masking.
+  load, giving each cell's action table (:mod:`repro.core.mdp`);
+- **stationary analysis** runs every cell's chain, built from its
+  action table, through :func:`repro.core.guarantees.power_iterate` with
+  the same freeze masking, and the §5.1 guarantees are summed from the
+  same table; one :meth:`~repro.core.mdp.WorkerMDP.policy_of` per cell
+  then packages the policy with them.  The bank never reads a ``Policy``.
 
 Exactness contract
 ------------------
@@ -51,7 +53,7 @@ solve over per-load solves in CI via ``BENCH_policy_bank.json``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,12 +61,11 @@ import numpy as np
 from repro.core.config import TransitionView, WorkerMDPConfig
 from repro.core.guarantees import (
     PolicyGuarantees,
-    _policy_action_table,
-    evaluate_policy,
+    expected_guarantees,
     power_iterate,
 )
 from repro.core.mdp import BellmanKernel, WorkerMDP, _Skeleton
-from repro.core.policy import Policy, PolicyMetadata
+from repro.core.policy import Policy
 from repro.core.solvers import SolveStats, iterate_stack
 from repro.core.transitions import (
     DeterministicGaps,
@@ -101,31 +102,6 @@ class GenerationResult:
     residuals: Optional[Tuple[float, ...]] = None
     values: Optional[np.ndarray] = field(default=None, compare=False)
     from_cache: bool = field(default=False, compare=False)
-
-
-def _annotate(policy: Policy, guarantees: PolicyGuarantees) -> Policy:
-    """Re-package a policy with expectation metadata filled in."""
-    meta = policy.metadata
-    annotated = PolicyMetadata(
-        task=meta.task,
-        slo_ms=meta.slo_ms,
-        load_qps=meta.load_qps,
-        num_workers=meta.num_workers,
-        arrival_family=meta.arrival_family,
-        discretization=meta.discretization,
-        fld_resolution=meta.fld_resolution,
-        batching=meta.batching,
-        view=meta.view,
-        discount=meta.discount,
-        expected_accuracy=guarantees.expected_accuracy,
-        expected_violation_rate=guarantees.expected_violation_rate,
-    )
-    return Policy(
-        grid=policy.grid,
-        max_queue=policy.max_queue,
-        actions=policy.states(),
-        metadata=annotated,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -270,45 +246,31 @@ class StackedBankMDP:
             labels=[f"load {c.config.load_qps:g} qps" for c in cells],
         )
 
-    def extract_policies(self, stats: Sequence[SolveStats]) -> List[Policy]:
-        """Every cell's greedy policy, from one greedy kernel pass."""
-        _, tables = self._kernel.greedy(np.stack([s.values for s in stats]))
-        return [cell.policy_of(t) for cell, t in zip(self._cells, tables)]
+    def greedy(
+        self, stats: Sequence[SolveStats]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every cell's greedy action table, the ``(L, S)`` arrays
+        ``(model, batch)``, from one greedy kernel pass over the solved
+        values."""
+        _, model, batch = self._kernel.greedy(np.stack([s.values for s in stats]))
+        return model, batch
 
     # ------------------------------------------------------------------
     # Batched stationary analysis (§5.1)
     # ------------------------------------------------------------------
-    def stationary_distributions(
-        self,
-        policies: Sequence[Policy],
-        tolerance: float = 1e-10,
-        max_iterations: int = 100_000,
-    ) -> List[np.ndarray]:
-        """Stationary distribution of every cell's policy-induced chain,
-        each bitwise identical to
-        :func:`repro.core.guarantees.stationary_distribution`."""
-        cells = self._cells
-        if len(policies) != len(cells):
-            raise ConfigurationError(
-                f"got {len(policies)} policies for {len(cells)} cells"
-            )
-        chains = [
-            cell.policy_rows(_policy_action_table(cell, policy))
-            for cell, policy in zip(cells, policies)
-        ]
-        return power_iterate(chains, tolerance, max_iterations)
-
     def evaluate(
-        self, policies: Sequence[Policy], tolerance: float = 1e-10
+        self, model: np.ndarray, batch: np.ndarray, tolerance: float = 1e-10
     ) -> List[PolicyGuarantees]:
-        """§5.1 guarantees for every cell, sharing the batched stationary
-        solve; identical to per-load :func:`evaluate_policy` calls."""
-        dists = self.stationary_distributions(policies, tolerance=tolerance)
+        """§5.1 guarantees of every cell's action table (row ``i`` of
+        ``model`` and ``batch``), from one batched power iteration over
+        the cells' chains; each is identical to
+        :func:`repro.core.guarantees.evaluate_policy` on the cell's policy."""
+        cells = self._cells
+        chains = [cell.policy_rows(m, b) for cell, m, b in zip(cells, model, batch)]
+        dists = power_iterate(chains, tolerance)
         return [
-            evaluate_policy(
-                cell, policy, tolerance=tolerance, dist=dists[i]
-            )
-            for i, (cell, policy) in enumerate(zip(self._cells, policies))
+            expected_guarantees(cell, m, b, dist)
+            for cell, m, b, dist in zip(cells, model, batch, dists)
         ]
 
 
@@ -354,27 +316,19 @@ def solve_stacked_bank(
                 tracer=tracer,
                 record_residuals=record_residuals,
             )
-        policies = bank.extract_policies(stats)
+        model, batch = bank.greedy(stats)
         if with_guarantees:
             with tracer.span("stacked_evaluate", track="generator"):
-                guarantees = bank.evaluate(policies)
-            policies = [
-                _annotate(policy, g)
-                for policy, g in zip(policies, guarantees)
-            ]
+                guarantees = bank.evaluate(model, batch)
         else:
-            nan = float("nan")
-            guarantees = [
-                PolicyGuarantees(
-                    expected_accuracy=nan,
-                    expected_violation_rate=nan,
-                    per_epoch_accuracy=nan,
-                    per_epoch_violation_rate=nan,
-                    full_state_probability=nan,
-                    idle_probability=nan,
-                )
-                for _ in configs
-            ]
+            guarantees = [None] * len(configs)
+        policies = [
+            cell.policy_of(m, b, g)
+            for cell, m, b, g in zip(bank.cells, model, batch, guarantees)
+        ]
+        if not with_guarantees:
+            unknown = [float("nan")] * len(fields(PolicyGuarantees))
+            guarantees = [PolicyGuarantees(*unknown)] * len(configs)
     per_cell = (time.perf_counter() - start) / len(configs)
     return [
         GenerationResult(

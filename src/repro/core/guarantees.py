@@ -20,16 +20,21 @@ Two weightings are reported:
   measure;
 - ``per_epoch``: the paper's §5.1 formulas verbatim, summing over states
   without batch weighting.
+
+A policy is read as its action table
+(:meth:`repro.core.mdp.WorkerMDP.action_table`, which refuses a policy of
+another MDP); the stacked bank evaluates the solve's greedy tables with
+the same functions.  The per-state oracle is ``tests/oracles/policy_eval.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.mdp import WorkerMDP, _FALLBACK
+from repro.core.mdp import WorkerMDP
 from repro.core.policy import Policy
 from repro.errors import SolverError
 
@@ -41,6 +46,7 @@ __all__ = [
     "stationary_occupancy",
     "total_variation",
     "evaluate_policy",
+    "expected_guarantees",
 ]
 
 
@@ -62,21 +68,6 @@ class PolicyGuarantees:
             self.expected_accuracy >= accuracy_floor
             and self.expected_violation_rate <= violation_ceiling
         )
-
-
-def _policy_action_table(
-    mdp: WorkerMDP, policy: Policy
-) -> Dict[int, Tuple[int, int]]:
-    """Encode a :class:`Policy` into the MDP's (model index, batch) table."""
-    names = {name: i for i, name in enumerate(mdp.model_names)}
-    table: Dict[int, Tuple[int, int]] = {}
-    for n in range(1, mdp.max_queue + 1):
-        for j in range(len(mdp.grid)):
-            action = policy.action_at(n, j)
-            m = _FALLBACK if action.is_late else names[action.model]
-            table[mdp.space.index(n, j)] = (m, action.batch_size)
-    table[mdp.space.FULL] = (_FALLBACK, mdp.max_queue)
-    return table
 
 
 def power_iterate(
@@ -134,7 +125,7 @@ def stationary_distribution(
     :func:`power_iterate` on the chain's ``(S, S)`` row matrix, assembled
     once by :meth:`WorkerMDP.policy_rows`.
     """
-    rows = mdp.policy_rows(_policy_action_table(mdp, policy))
+    rows = mdp.policy_rows(*mdp.action_table(policy))
     return power_iterate([rows], tolerance, max_iterations)[0]
 
 
@@ -183,10 +174,11 @@ def stationary_occupancy(
     """
     dist = stationary_distribution(mdp, policy, tolerance=tolerance)
     space = mdp.space
-    probs: Dict[str, float] = {}
-    for n in range(1, mdp.max_queue + 1):
-        for j in range(len(mdp.grid)):
-            probs[f"{n},{j}"] = float(dist[space.index(n, j)])
+    probs = {
+        f"{n},{j}": p
+        for n, row in enumerate(space.occupied_view(dist).tolist(), start=1)
+        for j, p in enumerate(row)
+    }
     return OccupancyDistribution(
         probs=probs,
         empty_probability=float(dist[space.EMPTY]),
@@ -205,38 +197,21 @@ def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
 
 
 def evaluate_policy(
-    mdp: WorkerMDP,
-    policy: Policy,
-    tolerance: float = 1e-10,
-    dist: Optional[np.ndarray] = None,
+    mdp: WorkerMDP, policy: Policy, tolerance: float = 1e-10
 ) -> PolicyGuarantees:
-    """Compute §5.1's expected accuracy and violation rate for a policy.
+    """Compute §5.1's expected accuracy and violation rate for a policy."""
+    model, batch = mdp.action_table(policy)
+    dist = power_iterate([mdp.policy_rows(model, batch)], tolerance)[0]
+    return expected_guarantees(mdp, model, batch, dist)
 
-    ``dist`` optionally supplies a precomputed stationary distribution
-    (the stacked bank solves all loads' chains in one batched power
-    iteration and hands each cell its slice); when omitted, the chain is
-    solved here.
-    """
-    table = _policy_action_table(mdp, policy)
-    if dist is None:
-        dist = stationary_distribution(mdp, policy, tolerance=tolerance)
+
+def expected_guarantees(
+    mdp: WorkerMDP, model: np.ndarray, batch: np.ndarray, dist: np.ndarray
+) -> PolicyGuarantees:
+    """§5.1's expectations of an action table ``(model, batch)`` whose
+    chain has the stationary distribution ``dist``."""
     space = mdp.space
-    size = space.size
-
-    # Static per-state action attributes (batch, accuracy, satisfied).
-    batch = np.zeros(size, dtype=np.float64)
-    accuracy_arr = np.zeros(size, dtype=np.float64)
-    satisfied_arr = np.zeros(size, dtype=bool)
-    for state_id in range(1, size):
-        n, j = space.decode(state_id)
-        m, b = table[state_id]
-        if m == _FALLBACK:
-            batch[state_id] = n
-            continue
-        slack = 0.0 if state_id == space.FULL else mdp.grid[j]
-        batch[state_id] = b
-        accuracy_arr[state_id] = mdp.accuracy_of(m)
-        satisfied_arr[state_id] = mdp.latency_ms(m, b) <= slack
+    queries, accuracy_arr, satisfied_arr = mdp.action_terms(model, batch)
 
     # Cumulative sums reproduce the sequential per-state accumulation
     # bit-for-bit (skipped states contribute an exact 0.0).
@@ -247,10 +222,10 @@ def evaluate_policy(
     def _acc(contrib: np.ndarray) -> float:
         return float(np.cumsum(contrib)[-1])
 
-    served_weight = _acc(np.where(live, dist * batch, 0.0))
+    served_weight = _acc(np.where(live, dist * queries, 0.0))
     epoch_weight = _acc(np.where(live, dist, 0.0))
-    satisfied_weight = _acc(np.where(sat, dist * batch, 0.0))
-    accuracy_weight = _acc(np.where(sat, dist * batch * accuracy_arr, 0.0))
+    satisfied_weight = _acc(np.where(sat, dist * queries, 0.0))
+    accuracy_weight = _acc(np.where(sat, dist * queries * accuracy_arr, 0.0))
     epoch_satisfied = _acc(np.where(sat, dist, 0.0))
     epoch_accuracy = _acc(np.where(sat, dist * accuracy_arr, 0.0))
 

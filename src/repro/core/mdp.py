@@ -38,8 +38,14 @@ Bellman sweeps are stacked tensor contractions:
   (the dense ``Q[a, s] = r[a, s] + gamma[a, s] * (P[a] @ v)[s]`` layout,
   specialized to this MDP's factored kernels);
 - the **policy-induced chain** (:meth:`WorkerMDP.policy_rows`) feeds the
-  §5.1 stationary analysis
-  (:func:`repro.core.guarantees.stationary_distribution`).
+  §5.1 stationary analysis (:mod:`repro.core.guarantees`).
+
+An **action table** is a pair of ``(S,)`` intp arrays ``(model, batch)``
+indexed by state id: the model index (``_FALLBACK`` for the forced
+fallback, which serves the whole queue) and the batch.  EMPTY reads
+``(_FALLBACK, 0)`` and is ignored; FULL reads ``(_FALLBACK, N_w)``.
+:meth:`WorkerMDP.policy_of` encodes one into a ``Policy`` and
+:meth:`WorkerMDP.action_table` decodes it back.
 
 Exactness contract: the per-action / per-state loop formulation lives in
 the test suite as an oracle (``tests/oracles/loop_mdp.py``), and value
@@ -52,8 +58,8 @@ equal greedy tables and byte-identical ``Policy.save`` output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +77,11 @@ from repro.core.transitions import (
     StateSpace,
     gaps_for_distribution,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PolicyError
 from repro.profiles.models import ModelProfile
+
+if TYPE_CHECKING:  # pragma: no cover - guarantees imports this module
+    from repro.core.guarantees import PolicyGuarantees
 
 __all__ = [
     "WorkerMDP",
@@ -89,8 +98,9 @@ _FALLBACK = -1
 class BackupResult:
     """One Bellman backup: new values plus the greedy action table.
 
-    ``greedy`` maps state id -> encoded action ``(model_index, batch)``;
-    fallback states carry ``(_FALLBACK, n)``.  ``margin`` is the smallest
+    ``greedy`` is the greedy action table ``(model, batch)`` (see the
+    module docstring) when the backup was asked for it, else ``None``.
+    ``margin`` is the smallest
     best-minus-runner-up gap of the backed-up Q values over all states
     (``+inf`` where one action is forced, ``0.0`` on an exact tie), which
     value iteration's certified stop reads; ``None`` when the backup does
@@ -99,7 +109,7 @@ class BackupResult:
     """
 
     values: np.ndarray
-    greedy: Dict[int, Tuple[int, int]]
+    greedy: Optional[Tuple[np.ndarray, np.ndarray]] = None
     margin: Optional[float] = None
 
 
@@ -242,6 +252,15 @@ class WorkerMDP:
         # exact view) and partial-drain count pmfs over the skeleton's
         # distinct latencies, gathered per action.
         self._space = StateSpace(max_queue=n, grid_size=len(self._grid))
+        # Per-state queue length and slack (FULL reads (N_w, 0.0)), and
+        # the occupied states' policy keys, in state-id order.
+        self._state_n = np.concatenate(
+            ([0, n], np.repeat(np.arange(1, n + 1), len(self._grid)))
+        )
+        self._state_slack = np.concatenate(([0.0, 0.0], np.tile(grid_values, n)))
+        self._state_keys = [
+            (q, j) for q in range(1, n + 1) for j in range(len(self._grid))
+        ]
         self._phase_weights: Optional[np.ndarray] = None
         self._full_phase: Optional[np.ndarray] = None
         exact = None
@@ -469,13 +488,13 @@ class WorkerMDP:
         if kernel is None:
             kernel = self._kernel = BellmanKernel([self])
         if want_greedy:
-            new_values, tables = kernel.greedy(values[None])
-            return BackupResult(values=new_values[0].copy(), greedy=tables[0])
+            new_values, model, batch = kernel.greedy(values[None])
+            return BackupResult(
+                values=new_values[0].copy(), greedy=(model[0], batch[0])
+            )
         new_values = kernel.sweep(values[None], (0,))
         margin = None if kernel.margins is None else float(kernel.margins[0])
-        return BackupResult(
-            values=new_values[0].copy(), greedy={}, margin=margin
-        )
+        return BackupResult(values=new_values[0].copy(), margin=margin)
 
     # ------------------------------------------------------------------
     # Per-(state, action) terms and the policy-induced chain
@@ -556,70 +575,79 @@ class WorkerMDP:
         row[space.FULL] = max(0.0, 1.0 - row.sum())
         return row
 
-    def policy_rows(
-        self, table: Dict[int, Tuple[int, int]]
-    ) -> np.ndarray:
-        """The ``(S, S)`` transition matrix of the chain ``table`` induces.
+    def policy_rows(self, model: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        """The ``(S, S)`` transition matrix of the chain an action table
+        ``(model, batch)`` induces.
 
-        Full-drain actions under a split-family view share the
-        precomputed ``(M, N, S)`` row bank, so those states gather in one
-        fancy-indexed copy; everything else (partial drains, drop-mode
-        fallbacks, the exact view's phase mixtures) goes through
-        :meth:`transition_row`.
+        Full drains under a split-family view gather their rows from the
+        precomputed ``(M, N, S)`` row bank, and drop-mode fallbacks are
+        one-hot rows to EMPTY, both with array operations; partial drains
+        and the exact view's per-state phase mixtures go through
+        :meth:`transition_row`, so each reduction keeps its one-state
+        operand shapes.
         """
         space = self._space
         size = space.size
         rows = np.zeros((size, size), dtype=np.float64)
         rows[space.EMPTY, space.index(1, self._grid.slo_index)] = 1.0
-        gather_ids: List[int] = []
-        gather_m: List[int] = []
-        gather_n: List[int] = []
-        split_rows = self._rows
-        for state_id in range(size):
-            if state_id == space.EMPTY:
-                continue
-            n, _ = space.decode(state_id)
-            action = table.get(state_id, (_FALLBACK, n))
-            if split_rows is not None:
-                m, b = action
-                if m == _FALLBACK and not self._config.drop_late:
-                    m, b = 0, n
-                if m != _FALLBACK and b == n:
-                    gather_ids.append(state_id)
-                    gather_m.append(m)
-                    gather_n.append(n - 1)
-                    continue
-            rows[state_id] = self.transition_row(state_id, action)
-        if gather_ids:
-            rows[gather_ids] = split_rows[gather_m, gather_n]
+        ids = np.arange(1, size)
+        m, b, n = model[1:], batch[1:], self._state_n[1:]
+        late = m == _FALLBACK
+        if self._config.drop_late:
+            rows[ids[late], space.EMPTY] = 1.0
+            ids, m, b, n = ids[~late], m[~late], b[~late], n[~late]
+        else:
+            m, b = np.where(late, 0, m), np.where(late, n, b)
+        if self._rows is not None:
+            full = b == n
+            rows[ids[full]] = self._rows[m[full], n[full] - 1]
+            ids = ids[~full]
+        for state_id in ids.tolist():
+            rows[state_id] = self.transition_row(
+                state_id, (int(model[state_id]), int(batch[state_id]))
+            )
         return rows
 
+    def action_terms(
+        self, model: np.ndarray, batch: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-state §5.1 ``(queries served, accuracy, SLO satisfied)``
+        of an action table; the fallback serves the whole queue late."""
+        late = model == _FALLBACK
+        m = np.where(late, 0, model)
+        b = np.where(late, self._state_n, batch)
+        queries = b.astype(np.float64)
+        accuracy = np.where(late, 0.0, self._accuracy[m])
+        satisfied = ~late & (self._latency[m, b - 1] <= self._state_slack)
+        return queries, accuracy, satisfied
+
     # ------------------------------------------------------------------
-    # Policy extraction
+    # Policy encoding and decoding
     # ------------------------------------------------------------------
-    def extract_policy(self, values: np.ndarray, task: Optional[str] = None) -> Policy:
+    def extract_policy(self, values: np.ndarray) -> Policy:
         """Greedy policy for ``values``, packaged for online use."""
-        return self.policy_of(self.backup(values, want_greedy=True).greedy, task)
+        return self.policy_of(*self.backup(values, want_greedy=True).greedy)
 
     def policy_of(
-        self, greedy: Dict[int, Tuple[int, int]], task: Optional[str] = None
+        self,
+        model: np.ndarray,
+        batch: np.ndarray,
+        guarantees: Optional["PolicyGuarantees"] = None,
     ) -> Policy:
-        """Package a greedy action table (see :class:`BackupResult`)."""
-        actions: Dict[Tuple[int, int], Action] = {}
-        for n in range(1, self._max_queue + 1):
-            for j in range(len(self._grid)):
-                m, b = greedy[self._space.index(n, j)]
-                if m == _FALLBACK:
-                    actions[(n, j)] = Action(
-                        model=self._models[0].name, batch_size=n, is_late=True
-                    )
-                else:
-                    actions[(n, j)] = Action(
-                        model=self._models[m].name, batch_size=b
-                    )
+        """Package an action table ``(model, batch)`` as a :class:`Policy`.
+
+        ``guarantees`` fills the metadata's ``expected_*`` fields.
+        """
+        names = self.model_names
+        pairs = list(zip(model[2:].tolist(), batch[2:].tolist()))
+        made = {
+            (m, b): Action(names[max(m, 0)], b, is_late=m == _FALLBACK)
+            for m, b in set(pairs)
+        }
+        actions = dict(zip(self._state_keys, map(made.__getitem__, pairs)))
         cfg = self._config
         metadata = PolicyMetadata(
-            task=task or cfg.model_set.task,
+            task=cfg.model_set.task,
             slo_ms=cfg.slo_ms,
             load_qps=cfg.load_qps,
             num_workers=cfg.num_workers,
@@ -630,12 +658,50 @@ class WorkerMDP:
             view=cfg.view.value,
             discount=cfg.discount,
         )
+        if guarantees is not None:
+            metadata = replace(
+                metadata,
+                expected_accuracy=guarantees.expected_accuracy,
+                expected_violation_rate=guarantees.expected_violation_rate,
+            )
         return Policy(
             grid=self._grid,
             max_queue=self._max_queue,
             actions=actions,
             metadata=metadata,
         )
+
+    def action_table(self, policy: Policy) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode ``policy`` into this MDP's action table ``(model, batch)``.
+
+        Raises :class:`~repro.errors.PolicyError` naming every mismatch
+        when the policy was made for another state space or model set:
+        its SLO, grid values or ``max_queue`` differ from this MDP's, or
+        its actions name models this MDP does not have.
+        """
+        theirs, mine = policy.grid, self._grid
+        index = {name: i for i, name in enumerate(self.model_names)}
+        actions = policy.states()
+        foreign = sorted({a.model for a in actions.values()} - index.keys())
+        mismatches = []
+        if theirs.slo_ms != mine.slo_ms:
+            mismatches.append(f"SLO {theirs.slo_ms:g} ms, not {mine.slo_ms:g} ms")
+        if theirs.values != mine.values:
+            mismatches.append(f"grid values ({len(theirs)}, not {len(mine)})")
+        if policy.max_queue != self._max_queue:
+            mismatches.append(f"max_queue {policy.max_queue}, not {self._max_queue}")
+        if foreign:
+            mismatches.append(f"models {foreign} not among {list(index)}")
+        if mismatches:
+            raise PolicyError("policy does not fit this MDP: " + "; ".join(mismatches))
+        encode = {
+            a: (_FALLBACK if a.is_late else index[a.model], a.batch_size)
+            for a in set(actions.values())
+        }
+        table = [(_FALLBACK, 0), (_FALLBACK, self._max_queue)]
+        table += [encode[actions[key]] for key in self._state_keys]
+        model, batch = np.array(table, dtype=np.intp).T
+        return model, batch
 
     def initial_values(self) -> np.ndarray:
         """Zero value vector of the right shape."""
@@ -853,24 +919,24 @@ class BellmanKernel:
 
     def greedy(
         self, values: np.ndarray
-    ) -> Tuple[np.ndarray, List[Dict[int, Tuple[int, int]]]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Backup of every load plus each load's greedy action table.
 
-        Tables map state id -> encoded ``(model_index, batch)`` as in
-        :class:`BackupResult`.  Ties go to the first maximum — the lowest
+        Returns the ``(L, S)`` values and the ``(L, S)`` ``model`` and
+        ``batch`` arrays of every load's action table (see the module
+        docstring).  Ties go to the first maximum — the lowest
         model index among full drains, then the full-drain best ahead of
         the partial drains in plan order — which is the strict ``>``
         update order of a sequential per-action fold.
         """
         model, batch = self._backup(values, range(self._loads), greedy=True)
         space = self._space
-        ids = range(2, space.size)
-        tables = []
-        for m_i, b_i in zip(model, batch):
-            table = dict(zip(ids, zip(m_i.ravel().tolist(), b_i.ravel().tolist())))
-            table[space.FULL] = (_FALLBACK, self._n_max)
-            tables.append(table)
-        return self._new_values, tables
+        tables = np.empty((2, self._loads, space.size), dtype=np.intp)
+        tables[0, :, 2:] = model.reshape(self._loads, -1)
+        tables[1, :, 2:] = batch.reshape(self._loads, -1)
+        tables[:, :, space.EMPTY] = ((_FALLBACK,), (0,))
+        tables[:, :, space.FULL] = ((_FALLBACK,), (self._n_max,))
+        return self._new_values, tables[0], tables[1]
 
     def _backup(
         self, values: np.ndarray, active: Sequence[int], greedy: bool

@@ -10,6 +10,11 @@
   tolerance alone; the certified stop must give byte-identical policies
   and equal §5.1 guarantees, and fixed-point tests read converged values
   from it.
+- :mod:`tests.oracles.policy_eval` — the §5.1 evaluation one state at a
+  time over a ``state id -> action`` dict decoded from a ``Policy``;
+  the action-table chains, stationary distributions, guarantees and
+  saved policies of production must be ``==`` to it.  The loop and
+  tolerance oracles evaluate and annotate through it.
 - :mod:`tests.oracles.lifecycle_observer` — the dispatch kernel's observer
   with an args dict per feed row and a registry fed per event; run-dir
   artifacts served through it must be byte-equal to the lifecycle

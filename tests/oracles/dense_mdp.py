@@ -14,13 +14,13 @@ invalid ``(a, s)`` pair never wins the max.  Two ways to build one:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.mdp import _FALLBACK, BackupResult, WorkerMDP
 
-__all__ = ["DenseMDP", "two_state_mdp"]
+__all__ = ["DenseMDP", "dense_agreement", "two_state_mdp"]
 
 Label = Tuple[int, int]
 
@@ -29,7 +29,10 @@ class DenseMDP:
     """Tabular MDP over explicit ``(A, S, S)`` transition tensors.
 
     ``labels[a][s]`` is the encoded action greedy tables report for
-    action ``a`` in state ``s`` (default ``(a, 1)``).
+    action ``a`` in state ``s`` (default ``(a, 1)``); greedy tables are
+    the production action-table form, a pair of ``(S,)`` arrays
+    ``(model, batch)`` (see :mod:`repro.core.mdp`), so they compare
+    directly against a worker MDP's.
     """
 
     def __init__(
@@ -108,15 +111,41 @@ class DenseMDP:
     def initial_values(self) -> np.ndarray:
         return np.zeros(self.R.shape[1])
 
-    def greedy(self, values: np.ndarray) -> Dict[int, Label]:
-        """First-maximum greedy label per state."""
+    def greedy(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """First-maximum greedy label per state, as ``(model, batch)``."""
         best = self.q_values(values).argmax(axis=0)
-        return {s: self.labels[a][s] for s, a in enumerate(best)}
+        labels = [self.labels[a][s] for s, a in enumerate(best)]
+        model, batch = np.array(labels, dtype=np.intp).T
+        return model, batch
 
     def backup(self, values: np.ndarray, want_greedy: bool = False) -> BackupResult:
         new_values = self.q_values(values).max(axis=0)
-        greedy = self.greedy(values) if want_greedy else {}
+        greedy = self.greedy(values) if want_greedy else None
         return BackupResult(values=new_values, greedy=greedy)
+
+
+def dense_agreement(
+    dense: DenseMDP,
+    values: np.ndarray,
+    table: Tuple[np.ndarray, np.ndarray],
+    tie: float = 1e-9,
+) -> Tuple[np.ndarray, int]:
+    """A worker MDP's action table ``(model, batch)`` against the greedy
+    choice of its dense enumeration (:meth:`DenseMDP.from_worker_mdp`) on
+    ``values``.
+
+    Compares the states whose best and runner-up dense Q values are more
+    than ``tie`` apart, leaving out EMPTY (state 0), whose table entry is
+    ignored.  Returns the per-state agreement (``True`` where not
+    compared) and the number of states compared.
+    """
+    model, batch = table
+    dense_model, dense_batch = dense.greedy(values)
+    q = np.sort(dense.q_values(values), axis=0)
+    compared = q[-1] - q[-2] > tie
+    compared[0] = False
+    agree = ~compared | ((model == dense_model) & (batch == dense_batch))
+    return agree, int(compared.sum())
 
 
 def two_state_mdp(gamma: float = 0.9) -> DenseMDP:

@@ -20,15 +20,15 @@ which ``tests/test_solver_equivalence.py`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.bank import GenerationResult, _annotate
+from repro.core.bank import GenerationResult
 from repro.core.config import BatchingMode, WorkerMDPConfig
-from repro.core.guarantees import evaluate_policy
 from repro.core.mdp import _FALLBACK, BackupResult, WorkerMDP
 from repro.core.solvers import value_iteration
+from tests.oracles.policy_eval import annotate, evaluate_policy
 
 __all__ = ["LoopWorkerMDP", "generate_loop_policy"]
 
@@ -109,15 +109,16 @@ class LoopWorkerMDP(WorkerMDP):
                 self._gamma_action[0, n_max - 1] * ev_full
             )
 
-        greedy: Dict[int, Tuple[int, int]] = {}
+        greedy = None
         if want_greedy:
+            model = np.full(space.size, _FALLBACK, dtype=np.intp)
+            batch = np.zeros(space.size, dtype=np.intp)
             for n in range(1, n_max + 1):
                 for j in range(j_count):
-                    greedy[space.index(n, j)] = (
-                        int(best_m[n - 1, j]),
-                        int(best_b[n - 1, j]),
-                    )
-            greedy[space.FULL] = (_FALLBACK, n_max)
+                    model[space.index(n, j)] = best_m[n - 1, j]
+                    batch[space.index(n, j)] = best_b[n - 1, j]
+            batch[space.FULL] = n_max
+            greedy = (model, batch)
         margin = None
         if not (want_greedy or self._config.duration_aware_discount):
             # Best minus runner-up of each state's sorted candidates.
@@ -184,15 +185,16 @@ def generate_loop_policy(
     """:func:`repro.core.generator.generate_policy` on the loop oracle.
 
     Same phases (solve, extract, §5.1 evaluation, annotation) with the
-    MDP swapped for :class:`LoopWorkerMDP`, so saved policies and
-    guarantees are comparable byte for byte.
+    MDP swapped for :class:`LoopWorkerMDP` and the evaluation for the
+    per-state oracle (:mod:`tests.oracles.policy_eval`), so saved
+    policies and guarantees are comparable byte for byte.
     """
     mdp = LoopWorkerMDP(config)
     stats = value_iteration(mdp, tolerance=tolerance)
     policy = mdp.extract_policy(stats.values)
     guarantees = evaluate_policy(mdp, policy)
     return GenerationResult(
-        policy=_annotate(policy, guarantees),
+        policy=annotate(policy, guarantees),
         guarantees=guarantees,
         iterations=stats.iterations,
         runtime_s=stats.runtime_s,

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bank import GenerationResult, _annotate
+from repro.core.bank import GenerationResult
 from repro.core.config import WorkerMDPConfig
-from repro.core.guarantees import evaluate_policy
 from repro.core.mdp import BackupResult, WorkerMDP
 from repro.core.solvers import SolveStats, value_iteration
+from tests.oracles.policy_eval import annotate, evaluate_policy
 
 __all__ = ["ToleranceWorkerMDP", "converged_values", "generate_tolerance_policy"]
 
@@ -50,15 +50,17 @@ def generate_tolerance_policy(
 ) -> GenerationResult:
     """:func:`repro.core.generator.generate_policy` with the tolerance stop.
 
-    Same phases (solve, extract, §5.1 evaluation, annotation), so saved
-    policies and guarantees are comparable byte for byte.
+    Same phases (solve, extract, §5.1 evaluation, annotation), the
+    evaluation and annotation through the per-state oracle
+    (:mod:`tests.oracles.policy_eval`), so saved policies and guarantees
+    are comparable byte for byte.
     """
     mdp = ToleranceWorkerMDP(config)
     stats = value_iteration(mdp, tolerance=tolerance)
     policy = mdp.extract_policy(stats.values)
     guarantees = evaluate_policy(mdp, policy)
     return GenerationResult(
-        policy=_annotate(policy, guarantees),
+        policy=annotate(policy, guarantees),
         guarantees=guarantees,
         iterations=stats.iterations,
         runtime_s=stats.runtime_s,

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.config import WorkerMDPConfig
 from repro.core.generator import generate_policy
-from repro.core.guarantees import stationary_distribution
+from repro.core.guarantees import (
+    evaluate_policy,
+    stationary_distribution,
+    stationary_occupancy,
+)
 from repro.core.mdp import build_worker_mdp
 from repro.core.solvers import value_iteration
+from repro.errors import PolicyError
+from repro.experiments.tasks import image_task, text_task
 
 
 class TestStationaryDistribution:
@@ -22,16 +29,16 @@ class TestStationaryDistribution:
         mdp = build_worker_mdp(tiny_config)
         policy = mdp.extract_policy(value_iteration(mdp).values)
         dist = stationary_distribution(mdp, policy, tolerance=1e-12)
-        from repro.core.guarantees import _policy_action_table
-
-        table = _policy_action_table(mdp, policy)
+        model, batch = mdp.action_table(policy)
         stepped = np.zeros_like(dist)
         for state in range(mdp.space.size):
             if state == mdp.space.EMPTY:
                 row = mdp.transition_row(state, (0, 1))
             else:
                 n, _ = mdp.space.decode(state)
-                row = mdp.transition_row(state, table[state])
+                row = mdp.transition_row(
+                    state, (int(model[state]), int(batch[state]))
+                )
             stepped += dist[state] * row
         assert np.allclose(stepped, dist, atol=1e-8)
 
@@ -113,3 +120,52 @@ class TestGuarantees:
         g = result.guarantees
         assert metrics.accuracy_per_satisfied_query >= g.expected_accuracy - 0.02
         assert metrics.violation_rate <= g.expected_violation_rate + 0.02
+
+
+def _image_config(model_set=None, **overrides) -> WorkerMDPConfig:
+    task = image_task()
+    base = dict(
+        slo_ms=task.middle_slo_ms,
+        load_qps=40.0,
+        num_workers=1,
+        fld_resolution=30,
+        max_batch_size=8,
+    )
+    base.update(overrides)
+    return WorkerMDPConfig.default_poisson(model_set or task.model_set, **base)
+
+
+class TestPolicyFit:
+    """A policy evaluates only on an MDP of its own state space and
+    models; anything else is refused by name, never silently re-read."""
+
+    @pytest.fixture(scope="class")
+    def policy(self):
+        return generate_policy(_image_config()).policy
+
+    @staticmethod
+    def _refused(policy, config, match):
+        mdp = build_worker_mdp(config)
+        for entry in (evaluate_policy, stationary_distribution, stationary_occupancy):
+            with pytest.raises(PolicyError, match=match):
+                entry(mdp, policy)
+
+    def test_fits_its_own_mdp(self, policy):
+        mdp = build_worker_mdp(_image_config())
+        g = evaluate_policy(mdp, policy)
+        assert g.expected_accuracy == policy.metadata.expected_accuracy
+
+    def test_refuses_other_grid(self, policy):
+        self._refused(policy, _image_config(fld_resolution=20), r"grid values \(31, not 21\)")
+
+    def test_refuses_other_slo(self, policy):
+        slo = image_task().slos_ms[0]
+        self._refused(policy, _image_config(slo_ms=slo), f"SLO 300 ms, not {slo:g} ms")
+
+    def test_refuses_other_models(self, policy):
+        task = text_task()
+        config = _image_config(model_set=task.model_set)
+        self._refused(policy, config, "models .*shufflenet.* not among .*bert")
+
+    def test_refuses_other_max_queue(self, policy):
+        self._refused(policy, _image_config(max_queue=9), "max_queue 11, not 9")

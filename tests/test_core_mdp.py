@@ -147,10 +147,15 @@ class TestBackup:
 
     def test_greedy_action_table_complete(self, tiny_config):
         mdp = build_worker_mdp(tiny_config)
-        result = mdp.backup(mdp.initial_values(), want_greedy=True)
+        model, batch = mdp.backup(mdp.initial_values(), want_greedy=True).greedy
+        assert model.shape == batch.shape == (mdp.num_states,)
         for n in range(1, mdp.max_queue + 1):
             for j in range(len(mdp.grid)):
-                assert mdp.space.index(n, j) in result.greedy
+                s = mdp.space.index(n, j)
+                action = (int(model[s]), int(batch[s]))
+                assert action in mdp.valid_actions(n, j) or action == (_FALLBACK, n)
+        space = mdp.space
+        assert (model[space.FULL], batch[space.FULL]) == (_FALLBACK, mdp.max_queue)
 
     def test_backup_policy_consistent_with_backup(self, tiny_config):
         """Backing V up under its own greedy policy — through the chain
@@ -159,10 +164,8 @@ class TestBackup:
         mdp = build_worker_mdp(tiny_config)
         stats = value_iteration(mdp, tolerance=1e-9)
         result = mdp.backup(stats.values, want_greedy=True)
-        table = result.greedy
-        actions = [
-            table.get(s, (0, 1)) for s in range(mdp.num_states)
-        ]
+        model, batch = result.greedy
+        actions = list(zip(model.tolist(), batch.tolist()))
         reward = np.array(
             [mdp.reward_of(s, a) for s, a in enumerate(actions)]
         )
@@ -170,7 +173,7 @@ class TestBackup:
             [mdp.discount_of(s, a) for s, a in enumerate(actions)]
         )
         evaluated = reward + discount * (
-            mdp.policy_rows(table) @ stats.values
+            mdp.policy_rows(model, batch) @ stats.values
         )
         assert np.allclose(evaluated, result.values, atol=1e-6)
 

@@ -36,6 +36,7 @@ from repro.core.config import BatchingMode, TransitionView, WorkerMDPConfig
 from repro.core.generator import PolicyGenerator, generate_policy
 from repro.core.guarantees import (
     evaluate_policy,
+    power_iterate,
     stationary_distribution,
     stationary_occupancy,
 )
@@ -45,7 +46,7 @@ from repro.errors import ConfigurationError
 from repro.profiles.latency import LinearLatencyModel
 from repro.profiles.models import ModelProfile, ModelSet
 from tests.conftest import make_tiny_model_set
-from tests.oracles.dense_mdp import DenseMDP
+from tests.oracles.dense_mdp import DenseMDP, dense_agreement
 from tests.oracles.loop_mdp import LoopWorkerMDP, generate_loop_policy
 from tests.oracles.tolerance_vi import ToleranceWorkerMDP
 
@@ -180,7 +181,8 @@ class TestGoldenEquivalence:
             want = loop.backup(v, want_greedy=True)
             got = tensor.backup(v, want_greedy=True)
             assert np.array_equal(got.values, want.values)
-            assert got.greedy == want.greedy
+            for got_table, want_table in zip(got.greedy, want.greedy):
+                assert np.array_equal(got_table, want_table)
         # Fresh arrays per call: value iteration keeps the previous one.
         first, second = tensor.backup(v).values, tensor.backup(v).values
         assert not np.shares_memory(first, second)
@@ -205,15 +207,15 @@ class TestChainRows:
         loop = LoopWorkerMDP(config)
         tensor = build_worker_mdp(config)
         stats = value_iteration(tensor, tolerance=1e-7)
-        table = tensor.backup(stats.values, want_greedy=True).greedy
+        model, batch = tensor.backup(stats.values, want_greedy=True).greedy
         # The gathered chain equals the per-pair rows of the loop oracle.
         rows_loop = np.stack(
             [
-                loop.transition_row(s, table.get(s, (0, 1)))
-                for s in range(loop.num_states)
+                loop.transition_row(s, (int(m), int(b)))
+                for s, (m, b) in enumerate(zip(model, batch))
             ]
         )
-        rows_tensor = tensor.policy_rows(table)
+        rows_tensor = tensor.policy_rows(model, batch)
         assert np.array_equal(rows_loop, rows_tensor)
         assert rows_tensor.min() >= -1e-12
         np.testing.assert_allclose(
@@ -271,13 +273,16 @@ class TestStackedBank:
         configs = [base.with_load(q) for q in BANK_LOADS]
         bank = StackedBankMDP(configs)
         stats = bank.solve(tolerance=1e-7)
-        policies = [
-            cell.extract_policy(s.values)
-            for cell, s in zip(bank.cells, stats)
-        ]
-        dists = bank.stationary_distributions(policies)
-        for cell, policy, dist in zip(bank.cells, policies, dists):
+        model, batch = bank.greedy(stats)
+        # One batched power iteration over every cell's chain.
+        dists = power_iterate(
+            [cell.policy_rows(m, b) for cell, m, b in zip(bank.cells, model, batch)]
+        )
+        guarantees = bank.evaluate(model, batch)
+        for cell, m, b, dist, g in zip(bank.cells, model, batch, dists, guarantees):
+            policy = cell.policy_of(m, b)
             assert np.array_equal(dist, stationary_distribution(cell, policy))
+            assert g == evaluate_policy(cell, policy)
 
     def test_stacked_warm_start_reaches_same_policy(self):
         base = _config()
@@ -291,9 +296,8 @@ class TestStackedBank:
         assert warm[0].warm_started and not warm[1].warm_started
         # Values stop wherever the greedy table is certified, so a warm
         # start reaches the same policy, not the same vector.
-        assert [p.states() for p in bank.extract_policies(warm)] == [
-            p.states() for p in bank.extract_policies(cold)
-        ]
+        for got, want in zip(bank.greedy(warm), bank.greedy(cold)):
+            assert np.array_equal(got, want)
         for c, w in zip(cold[1:], warm[1:]):
             assert np.array_equal(w.values, c.values)
         assert warm[0].iterations <= cold[0].iterations
@@ -483,12 +487,6 @@ class TestDenseOracle:
 
         # Greedy tables on the same value vector, away from near-ties.
         greedy = mdp.backup(vi.values, want_greedy=True).greedy
-        dense_greedy = dense.greedy(vi.values)
-        q = np.sort(dense.q_values(vi.values), axis=0)
-        gap = q[-1] - q[-2]
-        compared = 0
-        for state_id, action in greedy.items():
-            if gap[state_id] > 1e-9:
-                assert dense_greedy[state_id] == action, state_id
-                compared += 1
-        assert compared > len(greedy) // 2
+        agree, compared = dense_agreement(dense, vi.values, greedy)
+        assert agree.all(), np.nonzero(~agree)
+        assert compared > (mdp.num_states - 1) // 2
