@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.bank import GenerationResult, solve_stacked_bank
 from repro.core.config import WorkerMDPConfig
+from repro.core.mdp import _Skeleton
 from repro.obs.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache uses results)
@@ -95,6 +96,9 @@ class PolicyGenerator:
         self._disk = cache
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._registry = registry
+        # The load-invariant skeleton every bank shares; neither the load
+        # nor the worker count of a cell changes it.  Built on first solve.
+        self._skeleton: Optional[_Skeleton] = None
 
     @property
     def base_config(self) -> WorkerMDPConfig:
@@ -211,6 +215,8 @@ class PolicyGenerator:
         so results commit to the in-memory and disk caches under the
         per-load keys a one-load :meth:`generate` uses.
         """
+        if self._skeleton is None:
+            self._skeleton = _Skeleton.of(self._base)
         with self._tracer.span(
             "policy_bank_stacked",
             track="policy_bank",
@@ -221,6 +227,7 @@ class PolicyGenerator:
                 tolerance=self._tolerance,
                 initials=[initial for _, _, _, initial in pending],
                 tracer=self._tracer,
+                skeleton=self._skeleton,
             )
         for (i, q, config, _), result in zip(pending, solved):
             self._count_cell("solve")

@@ -59,6 +59,7 @@ equal greedy tables and byte-identical ``Policy.save`` output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +74,7 @@ from repro.core.policy import Action, Policy, PolicyMetadata
 from repro.core.transitions import (
     EquilibriumRenewalKernelBuilder,
     ExactRoundRobinKernelBuilder,
+    QuadraturePlan,
     SplitViewKernelBuilder,
     StateSpace,
     gaps_for_distribution,
@@ -132,9 +134,12 @@ def _distinct(latencies: Sequence[float]) -> Tuple[List[float], List[int]]:
 class _Skeleton:
     """The load-invariant structure of a worker MDP.
 
-    None of it depends on the arrival load, so a stacked bank
-    (:class:`repro.core.bank.StackedBankMDP`) builds it once and shares
-    it across its cells.
+    None of it depends on the arrival load (nor on the worker count), so
+    a stacked bank (:class:`repro.core.bank.StackedBankMDP`) builds it
+    once and shares it across its cells, and a
+    :class:`repro.core.generator.PolicyGenerator` shares one across all
+    of its banks.  The renewal view's quadrature plans over the distinct
+    latencies are built on first use, once per skeleton.
     """
 
     #: Pareto-pruned models, fastest first (action-index order).
@@ -152,6 +157,16 @@ class _Skeleton:
     #: b-1]``, each drain's count pmf among them (``-1``: none).
     partial_latencies: List[float]
     partial_index: np.ndarray
+
+    @cached_property
+    def service_plan(self) -> QuadraturePlan:
+        """Quadrature plan of the renewal full-drain rows."""
+        return QuadraturePlan.service(self.grid, self.full_latencies)
+
+    @cached_property
+    def count_plan(self) -> QuadraturePlan:
+        """Quadrature plan of the renewal arrival-count pmfs."""
+        return QuadraturePlan.counts(self.partial_latencies)
 
     @classmethod
     def of(cls, config: WorkerMDPConfig) -> "_Skeleton":
@@ -391,7 +406,10 @@ class WorkerMDP:
             self._max_queue,
         )
         # A one-load gap model: take its only load.
-        return renewal.service_rows(full)[:, 0], renewal.count_rows(partial)[:, 0]
+        return (
+            renewal.service_rows(skeleton.service_plan)[:, 0],
+            renewal.count_rows(skeleton.count_plan)[:, 0],
+        )
 
     def _build_phase_weights(
         self, exact: ExactRoundRobinKernelBuilder

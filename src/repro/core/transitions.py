@@ -36,8 +36,9 @@ Three builders implement the views (see
   query has already spent waiting).
 
 Every builder has one batched method per kind of row, each over a list
-of latencies and holding no cache: ``service_rows`` (full-drain rows;
-per phase under the exact view, per load under the renewal view) and
+of latencies (under the renewal view, or their :class:`QuadraturePlan`)
+and holding no cache: ``service_rows`` (full-drain rows; per phase
+under the exact view, per load under the renewal view) and
 ``count_rows`` (the arrival-count pmfs a partial drain reads).
 :class:`repro.core.mdp.WorkerMDP` calls each once and writes the
 partial-drain rows itself.
@@ -62,6 +63,7 @@ __all__ = [
     "SplitViewKernelBuilder",
     "EquilibriumRenewalKernelBuilder",
     "ExactRoundRobinKernelBuilder",
+    "QuadraturePlan",
     "RenewalGaps",
     "GammaGaps",
     "DeterministicGaps",
@@ -84,7 +86,7 @@ _COUNT_NODES, _COUNT_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _POISSON_SUM_MAX_X = 700.0
 
 #: Quadrature nodes times loads one batched renewal-kernel pass evaluates.
-_KERNEL_BLOCK = 1 << 16
+_KERNEL_BLOCK = 1 << 14
 
 
 def gamma_cdfs(orders: Sequence[float], x: np.ndarray) -> np.ndarray:
@@ -210,6 +212,82 @@ def _service_windows(
     lo[0] = 0.0
     hi = np.maximum(hi, lo)
     return lo, hi - lo, latency_ms - hi
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraturePlan:
+    """The load-invariant quadrature geometry of renewal rows.
+
+    Gauss-Legendre windows over a list of latencies, window-major: window
+    ``k`` owns nodes ``k * nodes`` to ``(k + 1) * nodes`` of ``u`` (first-
+    arrival times), ``weights`` and ``left`` (``latency - u``), and fills
+    row ``row[k]`` (its latency's index) at slack bin ``column[k]``
+    (always 0 in a count plan).
+    Nothing here depends on the arrival load, so a worker MDP skeleton
+    builds its plans once for every load it is solved at.
+    """
+
+    latencies: Tuple[float, ...]
+    nodes: int
+    u: np.ndarray
+    weights: np.ndarray
+    left: np.ndarray
+    row: np.ndarray
+    column: np.ndarray
+
+    @property
+    def windows(self) -> int:
+        """Number of quadrature windows."""
+        return self.row.size
+
+    @classmethod
+    def service(cls, grid: TimeGrid, latencies: Sequence[float]) -> "QuadraturePlan":
+        """8-point windows over each latency's live next-slack bins
+        (:func:`_service_windows`) — the full-drain rows' integrals."""
+        parts, rows, columns = [], [], []
+        for j, latency_ms in enumerate(latencies):
+            lo, width, _ = _service_windows(grid, latency_ms)
+            live = np.nonzero(width > 0.0)[0]
+            # Gauss-Legendre nodes for every live window at once: (W, Q).
+            half = 0.5 * width[live]
+            u = lo[live][:, None] + half[:, None] * (_WINDOW_NODES[None, :] + 1.0)
+            parts.append((latency_ms, u, _WINDOW_WEIGHTS[None, :] * half[:, None]))
+            rows.append(np.full(live.size, j))
+            columns.append(live)
+        return cls._of(latencies, _WINDOW_NODES.size, parts, rows, columns)
+
+    @classmethod
+    def counts(cls, latencies: Sequence[float]) -> "QuadraturePlan":
+        """One 64-point window over each positive latency's whole service
+        — the arrival-count pmfs' integrals."""
+        parts, rows = [], []
+        for j, latency_ms in enumerate(latencies):
+            if latency_ms > 0.0:
+                half = 0.5 * latency_ms
+                parts.append(
+                    (latency_ms, half * (_COUNT_NODES + 1.0), _COUNT_WEIGHTS * half)
+                )
+                rows.append([j])
+        return cls._of(latencies, _COUNT_NODES.size, parts, rows, [[0]] * len(rows))
+
+    @classmethod
+    def _of(cls, latencies, nodes, parts, rows, columns) -> "QuadraturePlan":
+        """Concatenate per-latency ``(latency, u, w)`` parts."""
+
+        def flat(arrays, dtype=np.float64) -> np.ndarray:
+            return np.concatenate(
+                [np.ravel(a) for a in arrays] or [np.zeros(0)]
+            ).astype(dtype, copy=False)
+
+        return cls(
+            tuple(latencies),
+            nodes,
+            flat(u for _, u, _ in parts),
+            flat(w for _, _, w in parts),
+            flat(latency - u for latency, u, _ in parts),
+            flat(rows, np.intp),
+            flat(columns, np.intp),
+        )
 
 
 class SplitViewKernelBuilder:
@@ -445,7 +523,14 @@ class EquilibriumRenewalKernelBuilder:
 
     :meth:`service_rows` and :meth:`count_rows` build the rows of many
     latencies, and, with a gap model over several loads (a stacked policy
-    bank), of every load, in batched passes.
+    bank), of every load, in batched passes.  The window geometry of
+    those latencies is a :class:`QuadraturePlan`, which holds nothing
+    load-dependent: a worker MDP skeleton builds its plans once and
+    passes them in place of the latencies at every load.  Each block of
+    the plan's windows is contracted once, over all of its windows and
+    loads; the per-(latency, load) reductions this replaced are the
+    oracle ``tests/oracles/renewal_rows.py``, and every row is bitwise
+    equal to it.
     """
 
     def __init__(
@@ -464,70 +549,62 @@ class EquilibriumRenewalKernelBuilder:
         return self._space
 
     def _quadrature(
-        self, parts: Sequence[Tuple[float, np.ndarray, np.ndarray]]
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Integrand terms of each ``(latency_ms, u, w)`` quadrature part.
+        self, plan: QuadraturePlan
+    ) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
+        """Integrand terms of a plan's windows, one block at a time.
 
-        Yields, per part, the weighted equilibrium density ``w * f_e(u)``,
-        ``(loads,) + u.shape``, and the pmf of the further arrivals in the
-        time ``latency_ms - u`` left after the first one, C-contiguous
-        ``(loads, max_queue, u.size)``.  Parts are evaluated in blocks of
-        at most ``_KERNEL_BLOCK`` nodes times loads; every step is
-        elementwise, so the blocking changes no bit.
+        Yields, per block of consecutive windows, their slice of the plan,
+        the weighted equilibrium density ``w * f_e(u)``, ``(loads, W, Q)``,
+        and the pmf of the further arrivals in the time ``latency - u``
+        left after the first one, ``(max_queue, loads, W, Q)``.  A block
+        holds at most ``_KERNEL_BLOCK`` nodes times loads (at least one
+        window); every step is elementwise, so the blocking changes no bit.
         """
-        loads = self._gaps.loads
-        blocks: list = [[]]
-        size = 0
-        for part in parts:
-            if blocks[-1] and size + part[1].size * loads > _KERNEL_BLOCK:
-                blocks.append([])
-                size = 0
-            blocks[-1].append(part)
-            size += part[1].size * loads
-        for block in blocks:
-            if not block:
-                continue
-            u_all = np.concatenate([u.ravel() for _, u, _ in block])
-            left = np.concatenate([(lat - u).ravel() for lat, u, _ in block])
-            f_e = self._gaps.equilibrium_density(u_all)
-            pmf = _count_pmf(self._gaps.kfold_cdfs(self._space.max_queue, left))
-            end = 0
-            for _, u, w in block:
-                start, end = end, end + u.size
-                yield (
-                    w * f_e[:, start:end].reshape((loads,) + u.shape),
-                    np.ascontiguousarray(pmf[:, :, start:end].transpose(1, 0, 2)),
-                )
+        loads, q = self._gaps.loads, plan.nodes
+        step = max(1, _KERNEL_BLOCK // (q * loads))
+        for start in range(0, plan.windows, step):
+            block = slice(start, min(start + step, plan.windows))
+            nodes = slice(block.start * q, block.stop * q)
+            f_e = self._gaps.equilibrium_density(plan.u[nodes])
+            pmf = _count_pmf(
+                self._gaps.kfold_cdfs(self._space.max_queue, plan.left[nodes])
+            )
+            shape = (loads, block.stop - block.start, q)
+            yield (
+                block,
+                (plan.weights[nodes] * f_e).reshape(shape),
+                pmf.reshape((self._space.max_queue,) + shape),
+            )
 
-    def service_rows(self, latencies: Sequence[float]) -> np.ndarray:
+    def service_rows(
+        self, latencies: Union[Sequence[float], QuadraturePlan]
+    ) -> np.ndarray:
         """``(len(latencies), loads, S)`` full-drain transition rows, one
         per latency and load of the gap model.
 
-        Elementwise steps batch across latencies, windows and loads (see
-        :meth:`_quadrature`); every reduction (the window quadrature, the
-        row sum) runs per latency and load on contiguous operands, so each
-        row is bitwise what a one-latency, one-load call gives.
+        ``latencies`` may be given as their precomputed
+        :meth:`QuadraturePlan.service` plan on this builder's grid (a
+        worker MDP skeleton's).  Elementwise steps batch across latencies,
+        windows and loads (see :meth:`_quadrature`); each block's window
+        integrals are one ``einsum`` whose reduction runs over each
+        window's contiguous nodes, so every row is bitwise what a
+        one-latency, one-load call gives.
         """
+        plan = (
+            latencies
+            if isinstance(latencies, QuadraturePlan)
+            else QuadraturePlan.service(self._grid, latencies)
+        )
         space = self._space
         loads = self._gaps.loads
-        rows = np.zeros((len(latencies), loads, space.size), dtype=np.float64)
-        rows[:, :, space.EMPTY] = 1.0 - self._gaps.equilibrium_cdf(latencies).T
-        parts, where = [], []
-        for j, latency_ms in enumerate(latencies):
-            lo, width, _ = _service_windows(self._grid, latency_ms)
-            live = np.nonzero(width > 0.0)[0]
-            if live.size:
-                # Gauss-Legendre nodes for every live window at once: (W, Q).
-                half = 0.5 * width[live]
-                u = lo[live][:, None] + half[:, None] * (_WINDOW_NODES[None, :] + 1.0)
-                w = _WINDOW_WEIGHTS[None, :] * half[:, None]
-                parts.append((latency_ms, u, w))
-                where.append((j, live))
-        for (j, live), (wfe, pmf) in zip(where, self._quadrature(parts)):
-            for i in range(loads):
-                space.occupied_view(rows[j, i])[:, live] = np.einsum(
-                    "nlq,lq->nl", pmf[i].reshape((-1,) + wfe.shape[1:]), wfe[i]
-                )
+        rows = np.zeros((len(plan.latencies), loads, space.size), dtype=np.float64)
+        rows[:, :, space.EMPTY] = 1.0 - self._gaps.equilibrium_cdf(plan.latencies).T
+        # Window k fills occupied states (n, column[k]) of its row, n = 1..N.
+        occupied = space.index(1, 0) + space.grid_size * np.arange(space.max_queue)[:, None]
+        for block, wfe, pmf in self._quadrature(plan):
+            rows[plan.row[block], :, occupied + plan.column[block]] = np.einsum(
+                "nawq,awq->nwa", pmf, wfe
+            )
 
         totals = rows.sum(axis=2)
         over = totals > 1.0
@@ -539,23 +616,29 @@ class EquilibriumRenewalKernelBuilder:
         rows[:, :, space.FULL] = np.maximum(0.0, 1.0 - totals)
         return rows
 
-    def count_rows(self, latencies: Sequence[float]) -> np.ndarray:
+    def count_rows(
+        self, latencies: Union[Sequence[float], QuadraturePlan]
+    ) -> np.ndarray:
         """``(len(latencies), loads, max_queue + 1)`` arrival-count pmfs
-        ``P[k arrivals during latency]``, built like :meth:`service_rows`."""
+        ``P[k arrivals during latency]``, built like :meth:`service_rows`
+        (``latencies`` may be their :meth:`QuadraturePlan.counts` plan);
+        each block's whole-service integrals are one stacked ``matmul``,
+        one matrix-vector product per latency and load."""
+        plan = (
+            latencies
+            if isinstance(latencies, QuadraturePlan)
+            else QuadraturePlan.counts(latencies)
+        )
         loads = self._gaps.loads
         counts = np.zeros(
-            (len(latencies), loads, self._space.max_queue + 1), dtype=np.float64
+            (len(plan.latencies), loads, self._space.max_queue + 1), dtype=np.float64
         )
-        counts[:, :, 0] = 1.0 - self._gaps.equilibrium_cdf(latencies).T
-        parts, where = [], []
-        for j, latency_ms in enumerate(latencies):
-            if latency_ms > 0.0:
-                half = 0.5 * latency_ms
-                parts.append((latency_ms, half * (_COUNT_NODES + 1.0), _COUNT_WEIGHTS * half))
-                where.append(j)
-        for j, (wfe, pmf) in zip(where, self._quadrature(parts)):
-            for i in range(loads):
-                counts[j, i, 1:] = pmf[i] @ wfe[i]
+        counts[:, :, 0] = 1.0 - self._gaps.equilibrium_cdf(plan.latencies).T
+        for block, wfe, pmf in self._quadrature(plan):
+            # (W, loads, N, Q) @ (W, loads, Q, 1): one gemv per latency and load.
+            pmf = np.ascontiguousarray(pmf.transpose(2, 1, 0, 3))
+            wfe = wfe.transpose(1, 0, 2)[..., None]
+            counts[plan.row[block], :, 1:] = (pmf @ wfe)[..., 0]
         np.clip(counts, 0.0, 1.0, out=counts)
         totals = counts.sum(axis=2)
         over = totals > 1.0

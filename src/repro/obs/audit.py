@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, 
 
 import numpy as np
 
-from repro.core.guarantees import PolicyGuarantees, total_variation
+from repro.core.guarantees import PolicyGuarantees, TotalVariation
 from repro.core.policy import Policy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -551,7 +551,9 @@ class GuaranteeAuditor:
             )
         self._bounds: Optional[AuditBounds] = bounds
         self._policy = policy
-        self._expected = dict(expected_occupancy) if expected_occupancy else None
+        self._expected_tv = (
+            TotalVariation(expected_occupancy) if expected_occupancy else None
+        )
         self._cfg = config or AuditConfig()
         self._alert_callbacks: List[Callable[[AuditAlert], None]] = []
 
@@ -978,10 +980,10 @@ class GuaranteeAuditor:
             )
 
     def _current_tv(self) -> Optional[float]:
-        if self._expected is None or self._epochs == 0:
+        if self._expected_tv is None or self._epochs == 0:
             return None
-        empirical = {k: c / self._epochs for k, c in self._occupancy.items()}
-        return total_variation(empirical, self._expected)
+        # total_variation of the empirical occupancy, bit for bit.
+        return self._expected_tv(self._occupancy, self._epochs)
 
     def _alert(self, alert: AuditAlert) -> None:
         for callback in self._alert_callbacks:

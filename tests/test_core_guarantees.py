@@ -7,13 +7,42 @@ from repro.core.config import WorkerMDPConfig
 from repro.core.generator import generate_policy
 from repro.core.guarantees import (
     evaluate_policy,
+    power_iterate,
     stationary_distribution,
     stationary_occupancy,
 )
 from repro.core.mdp import build_worker_mdp
 from repro.core.solvers import value_iteration
-from repro.errors import PolicyError
+from repro.errors import PolicyError, SolverError
 from repro.experiments.tasks import image_task, text_task
+
+
+#: A 2-cycle (states 0 and 1) entered from a transient state 2: from the
+#: uniform start its distribution swaps between (2/3, 1/3, 0) and
+#: (1/3, 2/3, 0) forever.
+PERIODIC = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+#: Settles to (0.5, 0.5, 0) after two steps.
+SETTLING = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+
+
+class TestPowerIterate:
+    def test_unconverged_chains_are_named_with_residuals(self):
+        with pytest.raises(SolverError) as info:
+            power_iterate([SETTLING, PERIODIC], max_iterations=50)
+        message = str(info.value)
+        assert "within 50 steps" in message
+        assert "chain 1: residual 3.333e-01" in message
+        assert "chain 0" not in message
+
+    def test_labels_name_the_chains(self):
+        with pytest.raises(SolverError, match=r"\(periodic: residual 3\.333e-01"):
+            power_iterate(
+                [PERIODIC, SETTLING], max_iterations=50, labels=["periodic", "ok"]
+            )
+
+    def test_settling_chain_alone_still_converges(self):
+        (dist,) = power_iterate([SETTLING])
+        assert dist.tolist() == [0.5, 0.5, 0.0]
 
 
 class TestStationaryDistribution:
