@@ -34,6 +34,13 @@
   :meth:`repro.obs.audit.GuaranteeAuditor.fold` must leave the same
   report, alerts, records and registry series from a capture split into
   any drains.
+- :mod:`tests.oracles.total_variation` — the auditor's total-variation
+  distance over a key union sorted afresh per call;
+  :class:`repro.core.guarantees.TotalVariation` must be ``==`` to it.
+- :mod:`tests.oracles.renewal_rows` — the renewal view's full-drain rows
+  and arrival-count pmfs reduced one latency and load at a time;
+  :class:`repro.core.transitions.EquilibriumRenewalKernelBuilder` rows
+  must be ``==`` to them.
 - :mod:`tests.oracles.recording_tracer` — the in-memory recorder as span
   and event objects; :class:`repro.obs.trace.RecordingTracer`, which
   records table rows, must give equal views and byte-equal exports.
