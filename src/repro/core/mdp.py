@@ -159,6 +159,18 @@ class _Skeleton:
     partial_index: np.ndarray
 
     @cached_property
+    def states(self) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int]]]:
+        """Per-state queue length and slack (FULL reads ``(N_w, 0.0)``),
+        and the occupied states' policy keys, in state-id order: shared,
+        read-only, by every cell on this skeleton."""
+        n, bins = self.max_queue, len(self.grid)
+        state_n = np.concatenate(([0, n], np.repeat(np.arange(1, n + 1), bins)))
+        state_slack = np.concatenate(([0.0, 0.0], np.tile(self.grid.as_array(), n)))
+        keys = [(q, j) for q in range(1, n + 1) for j in range(bins)]
+        state_n.flags.writeable = state_slack.flags.writeable = False
+        return state_n, state_slack, keys
+
+    @cached_property
     def service_plan(self) -> QuadraturePlan:
         """Quadrature plan of the renewal full-drain rows."""
         return QuadraturePlan.service(self.grid, self.full_latencies)
@@ -267,15 +279,7 @@ class WorkerMDP:
         # exact view) and partial-drain count pmfs over the skeleton's
         # distinct latencies, gathered per action.
         self._space = StateSpace(max_queue=n, grid_size=len(self._grid))
-        # Per-state queue length and slack (FULL reads (N_w, 0.0)), and
-        # the occupied states' policy keys, in state-id order.
-        self._state_n = np.concatenate(
-            ([0, n], np.repeat(np.arange(1, n + 1), len(self._grid)))
-        )
-        self._state_slack = np.concatenate(([0.0, 0.0], np.tile(grid_values, n)))
-        self._state_keys = [
-            (q, j) for q in range(1, n + 1) for j in range(len(self._grid))
-        ]
+        self._state_n, self._state_slack, self._state_keys = skeleton.states
         self._phase_weights: Optional[np.ndarray] = None
         self._full_phase: Optional[np.ndarray] = None
         exact = None

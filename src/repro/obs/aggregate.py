@@ -94,7 +94,11 @@ class ShardTracer(RecordingTracer):
     ``slo_ms``, so the merged attribution tables of a served run carry
     the SLO.  The rows' sequence numbers (the cell index, set by the pool
     task via :meth:`set_sequence`) and per-feed counters are what let
-    the parent merge feeds back into serial cell order.
+    the parent merge feeds back into serial cell order.  A runtime
+    shard's rows arrive as ready batches
+    (:meth:`~repro.obs.trace.RecordingTracer.record_batch`), split into
+    blocks at the same rows as rows recorded one by one, so a feed
+    decodes the same either way.
     """
 
     def __init__(

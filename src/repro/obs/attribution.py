@@ -62,10 +62,12 @@ form lives on as the oracle in ``tests/oracles/attribution_fold.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import threading
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
 from pathlib import Path
 from typing import (
@@ -107,6 +109,7 @@ ATTRIBUTION_SCHEMA = 1
 #: Model label for dropped queries (mirrors the simulator's sentinel).
 DROPPED_MODEL = "<dropped>"
 
+_ARRIVAL = "arrival"
 _SERVE = "serve"
 _SERVICE_START = "service_start"
 _COMPLETION = "completion"
@@ -293,7 +296,9 @@ class Lifecycle:
     ``is_start`` marks them, each kind's columns in that order.
     ``names[code]`` is the model behind every ``*_model`` code.  An event
     table is read by :meth:`from_table`; a kernel capture by
-    :meth:`repro.sim.kernel.LifecycleObserver.columns`.
+    :meth:`repro.sim.kernel.LifecycleObserver.columns`, which also fills
+    the columns a capture's feed rows are built from (``None`` from a
+    table).
     """
 
     names: List[str]
@@ -328,6 +333,40 @@ class Lifecycle:
     e_dropped: np.ndarray
     e_t_ms: np.ndarray
     e_accuracy: np.ndarray
+    #: Arrivals recorded before each completion: a capture's running
+    #: count of its kernel's arrivals, a table's arrival rows before it.
+    e_arrived: np.ndarray
+    #: A capture's decisions: instant, anticipated load (float64, or the
+    #: values as recorded when not all floats) and arrivals before each.
+    d_t_ms: Optional[np.ndarray] = None
+    d_anticipated: Optional[np.ndarray] = None
+    d_arrived: Optional[np.ndarray] = None
+    #: A capture's completions: rejected at admission, and the last query
+    #: of its batch, drop or rejection.
+    e_rejected: Optional[np.ndarray] = None
+    e_closes: Optional[np.ndarray] = None
+
+    @classmethod
+    def concat(cls, parts: Sequence["Lifecycle"]) -> "Lifecycle":
+        """``parts`` one after another, in one model code space."""
+        if len(parts) == 1:
+            return parts[0]
+        names = list(dict.fromkeys(chain.from_iterable(p.names for p in parts)))
+        index = {name: i for i, name in enumerate(names)}
+        fields: Dict[str, Any] = {"names": names}
+        recoded = [np.array([index[n] for n in p.names], np.int64) for p in parts]
+        before = np.cumsum([0] + [p.is_start.size for p in parts])
+        for field in dataclasses.fields(cls)[1:]:
+            columns = [getattr(p, field.name) for p in parts]
+            if any(column is None for column in columns):
+                fields[field.name] = None
+                continue
+            if field.name.endswith("_model"):
+                columns = [codes[c] for codes, c in zip(recoded, columns)]
+            elif field.name == "d_at":
+                columns = [c + offset for c, offset in zip(columns, before.tolist())]
+            fields[field.name] = np.concatenate(columns)
+        return cls(**fields)
 
     @classmethod
     def from_table(cls, table: EventTable) -> "Lifecycle":
@@ -355,6 +394,7 @@ class Lifecycle:
         rows = np.flatnonzero(starts | ends)
         is_start = starts[rows]
         s_rows, e_rows = rows[is_start], rows[~is_start]
+        arrivals = table.rows(INSTANT, _ARRIVAL)
 
         # One code space for both streams' model strings.
         models, names = table.arg_strings("model", rows)
@@ -388,6 +428,7 @@ class Lifecycle:
             e_dropped=table.arg_array("dropped", e_rows, bool, False),
             e_t_ms=table.columns["ts_ms"][e_rows],
             e_accuracy=table.arg_array("accuracy", e_rows, float, 0.0),
+            e_arrived=np.searchsorted(arrivals, e_rows),
         )
 
 

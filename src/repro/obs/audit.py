@@ -591,13 +591,12 @@ class GuaranteeAuditor:
         self._last_ts_ms = 0.0
         self._report: Optional[AuditReport] = None
         # Where the fold stands: arrivals and lifecycle records folded,
-        # the source's count of them (:meth:`attach`), its id layout, and
-        # the policy switches noted ahead of the fold.
+        # the source's count of them (:meth:`attach`), and the policy
+        # switches noted ahead of the fold.
         self._arrived = self._records = 0
         self._position: Callable[[], Tuple[int, int]] = lambda: (
             self._arrived, self._records
         )
-        self._base, self._stride = 0, 1
         self._pending: List[Tuple[Tuple[int, int], Policy, float]] = []
 
         if registry is not None:
@@ -665,10 +664,11 @@ class GuaranteeAuditor:
         self, position: Callable[[], Tuple[int, int]], base: int = 0, stride: int = 1
     ) -> None:
         """Fold from a kernel observer's capture: ``position()`` counts its
-        arrivals and lifecycle records, to place noted policy switches;
-        kernel-local query ``j`` is the global id ``base + j * stride``."""
+        arrivals and lifecycle records, to place noted policy switches.
+        The source's id layout (kernel-local query ``j`` is the global id
+        ``base + j * stride``) is not needed: each completion carries the
+        arrivals before it (:attr:`~repro.obs.attribution.Lifecycle.e_arrived`)."""
         self._position = position
-        self._base, self._stride = base, stride
         self._arrived = self._records = 0
 
     def note_policy(self, policy: Policy, now_ms: float) -> None:
@@ -734,9 +734,9 @@ class GuaranteeAuditor:
         detector, registry series, ``audit_*`` records and alerts exactly
         as one audit step per arrival, decision and completion in kernel
         order would.  Noted policy switches split the drain at their
-        stamps; each completion's place among the arrivals follows the
-        kernel's order (arrivals first at equal times, a rejection or a
-        drop on arrival right after its own).  Windows, the occupancy
+        stamps; each completion's place among the arrivals is the count of
+        arrivals recorded before it (``lifecycle.e_arrived``), so it
+        follows the kernel's order.  Windows, the occupancy
         histogram, the trailing arrival rate and the Page–Hinkley sums
         are computed in columns, every sum in order.
         """
@@ -745,14 +745,9 @@ class GuaranteeAuditor:
         # Each decision's place among the drain's records (decisions and
         # query events), the unit switch stamps count in.
         records = lc.d_at + np.arange(lc.d_at.size)
-        # Arrivals before each completion: all those up to its instant,
-        # but only up to its own for a rejection or a drop on arrival;
-        # the kernel's order never runs back.
-        own = (lc.e_query - self._base) // self._stride + 1 - self._arrived
-        lower = np.where(lc.e_dropped, own, np.searchsorted(arrivals, lc.e_t_ms, "right"))
-        # Per completion: arrivals and decisions before it.
+        # Per completion: the drain's arrivals and decisions before it.
         before = (
-            np.maximum.accumulate(np.maximum(lower, 0)),
+            lc.e_arrived - self._arrived,
             np.searchsorted(lc.d_at, np.flatnonzero(ended), "right"),
         )
         rates = self._rates(arrivals)
@@ -767,7 +762,7 @@ class GuaranteeAuditor:
             d = int(np.searchsorted(records, r))
             cuts.append((a - self._arrived, d, int(np.count_nonzero(ended[: r - d])), policy, now_ms))
         lo = (0, 0, 0)
-        for a, d, e, *switch in [*cuts, (arrivals.size, records.size, lower.size)]:
+        for a, d, e, *switch in [*cuts, (arrivals.size, records.size, lc.e_t_ms.size)]:
             self._fold_segment(lc, arrivals, rates, before, lo, (a, d, e))
             if switch:
                 self._switch(*switch)

@@ -74,6 +74,7 @@ __all__ = [
     "COUNTER",
     "MISSING",
     "EventTable",
+    "RowBatch",
     "TableWriter",
     "block_rows",
     "encode_block",
@@ -179,26 +180,302 @@ class _Codes(dict):
         return code
 
 
+#: A string column held as ``(codes, labels)``: row ``i`` holds
+#: ``labels[codes[i]]``.
+Coded = Tuple[np.ndarray, Sequence[Any]]
+#: One args keys tuple of a :class:`RowBatch`: the rows that carry it
+#: (ascending) and one value column per key.
+Shape = Tuple[Tuple[Any, ...], np.ndarray, List[Any]]
+
+#: Value columns stored as they are, by dtype.
+_TYPED = {
+    np.dtype(np.bool_): _BOOL,
+    np.dtype(np.int64): _INT,
+    np.dtype(np.float64): _FLOAT,
+}
+
+
+def _column_tag(values: Any) -> Optional[str]:
+    """The tag a value column is stored under as it is (``None``: its
+    values are typed one by one)."""
+    if isinstance(values, tuple):
+        return _STR
+    if isinstance(values, np.ndarray):
+        return _TYPED.get(values.dtype)
+    return None
+
+
+def _python(values: Any) -> List[Any]:
+    """A value column's values as Python values."""
+    if isinstance(values, tuple):
+        codes, labels = values
+        return [labels[i] for i in codes.tolist()]
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    return list(values)
+
+
+def _part(values: Any, at: Any) -> Any:
+    """The values of a value column at ``at`` (a slice or a mask)."""
+    if isinstance(values, tuple):
+        return values[0][at], values[1]
+    if isinstance(values, np.ndarray):
+        return values[at]
+    if isinstance(at, slice):
+        return values[at]
+    return [v for v, keep in zip(values, at.tolist()) if keep]
+
+
+def _coded(values: Sequence[Any]) -> Coded:
+    """Recorded strings as a ``(codes, labels)`` column."""
+    local = _Codes()
+    codes = np.fromiter(map(local.__getitem__, values), np.int64, count=len(values))
+    return codes, list(local)
+
+
+class RowBatch:
+    """Table rows held in columns, their strings not yet numbered: what a
+    :class:`TableWriter` buffers, and what a recorder adopts in bulk
+    (:meth:`repro.obs.trace.Tracer.record_batch`).
+
+    ``columns`` holds the fixed columns (those a recorder stamps --
+    ``id``, ``parent``, ``seq`` and ``n`` -- may be missing until it
+    does): arrays, except ``name``, ``track`` and ``cat``, which are
+    ``(codes, labels)`` string columns.  ``shapes`` lists each args keys
+    tuple with the ascending rows that carry it and one value column per
+    key: a bool, int64 or float64 array is stored as it is, a ``(codes,
+    labels)`` pair is a string column, and any other sequence holds
+    Python values, typed one by one as recorded values are.
+    :meth:`TableWriter.take` numbers the strings of every batch it holds
+    in order of first use, so a table taken from batches equals the one
+    taken from the same rows appended one by one.
+    """
+
+    def __init__(self, columns: Dict[str, Any], shapes: Iterable[Shape]) -> None:
+        self.columns = columns
+        #: In order of each keys tuple's first row, as a table numbers them.
+        self.shapes: List[Shape] = sorted(
+            (shape for shape in shapes if len(shape[1])), key=lambda s: int(s[1][0])
+        )
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[tuple]) -> "RowBatch":
+        """Rows appended by :meth:`TableWriter.append`, as a batch."""
+        count = len(rows)
+        # The fixed columns and the keys tuples (zip is lazy, so the
+        # values are not transposed here).
+        fields = (
+            list(islice(zip(*rows), len(_FIXED) + 1)) if rows
+            else [()] * (len(_FIXED) + 1)
+        )
+        columns = {
+            name: _coded(values) if name in _STRING_COLUMNS
+            else np.array(values, dtype=dtype).reshape(-1)
+            for (name, dtype), values in zip(_FIXED, fields)
+        }
+        # Rows sharing a keys tuple become one shape.  Equal tuples are
+        # found through their identities first: a caller passing constant
+        # key tuples shares one object per shape.
+        shapes = fields[len(_FIXED)]
+        ids = list(map(id, shapes))
+        shape_index: Dict[Tuple[Any, ...], int] = {}
+        id_index = {
+            ident: shape_index.setdefault(shape, len(shape_index))
+            for ident, shape in dict(zip(ids, shapes)).items()
+        }
+        shape_of = np.fromiter(map(id_index.__getitem__, ids), np.int64, count=count)
+        batch = []
+        for keys, index in shape_index.items():
+            at = np.flatnonzero(shape_of == index)
+            picked = list(map(rows.__getitem__, at.tolist())) if keys else []
+            batch.append((
+                keys, at,
+                [list(map(itemgetter(pos), picked))
+                 for pos in range(len(_FIXED) + 1, len(_FIXED) + 1 + len(keys))],
+            ))
+        return cls(columns, batch)
+
+    def __len__(self) -> int:
+        return int(self.columns["kind"].shape[0])
+
+    def stamped(self, **columns: np.ndarray) -> "RowBatch":
+        """The batch with ``columns`` set."""
+        return RowBatch({**self.columns, **columns}, self.shapes)
+
+    def slice(self, start: int, stop: int) -> "RowBatch":
+        """Rows ``start`` to ``stop``."""
+        window = slice(start, stop)
+        shapes = []
+        for keys, rows, values in self.shapes:
+            lo, hi = np.searchsorted(rows, (start, stop)).tolist()
+            at = slice(lo, hi)
+            shapes.append((keys, rows[at] - start, [_part(v, at) for v in values]))
+        return RowBatch(
+            {name: _part(column, window) for name, column in self.columns.items()},
+            shapes,
+        )
+
+    def select(self, mask: np.ndarray) -> "RowBatch":
+        """The rows where ``mask`` is set, in order."""
+        index = np.cumsum(mask) - 1
+        shapes = []
+        for keys, rows, values in self.shapes:
+            keep = mask[rows]
+            shapes.append((keys, index[rows[keep]], [_part(v, keep) for v in values]))
+        return RowBatch(
+            {name: _part(column, mask) for name, column in self.columns.items()},
+            shapes,
+        )
+
+    def records(self) -> Iterator[tuple]:
+        """``(kind, name, track, cat, ts_ms, dur_ms, value, keys, values)``
+        per row, in row order, as Python values (a row without args has
+        empty ``keys`` and ``values``)."""
+        count = len(self)
+        keys_of: List[Tuple[Any, ...]] = [()] * count
+        values_of: List[Tuple[Any, ...]] = [()] * count
+        for keys, rows, values in self.shapes:
+            if keys:
+                for row, row_values in zip(rows.tolist(), zip(*map(_python, values))):
+                    keys_of[row] = keys
+                    values_of[row] = row_values
+        c = self.columns
+        return zip(
+            c["kind"].tolist(), _python(c["name"]), _python(c["track"]),
+            _python(c["cat"]), c["ts_ms"].tolist(), c["dur_ms"].tolist(),
+            c["value"].tolist(), keys_of, values_of,
+        )
+
+
+def _table(batches: Sequence[RowBatch]) -> "EventTable":
+    """One table of ``batches``' rows, in order.
+
+    Strings are numbered in order of first use: the ``name`` column's,
+    then ``track``'s and ``cat``'s, then the string args, keys tuple by
+    keys tuple.  Args are typed in bulk, one key of one keys tuple at a
+    time; a value column of Python values splits by value type.
+    """
+    count = sum(map(len, batches))
+    strings = _Codes()
+
+    def number(values: Any) -> np.ndarray:
+        """A string column's codes in the table's string list."""
+        if not isinstance(values, tuple):
+            return np.fromiter(
+                map(strings.__getitem__, values), np.int32, count=len(values)
+            )
+        codes, labels = values
+        lut = np.zeros(len(labels), np.int32)
+        used, first = np.unique(codes, return_index=True)
+        for code in used[np.argsort(first)].tolist():
+            lut[code] = strings[labels[code]]
+        return lut[codes]
+
+    columns = {}
+    for name, dtype in _FIXED:
+        parts = [batch.columns[name] for batch in batches]
+        if name in _STRING_COLUMNS:
+            parts = list(map(number, parts))
+        columns[name] = (
+            np.concatenate(parts).astype(dtype, copy=False) if parts
+            else np.zeros(0, dtype)
+        )
+
+    # Each keys tuple's rows and value columns, across the batches.
+    gathered: Dict[Tuple[Any, ...], Tuple[List[np.ndarray], List[List[Any]]]] = {}
+    offset = 0
+    for batch in batches:
+        for keys, rows, values in batch.shapes:
+            at, columns_of = gathered.setdefault(keys, ([], []))
+            at.append(rows + offset)
+            columns_of.append(values)
+        offset += len(batch)
+    shape_of = np.zeros(count, np.int64)
+    built: Dict[ArgKey, List[Tuple[np.ndarray, Any]]] = {}
+    overflow: List[Tuple[int, str, str]] = []
+    for index, (keys, (parts, columns_of)) in enumerate(gathered.items()):
+        at = np.concatenate(parts)
+        shape_of[at] = index
+        for pos, key in enumerate(keys):
+            name = key if type(key) is str else _json_key(key)
+            pieces = [values[pos] for values in columns_of]
+            tags = set(map(_column_tag, pieces))
+            if len(tags) == 1 and None not in tags:
+                tag = tags.pop()
+                built.setdefault((name, tag), []).append(
+                    (at, pieces if tag == _STR else np.concatenate(pieces))
+                )
+                continue
+            values = list(chain.from_iterable(map(_python, pieces)))
+            kinds = set(map(type, values))
+            if len(kinds) == 1:
+                split = [(kinds.pop(), at, values)]
+            else:
+                types = list(map(type, values))
+                split = [
+                    (kind, at[[t is kind for t in types]],
+                     [v for v, t in zip(values, types) if t is kind])
+                    for kind in kinds
+                ]
+            for kind, kind_rows, kind_values in split:
+                tag = _tag_of(kind)
+                if tag is None:
+                    overflow.extend(
+                        (row, name, json.dumps(
+                            item, sort_keys=True, default=json_default
+                        ))
+                        for row, item in zip(kind_rows.tolist(), kind_values)
+                    )
+                else:
+                    built.setdefault((name, tag), []).append(
+                        (kind_rows, [kind_values] if tag == _STR else kind_values)
+                    )
+
+    args = {}
+    for (key, tag), chunks in built.items():
+        mask = np.zeros(count, np.bool_)
+        data = np.zeros(count, _ARG_DTYPES[tag])
+        for at, values in chunks:
+            if tag == _STR:
+                values = np.concatenate(list(map(number, values)))
+            elif tag == _INT and not isinstance(values, np.ndarray):
+                at, values = _int64_only(key, at, values, overflow)
+            mask[at] = True
+            data[at] = values
+        args[(key, tag)] = (data, mask)
+    key_order = (
+        [tuple(k if type(k) is str else _json_key(k) for k in keys)
+         for keys in gathered],
+        shape_of,
+    )
+    return EventTable(
+        [str(s) for s in strings], columns, args, sorted(overflow), key_order
+    )
+
+
 class TableWriter:
     """Append-only row buffer; :meth:`take` turns the rows into a table.
 
     The row buffer behind :class:`~repro.obs.trace.RecordingTracer` (and
-    so every run-dir feed) and the encoder of JSONL records.
-    A row's args are its keys tuple and their values
-    (:func:`split_args` makes both from a dict); every caller's row is
-    one flat tuple, the fixed columns then the keys tuple then the
-    values.  A row whose values are scalars and whose keys tuple is a
-    constant holds no tracked object, so the garbage collector untracks
-    it the first time it looks.  The typing and column building happen
-    in bulk in :meth:`take`, which groups rows by their keys tuple.  No
-    JSON is built unless an args value is not a scalar.
+    so every run-dir feed) and the encoder of JSONL records.  Rows come
+    one at a time (:meth:`append`) or in columns (:meth:`extend`).  A
+    row's args are its keys tuple and their values (:func:`split_args`
+    makes both from a dict); every appended row is one flat tuple, the
+    fixed columns then the keys tuple then the values.  A row whose
+    values are scalars and whose keys tuple is a constant holds no
+    tracked object, so the garbage collector untracks it the first time
+    it looks.  The typing and column building happen in bulk in
+    :meth:`take`, which groups rows by their keys tuple.  No JSON is
+    built unless an args value is not a scalar.
     """
 
     def __init__(self) -> None:
+        self._batches: List[RowBatch] = []
+        self._batched = 0
         self._rows: List[tuple] = []
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._batched + len(self._rows)
 
     def append(
         self,
@@ -222,95 +499,22 @@ class TableWriter:
              seq, n, keys) + values
         )
 
+    def extend(self, batch: RowBatch) -> None:
+        """Buffer ``batch``'s rows (every fixed column set) after the
+        rows buffered so far."""
+        if self._rows:
+            self._batches.append(RowBatch.of_rows(self._rows))
+            self._rows = []
+        self._batches.append(batch)
+        self._batched = len(self)
+
     def take(self) -> "EventTable":
         """The buffered rows as a table; the buffer starts over empty."""
-        rows = self._rows
-        self._rows = []
-        count = len(rows)
-        # The fixed columns and the keys tuples (zip is lazy, so the
-        # values are not transposed here).
-        fields = (
-            list(islice(zip(*rows), len(_FIXED) + 1)) if rows
-            else [()] * (len(_FIXED) + 1)
-        )
-        strings = _Codes()
-
-        def codes(values: Sequence[Any]) -> np.ndarray:
-            return np.fromiter(
-                map(strings.__getitem__, values), np.int32, count=len(values)
-            )
-
-        columns = {}
-        for (name, dtype), values in zip(_FIXED, fields):
-            columns[name] = (
-                codes(values) if name in _STRING_COLUMNS
-                else np.array(values, dtype=dtype).reshape(-1)
-            )
-
-        # Rows sharing a keys tuple are typed one key at a time, in bulk.
-        # Equal tuples are found through their identities first: a caller
-        # passing constant key tuples shares one object per shape.
-        shapes = fields[len(_FIXED)]
-        ids = list(map(id, shapes))
-        shape_index: Dict[Tuple[Any, ...], int] = {}
-        id_index = {
-            ident: shape_index.setdefault(shape, len(shape_index))
-            for ident, shape in dict(zip(ids, shapes)).items()
-        }
-        shape_of = np.fromiter(map(id_index.__getitem__, ids), np.int64, count=count)
-        built: Dict[ArgKey, List[Tuple[np.ndarray, Sequence[Any]]]] = {}
-        overflow: List[Tuple[int, str, str]] = []
-        for keys, index in shape_index.items():
-            if not keys:
-                continue
-            at = np.flatnonzero(shape_of == index)
-            picked = list(map(rows.__getitem__, at.tolist()))
-            for pos, key in enumerate(keys, len(_FIXED) + 1):
-                values = list(map(itemgetter(pos), picked))
-                name = key if type(key) is str else _json_key(key)
-                kinds = set(map(type, values))
-                if len(kinds) == 1:
-                    split = [(kinds.pop(), at, values)]
-                else:
-                    types = list(map(type, values))
-                    split = [
-                        (kind, at[[t is kind for t in types]],
-                         [v for v, t in zip(values, types) if t is kind])
-                        for kind in kinds
-                    ]
-                for kind, kind_rows, kind_values in split:
-                    tag = _tag_of(kind)
-                    if tag is None:
-                        overflow.extend(
-                            (row, name, json.dumps(
-                                item, sort_keys=True, default=json_default
-                            ))
-                            for row, item in zip(kind_rows.tolist(), kind_values)
-                        )
-                    else:
-                        built.setdefault((name, tag), []).append(
-                            (kind_rows, kind_values)
-                        )
-
-        args = {}
-        for (key, tag), chunks in built.items():
-            at = np.concatenate([chunk_rows for chunk_rows, _ in chunks])
-            values = list(chain.from_iterable(v for _, v in chunks))
-            if tag == _INT:
-                at, values = _int64_only(key, at, values, overflow)
-            mask = np.zeros(count, np.bool_)
-            mask[at] = True
-            data = np.zeros(count, _ARG_DTYPES[tag])
-            data[at] = codes(values) if tag == _STR else values
-            args[(key, tag)] = (data, mask)
-        key_order = (
-            [tuple(k if type(k) is str else _json_key(k) for k in keys)
-             for keys in shape_index],
-            shape_of,
-        )
-        return EventTable(
-            [str(s) for s in strings], columns, args, sorted(overflow), key_order
-        )
+        batches = self._batches
+        if self._rows or not batches:
+            batches.append(RowBatch.of_rows(self._rows))
+        self._batches, self._batched, self._rows = [], 0, []
+        return _table(batches)
 
 
 def split_args(

@@ -20,7 +20,10 @@ to Chrome ``trace_event`` threads.
 
 :class:`RecordingTracer` records rows of the columnar event table every
 run-dir feed stores (:mod:`repro.obs.columns`); its :class:`Span` and
-:class:`Event` objects are views decoded from that table.
+:class:`Event` objects are views decoded from that table.  Rows also come
+in bulk, as a :class:`~repro.obs.columns.RowBatch`
+(:meth:`Tracer.record_batch`): the dispatch kernel's observer builds its
+lifecycle rows that way, and a recorder adopts the batch whole.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.obs.columns import (
     INSTANT,
     SPAN,
     EventTable,
+    RowBatch,
     TableWriter,
     split_args,
 )
@@ -153,6 +157,18 @@ class Tracer:
         """:meth:`instant` with its args as ``keys`` / ``values`` tuples."""
         self.instant(name, track, ts_ms, category, dict(zip(keys, values)))
 
+    def record_batch(self, batch: RowBatch) -> None:
+        """Record ``batch``'s rows in order: one :meth:`complete_row`,
+        :meth:`instant_row` or :meth:`counter` call per row.  A
+        :class:`RecordingTracer` adopts the batch instead."""
+        for kind, name, track, cat, ts, dur, value, keys, values in batch.records():
+            if kind == SPAN:
+                self.complete_row(name, track, ts, dur, keys, values, cat)
+            elif kind == INSTANT:
+                self.instant_row(name, track, ts, keys, values, cat)
+            else:
+                self.counter(name, track, ts, value)
+
     @contextmanager
     def span(
         self,
@@ -175,6 +191,9 @@ class NullTracer(Tracer):
     def instant_row(self, name, track, ts_ms, keys, values, category="sim") -> None:
         pass
 
+    def record_batch(self, batch: RowBatch) -> None:
+        pass
+
 
 #: Shared no-op tracer used wherever no tracer was configured.
 NULL_TRACER = NullTracer()
@@ -187,8 +206,10 @@ class ForwardingTracer(Tracer):
     without owning storage — the pattern
     :class:`~repro.obs.profile.PhaseProfiler` uses to time wall-clock
     spans on their way to a :class:`RecordingTracer`.  Rows
-    (:meth:`complete_row` / :meth:`instant_row`) are forwarded as rows.
-    With no inner tracer the records are consumed by the subclass alone.
+    (:meth:`complete_row` / :meth:`instant_row`) are forwarded as rows,
+    and a batch as a batch unless a subclass observes rows or counters
+    (then it gets one call per row).  With no inner tracer the records
+    are consumed by the subclass alone.
     """
 
     enabled = True
@@ -234,6 +255,17 @@ class ForwardingTracer(Tracer):
     def instant_row(self, name, track, ts_ms, keys, values, category="sim") -> None:
         self._inner.instant_row(name, track, ts_ms, keys, values, category)
 
+    def record_batch(self, batch: RowBatch) -> None:
+        cls = type(self)
+        if (
+            cls.complete_row is ForwardingTracer.complete_row
+            and cls.instant_row is ForwardingTracer.instant_row
+            and cls.counter is ForwardingTracer.counter
+        ):
+            self._inner.record_batch(batch)
+        else:
+            super().record_batch(batch)
+
     @contextmanager
     def span(
         self,
@@ -257,6 +289,9 @@ class RecordingTracer(Tracer):
     row is stamped with the current sequence number (:meth:`set_sequence`)
     and a per-recorder emission counter ``n``; args are taken as key and
     value tuples when recorded (a context-manager span's when it exits).
+    A :class:`~repro.obs.columns.RowBatch` (:meth:`record_batch`) is
+    adopted as it is, stamped like as many rows recorded one by one, so
+    the table equals the one those calls would have built.
     :attr:`spans`, :attr:`events` and :meth:`tracks` are views decoded
     from the table, rebuilt only after new records.
     """
@@ -384,6 +419,36 @@ class RecordingTracer(Tracer):
         self._row(
             COUNTER, name, track, "counter", ts_ms, 0.0, float(value), -1, -1
         )
+
+    def record_batch(self, batch: RowBatch) -> None:
+        """Adopt ``batch``: its spans take the next ids (no parent), its
+        rows the current sequence number and the next emission counters,
+        and a feed flushes at the same rows as if they came one by one."""
+        count = len(batch)
+        spans = batch.columns["kind"] == SPAN
+        ids = np.full(count, -1, np.int64)
+        ids[spans] = np.arange(self._next_id, self._next_id + int(spans.sum()))
+        self._next_id += int(spans.sum())
+        batch = batch.stamped(
+            id=ids,
+            parent=np.full(count, -1, np.int64),
+            seq=np.full(count, self._seq, np.int64),
+            n=np.arange(self._n, self._n + count, dtype=np.int64),
+        )
+        done = 0
+        while done < count:
+            # The row numbered ``_flush_at`` is the last before a flush.
+            cut = min(count, done + self._flush_at - self._n + 1)
+            self._rows.extend(batch.slice(done, cut))
+            self._n += cut - done
+            done = cut
+            if self._n > self._flush_at:
+                self.flush()
+
+    @property
+    def room(self) -> int:
+        """Rows this recorder takes before its next :meth:`flush`."""
+        return self._flush_at - self._n + 1
 
     @contextmanager
     def span(

@@ -43,10 +43,11 @@ milliseconds:
   event schema, and each shard publishes periodic
   atomic metrics/attribution snapshots, folded between dispatches by
   the serve loop from the shard's lifecycle capture (the one source of every
-  attributor's records) — so ``ramsis top``, ``ramsis
-  report`` and ``ramsis explain`` work unchanged against a sharded run.
-  All of a shard's taps sit in one kernel observer: an unobserved run
-  builds no per-query object or argument dict.
+  attributor's records and of the feed rows, which are built from it in
+  bulk on the snapshot ticks and before the feeds close) — so ``ramsis
+  top``, ``ramsis report`` and ``ramsis explain`` work unchanged against
+  a sharded run.  All of a shard's taps sit in one kernel observer: an
+  unobserved run builds no per-query object or argument dict.
 """
 
 from __future__ import annotations
@@ -323,7 +324,10 @@ class ShardedController:
         and is not rewritten when the serve ends (the run's attribution
         is the merged ``attribution.json``): the end of the serve folds
         the rest of the capture into the registry, a caller's attributor
-        and the auditor only, then publishes once more.
+        and the auditor only, then publishes once more.  Feed rows are
+        built from the capture on the ticks, when a feed block would fill
+        and at the end of the serve, before the feeds close: a serve that
+        raises still leaves every record it processed in its feeds.
         """
         start_wall = time.monotonic()
         num_shards = self._num_shards
@@ -402,20 +406,23 @@ class ShardedController:
         try:
             self._run(kernels, arrivals, run_path)
         finally:
-            for observer in observers:
-                if observer is not None:
-                    for tracer in observer.tracers:
-                        if tracer is not None:
-                            tracer.close()
-        for s, observer in enumerate(observers):
-            if observer is not None and (
-                attributors is None or attributors[s] is None
-            ):
-                # Only a caller's attributor is owed the rest: a view's
-                # run-wide fold is the merged attribution.json.
-                observer.attributor = None
-        for s in range(num_shards):
-            self._fold_capture(s, run_path)
+            # The final drain, before the feeds close: even a serve that
+            # raised leaves every record it processed in its feeds.
+            for s, observer in enumerate(observers):
+                if observer is None:
+                    continue
+                if attributors is None or attributors[s] is None:
+                    # Only a caller's attributor is owed the rest: a
+                    # view's run-wide fold is the merged attribution.json.
+                    observer.attributor = None
+                self._fold_capture(s)
+                observer.emit()
+                for tracer in observer.tracers:
+                    if tracer is not None:
+                        tracer.close()
+        if run_path is not None:
+            for s in range(num_shards):
+                self._publish(s, run_path)
 
         metrics = fold_kernels(kernels)
         rejected = sum(kernel.rejected for kernel in kernels)
@@ -512,19 +519,25 @@ class ShardedController:
 
     def _fold_capture(self, s: int, run_path=None) -> None:
         """Fold shard ``s``'s drained capture into its registry,
-        attributor and auditor; with a run dir, publish its
-        ``metrics-<pid>.json`` and ``attribution-<pid>.json``
-        (``pid = G + s``)."""
-        from repro.obs.aggregate import write_live_snapshot
-
+        attributor and auditor; with a run dir (a snapshot tick), also
+        write its feed rows and publish its snapshots (:meth:`_publish`)."""
         observer = self._observers[s]
         if observer is None:
             return
         observer.fold(observer.drain(), self._auditors[s])
         if run_path is not None:
-            write_live_snapshot(
-                run_path,
-                registry=observer.registry,
-                attributor=observer.attributor,
-                pid=self._total_workers + s,
-            )
+            observer.emit()
+            self._publish(s, run_path)
+
+    def _publish(self, s: int, run_path) -> None:
+        """Publish shard ``s``'s ``metrics-<pid>.json`` and
+        ``attribution-<pid>.json`` (``pid = G + s``)."""
+        from repro.obs.aggregate import write_live_snapshot
+
+        observer = self._observers[s]
+        write_live_snapshot(
+            run_path,
+            registry=observer.registry,
+            attributor=observer.attributor,
+            pid=self._total_workers + s,
+        )

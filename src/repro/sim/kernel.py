@@ -30,12 +30,16 @@ satisfied query); :func:`fold_kernels` folds them worker after worker in
 global worker order through :func:`repro.sim.metrics.fold_worker_records`
 — so a simulation and a sharded serve of the same arrivals report
 float-identical metrics.  Observers sit behind one ``observed`` check: an
-unobserved run makes no observer call and builds no argument dict.
+unobserved run makes no observer call and builds no argument dict.  An
+observed run appends one ordered lifecycle capture; tracer rows,
+registry series, attribution and audits are all made from it in
+columns, off the dispatch path (:class:`LifecycleObserver`).
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import Counter, deque
 from itertools import chain, repeat
 from operator import getitem, itemgetter
@@ -47,7 +51,9 @@ from repro.arrivals.traces import LoadTrace
 from repro.balancers import LoadBalancer, RoundRobinBalancer
 from repro.errors import SimulationError
 from repro.obs.attribution import LatencyAttributor, Lifecycle
+from repro.obs.columns import COUNTER, INSTANT, SPAN, RowBatch
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import RecordingTracer
 from repro.profiles.models import ModelSet
 from repro.selectors.base import ModelSelector
 from repro.sim.latency_model import LatencyModel
@@ -98,48 +104,64 @@ _DROPPED_KEYS = (
     "query", "worker", "model", "satisfied", "dropped", "accuracy", "response_ms",
 )
 _REJECTED_KEYS = _DROPPED_KEYS + ("rejected",)
+#: The strings of the lifecycle rows' ``name`` and ``cat`` columns.
+_ARRIVAL, _SERVE, _START, _COMPLETION, _QUEUE_DEPTH = range(5)
+_NAMES = ("arrival", "serve", "service_start", "completion", "queue_depth")
+_SIM, _COUNTER = 0, 1
+_CATS = ("sim", "counter")
 
 #: Capture entries, flat tuples of scalars (so the collector untracks
-#: them): ``(_DISPATCH, t, w, model, batch, exec_ms, queue_len, slack_ms,
-#: *served)``, ``(_COMPLETE, t, w, model, accuracy, *served)`` and
-#: ``(_TERMINAL, t, w, model, rejected, *queries)``.
+#: them), each stamped with the kernel's arrivals before it: ``(_DISPATCH,
+#: arrived, t, w, model, batch, exec_ms, queue_len, slack_ms, anticipated,
+#: *served)``, ``(_COMPLETE, arrived, t, w, model, accuracy, *served)``
+#: and ``(_TERMINAL, arrived, t, w, model, rejected, *queries)``.
 _DISPATCH, _COMPLETE, _TERMINAL = 0, 1, 2
 #: Where each kind's query indices start in its entry.
-_QUERIES_AT = np.array([8, 5, 5], np.int64)
+_QUERIES_AT = np.array([10, 6, 6], np.int64)
 #: An entry's length less its lifecycle records (a dispatch is one
 #: decision and a service start per query).
-_RECORDS_LESS = (7, 5, 5)
+_RECORDS_LESS = (9, 6, 6)
 
 
 class LifecycleObserver:
-    """The kernel's observer: one lifecycle record schema, fanned out.
+    """The kernel's observer: one ordered lifecycle capture, folded and
+    written off the dispatch path.
 
-    Every query's ``arrival`` / ``service_start`` / ``completion``
-    instants and every batch's ``serve`` span go to its worker's tracer
-    (``tracers[w]``; ``None`` entries are skipped) as
-    :meth:`~repro.obs.trace.Tracer.instant_row` /
-    :meth:`~repro.obs.trace.Tracer.complete_row` rows — fixed key tuples
-    and a value tuple, no argument dict.  The tracers are the only taps
-    on the dispatch path.
-
-    With a ``registry``, an ``attributor`` or an attached auditor
-    (:meth:`attach`), every dispatch (its service starts included),
-    batch completion, drop and rejection also appends one ordered entry
-    to :attr:`capture`.  Nothing reads the capture on the dispatch path:
-    :meth:`drain` hands the entries captured since the last drain to a
-    consumer, and :meth:`fold` reads them into
+    Every dispatch (its service starts included), batch completion, drop
+    and rejection appends one entry to :attr:`capture`, stamped with the
+    kernel's arrivals so far; arrivals only advance :attr:`arrived`.  The
+    capture is kept whenever there is a tracer, a ``registry``, an
+    ``attributor`` or an attached auditor (:meth:`attach`).  Nothing reads
+    it on the dispatch path: :meth:`drain` hands the entries captured
+    since the last drain to a consumer, and :meth:`fold` reads them into
     :class:`~repro.obs.attribution.Lifecycle` columns (:meth:`columns`,
     the one reader of the entry layout) and folds those into the
-    registry's ``sim_*`` series (:meth:`publish`), into the attributor
-    (a :class:`~repro.obs.attribution.LatencyAttributor` folds them in
-    bulk, any other hook-shaped tap gets its ``observe_*`` calls in the
-    order, and with the arguments, of the events:
+    registry's ``sim_*`` series (:meth:`publish`), into the attributor (a
+    :class:`~repro.obs.attribution.LatencyAttributor` folds them in bulk,
+    any other hook-shaped tap gets its ``observe_*`` calls in the order,
+    and with the arguments, of the events:
     :meth:`~repro.obs.attribution.Lifecycle.replay`) and, with the
     arrival times drained alongside, into the caller's
     :class:`~repro.obs.audit.GuaranteeAuditor`.  The capture is the only
     source of an attributor's and an auditor's records.  A simulation
     drains once, at the end of its run; a serving shard as its capture
     grows, on its snapshot ticks and at the end of its serve.
+
+    The tracers' rows come from the same columns.  Every query's
+    ``arrival`` / ``service_start`` / ``completion`` instant and every
+    batch's ``serve`` span goes to its worker's tracer (``tracers[w]``;
+    ``None`` entries are skipped; a central-queue arrival to
+    ``tracers[0]``), with ``counters`` also a ``queue_depth`` counter
+    after each arrival, dispatch and drop (the simulator's).  The rows
+    are built in bulk, in kernel order, by :meth:`emit`: a fold keeps its
+    columns pending and emits them first when the kernel has no events
+    left or when a tracer's next block would fill
+    (:attr:`~repro.obs.trace.RecordingTracer.room`); a serve also emits on
+    its snapshot ticks and before it closes its feeds.  Each tracer gets
+    its rows as one :class:`~repro.obs.columns.RowBatch` through
+    :meth:`~repro.obs.trace.Tracer.record_batch`: a recorder adopts it,
+    any other tracer gets one row call per row, as if the rows had been
+    written one by one.
 
     Kernel-local worker ``w`` and query ``j`` are recorded as the global
     ids ``base + w * stride`` and ``base + j * stride`` — shard ``s`` of
@@ -155,7 +177,9 @@ class LifecycleObserver:
         registry: Optional[MetricsRegistry] = None,
         base: int = 0,
         stride: int = 1,
+        counters: bool = False,
     ) -> None:
+        self.kernel = kernel
         self.arrivals = kernel.arrivals
         self.deadlines = kernel.deadlines
         self.tracers = list(tracers)
@@ -165,6 +189,14 @@ class LifecycleObserver:
         self.stride = stride
         workers = len(kernel.in_flight)
         self.tracks = [f"worker-{base + w * stride}" for w in range(workers)]
+        #: Each distinct tracer and the workers whose rows it gets
+        #: (``None``: every worker's).
+        self._sinks: List[Tuple[Any, Optional[np.ndarray]]] = []
+        for tracer in dict.fromkeys(t for t in self.tracers if t is not None):
+            owned = [w for w, t in enumerate(self.tracers) if t is tracer]
+            self._sinks.append(
+                (tracer, None if len(owned) == workers else np.array(owned))
+            )
         #: The ordered lifecycle entries (``None`` with nothing to fold
         #: them into).
         self.capture: Optional[List[tuple]] = None
@@ -177,7 +209,21 @@ class LifecycleObserver:
         self._records = 0
         self._counted = (0, 0)
         self._series = None if registry is None else SimSeries(registry)
-        if registry is not None or attributor is not None:
+        # Rows: the columns folded since the last emit, the first arrival
+        # not emitted, and what the rows read per arrival that the
+        # capture does not hold -- the balancer's worker (round robin
+        # needs none) and, for counters, the queue's depth.
+        self._pending: List[Lifecycle] = []
+        self._pending_rows = 0
+        self._emitted = 0
+        self._assigned: Optional[List[int]] = None
+        self._depths: Optional[List[int]] = None
+        if self._sinks:
+            if kernel.assign is not None and not kernel.central:
+                self._assigned = []
+            if counters:
+                self._depths = []
+        if self._sinks or registry is not None or attributor is not None:
             self._start_capture()
 
     def _start_capture(self) -> None:
@@ -191,9 +237,9 @@ class LifecycleObserver:
         """Fold ``auditor`` (a :class:`~repro.obs.audit.GuaranteeAuditor`)
         from the capture: it gets this observer's running count of
         arrivals and lifecycle records (:meth:`position`), which places
-        each policy switch it is told of, and the id layout."""
+        each policy switch it is told of."""
         self._start_capture()
-        auditor.attach(self.position, self.base, self.stride)
+        auditor.attach(self.position)
 
     def position(self) -> Tuple[int, int]:
         """Arrivals processed and lifecycle records (decisions and query
@@ -206,20 +252,13 @@ class LifecycleObserver:
         return self.arrived, self._records + records
 
     def arrival(self, w: int, j: int, t: float, depth: int) -> None:
-        """Query ``j`` arrived; ``depth`` is its queue's length after it."""
-        tracer = self.tracers[max(w, 0)]
-        if tracer is not None:
-            query = self.base + j * self.stride
-            if w >= 0:
-                tracer.instant_row(
-                    "arrival", "balancer", t, _ARRIVAL_KEYS,
-                    (query, self.base + w * self.stride),
-                )
-            else:
-                tracer.instant_row(
-                    "arrival", "balancer", t, _CENTRAL_ARRIVAL_KEYS, (query,)
-                )
+        """Query ``j`` arrived at worker ``w`` (``-1``: the central
+        queue); ``depth`` is its queue's length after it."""
         self.arrived = j + 1
+        if self._assigned is not None:
+            self._assigned.append(w)
+        if self._depths is not None:
+            self._depths.append(depth)
 
     def dispatch(
         self,
@@ -235,47 +274,19 @@ class LifecycleObserver:
         depth: int,
     ) -> None:
         """Worker ``w`` started ``served``; ``depth`` is the queue left."""
-        base, stride = self.base, self.stride
-        gid = base + w * stride
-        arrivals = self.arrivals
         if self.capture is not None:
             self.capture.append((
-                _DISPATCH, t, w, model_name, batch, exec_ms, queue_len,
-                slack_ms, *served,
+                _DISPATCH, self.arrived, t, w, model_name, batch, exec_ms,
+                queue_len, slack_ms, anticipated, *served,
             ))
-        tracer = self.tracers[w]
-        if tracer is not None:
-            track = self.tracks[w]
-            tracer.complete_row(
-                "serve", track, t, exec_ms, _SERVE_KEYS,
-                (gid, model_name, batch, queue_len, slack_ms, anticipated),
-            )
-            instant_row = tracer.instant_row
-            for j in served:
-                instant_row(
-                    "service_start", track, t, _START_KEYS,
-                    (base + j * stride, model_name, batch, t - arrivals[j]),
-                )
 
     def completion(
         self, w: int, t: float, model_name: str, accuracy: float, served: List[int]
     ) -> None:
         """Worker ``w`` finished the batch ``served``."""
         if self.capture is not None:
-            self.capture.append((_COMPLETE, t, w, model_name, accuracy, *served))
-        tracer = self.tracers[w]
-        if tracer is None:
-            return
-        base, stride = self.base, self.stride
-        gid = base + w * stride
-        track = self.tracks[w]
-        arrivals = self.arrivals
-        deadlines = self.deadlines
-        for j in served:
-            tracer.instant_row(
-                "completion", track, t, _DONE_KEYS,
-                (base + j * stride, gid, model_name, t <= deadlines[j],
-                 accuracy, t - arrivals[j]),
+            self.capture.append(
+                (_COMPLETE, self.arrived, t, w, model_name, accuracy, *served)
             )
 
     def terminal(
@@ -289,21 +300,8 @@ class LifecycleObserver:
         """``queries`` ended without inference: dropped (the whole queue)
         or rejected at admission (one query, response 0)."""
         if self.capture is not None:
-            self.capture.append((_TERMINAL, t, w, model_name, rejected, *queries))
-        tracer = self.tracers[w]
-        if tracer is None:
-            return
-        base, stride = self.base, self.stride
-        gid = base + w * stride
-        track = self.tracks[w]
-        arrivals = self.arrivals
-        keys = _REJECTED_KEYS if rejected else _DROPPED_KEYS
-        for j in queries:
-            response_ms = 0.0 if rejected else t - arrivals[j]
-            values = (base + j * stride, gid, model_name, False, True, 0.0, response_ms)
-            tracer.instant_row(
-                "completion", track, t, keys,
-                values + (True,) if rejected else values,
+            self.capture.append(
+                (_TERMINAL, self.arrived, t, w, model_name, rejected, *queries)
             )
 
     # ------------------------------------------------------------------
@@ -321,11 +319,28 @@ class LifecycleObserver:
 
     def fold(self, entries: Sequence[tuple], auditor: Optional[Any] = None) -> None:
         """Fold the last drained ``entries`` into the registry, the
-        attributor and ``auditor`` (the arrivals drained with them too)."""
+        attributor and ``auditor`` (the arrivals drained with them too);
+        their rows are emitted first when the kernel has no events left
+        or a tracer's next block would fill, else kept for :meth:`emit`."""
         if self.capture is None:
             return
         lifecycle = self.columns(entries)
-        self._records += lifecycle.d_batch.size + lifecycle.is_start.size
+        records = lifecycle.d_batch.size + lifecycle.is_start.size
+        self._records += records
+        if self._sinks:
+            self._pending.append(lifecycle)
+            arrivals = self._drained[1] - self._drained[0]
+            self._pending_rows += records + arrivals
+            if self._depths is not None:
+                self._pending_rows += arrivals + lifecycle.d_batch.size + int(
+                    np.count_nonzero(lifecycle.e_dropped)
+                )
+            room = min(
+                (t.room for t, _ in self._sinks if isinstance(t, RecordingTracer)),
+                default=sys.maxsize,
+            )
+            if self._pending_rows >= room or self.kernel.next_ms() == _INF:
+                self.emit()
         self.publish(lifecycle)
         attributor = self.attributor
         if isinstance(attributor, LatencyAttributor):
@@ -344,19 +359,21 @@ class LifecycleObserver:
             return np.fromiter(map(itemgetter(i), entries), dtype, n)
 
         kind = field(0, np.int64)
-        t = field(1, np.float64)
-        gid = self.base + field(2, np.int64) * self.stride
-        models = list(map(itemgetter(3), entries))
+        arrived = field(1, np.int64)
+        t = field(2, np.float64)
+        gid = self.base + field(3, np.int64) * self.stride
+        models = list(map(itemgetter(4), entries))
         names = list(dict.fromkeys(models))
         model = np.fromiter(map({m: i for i, m in enumerate(names)}.get, models), np.int64, n)
         # The batch of a dispatch, the accuracy of a completion, the
         # rejected flag of a terminal.
-        arg = field(4, np.float64)
+        arg = field(5, np.float64)
         dispatch = kind == _DISPATCH
-        # Execution ms, queue length and slack of each dispatch.
-        decided = np.array(
-            [entries[i][5:8] for i in np.flatnonzero(dispatch).tolist()], np.float64
-        ).reshape(-1, 3)
+        # Execution ms, queue length and slack of each dispatch, and the
+        # load it anticipated.
+        picked = [entries[i] for i in np.flatnonzero(dispatch).tolist()]
+        decided = np.array([e[6:9] for e in picked], np.float64).reshape(-1, 3)
+        anticipated = [e[9] for e in picked]
         batch = arg.astype(np.int64)
         cuts = _QUERIES_AT[kind]
         sizes = np.fromiter(map(len, entries), np.int64, n) - cuts
@@ -373,6 +390,8 @@ class LifecycleObserver:
         end = ~start
         rejected = (q_kind == _TERMINAL) & (arg[of] != 0)
         ended = q_kind[end]
+        closes = np.ones(j.size, np.bool_)
+        closes[:-1] = of[1:] != of[:-1]
         return Lifecycle(
             names=names,
             d_worker=gid[dispatch],
@@ -397,6 +416,15 @@ class LifecycleObserver:
             e_dropped=ended == _TERMINAL,
             e_t_ms=q_t[end],
             e_accuracy=np.where(ended == _COMPLETE, arg[of[end]], 0.0),
+            e_arrived=arrived[of[end]],
+            d_t_ms=t[dispatch],
+            d_anticipated=np.array(
+                anticipated,
+                np.float64 if set(map(type, anticipated)) <= {float} else object,
+            ),
+            d_arrived=arrived[dispatch],
+            e_rejected=rejected[end],
+            e_closes=closes[end],
         )
 
     def publish(self, lifecycle: Lifecycle) -> None:
@@ -412,6 +440,149 @@ class LifecycleObserver:
             int(np.count_nonzero(~lifecycle.e_satisfied)),
             Counter(map(name, lifecycle.e_model.tolist())),
         )
+
+    # ------------------------------------------------------------------
+    # Rows (off the dispatch path)
+    # ------------------------------------------------------------------
+    def emit(self) -> None:
+        """Hand each tracer the rows of everything folded since the last
+        emit, and of the arrivals drained with it, in kernel order."""
+        if not self._pending:
+            return
+        lifecycle = Lifecycle.concat(self._pending)
+        a0, a1 = self._emitted, self._drained[1]
+        self._pending, self._pending_rows, self._emitted = [], 0, a1
+        batch, owner = self._rows(lifecycle, a0, a1)
+        for tracer, owned in self._sinks:
+            tracer.record_batch(
+                batch if owned is None else batch.select(np.isin(owner, owned))
+            )
+
+    def _rows(self, lc: Lifecycle, a0: int, a1: int) -> Tuple[RowBatch, np.ndarray]:
+        """The rows of ``lc`` and of arrivals ``a0`` to ``a1``, in kernel
+        order, and each row's (kernel-local) worker.
+
+        The records of ``lc`` form one stream, each decision just before
+        the query event ``d_at`` places it at; an arrival's row goes
+        before every record stamped with more arrivals than its own
+        index, after the rest.  A counter follows its record."""
+        base, stride = self.base, self.stride
+        d_at, starts = lc.d_at, lc.is_start
+        decisions, events = d_at.size, starts.size
+        k = np.arange(events)
+        d_pos = d_at + np.arange(decisions)
+        q_pos = k + np.searchsorted(d_at, k, "right")
+        s_pos, e_pos = q_pos[starts], q_pos[~starts]
+        s_of = np.searchsorted(d_at, k[starts], "right") - 1
+        stamp = np.empty(decisions + events, np.int64)
+        stamp[d_pos] = lc.d_arrived
+        stamp[s_pos] = lc.d_arrived[s_of]
+        stamp[e_pos] = lc.e_arrived
+        d_w = (lc.d_worker - base) // stride
+        e_w = (lc.e_worker - base) // stride
+        j = np.arange(a0, a1)
+        if self.kernel.central:
+            a_w = np.full(j.size, -1, np.int64)
+        elif self._assigned is not None:
+            a_w = np.array(self._assigned[: j.size], np.int64)
+            del self._assigned[: j.size]
+        else:
+            a_w = j % len(self.tracks)
+
+        # Counters: after each arrival, each decision's last start and
+        # each drop's (or rejection's) last query.
+        counted = self._depths is not None
+        extra = np.zeros(decisions + events, np.int64)
+        if counted:
+            depths = np.array(self._depths[: j.size], np.float64)
+            del self._depths[: j.size]
+            dc_pos = d_pos + lc.d_batch
+            tc = lc.e_dropped & lc.e_closes
+            tc_pos = e_pos[tc]
+            extra[dc_pos] = 1
+            extra[tc_pos] = 1
+        per_arrival = 1 + counted
+        shift = np.concatenate(([0], np.cumsum(extra)))  # counters before
+        row = np.arange(decisions + events) + shift[:-1] + per_arrival * (stamp - a0)
+        at = np.searchsorted(stamp, j, "right")
+        a_rows = per_arrival * (j - a0) + at + shift[at]
+        total = decisions + events + int(shift[-1]) + per_arrival * j.size
+
+        kind = np.full(total, INSTANT, np.int8)
+        name = np.empty(total, np.int64)
+        track = np.empty(total, np.int64)  # 0: balancer, 1: central, 2 + w
+        cat = np.full(total, _SIM, np.int64)
+        ts = np.empty(total, np.float64)
+        dur = np.zeros(total, np.float64)
+        value = np.zeros(total, np.float64)
+        owner = np.empty(total, np.int64)
+
+        def put(rows, what, where, when, who):
+            name[rows] = what
+            track[rows] = where
+            ts[rows] = when
+            owner[rows] = who
+
+        d_rows, s_rows, e_rows = row[d_pos], row[s_pos], row[e_pos]
+        put(a_rows, _ARRIVAL, 0, self._arrival_ms[a0:a1], np.maximum(a_w, 0))
+        put(d_rows, _SERVE, 2 + d_w, lc.d_t_ms, d_w)
+        kind[d_rows] = SPAN
+        dur[d_rows] = lc.d_exec_ms
+        put(s_rows, _START, 2 + d_w[s_of], lc.d_t_ms[s_of], d_w[s_of])
+        put(e_rows, _COMPLETION, 2 + e_w, lc.e_t_ms, e_w)
+        if counted:
+            central = self.kernel.central
+            for rows, w, t, depth in (
+                (a_rows + 1, a_w, self._arrival_ms[a0:a1], depths),
+                (row[dc_pos] + 1, d_w, lc.d_t_ms, lc.d_queue_len - lc.d_batch),
+                (row[tc_pos] + 1, e_w[tc], lc.e_t_ms[tc], 0.0),
+            ):
+                put(rows, _QUEUE_DEPTH, 1 if central else 2 + w, t, np.maximum(w, 0))
+                kind[rows] = COUNTER
+                cat[rows] = _COUNTER
+                value[rows] = depth
+
+        query = base + j * stride
+        shapes = [
+            (_CENTRAL_ARRIVAL_KEYS, a_rows, [query]) if self.kernel.central
+            else (_ARRIVAL_KEYS, a_rows, [query, base + a_w * stride]),
+            (_SERVE_KEYS, d_rows, [
+                lc.d_worker, (lc.d_model, lc.names), lc.d_batch, lc.d_queue_len,
+                lc.d_slack_ms, lc.d_anticipated,
+            ]),
+            (_START_KEYS, s_rows, [
+                lc.s_query, (lc.s_model, lc.names), lc.s_batch, lc.s_wait_ms,
+            ]),
+        ]
+        ended = {
+            "query": lc.e_query, "worker": lc.e_worker, "satisfied": lc.e_satisfied,
+            "dropped": lc.e_dropped, "accuracy": lc.e_accuracy,
+            "response_ms": lc.e_response_ms, "rejected": lc.e_rejected,
+        }
+        for keys, mask in (
+            (_DONE_KEYS, ~lc.e_dropped),
+            (_DROPPED_KEYS, lc.e_dropped & ~lc.e_rejected),
+            (_REJECTED_KEYS, lc.e_rejected),
+        ):
+            shapes.append((keys, e_rows[mask], [
+                (lc.e_model[mask], lc.names) if key == "model" else ended[key][mask]
+                for key in keys
+            ]))
+        if counted:
+            shapes.append(((), np.flatnonzero(kind == COUNTER), []))
+        batch = RowBatch(
+            {
+                "kind": kind,
+                "name": (name, _NAMES),
+                "track": (track, ["balancer", "central", *self.tracks]),
+                "cat": (cat, _CATS),
+                "ts_ms": ts,
+                "dur_ms": dur,
+                "value": value,
+            },
+            shapes,
+        )
+        return batch, owner
 
 
 class DispatchKernel:

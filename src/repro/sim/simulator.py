@@ -23,9 +23,10 @@ served late than never" (§4.3.1); ``drop_late`` opts into dropping.
 Observability attaches through one observer, :class:`_SimObserver`, on
 the same kernel: ``tracer`` records the lifecycle stream; ``registry``
 receives the ``sim_*`` series, ``attributor`` and ``auditor`` the
-lifecycle records, all folded in columns from the observer's lifecycle
-capture when the run ends — exactly as a serving shard's
-``auditors=`` / ``attributors=`` are fed.  An observed run returns the
+lifecycle records, all built or folded in columns from the observer's
+lifecycle capture when the run ends (the tracer's rows first) — exactly
+as a serving shard's feeds and ``auditors=`` / ``attributors=`` are
+fed.  An observed run returns the
 same metrics as an unobserved one.  The original
 per-query-object loop lives on as the kernel's oracle in
 ``tests/oracles/sim_loop.py``; ``tests/test_sim_equivalence.py`` pins the
@@ -273,8 +274,8 @@ class _SimObserver(LifecycleObserver):
     On top of the shared lifecycle records, keeps every series the
     simulator has always emitted: ``queue_depth`` counters on the tracer
     (per worker queue, or ``central``) after each arrival, dispatch and
-    drop, and the anticipated/realized load and per-queue depth gauges on
-    the registry.
+    drop, built with the lifecycle rows, and the anticipated/realized
+    load and per-queue depth gauges on the registry, set as they happen.
     """
 
     def __init__(
@@ -287,8 +288,10 @@ class _SimObserver(LifecycleObserver):
     ) -> None:
         workers = len(kernel.in_flight)
         registry = cfg.registry
-        super().__init__(kernel, [tracer] * workers, cfg.attributor, registry)
-        self.tracer = tracer
+        super().__init__(
+            kernel, [tracer] * workers, cfg.attributor, registry,
+            counters=tracer is not None,
+        )
         self.central = central
         self.monitor = monitor
         if registry is not None:
@@ -309,26 +312,16 @@ class _SimObserver(LifecycleObserver):
                 for i in range(1 if central else workers)
             ]
 
-    def _depth(self, w: int, t: float, depth: int, gauge: bool = True) -> None:
-        if self.tracer is not None:
-            track = "central" if self.central else f"worker-{w}"
-            self.tracer.counter("queue_depth", track, t, depth)
-        if gauge and self.registry is not None:
-            self.queue_gauges[0 if self.central else w].set(depth, t_ms=t)
-
     def arrival(self, w: int, j: int, t: float, depth: int) -> None:
         super().arrival(w, j, t, depth)
-        self._depth(w, t, depth)
+        if self.registry is not None:
+            self.queue_gauges[0 if self.central else w].set(depth, t_ms=t)
 
     def dispatch(self, w, t, model_name, batch, queue_len, slack_ms,
                  anticipated, exec_ms, served, depth) -> None:
         super().dispatch(w, t, model_name, batch, queue_len, slack_ms,
                          anticipated, exec_ms, served, depth)
-        self._depth(w, t, depth)
         if self.registry is not None:
+            self.queue_gauges[0 if self.central else w].set(depth, t_ms=t)
             self.gauge_anticipated.set(anticipated, t_ms=t)
             self.gauge_realized.set(self.monitor.realized_load_qps(t), t_ms=t)
-
-    def terminal(self, w, queries, t, model_name, rejected=False) -> None:
-        super().terminal(w, queries, t, model_name, rejected)
-        self._depth(w, t, 0, gauge=False)

@@ -19,6 +19,11 @@
   with an args dict per feed row and a registry fed per event; run-dir
   artifacts served through it must be byte-equal to the lifecycle
   capture's.
+- :mod:`tests.oracles.row_observer` — the dispatch kernel's observer
+  writing one tracer row per record, live (``RowLifecycleObserver``, and
+  ``RowSimObserver`` with the simulator's ``queue_depth`` counters);
+  the bulk rows built from the lifecycle capture must decode to equal
+  feed blocks, equal recorder tables and equal tracer call sequences.
 - :mod:`tests.oracles.sim_series` — the ``sim_*`` registry series
   published one record at a time, against which the bulk fold is gated.
 - :mod:`tests.oracles.attribution_fold` — the attributor with its

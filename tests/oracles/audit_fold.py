@@ -195,4 +195,7 @@ def lifecycle(
         e_dropped=np.full(e, dropped),
         e_t_ms=t,
         e_accuracy=np.where(satisfied, accuracy, 0.0),
+        # A drop or rejection comes right after its own arrival; the
+        # completions of a plain drain come before any arrival.
+        e_arrived=np.arange(1, e + 1) if dropped else ends,
     )

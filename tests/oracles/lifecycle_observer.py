@@ -199,3 +199,6 @@ class DictLifecycleObserver:
 
     def fold(self, entries: Sequence[tuple], auditor: Optional[Any] = None) -> None:
         """Nothing to fold: the registry and the auditor are fed live."""
+
+    def emit(self) -> None:
+        """Nothing to emit: the tracers are fed live."""
