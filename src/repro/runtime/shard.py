@@ -408,18 +408,23 @@ class ShardedController:
         finally:
             # The final drain, before the feeds close: even a serve that
             # raised leaves every record it processed in its feeds.
-            for s, observer in enumerate(observers):
-                if observer is None:
-                    continue
-                if attributors is None or attributors[s] is None:
-                    # Only a caller's attributor is owed the rest: a
-                    # view's run-wide fold is the merged attribution.json.
-                    observer.attributor = None
-                self._fold_capture(s)
-                observer.emit()
-                for tracer in observer.tracers:
-                    if tracer is not None:
-                        tracer.close()
+            try:
+                for s, observer in enumerate(observers):
+                    if observer is None:
+                        continue
+                    if attributors is None or attributors[s] is None:
+                        # Only a caller's attributor is owed the rest: a
+                        # view's run-wide fold is the merged
+                        # attribution.json.
+                        observer.attributor = None
+                    self._fold_capture(s)
+                    observer.emit()
+            finally:
+                for observer in observers:
+                    if observer is not None:
+                        for tracer in observer.tracers:
+                            if tracer is not None:
+                                tracer.close()
         if run_path is not None:
             for s in range(num_shards):
                 self._publish(s, run_path)

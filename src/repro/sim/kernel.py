@@ -329,12 +329,9 @@ class LifecycleObserver:
         self._records += records
         if self._sinks:
             self._pending.append(lifecycle)
+            # At most one counter per arrival and per record.
             arrivals = self._drained[1] - self._drained[0]
-            self._pending_rows += records + arrivals
-            if self._depths is not None:
-                self._pending_rows += arrivals + lifecycle.d_batch.size + int(
-                    np.count_nonzero(lifecycle.e_dropped)
-                )
+            self._pending_rows += (records + arrivals) * (1 + (self._depths is not None))
             room = min(
                 (t.room for t, _ in self._sinks if isinstance(t, RecordingTracer)),
                 default=sys.maxsize,
